@@ -43,7 +43,7 @@ from .qscalar import RootParams
 from .repcat import (
     MorphismMatrix,
     WeightModule,
-    braiding,
+    braiding_matrix,
     dual,
     make_valpha,
     tensor,
@@ -398,7 +398,11 @@ def _resolve_colors(
 
 
 class _Engine:
-    """Single evaluation pass; tracks the running tensor and parked axes."""
+    """Single evaluation pass; tracks the running tensor and parked axes.
+
+    Braiding arrays are built once per (strand, strand, sign) and reused by
+    every crossing of this pass; nothing outlives the engine.
+    """
 
     def __init__(self, ctx, diagram, colors, cut_slice=None):
         self.ctx = ctx
@@ -408,6 +412,7 @@ class _Engine:
         self.cut_info = None  # (kind, variant, module) once parked
         self.words = typecheck(diagram)
         self._duals: dict[str, WeightModule] = {}
+        self._braidings: dict[tuple, np.ndarray] = {}
 
     def module_of(self, strand: Strand) -> WeightModule:
         base = self.colors[strand.component]
@@ -442,8 +447,14 @@ class _Engine:
 
     def _braid(self, t, sl, word):
         i = sl.position
-        m1, m2 = self.module_of(word[i]), self.module_of(word[i + 1])
-        c4 = braiding(m1, m2, sl.sign).matrix.reshape(m2.dim, m1.dim, m1.dim, m2.dim)
+        key = (word[i], word[i + 1], sl.sign)
+        c4 = self._braidings.get(key)
+        if c4 is None:
+            m1, m2 = self.module_of(word[i]), self.module_of(word[i + 1])
+            c4 = braiding_matrix(m1, m2, sl.sign).reshape(
+                m2.dim, m1.dim, m1.dim, m2.dim
+            )
+            self._braidings[key] = c4
         t = np.tensordot(t, c4, axes=([i, i + 1], [2, 3]))
         return np.moveaxis(t, (-2, -1), (i, i + 1))
 

@@ -25,6 +25,7 @@ test suite on every computable fixture.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,22 +77,37 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def _first_cut_slice(diagram: SlicedDiagram, component: str) -> int:
-    """First cup (else cap) of the component that is not fenced in.
+def _first_cut_slice(
+    diagram: SlicedDiagram, component: str, dims: dict[str, int]
+) -> int:
+    """The component's cheapest cup or cap that is not fenced in.
 
-    Cutting an enclosed extremum is not a planar move, so the scan skips
-    any cup/cap that :func:`cut_is_enclosed` rejects.
+    Cutting at slice c keeps the cut component's two strand axes parked in
+    the running tensor from c upward: a cut cup parks them as it opens, a
+    cut cap as it would close.  The cost of a cut is the running-tensor size
+    summed over the slices, i.e. the product of the strand dimensions
+    ``dims`` of each word above a slice, times d² above a cut slice, d the
+    cut component's dimension.  The cheapest cut wins and ties go to the
+    earliest slice.  Cutting an enclosed extremum is not a planar move, so
+    any cup/cap that :func:`cut_is_enclosed` rejects is skipped.
     """
     words = typecheck(diagram)
-    cap_candidates = []
+    sizes = [math.prod(dims[s.component] for s in word) for word in words[1:]]
+    parked = dims[component] ** 2
+    total = sum(sizes)
+    above = total  # running-tensor size summed over slices c and higher
+    costs = []
     for index, sl in enumerate(diagram.slices):
-        if isinstance(sl, Cup) and sl.component == component:
-            if not cut_is_enclosed(diagram, index):
-                return index
+        if isinstance(sl, Cup):
+            owner = sl.component
         elif isinstance(sl, Cap):
-            if words[index][sl.position].component == component:
-                cap_candidates.append(index)
-    for index in cap_candidates:
+            owner = words[index][sl.position].component
+        else:
+            owner = None
+        if owner == component:
+            costs.append((total + (parked - 1) * above, index))
+        above -= sizes[index]
+    for _cost, index in sorted(costs):
         if not cut_is_enclosed(diagram, index):
             return index
     raise DomainError(
@@ -124,10 +140,12 @@ def f_prime(
     """Renormalized invariant of a closed colored diagram.
 
     Cuts ``cut_component`` (default: the first component carrying a simple
-    projective color) open at ``cut_slice`` (default: its first cup),
-    extracts the Schur scalar s of the resulting 1-1 tangle, and returns
-    d(α)·s, times twist corrections θ**(framing − writhe) for every
-    component with a declared framing.
+    projective color) open at ``cut_slice``, extracts the Schur scalar s of
+    the resulting 1-1 tangle, and returns d(α)·s, times twist corrections
+    θ**(framing − writhe) for every component with a declared framing.  An
+    explicit ``cut_slice`` is honoured as given; by default the component is
+    cut at its cheapest cup or cap that is not enclosed by other strands
+    (see :func:`_first_cut_slice`).
     """
     words = typecheck(diagram)
     if words[0] or words[-1]:
@@ -137,6 +155,9 @@ def f_prime(
         for name, value in colors.items()
     }
     names = diagram.component_names()
+    missing = [name for name in names if name not in resolved]
+    if missing:
+        raise DomainError(f"no color given for component {missing[0]!r}")
     if cut_component is None:
         for name in names:
             label = resolved[name].label
@@ -147,7 +168,8 @@ def f_prime(
             raise DomainError("no component carries a simple projective color")
     alpha_cut = _cut_color_alpha(resolved[cut_component])
     if cut_slice is None:
-        cut_slice = _first_cut_slice(diagram, cut_component)
+        dims = {name: module.dim for name, module in resolved.items()}
+        cut_slice = _first_cut_slice(diagram, cut_component, dims)
     else:
         sl = diagram.slices[cut_slice]
         if isinstance(sl, Cup):
@@ -417,17 +439,21 @@ def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
 
     Components whose every cup/cap is enclosed are skipped, so nesting the
     surgery circles around the graph edges stays legal as long as one
-    component reaches the outside.
+    component reaches the outside.  Within the chosen component the cut
+    falls on its cheapest open cup or cap (:func:`_first_cut_slice`).
     """
     candidates = []
-    for name, module in sp.resolved_graph_colors().items():
+    graph_colors = sp.resolved_graph_colors()
+    for name, module in graph_colors.items():
         label = module.label
         if label[0] == "V" or (label[0] == "S" and label[1] == sp.ctx.r - 1):
             candidates.append(name)
     candidates.extend(sp.surgery_names())
+    dims = {name: module.dim for name, module in graph_colors.items()}
+    dims.update((name, sp.ctx.r) for name in sp.surgery_names())
     for name in candidates:
         try:
-            return name, _first_cut_slice(sp.diagram, name)
+            return name, _first_cut_slice(sp.diagram, name, dims)
         except DomainError:
             continue
     raise DomainError(
@@ -465,24 +491,38 @@ def z_invariant(sp: SurgeryPresentation, jobs: int = 1) -> ZResult:
         else np.zeros((1, 0), dtype=int)
     )
 
+    # every Kirby color's module and every twist scalar a term needs is built
+    # once per call up front; the terms (and pool threads) only read them
+    kirby_alphas = {name: [lifts[name] + k for k in ctx.h_r_set()] for name in l_names}
+    modules = {
+        alpha: make_valpha(ctx, alpha)
+        for alphas in kirby_alphas.values()
+        for alpha in alphas
+    }
+    thetas: dict[complex, complex] = {}
+    for name in l_names:
+        if sp.framings[name] - writhes.get(name, 0):
+            thetas.update((a, twist_scalar(ctx, a)) for a in kirby_alphas[name])
+    for name, framing in sp.graph_framings.items():
+        if framing - writhes.get(name, 0):
+            alpha = _cut_color_alpha(graph_colors[name])
+            thetas[alpha] = twist_scalar(ctx, alpha)
+
     def term(ks) -> complex:
         colors = dict(graph_colors)
         weight: complex = 1.0
         corr: complex = 1.0
         for name, k in zip(l_names, ks):
             alpha = lifts[name] + int(k)
-            colors[name] = make_valpha(ctx, alpha)
+            colors[name] = modules[alpha]
             weight *= ctx.mdim(alpha)
             delta_f = sp.framings[name] - writhes.get(name, 0)
             if delta_f:
-                corr *= twist_scalar(ctx, alpha) ** delta_f
+                corr *= thetas[alpha] ** delta_f
         for name, framing in sp.graph_framings.items():
             delta_f = framing - writhes.get(name, 0)
             if delta_f:
-                corr *= (
-                    twist_scalar(ctx, _cut_color_alpha(graph_colors[name]))
-                    ** delta_f
-                )
+                corr *= thetas[_cut_color_alpha(graph_colors[name])] ** delta_f
         matrix, _ = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
         s_term = scalar_of(matrix, ctx.tol)
         cut_module = colors[cut_name]

@@ -1,5 +1,8 @@
 """Surgery layer: renormalized link invariant and the 3-manifold invariant."""
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from unrolledsl2.diagram import (
     SlicedDiagram,
     braid_closure,
     clasp_diagram,
+    cut_is_enclosed,
+    typecheck,
     unknot_diagram,
 )
 from unrolledsl2.errors import (
@@ -18,6 +23,8 @@ from unrolledsl2.errors import (
 )
 from unrolledsl2.invariant import (
     SurgeryPresentation,
+    _first_cut_slice,
+    _fixed_cut,
     computability_check,
     encircled_strand_presentation,
     f_prime,
@@ -32,8 +39,11 @@ from unrolledsl2.invariant import (
     unknot_presentation,
     z_invariant,
 )
+from unrolledsl2.jsonio import load_document, parse_surgery
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import twist_scalar
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
 
 
 @pytest.fixture(params=[2, 3, 5], ids=lambda r: f"r{r}")
@@ -66,6 +76,13 @@ def test_fprime_requires_closed_diagram(ctx):
     open_d = SlicedDiagram((Braid(0, 1),), (Strand("K", True), Strand("K", True)))
     with pytest.raises(DomainError):
         f_prime(open_d, {"K": 0.4}, ctx)
+
+
+def test_fprime_missing_color_is_domain_error(ctx):
+    with pytest.raises(DomainError):
+        f_prime(clasp_diagram(1, "A", "B"), {"B": 0.3}, ctx, cut_component="B")
+    with pytest.raises(DomainError):
+        f_prime(clasp_diagram(1, "A", "B"), {"B": 0.3}, ctx)
 
 
 def test_fprime_hopf_closed_form(ctx):
@@ -137,6 +154,66 @@ def test_fprime_knot_slicing_independence(ctx):
     va = f_prime(tre_two, {"K": a}, ctx, framings={"K": 0})
     vb = f_prime(tre_three, {"K": a}, ctx, framings={"K": 0})
     assert abs(va - vb) < 1e-9 * (1 + abs(va))
+
+
+def _open_cuts(diagram, component):
+    """Every cup and cap of ``component`` that is not enclosed."""
+    words = typecheck(diagram)
+    out = []
+    for index, sl in enumerate(diagram.slices):
+        if isinstance(sl, Cup):
+            owner = sl.component
+        elif isinstance(sl, Cap):
+            owner = words[index][sl.position].component
+        else:
+            continue
+        if owner == component and not cut_is_enclosed(diagram, index):
+            out.append(index)
+    return out
+
+
+KNOT_WORDS = {
+    "torus2_3": ([(0, 1)] * 3, 2),
+    "torus2_5": ([(0, 1)] * 5, 2),
+    "trefoil3": ([(0, 1), (1, 1), (0, 1), (1, 1)], 3),
+    "figure8_3": ([(0, 1), (1, -1), (0, 1), (1, -1)], 3),
+}
+CUT_CASES = [f"clasp{lk:+d}" for lk in (1, -1, 2, -2)] + list(KNOT_WORDS)
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_fprime_agrees_at_every_open_cut(r, case):
+    ctx = RootParams(r)
+    if case.startswith("clasp"):
+        diagram = clasp_diagram(int(case[5:]), "A", "B")
+        colors, component = {"A": 2.0 / 7, "B": -5.0 / 11}, "B"
+    else:
+        word, strands = KNOT_WORDS[case]
+        diagram = braid_closure(word, strands, "K")
+        colors, component = {"K": 2.0 / 7}, "K"
+    default = f_prime(diagram, colors, ctx)
+    assert abs(default) >= 0.1  # keeps the relative comparison meaningful
+    cuts = _open_cuts(diagram, component)
+    assert len(cuts) >= 2
+    for cut in cuts:
+        value = f_prime(diagram, colors, ctx, cut_component=component, cut_slice=cut)
+        assert abs(value - default) <= 1e-9 * abs(default)
+
+
+def test_default_cut_is_cheapest_open_extremum():
+    # the nested clasp: L2's first cup would park two axes through every
+    # crossing, its final cap parks them only above the last slice
+    diagram = clasp_diagram(1, "L1", "L2")
+    last = len(diagram.slices) - 1
+    assert _open_cuts(diagram, "L2") == [0, last]
+    assert _first_cut_slice(diagram, "L2", {"L1": 5, "L2": 5}) == last
+    with pytest.raises(DomainError):
+        _first_cut_slice(diagram, "L1", {"L1": 5, "L2": 5})
+    sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
+    assert _fixed_cut(sp) == ("L2", last)
+    # unknot: cup 0 costs d**4 + d**2, cap 1 costs 2 d**2
+    assert _first_cut_slice(unknot_diagram("K"), "K", {"K": 3}) == 1
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +334,20 @@ def test_z_both_forms_on_fixtures(ctx):
     for sp in fixtures:
         res = z_invariant(sp)
         assert abs(res.z - res.z_via_betti) < 1e-9 * (1 + abs(res.z))
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+@pytest.mark.parametrize("r", [5, 7])
+def test_z_thread_pool_is_bit_identical(r, jobs):
+    sp = parse_surgery(load_document(str(FIXTURES / "lens_7_2.json")), RootParams(r))
+    serial = z_invariant(sp, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool threads as often as possible
+    try:
+        pooled = z_invariant(sp, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from unrolledsl2.errors import DomainError, NotScalarError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     braiding,
+    braiding_matrix,
     dual,
     duality_maps,
     hom_dimension,
@@ -99,6 +100,54 @@ def test_braiding_inverse(ctx):
     plus = braiding(a, b, +1).matrix
     minus = braiding(b, a, -1).matrix
     assert np.abs(minus @ plus - np.eye(a.dim * b.dim)).max() < 1e-9
+
+
+def _dense_braiding(a, b, sign):
+    """Reference braiding: the dense Kronecker sum with one q_pow per entry."""
+    if sign == -1:
+        return np.linalg.inv(_dense_braiding(b, a, 1))
+    ctx = a.ctx
+    da, db = a.dim, b.dim
+    acc = np.zeros((da * db, da * db), dtype=complex)
+    e_pow = np.eye(da, dtype=complex)
+    f_pow = np.eye(db, dtype=complex)
+    coeff = 1.0
+    brace1 = ctx.q_num(1)
+    for n in range(ctx.r):
+        if n > 0:
+            e_pow = e_pow @ a.e
+            f_pow = f_pow @ b.f
+            coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
+            if not e_pow.any() or not f_pow.any():
+                break
+        acc += coeff * np.kron(e_pow, f_pow)
+    qhh = np.array([[ctx.q_pow(wa * wb / 2.0) for wb in b.weights] for wa in a.weights])
+    r_mat = qhh.ravel()[:, None] * acc
+    return r_mat.reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_braiding_matches_dense_reference(r, sign):
+    ctx = RootParams(r)
+    rng = np.random.default_rng(20 + r)
+    a = make_valpha(ctx, _generic(rng))
+    b = make_valpha(ctx, _generic(rng))
+    a_star, ab = dual(a), tensor(a, b)
+    for x, y in ((a, b), (a, a), (a_star, b), (b, a_star), (ab, a), (a_star, ab)):
+        ref = _dense_braiding(x, y, sign)
+        got = braiding_matrix(x, y, sign)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.array_equal(braiding(x, y, sign).matrix, got)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_twist_scalar_closed_form(r):
+    ctx = RootParams(r)
+    for alpha in (0.3, -1.7, 2.0 / 7, 0.0, float(r)):
+        closed = ctx.q_pow((alpha**2 - (r - 1) ** 2) / 2)
+        assert abs(twist_scalar(ctx, alpha) - closed) < 1e-12
 
 
 def test_twist_is_scalar_on_simples(ctx):
