@@ -158,6 +158,13 @@ def f_prime(
     missing = [name for name in names if name not in resolved]
     if missing:
         raise DomainError(f"no color given for component {missing[0]!r}")
+    unknown = [
+        name
+        for name in [cut_component, *(framings or {})]
+        if name is not None and name not in names
+    ]
+    if unknown:
+        raise DomainError(f"component {unknown[0]!r} is not in the diagram")
     if cut_component is None:
         for name in names:
             label = resolved[name].label

@@ -16,6 +16,7 @@ field.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -42,23 +43,35 @@ from .tqftdim import GraphEdge, TrivalentGraph
 
 
 def parse_real(value: Any, path: str) -> float:
-    """A real number from a JSON number, "p/q" string, or decimal string."""
+    """A finite real number from a JSON number, "p/q" string, or decimal string.
+
+    NaN, infinities and values beyond double range (``1e400``, the JSON
+    ``NaN`` / ``Infinity`` literals, ``"nan"``, ``"inf"``) are schema errors.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError):
             try:
-                return float(value)
+                number = float(value)
             except ValueError:
                 raise SchemaError(
                     f"{path}: {value!r} is not a rational 'p/q' string, a "
                     "decimal string, or a number"
                 ) from None
-    raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    elif isinstance(value, (int, float)):
+        number = value
+    else:
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        out = float(number)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{path}: {value!r} is not a finite number")
+    return out
 
 
 def parse_complex(value: Any, path: str) -> complex:

@@ -34,8 +34,10 @@ counts carry that factor 2 per vertex.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -514,7 +516,7 @@ def verlinde(
     c = sum(points)
     num = ctx.q_num(ctx.r * b)
     exponent = 2 * genus - 2 + n
-    total = 0.0 + 0.0j
+    terms = []
     for k in ctx.h_r_set():
         den = ctx.q_num(b + k)
         if abs(den) <= 1e-12:
@@ -522,9 +524,39 @@ def verlinde(
                 f"{{beta + {k}}} vanishes at beta={beta!r}; the summand is "
                 "singular"
             )
-        total += ctx.q_pow(c * k) * (num / den) ** exponent
+        terms.append((ctx.q_pow(c * k), num / den))
     sign = -1.0 if (n * (ctx.r - 1)) % 2 else 1.0
-    return sign / ctx.r * ctx.rprime**genus * ctx.q_pow(c * b) * total
+    try:
+        total = 0.0 + 0.0j
+        for phase, ratio in terms:
+            total += phase * ratio**exponent
+        value = sign / ctx.r * ctx.rprime**genus * ctx.q_pow(c * b) * total
+    except OverflowError:
+        value = complex(math.inf)
+    if cmath.isfinite(value):
+        return value
+    # Some factor left double range: redo the sum with every power divided
+    # by the largest one, and keep the scale as a logarithm.
+    logs = [exponent * math.log(abs(ratio)) if ratio else -math.inf
+            for _, ratio in terms]
+    top = max(logs)
+    total = sum(
+        phase * (ratio / abs(ratio)) ** exponent * math.exp(log - top)
+        for (phase, ratio), log in zip(terms, logs)
+        if ratio
+    )
+    value = sign * ctx.q_pow(c * b) * total
+    if not value:
+        return 0.0 + 0.0j
+    log_abs = (
+        math.log(abs(value)) + top + genus * math.log(ctx.rprime) - math.log(ctx.r)
+    )
+    if log_abs >= math.log(sys.float_info.max):
+        raise DomainError(
+            f"the genus-{genus} value at beta={beta!r} has magnitude "
+            f"e^{log_abs:.1f}, which overflows double precision"
+        )
+    return value / abs(value) * math.exp(log_abs)
 
 
 # ----------------------------------------------------------------------
@@ -605,16 +637,19 @@ def _vertex_cluster(
     graph: TrivalentGraph,
     vertex: str,
     reps: Mapping[str, np.ndarray],
+    dtype,
 ) -> _Cluster:
     """Multiplicity tensor of one vertex in the algebra-slot convention.
 
     Outgoing internal edges contribute a projective slot (color +β for
     summand label β), ingoing edges the dual slot (−β); external edges
-    contribute their fixed color with the same sign rule.  The entry at a
-    label tuple is the indicator histogram of admissible degrees.
+    contribute their fixed color with the same sign rule.  The color sums
+    of all label tuples form one broadcast grid, and the entry at a label
+    tuple is the one-hot histogram of its admissible degrees (two adjacent
+    degrees for even r).  A loop's two signs cancel, so its label never
+    enters the sum and its axis is summed out here, as a factor r'.
     """
-    slot_edges: list[str] = []
-    slot_signs: dict[str, list[float]] = {}
+    slot_signs: dict[str, float] = {}
     const = 0.0 + 0.0j
     for e in graph.edges:
         for end, sign in ((e.tail, +1.0), (e.head, -1.0)):
@@ -623,79 +658,63 @@ def _vertex_cluster(
             if e.is_external:
                 const += sign * complex(e.color)
             else:
-                if e.name not in slot_signs:
-                    slot_signs[e.name] = []
-                    slot_edges.append(e.name)
-                slot_signs[e.name].append(sign)
-    shape = [len(reps[name]) for name in slot_edges]
-    k_lists: dict[tuple[int, ...], list[int]] = {}
-    k_all: list[int] = []
-    for combo in itertools.product(*[range(n) for n in shape]):
-        s = const
-        for name, idx in zip(slot_edges, combo):
-            s += sum(slot_signs[name]) * reps[name][idx]
-        if abs(s.imag) > 1e-6:
-            raise DomainError(
-                "vertex color sum has a nonzero imaginary part; the edge "
-                "gradings are inconsistent"
-            )
-        k = int(_degree_window(ctx, np.asarray([s.real]))[0])
-        ks = [k] if ctx.r % 2 else [k, k + 1]
-        k_lists[combo] = ks
-        k_all.extend(ks)
-    k_min, k_max = min(k_all), max(k_all)
-    array = np.zeros(shape + [k_max - k_min + 1], dtype=np.int64)
-    for combo, ks in k_lists.items():
-        for k in ks:
-            array[combo + (k - k_min,)] += 1
-    return _Cluster(slot_edges, array, k_min)
-
-
-def _merge_clusters(a: _Cluster, b: _Cluster, edge: str) -> _Cluster:
-    """Contract the shared edge label and convolve the degree axes."""
-    ia, ib = a.slots.index(edge), b.slots.index(edge)
-    arr_a = np.moveaxis(a.array, ia, 0)
-    arr_b = np.moveaxis(b.array, ib, 0)
-    ka, kb = arr_a.shape[-1], arr_b.shape[-1]
-    slots = [s for s in a.slots if s != edge] + [s for s in b.slots if s != edge]
-    shape = list(arr_a.shape[1:-1]) + list(arr_b.shape[1:-1]) + [ka + kb - 1]
-    out = np.zeros(shape, dtype=np.int64)
-    for i in range(ka):
-        for j in range(kb):
-            out[..., i + j] += np.tensordot(
-                arr_a[..., i], arr_b[..., j], axes=([0], [0])
-            )
-    return _Cluster(slots, out, a.k_min + b.k_min)
-
-
-def _self_merge(c: _Cluster, edge: str) -> _Cluster:
-    """Trace the slots of an edge living inside one cluster.
-
-    An edge whose endpoints were merged earlier occupies two axes and is
-    traced diagonally; a loop edge was already diagonalized at its vertex
-    (one axis, canceling color signs), so its trace is a plain axis sum.
-    """
-    positions = [i for i, s in enumerate(c.slots) if s == edge]
-    if len(positions) == 1:
-        p = positions[0]
-        return _Cluster(
-            [s for i, s in enumerate(c.slots) if i != p],
-            c.array.sum(axis=p),
-            c.k_min,
+                slot_signs[e.name] = slot_signs.get(e.name, 0.0) + sign
+    slots = [name for name, sign in slot_signs.items() if sign]
+    loop_factor = math.prod(
+        len(reps[name]) for name, sign in slot_signs.items() if not sign
+    )
+    shape = [len(reps[name]) for name in slots]
+    s = np.asarray(const, dtype=complex)
+    for i, name in enumerate(slots):
+        ax = [1] * len(slots)
+        ax[i] = shape[i]
+        s = s + slot_signs[name] * reps[name].reshape(ax)
+    s = np.broadcast_to(s, shape)
+    if np.max(np.abs(s.imag), initial=0.0) > 1e-6:
+        raise DomainError(
+            "vertex color sum has a nonzero imaginary part; the edge "
+            "gradings are inconsistent"
         )
-    i, j = positions
-    n = c.array.ndim
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    idx = list(letters[:n])
-    idx[j] = idx[i]
-    expr = "".join(idx) + "->" + "".join(
-        ch for p, ch in enumerate(idx) if p not in (i, j)
+    k = _degree_window(ctx, s.real)
+    k_min = int(k.min())
+    offset = (k - k_min)[..., None]
+    degrees = np.arange(int(k.max()) - k_min + (1 if ctx.r % 2 else 2))
+    onehot = degrees == offset
+    if ctx.r % 2 == 0:
+        onehot |= degrees == offset + 1
+    array = onehot.astype(np.int64).astype(dtype) * loop_factor
+    return _Cluster(slots, array, k_min)
+
+
+def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
+    """Contract every edge two clusters share and convolve their degrees.
+
+    One ``tensordot`` does both: the degree axis of the smaller operand is
+    lifted to a Toeplitz band (``lift[..., k, i] = b[..., k − i]``), so
+    summing a's degree index i against it together with the shared label
+    axes yields the degree convolution.  The result keeps the larger
+    operand's open slots, then the smaller's, then the degree axis.
+    """
+    if a.array.size < b.array.size:
+        a, b = b, a
+    shared = [name for name in a.slots if name in b.slots]
+    ka, kb = a.array.shape[-1], b.array.shape[-1]
+    # np.zeros, not np.pad: padding an object array inserts int64 zeros
+    padded = np.zeros(b.array.shape[:-1] + (kb + 2 * ka - 2,), b.array.dtype)
+    padded[..., ka - 1 : ka - 1 + kb] = b.array
+    band = np.lib.stride_tricks.sliding_window_view(padded, ka, axis=-1)[..., ::-1]
+    out = np.tensordot(
+        a.array,
+        band,
+        axes=(
+            [a.slots.index(name) for name in shared] + [a.array.ndim - 1],
+            [b.slots.index(name) for name in shared] + [band.ndim - 1],
+        ),
     )
-    return _Cluster(
-        [s for p, s in enumerate(c.slots) if p not in (i, j)],
-        np.einsum(expr, c.array),
-        c.k_min,
-    )
+    slots = [name for name in a.slots if name not in shared] + [
+        name for name in b.slots if name not in shared
+    ]
+    return _Cluster(slots, out, a.k_min + b.k_min)
 
 
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
@@ -706,10 +725,17 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     form a bimodule over their tensor product, and passing to the quotient
     by commutators matches the idempotent labels across every edge.  The
     computation contracts the vertex tensors cluster by cluster — never
-    enumerating joint colorings — and finally mirrors the degree (the
-    algebra-slot convention grades opposite to the coloring convention).
-    A free circle contributes its algebra's own class, one degree-0
-    idempotent per summand.
+    enumerating joint colorings: each step merges the two clusters that
+    share an edge and whose result has the fewest label elements (the
+    first such pair on ties), contracting all their shared edges in one
+    step.  It finally mirrors the degree (the algebra-slot convention
+    grades opposite to the coloring convention).  A free circle
+    contributes its algebra's own class, one degree-0 idempotent per
+    summand.
+
+    Counts are exact at any size: every partial contraction entry is at
+    most the number of colorings, which is known in advance, so the
+    tensors hold int64 below 2^63 colorings and Python integers above.
     """
     ctx = graph.ctx
     factor = 1
@@ -720,22 +746,30 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         for e in graph.internal_edges
         if not e.is_circle
     }
+    colorings = math.prod(len(rs) for rs in reps.values()) * factor
+    if ctx.r % 2 == 0:
+        colorings <<= len(graph.vertex_order)
+    dtype = np.int64 if colorings < 2**63 else object
     clusters = [
-        _vertex_cluster(ctx, graph, v, reps) for v in graph.vertex_order
+        _vertex_cluster(ctx, graph, v, reps, dtype) for v in graph.vertex_order
     ]
-    for name in reps:
-        holders = [c for c in clusters if name in c.slots]
-        if len(holders) == 2:
-            a, b = holders
-            clusters.remove(a)
-            clusters.remove(b)
-            clusters.append(_merge_clusters(a, b, name))
-        elif len(holders) == 1:
-            c = holders[0]
-            clusters.remove(c)
-            clusters.append(_self_merge(c, name))
-        else:
-            raise DomainError(f"edge {name!r} is attached to no vertex cluster")
+    while True:
+        best = None
+        for i, a in enumerate(clusters):
+            for j in range(i + 1, len(clusters)):
+                b = clusters[j]
+                if set(a.slots).isdisjoint(b.slots):
+                    continue
+                labels = math.prod(
+                    len(reps[name]) for name in set(a.slots) ^ set(b.slots)
+                )
+                if best is None or labels < best[0]:
+                    best = (labels, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        clusters[i] = _merge_clusters(clusters[i], clusters[j])
+        del clusters[j]
     coeffs = np.asarray([factor], dtype=object)
     k_min = 0
     for c in clusters:

@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from unrolledsl2.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
@@ -183,3 +185,63 @@ def test_domain_error_integral_beta(tmp_path, capsys):
     code, _, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
     assert code == 3
     assert "domain error" in err
+
+
+def _fixture_with(tmp_path, name, edit):
+    doc = json.loads((FIXTURES / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_domain_error_unknown_cut_component(tmp_path, capsys):
+    path = _fixture_with(tmp_path, "hopf.json", lambda d: d.update(cut="Z"))
+    code, _, err = run(capsys, "flink", "--r", "3", "--input", path)
+    assert code == 3
+    assert "domain error" in err and "'Z'" in err
+
+
+def test_domain_error_unknown_framing_component(tmp_path, capsys):
+    path = _fixture_with(
+        tmp_path, "trefoil.json", lambda d: d.update(framings={"Q": 1})
+    )
+    code, _, err = run(capsys, "flink", "--r", "5", "--input", path)
+    assert code == 3
+    assert "domain error" in err and "'Q'" in err
+
+
+def test_domain_error_verlinde_overflow(tmp_path, capsys):
+    bad = tmp_path / "g400.json"
+    bad.write_text(json.dumps({"genus": 400, "beta": "1/3"}))
+    code, _, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
+    assert code == 3
+    assert "overflows double precision" in err
+
+
+# (subcommand, fixture, edit placing the marker, JSON path of the marker)
+_NUMBER_SITES = [
+    ("flink", "hopf.json", lambda d: d["colors"].update(A="@"), "$.colors.A"),
+    ("zinv", "s1xs2.json", lambda d: d["meridians"].update(L1="@"),
+     "$.meridians.L1"),
+    ("hh0", "genus2_theta.json", lambda d: d["edges"][1].update(grading="@"),
+     "$.edges[1].grading"),
+    ("verlinde", "verlinde_g1.json", lambda d: d.update(beta="@"), "$.beta"),
+]
+
+
+@pytest.mark.parametrize(
+    "token", ['"nan"', '"inf"', '"-Infinity"', '"1e400"', "1e400", "NaN",
+              "Infinity", "-Infinity"]
+)
+@pytest.mark.parametrize("sub,fixture,edit,where", _NUMBER_SITES,
+                         ids=[site[0] for site in _NUMBER_SITES])
+def test_schema_error_non_finite_number(tmp_path, capsys, sub, fixture, edit,
+                                        where, token):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@"', token))
+    code, _, err = run(capsys, sub, "--r", "5", "--input", str(bad))
+    assert code == 2
+    assert "schema error" in err and where in err and "finite" in err

@@ -167,6 +167,49 @@ def test_verlinde_domain():
         verlinde(ctx, 1, 2.0)
 
 
+def _verlinde_mp(mp, r, genus, beta, points=()):
+    """The closed form at 50 digits: the reference for large genus."""
+    mp.mp.dps = 50
+    beta = mp.mpmathify(beta)
+
+    def q(x):
+        return mp.exp(1j * mp.pi * x / r)
+
+    def qn(x):
+        return q(x) - q(-x)
+
+    rp = r if r % 2 else r // 2
+    c = sum(mp.mpmathify(p) for p in points)
+    exponent = 2 * genus - 2 + len(points)
+    total = sum(
+        q(c * k) * (qn(r * beta) / qn(beta + k)) ** exponent
+        for k in range(1 - r, r, 2)
+    )
+    sign = -1 if (len(points) * (r - 1)) % 2 else 1
+    return sign * mp.mpf(rp) ** genus / r * q(c * beta) * total
+
+
+@pytest.mark.parametrize(
+    "r,genus,beta",
+    # (6, 700, 0.08): 3^700 leaves double range, the value does not
+    [(5, 3, 0.37), (2, 400, 0.37), (6, 400, 1 / 6), (6, 700, 0.08),
+     (5, 400, 1 / 3), (7, 400, 0.37)],
+)
+def test_verlinde_large_genus(r, genus, beta):
+    mp = pytest.importorskip("mpmath")
+    ctx = RootParams(r)
+    ref = _verlinde_mp(mp, r, genus, beta)
+    log_ref = float(mp.log(abs(ref)))
+    if log_ref < 700:
+        v = verlinde(ctx, genus, beta)
+        assert abs(v - complex(ref)) <= 1e-8 * float(abs(ref))
+        return
+    with pytest.raises(DomainError, match="overflows double precision") as exc:
+        verlinde(ctx, genus, beta)
+    reported = float(str(exc.value).split("e^")[1].split(",")[0])
+    assert abs(reported - log_ref) < 0.1
+
+
 def test_verlinde_identity_spot(tol=1e-9):
     rng = np.random.default_rng(27)
     for r in (3, 6):
@@ -277,6 +320,116 @@ def test_hh0_non_generic_rejected():
     ctx = RootParams(5)
     with pytest.raises(NonGenericError):
         hh0_dimension_generic(circle_graph(ctx, 1.0))
+    # the dumbbell's bridge is forced integral: both routes refuse it
+    with pytest.raises(NonGenericError):
+        hh0_dimension_generic(dumbbell_graph(ctx, 0.3, 0.7))
+
+
+def _necklace(ctx, genus, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            return necklace_graph(
+                ctx, genus, [_generic(rng) for _ in range(genus - 1)], _generic(rng)
+            )
+        except NonGenericError:
+            continue
+
+
+def _loops_with_legs(ctx, loops):
+    """Loops with one degree-0 leg each: a disjoint union of pointed tori."""
+    edges = []
+    for i in range(loops):
+        edges.append(GraphEdge(f"l{i}", f"u{i}", f"u{i}", 0.37 + 0.2 * i))
+        edges.append(GraphEdge(f"p{i}", None, f"u{i}", ctx.r - 1, color=0.0))
+    return TrivalentGraph(ctx, tuple(edges))
+
+
+_HH0_CASES = (
+    [(f"necklace-g{g}", r, lambda ctx, g=g: _necklace(ctx, g, g))
+     for g in (4, 5, 6, 7, 8) for r in (3, 5, 6, 7, 9)]
+    + [("tetrahedron", 9,
+        lambda ctx: tetrahedron_graph(ctx, 0.21, 0.34, 0.42))]
+    + [("theta", r, lambda ctx: theta_graph(ctx, 0.3, 0.45))
+       for r in (3, 5, 6, 7, 9)]
+    + [("theta-2pts", r,
+        lambda ctx: add_point_chain(theta_graph(ctx, 0.3, 0.45), "e1",
+                                    [0.4, -0.4]))
+       for r in (3, 5, 6, 7, 9)]
+    + [("necklace-g5-2pts", r,
+        lambda ctx: add_point_chain(_necklace(ctx, 5, 50), "c0", [0.4, -0.4]))
+       for r in (6, 9)]
+    + [(f"loops{n}", r, lambda ctx, n=n: _loops_with_legs(ctx, n))
+       for n in (1, 2) for r in (3, 5, 7, 9)]
+)
+
+
+@pytest.mark.parametrize(
+    "label,r,build", _HH0_CASES, ids=[f"{c[0]}-r{c[1]}" for c in _HH0_CASES]
+)
+def test_hh0_matches_grid_or_closed_form(label, r, build):
+    """HH0 against the grid up to 2e6 cells, else the exact total and Verlinde."""
+    ctx = RootParams(r)
+    graph = build(ctx)
+    hh = hh0_dimension_generic(graph)
+    assert hh.parity_mode == ("plain" if r % 2 else "super")
+    internal = [e for e in graph.internal_edges if not e.is_circle]
+    if ctx.rprime ** len(internal) <= 2e6:
+        assert hh.coefficients == graded_dimension(graph).coefficients
+        return
+    genus, legs = graph.genus, graph.external_edges
+    assert hh.total == r ** (3 * genus - 3 + len(legs)) // (
+        1 if r % 2 else 2 ** (genus - 1)
+    )
+    points = [complex(e.color) * (1 if e.head else -1) for e in legs]
+    rng = np.random.default_rng(r + genus)
+    for _ in range(3):
+        beta = _generic(rng)
+        v = verlinde(ctx, genus, beta, points)
+        assert abs(hh.evaluate_at(ctx, beta) - v) <= 1e-8 * abs(v)
+
+
+@pytest.mark.parametrize("r,genus,legs", [(9, 8, 0), (7, 9, 0), (3, 14, 1),
+                                          (6, 12, 0)])
+def test_hh0_exact_beyond_int64(r, genus, legs):
+    # 3^40 lies between 2^63 and 2^64; the rest exceed 2^64
+    ctx = RootParams(r)
+    graph = _necklace(ctx, genus, 7)
+    if legs:
+        graph = add_leg(graph, "c0", 0.0)
+    hh = hh0_dimension_generic(graph)
+    exact = r ** (3 * genus - 3 + legs) // (1 if r % 2 else 2 ** (genus - 1))
+    assert exact >= 2**63
+    assert hh.total == exact
+    assert min(hh.coefficients.values()) > 0
+    beta = 0.37
+    v = verlinde(ctx, genus, beta, [0.0] * legs)
+    assert abs(hh.evaluate_at(ctx, beta) - v) <= 1e-8 * abs(v)
+
+
+@pytest.mark.parametrize(
+    "build,merges,peak",
+    [(lambda ctx: tetrahedron_graph(ctx, 0.21, 0.34, 0.42), 3, 9**4),
+     (lambda ctx: _necklace(ctx, 8, 8), 13, 9**2)],
+    ids=["tetrahedron", "necklace-g8"],
+)
+def test_hh0_merges_smallest_result_first(monkeypatch, build, merges, peak):
+    # declaration order on the tetrahedron builds a 9^5-label intermediate;
+    # merging the largest result first reaches 9^8 labels on the necklace
+    import unrolledsl2.tqftdim as td
+
+    sizes = []
+    merge = td._merge_clusters
+
+    def recording(a, b):
+        out = merge(a, b)
+        sizes.append(out.array.size // out.array.shape[-1])
+        return out
+
+    monkeypatch.setattr(td, "_merge_clusters", recording)
+    hh0_dimension_generic(build(RootParams(9)))
+    assert len(sizes) == merges
+    assert max(sizes) == peak
 
 
 # ----------------------------------------------------------------------
