@@ -28,8 +28,6 @@ from .repcat import (
     dual,
     duality_maps,
     hom_dimension,
-    make_invertible,
-    make_simple_s,
     make_valpha,
     scalar_of,
     tensor,
@@ -46,7 +44,6 @@ from .diagram import (
     SlicedDiagram,
     Strand,
     braid_closure,
-    check_cohomology_compatibility,
     clasp_diagram,
     curl_diagram,
     evaluate,
@@ -73,20 +70,15 @@ from .invariant import (
     z_invariant,
 )
 from .tqftdim import (
-    AdmissibleColoring,
-    BasicAlgebraGeneric,
     GradedDimension,
     GraphEdge,
     TrivalentGraph,
     add_leg,
     add_point_chain,
-    basic_algebra_generic,
     circle_graph,
     dumbbell_graph,
-    enumerate_colorings,
     graded_dimension,
     hh0_dimension_generic,
-    multiplicity_dims,
     necklace_graph,
     random_generic_graph,
     tetrahedron_graph,
@@ -116,8 +108,6 @@ __all__ = [
     "MorphismMatrix",
     "trivial_module",
     "make_valpha",
-    "make_invertible",
-    "make_simple_s",
     "dual",
     "tensor",
     "braiding",
@@ -138,7 +128,6 @@ __all__ = [
     "evaluate",
     "evaluate_cut",
     "writhe_and_linking",
-    "check_cohomology_compatibility",
     "unknot_diagram",
     "curl_diagram",
     "clasp_diagram",
@@ -162,15 +151,10 @@ __all__ = [
     # tqftdim
     "GraphEdge",
     "TrivalentGraph",
-    "AdmissibleColoring",
     "GradedDimension",
-    "BasicAlgebraGeneric",
     "triple_admissible",
-    "enumerate_colorings",
     "graded_dimension",
     "verlinde",
-    "multiplicity_dims",
-    "basic_algebra_generic",
     "hh0_dimension_generic",
     "circle_graph",
     "theta_graph",

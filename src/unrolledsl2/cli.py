@@ -7,8 +7,10 @@ One subcommand per invariant family:
 ``zinv``
     Surgery invariant of a closed 3-manifold presentation.
 ``tqftdim`` / ``hh0``
-    Graded state-space dimensions of a decorated surface, computed by
-    direct coloring enumeration or through the Hochschild route.
+    Graded state-space dimensions of a decorated surface.  Both names run
+    the same engine, the zeroth-Hochschild-homology contraction
+    (:func:`~unrolledsl2.tqftdim.hh0_dimension_generic`); the dense coloring
+    grid stays in :mod:`~unrolledsl2.tqftdim` as a test oracle only.
 ``verlinde``
     Closed-form graded dimension at a twisting parameter.
 ``selftest``
@@ -23,6 +25,7 @@ object back through the same subcommand reproduces the values bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any
 
@@ -39,7 +42,17 @@ from .errors import (
 from .invariant import f_prime, z_invariant
 from .qscalar import RootParams
 from .selftest import run_selftest
-from .tqftdim import graded_dimension, hh0_dimension_generic, verlinde
+from .tqftdim import hh0_dimension_generic, verlinde
+
+
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative ``--tol`` value; zero is allowed."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance,
             default=1e-9,
             help="numerical tolerance for scalar extraction (default 1e-9)",
         )
@@ -79,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="parallel worker bound for expansion sums (default 1)",
+            help="accepted for compatibility; has no effect",
         )
         if name == "selftest":
             p.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -91,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _cmd_flink(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
+def _cmd_flink(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     diagram, colors, cut, framings = jsonio.parse_flink(doc)
     value = f_prime(ctx=ctx, diagram=diagram, colors=colors,
                     cut_component=cut, framings=framings or None)
@@ -99,9 +112,9 @@ def _cmd_flink(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
     return result, jsonio.flink_to_json(diagram, colors, cut, framings)
 
 
-def _cmd_zinv(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
+def _cmd_zinv(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     sp = jsonio.parse_surgery(doc, ctx)
-    res = z_invariant(sp, jobs=args.jobs)
+    res = z_invariant(sp)
     result = {
         "Z_re": repr(res.z.real),
         "Z_im": repr(res.z.imag),
@@ -117,28 +130,18 @@ def _cmd_zinv(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
     return result, jsonio.surgery_to_json(sp)
 
 
-def _dimension_result(gd) -> dict:
-    return {
+def _cmd_dimension(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
+    graph = jsonio.parse_graph(doc, ctx)
+    gd = hh0_dimension_generic(graph)
+    result = {
         "total": sum(gd.coefficients.values()),
         "dimensions": {str(k): v for k, v in sorted(gd.coefficients.items())},
         "count_convention": gd.parity_mode,
     }
+    return result, jsonio.graph_to_json(graph)
 
 
-def _cmd_tqftdim(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
-    graph = jsonio.parse_graph(doc, ctx)
-    return _dimension_result(graded_dimension(graph)), jsonio.graph_to_json(graph)
-
-
-def _cmd_hh0(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
-    graph = jsonio.parse_graph(doc, ctx)
-    return (
-        _dimension_result(hh0_dimension_generic(graph)),
-        jsonio.graph_to_json(graph),
-    )
-
-
-def _cmd_verlinde(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
+def _cmd_verlinde(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     genus, beta, points = jsonio.parse_verlinde(doc)
     value = verlinde(ctx, genus, beta, points)
     result = {"value_re": repr(value.real), "value_im": repr(value.imag)}
@@ -148,8 +151,8 @@ def _cmd_verlinde(ctx: RootParams, doc: Any, args) -> tuple[dict, dict]:
 _HANDLERS = {
     "flink": _cmd_flink,
     "zinv": _cmd_zinv,
-    "tqftdim": _cmd_tqftdim,
-    "hh0": _cmd_hh0,
+    "tqftdim": _cmd_dimension,
+    "hh0": _cmd_dimension,
     "verlinde": _cmd_verlinde,
 }
 
@@ -204,7 +207,7 @@ def main(argv=None) -> int:
             raise SchemaError(f"{args.command} requires --input FILE")
         ctx = RootParams(args.r, tol=args.tol)
         doc = jsonio.load_document(args.input)
-        result, inputs = _HANDLERS[args.command](ctx, doc, args)
+        result, inputs = _HANDLERS[args.command](ctx, doc)
         if args.format == "json":
             envelope = {
                 "command": args.command,

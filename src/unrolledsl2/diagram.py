@@ -63,7 +63,6 @@ __all__ = [
     "evaluate_cut",
     "cut_is_enclosed",
     "writhe_and_linking",
-    "check_cohomology_compatibility",
     "unknot_diagram",
     "curl_diagram",
     "clasp_diagram",
@@ -295,22 +294,6 @@ def writhe_and_linking(
             )
         linking[key] = total // 2
     return writhe, linking
-
-
-def check_cohomology_compatibility(
-    diagram: SlicedDiagram,
-    colors: dict[str, WeightModule],
-    meridian_values: dict[str, complex],
-    ctx: RootParams,
-) -> bool:
-    """True iff degree(color) ≡ meridian value (mod 2ℤ) on every listed component."""
-    for name, value in meridian_values.items():
-        if name not in colors:
-            raise DomainError(f"component {name!r} has no color assigned")
-        module = colors[name]
-        if not ctx.is_congruent_mod2(module.degree, value):
-            return False
-    return True
 
 
 class _UnionFind:

@@ -26,7 +26,6 @@ test suite on every computable fixture.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -121,8 +120,6 @@ def _cut_color_alpha(module: WeightModule) -> complex:
     label = module.label
     if label[0] == "V":
         return label[1]
-    if label[0] == "S" and label[1] == module.ctx.r - 1:
-        return 0.0  # S_{r-1} coincides with V_0
     raise DomainError(
         f"cut component must be colored by a simple projective module V_α, "
         f"got {label!r}"
@@ -167,8 +164,7 @@ def f_prime(
         raise DomainError(f"component {unknown[0]!r} is not in the diagram")
     if cut_component is None:
         for name in names:
-            label = resolved[name].label
-            if label[0] == "V" or (label[0] == "S" and label[1] == ctx.r - 1):
+            if resolved[name].label[0] == "V":
                 cut_component = name
                 break
         if cut_component is None:
@@ -391,10 +387,7 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
     l_names = sp.surgery_names()
     if not l_names:
         for name, module in sp.resolved_graph_colors().items():
-            if not ctx.is_near_int(module.degree):
-                return None
-            label = module.label
-            if label[0] == "V" or (label[0] == "S" and label[1] == ctx.r - 1):
+            if not ctx.is_near_int(module.degree) or module.label[0] == "V":
                 return None
         return (
             "empty surgery link and non-admissible graph: no nonintegral "
@@ -452,8 +445,7 @@ def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
     candidates = []
     graph_colors = sp.resolved_graph_colors()
     for name, module in graph_colors.items():
-        label = module.label
-        if label[0] == "V" or (label[0] == "S" and label[1] == sp.ctx.r - 1):
+        if module.label[0] == "V":
             candidates.append(name)
     candidates.extend(sp.surgery_names())
     dims = {name: module.dim for name, module in graph_colors.items()}
@@ -468,15 +460,13 @@ def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
     )
 
 
-def z_invariant(sp: SurgeryPresentation, jobs: int = 1) -> ZResult:
+def z_invariant(sp: SurgeryPresentation) -> ZResult:
     """The closed-3-manifold invariant of a computable surgery presentation.
 
     Expands every surgery component over its Kirby color (r**m terms),
     evaluates F' of each term at a fixed projective cut edge, applies
     framing corrections through twist scalars, and assembles both
-    normalization routes.  ``jobs > 1`` fans the independent terms out to a
-    thread pool; the final reduction is an ordered sum, so results do not
-    depend on scheduling.
+    normalization routes.
     """
     ctx = sp.ctx
     failure = computability_failure(sp)
@@ -499,7 +489,7 @@ def z_invariant(sp: SurgeryPresentation, jobs: int = 1) -> ZResult:
     )
 
     # every Kirby color's module and every twist scalar a term needs is built
-    # once per call up front; the terms (and pool threads) only read them
+    # once per call up front; the terms only read them
     kirby_alphas = {name: [lifts[name] + k for k in ctx.h_r_set()] for name in l_names}
     modules = {
         alpha: make_valpha(ctx, alpha)
@@ -515,7 +505,8 @@ def z_invariant(sp: SurgeryPresentation, jobs: int = 1) -> ZResult:
             alpha = _cut_color_alpha(graph_colors[name])
             thetas[alpha] = twist_scalar(ctx, alpha)
 
-    def term(ks) -> complex:
+    f_total: complex = 0.0
+    for ks in combos:
         colors = dict(graph_colors)
         weight: complex = 1.0
         corr: complex = 1.0
@@ -532,17 +523,8 @@ def z_invariant(sp: SurgeryPresentation, jobs: int = 1) -> ZResult:
                 corr *= thetas[_cut_color_alpha(graph_colors[name])] ** delta_f
         matrix, _ = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
         s_term = scalar_of(matrix, ctx.tol)
-        cut_module = colors[cut_name]
-        return weight * corr * ctx.mdim(_cut_color_alpha(cut_module)) * s_term
-
-    if jobs > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(term, combos))
-    else:
-        values = [term(ks) for ks in combos]
-    f_total: complex = 0.0
-    for value in values:  # ordered reduction for bit-stable output
-        f_total += value
+        cut_alpha = _cut_color_alpha(colors[cut_name])
+        f_total += weight * corr * ctx.mdim(cut_alpha) * s_term
 
     lam, eta, delta, d_plus, d_minus = ctx.constants()
     n = sp.defect

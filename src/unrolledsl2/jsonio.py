@@ -86,10 +86,6 @@ def parse_complex(value: Any, path: str) -> complex:
     return complex(parse_real(value, path))
 
 
-def real_to_json(x: float) -> str:
-    return repr(float(x))
-
-
 def complex_to_json(z: complex) -> dict:
     z = complex(z)
     return {"re": repr(z.real), "im": repr(z.imag)}
@@ -459,12 +455,22 @@ def verlinde_to_json(genus: int, beta: complex, points: list[complex]) -> dict:
 
 
 def load_document(path: str) -> Any:
-    """Parse a JSON file, reporting syntax errors with line/column."""
+    """Parse a JSON file, reporting syntax errors with line/column.
+
+    A file that cannot be read (missing, a directory, no permission) or is
+    not UTF-8 text is a schema error naming the path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

@@ -11,10 +11,7 @@ Constructors provided here:
 
 * :func:`make_valpha` — the r-dimensional simple V_α, highest weight α+r−1,
   for α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ;
-* :func:`make_invertible` — the one-dimensional modules σ**k (weight 2kr')
-  and ε (weight r);
-* :func:`make_simple_s` — the (j+1)-dimensional simple S_j of highest
-  weight j ∈ {0, …, r−1};
+* :func:`trivial_module` — the one-dimensional monoidal unit;
 * :func:`dual` and :func:`tensor` — closed under all of the above.
 
 The braiding uses the standard double-bosonization ansatz: a diagonal factor
@@ -30,7 +27,7 @@ cross-checks in :mod:`unrolledsl2.invariant`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,8 +40,6 @@ __all__ = [
     "MorphismMatrix",
     "trivial_module",
     "make_valpha",
-    "make_invertible",
-    "make_simple_s",
     "dual",
     "tensor",
     "braiding",
@@ -68,10 +63,10 @@ class WeightModule:
     """A finite-dimensional weight module in its H-eigenbasis.
 
     ``label`` is a structured tag describing how the module was built, e.g.
-    ``("V", alpha)``, ``("sigma", k)``, ``("eps",)``, ``("S", j)``,
-    ``("dual", inner_label)`` or ``("tensor", left_label, right_label)``.
-    ``degree`` is a complex representative of the ℂ/2ℤ grading; all weights
-    are congruent to it modulo 2ℤ.
+    ``("V", alpha)``, ``("one",)``, ``("dual", inner_label)`` or
+    ``("tensor", left_label, right_label)``.  ``degree`` is a complex
+    representative of the ℂ/2ℤ grading; all weights are congruent to it
+    modulo 2ℤ.
     """
 
     ctx: RootParams
@@ -224,39 +219,6 @@ def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
         e[i - 1, i] = ctx.bracket(i) * ctx.bracket(alpha + r - i)
         f[i, i - 1] = 1.0
     return WeightModule(ctx, ("V", alpha), weights, e, f, alpha + r - 1)
-
-
-def make_invertible(ctx: RootParams, k: int = 1, epsilon: bool = False) -> WeightModule:
-    """One-dimensional invertibles: σ**k of weight 2kr', or ε of weight r.
-
-    σ has trivial degree; ε has degree r mod 2.  For even r, σ and ε agree
-    (2r' = r).
-    """
-    zero = np.zeros((1, 1), dtype=complex)
-    if epsilon:
-        return WeightModule(
-            ctx, ("eps",), np.array([complex(ctx.r)]), zero, zero, complex(ctx.r)
-        )
-    weight = 2 * k * ctx.rprime
-    return WeightModule(
-        ctx, ("sigma", k), np.array([complex(weight)]), zero, zero, 0.0
-    )
-
-
-def make_simple_s(ctx: RootParams, j: int) -> WeightModule:
-    """The (j+1)-dimensional simple S_j of highest weight j, 0 ≤ j ≤ r−1."""
-    if not isinstance(j, (int, np.integer)) or j < 0 or j > ctx.r - 1:
-        raise DomainError(
-            f"S_j requires an integer highest weight 0 <= j <= r-1, got {j!r}"
-        )
-    d = j + 1
-    weights = np.array([complex(j - 2 * i) for i in range(d)])
-    e = np.zeros((d, d), dtype=complex)
-    f = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        e[i - 1, i] = ctx.bracket(i) * ctx.bracket(j + 1 - i)
-        f[i, i - 1] = 1.0
-    return WeightModule(ctx, ("S", int(j)), weights, e, f, complex(j))
 
 
 def dual(a: WeightModule) -> WeightModule:

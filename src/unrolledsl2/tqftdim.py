@@ -7,20 +7,22 @@ grading is nonintegral, the space attached to the surface has a basis of
 *r-admissible colorings*: each edge receives a color in the congruence
 class of its grading (shifted by the weight offset r−1), constrained to a
 canonical window, and every vertex receives an integer degree k with the
-three incident colors summing into H_r + 2r'k.  This module computes
+three incident colors summing into H_r + 2r'k.  This module computes the
+degree histogram of that basis along three independent routes:
 
-* the admissible degrees of a color triple (:func:`triple_admissible`),
-* the explicit basis (:func:`enumerate_colorings`) and its degree
-  histogram (:func:`graded_dimension`, vectorized and arithmetically
-  independent of the enumeration),
-* the closed-form graded dimension (:func:`verlinde`), used as the main
-  cross-check: evaluating the histogram at t = q^(2r'β) with a supersign
-  for even r reproduces the closed form,
-* multiplicity modules and generic basic algebras
-  (:func:`multiplicity_dims`, :func:`basic_algebra_generic`), and
-* the same histogram through zeroth Hochschild homology of the edge
-  algebras acting on the vertex multiplicity modules
-  (:func:`hh0_dimension_generic`), an independent contraction-based path.
+* through zeroth Hochschild homology (:func:`hh0_dimension_generic`), the
+  production engine behind the ``tqftdim`` and ``hh0`` subcommands: it
+  contracts per-vertex multiplicity tensors edge by edge, never lists
+  colorings, and is exact at any size;
+* from the dense grid of all colorings (:func:`graded_dimension`), whose
+  memory grows as r'^E in the number E of edges; it is the small-size
+  oracle that the self-test and the test suite compare the contraction
+  against;
+* the closed form (:func:`verlinde`), which the histogram reproduces when
+  evaluated at t = q^(2r'β), with a supersign for even r.
+
+The grid and the contraction share only the color windows and the degree
+extraction (:func:`triple_admissible` exposes the latter for one triple).
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a
@@ -35,10 +37,9 @@ counts carry that factor 2 per vertex.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -49,15 +50,10 @@ from .qscalar import RootParams
 __all__ = [
     "GraphEdge",
     "TrivalentGraph",
-    "AdmissibleColoring",
     "GradedDimension",
-    "BasicAlgebraGeneric",
     "triple_admissible",
-    "enumerate_colorings",
     "graded_dimension",
     "verlinde",
-    "multiplicity_dims",
-    "basic_algebra_generic",
     "hh0_dimension_generic",
     "circle_graph",
     "theta_graph",
@@ -213,15 +209,6 @@ class TrivalentGraph:
 
 
 @dataclass(frozen=True)
-class AdmissibleColoring:
-    """One basis coloring: edge colors, per-vertex degrees, total degree."""
-
-    edge_colors: Mapping[str, complex]
-    vertex_degrees: Mapping[str, int]
-    total_degree: int
-
-
-@dataclass(frozen=True)
 class GradedDimension:
     """Finitely supported degree histogram k ↦ dim of a graded space.
 
@@ -259,21 +246,6 @@ class GradedDimension:
     def evaluate_at(self, ctx: RootParams, beta: complex) -> complex:
         """Evaluate at the root-of-unity point t = q^(2r'β)."""
         return self.evaluate(ctx.q_pow(2 * ctx.rprime * complex(beta)))
-
-
-@dataclass(frozen=True)
-class BasicAlgebraGeneric:
-    """The endomorphism algebra of the canonical projective at a generic grading.
-
-    For a nonintegral grading the canonical projective is the direct sum
-    of the r' in-window simple modules of that class, so its endomorphism
-    algebra is commutative semisimple, concentrated in degree 0, of
-    dimension r'; the summand colors are the idempotent labels.
-    """
-
-    grading: complex
-    simple_summands: tuple[complex, ...]
-    graded_endomorphism_dims: Mapping[int, int]
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +328,7 @@ def triple_admissible(
 def _vertex_terms(
     graph: TrivalentGraph, edge_index: Mapping[str, int]
 ) -> dict[str, tuple[list[tuple[int, float]], complex]]:
-    """Per vertex: [(enumerated-edge index, sign)] plus the fixed-color offset.
+    """Per vertex: [(grid-axis index, sign)] plus the fixed-color offset.
 
     Sign +1 for an incoming edge, −1 for outgoing; a loop contributes both
     and so cancels in the color sum while still sharing its color label.
@@ -378,74 +350,23 @@ def _vertex_terms(
     return out
 
 
-def _enumerable_edges(graph: TrivalentGraph) -> list[GraphEdge]:
-    """Internal edges in declaration order (circles included)."""
-    return list(graph.internal_edges)
-
-
 # ----------------------------------------------------------------------
-# enumeration and the vectorized histogram
+# the dense grid (test oracle)
 # ----------------------------------------------------------------------
-
-
-def enumerate_colorings(graph: TrivalentGraph) -> list[AdmissibleColoring]:
-    """All admissible colorings of the internal edges, explicitly.
-
-    Each internal edge runs over the window representatives of its
-    grading; every vertex then admits one degree (odd r) or two (even r),
-    and for even r each degree assignment is a separate basis coloring.
-    Raises NonGenericError when an internal edge grading is integral.
-    """
-    ctx = graph.ctx
-    edges = _enumerable_edges(graph)
-    reps = [_color_reps(ctx, e.grading) for e in edges]
-    index = {e.name: i for i, e in enumerate(edges)}
-    vterms = _vertex_terms(graph, index)
-    vertices = list(graph.vertex_order)
-    out: list[AdmissibleColoring] = []
-    for combo in itertools.product(*[range(len(rs)) for rs in reps]):
-        colors = {e.name: complex(reps[i][combo[i]]) for i, e in enumerate(edges)}
-        base_degrees: list[int] = []
-        ok = True
-        for v in vertices:
-            terms, const = vterms[v]
-            s = const + sum(sign * reps[i][combo[i]] for i, sign in terms)
-            if abs(s.imag) > 1e-6:
-                ok = False
-                break
-            base_degrees.append(int(_degree_window(ctx, np.asarray([s.real]))[0]))
-        if not ok:
-            raise DomainError(
-                "vertex color sum has a nonzero imaginary part; the edge "
-                "gradings are inconsistent"
-            )
-        if ctx.r % 2:
-            degrees = dict(zip(vertices, base_degrees))
-            out.append(
-                AdmissibleColoring(colors, degrees, sum(base_degrees))
-            )
-        else:
-            for bumps in itertools.product((0, 1), repeat=len(vertices)):
-                degrees = {
-                    v: base_degrees[j] + bumps[j] for j, v in enumerate(vertices)
-                }
-                out.append(
-                    AdmissibleColoring(colors, degrees, sum(degrees.values()))
-                )
-    return out
 
 
 def graded_dimension(graph: TrivalentGraph) -> GradedDimension:
-    """Degree histogram of the admissible-coloring basis, vectorized.
+    """Degree histogram of the admissible-coloring basis, from the full grid.
 
     Broadcasts the per-edge color windows to a full grid, extracts every
     vertex's lowest degree in one pass, and histograms the total; for even
     r the two-degree choice per vertex enters as a binomial convolution.
-    The arithmetic shares no code with :func:`enumerate_colorings` beyond
-    the window construction.
+    The grid has one cell per coloring, so this is an oracle for small
+    graphs that tests compare :func:`hh0_dimension_generic` against; the
+    command line never calls it.
     """
     ctx = graph.ctx
-    edges = _enumerable_edges(graph)
+    edges = graph.internal_edges
     non_circle = [e for e in edges if not e.is_circle]
     circle_factor = 1
     for e in edges:
@@ -560,60 +481,6 @@ def verlinde(
 
 
 # ----------------------------------------------------------------------
-# multiplicity modules and basic algebras (generic gradings)
-# ----------------------------------------------------------------------
-
-
-def _generic_reps(ctx: RootParams, grading: complex, name: str) -> np.ndarray:
-    g = complex(grading)
-    if ctx.is_near_int(g):
-        raise NonGenericError(
-            f"{name}={grading!r} is an integral grading; the integral basic "
-            "algebras involve non-simple projectives and are out of scope"
-        )
-    return _color_reps(ctx, g)
-
-
-def multiplicity_dims(
-    ctx: RootParams, alpha: complex, beta: complex, gamma: complex
-) -> dict[int, int]:
-    """Graded dimension of the vertex multiplicity module at three gradings.
-
-    Sums :func:`triple_admissible` over the window summands of the three
-    canonical projectives.  Empty when the gradings cannot satisfy the
-    parity condition; symmetric in its arguments.
-    """
-    reps_a = _generic_reps(ctx, alpha, "alpha")
-    reps_b = _generic_reps(ctx, beta, "beta")
-    reps_c = _generic_reps(ctx, gamma, "gamma")
-    out: dict[int, int] = {}
-    for a in reps_a:
-        for b in reps_b:
-            for c in reps_c:
-                for k in triple_admissible(ctx, a, b, c):
-                    out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def basic_algebra_generic(ctx: RootParams, grading: complex) -> BasicAlgebraGeneric:
-    """Endomorphism-algebra data of the canonical projective at a generic grading.
-
-    The summands are the window representatives; graded endomorphism
-    dimensions come from the two-point brick (hom between summands), which
-    is diagonal and degree-0 inside one window, giving ℂ^{r'}.
-    """
-    from .repcat import hom_dimension
-
-    reps = _generic_reps(ctx, grading, "grading")
-    dims: dict[int, int] = {}
-    for a in reps:
-        for b in reps:
-            for k, d in hom_dimension(ctx, a, b).items():
-                dims[k] = dims.get(k, 0) + d
-    return BasicAlgebraGeneric(complex(grading), tuple(map(complex, reps)), dims)
-
-
-# ----------------------------------------------------------------------
 # Hochschild-homology route to the same histogram
 # ----------------------------------------------------------------------
 
@@ -720,18 +587,22 @@ def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     """The degree histogram through zeroth Hochschild homology.
 
-    Each internal edge carries a commutative semisimple algebra (degree 0,
-    one idempotent per window summand); the vertex multiplicity modules
-    form a bimodule over their tensor product, and passing to the quotient
-    by commutators matches the idempotent labels across every edge.  The
-    computation contracts the vertex tensors cluster by cluster — never
-    enumerating joint colorings: each step merges the two clusters that
-    share an edge and whose result has the fewest label elements (the
-    first such pair on ties), contracting all their shared edges in one
-    step.  It finally mirrors the degree (the algebra-slot convention
-    grades opposite to the coloring convention).  A free circle
-    contributes its algebra's own class, one degree-0 idempotent per
-    summand.
+    At a generic grading the algebra of an internal edge is commutative
+    semisimple, concentrated in degree 0, with one idempotent per window
+    summand; the vertex multiplicity modules form a bimodule over the
+    tensor product of these algebras, and passing to the quotient by
+    commutators matches the idempotent labels across every edge.  No
+    algebra or module is built: each vertex contributes its multiplicity
+    tensor indexed by idempotent labels (:func:`_vertex_cluster`), and the
+    quotient is the contraction of those tensors over shared labels
+    (:func:`_merge_clusters`), never listing joint colorings.  Each step
+    merges the two clusters that share an edge and whose result has the
+    fewest label elements (the first such pair on ties), contracting all
+    their shared edges in one step.  It finally mirrors the degree (the
+    algebra-slot convention grades opposite to the coloring convention).
+    A free circle contributes its algebra's own class, one degree-0
+    idempotent per summand.  Graphs with an integral internal grading
+    raise :class:`NonGenericError`.
 
     Counts are exact at any size: every partial contraction entry is at
     most the number of colorings, which is known in advance, so the
@@ -878,7 +749,7 @@ def dumbbell_graph(ctx: RootParams, loop1: complex, loop2: complex) -> Trivalent
     """Two loops joined by a bridge (genus 2, but the bridge is separating).
 
     A separating edge has null-homologous meridian, so its grading is
-    forced integral (zero here); the generic enumeration therefore raises
+    forced integral (zero here); both dimension routes therefore raise
     NonGenericError on this graph by construction.
     """
     return TrivalentGraph(

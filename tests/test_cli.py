@@ -6,6 +6,9 @@ import pathlib
 import pytest
 
 from unrolledsl2.cli import main
+from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
+from unrolledsl2.qscalar import RootParams
+from unrolledsl2.tqftdim import graded_dimension, necklace_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
 
@@ -82,12 +85,30 @@ def test_tqftdim_genus2(capsys):
 
 
 def test_hh0_matches_tqftdim(capsys):
+    # both subcommands against the dense-grid oracle, which the CLI never calls
     path = str(FIXTURES / "genus2_theta.json")
-    for r in ("5", "6"):
-        _, doc_a, _ = run_json(capsys, "tqftdim", "--r", r, "--input", path)
-        _, doc_b, _ = run_json(capsys, "hh0", "--r", r, "--input", path)
-        assert doc_a["dimensions"] == doc_b["dimensions"]
-        assert doc_a["total"] == doc_b["total"]
+    for r in (2, 3, 5, 6, 7):
+        oracle = graded_dimension(parse_graph(load_document(path), RootParams(r)))
+        for sub in ("tqftdim", "hh0"):
+            code, doc, _ = run_json(capsys, sub, "--r", str(r), "--input", path)
+            assert code == 0
+            assert doc["dimensions"] == {
+                str(k): v for k, v in oracle.coefficients.items()
+            }
+            assert doc["total"] == oracle.total
+            assert doc["count_convention"] == oracle.parity_mode
+
+
+def test_tqftdim_beyond_grid_size(tmp_path, capsys):
+    # the grid for this graph would need 9^21 cells
+    graph = necklace_graph(
+        RootParams(9), 8, [0.2 + 0.03 * i for i in range(7)], 0.5
+    )
+    path = tmp_path / "necklace_g8.json"
+    path.write_text(json.dumps(graph_to_json(graph)))
+    code, doc, _ = run_json(capsys, "tqftdim", "--r", "9", "--input", str(path))
+    assert code == 0
+    assert doc["total"] == 9**21
 
 
 def test_inputs_round_trip_exact(capsys):
@@ -113,11 +134,12 @@ def test_inputs_round_trip_exact(capsys):
         tmp.unlink(missing_ok=True)
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest", "--r", "3")
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_selftest_passes(capsys, r):
+    code, doc, _ = run_json(capsys, "selftest", "--r", str(r))
     assert code == 0
-    assert "26/26" in out
-    assert "FAIL" not in out
+    assert doc["passed"] is True
+    assert len(doc["results"]) == 26
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +180,37 @@ def test_schema_error_missing_file(capsys):
     code, _, err = run(capsys, "flink", "--r", "5", "--input", "/nonexistent.json")
     assert code == 2
     assert "schema error" in err
+
+
+def test_schema_error_input_is_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "hh0", "--r", "5", "--input", str(tmp_path))
+    assert code == 2
+    assert "schema error" in err and str(tmp_path) in err
+
+
+def test_schema_error_input_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "hh0", "--r", "5", "--input", str(bad))
+    assert code == 2
+    assert "schema error" in err and str(bad) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_invalid_tolerance_rejected(capsys, tol):
+    path = str(FIXTURES / "trefoil.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["flink", "--r", "5", "--input", path, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_zero_tolerance_allowed(capsys):
+    path = str(FIXTURES / "verlinde_g1.json")
+    code, doc, _ = run_json(capsys, "verlinde", "--r", "5", "--input", path,
+                            "--tol", "0")
+    assert code == 0
+    assert doc["tolerance"] == 0.0
 
 
 def test_missing_input_flag(capsys):

@@ -12,7 +12,6 @@ from unrolledsl2.diagram import (
     SlicedDiagram,
     Strand,
     braid_closure,
-    check_cohomology_compatibility,
     clasp_diagram,
     curl_diagram,
     cut_is_enclosed,
@@ -202,20 +201,3 @@ def test_enclosed_cut_rejected(ctx):
     )
     with pytest.raises((DomainError, DiagramTypeError)):
         evaluate_cut(hopf, colors, ctx, inner_cup)
-
-
-# ----------------------------------------------------------------------
-# cohomology compatibility of meridian data
-# ----------------------------------------------------------------------
-
-
-def test_cohomology_compatibility(ctx):
-    d = clasp_diagram(1, "A", "B")
-    a = make_valpha(ctx, 0.5)
-    colors = {"A": a, "B": make_valpha(ctx, 0.25)}
-    good = {"A": a.degree, "B": 0.25 + ctx.r - 1}
-    assert check_cohomology_compatibility(d, colors, good, ctx)
-    bad = {"A": a.degree + 1, "B": 0.25 + ctx.r - 1}
-    assert not check_cohomology_compatibility(d, colors, bad, ctx)
-    with pytest.raises(DomainError):
-        check_cohomology_compatibility(d, {}, {"A": 0.5}, ctx)

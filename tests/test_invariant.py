@@ -1,8 +1,5 @@
 """Surgery layer: renormalized link invariant and the 3-manifold invariant."""
 
-import pathlib
-import sys
-
 import numpy as np
 import pytest
 
@@ -39,12 +36,8 @@ from unrolledsl2.invariant import (
     unknot_presentation,
     z_invariant,
 )
-from unrolledsl2.jsonio import load_document, parse_surgery
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import twist_scalar
-
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
-
 
 @pytest.fixture(params=[2, 3, 5], ids=lambda r: f"r{r}")
 def ctx(request):
@@ -334,20 +327,6 @@ def test_z_both_forms_on_fixtures(ctx):
     for sp in fixtures:
         res = z_invariant(sp)
         assert abs(res.z - res.z_via_betti) < 1e-9 * (1 + abs(res.z))
-
-
-@pytest.mark.parametrize("jobs", [2, 4])
-@pytest.mark.parametrize("r", [5, 7])
-def test_z_thread_pool_is_bit_identical(r, jobs):
-    sp = parse_surgery(load_document(str(FIXTURES / "lens_7_2.json")), RootParams(r))
-    serial = z_invariant(sp, jobs=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the pool threads as often as possible
-    try:
-        pooled = z_invariant(sp, jobs=jobs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled == serial
 
 
 # ----------------------------------------------------------------------

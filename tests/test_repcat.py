@@ -11,8 +11,6 @@ from unrolledsl2.repcat import (
     dual,
     duality_maps,
     hom_dimension,
-    make_invertible,
-    make_simple_s,
     make_valpha,
     relations_residual,
     scalar_of,
@@ -61,8 +59,6 @@ def test_defining_relations(ctx):
         a,
         b,
         trivial_module(ctx),
-        make_invertible(ctx, 1),
-        make_simple_s(ctx, min(1, ctx.r - 1)),
         tensor(a, b),
         dual(a),
         tensor(a, dual(b)),
@@ -211,11 +207,3 @@ def test_scalar_of(ctx):
     assert abs(scalar_of(np.eye(3) * (2 + 1j), 1e-9) - (2 + 1j)) < 1e-12
     with pytest.raises(NotScalarError):
         scalar_of(np.diag([1.0, 2.0]), 1e-9)
-
-
-def test_invertible_module(ctx):
-    mod = make_invertible(ctx, 1)
-    assert mod.dim == 1
-    t = tensor(mod, make_invertible(ctx, -1))
-    assert t.dim == 1
-    assert relations_residual(t) < 1e-12

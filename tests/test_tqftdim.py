@@ -10,13 +10,10 @@ from unrolledsl2.tqftdim import (
     TrivalentGraph,
     add_leg,
     add_point_chain,
-    basic_algebra_generic,
     circle_graph,
     dumbbell_graph,
-    enumerate_colorings,
     graded_dimension,
     hh0_dimension_generic,
-    multiplicity_dims,
     necklace_graph,
     random_generic_graph,
     tetrahedron_graph,
@@ -133,19 +130,6 @@ def test_closed_form_counts():
                 assert total == r ** (3 * g - 3)
             else:
                 assert total == r ** (3 * g - 3) // 2 ** (g - 1)
-
-
-def test_enumeration_matches_histogram():
-    rng = np.random.default_rng(25)
-    for r in (3, 6):
-        ctx = RootParams(r)
-        graph = theta_graph(ctx, _generic(rng), _generic(rng))
-        colorings = enumerate_colorings(graph)
-        gd = graded_dimension(graph)
-        hist: dict[int, int] = {}
-        for col in colorings:
-            hist[col.total_degree] = hist.get(col.total_degree, 0) + 1
-        assert hist == gd.coefficients
 
 
 # ----------------------------------------------------------------------
@@ -430,34 +414,6 @@ def test_hh0_merges_smallest_result_first(monkeypatch, build, merges, peak):
     hh0_dimension_generic(build(RootParams(9)))
     assert len(sizes) == merges
     assert max(sizes) == peak
-
-
-# ----------------------------------------------------------------------
-# multiplicity modules and the basic algebra
-# ----------------------------------------------------------------------
-
-
-def test_multiplicity_symmetry_and_total():
-    rng = np.random.default_rng(35)
-    for r in (2, 3, 5):
-        ctx = RootParams(r)
-        a, b = _generic(rng), _generic(rng)
-        # the three gradings must sum to an even integer to admit colorings
-        c = 2.0 - a - b
-        m1 = multiplicity_dims(ctx, a, b, c)
-        m2 = multiplicity_dims(ctx, b, c, a)
-        assert m1 == m2
-        total = sum(m1.values())
-        expect = ctx.rprime ** 3 if r % 2 else 2 * ctx.rprime ** 3
-        assert total == expect
-
-
-def test_basic_algebra_generic():
-    for r in (2, 3, 5, 6, 7):
-        ctx = RootParams(r)
-        alg = basic_algebra_generic(ctx, 0.37)
-        assert len(alg.simple_summands) == ctx.rprime
-        assert alg.graded_endomorphism_dims == {0: ctx.rprime}
 
 
 def test_evaluate_super_sign():
