@@ -17,14 +17,21 @@ One subcommand per invariant family:
     Run every documented property check for the given root order.
 
 Exit codes: 0 success, 1 internal inconsistency (or failed self checks),
-2 malformed input (schema), 3 input outside the mathematical domain.
+2 malformed input (schema), 3 input outside the mathematical domain
+(including a computation whose arrays do not fit in available memory).
 JSON results echo their normalized inputs under ``"inputs"``; feeding that
 object back through the same subcommand reproduces the values bit-for-bit.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and shared by every later call.  ``parse_args`` returns a new
+namespace each time and keeps no per-call state on the parser, so ``main``
+is re-entrant: a call's output depends only on its own ``argv`` and input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Any
@@ -55,6 +62,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unrolledsl2",
@@ -225,6 +233,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, NotComputableError, NonGenericError, UnsupportedSlideError) as exc:
         print(f"domain error: {exc}", file=err)
+        return 3
+    except MemoryError as exc:
+        print(f"domain error: not computable within available memory: {exc}", file=err)
         return 3
     except QInvariantError as exc:
         print(f"internal inconsistency: {type(exc).__name__}: {exc}", file=err)

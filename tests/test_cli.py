@@ -1,16 +1,22 @@
 """Command-line interface: formats, exit codes, schema diagnostics."""
 
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
+from numpy.random import default_rng
 
-from unrolledsl2.cli import main
+from unrolledsl2.cli import build_parser, main
 from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.tqftdim import graded_dimension, necklace_graph
+from unrolledsl2.tqftdim import graded_dimension, necklace_graph, random_generic_graph
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "docs" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -22,6 +28,27 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, (json.loads(out) if out.strip() else None), err
+
+
+def run_or_exit(capsys, *argv):
+    """Like :func:`run`, with an argparse rejection's exit code as the code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def run_fresh(*argv, preexec_fn=None, **env):
+    """The same invocation through ``python -m unrolledsl2`` in a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unrolledsl2", *argv],
+        capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +126,24 @@ def test_hh0_matches_tqftdim(capsys):
             assert doc["count_convention"] == oracle.parity_mode
 
 
+def test_dimension_asymmetric_histogram(tmp_path, capsys):
+    # genus2_theta.json is symmetric in the degree; these spines are not, so a
+    # histogram read with the wrong sign of the degree fails here
+    for r in (3, 6):
+        graph = random_generic_graph(RootParams(r), default_rng(0), 2, 2)
+        oracle = graded_dimension(graph)
+        expected = {str(k): v for k, v in sorted(oracle.coefficients.items())}
+        assert oracle.coefficients != {-k: v for k, v in oracle.coefficients.items()}
+        path = tmp_path / f"spine_r{r}.json"
+        path.write_text(json.dumps(graph_to_json(graph)))
+        for sub in ("tqftdim", "hh0"):
+            code, doc, _ = run_json(capsys, sub, "--r", str(r), "--input", str(path))
+            assert code == 0
+            assert doc["dimensions"] == expected
+            assert doc["total"] == oracle.total
+            assert doc["count_convention"] == oracle.parity_mode
+
+
 def test_tqftdim_beyond_grid_size(tmp_path, capsys):
     # the grid for this graph would need 9^21 cells
     graph = necklace_graph(
@@ -140,6 +185,41 @@ def test_selftest_passes(capsys, r):
     assert code == 0
     assert doc["passed"] is True
     assert len(doc["results"]) == 26
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_is_reentrant(capsys):
+    # each call through the shared parser answers as in a new interpreter
+    hopf = str(FIXTURES / "hopf.json")
+    sequence = [
+        ["flink", "--r", "5", "--input", hopf, "--tol", "1e-6", "--format", "table"],
+        ["flink", "--r", "5", "--input", hopf, "--format", "json"],
+        ["selftest", "--r", "3", "--seed", "5"],
+        ["flink", "--r", "5", "--input", hopf, "--tol", "nan"],
+        ["verlinde", "--r", "5", "--input", str(FIXTURES / "verlinde_g1.json")],
+    ]
+    results = [run_or_exit(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in results] == [0, 0, 0, 2, 0]
+    assert json.loads(results[1][1])["tolerance"] == 1e-9
+    assert "--tol" in results[3][2]
+    for argv, result in zip(sequence, results):
+        assert result == run_fresh(*argv), argv
+
+
+def test_python_dash_m(capsys):
+    argv = ["verlinde", "--r", "5", "--input", str(FIXTURES / "verlinde_g1.json"),
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run_fresh(*argv)[:2] == (0, out)
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +350,27 @@ def test_domain_error_verlinde_overflow(tmp_path, capsys):
     code, _, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
     assert code == 3
     assert "overflows double precision" in err
+
+
+def _limit_address_space():
+    limit = 3 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("sub,r,fixture", [
+    ("flink", 301, "hopf.json"),            # 122 GiB braiding
+    ("zinv", 301, "lens_7_1.json"),         # 122 GiB twist braiding
+    ("hh0", 1001, "genus2_theta.json"),     # 14.9 GiB vertex grid
+])
+def test_domain_error_out_of_memory(sub, r, fixture):
+    code, out, err = run_fresh(
+        sub, "--r", str(r), "--input", str(FIXTURES / fixture),
+        preexec_fn=_limit_address_space, OPENBLAS_NUM_THREADS="1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: not computable within available memory:")
+    assert "Traceback" not in err
 
 
 # (subcommand, fixture, edit placing the marker, JSON path of the marker)
