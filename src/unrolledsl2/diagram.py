@@ -18,6 +18,9 @@ V, ``down`` strands to its dual V*.  The five slice kinds are
 
 Evaluation contracts slice tensors into a running ndarray with one axis per
 strand position, so no operator on the full word width is ever materialized.
+A leading term axis carries a batch of colorings of the same diagram through
+one walk over the slices (:class:`CutTangle`); the single-coloring calls
+:func:`evaluate` and :func:`evaluate_cut` are batches of one.
 The same engine supports *cutting* a closed diagram open at a chosen cup or
 cap of one component: the two strand axes of that slice are parked instead
 of contracted, which turns the closed diagram into the matrix of a 1-1
@@ -33,6 +36,7 @@ twist scalars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -41,10 +45,10 @@ import numpy as np
 from .errors import DiagramTypeError, DomainError
 from .qscalar import RootParams
 from .repcat import (
+    ModuleStack,
     MorphismMatrix,
     WeightModule,
-    braiding_matrix,
-    dual,
+    braiding_stack,
     make_valpha,
     tensor,
     trivial_module,
@@ -61,6 +65,7 @@ __all__ = [
     "typecheck",
     "evaluate",
     "evaluate_cut",
+    "CutTangle",
     "cut_is_enclosed",
     "writhe_and_linking",
     "unknot_diagram",
@@ -366,52 +371,54 @@ def cut_is_enclosed(diagram: SlicedDiagram, cut_slice: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _resolve_colors(
+def _stack_colors(
     ctx: RootParams, diagram: SlicedDiagram, colors: dict
-) -> dict[str, WeightModule]:
-    resolved = {}
+) -> dict[str, ModuleStack]:
+    """Each component's color as a module stack.
+
+    A color is a weight module, a complex α (shorthand for V_α), or a
+    sequence of weight modules, one per term.  Stacks of more than one term
+    must all have the same number of terms.
+    """
+    stacks = {}
     for name in diagram.component_names():
         if name not in colors:
             raise DomainError(f"no color given for component {name!r}")
         value = colors[name]
-        resolved[name] = (
-            value if isinstance(value, WeightModule) else make_valpha(ctx, value)
-        )
-    return resolved
+        if isinstance(value, (list, tuple)):
+            stacks[name] = ModuleStack(value)
+        elif isinstance(value, WeightModule):
+            stacks[name] = ModuleStack((value,))
+        else:
+            stacks[name] = ModuleStack((make_valpha(ctx, value),))
+    if len({st.terms for st in stacks.values()} - {1}) > 1:
+        raise DomainError("component colors give different numbers of terms")
+    return stacks
 
 
 class _Engine:
-    """Single evaluation pass; tracks the running tensor and parked axes.
+    """One walk over the slices for a batch of colorings of one diagram.
 
-    Braiding arrays are built once per (strand, strand, sign) and reused by
-    every crossing of this pass; nothing outlives the engine.
+    The running tensor has a leading term axis, then one axis per strand of
+    the current word, then the parked axes.  A slice whose block does not
+    depend on the term (a one-term stack) broadcasts over that axis, so the
+    axis has length 1 until the first block that does.  Each :meth:`run` is
+    one pass: it builds a braiding stack once per (strand, strand, sign) and
+    reuses it for every crossing of that pass.
     """
 
-    def __init__(self, ctx, diagram, colors, cut_slice=None):
-        self.ctx = ctx
+    def __init__(self, diagram, words, cut_slice=None):
         self.diagram = diagram
-        self.colors = colors
+        self.words = words
         self.cut_slice = cut_slice
-        self.cut_info = None  # (kind, variant, module) once parked
-        self.words = typecheck(diagram)
-        self._duals: dict[str, WeightModule] = {}
+
+    def run(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
+        self.stacks = stacks
         self._braidings: dict[tuple, np.ndarray] = {}
-
-    def module_of(self, strand: Strand) -> WeightModule:
-        base = self.colors[strand.component]
-        if strand.up:
-            return base
-        if strand.component not in self._duals:
-            self._duals[strand.component] = dual(base)
-        return self._duals[strand.component]
-
-    def run(self) -> np.ndarray:
         word = self.words[0]
-        dims = [self.module_of(s).dim for s in word]
+        dims = [self.stack_of(s).dim for s in word]
         # identity wires: current axes then one parked input axis per source strand
-        t = np.eye(int(np.prod(dims, dtype=int)), dtype=complex).reshape(
-            dims + dims
-        ) if word else np.ones((), dtype=complex)
+        t = np.eye(math.prod(dims), dtype=complex).reshape([1] + dims + dims)
         for index, sl in enumerate(self.diagram.slices):
             word_below = self.words[index]
             if isinstance(sl, Id):
@@ -426,71 +433,78 @@ class _Engine:
                 t = self._coupon(t, sl)
             else:  # pragma: no cover - typecheck already rejects
                 raise DiagramTypeError(f"unknown slice {sl!r}")
+        terms = max((st.terms for st in stacks.values()), default=1)
+        if t.shape[0] != terms:  # no block depended on the term
+            t = np.broadcast_to(t, (terms,) + t.shape[1:])
         return t
+
+    def stack_of(self, strand: Strand) -> ModuleStack:
+        base = self.stacks[strand.component]
+        return base if strand.up else base.dual
+
+    @staticmethod
+    def _apply(t, i, n_in, block, out_dims):
+        """Replace the ``n_in`` strand axes from ``i`` by ``block``'s outputs.
+
+        ``block`` has shape (terms, prod(out_dims), prod of the input dims).
+        """
+        shape = t.shape
+        x = t.reshape(shape[0], math.prod(shape[1 : i + 1]), block.shape[-1], -1)
+        y = np.matmul(block[:, None], x)
+        return y.reshape((y.shape[0],) + shape[1 : i + 1] + out_dims + shape[i + 1 + n_in :])
 
     def _braid(self, t, sl, word):
         i = sl.position
         key = (word[i], word[i + 1], sl.sign)
-        c4 = self._braidings.get(key)
-        if c4 is None:
-            m1, m2 = self.module_of(word[i]), self.module_of(word[i + 1])
-            c4 = braiding_matrix(m1, m2, sl.sign).reshape(
-                m2.dim, m1.dim, m1.dim, m2.dim
-            )
-            self._braidings[key] = c4
-        t = np.tensordot(t, c4, axes=([i, i + 1], [2, 3]))
-        return np.moveaxis(t, (-2, -1), (i, i + 1))
+        c = self._braidings.get(key)
+        if c is None:
+            c = braiding_stack(self.stack_of(word[i]), self.stack_of(word[i + 1]), sl.sign)
+            self._braidings[key] = c
+        return self._apply(t, i, 2, c, (t.shape[i + 2], t.shape[i + 1]))
 
     def _cup(self, t, sl, cut=False):
-        module = self.colors[sl.component]
-        d = module.dim
-        if sl.variant == "coev":
-            block = np.eye(d, dtype=complex)
-        else:  # coevprime
-            block = np.diag(1.0 / module.pivot_diag)
+        stack = self.stacks[sl.component]
+        d = stack.dim
         i = sl.position
+        shape = t.shape
+        head, tail = shape[1 : i + 1], shape[i + 1 :]
+        x = t.reshape(shape[0], math.prod(head), 1, 1, math.prod(tail))
         if cut:
-            self.cut_info = ("cup", sl.variant, module)
-            # two identity wires: current axes at i, i+1 and two parked inputs
-            t = np.multiply.outer(t, np.eye(d, dtype=complex))  # axes (x1, p1)
-            t = np.multiply.outer(t, np.eye(d, dtype=complex))  # axes (x2, p2)
-            # current order: (..., x1, p1, x2, p2) -> park p1, p2 at the end
-            t = np.moveaxis(t, (-4, -2), (i, i + 1))
-            return t
-        t = np.multiply.outer(t, block)
-        return np.moveaxis(t, (-2, -1), (i, i + 1))
+            # two identity wires: current axes at i, i+1 and parked ones at the end
+            eye = np.eye(d, dtype=complex)
+            wires = eye[:, None, None, :, None] * eye[None, :, None, None, :]
+            t = x[..., None, None] * wires  # (x1, x2, tail, p1, p2)
+            return t.reshape((shape[0],) + head + (d, d) + tail + (d, d))
+        if sl.variant == "coev":
+            block = np.eye(d, dtype=complex)[None]
+        else:  # coevprime
+            block = np.eye(d) * (1.0 / stack.pivot)[:, None, :]
+        t = x * block[:, None, :, :, None]
+        return t.reshape((t.shape[0],) + head + (d, d) + tail)
 
     def _cap(self, t, sl, word, cut=False):
         i = sl.position
-        s1 = word[i]
-        module = self.colors[s1.component]
         if cut:
-            self.cut_info = ("cap", sl.variant, module)
-            return np.moveaxis(t, (i, i + 1), (-2, -1))
-        d = module.dim
+            return np.moveaxis(t, (i + 1, i + 2), (-2, -1))
+        stack = self.stacks[word[i].component]
+        d = stack.dim
         if sl.variant == "ev":
-            block = np.eye(d, dtype=complex)
+            block = np.eye(d, dtype=complex)[None]
         else:  # evprime
-            block = np.diag(module.pivot_diag)
-        return np.tensordot(t, block, axes=([i, i + 1], [0, 1]))
+            block = np.eye(d) * stack.pivot[:, None, :]
+        return self._apply(t, i, 2, block.reshape(-1, 1, d * d), ())
 
     def _coupon(self, t, sl):
         i = sl.position
-        in_dims = [self.module_of(s).dim for s in sl.inputs]
-        out_dims = [self.module_of(s).dim for s in sl.outputs]
+        in_dims = tuple(self.stack_of(s).dim for s in sl.inputs)
+        out_dims = tuple(self.stack_of(s).dim for s in sl.outputs)
         matrix = np.asarray(sl.matrix, dtype=complex)
-        expected = (int(np.prod(out_dims, dtype=int)), int(np.prod(in_dims, dtype=int)))
+        expected = (math.prod(out_dims), math.prod(in_dims))
         if matrix.shape != expected:
             raise DiagramTypeError(
                 f"coupon matrix shape {matrix.shape} != expected {expected}"
             )
-        block = matrix.reshape(out_dims + in_dims)
-        in_axes = list(range(i, i + len(in_dims)))
-        t = np.tensordot(t, block, axes=(in_axes, list(range(len(out_dims), len(out_dims) + len(in_dims)))))
-        n_out = len(out_dims)
-        if n_out:
-            t = np.moveaxis(t, list(range(-n_out, 0)), list(range(i, i + n_out)))
-        return t
+        return self._apply(t, i, len(in_dims), matrix[None], out_dims)
 
 
 def evaluate(
@@ -502,21 +516,74 @@ def evaluate(
     is shorthand for V_α).  The result's source/target are the tensor
     products of the boundary words (the monoidal unit for empty words).
     """
-    resolved = _resolve_colors(ctx, diagram, colors)
-    engine = _Engine(ctx, diagram, resolved)
-    t = engine.run()
+    words = typecheck(diagram)
+    stacks = _stack_colors(ctx, diagram, colors)
+    engine = _Engine(diagram, words)
+    t = engine.run(stacks)[0]
 
     def word_module(word):
         module = None
         for strand in word:
-            m = engine.module_of(strand)
+            m = engine.stack_of(strand).modules[0]
             module = m if module is None else tensor(module, m)
         return module if module is not None else trivial_module(ctx)
 
-    source = word_module(engine.words[0])
-    target = word_module(engine.words[-1])
-    matrix = np.asarray(t, dtype=complex).reshape(target.dim, source.dim)
+    source = word_module(words[0])
+    target = word_module(words[-1])
+    matrix = t.reshape(target.dim, source.dim)
     return MorphismMatrix(source, target, matrix)
+
+
+class CutTangle:
+    """A closed diagram cut open at a cup/cap slice of one component.
+
+    The diagram is typechecked and the cut checked for enclosure once, at
+    construction; :meth:`matrices` then evaluates the resulting 1-1 tangle
+    for any batch of colorings in one engine pass.
+    """
+
+    def __init__(self, diagram: SlicedDiagram, cut_slice: int):
+        words = typecheck(diagram)
+        if words[0] or words[-1]:
+            raise DomainError("cut evaluation requires a closed diagram")
+        sl = diagram.slices[cut_slice]
+        if not isinstance(sl, (Cup, Cap)):
+            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
+        if cut_is_enclosed(diagram, cut_slice):
+            raise DiagramTypeError(
+                f"cut slice {cut_slice} is enclosed by other strands; re-slice "
+                "the diagram so the cut component has an outermost cup or cap"
+            )
+        self.diagram = diagram
+        self.slice = sl
+        self.component = (
+            sl.component if isinstance(sl, Cup) else words[cut_slice][sl.position].component
+        )
+        self._engine = _Engine(diagram, words, cut_slice=cut_slice)
+
+    def matrices(self, colors: dict, ctx: RootParams) -> np.ndarray:
+        """The tangle's endomorphism of the cut component's color, per term.
+
+        ``colors`` is as for :func:`evaluate`, except that a component may
+        carry a sequence of weight modules, one per term; the result has
+        shape (terms, d, d).  The parked pair of strand axes is converted to
+        an endomorphism using the duality conventions of the cut slice (the
+        inverse of closing an endomorphism with the corresponding cup/cap
+        pair).
+        """
+        return self._matrices(_stack_colors(ctx, self.diagram, colors))
+
+    def _matrices(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
+        w = self._engine.run(stacks)
+        stack = stacks[self.component]
+        if w.shape[1:] != (stack.dim, stack.dim):
+            raise DomainError(f"cut evaluation left unexpected shape {w.shape[1:]}")
+        variant = self.slice.variant
+        if variant == "ev":  # cap
+            return w.swapaxes(1, 2) * stack.pivot[:, None, :]
+        if variant == "coev":  # cup
+            return (1.0 / stack.pivot)[:, :, None] * w.swapaxes(1, 2)
+        return w  # cap / evprime, cup / coevprime
 
 
 def evaluate_cut(
@@ -525,39 +592,12 @@ def evaluate_cut(
     """Evaluate a closed diagram cut open at a cup/cap slice of one component.
 
     Returns ``(m, module)`` where ``m`` is the matrix of the resulting 1-1
-    tangle as an endomorphism of the cut component's color ``module``.  The
-    parked pair of strand axes is converted to an endomorphism using the
-    duality conventions of the cut slice (this is the inverse of closing an
-    endomorphism with the corresponding cup/cap pair).
+    tangle as an endomorphism of the cut component's color ``module``: the
+    one-term call of :meth:`CutTangle.matrices`.
     """
-    words = typecheck(diagram)
-    if words[0] or words[-1]:
-        raise DomainError("cut evaluation requires a closed diagram")
-    sl = diagram.slices[cut_slice]
-    if not isinstance(sl, (Cup, Cap)):
-        raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-    if cut_is_enclosed(diagram, cut_slice):
-        raise DiagramTypeError(
-            f"cut slice {cut_slice} is enclosed by other strands; re-slice "
-            "the diagram so the cut component has an outermost cup or cap"
-        )
-    resolved = _resolve_colors(ctx, diagram, colors)
-    engine = _Engine(ctx, diagram, resolved, cut_slice=cut_slice)
-    t = engine.run()
-    kind, variant, module = engine.cut_info
-    w = np.asarray(t, dtype=complex)
-    if w.shape != (module.dim, module.dim):
-        raise DomainError(f"cut evaluation left unexpected shape {w.shape}")
-    g = module.pivot_diag
-    if kind == "cap" and variant == "evprime":
-        m = w
-    elif kind == "cap" and variant == "ev":
-        m = w.T * g[None, :]
-    elif kind == "cup" and variant == "coev":
-        m = (1.0 / g)[:, None] * w.T
-    else:  # cup / coevprime
-        m = w
-    return m, module
+    cut = CutTangle(diagram, cut_slice)
+    stacks = _stack_colors(ctx, diagram, colors)
+    return cut._matrices(stacks)[0], stacks[cut.component].modules[0]
 
 
 # ----------------------------------------------------------------------

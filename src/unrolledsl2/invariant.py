@@ -21,6 +21,12 @@ n the integer framing defect.  The same data also evaluates through the
 normalization N = F'_total / (Δ₊**p Δ₋**s) and Z = η λ**b₁ δ**n N; the two
 routes share only the Kirby sum and must agree, which is exercised by the
 test suite on every computable fixture.
+
+The Kirby terms share the diagram, the cut and the slice sequence; only the
+colors change.  :func:`z_invariant` therefore evaluates them on the term
+axis of the diagram engine, r terms per engine pass (the last surgery
+component's Kirby colors), and sums the term values in the same order as a
+term-by-term loop would.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 from .diagram import (
     Cap,
     Cup,
+    CutTangle,
     SlicedDiagram,
     clasp_diagram,
     cut_is_enclosed,
@@ -49,7 +56,7 @@ from .errors import (
     UnsupportedSlideError,
 )
 from .qscalar import RootParams
-from .repcat import WeightModule, make_valpha, scalar_of, twist_scalar
+from .repcat import WeightModule, make_valpha, scalar_of, scalars_of, twist_scalar
 
 __all__ = [
     "LinkingData",
@@ -467,6 +474,13 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     evaluates F' of each term at a fixed projective cut edge, applies
     framing corrections through twist scalars, and assembles both
     normalization routes.
+
+    The diagram is typechecked and cut once per call.  The terms are then
+    evaluated r at a time, in r**(m−1) engine passes: the last surgery
+    component's r Kirby colors sit on the engine's term axis, and the
+    earlier components are looped in row-major order, so the term values
+    are summed in the same order as one term at a time.  Every term passes
+    its own Schur check.
     """
     ctx = sp.ctx
     failure = computability_failure(sp)
@@ -477,6 +491,7 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     data = linking_data(sp)
     writhes, _ = writhe_and_linking(sp.diagram)
     cut_name, cut_slice = _fixed_cut(sp)
+    cut = CutTangle(sp.diagram, cut_slice)
     graph_colors = sp.resolved_graph_colors()
     lifts = {name: complex(sp.meridian_values[name]) for name in l_names}
 
@@ -506,25 +521,33 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
             thetas[alpha] = twist_scalar(ctx, alpha)
 
     f_total: complex = 0.0
-    for ks in combos:
-        colors = dict(graph_colors)
-        weight: complex = 1.0
-        corr: complex = 1.0
-        for name, k in zip(l_names, ks):
-            alpha = lifts[name] + int(k)
-            colors[name] = modules[alpha]
-            weight *= ctx.mdim(alpha)
-            delta_f = sp.framings[name] - writhes.get(name, 0)
-            if delta_f:
-                corr *= thetas[alpha] ** delta_f
-        for name, framing in sp.graph_framings.items():
-            delta_f = framing - writhes.get(name, 0)
-            if delta_f:
-                corr *= thetas[_cut_color_alpha(graph_colors[name])] ** delta_f
-        matrix, _ = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
-        s_term = scalar_of(matrix, ctx.tol)
-        cut_alpha = _cut_color_alpha(colors[cut_name])
-        f_total += weight * corr * ctx.mdim(cut_alpha) * s_term
+    per_pass = ctx.r if l_names else 1
+    for start in range(0, len(combos), per_pass):
+        block = combos[start : start + per_pass]
+        colors: dict = dict(graph_colors)
+        for j, name in enumerate(l_names):
+            kirby = [modules[lifts[name] + int(k)] for k in block[:, j]]
+            # the last component runs along the term axis, the others are fixed
+            colors[name] = kirby if j == m - 1 else kirby[0]
+        scalars = scalars_of(cut.matrices(colors, ctx), ctx.tol)
+        for ks, s_term in zip(block, scalars):
+            alphas = {name: lifts[name] + int(k) for name, k in zip(l_names, ks)}
+            weight: complex = 1.0
+            corr: complex = 1.0
+            for name, alpha in alphas.items():
+                weight *= ctx.mdim(alpha)
+                delta_f = sp.framings[name] - writhes.get(name, 0)
+                if delta_f:
+                    corr *= thetas[alpha] ** delta_f
+            for name, framing in sp.graph_framings.items():
+                delta_f = framing - writhes.get(name, 0)
+                if delta_f:
+                    corr *= thetas[_cut_color_alpha(graph_colors[name])] ** delta_f
+            if cut_name in alphas:
+                cut_alpha = alphas[cut_name]
+            else:
+                cut_alpha = _cut_color_alpha(graph_colors[cut_name])
+            f_total += weight * corr * ctx.mdim(cut_alpha) * complex(s_term)
 
     lam, eta, delta, d_plus, d_minus = ctx.constants()
     n = sp.defect

@@ -18,16 +18,20 @@ The braiding uses the standard double-bosonization ansatz: a diagonal factor
 acting on a pair of weight vectors of weights (w, w') by q**(w·w'/2),
 composed with the truncated sum Σₙ ({1}**(2n)/{n}!) q**(n(n−1)/2) Eⁿ⊗Fⁿ.
 Because only the operator matrices enter, the same formula braids duals and
-tensor products uniformly.  The twist is *computed* from the braiding and the
-pivotal duality maps (never asserted from a closed formula), and every
-convention here is pinned end-to-end by the self-tests: algebra relations,
-Yang–Baxter, naturality, zig-zags, ribbon compatibility, and the surgery
-cross-checks in :mod:`unrolledsl2.invariant`.
+tensor products uniformly; :func:`braiding_stack` builds it for a whole stack
+of colorings (:class:`ModuleStack`) at once.  :func:`twist` and
+:func:`twist_scalar_of` compute the twist from the braiding and the pivotal
+duality maps; :func:`twist_scalar` returns the closed form
+q^((α²−(r−1)²)/2) on V_α, and the tests hold the two routes against each
+other.  Every convention here is pinned end-to-end by the self-tests:
+algebra relations, Yang–Baxter, naturality, zig-zags, ribbon compatibility,
+and the surgery cross-checks in :mod:`unrolledsl2.invariant`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,18 +42,21 @@ from .qscalar import RootParams
 __all__ = [
     "WeightModule",
     "MorphismMatrix",
+    "ModuleStack",
     "trivial_module",
     "make_valpha",
     "dual",
     "tensor",
     "braiding",
     "braiding_matrix",
+    "braiding_stack",
     "twist",
     "twist_scalar",
     "duality_maps",
     "hom_dimension",
     "relations_residual",
     "scalar_of",
+    "scalars_of",
 ]
 
 
@@ -176,13 +183,27 @@ def scalar_of(matrix: np.ndarray, tol: float) -> complex:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotScalarError(f"matrix of shape {matrix.shape} is not square")
-    d = matrix.shape[0]
-    s = complex(np.trace(matrix)) / d
-    residual = float(np.max(np.abs(matrix - s * np.eye(d))))
-    if residual > tol * max(1.0, abs(s)):
+    return complex(scalars_of(matrix[None], tol)[0])
+
+
+def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
+    """The Schur scalar of every square matrix in a stack, as :func:`scalar_of`.
+
+    Every term is checked; the first term (in stack order) whose residual
+    exceeds ``tol·max(1, |s|)`` raises :class:`NotScalarError`.
+    """
+    matrices = np.asarray(matrices)
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise NotScalarError(f"matrix of shape {matrices.shape[1:]} is not square")
+    d = matrices.shape[1]
+    s = np.trace(matrices, axis1=1, axis2=2) / d
+    residual = np.max(np.abs(matrices - s[:, None, None] * np.eye(d)), axis=(1, 2))
+    failing = np.flatnonzero(residual > tol * np.maximum(1.0, np.abs(s)))
+    if failing.size:
+        k = failing[0]
         raise NotScalarError(
-            f"endomorphism deviates from scalar*Id: residual {residual:.3e}, "
-            f"candidate scalar {s!r}"
+            f"endomorphism deviates from scalar*Id: residual {float(residual[k]):.3e}, "
+            f"candidate scalar {complex(s[k])!r}"
         )
     return s
 
@@ -198,6 +219,17 @@ def trivial_module(ctx: RootParams) -> WeightModule:
     return WeightModule(ctx, ("one",), np.array([0.0 + 0j]), zero, zero, 0.0)
 
 
+def _simple_color(ctx: RootParams, alpha: complex) -> complex:
+    """α as a complex number; DomainError unless V_α exists (α ∈ Ċ)."""
+    alpha = complex(alpha)
+    if not ctx.is_projective_color(alpha):
+        raise DomainError(
+            f"V_alpha undefined at alpha={alpha!r}: within epsilon_int of "
+            f"the excluded set Z \\ {ctx.r}Z"
+        )
+    return alpha
+
+
 def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
     """The r-dimensional simple module V_α for α ∈ Ċ.
 
@@ -205,12 +237,7 @@ def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
     operators act by F·vᵢ = vᵢ₊₁ and E·vᵢ = [i]·[α+r−i]·vᵢ₋₁, the unique
     gauge (up to basis scaling) making the defining relations hold.
     """
-    alpha = complex(alpha)
-    if ctx.is_near_int(alpha) and ctx.nearest_int(alpha) % ctx.r != 0:
-        raise DomainError(
-            f"V_alpha undefined at alpha={alpha!r}: within epsilon_int of "
-            f"the excluded set Z \\ {ctx.r}Z"
-        )
+    alpha = _simple_color(ctx, alpha)
     r = ctx.r
     weights = np.array([alpha + r - 1 - 2 * i for i in range(r)], dtype=complex)
     e = np.zeros((r, r), dtype=complex)
@@ -257,57 +284,126 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
 # ----------------------------------------------------------------------
 
 
-def _r_matrix(a: WeightModule, b: WeightModule) -> np.ndarray:
-    """The R-matrix on A⊗B as a (dimA·dimB) square matrix (before the flip).
+class ModuleStack:
+    """Weight modules of one dimension stacked on a leading term axis.
+
+    One evaluation pass of the diagram engine colors each component by a
+    stack: a single module shared by every term, or one module per term.
+    The stacked arrays (weights, E, F, pivot) and the stack of duals are
+    built on first use.
+    """
+
+    def __init__(self, modules):
+        self.modules = tuple(modules)
+        dims = {m.dim for m in self.modules}
+        if len(dims) != 1:
+            raise DomainError(f"a module stack needs one dimension, got {sorted(dims)}")
+        self.ctx = self.modules[0].ctx
+        self.dim = dims.pop()
+
+    @property
+    def terms(self) -> int:
+        return len(self.modules)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _stacked([m.weights for m in self.modules])
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return _stacked([m.e for m in self.modules])
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return _stacked([m.f for m in self.modules])
+
+    @cached_property
+    def pivot(self) -> np.ndarray:
+        return _stacked([m.pivot_diag for m in self.modules])
+
+    @cached_property
+    def dual(self) -> "ModuleStack":
+        return ModuleStack(dual(m) for m in self.modules)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays on a new leading axis (a view for a single array)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _nonzero(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries nonzero in any term."""
+    pattern = powers[0] if len(powers) == 1 else np.any(powers, axis=0)
+    return np.nonzero(pattern)
+
+
+def _r_matrix(a: ModuleStack, b: ModuleStack) -> np.ndarray:
+    """The R-matrices on A⊗B, one (dimA·dimB) square matrix per term.
 
     Each term cₙ·Eⁿ⊗Fⁿ is scattered from the nonzero entries of Eⁿ and Fⁿ
-    alone: on weight modules Eⁿ has at most dim−n of them, so the sum has
-    O(r³) nonzeros instead of the r⁴ entries of a dense Kronecker product.
+    alone, for every term at once: on weight modules Eⁿ has at most dim−n
+    of them, so the sum has O(r³) nonzeros instead of the r⁴ entries of a
+    dense Kronecker product.
     """
     ctx = a.ctx
     da, db = a.dim, b.dim
-    acc = np.zeros((da * db, da * db), dtype=complex)
-    e_pow = np.eye(da, dtype=complex)
-    f_pow = np.eye(db, dtype=complex)
+    acc = np.zeros((max(a.terms, b.terms), da * db, da * db), dtype=complex)
+    diagonal = np.arange(da * db)
+    acc[:, diagonal, diagonal] = 1.0  # n = 0: Id ⊗ Id
+    e_pow, f_pow = a.e, b.f
     coeff: complex = 1.0
     brace1 = ctx.q_num(1)
-    for n in range(ctx.r):
-        if n > 0:
+    for n in range(1, ctx.r):
+        if n > 1:
             e_pow = e_pow @ a.e
             f_pow = f_pow @ b.f
-            # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
-            coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
-        e_rows, e_cols = np.nonzero(e_pow)
-        f_rows, f_cols = np.nonzero(f_pow)
+        # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
+        coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
+        e_rows, e_cols = _nonzero(e_pow)
+        f_rows, f_cols = _nonzero(f_pow)
         if not len(e_rows) or not len(f_rows):
             break
         # kron(Eⁿ, Fⁿ)[i·dimB + k, j·dimB + l] = Eⁿ[i, j] · Fⁿ[k, l]
         rows = np.add.outer(e_rows * db, f_rows).ravel()
         cols = np.add.outer(e_cols * db, f_cols).ravel()
-        values = np.multiply.outer(e_pow[e_rows, e_cols], f_pow[f_rows, f_cols])
-        acc[rows, cols] += coeff * values.ravel()
+        values = e_pow[:, e_rows, e_cols][:, :, None] * f_pow[:, f_rows, f_cols][:, None, :]
+        acc[:, rows, cols] += coeff * values.reshape(len(values), -1)
     # diagonal factor q^{w·w'/2} acting on the output weight pair
-    qhh = np.exp(1j * np.pi * (np.multiply.outer(a.weights, b.weights) / 2.0) / ctx.r)
-    return qhh.ravel()[:, None] * acc
+    ww = a.weights[:, :, None] * b.weights[:, None, :]
+    qhh = np.exp(1j * np.pi * (ww / 2.0) / ctx.r)
+    return qhh.reshape(len(qhh), -1, 1) * acc
+
+
+def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
+    """The matrices of the braiding c_{A,B}: A⊗B → B⊗A (sign=+1), per term.
+
+    With sign=−1 they are the matrices of (c_{B,A})⁻¹: A⊗B → B⊗A, the
+    value of a negative crossing.  Rows index B⊗A and columns A⊗B, both
+    row-major; the leading axis runs over the terms of the two stacks (a
+    one-term stack is shared by every term of the other).  This is the only
+    braiding builder.
+    """
+    if sign == 1:
+        r_mat = _r_matrix(a, b)
+        da, db = a.dim, b.dim
+        return (
+            r_mat.reshape(-1, da, db, da * db)
+            .transpose(0, 2, 1, 3)
+            .reshape(-1, da * db, da * db)
+        )
+    if sign == -1:
+        return np.linalg.inv(braiding_stack(b, a, 1))
+    raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
 
 
 def braiding_matrix(a: WeightModule, b: WeightModule, sign: int = 1) -> np.ndarray:
     """The matrix of the braiding c_{A,B}: A⊗B → B⊗A (sign=+1).
 
     With sign=−1 it is the matrix of (c_{B,A})⁻¹: A⊗B → B⊗A, the value of a
-    negative crossing.  Rows index B⊗A and columns A⊗B, both row-major.
-    This is the only braiding builder; :func:`braiding` labels its result
-    with the tensor-product modules.
+    negative crossing.  This is the one-term call of :func:`braiding_stack`;
+    :func:`braiding` labels its result with the tensor-product modules.
     """
-    if sign == 1:
-        r_mat = _r_matrix(a, b)
-        da, db = a.dim, b.dim
-        return (
-            r_mat.reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
-        )
-    if sign == -1:
-        return np.linalg.inv(braiding_matrix(b, a, 1))
-    raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
+    return braiding_stack(ModuleStack((a,)), ModuleStack((b,)), sign)[0]
 
 
 def braiding(a: WeightModule, b: WeightModule, sign: int = 1) -> MorphismMatrix:
@@ -353,8 +449,13 @@ def twist(a: WeightModule) -> MorphismMatrix:
 
 
 def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
-    """The scalar by which the twist acts on the simple module V_α."""
-    return twist(make_valpha(ctx, alpha)).scalar()
+    """The scalar θ = q^((α²−(r−1)²)/2) by which the twist acts on V_α.
+
+    The closed form; :func:`twist_scalar_of` computes the same scalar from
+    the braiding and the pivotal structure, which the tests compare.
+    """
+    alpha = _simple_color(ctx, alpha)
+    return ctx.q_pow((alpha**2 - (ctx.r - 1) ** 2) / 2)
 
 
 def twist_scalar_of(module: WeightModule, tol: Optional[float] = None) -> complex:

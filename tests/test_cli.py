@@ -1,11 +1,15 @@
 """Command-line interface: formats, exit codes, schema diagnostics."""
 
+import cmath
 import json
+import math
 import os
 import pathlib
 import resource
+import itertools
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from numpy.random import default_rng
@@ -78,6 +82,58 @@ def test_zinv_s1xs2_fields(capsys):
     assert doc["m"] == 1
     assert doc["sigma"] == 0
     assert doc["b1"] == 1
+
+
+def _closed_form_z(r, doc):
+    """Z of a 0-writhe unknot or Hopf-clasp surgery document, in closed form.
+
+    The Kirby sum η λ^m δ^(−σ) Σ Π d(α_i)·θ(α_i)^(f_i) · F'(link), with
+    F'(unknot_α) = d(α) and the clasp twist-eigenvalue sum for lk = 1:
+    F' = Σ_k d(a+b+k) θ(a+b+k) / (θ(a) θ(b)).  Nothing here goes through the
+    package.
+    """
+    def q(x):
+        return cmath.exp(1j * math.pi * x / r)
+
+    def d(a):
+        return (-1) ** (r - 1) * r * (q(a) - q(-a)) / (q(r * a) - q(-r * a))
+
+    def theta(a):
+        return q((a * a - (r - 1) ** 2) / 2)
+
+    kirby = range(1 - r, r, 2)
+    framings = doc["framings"]
+    c = {name: float(Fraction(value)) for name, value in doc["meridians"].items()}
+    if len(framings) == 1:
+        (name, f), = framings.items()
+        total = sum(d(c[name] + k) ** 2 * theta(c[name] + k) ** f for k in kirby)
+        sigma = (f > 0) - (f < 0)
+    else:
+        f1, f2 = framings["L1"], framings["L2"]
+        assert f1 * f2 - 1 > 0 and f1 + f2 > 0  # positive definite: σ = 2
+        sigma = 2
+        total = 0j
+        for k1, k2 in itertools.product(kirby, kirby):
+            a, b = c["L1"] + k1, c["L2"] + k2
+            clasp = sum(d(a + b + k) * theta(a + b + k) / (theta(a) * theta(b))
+                        for k in kirby)
+            total += d(a) * theta(a) ** f1 * d(b) * theta(b) ** f2 * clasp
+    rp = r if r % 2 else r // 2
+    lam, eta = math.sqrt(rp) / r**2, 1 / (r * math.sqrt(rp))
+    delta = q(-1.5) * cmath.exp(-1j * (r % 4 + 1) * math.pi / 4)
+    return eta * lam ** len(framings) * delta ** (-sigma) * total
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+@pytest.mark.parametrize("fixture", ["lens_7_1.json", "lens_7_2.json", "s1xs2.json"])
+def test_zinv_matches_closed_form_kirby_sum(capsys, fixture, r):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    code, out, _ = run_json(capsys, "zinv", "--r", str(r), "--input", str(FIXTURES / fixture))
+    assert code == 0
+    z = complex(float(out["Z_re"]), float(out["Z_im"]))
+    want = _closed_form_z(r, doc)
+    # lens_7_2 at r = 7 has Z = 0 (|want| ~ 4e-15): the bound then asks Z to vanish
+    assert abs(z - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_flink_fixtures_run(capsys):
@@ -359,7 +415,7 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("sub,r,fixture", [
     ("flink", 301, "hopf.json"),            # 122 GiB braiding
-    ("zinv", 301, "lens_7_1.json"),         # 122 GiB twist braiding
+    ("zinv", 301, "lens_7_2.json"),         # 36 TiB stack of r crossing braidings
     ("hh0", 1001, "genus2_theta.json"),     # 14.9 GiB vertex grid
 ])
 def test_domain_error_out_of_memory(sub, r, fixture):

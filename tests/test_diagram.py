@@ -8,6 +8,7 @@ from unrolledsl2.diagram import (
     Cap,
     Coupon,
     Cup,
+    CutTangle,
     Id,
     SlicedDiagram,
     Strand,
@@ -169,6 +170,46 @@ def test_unknot_cut_is_identity(ctx):
         for cut in (0, 1):
             m, out = evaluate_cut(d, {"K": mod}, ctx, cut)
             assert np.abs(m - np.eye(out.dim)).max() < 1e-10
+
+
+def _primed_clasp():
+    """A lk = −1 clasp drawn with the coev'/ev duality pair only."""
+    return SlicedDiagram((
+        Cup(0, "B", "coevprime"), Cup(1, "A", "coevprime"),
+        Braid(0, -1), Braid(0, -1), Cap(1, "ev"), Cap(0, "ev"),
+    ))
+
+
+# (diagram, outer cut slices, component names)
+BATCH_DIAGRAMS = {
+    "clasp2": (clasp_diagram(2, "A", "B"), (0, 7), ("A", "B")),
+    "primed_clasp": (_primed_clasp(), (0, 5), ("A", "B")),
+    "curl": (curl_diagram("K", -1), (0, 4), ("K",)),
+    "trefoil": (braid_closure([(0, 1)] * 3, 2), (0, 6), ("K",)),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_DIAGRAMS)
+def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
+    diagram, cuts, names = BATCH_DIAGRAMS[case]
+    rng = np.random.default_rng(21)
+    fixed = {name: make_valpha(ctx, _generic(rng)) for name in names}
+    for varying in names:
+        batch = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+        for cut in cuts:
+            got = CutTangle(diagram, cut).matrices({**fixed, varying: batch}, ctx)
+            assert got.shape == (3, ctx.r, ctx.r)
+            for k, module in enumerate(batch):
+                ref, _ = evaluate_cut(diagram, {**fixed, varying: module}, ctx, cut)
+                assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_cut_tangle_rejects_unequal_batches(ctx):
+    modules = [make_valpha(ctx, a) for a in (0.3, 0.4, 0.6)]
+    with pytest.raises(DomainError):
+        CutTangle(clasp_diagram(1, "A", "B"), 0).matrices(
+            {"A": modules[:2], "B": modules}, ctx
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Surgery layer: renormalized link invariant and the 3-manifold invariant."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from unrolledsl2.diagram import (
     braid_closure,
     clasp_diagram,
     cut_is_enclosed,
+    evaluate_cut,
     typecheck,
     unknot_diagram,
+    writhe_and_linking,
 )
 from unrolledsl2.errors import (
     DomainError,
@@ -37,7 +41,7 @@ from unrolledsl2.invariant import (
     z_invariant,
 )
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.repcat import twist_scalar
+from unrolledsl2.repcat import make_valpha, scalar_of, twist_scalar, twist_scalar_of
 
 @pytest.fixture(params=[2, 3, 5], ids=lambda r: f"r{r}")
 def ctx(request):
@@ -327,6 +331,64 @@ def test_z_both_forms_on_fixtures(ctx):
     for sp in fixtures:
         res = z_invariant(sp)
         assert abs(res.z - res.z_via_betti) < 1e-9 * (1 + abs(res.z))
+
+
+def _kirby_sum_term_by_term(sp):
+    """(F'_total, Σ|term|) with one evaluate_cut and one scalar_of per Kirby term.
+
+    The reference for the batched passes of :func:`z_invariant`; framing
+    corrections use the twist built from the braiding.
+    """
+    ctx = sp.ctx
+    l_names = sp.surgery_names()
+    writhes, _ = writhe_and_linking(sp.diagram)
+    _cut_name, cut_slice = _fixed_cut(sp)
+    graph_colors = sp.resolved_graph_colors()
+    total, size = 0j, 0.0
+    for ks in itertools.product(ctx.h_r_set(), repeat=len(l_names)):
+        colors = dict(graph_colors)
+        value = 1.0
+        for name, k in zip(l_names, ks):
+            alpha = complex(sp.meridian_values[name]) + k
+            colors[name] = make_valpha(ctx, alpha)
+            delta_f = sp.framings[name] - writhes.get(name, 0)
+            value *= ctx.mdim(alpha) * twist_scalar_of(colors[name]) ** delta_f
+        for name, framing in sp.graph_framings.items():
+            delta_f = framing - writhes.get(name, 0)
+            value *= twist_scalar_of(graph_colors[name]) ** delta_f
+        matrix, module = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
+        term = value * ctx.mdim(module.label[1]) * scalar_of(matrix, ctx.tol)
+        total += term
+        size += abs(term)
+    return total, size
+
+
+BATCH_CASES = {
+    "lens_7_2": lambda ctx: lens_chain_presentation(ctx, 4, 2, (2.0 / 7, -8.0 / 7)),
+    # meridians 2·M⁻¹·(1, 0): the class vanishes on both parallels
+    "clasp+1": lambda ctx: standard_two_component(ctx, 1, (3, 2), (4.0 / 5, -2.0 / 5)),
+    "clasp-1": lambda ctx: standard_two_component(ctx, -1, (3, 2), (4.0 / 5, 2.0 / 5)),
+    "clasp+2": lambda ctx: standard_two_component(ctx, 2, (3, 3), (6.0 / 5, -4.0 / 5)),
+    "clasp-2": lambda ctx: standard_two_component(ctx, -2, (3, 3), (6.0 / 5, 4.0 / 5)),
+    "encircled+1": lambda ctx: encircled_strand_presentation(ctx, 0.37, 1),
+    "encircled-1": lambda ctx: encircled_strand_presentation(ctx, 0.37, -1),
+    "s1xs2": lambda ctx: s1_x_s2_presentation(ctx, 1.0 / 3),
+    "lens_unknot": lambda ctx: lens_unknot_presentation(ctx, 5, 2.0 / 5),
+    "graph_only": lambda ctx: graph_only_presentation(
+        ctx, clasp_diagram(2, "A", "B"), {"A": 0.3, "B": 0.55}, graph_framings={"B": 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_z_batched_passes_match_term_by_term(r, case):
+    ctx = RootParams(r)
+    sp = BATCH_CASES[case](ctx)
+    assert computability_check(sp)
+    reference, size = _kirby_sum_term_by_term(sp)
+    got = z_invariant(sp).f_prime_total
+    assert abs(got - reference) <= 1e-10 * max(1.0, size)
 
 
 # ----------------------------------------------------------------------

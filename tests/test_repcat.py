@@ -6,14 +6,17 @@ import pytest
 from unrolledsl2.errors import DomainError, NotScalarError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
+    ModuleStack,
     braiding,
     braiding_matrix,
+    braiding_stack,
     dual,
     duality_maps,
     hom_dimension,
     make_valpha,
     relations_residual,
     scalar_of,
+    scalars_of,
     tensor,
     trivial_module,
     twist,
@@ -138,12 +141,35 @@ def test_braiding_matches_dense_reference(r, sign):
         assert np.array_equal(braiding(x, y, sign).matrix, got)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_braiding_stack_matches_per_term(r, sign):
+    ctx = RootParams(r)
+    rng = np.random.default_rng(r)
+    terms = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    other = make_valpha(ctx, _generic(rng))
+    for stack in (ModuleStack(terms), ModuleStack(terms).dual):
+        fixed = ModuleStack((other,))
+        for a, b in ((stack, fixed), (fixed, stack), (stack, stack)):
+            got = braiding_stack(a, b, sign)
+            assert got.shape[0] == len(terms)
+            for k in range(len(terms)):
+                x = a.modules[k if a.terms > 1 else 0]
+                y = b.modules[k if b.terms > 1 else 0]
+                ref = braiding_matrix(x, y, sign)
+                assert np.abs(got[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
 def test_twist_scalar_closed_form(r):
+    # the closed form against the braiding route (twist built from c_{V,V})
     ctx = RootParams(r)
     for alpha in (0.3, -1.7, 2.0 / 7, 0.0, float(r)):
         closed = ctx.q_pow((alpha**2 - (r - 1) ** 2) / 2)
-        assert abs(twist_scalar(ctx, alpha) - closed) < 1e-12
+        assert twist_scalar(ctx, alpha) == closed
+        assert abs(twist_scalar_of(make_valpha(ctx, alpha)) - closed) < 1e-12
+    with pytest.raises(DomainError):
+        twist_scalar(ctx, 1.0 if r > 2 else 3.0)
 
 
 def test_twist_is_scalar_on_simples(ctx):
@@ -207,3 +233,38 @@ def test_scalar_of(ctx):
     assert abs(scalar_of(np.eye(3) * (2 + 1j), 1e-9) - (2 + 1j)) < 1e-12
     with pytest.raises(NotScalarError):
         scalar_of(np.diag([1.0, 2.0]), 1e-9)
+
+
+def _scalar_batch(d=3, terms=5, seed=4):
+    """A stack of s_k·Id with roundoff-sized noise well inside tol = 1e-9."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    noise = 1e-13 * (rng.normal(size=(terms, d, d)) + 1j * rng.normal(size=(terms, d, d)))
+    return s[:, None, None] * np.eye(d) + noise
+
+
+@pytest.mark.parametrize("deviations", [
+    {2: 1e-6},            # one term off
+    {1: 1e-6, 3: -1e-6},  # two terms off in opposite directions: the mean is clean
+    {4: 1e-6},            # the last term off
+])
+def test_scalars_of_checks_every_term(deviations):
+    batch = _scalar_batch()
+    for k, delta in deviations.items():
+        batch[k, 0, 1] += delta
+    first = min(deviations)
+    with pytest.raises(NotScalarError) as expected:
+        scalar_of(batch[first], 1e-9)
+    with pytest.raises(NotScalarError) as got:
+        scalars_of(batch, 1e-9)
+    assert str(got.value) == str(expected.value)
+
+
+def test_scalars_of_clean_batch_matches_scalar_of():
+    batch = _scalar_batch()
+    scalars = scalars_of(batch, 1e-9)
+    assert scalars.shape == (len(batch),)
+    for k, matrix in enumerate(batch):
+        assert abs(scalars[k] - scalar_of(matrix, 1e-9)) <= 1e-15 * abs(scalars[k])
+    with pytest.raises(NotScalarError):
+        scalars_of(np.zeros((2, 3, 4)), 1e-9)
