@@ -106,8 +106,17 @@ class RootParams:
     # ------------------------------------------------------------------
 
     def q_pow(self, x: complex) -> complex:
-        """q**x = exp(i*pi*x/r) for arbitrary complex x."""
-        return cmath.exp(1j * cmath.pi * complex(x) / self.r)
+        """q**x = exp(i*pi*x/r) for arbitrary complex x.
+
+        Raises :class:`DomainError` when |q**x| overflows double precision,
+        i.e. when -pi*Im(x)/r exceeds about 709.
+        """
+        try:
+            return cmath.exp(1j * cmath.pi * complex(x) / self.r)
+        except OverflowError:
+            raise DomainError(
+                f"q**x overflows double precision at x={complex(x)!r}"
+            ) from None
 
     def q_num(self, x: complex) -> complex:
         """{x} = q**x - q**(-x) = 2i sin(pi*x/r)."""

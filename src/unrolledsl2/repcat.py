@@ -14,24 +14,28 @@ Constructors provided here:
 * :func:`trivial_module` — the one-dimensional monoidal unit;
 * :func:`dual` and :func:`tensor` — closed under all of the above.
 
-The braiding uses the standard double-bosonization ansatz: a diagonal factor
-acting on a pair of weight vectors of weights (w, w') by q**(w·w'/2),
-composed with the truncated sum Σₙ ({1}**(2n)/{n}!) q**(n(n−1)/2) Eⁿ⊗Fⁿ.
-Because only the operator matrices enter, the same formula braids duals and
-tensor products uniformly; :func:`braiding_stack` builds it for a whole stack
-of colorings (:class:`ModuleStack`) at once.  :func:`twist` and
-:func:`twist_scalar_of` compute the twist from the braiding and the pivotal
-duality maps; :func:`twist_scalar` returns the closed form
-q^((α²−(r−1)²)/2) on V_α, and the tests hold the two routes against each
-other.  Every convention here is pinned end-to-end by the self-tests:
-algebra relations, Yang–Baxter, naturality, zig-zags, ribbon compatibility,
-and the surgery cross-checks in :mod:`unrolledsl2.invariant`.
+The braiding is c_{A,B} = τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated
+R-matrix series cₙ = {1}^(2n) q^(n(n−1)/2)/{n}!, n < r.  Since (E⊗F)^r = 0,
+a negative crossing (c_{B,A})⁻¹ is the same kind of sum with the
+coefficients of the inverse power series and q^(−H⊗H/2).  So no matrix is
+inverted: an LU of the r²×r² braiding costs O(r⁶) and loses digits to its
+conditioning.  Only the operator matrices enter, so the formula braids
+duals and tensor products uniformly; :func:`braiding_stack` builds either
+sign for a whole stack of colorings (:class:`ModuleStack`) in one scatter
+of the O(r³) nonzeros.  :func:`twist` and :func:`twist_scalar_of` compute
+the twist from the braiding and the pivotal duality maps;
+:func:`twist_scalar` returns the closed form q^((α²−(r−1)²)/2) on V_α, and
+the tests hold the two routes against each other.  Every convention here
+is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
+naturality, zig-zags, ribbon compatibility, and the surgery cross-checks
+in :mod:`unrolledsl2.invariant`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -190,7 +194,8 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
     """The Schur scalar of every square matrix in a stack, as :func:`scalar_of`.
 
     Every term is checked; the first term (in stack order) whose residual
-    exceeds ``tol·max(1, |s|)`` raises :class:`NotScalarError`.
+    exceeds ``tol·max(1, |s|)`` raises :class:`NotScalarError`.  A term that
+    left double range (a residual that is not finite) raises DomainError.
     """
     matrices = np.asarray(matrices)
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
@@ -198,6 +203,8 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
     d = matrices.shape[1]
     s = np.trace(matrices, axis1=1, axis2=2) / d
     residual = np.max(np.abs(matrices - s[:, None, None] * np.eye(d)), axis=(1, 2))
+    if not np.isfinite(residual).all():
+        raise DomainError("the evaluated tangle overflows double precision")
     failing = np.flatnonzero(residual > tol * np.maximum(1.0, np.abs(s)))
     if failing.size:
         k = failing[0]
@@ -331,47 +338,28 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _nonzero(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the entries nonzero in any term."""
-    pattern = powers[0] if len(powers) == 1 else np.any(powers, axis=0)
-    return np.nonzero(pattern)
-
-
-def _r_matrix(a: ModuleStack, b: ModuleStack) -> np.ndarray:
-    """The R-matrices on A⊗B, one (dimA·dimB) square matrix per term.
-
-    Each term cₙ·Eⁿ⊗Fⁿ is scattered from the nonzero entries of Eⁿ and Fⁿ
-    alone, for every term at once: on weight modules Eⁿ has at most dim−n
-    of them, so the sum has O(r³) nonzeros instead of the r⁴ entries of a
-    dense Kronecker product.
-    """
-    ctx = a.ctx
-    da, db = a.dim, b.dim
-    acc = np.zeros((max(a.terms, b.terms), da * db, da * db), dtype=complex)
-    diagonal = np.arange(da * db)
-    acc[:, diagonal, diagonal] = 1.0  # n = 0: Id ⊗ Id
-    e_pow, f_pow = a.e, b.f
-    coeff: complex = 1.0
+def _series(ctx: RootParams, sign: int) -> np.ndarray:
+    """cₙ = {1}^(2n) q^(n(n−1)/2) / {n}! for n < r (sign=+1); for sign=−1 the
+    coefficients gₙ of 1/Σ cₙ xⁿ mod x^r: g₀ = 1, gₙ = −Σ_{k=1..n} c_k gₙ₋ₖ."""
+    c: list = [1.0]
     brace1 = ctx.q_num(1)
+    for n in range(1, ctx.r):  # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
+        c.append(c[-1] * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n))
+    if sign == 1:
+        return np.array(c, dtype=complex)
+    g: list = [1.0]
     for n in range(1, ctx.r):
-        if n > 1:
-            e_pow = e_pow @ a.e
-            f_pow = f_pow @ b.f
-        # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
-        coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
-        e_rows, e_cols = _nonzero(e_pow)
-        f_rows, f_cols = _nonzero(f_pow)
-        if not len(e_rows) or not len(f_rows):
-            break
-        # kron(Eⁿ, Fⁿ)[i·dimB + k, j·dimB + l] = Eⁿ[i, j] · Fⁿ[k, l]
-        rows = np.add.outer(e_rows * db, f_rows).ravel()
-        cols = np.add.outer(e_cols * db, f_cols).ravel()
-        values = e_pow[:, e_rows, e_cols][:, :, None] * f_pow[:, f_rows, f_cols][:, None, :]
-        acc[:, rows, cols] += coeff * values.reshape(len(values), -1)
-    # diagonal factor q^{w·w'/2} acting on the output weight pair
-    ww = a.weights[:, :, None] * b.weights[:, None, :]
-    qhh = np.exp(1j * np.pi * (ww / 2.0) / ctx.r)
-    return qhh.reshape(len(qhh), -1, 1) * acc
+        g.append(-sum(c[k] * g[n - k] for k in range(1, n + 1)))
+    return np.array(g, dtype=complex)
+
+
+def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
+    """Indices (n, row, col) of the entries of m⁰, …, m^(r−1) nonzero in any
+    term, sorted by n, and their values, shape (terms, nonzeros)."""
+    eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
+    powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
+    index = np.nonzero(np.any(powers, axis=0))
+    return index, powers[(slice(None), *index)]
 
 
 def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
@@ -380,38 +368,49 @@ def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
     With sign=−1 they are the matrices of (c_{B,A})⁻¹: A⊗B → B⊗A, the
     value of a negative crossing.  Rows index B⊗A and columns A⊗B, both
     row-major; the leading axis runs over the terms of the two stacks (a
-    one-term stack is shared by every term of the other).  This is the only
-    braiding builder.
+    one-term stack is shared by every term of the other).
+
+    c_{A,B} = τ·q^(H⊗H/2)·Σ cₙ E_Aⁿ⊗F_Bⁿ.  X = E_B⊗F_A has Xⁿ = E_Bⁿ⊗F_Aⁿ
+    and X^r = 0, so (c_{B,A})⁻¹ = (Σ gₙ E_Bⁿ⊗F_Aⁿ)·q^(−H⊗H/2)·τ with gₙ
+    the inverse series: no matrix is inverted.  Either sign is one scatter
+    of coef·Xⁿ[i, j]·Yⁿ[k, l] to entry ((k, i), (j, l)), with (X, Y) =
+    (E_A, F_B) or (F_A, E_B), and q^(±w·w'/2) on the pair (i, k) for +1 or
+    (j, l) for −1.  Xⁿ[i, j] ≠ 0 fixes n by the weight grading, so pairing
+    the nonzeros of Xⁿ and Yⁿ of equal n fills each entry at most once.
     """
-    if sign == 1:
-        r_mat = _r_matrix(a, b)
-        da, db = a.dim, b.dim
-        return (
-            r_mat.reshape(-1, da, db, da * db)
-            .transpose(0, 2, 1, 3)
-            .reshape(-1, da * db, da * db)
-        )
-    if sign == -1:
-        return np.linalg.inv(braiding_stack(b, a, 1))
-    raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
+    if sign not in (1, -1):
+        raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
+    ctx = a.ctx
+    da, db = a.dim, b.dim
+    (nx, xi, xj), xv = _powers(a.e if sign == 1 else a.f, ctx.r)
+    (ny, yk, yl), yv = _powers(b.f if sign == 1 else b.e, ctx.r)
+    # each X-nonzero of power n with each Y-nonzero of power n
+    y_count = np.bincount(ny, minlength=ctx.r)
+    reps = y_count[nx]
+    px = np.repeat(np.arange(len(nx)), reps)
+    py = np.arange(len(px)) - np.repeat(np.cumsum(reps) - reps, reps)
+    py += (np.cumsum(y_count) - y_count)[nx[px]]
+    i, j, k, l = xi[px], xj[px], yk[py], yl[py]
+    ww = a.weights[:, :, None] * b.weights[:, None, :]
+    qhh = np.exp(sign * 1j * np.pi * (ww / 2.0) / ctx.r)
+    cartan = qhh[:, i, k] if sign == 1 else qhh[:, j, l]
+    # q·(cₙ·(e·f)), factors in this order: an operator expression may reuse a
+    # temporary with swapped operands, which can change a product's last bit
+    coef = _series(ctx, sign)[nx[px]]
+    values = np.multiply(cartan, np.multiply(coef, xv[:, px] * yv[:, py]))
+    out = np.zeros((len(values), db * da, da * db), dtype=complex)
+    out[:, k * da + i, j * db + l] = values
+    return out
 
 
 def braiding_matrix(a: WeightModule, b: WeightModule, sign: int = 1) -> np.ndarray:
-    """The matrix of the braiding c_{A,B}: A⊗B → B⊗A (sign=+1).
-
-    With sign=−1 it is the matrix of (c_{B,A})⁻¹: A⊗B → B⊗A, the value of a
-    negative crossing.  This is the one-term call of :func:`braiding_stack`;
-    :func:`braiding` labels its result with the tensor-product modules.
-    """
+    """The one-term call of :func:`braiding_stack`: c_{A,B} (sign=+1) or
+    (c_{B,A})⁻¹ (sign=−1), both A⊗B → B⊗A."""
     return braiding_stack(ModuleStack((a,)), ModuleStack((b,)), sign)[0]
 
 
 def braiding(a: WeightModule, b: WeightModule, sign: int = 1) -> MorphismMatrix:
-    """The braiding c_{A,B}: A⊗B → B⊗A (sign=+1), or its crossing inverse.
-
-    With sign=−1 the returned map is (c_{B,A})⁻¹: A⊗B → B⊗A, i.e. the value
-    of a negative crossing.
-    """
+    """:func:`braiding_matrix` labelled with the tensor-product modules."""
     matrix = braiding_matrix(a, b, sign)
     return MorphismMatrix(tensor(a, b), tensor(b, a), matrix)
 

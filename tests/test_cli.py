@@ -408,6 +408,41 @@ def test_domain_error_verlinde_overflow(tmp_path, capsys):
     assert "overflows double precision" in err
 
 
+# colors with a large imaginary part: q**alpha leaves double range above
+# |Im alpha| ~ 226 (the modified dimension's {r alpha}), not at 100
+_IMAGINARY_COLORS = [
+    ("flink", "unknot.json", lambda d, c: d["colors"].update(K=c)),
+    ("zinv", "s1xs2.json", lambda d, c: d["meridians"].update(L1=c)),
+]
+
+
+@pytest.mark.parametrize("im,code", [("800", 3), ("250", 3), ("100", 0)])
+@pytest.mark.parametrize("sub,fixture,edit", _IMAGINARY_COLORS,
+                         ids=[site[0] for site in _IMAGINARY_COLORS])
+def test_large_imaginary_color(tmp_path, capsys, sub, fixture, edit, im, code):
+    path = _fixture_with(tmp_path, fixture, lambda d: edit(d, {"re": "0.3", "im": im}))
+    got, out, err = run(capsys, sub, "--r", "5", "--input", path)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("domain error:") and "overflows double precision" in err
+    else:
+        assert err == "" and "nan" not in out
+
+
+def test_overflow_inside_tangle_is_domain_error(tmp_path):
+    # only the uncut component is huge: the braiding overflows while every
+    # q_pow stays finite, and the Schur check sees a non-finite residual
+    path = _fixture_with(
+        tmp_path, "hopf.json", lambda d: d["colors"].update(A={"re": "0.3", "im": "150"})
+    )
+    code, out, err = run_fresh("flink", "--r", "5", "--input", path)
+    assert code == 3
+    assert out == ""
+    assert "domain error: the evaluated tangle overflows double precision" in err
+    assert "Traceback" not in err
+
+
 def _limit_address_space():
     limit = 3 * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

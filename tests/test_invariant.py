@@ -93,15 +93,21 @@ def test_fprime_hopf_closed_form(ctx):
         assert abs(value - predicted) < 1e-9
 
 
-def test_fprime_clasp_matches_twist_eigenvalue_oracle(ctx):
+CLASP_ORACLE_LKS = {2: (1, -1, 2, -3), 3: (1, -1, 2, -3), 5: (1, -1, 2, -3),
+                    7: (1, -1, 2, -2, -3), 9: (1, -1, 2, -2)}
+
+
+@pytest.mark.parametrize("r", list(CLASP_ORACLE_LKS), ids=lambda r: f"r{r}")
+def test_fprime_clasp_matches_twist_eigenvalue_oracle(r):
     # independent oracle: V_a ⊗ V_b decomposes into the simples V_{a+b+k},
     # k in the weight set, and the double braiding acts on each summand by
     # the ratio of twist eigenvalues; 2·lk half-twists close to
     # sum_k d(a+b+k) (theta_{a+b+k} / (theta_a theta_b))^lk
+    ctx = RootParams(r)
     rng = np.random.default_rng(4)
     a, b = _generic(rng), _generic(rng)
     th_a, th_b = twist_scalar(ctx, a), twist_scalar(ctx, b)
-    for lk in (1, -1, 2, -3):
+    for lk in CLASP_ORACLE_LKS[r]:
         oracle = sum(
             ctx.mdim(a + b + k) * (twist_scalar(ctx, a + b + k) / (th_a * th_b)) ** lk
             for k in ctx.h_r_set()
@@ -110,6 +116,24 @@ def test_fprime_clasp_matches_twist_eigenvalue_oracle(ctx):
             clasp_diagram(lk, "A", "B"), {"A": a, "B": b}, ctx, cut_component="B"
         )
         assert abs(value - oracle) < 1e-8 * (1 + abs(oracle))
+
+
+def test_negative_crossings_invert_no_matrix(monkeypatch):
+    # a negative crossing is built in closed form, never by a linear solve
+    ctx = RootParams(5)
+    cases = [
+        (clasp_diagram(-2, "A", "B"), {"A": 2.0 / 7, "B": -5.0 / 11}),
+        (braid_closure(*KNOT_WORDS["figure8_3"], "K"), {"K": 2.0 / 7}),
+    ]
+    expected = [f_prime(diagram, colors, ctx) for diagram, colors in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix inversion on the crossing path")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for (diagram, colors), value in zip(cases, expected):
+        assert f_prime(diagram, colors, ctx) == value
 
 
 def test_fprime_cut_choice_independence(ctx):

@@ -125,8 +125,11 @@ def _dense_braiding(a, b, sign):
     return r_mat.reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+# at r >= 9, inv of the dense reference is too inaccurate to serve as the
+# sign -1 oracle; test_negative_braiding_inverts_positive covers -1 there
+@pytest.mark.parametrize(
+    "r,sign", [(r, s) for r in (2, 3, 5, 6, 7) for s in (1, -1)] + [(9, 1), (11, 1)]
+)
 def test_braiding_matches_dense_reference(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(20 + r)
@@ -142,7 +145,7 @@ def test_braiding_matches_dense_reference(r, sign):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9, 11])
 def test_braiding_stack_matches_per_term(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(r)
@@ -158,6 +161,23 @@ def test_braiding_stack_matches_per_term(r, sign):
                 y = b.modules[k if b.terms > 1 else 0]
                 ref = braiding_matrix(x, y, sign)
                 assert np.abs(got[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("r", [9, 11, 13, 15])
+def test_negative_braiding_inverts_positive(r):
+    # the closed-form negative crossing against c_{B,A}, and no less
+    # accurate than inverting c_{B,A} numerically (the oracle)
+    ctx = RootParams(r)
+    rng = np.random.default_rng(40 + r)
+    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    eye = np.eye(r * r)
+    for a, b in ((v, w), (dual(v), w), (v, dual(w))):
+        sa, sb = ModuleStack((a,)), ModuleStack((b,))
+        plus = braiding_stack(sb, sa, 1)[0]
+        residual = np.abs(braiding_stack(sa, sb, -1)[0] @ plus - eye).max()
+        oracle = np.abs(np.linalg.inv(plus) @ plus - eye).max()
+        assert residual <= 1e-9
+        assert residual <= oracle
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
