@@ -49,9 +49,9 @@ from .repcat import (
     MorphismMatrix,
     WeightModule,
     braiding_stack,
-    make_valpha,
     tensor,
     trivial_module,
+    valpha_stack,
 )
 
 __all__ = [
@@ -269,15 +269,16 @@ def typecheck(diagram: SlicedDiagram) -> list[tuple]:
 
 
 def writhe_and_linking(
-    diagram: SlicedDiagram,
+    diagram: SlicedDiagram, words: Optional[list] = None
 ) -> tuple[dict[str, int], dict[frozenset, int]]:
     """Per-component writhes and pairwise linking numbers of the diagram.
 
     Returns ``(writhe, linking)`` where ``linking`` maps frozenset pairs of
     component names to their linking number (half the signed count of mixed
-    crossings).
+    crossings).  ``words`` are the diagram's :func:`typecheck` words when
+    the caller already has them.
     """
-    words = typecheck(diagram)
+    words = typecheck(diagram) if words is None else words
     writhe: dict[str, int] = {name: 0 for name in diagram.component_names()}
     mixed: dict[frozenset, int] = {}
     for word, sl in zip(words, diagram.slices):
@@ -319,7 +320,9 @@ class _UnionFind:
         self.parent[self.find(a)] = self.find(b)
 
 
-def cut_is_enclosed(diagram: SlicedDiagram, cut_slice: int) -> bool:
+def cut_is_enclosed(
+    diagram: SlicedDiagram, cut_slice: int, words: Optional[list] = None
+) -> bool:
     """True if other strands fence in the cut point at ``cut_slice``.
 
     Cutting a cup (cap) open drags its two strand ends straight down
@@ -328,6 +331,7 @@ def cut_is_enclosed(diagram: SlicedDiagram, cut_slice: int) -> bool:
     sides of the drop line; crossings count as contact, since the dragged
     strands cannot pass a crossing without acquiring new ones.  Enclosed
     cuts are rejected rather than evaluated with missing crossings.
+    ``words`` are the diagram's :func:`typecheck` words, if already known.
     """
     sl = diagram.slices[cut_slice]
     uf = _UnionFind()
@@ -336,7 +340,8 @@ def cut_is_enclosed(diagram: SlicedDiagram, cut_slice: int) -> bool:
         lower = diagram.slices[:cut_slice]
         creator, consumer = Cup, Cap
     elif isinstance(sl, Cap):
-        ids = [uf.make() for _ in typecheck(diagram)[-1]]
+        top = (typecheck(diagram) if words is None else words)[-1]
+        ids = [uf.make() for _ in top]
         lower = tuple(reversed(diagram.slices[cut_slice + 1 :]))
         creator, consumer = Cap, Cup
     else:
@@ -376,21 +381,23 @@ def _stack_colors(
 ) -> dict[str, ModuleStack]:
     """Each component's color as a module stack.
 
-    A color is a weight module, a complex α (shorthand for V_α), or a
-    sequence of weight modules, one per term.  Stacks of more than one term
-    must all have the same number of terms.
+    A color is a weight module, a complex α (shorthand for V_α), a sequence
+    of weight modules, one per term, or a :class:`ModuleStack`.  Stacks of
+    more than one term must all have the same number of terms.
     """
     stacks = {}
     for name in diagram.component_names():
         if name not in colors:
             raise DomainError(f"no color given for component {name!r}")
         value = colors[name]
-        if isinstance(value, (list, tuple)):
-            stacks[name] = ModuleStack(value)
+        if isinstance(value, ModuleStack):
+            stacks[name] = value
+        elif isinstance(value, (list, tuple)):
+            stacks[name] = ModuleStack.of(value)
         elif isinstance(value, WeightModule):
-            stacks[name] = ModuleStack((value,))
+            stacks[name] = ModuleStack.of((value,))
         else:
-            stacks[name] = ModuleStack((make_valpha(ctx, value),))
+            stacks[name] = valpha_stack(ctx, (value,))
     if len({st.terms for st in stacks.values()} - {1}) > 1:
         raise DomainError("component colors give different numbers of terms")
     return stacks
@@ -538,18 +545,21 @@ class CutTangle:
     """A closed diagram cut open at a cup/cap slice of one component.
 
     The diagram is typechecked and the cut checked for enclosure once, at
-    construction; :meth:`matrices` then evaluates the resulting 1-1 tangle
-    for any batch of colorings in one engine pass.
+    construction (``words`` skips the typecheck when the caller already has
+    the diagram's words); :meth:`matrices` then evaluates the resulting 1-1
+    tangle for any batch of colorings in one engine pass.
     """
 
-    def __init__(self, diagram: SlicedDiagram, cut_slice: int):
-        words = typecheck(diagram)
+    def __init__(
+        self, diagram: SlicedDiagram, cut_slice: int, words: Optional[list] = None
+    ):
+        words = typecheck(diagram) if words is None else words
         if words[0] or words[-1]:
             raise DomainError("cut evaluation requires a closed diagram")
         sl = diagram.slices[cut_slice]
         if not isinstance(sl, (Cup, Cap)):
             raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-        if cut_is_enclosed(diagram, cut_slice):
+        if cut_is_enclosed(diagram, cut_slice, words):
             raise DiagramTypeError(
                 f"cut slice {cut_slice} is enclosed by other strands; re-slice "
                 "the diagram so the cut component has an outermost cup or cap"
@@ -565,11 +575,11 @@ class CutTangle:
         """The tangle's endomorphism of the cut component's color, per term.
 
         ``colors`` is as for :func:`evaluate`, except that a component may
-        carry a sequence of weight modules, one per term; the result has
-        shape (terms, d, d).  The parked pair of strand axes is converted to
-        an endomorphism using the duality conventions of the cut slice (the
-        inverse of closing an endomorphism with the corresponding cup/cap
-        pair).
+        carry several terms (a sequence of weight modules or a
+        :class:`ModuleStack`); the result has shape (terms, d, d).  The
+        parked pair of strand axes is converted to an endomorphism using the
+        duality conventions of the cut slice (the inverse of closing an
+        endomorphism with the corresponding cup/cap pair).
         """
         return self._matrices(_stack_colors(ctx, self.diagram, colors))
 

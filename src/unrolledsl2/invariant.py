@@ -24,13 +24,16 @@ test suite on every computable fixture.
 
 The Kirby terms share the diagram, the cut and the slice sequence; only the
 colors change.  :func:`z_invariant` therefore evaluates them on the term
-axis of the diagram engine, r terms per engine pass (the last surgery
-component's Kirby colors), and sums the term values in the same order as a
-term-by-term loop would.
+axis of the diagram engine, as many per pass as an element budget allows,
+and sums the term values in the same order as a term-by-term loop would.
+Both entry points raise DomainError, not numpy warnings, when an evaluation
+leaves double range.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .diagram import (
+    Braid,
     Cap,
     Cup,
     CutTangle,
@@ -56,7 +60,15 @@ from .errors import (
     UnsupportedSlideError,
 )
 from .qscalar import RootParams
-from .repcat import WeightModule, make_valpha, scalar_of, scalars_of, twist_scalar
+from .repcat import (
+    ModuleStack,
+    WeightModule,
+    make_valpha,
+    scalar_of,
+    scalars_of,
+    twist_scalar,
+    valpha_stack,
+)
 
 __all__ = [
     "LinkingData",
@@ -83,8 +95,28 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+def _in_double_range(evaluate):
+    """Run ``evaluate`` with numpy overflow, invalid values and division by
+    zero raising, and report them as one DomainError (scoped to the call)."""
+
+    @functools.wraps(evaluate)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return evaluate(*args, **kwargs)
+        except FloatingPointError:
+            raise DomainError("the evaluated tangle overflows double precision") from None
+
+    return run
+
+
+def _word_sizes(words: list, dims: dict[str, int]) -> list[int]:
+    """The elements of a tensor over each word: its strand dimensions' product."""
+    return [math.prod(dims[s.component] for s in word) for word in words]
+
+
 def _first_cut_slice(
-    diagram: SlicedDiagram, component: str, dims: dict[str, int]
+    diagram: SlicedDiagram, component: str, dims: dict[str, int], words: list
 ) -> int:
     """The component's cheapest cup or cap that is not fenced in.
 
@@ -95,10 +127,10 @@ def _first_cut_slice(
     ``dims`` of each word above a slice, times d² above a cut slice, d the
     cut component's dimension.  The cheapest cut wins and ties go to the
     earliest slice.  Cutting an enclosed extremum is not a planar move, so
-    any cup/cap that :func:`cut_is_enclosed` rejects is skipped.
+    any cup/cap that :func:`cut_is_enclosed` rejects is skipped.  ``words``
+    are the diagram's :func:`typecheck` words.
     """
-    words = typecheck(diagram)
-    sizes = [math.prod(dims[s.component] for s in word) for word in words[1:]]
+    sizes = _word_sizes(words[1:], dims)
     parked = dims[component] ** 2
     total = sum(sizes)
     above = total  # running-tensor size summed over slices c and higher
@@ -114,7 +146,7 @@ def _first_cut_slice(
             costs.append((total + (parked - 1) * above, index))
         above -= sizes[index]
     for _cost, index in sorted(costs):
-        if not cut_is_enclosed(diagram, index):
+        if not cut_is_enclosed(diagram, index, words):
             return index
     raise DomainError(
         f"component {component!r} has no cup or cap that can be cut open; "
@@ -122,9 +154,8 @@ def _first_cut_slice(
     )
 
 
-def _cut_color_alpha(module: WeightModule) -> complex:
-    """The color α of a simple projective module V_α; DomainError otherwise."""
-    label = module.label
+def _cut_color_alpha(label: tuple) -> complex:
+    """The color α of a module labelled as V_α; DomainError otherwise."""
     if label[0] == "V":
         return label[1]
     raise DomainError(
@@ -133,6 +164,7 @@ def _cut_color_alpha(module: WeightModule) -> complex:
     )
 
 
+@_in_double_range
 def f_prime(
     diagram: SlicedDiagram,
     colors: dict,
@@ -155,7 +187,9 @@ def f_prime(
     if words[0] or words[-1]:
         raise DomainError("renormalized invariant requires a closed diagram")
     resolved = {
-        name: value if isinstance(value, WeightModule) else make_valpha(ctx, value)
+        name: ModuleStack.of((value,))
+        if isinstance(value, WeightModule)
+        else valpha_stack(ctx, (value,))
         for name, value in colors.items()
     }
     names = diagram.component_names()
@@ -171,15 +205,15 @@ def f_prime(
         raise DomainError(f"component {unknown[0]!r} is not in the diagram")
     if cut_component is None:
         for name in names:
-            if resolved[name].label[0] == "V":
+            if resolved[name].labels[0][0] == "V":
                 cut_component = name
                 break
         if cut_component is None:
             raise DomainError("no component carries a simple projective color")
-    alpha_cut = _cut_color_alpha(resolved[cut_component])
+    alpha_cut = _cut_color_alpha(resolved[cut_component].labels[0])
     if cut_slice is None:
         dims = {name: module.dim for name, module in resolved.items()}
-        cut_slice = _first_cut_slice(diagram, cut_component, dims)
+        cut_slice = _first_cut_slice(diagram, cut_component, dims, words)
     else:
         sl = diagram.slices[cut_slice]
         if isinstance(sl, Cup):
@@ -197,11 +231,11 @@ def f_prime(
     s = scalar_of(matrix, ctx.tol)
     value = ctx.mdim(alpha_cut) * s
     if framings:
-        writhes, _ = writhe_and_linking(diagram)
+        writhes, _ = writhe_and_linking(diagram, words)
         for name, framing in framings.items():
             delta_f = framing - writhes.get(name, 0)
             if delta_f:
-                label = resolved[name].label
+                label = resolved[name].labels[0]
                 if label[0] != "V":
                     raise DomainError(
                         f"framing correction needs a simple color on {name!r}"
@@ -283,9 +317,6 @@ class SurgeryPresentation:
             for name, value in self.colors.items()
         }
 
-    def graph_degree(self, name: str) -> complex:
-        return complex(self.resolved_graph_colors()[name].degree)
-
 
 @dataclass(frozen=True)
 class LinkingData:
@@ -350,10 +381,17 @@ def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
     return p, s, nullity
 
 
-def linking_data(sp: SurgeryPresentation) -> LinkingData:
-    """Linking matrix (framings on the diagonal) and its exact signature."""
+def linking_data(
+    sp: SurgeryPresentation, linking: Optional[dict] = None
+) -> LinkingData:
+    """Linking matrix (framings on the diagonal) and its exact signature.
+
+    ``linking`` is the diagram's linking numbers
+    (:func:`writhe_and_linking`) when the caller already has them.
+    """
     l_names = sp.surgery_names()
-    _writhes, linking = writhe_and_linking(sp.diagram)
+    if linking is None:
+        _writhes, linking = writhe_and_linking(sp.diagram)
     n = len(l_names)
     matrix = [[0] * n for _ in range(n)]
     for i, a in enumerate(l_names):
@@ -368,10 +406,11 @@ def linking_data(sp: SurgeryPresentation) -> LinkingData:
     )
 
 
-def _parallel_values(sp: SurgeryPresentation) -> dict[str, complex]:
+def _parallel_values(
+    sp: SurgeryPresentation, linking: dict, graph_colors: dict
+) -> dict[str, complex]:
     """The class evaluated on each preferred parallel of the surgery link."""
     l_names = sp.surgery_names()
-    _writhes, linking = writhe_and_linking(sp.diagram)
     values: dict[str, complex] = {}
     for a in l_names:
         total = complex(sp.framings[a]) * complex(sp.meridian_values[a])
@@ -380,20 +419,26 @@ def _parallel_values(sp: SurgeryPresentation) -> dict[str, complex]:
                 total += linking.get(frozenset((a, b)), 0) * complex(
                     sp.meridian_values[b]
                 )
-        for t in sp.graph_names():
+        for t, module in graph_colors.items():
             lk_at = linking.get(frozenset((a, t)), 0)
             if lk_at:
-                total += lk_at * sp.graph_degree(t)
+                total += lk_at * complex(module.degree)
         values[a] = total
     return values
 
 
-def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
-    """None when the presentation is computable, else the violated condition."""
+def computability_failure(
+    sp: SurgeryPresentation, linking: Optional[dict] = None
+) -> Optional[str]:
+    """None when the presentation is computable, else the violated condition.
+
+    ``linking`` is as for :func:`linking_data`.
+    """
     ctx = sp.ctx
     l_names = sp.surgery_names()
+    graph_colors = sp.resolved_graph_colors()
     if not l_names:
-        for name, module in sp.resolved_graph_colors().items():
+        for name, module in graph_colors.items():
             if not ctx.is_near_int(module.degree) or module.label[0] == "V":
                 return None
         return (
@@ -406,7 +451,9 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
                 f"meridian value {sp.meridian_values[name]!r} on surgery "
                 f"component {name!r} is integral"
             )
-    for name, value in _parallel_values(sp).items():
+    if linking is None:
+        _writhes, linking = writhe_and_linking(sp.diagram)
+    for name, value in _parallel_values(sp, linking, graph_colors).items():
         if not ctx.is_congruent_mod2(value, 0.0):
             return (
                 f"cohomology class does not vanish on the preferred parallel "
@@ -441,25 +488,31 @@ class ZResult:
     defect: int
 
 
-def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
+def _strand_dims(sp: SurgeryPresentation, graph_colors: dict) -> dict[str, int]:
+    """The dimension of each component's color (r on the surgery link)."""
+    dims = {name: module.dim for name, module in graph_colors.items()}
+    dims.update((name, sp.ctx.r) for name in sp.surgery_names())
+    return dims
+
+
+def _fixed_cut(
+    sp: SurgeryPresentation, words: list, graph_colors: dict
+) -> tuple[str, int]:
     """Deterministic cut choice: first projective graph edge, else first L.
 
     Components whose every cup/cap is enclosed are skipped, so nesting the
     surgery circles around the graph edges stays legal as long as one
     component reaches the outside.  Within the chosen component the cut
     falls on its cheapest open cup or cap (:func:`_first_cut_slice`).
+    ``words`` are the diagram's :func:`typecheck` words and
+    ``graph_colors`` the presentation's resolved graph colors.
     """
-    candidates = []
-    graph_colors = sp.resolved_graph_colors()
-    for name, module in graph_colors.items():
-        if module.label[0] == "V":
-            candidates.append(name)
+    candidates = [name for name, m in graph_colors.items() if m.label[0] == "V"]
     candidates.extend(sp.surgery_names())
-    dims = {name: module.dim for name, module in graph_colors.items()}
-    dims.update((name, sp.ctx.r) for name in sp.surgery_names())
+    dims = _strand_dims(sp, graph_colors)
     for name in candidates:
         try:
-            return name, _first_cut_slice(sp.diagram, name, dims)
+            return name, _first_cut_slice(sp.diagram, name, dims, words)
         except DomainError:
             continue
     raise DomainError(
@@ -467,6 +520,34 @@ def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
     )
 
 
+def _term_peak(
+    diagram: SlicedDiagram,
+    words: list,
+    dims: dict[str, int],
+    cut_slice: int,
+    cut_dim: int,
+) -> int:
+    """The most elements one term holds in an engine pass over the cut tangle.
+
+    That is the larger of the running tensor over each word (times the
+    parked cut_dim² from the cut slice upward, as in
+    :func:`_first_cut_slice`) and each crossing's braiding block (d_a·d_b)².
+    """
+    sizes = _word_sizes(words[1:], dims)
+    parked = [size * cut_dim**2 for size in sizes[cut_slice:]]
+    peak = max([1, *sizes[:cut_slice], *parked])
+    for word, sl in zip(words, diagram.slices):
+        if isinstance(sl, Braid):
+            a, b = word[sl.position], word[sl.position + 1]
+            peak = max(peak, (dims[a.component] * dims[b.component]) ** 2)
+    return peak
+
+
+# element budget of one engine pass of z_invariant (see its docstring)
+_PASS_ELEMENTS = 9 * 9**4
+
+
+@_in_double_range
 def z_invariant(sp: SurgeryPresentation) -> ZResult:
     """The closed-3-manifold invariant of a computable surgery presentation.
 
@@ -475,79 +556,72 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     framing corrections through twist scalars, and assembles both
     normalization routes.
 
-    The diagram is typechecked and cut once per call.  The terms are then
-    evaluated r at a time, in r**(m−1) engine passes: the last surgery
-    component's r Kirby colors sit on the engine's term axis, and the
-    earlier components are looped in row-major order, so the term values
-    are summed in the same order as one term at a time.  Every term passes
-    its own Schur check.
+    The diagram is typechecked once per call; its words, writhes and
+    linking numbers serve every step.  Each surgery component's r Kirby
+    colors are built once, as one module stack, and the term weights
+    Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  The
+    r**m terms run in contiguous row-major engine passes of
+    max(r, ``_PASS_ELEMENTS`` // peak) terms, peak being the most elements
+    one term holds (:func:`_term_peak`).  The budget 9·9⁴ (0.9 MiB) is the
+    largest pass array of r terms per pass on the benchmark's surgery
+    documents (r = 9), so no pass grows beyond it, while smaller r get
+    fewer passes: one at r ≤ 6, three at r = 7.  A pass colors each
+    component with its stack gathered at the pass's Kirby indices, or with
+    a one-term stack (whose blocks broadcast) when the index is the same
+    for every term of the pass.  Every term passes its own Schur check,
+    and the term values are summed one by one in row-major order.
     """
     ctx = sp.ctx
-    failure = computability_failure(sp)
+    words = typecheck(sp.diagram)
+    writhes, linking = writhe_and_linking(sp.diagram, words)
+    failure = computability_failure(sp, linking)
     if failure is not None:
         raise NotComputableError(failure)
     l_names = sp.surgery_names()
     m = len(l_names)
-    data = linking_data(sp)
-    writhes, _ = writhe_and_linking(sp.diagram)
-    cut_name, cut_slice = _fixed_cut(sp)
-    cut = CutTangle(sp.diagram, cut_slice)
+    data = linking_data(sp, linking)
     graph_colors = sp.resolved_graph_colors()
-    lifts = {name: complex(sp.meridian_values[name]) for name in l_names}
+    cut_name, cut_slice = _fixed_cut(sp, words, graph_colors)
+    cut = CutTangle(sp.diagram, cut_slice, words)
 
-    kirby_axes = [ctx.h_r_set() for _ in l_names]
-    grids = np.meshgrid(*kirby_axes, indexing="ij") if l_names else []
-    combos = (
-        np.stack([g.ravel() for g in grids], axis=1)
-        if l_names
-        else np.zeros((1, 0), dtype=int)
-    )
-
-    # every Kirby color's module and every twist scalar a term needs is built
-    # once per call up front; the terms only read them
-    kirby_alphas = {name: [lifts[name] + k for k in ctx.h_r_set()] for name in l_names}
-    modules = {
-        alpha: make_valpha(ctx, alpha)
-        for alphas in kirby_alphas.values()
-        for alpha in alphas
-    }
-    thetas: dict[complex, complex] = {}
-    for name in l_names:
-        if sp.framings[name] - writhes.get(name, 0):
-            thetas.update((a, twist_scalar(ctx, a)) for a in kirby_alphas[name])
+    # Kirby index of every term (row-major) and its weight
+    index = np.array(list(itertools.product(range(ctx.r), repeat=m)), dtype=int)
+    index = index.reshape(ctx.r**m, m)
+    weights = np.ones(len(index), dtype=complex)
     for name, framing in sp.graph_framings.items():
-        if framing - writhes.get(name, 0):
-            alpha = _cut_color_alpha(graph_colors[name])
-            thetas[alpha] = twist_scalar(ctx, alpha)
+        delta_f = framing - writhes.get(name, 0)
+        if delta_f:
+            alpha = _cut_color_alpha(graph_colors[name].label)
+            weights *= twist_scalar(ctx, alpha) ** delta_f
+    if cut_name in graph_colors:
+        weights *= ctx.mdim(_cut_color_alpha(graph_colors[cut_name].label))
+    stacks = []
+    for j, name in enumerate(l_names):
+        alphas = complex(sp.meridian_values[name]) + np.array(ctx.h_r_set())
+        stacks.append(valpha_stack(ctx, alphas))
+        mdims = np.array([ctx.mdim(a) for a in alphas])
+        kirby = mdims
+        delta_f = sp.framings[name] - writhes.get(name, 0)
+        if delta_f:
+            kirby = mdims * np.array([twist_scalar(ctx, a) for a in alphas]) ** delta_f
+        weights *= kirby[index[:, j]]
+        if name == cut_name:
+            weights *= mdims[index[:, j]]
 
-    f_total: complex = 0.0
-    per_pass = ctx.r if l_names else 1
-    for start in range(0, len(combos), per_pass):
-        block = combos[start : start + per_pass]
-        colors: dict = dict(graph_colors)
+    dims = _strand_dims(sp, graph_colors)
+    peak = _term_peak(sp.diagram, words, dims, cut_slice, dims[cut_name])
+    per_pass = max(ctx.r, _PASS_ELEMENTS // peak)
+    graph_stacks = {name: ModuleStack.of((mod,)) for name, mod in graph_colors.items()}
+    scalars = np.empty(len(index), dtype=complex)
+    for start in range(0, len(index), per_pass):
+        rows = index[start : start + per_pass]
+        colors: dict = dict(graph_stacks)
         for j, name in enumerate(l_names):
-            kirby = [modules[lifts[name] + int(k)] for k in block[:, j]]
-            # the last component runs along the term axis, the others are fixed
-            colors[name] = kirby if j == m - 1 else kirby[0]
-        scalars = scalars_of(cut.matrices(colors, ctx), ctx.tol)
-        for ks, s_term in zip(block, scalars):
-            alphas = {name: lifts[name] + int(k) for name, k in zip(l_names, ks)}
-            weight: complex = 1.0
-            corr: complex = 1.0
-            for name, alpha in alphas.items():
-                weight *= ctx.mdim(alpha)
-                delta_f = sp.framings[name] - writhes.get(name, 0)
-                if delta_f:
-                    corr *= thetas[alpha] ** delta_f
-            for name, framing in sp.graph_framings.items():
-                delta_f = framing - writhes.get(name, 0)
-                if delta_f:
-                    corr *= thetas[_cut_color_alpha(graph_colors[name])] ** delta_f
-            if cut_name in alphas:
-                cut_alpha = alphas[cut_name]
-            else:
-                cut_alpha = _cut_color_alpha(graph_colors[cut_name])
-            f_total += weight * corr * ctx.mdim(cut_alpha) * complex(s_term)
+            k = rows[:, j]
+            colors[name] = stacks[j].take(k[:1] if (k == k[0]).all() else k)
+        matrices = cut.matrices(colors, ctx)
+        scalars[start : start + len(rows)] = scalars_of(matrices, ctx.tol)
+    f_total = complex(np.cumsum(weights * scalars)[-1])
 
     lam, eta, delta, d_plus, d_minus = ctx.constants()
     n = sp.defect

@@ -9,10 +9,13 @@ operator are diagonal in this basis and are derived from the weights:
 
 Constructors provided here:
 
-* :func:`make_valpha` — the r-dimensional simple V_α, highest weight α+r−1,
-  for α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ;
+* :func:`valpha_stack` — the r-dimensional simple modules V_α, highest
+  weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once, as
+  one :class:`ModuleStack`; :func:`make_valpha` is its one-term call;
 * :func:`trivial_module` — the one-dimensional monoidal unit;
-* :func:`dual` and :func:`tensor` — closed under all of the above.
+* :func:`dual` and :func:`tensor` — closed under all of the above; the dual
+  of a whole stack is :attr:`ModuleStack.dual`, and :func:`dual` is its
+  one-term call.
 
 The braiding is c_{A,B} = τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated
 R-matrix series cₙ = {1}^(2n) q^(n(n−1)/2)/{n}!, n < r.  Since (E⊗F)^r = 0,
@@ -48,6 +51,7 @@ __all__ = [
     "MorphismMatrix",
     "ModuleStack",
     "trivial_module",
+    "valpha_stack",
     "make_valpha",
     "dual",
     "tensor",
@@ -98,7 +102,7 @@ class WeightModule:
 
     def k_pow(self, m: complex) -> np.ndarray:
         """The diagonal matrix of K**m = diag(q**(m·w))."""
-        return np.diag([self.ctx.q_pow(m * w) for w in self.weights])
+        return np.diag(_q_powers(self.ctx, m * self.weights))
 
     @property
     def k(self) -> np.ndarray:
@@ -115,8 +119,7 @@ class WeightModule:
     @property
     def pivot_diag(self) -> np.ndarray:
         """Diagonal vector of the pivotal operator diag(q**((1−r)·w))."""
-        one_minus_r = 1 - self.ctx.r
-        return np.array([self.ctx.q_pow(one_minus_r * w) for w in self.weights])
+        return _q_powers(self.ctx, (1 - self.ctx.r) * self.weights)
 
     @property
     def pivot(self) -> np.ndarray:
@@ -237,35 +240,78 @@ def _simple_color(ctx: RootParams, alpha: complex) -> complex:
     return alpha
 
 
-def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
-    """The r-dimensional simple module V_α for α ∈ Ċ.
+def _q_powers(ctx: RootParams, x) -> np.ndarray:
+    """q**x elementwise for an array of exponents, bit for bit as
+    :meth:`RootParams.q_pow`; DomainError, as there, when an entry leaves
+    double range.
+
+    Python's complex division by r divides each part by r, where numpy's
+    would multiply by 1/r, so iπx/r is formed as i·(πx/r) on the real view.
+    """
+    x = np.ascontiguousarray(x, dtype=complex)
+    arg = 1j * (np.pi * x.view(float) / ctx.r).view(complex)
+    if arg.real.max(initial=0.0) <= 709.0:  # exp cannot overflow
+        return np.exp(arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(arg)
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = complex(x[~finite][0])
+        raise DomainError(f"q**x overflows double precision at x={bad!r}")
+    return out
+
+
+def _brackets(ctx: RootParams, x) -> np.ndarray:
+    """[x] = {x}/{1} elementwise, bit for bit as :meth:`RootParams.bracket`.
+
+    {1} = 2i·sin(π/r) has real part exactly 0, for which Python's complex
+    division is (u + iv)/{1} = −i·(u/s + i·v/s), s = Im{1}, each part
+    divided as a float (numpy would multiply by 1/s).
+    """
+    x = np.asarray(x)
+    powers = _q_powers(ctx, np.concatenate((x, -x)))
+    num = powers[: len(x)] - powers[len(x) :]  # q**x − q**(−x)
+    return -1j * (num.view(float) / ctx.q_num(1).imag).view(complex)
+
+
+def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
+    """The r-dimensional simple modules V_α for a 1-D array of colors α ∈ Ċ.
 
     Basis v₀, …, v_{r−1} ordered by decreasing weight α+r−1−2i; the ladder
     operators act by F·vᵢ = vᵢ₊₁ and E·vᵢ = [i]·[α+r−i]·vᵢ₋₁, the unique
-    gauge (up to basis scaling) making the defining relations hold.
+    gauge (up to basis scaling) making the defining relations hold.  All
+    colors are built in a few array expressions.  DomainError unless every
+    α ∈ Ċ, or when a q-power leaves double range (as
+    :meth:`RootParams.q_pow`).
     """
-    alpha = _simple_color(ctx, alpha)
-    r = ctx.r
-    weights = np.array([alpha + r - 1 - 2 * i for i in range(r)], dtype=complex)
-    e = np.zeros((r, r), dtype=complex)
-    f = np.zeros((r, r), dtype=complex)
-    for i in range(1, r):
-        e[i - 1, i] = ctx.bracket(i) * ctx.bracket(alpha + r - i)
-        f[i, i - 1] = 1.0
-    return WeightModule(ctx, ("V", alpha), weights, e, f, alpha + r - 1)
+    alphas = np.array([_simple_color(ctx, a) for a in alphas], dtype=complex)
+    terms, r = len(alphas), ctx.r
+    shifted = alphas[:, None] + r  # every expression below groups as (α+r)−…
+    up = np.arange(1, r)
+    brackets = _brackets(ctx, np.concatenate((up[None], shifted - up)))
+    e = np.zeros((terms, r * r), dtype=complex)
+    e[:, 1 :: r + 1] = brackets[0] * brackets[1:]  # E[i−1, i] = [i]·[α+r−i]
+    f = np.zeros((terms, r * r), dtype=complex)
+    f[:, r :: r + 1] = 1.0  # F[i, i−1] = 1
+    return ModuleStack(
+        ctx,
+        shifted - 1 - np.arange(0, 2 * r, 2),
+        e.reshape(terms, r, r),
+        f.reshape(terms, r, r),
+        [("V", a) for a in alphas.tolist()],
+        shifted[:, 0] - 1,
+    )
+
+
+def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
+    """The r-dimensional simple module V_α for α ∈ Ċ: the one-term call of
+    :func:`valpha_stack`."""
+    return valpha_stack(ctx, (alpha,)).modules[0]
 
 
 def dual(a: WeightModule) -> WeightModule:
-    """The dual module on the dual basis, via the antipode transpose.
-
-    The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
-    S(H) = −H; weights negate (in the same index order as A's basis).
-    """
-    e_dual = (-(a.e @ a.k_inv)).T
-    f_dual = (-(a.k @ a.f)).T
-    return WeightModule(
-        a.ctx, ("dual", a.label), -a.weights, e_dual, f_dual, -complex(a.degree)
-    )
+    """The dual module A*: the one-term call of :attr:`ModuleStack.dual`."""
+    return ModuleStack.of((a,)).dual.modules[0]
 
 
 def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
@@ -296,41 +342,83 @@ class ModuleStack:
 
     One evaluation pass of the diagram engine colors each component by a
     stack: a single module shared by every term, or one module per term.
-    The stacked arrays (weights, E, F, pivot) and the stack of duals are
-    built on first use.
+    The stack holds its arrays directly: ``weights`` of shape (terms, d),
+    ``e`` and ``f`` of shape (terms, d, d), and one label and one degree
+    per term.  :func:`valpha_stack` builds the simple modules of a whole
+    array of colors, :meth:`of` stacks given modules and :meth:`take`
+    gathers terms.  The pivots, the stack of duals and the per-term
+    :class:`WeightModule` objects (``modules``, needed only where labels
+    are) are built on first use.
     """
 
-    def __init__(self, modules):
-        self.modules = tuple(modules)
-        dims = {m.dim for m in self.modules}
+    def __init__(self, ctx, weights, e, f, labels, degrees):
+        self.ctx = ctx
+        self.weights, self.e, self.f = weights, e, f
+        self.labels = tuple(labels)
+        self.degrees = degrees
+        self.dim = weights.shape[1]
+
+    @classmethod
+    def of(cls, modules) -> "ModuleStack":
+        """The given weight modules, one per term."""
+        modules = tuple(modules)
+        dims = {m.dim for m in modules}
         if len(dims) != 1:
             raise DomainError(f"a module stack needs one dimension, got {sorted(dims)}")
-        self.ctx = self.modules[0].ctx
-        self.dim = dims.pop()
+        stack = cls(
+            modules[0].ctx,
+            _stacked([m.weights for m in modules]),
+            _stacked([m.e for m in modules]),
+            _stacked([m.f for m in modules]),
+            [m.label for m in modules],
+            np.array([complex(m.degree) for m in modules]),
+        )
+        stack.__dict__["modules"] = modules
+        return stack
 
     @property
     def terms(self) -> int:
-        return len(self.modules)
+        return len(self.weights)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _stacked([m.weights for m in self.modules])
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        return _stacked([m.e for m in self.modules])
-
-    @cached_property
-    def f(self) -> np.ndarray:
-        return _stacked([m.f for m in self.modules])
+    def take(self, index: np.ndarray) -> "ModuleStack":
+        """The terms at the integer positions ``index``, as a new stack."""
+        return ModuleStack(
+            self.ctx,
+            self.weights[index],
+            self.e[index],
+            self.f[index],
+            [self.labels[i] for i in index],
+            self.degrees[index],
+        )
 
     @cached_property
     def pivot(self) -> np.ndarray:
-        return _stacked([m.pivot_diag for m in self.modules])
+        """The pivotal operators' diagonals q**((1−r)·w), shape (terms, d)."""
+        return _q_powers(self.ctx, (1 - self.ctx.r) * self.weights)
 
     @cached_property
     def dual(self) -> "ModuleStack":
-        return ModuleStack(dual(m) for m in self.modules)
+        """The dual of every term, on the dual basis, via the antipode transpose.
+
+        The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
+        S(H) = −H; weights negate (in the same index order as A's basis).
+        """
+        powers = _q_powers(self.ctx, np.concatenate((self.weights, -self.weights)))
+        k, k_inv = powers[: self.terms], powers[self.terms :]
+        e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
+        f = -(k[:, :, None] * self.f).swapaxes(1, 2)
+        labels = [("dual", label) for label in self.labels]
+        return ModuleStack(self.ctx, -self.weights, e, f, labels, -self.degrees)
+
+    @cached_property
+    def modules(self) -> tuple:
+        """One :class:`WeightModule` per term, viewing the stacked arrays."""
+        return tuple(
+            WeightModule(self.ctx, label, w, e, f, complex(degree))
+            for label, w, e, f, degree in zip(
+                self.labels, self.weights, self.e, self.f, self.degrees
+            )
+        )
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -406,7 +494,7 @@ def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
 def braiding_matrix(a: WeightModule, b: WeightModule, sign: int = 1) -> np.ndarray:
     """The one-term call of :func:`braiding_stack`: c_{A,B} (sign=+1) or
     (c_{B,A})⁻¹ (sign=−1), both A⊗B → B⊗A."""
-    return braiding_stack(ModuleStack((a,)), ModuleStack((b,)), sign)[0]
+    return braiding_stack(ModuleStack.of((a,)), ModuleStack.of((b,)), sign)[0]
 
 
 def braiding(a: WeightModule, b: WeightModule, sign: int = 1) -> MorphismMatrix:

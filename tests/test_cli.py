@@ -430,17 +430,29 @@ def test_large_imaginary_color(tmp_path, capsys, sub, fixture, edit, im, code):
         assert err == "" and "nan" not in out
 
 
-def test_overflow_inside_tangle_is_domain_error(tmp_path):
-    # only the uncut component is huge: the braiding overflows while every
-    # q_pow stays finite, and the Schur check sees a non-finite residual
+def _overflow_in_uncut_component(tmp_path, im):
+    """``flink`` on the Hopf link with A = 0.3 + im·i, in a fresh process.
+
+    Only the uncut component is huge: every q_pow that builds the colors
+    stays finite, and the evaluation itself leaves double range.
+    """
     path = _fixture_with(
-        tmp_path, "hopf.json", lambda d: d["colors"].update(A={"re": "0.3", "im": "150"})
+        tmp_path, "hopf.json", lambda d: d["colors"].update(A={"re": "0.3", "im": im})
     )
-    code, out, err = run_fresh("flink", "--r", "5", "--input", path)
-    assert code == 3
-    assert out == ""
-    assert "domain error: the evaluated tangle overflows double precision" in err
-    assert "Traceback" not in err
+    return run_fresh("flink", "--r", "5", "--input", path)
+
+
+_OVERFLOW = (3, "", "domain error: the evaluated tangle overflows double precision\n")
+
+
+def test_overflow_inside_tangle_is_domain_error(tmp_path):
+    # the braiding overflows; the CLI prints one line and no RuntimeWarning
+    assert _overflow_in_uncut_component(tmp_path, "150") == _OVERFLOW
+
+
+def test_overflow_in_braiding_powers_is_one_error_line(tmp_path):
+    # the powers of E overflow first, before any pivot is formed
+    assert _overflow_in_uncut_component(tmp_path, "300") == _OVERFLOW
 
 
 def _limit_address_space():

@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from unrolledsl2 import diagram as diagram_module
+from unrolledsl2 import invariant
 from unrolledsl2.diagram import (
     Cap,
     Cup,
+    CutTangle,
     SlicedDiagram,
     braid_closure,
     clasp_diagram,
@@ -228,13 +231,15 @@ def test_default_cut_is_cheapest_open_extremum():
     diagram = clasp_diagram(1, "L1", "L2")
     last = len(diagram.slices) - 1
     assert _open_cuts(diagram, "L2") == [0, last]
-    assert _first_cut_slice(diagram, "L2", {"L1": 5, "L2": 5}) == last
+    words = typecheck(diagram)
+    assert _first_cut_slice(diagram, "L2", {"L1": 5, "L2": 5}, words) == last
     with pytest.raises(DomainError):
-        _first_cut_slice(diagram, "L1", {"L1": 5, "L2": 5})
+        _first_cut_slice(diagram, "L1", {"L1": 5, "L2": 5}, words)
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
-    assert _fixed_cut(sp) == ("L2", last)
+    assert _fixed_cut(sp, words, {}) == ("L2", last)
     # unknot: cup 0 costs d**4 + d**2, cap 1 costs 2 d**2
-    assert _first_cut_slice(unknot_diagram("K"), "K", {"K": 3}) == 1
+    unknot = unknot_diagram("K")
+    assert _first_cut_slice(unknot, "K", {"K": 3}, typecheck(unknot)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +371,9 @@ def _kirby_sum_term_by_term(sp):
     ctx = sp.ctx
     l_names = sp.surgery_names()
     writhes, _ = writhe_and_linking(sp.diagram)
-    _cut_name, cut_slice = _fixed_cut(sp)
+    _cut_name, cut_slice = _fixed_cut(
+        sp, typecheck(sp.diagram), sp.resolved_graph_colors()
+    )
     graph_colors = sp.resolved_graph_colors()
     total, size = 0j, 0.0
     for ks in itertools.product(ctx.h_r_set(), repeat=len(l_names)):
@@ -413,6 +420,78 @@ def test_z_batched_passes_match_term_by_term(r, case):
     reference, size = _kirby_sum_term_by_term(sp)
     got = z_invariant(sp).f_prime_total
     assert abs(got - reference) <= 1e-10 * max(1.0, size)
+
+
+def _pass_sizes(monkeypatch):
+    """Record the number of terms of every CutTangle.matrices call."""
+    sizes = []
+    matrices = CutTangle.matrices
+
+    def recorded(self, colors, ctx):
+        out = matrices(self, colors, ctx)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(CutTangle, "matrices", recorded)
+    return sizes
+
+
+TWO_COMPONENT = ["lens_7_2", "clasp+1", "clasp-2"]
+
+
+@pytest.mark.parametrize("case", TWO_COMPONENT)
+def test_z_pass_splits_mid_row(monkeypatch, case):
+    # every term of these presentations peaks at 5**4 elements at r = 5, so
+    # this budget gives passes of 7 terms: both Kirby indices vary in a pass
+    ctx = RootParams(5)
+    sp = BATCH_CASES[case](ctx)
+    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 7 * 5**4)
+    sizes = _pass_sizes(monkeypatch)
+    got = z_invariant(sp).f_prime_total
+    assert sizes == [7, 7, 7, 4]
+    reference, size = _kirby_sum_term_by_term(sp)
+    assert abs(got - reference) <= 1e-10 * max(1.0, size)
+
+
+@pytest.mark.parametrize("case", TWO_COMPONENT)
+def test_z_one_pass_holds_every_term(monkeypatch, case):
+    ctx = RootParams(7)
+    sp = BATCH_CASES[case](ctx)
+    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 10**12)
+    sizes = _pass_sizes(monkeypatch)
+    got = z_invariant(sp).f_prime_total
+    assert sizes == [49]
+    reference, size = _kirby_sum_term_by_term(sp)
+    assert abs(got - reference) <= 1e-10 * max(1.0, size)
+
+
+@pytest.mark.parametrize("r,expected", [
+    (5, [25]),                # 9·9⁴ // 5⁴ = 94 terms fit: one pass
+    (7, [24, 24, 1]),         # 9·9⁴ // 7⁴ = 24
+    (9, [9] * 9),             # the budget is 9 terms of 9⁴: r per pass
+    (11, [11] * 11),          # 4 terms would fit; never fewer than r
+])
+def test_z_pass_sizes_follow_the_element_budget(monkeypatch, r, expected):
+    sp = lens_chain_presentation(RootParams(r), 4, 2, (2.0 / 7, -8.0 / 7))
+    sizes = _pass_sizes(monkeypatch)
+    z_invariant(sp)
+    assert sizes == expected
+
+
+def test_z_typechecks_once(monkeypatch):
+    calls = []
+    original = diagram_module.typecheck
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    # both modules call typecheck through their own global name
+    monkeypatch.setattr(diagram_module, "typecheck", counted)
+    monkeypatch.setattr(invariant, "typecheck", counted)
+    sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
+    z_invariant(sp)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

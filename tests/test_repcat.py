@@ -22,6 +22,7 @@ from unrolledsl2.repcat import (
     twist,
     twist_scalar,
     twist_scalar_of,
+    valpha_stack,
 )
 
 
@@ -52,6 +53,88 @@ def test_valpha_domain(ctx):
     # multiples of r are allowed
     assert make_valpha(ctx, 0).dim == ctx.r
     assert make_valpha(ctx, ctx.r).dim == ctx.r
+
+
+def _valpha_loop(ctx, alpha):
+    """Reference V_α: E and F filled entry by entry with scalar brackets."""
+    r = ctx.r
+    weights = np.array([alpha + r - 1 - 2 * i for i in range(r)], dtype=complex)
+    e = np.zeros((r, r), dtype=complex)
+    f = np.zeros((r, r), dtype=complex)
+    for i in range(1, r):
+        e[i - 1, i] = ctx.bracket(i) * ctx.bracket(alpha + r - i)
+        f[i, i - 1] = 1.0
+    pivot = np.array([ctx.q_pow((1 - r) * w) for w in weights])
+    return weights, e, f, pivot
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9, 11])
+def test_valpha_stack_matches_entrywise_loop(r):
+    ctx = RootParams(r)
+    # generic real and complex colors, multiples of r, a large imaginary part
+    alphas = [0.3, 2.0 / 7, -1.7 + 0.4j, 0.55 - 3.0j, 0.0, float(r), -2.0 * r,
+              1.0 / 3 + 40j]
+    stack = valpha_stack(ctx, alphas)
+    assert stack.terms == len(alphas) and stack.dim == r
+    for k, alpha in enumerate(alphas):
+        weights, e, f, pivot = _valpha_loop(ctx, complex(alpha))
+        scale = max(1.0, np.abs(e).max())
+        assert np.array_equal(stack.weights[k], weights)
+        assert np.abs(stack.e[k] - e).max() <= 1e-15 * scale
+        assert np.array_equal(stack.f[k], f)
+        assert np.abs(stack.pivot[k] - pivot).max() <= 1e-15 * np.abs(pivot).max()
+        module = stack.modules[k]
+        assert module.label == ("V", complex(alpha))
+        assert module.degree == complex(alpha) + r - 1
+        assert relations_residual(module) < 1e-10 * scale
+        # make_valpha is the one-term call of the same builder
+        one = make_valpha(ctx, alpha)
+        assert np.array_equal(one.e, stack.e[k]) and np.array_equal(one.weights, weights)
+
+
+def test_valpha_stack_domain_errors():
+    ctx = RootParams(5)
+    with pytest.raises(DomainError) as one:
+        make_valpha(ctx, 3.0)
+    with pytest.raises(DomainError) as many:
+        valpha_stack(ctx, [0.3, 3.0])
+    assert str(many.value) == str(one.value)
+    # an exponent out of double range fails as q_pow does, without warnings
+    with pytest.raises(DomainError, match="overflows double precision"):
+        ctx.q_pow(-(0.3 + 2000j))
+    with pytest.raises(DomainError, match="overflows double precision"):
+        valpha_stack(ctx, [0.3, 0.3 + 2000j])
+
+
+def _antipode_dual(m):
+    """Reference dual: the antipode transpose with K and K⁻¹ as matrices."""
+    return -m.weights, (-(m.e @ m.k_inv)).T, (-(m.k @ m.f)).T
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9])
+def test_stack_dual_matches_antipode_transpose(r):
+    ctx = RootParams(r)
+    rng = np.random.default_rng(30 + r)
+    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng) + 0.7j)
+    stacks = [
+        valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0]),
+        ModuleStack.of((tensor(a, b), tensor(b, a))),
+        ModuleStack.of((tensor(a, dual(b)),)),
+        ModuleStack.of((a,)).dual,
+    ]
+    for stack in stacks:
+        duals = stack.dual
+        for k, module in enumerate(stack.modules):
+            weights, e, f = _antipode_dual(module)
+            scale = max(1.0, np.abs(e).max(), np.abs(f).max())
+            assert np.array_equal(duals.weights[k], weights)
+            assert np.abs(duals.e[k] - e).max() <= 1e-15 * scale
+            assert np.abs(duals.f[k] - f).max() <= 1e-15 * scale
+            assert duals.modules[k].label == ("dual", module.label)
+            assert duals.modules[k].degree == -complex(module.degree)
+            # dual() is the one-term call of the stack dual
+            one = dual(module)
+            assert np.array_equal(one.e, duals.e[k]) and np.array_equal(one.f, duals.f[k])
 
 
 def test_defining_relations(ctx):
@@ -151,8 +234,8 @@ def test_braiding_stack_matches_per_term(r, sign):
     rng = np.random.default_rng(r)
     terms = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
     other = make_valpha(ctx, _generic(rng))
-    for stack in (ModuleStack(terms), ModuleStack(terms).dual):
-        fixed = ModuleStack((other,))
+    for stack in (ModuleStack.of(terms), ModuleStack.of(terms).dual):
+        fixed = ModuleStack.of((other,))
         for a, b in ((stack, fixed), (fixed, stack), (stack, stack)):
             got = braiding_stack(a, b, sign)
             assert got.shape[0] == len(terms)
@@ -172,7 +255,7 @@ def test_negative_braiding_inverts_positive(r):
     v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
     eye = np.eye(r * r)
     for a, b in ((v, w), (dual(v), w), (v, dual(w))):
-        sa, sb = ModuleStack((a,)), ModuleStack((b,))
+        sa, sb = ModuleStack.of((a,)), ModuleStack.of((b,))
         plus = braiding_stack(sb, sa, 1)[0]
         residual = np.abs(braiding_stack(sa, sb, -1)[0] @ plus - eye).max()
         oracle = np.abs(np.linalg.inv(plus) @ plus - eye).max()
