@@ -16,14 +16,16 @@ V, ``down`` strands to its dual V*.  The five slice kinds are
 * :class:`Coupon` — an arbitrary morphism box with declared input/output
   strand words.
 
-Evaluation contracts slice tensors into a running ndarray with one axis per
-strand position, so no operator on the full word width is ever materialized.
-A leading term axis carries a batch of colorings of the same diagram through
-one walk over the slices (:class:`CutTangle`); the single-coloring calls
-:func:`evaluate` and :func:`evaluate_cut` are batches of one.
-The same engine supports *cutting* a closed diagram open at a chosen cup or
-cap of one component: the two strand axes of that slice are parked instead
-of contracted, which turns the closed diagram into the matrix of a 1-1
+Evaluation contracts the diagram as a tensor network: each crossing and
+coupon is one tensor, and cups and caps only join legs (their pivot weights
+ride on the joined leg).  A greedy planner (:mod:`.planner`) orders the
+contraction from the strand dimensions alone, and a memory preflight
+refuses a plan whose peak exceeds physical memory before any block is
+built.  A leading term axis carries a batch of colorings of the same
+diagram through one contraction (:class:`CutTangle`); the single-coloring
+calls :func:`evaluate` and :func:`evaluate_cut` are batches of one.
+*Cutting* a closed diagram at a cup or cap of one component leaves that
+slice's two strands as open legs, which turns it into the matrix of a 1-1
 tangle on the cut component (used by the renormalized link invariant).
 
 Geometric bookkeeping (writhes and linking numbers) is extracted from the
@@ -37,12 +39,14 @@ twist scalars.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DiagramTypeError, DomainError
+from .planner import greedy_order
 from .qscalar import RootParams
 from .repcat import (
     ModuleStack,
@@ -403,115 +407,160 @@ def _stack_colors(
     return stacks
 
 
-class _Engine:
-    """One walk over the slices for a batch of colorings of one diagram.
+class _Network:
+    """A diagram as a tensor network over integer leg ids.
 
-    The running tensor has a leading term axis, then one axis per strand of
-    the current word, then the parked axes.  A slice whose block does not
-    depend on the term (a one-term stack) broadcasts over that axis, so the
-    axis has length 1 until the first block that does.  Each :meth:`run` is
-    one pass: it builds a braiding stack once per (strand, strand, sign) and
-    reuses it for every crossing of that pass.
+    Each crossing and coupon is one tensor, one leg per strand end (outputs
+    first); cups and caps only join legs.  A leg carries pivot**(#ev′ −
+    #coev′) over the cups and caps it passes, folded into the last tensor
+    holding it.  A leg no tensor holds is a loop (its weighted trace), one
+    with both ends open a wire tensor (key None).  ``open`` is the target
+    word then the source word, or the cut slice's strands as row and column
+    of the endomorphism that closing with that cup or cap inverts.
     """
 
-    def __init__(self, diagram, words, cut_slice=None):
-        self.diagram = diagram
-        self.words = words
-        self.cut_slice = cut_slice
+    def __init__(self, diagram: SlicedDiagram, words: list, cut_slice=None):
+        uf, owner, power, braids = _UnionFind(), [], [], {}
 
-    def run(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
-        self.stacks = stacks
-        self._braidings: dict[tuple, np.ndarray] = {}
-        word = self.words[0]
-        dims = [self.stack_of(s).dim for s in word]
-        # identity wires: current axes then one parked input axis per source strand
-        t = np.eye(math.prod(dims), dtype=complex).reshape([1] + dims + dims)
-        for index, sl in enumerate(self.diagram.slices):
-            word_below = self.words[index]
-            if isinstance(sl, Id):
-                continue
+        def fresh(component, k=0):
+            owner.append(component)
+            power.append(k)
+            uf.parent.append(len(owner) - 1)
+            return len(owner) - 1
+
+        word = [fresh(s.component) for s in words[0]]
+        source, ends, raw = list(word), [], []
+        for index, sl in enumerate(diagram.slices):
+            i = getattr(sl, "position", 0)
             if isinstance(sl, Braid):
-                t = self._braid(t, sl, word_below)
-            elif isinstance(sl, Cup):
-                t = self._cup(t, sl, cut=(index == self.cut_slice))
-            elif isinstance(sl, Cap):
-                t = self._cap(t, sl, word_below, cut=(index == self.cut_slice))
+                a, b = words[index][i : i + 2]
+                new = [fresh(b.component), fresh(a.component)]
+                key = braids.setdefault((a, b, sl.sign), len(braids))
+                raw.append((key, new + word[i : i + 2]))
+                word[i : i + 2] = new
             elif isinstance(sl, Coupon):
-                t = self._coupon(t, sl)
-            else:  # pragma: no cover - typecheck already rejects
-                raise DiagramTypeError(f"unknown slice {sl!r}")
-        terms = max((st.terms for st in stacks.values()), default=1)
-        if t.shape[0] != terms:  # no block depended on the term
-            t = np.broadcast_to(t, (terms,) + t.shape[1:])
-        return t
+                new = [fresh(s.component) for s in sl.outputs]
+                raw.append((sl, new + word[i : i + len(sl.inputs)]))
+                word[i : i + len(sl.inputs)] = new
+            elif isinstance(sl, Cup) and index == cut_slice:
+                pair = [fresh(sl.component), fresh(sl.component, -(sl.variant == "coev"))]
+                word[i:i] = pair
+                ends = pair if sl.variant == "coevprime" else pair[::-1]
+            elif isinstance(sl, Cup):
+                word[i:i] = [fresh(sl.component, -(sl.variant == "coevprime"))] * 2
+            elif isinstance(sl, Cap):
+                a, b = word[i : i + 2]
+                del word[i : i + 2]
+                if index == cut_slice:
+                    power[a] += sl.variant == "ev"
+                    ends = [a, b] if sl.variant == "evprime" else [b, a]
+                else:
+                    power[a] += sl.variant == "evprime"
+                    uf.union(a, b)
+        root = [uf.find(x) for x in range(len(owner))]
+        ids: dict[int, int] = {}  # union-find root -> leg id
+        self.braids = list(braids)
+        self.keys = [key for key, _ in raw]
+        self.legs = [[ids.setdefault(root[x], len(ids)) for x in held] for _, held in raw]
+        self.open = [ids.setdefault(root[x], len(ids)) for x in ends or word + source]
+        self.component = [owner[x] for x in ids]
+        self.power, loops = [0] * len(ids), {}
+        for x, k in enumerate(power):
+            if root[x] in ids:
+                self.power[ids[root[x]]] += k
+            else:
+                loops[root[x]] = loops.get(root[x], 0) + k
+        self.loops = [(owner[x], k) for x, k in loops.items()]
+        for pos, leg in enumerate(self.open):
+            if leg in self.open[:pos]:  # both ends open: a wire
+                self.open[pos] = len(self.component)
+                self.keys.append(None)
+                self.legs.append([leg, len(self.component)])
+                self.component.append(self.component[leg])
+                self.power.append(0)
+        last = {leg: t for t, held in enumerate(self.legs) for leg in held}
+        self.weights = [[] for _ in self.legs]  # the weighted legs each tensor holds last
+        for leg in filter(self.power.__getitem__, range(len(self.power))):
+            self.weights[last[leg]].append(leg)
+        self.free = [held if len(set(held)) == len(held) else
+                     [leg for leg in held if held.count(leg) == 1] for held in self.legs]
+        self._plan: tuple = (None,)
 
-    def stack_of(self, strand: Strand) -> ModuleStack:
-        base = self.stacks[strand.component]
-        return base if strand.up else base.dual
+    def plan(self, dims: dict[str, int]) -> tuple:
+        """(leg dims, merges, last tensor, peak elements per term), reused
+        while ``dims`` stay: :func:`.planner.greedy_order`'s merges, then
+        outer products of the tensors left sharing no leg."""
+        leg_dims = [dims[c] for c in self.component]
+        if self._plan[0] != leg_dims:
+            order, peak = greedy_order(self.legs, leg_dims)
+            rest = sorted(set(range(len(self.legs))) - {j for _, j in order})
+            order += [(rest[0], t) for t in rest[1:]]
+            peak = max(peak, math.prod([leg_dims[leg] for leg in self.open]))
+            self._plan = (leg_dims, order, rest[0] if rest else None, peak)
+        return self._plan
 
-    @staticmethod
-    def _apply(t, i, n_in, block, out_dims):
-        """Replace the ``n_in`` strand axes from ``i`` by ``block``'s outputs.
+    def contract(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
+        """The value per term: a leading term axis, then ``open``.
 
-        ``block`` has shape (terms, prod(out_dims), prod of the input dims).
+        The plan's bytes (peak × terms, plus the braiding blocks) must fit
+        in physical memory before any block is built.  A merge is one
+        transpose/reshape of each tensor and one batched matmul.
         """
-        shape = t.shape
-        x = t.reshape(shape[0], math.prod(shape[1 : i + 1]), block.shape[-1], -1)
-        y = np.matmul(block[:, None], x)
-        return y.reshape((y.shape[0],) + shape[1 : i + 1] + out_dims + shape[i + 1 + n_in :])
-
-    def _braid(self, t, sl, word):
-        i = sl.position
-        key = (word[i], word[i + 1], sl.sign)
-        c = self._braidings.get(key)
-        if c is None:
-            c = braiding_stack(self.stack_of(word[i]), self.stack_of(word[i + 1]), sl.sign)
-            self._braidings[key] = c
-        return self._apply(t, i, 2, c, (t.shape[i + 2], t.shape[i + 1]))
-
-    def _cup(self, t, sl, cut=False):
-        stack = self.stacks[sl.component]
-        d = stack.dim
-        i = sl.position
-        shape = t.shape
-        head, tail = shape[1 : i + 1], shape[i + 1 :]
-        x = t.reshape(shape[0], math.prod(head), 1, 1, math.prod(tail))
-        if cut:
-            # two identity wires: current axes at i, i+1 and parked ones at the end
-            eye = np.eye(d, dtype=complex)
-            wires = eye[:, None, None, :, None] * eye[None, :, None, None, :]
-            t = x[..., None, None] * wires  # (x1, x2, tail, p1, p2)
-            return t.reshape((shape[0],) + head + (d, d) + tail + (d, d))
-        if sl.variant == "coev":
-            block = np.eye(d, dtype=complex)[None]
-        else:  # coevprime
-            block = np.eye(d) * (1.0 / stack.pivot)[:, None, :]
-        t = x * block[:, None, :, :, None]
-        return t.reshape((t.shape[0],) + head + (d, d) + tail)
-
-    def _cap(self, t, sl, word, cut=False):
-        i = sl.position
-        if cut:
-            return np.moveaxis(t, (i + 1, i + 2), (-2, -1))
-        stack = self.stacks[word[i].component]
-        d = stack.dim
-        if sl.variant == "ev":
-            block = np.eye(d, dtype=complex)[None]
-        else:  # evprime
-            block = np.eye(d) * stack.pivot[:, None, :]
-        return self._apply(t, i, 2, block.reshape(-1, 1, d * d), ())
-
-    def _coupon(self, t, sl):
-        i = sl.position
-        in_dims = tuple(self.stack_of(s).dim for s in sl.inputs)
-        out_dims = tuple(self.stack_of(s).dim for s in sl.outputs)
-        matrix = np.asarray(sl.matrix, dtype=complex)
-        expected = (math.prod(out_dims), math.prod(in_dims))
-        if matrix.shape != expected:
-            raise DiagramTypeError(
-                f"coupon matrix shape {matrix.shape} != expected {expected}"
-            )
-        return self._apply(t, i, len(in_dims), matrix[None], out_dims)
+        dims, order, last, peak = self.plan({name: st.dim for name, st in stacks.items()})
+        terms = max((st.terms for st in stacks.values()), default=1)
+        need = 16 * terms * (peak + sum(
+            (stacks[a.component].dim * stacks[b.component].dim) ** 2 for a, b, _ in self.braids
+        ))
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > limit:
+            raise MemoryError(f"the contraction needs {need / 2**30:.3g} GiB, "
+                              f"above the {limit / 2**30:.3g} GiB of physical memory")
+        braidings = [
+            braiding_stack(*(stacks[s.component] if s.up else stacks[s.component].dual
+                             for s in (a, b)), sign)
+            for a, b, sign in self.braids
+        ]
+        arrays = []
+        for key, held, free, weights in zip(self.keys, self.legs, self.free, self.weights):
+            shape = [-1] + [dims[leg] for leg in held]
+            if type(key) is int:
+                block = braidings[key]
+            elif key is None:
+                block = np.eye(shape[1], dtype=complex)
+            else:
+                n, block = len(key.outputs), np.asarray(key.matrix, dtype=complex)
+                expected = (math.prod(shape[1 : n + 1]), math.prod(shape[n + 1 :]))
+                if block.shape != expected:
+                    raise DiagramTypeError(f"coupon matrix shape {block.shape} != {expected}")
+            block = block.reshape(shape)
+            if weights or len(free) < len(held):  # fold in weights, trace self-legs
+                operands = [block, [0] + [1 + held.index(leg) for leg in held]]
+                for leg in weights:
+                    w = stacks[self.component[leg]].pivot ** self.power[leg]
+                    operands += [w, [0, 1 + held.index(leg)]]
+                block = np.einsum(*operands, [0] + [1 + held.index(leg) for leg in free])
+            arrays.append(block)
+        live = list(self.free)
+        for i, j in order:
+            a, b = live[i], live[j]
+            shared = [leg for leg in a if leg in b]
+            left = [leg for leg in a if leg not in b]
+            right = [leg for leg in b if leg not in a]
+            x = arrays[i].transpose([0] + [1 + a.index(leg) for leg in left + shared])
+            y = arrays[j].transpose([0] + [1 + b.index(leg) for leg in shared + right])
+            k = math.prod([dims[leg] for leg in shared])
+            z = np.matmul(x.reshape(x.shape[0], -1, k), y.reshape(y.shape[0], k, -1))
+            shape = z.shape[:1] + x.shape[1 : 1 + len(left)] + y.shape[1 + len(shared) :]
+            arrays[i] = z.reshape(shape)
+            live[i] = left + right
+        out = np.ones(1, dtype=complex) if last is None else arrays[last].transpose(
+            [0] + [1 + live[last].index(leg) for leg in self.open])
+        for name, k in self.loops:
+            trace = (stacks[name].pivot ** k).sum(axis=1)
+            out = out * trace.reshape((-1,) + (1,) * (out.ndim - 1))
+        if out.shape[0] != terms:  # no block depended on the term
+            out = np.broadcast_to(out, (terms,) + out.shape[1:])
+        return out
 
 
 def evaluate(
@@ -522,16 +571,18 @@ def evaluate(
     ``colors`` maps component names to weight modules (or complex α, which
     is shorthand for V_α).  The result's source/target are the tensor
     products of the boundary words (the monoidal unit for empty words).
+    The diagram is contracted as a tensor network (:class:`_Network`) whose
+    open legs are the target strands, then the source strands.
     """
     words = typecheck(diagram)
     stacks = _stack_colors(ctx, diagram, colors)
-    engine = _Engine(diagram, words)
-    t = engine.run(stacks)[0]
+    t = _Network(diagram, words).contract(stacks)[0]
 
     def word_module(word):
         module = None
         for strand in word:
-            m = engine.stack_of(strand).modules[0]
+            stack = stacks[strand.component]
+            m = (stack if strand.up else stack.dual).modules[0]
             module = m if module is None else tensor(module, m)
         return module if module is not None else trivial_module(ctx)
 
@@ -544,10 +595,11 @@ def evaluate(
 class CutTangle:
     """A closed diagram cut open at a cup/cap slice of one component.
 
-    The diagram is typechecked and the cut checked for enclosure once, at
-    construction (``words`` skips the typecheck when the caller already has
-    the diagram's words); :meth:`matrices` then evaluates the resulting 1-1
-    tangle for any batch of colorings in one engine pass.
+    The diagram is typechecked, the cut checked for enclosure and the
+    tensor network built once, at construction (``words`` skips the
+    typecheck when the caller already has the diagram's words); its plan is
+    made once per strand dimensions, so :meth:`matrices` evaluates the 1-1
+    tangle for any batch of colorings in one planned contraction.
     """
 
     def __init__(
@@ -565,35 +617,23 @@ class CutTangle:
                 "the diagram so the cut component has an outermost cup or cap"
             )
         self.diagram = diagram
-        self.slice = sl
         self.component = (
             sl.component if isinstance(sl, Cup) else words[cut_slice][sl.position].component
         )
-        self._engine = _Engine(diagram, words, cut_slice=cut_slice)
+        self._network = _Network(diagram, words, cut_slice=cut_slice)
+
+    def peak_elements(self, dims: dict[str, int]) -> int:
+        """The plan's peak elements per term at color dimensions ``dims``."""
+        return self._network.plan(dims)[-1]
 
     def matrices(self, colors: dict, ctx: RootParams) -> np.ndarray:
         """The tangle's endomorphism of the cut component's color, per term.
 
         ``colors`` is as for :func:`evaluate`, except that a component may
         carry several terms (a sequence of weight modules or a
-        :class:`ModuleStack`); the result has shape (terms, d, d).  The
-        parked pair of strand axes is converted to an endomorphism using the
-        duality conventions of the cut slice (the inverse of closing an
-        endomorphism with the corresponding cup/cap pair).
+        :class:`ModuleStack`); the result has shape (terms, d, d).
         """
-        return self._matrices(_stack_colors(ctx, self.diagram, colors))
-
-    def _matrices(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
-        w = self._engine.run(stacks)
-        stack = stacks[self.component]
-        if w.shape[1:] != (stack.dim, stack.dim):
-            raise DomainError(f"cut evaluation left unexpected shape {w.shape[1:]}")
-        variant = self.slice.variant
-        if variant == "ev":  # cap
-            return w.swapaxes(1, 2) * stack.pivot[:, None, :]
-        if variant == "coev":  # cup
-            return (1.0 / stack.pivot)[:, :, None] * w.swapaxes(1, 2)
-        return w  # cap / evprime, cup / coevprime
+        return self._network.contract(_stack_colors(ctx, self.diagram, colors))
 
 
 def evaluate_cut(
@@ -607,7 +647,7 @@ def evaluate_cut(
     """
     cut = CutTangle(diagram, cut_slice)
     stacks = _stack_colors(ctx, diagram, colors)
-    return cut._matrices(stacks)[0], stacks[cut.component].modules[0]
+    return cut._network.contract(stacks)[0], stacks[cut.component].modules[0]
 
 
 # ----------------------------------------------------------------------

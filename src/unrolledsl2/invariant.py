@@ -24,7 +24,7 @@ test suite on every computable fixture.
 
 The Kirby terms share the diagram, the cut and the slice sequence; only the
 colors change.  :func:`z_invariant` therefore evaluates them on the term
-axis of the diagram engine, as many per pass as an element budget allows,
+axis of the diagram network, as many per pass as an element budget allows,
 and sums the term values in the same order as a term-by-term loop would.
 Both entry points raise DomainError, not numpy warnings, when an evaluation
 leaves double range.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -42,14 +41,12 @@ from typing import Optional
 import numpy as np
 
 from .diagram import (
-    Braid,
     Cap,
     Cup,
     CutTangle,
     SlicedDiagram,
     clasp_diagram,
     cut_is_enclosed,
-    evaluate_cut,
     typecheck,
     unknot_diagram,
     writhe_and_linking,
@@ -110,43 +107,24 @@ def _in_double_range(evaluate):
     return run
 
 
-def _word_sizes(words: list, dims: dict[str, int]) -> list[int]:
-    """The elements of a tensor over each word: its strand dimensions' product."""
-    return [math.prod(dims[s.component] for s in word) for word in words]
+def _first_cut_slice(diagram: SlicedDiagram, component: str, words: list) -> int:
+    """The component's last cup or cap that is not fenced in.
 
-
-def _first_cut_slice(
-    diagram: SlicedDiagram, component: str, dims: dict[str, int], words: list
-) -> int:
-    """The component's cheapest cup or cap that is not fenced in.
-
-    Cutting at slice c keeps the cut component's two strand axes parked in
-    the running tensor from c upward: a cut cup parks them as it opens, a
-    cut cap as it would close.  The cost of a cut is the running-tensor size
-    summed over the slices, i.e. the product of the strand dimensions
-    ``dims`` of each word above a slice, times d² above a cut slice, d the
-    cut component's dimension.  The cheapest cut wins and ties go to the
-    earliest slice.  Cutting an enclosed extremum is not a planar move, so
-    any cup/cap that :func:`cut_is_enclosed` rejects is skipped.  ``words``
-    are the diagram's :func:`typecheck` words.
+    Every open cut of a component gives the same Schur scalar up to
+    rounding; always taking the last one fixes the rounding.  Cutting an
+    enclosed extremum is not a planar move, so any cup/cap that
+    :func:`cut_is_enclosed` rejects is skipped.  ``words`` are the
+    diagram's :func:`typecheck` words.
     """
-    sizes = _word_sizes(words[1:], dims)
-    parked = dims[component] ** 2
-    total = sum(sizes)
-    above = total  # running-tensor size summed over slices c and higher
-    costs = []
-    for index, sl in enumerate(diagram.slices):
+    for index in reversed(range(len(diagram.slices))):
+        sl = diagram.slices[index]
         if isinstance(sl, Cup):
             owner = sl.component
         elif isinstance(sl, Cap):
             owner = words[index][sl.position].component
         else:
-            owner = None
-        if owner == component:
-            costs.append((total + (parked - 1) * above, index))
-        above -= sizes[index]
-    for _cost, index in sorted(costs):
-        if not cut_is_enclosed(diagram, index, words):
+            continue
+        if owner == component and not cut_is_enclosed(diagram, index, words):
             return index
     raise DomainError(
         f"component {component!r} has no cup or cap that can be cut open; "
@@ -180,7 +158,7 @@ def f_prime(
     the resulting 1-1 tangle, and returns d(α)·s, times twist corrections
     θ**(framing − writhe) for every component with a declared framing.  An
     explicit ``cut_slice`` is honoured as given; by default the component is
-    cut at its cheapest cup or cap that is not enclosed by other strands
+    cut at its last cup or cap that is not enclosed by other strands
     (see :func:`_first_cut_slice`).
     """
     words = typecheck(diagram)
@@ -212,22 +190,14 @@ def f_prime(
             raise DomainError("no component carries a simple projective color")
     alpha_cut = _cut_color_alpha(resolved[cut_component].labels[0])
     if cut_slice is None:
-        dims = {name: module.dim for name, module in resolved.items()}
-        cut_slice = _first_cut_slice(diagram, cut_component, dims, words)
-    else:
-        sl = diagram.slices[cut_slice]
-        if isinstance(sl, Cup):
-            owner = sl.component
-        elif isinstance(sl, Cap):
-            owner = words[cut_slice][sl.position].component
-        else:
-            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-        if owner != cut_component:
-            raise DomainError(
-                f"cut slice {cut_slice} belongs to component {owner!r}, "
-                f"not {cut_component!r}"
-            )
-    matrix, _module = evaluate_cut(diagram, resolved, ctx, cut_slice)
+        cut_slice = _first_cut_slice(diagram, cut_component, words)
+    cut = CutTangle(diagram, cut_slice, words)
+    if cut.component != cut_component:
+        raise DomainError(
+            f"cut slice {cut_slice} belongs to component {cut.component!r}, "
+            f"not {cut_component!r}"
+        )
+    matrix = cut.matrices(resolved, ctx)[0]
     s = scalar_of(matrix, ctx.tol)
     value = ctx.mdim(alpha_cut) * s
     if framings:
@@ -503,44 +473,20 @@ def _fixed_cut(
     Components whose every cup/cap is enclosed are skipped, so nesting the
     surgery circles around the graph edges stays legal as long as one
     component reaches the outside.  Within the chosen component the cut
-    falls on its cheapest open cup or cap (:func:`_first_cut_slice`).
+    falls on its last open cup or cap (:func:`_first_cut_slice`).
     ``words`` are the diagram's :func:`typecheck` words and
     ``graph_colors`` the presentation's resolved graph colors.
     """
     candidates = [name for name, m in graph_colors.items() if m.label[0] == "V"]
     candidates.extend(sp.surgery_names())
-    dims = _strand_dims(sp, graph_colors)
     for name in candidates:
         try:
-            return name, _first_cut_slice(sp.diagram, name, dims, words)
+            return name, _first_cut_slice(sp.diagram, name, words)
         except DomainError:
             continue
     raise DomainError(
         "no projective component offers a cut point that is not enclosed"
     )
-
-
-def _term_peak(
-    diagram: SlicedDiagram,
-    words: list,
-    dims: dict[str, int],
-    cut_slice: int,
-    cut_dim: int,
-) -> int:
-    """The most elements one term holds in an engine pass over the cut tangle.
-
-    That is the larger of the running tensor over each word (times the
-    parked cut_dim² from the cut slice upward, as in
-    :func:`_first_cut_slice`) and each crossing's braiding block (d_a·d_b)².
-    """
-    sizes = _word_sizes(words[1:], dims)
-    parked = [size * cut_dim**2 for size in sizes[cut_slice:]]
-    peak = max([1, *sizes[:cut_slice], *parked])
-    for word, sl in zip(words, diagram.slices):
-        if isinstance(sl, Braid):
-            a, b = word[sl.position], word[sl.position + 1]
-            peak = max(peak, (dims[a.component] * dims[b.component]) ** 2)
-    return peak
 
 
 # element budget of one engine pass of z_invariant (see its docstring)
@@ -560,9 +506,10 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     linking numbers serve every step.  Each surgery component's r Kirby
     colors are built once, as one module stack, and the term weights
     Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  The
-    r**m terms run in contiguous row-major engine passes of
-    max(r, ``_PASS_ELEMENTS`` // peak) terms, peak being the most elements
-    one term holds (:func:`_term_peak`).  The budget 9·9⁴ (0.9 MiB) is the
+    cut tangle's contraction is planned once, and the r**m terms run in
+    contiguous row-major passes of max(r, ``_PASS_ELEMENTS`` // peak)
+    terms, peak being the most elements one term holds in that plan
+    (:meth:`.CutTangle.peak_elements`).  The budget 9·9⁴ (0.9 MiB) is the
     largest pass array of r terms per pass on the benchmark's surgery
     documents (r = 9), so no pass grows beyond it, while smaller r get
     fewer passes: one at r ≤ 6, three at r = 7.  A pass colors each
@@ -609,7 +556,7 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
             weights *= mdims[index[:, j]]
 
     dims = _strand_dims(sp, graph_colors)
-    peak = _term_peak(sp.diagram, words, dims, cut_slice, dims[cut_name])
+    peak = cut.peak_elements(dims)
     per_pass = max(ctx.r, _PASS_ELEMENTS // peak)
     graph_stacks = {name: ModuleStack.of((mod,)) for name, mod in graph_colors.items()}
     scalars = np.empty(len(index), dtype=complex)

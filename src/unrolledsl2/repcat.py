@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -444,8 +443,10 @@ def _series(ctx: RootParams, sign: int) -> np.ndarray:
 def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
     """Indices (n, row, col) of the entries of m⁰, …, m^(r−1) nonzero in any
     term, sorted by n, and their values, shape (terms, nonzeros)."""
-    eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
-    powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
+    powers = np.empty((m.shape[0], r) + m.shape[1:], dtype=complex)
+    powers[:, 0], powers[:, 1] = np.eye(m.shape[-1]), m
+    for n in range(2, r):
+        np.matmul(powers[:, n - 1], m, out=powers[:, n])
     index = np.nonzero(np.any(powers, axis=0))
     return index, powers[(slice(None), *index)]
 

@@ -45,6 +45,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, NonGenericError
+from .planner import greedy_order
 from .qscalar import RootParams
 
 __all__ = [
@@ -595,10 +596,11 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     algebra or module is built: each vertex contributes its multiplicity
     tensor indexed by idempotent labels (:func:`_vertex_cluster`), and the
     quotient is the contraction of those tensors over shared labels
-    (:func:`_merge_clusters`), never listing joint colorings.  Each step
-    merges the two clusters that share an edge and whose result has the
-    fewest label elements (the first such pair on ties), contracting all
-    their shared edges in one step.  It finally mirrors the degree (the
+    (:func:`_merge_clusters`), never listing joint colorings.  The merge
+    order is the shared greedy plan (:func:`.planner.greedy_order`): each
+    step merges the two clusters that share an edge and whose result has
+    the fewest label elements (the first such pair on ties), contracting
+    all their shared edges in one step.  It finally mirrors the degree (the
     algebra-slot convention grades opposite to the coloring convention).
     A free circle contributes its algebra's own class, one degree-0
     idempotent per summand.  Graphs with an integral internal grading
@@ -624,23 +626,12 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     clusters = [
         _vertex_cluster(ctx, graph, v, reps, dtype) for v in graph.vertex_order
     ]
-    while True:
-        best = None
-        for i, a in enumerate(clusters):
-            for j in range(i + 1, len(clusters)):
-                b = clusters[j]
-                if set(a.slots).isdisjoint(b.slots):
-                    continue
-                labels = math.prod(
-                    len(reps[name]) for name in set(a.slots) ^ set(b.slots)
-                )
-                if best is None or labels < best[0]:
-                    best = (labels, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        clusters[i] = _merge_clusters(clusters[i], clusters[j])
-        del clusters[j]
+    dims = {name: len(rs) for name, rs in reps.items()}
+    order, _peak = greedy_order([c.slots for c in clusters], dims)
+    live = dict(enumerate(clusters))
+    for i, j in order:
+        live[i] = _merge_clusters(live[i], live.pop(j))
+    clusters = list(live.values())
     coeffs = np.asarray([factor], dtype=object)
     k_min = 0
     for c in clusters:

@@ -17,6 +17,7 @@ from numpy.random import default_rng
 from unrolledsl2.cli import build_parser, main
 from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
 from unrolledsl2.qscalar import RootParams
+from unrolledsl2.repcat import twist_scalar
 from unrolledsl2.tqftdim import graded_dimension, necklace_graph, random_generic_graph
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -474,6 +475,49 @@ def test_domain_error_out_of_memory(sub, r, fixture):
     assert out == ""
     assert err.startswith("domain error: not computable within available memory:")
     assert "Traceback" not in err
+
+
+def test_preflight_refuses_before_building_any_block(capsys, monkeypatch):
+    import unrolledsl2.diagram as diagram
+
+    sysconf = os.sysconf
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    built = []
+    monkeypatch.setattr(diagram, "braiding_stack", lambda *args: built.append(args))
+    code, out, err = run(capsys, "flink", "--r", "5", "--input", str(FIXTURES / "hopf.json"))
+    assert (code, out, built) == (3, "", [])
+    assert err.startswith("domain error: not computable within available memory: ")
+    assert err.count("\n") == 1
+
+
+def _closure_document(word, strands, color):
+    slices = [{"slice": "cup", "position": j, "component": "K", "variant": "coev"}
+              for j in range(strands)]
+    slices += [{"slice": "braid", "position": p, "sign": s} for p, s in word]
+    slices += [{"slice": "cap", "position": j, "variant": "evprime"}
+               for j in reversed(range(strands))]
+    return {"diagram": {"source": [], "width-changes": slices}, "colors": {"K": color}}
+
+
+@pytest.mark.parametrize("r,strands", [(7, 5), (5, 6), (5, 7)])
+def test_wide_stair_closure_is_a_framed_unknot(tmp_path, r, strands):
+    # σ₁…σₙ₋₁ closes to an unknot of writhe n−1, so F' = θ_α^(n−1)·d(α);
+    # a walk over the slices would hold an r^(2n) tensor here
+    path = tmp_path / "closure.json"
+    word = [(p, 1) for p in range(strands - 1)]
+    path.write_text(json.dumps(_closure_document(word, strands, "2/7")))
+    code, out, err = run_fresh(
+        "flink", "--r", str(r), "--input", str(path), "--format", "json",
+        preexec_fn=_limit_address_space, OPENBLAS_NUM_THREADS="1",
+    )
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    got = complex(float(result["F_re"]), float(result["F_im"]))
+    ctx = RootParams(r)
+    expected = twist_scalar(ctx, 2 / 7) ** (strands - 1) * ctx.mdim(2 / 7)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 # (subcommand, fixture, edit placing the marker, JSON path of the marker)

@@ -1,5 +1,7 @@
 """Diagram layer: slicing, typechecking, evaluation, cut-opening."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,14 @@ from unrolledsl2.diagram import (
 )
 from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.repcat import make_valpha, scalar_of, twist_scalar
+from unrolledsl2.repcat import (
+    braiding_matrix,
+    dual,
+    duality_maps,
+    make_valpha,
+    scalar_of,
+    twist_scalar,
+)
 
 
 @pytest.fixture(params=[2, 3, 5], ids=lambda r: f"r{r}")
@@ -242,3 +251,127 @@ def test_enclosed_cut_rejected(ctx):
     )
     with pytest.raises((DomainError, DiagramTypeError)):
         evaluate_cut(hopf, colors, ctx, inner_cup)
+
+
+# ----------------------------------------------------------------------
+# the contraction engine against a dense slice-by-slice reference
+# ----------------------------------------------------------------------
+
+
+def _dense(diagram, modules):
+    """The diagram's matrix as a product of full-width kron operators, one
+    per slice, from the duality maps, braidings and coupons of repcat."""
+    words = typecheck(diagram)
+
+    def module(strand):
+        m = modules[strand.component]
+        return m if strand.up else dual(m)
+
+    m = np.eye(math.prod(module(s).dim for s in words[0]), dtype=complex)
+    for word, sl in zip(words, diagram.slices):
+        i = getattr(sl, "position", 0)
+        if isinstance(sl, Id):
+            continue
+        if isinstance(sl, Braid):
+            n, block = 2, braiding_matrix(module(word[i]), module(word[i + 1]), sl.sign)
+        elif isinstance(sl, Cup):
+            coev, _, coev_p, _ = duality_maps(modules[sl.component])
+            n, block = 0, (coev if sl.variant == "coev" else coev_p).matrix
+        elif isinstance(sl, Cap):
+            _, ev, _, ev_p = duality_maps(modules[word[i].component])
+            n, block = 2, (ev if sl.variant == "ev" else ev_p).matrix
+        else:
+            n, block = len(sl.inputs), sl.matrix
+        dims = [module(s).dim for s in word]
+        left, right = np.eye(math.prod(dims[:i])), np.eye(math.prod(dims[i + n :]))
+        m = np.kron(np.kron(left, block), right) @ m
+    return m
+
+
+def _random_slices(rng, word, steps, names, dims, width=3):
+    """Random braids (both signs), cups and caps (all four variants) and
+    coupons on a word of at most ``width`` strands; returns the slices and
+    the word above them."""
+    word, slices = list(word), []
+    for _ in range(steps):
+        caps = [
+            p for p in range(len(word) - 1)
+            if word[p].component == word[p + 1].component and word[p].up != word[p + 1].up
+        ]
+        kinds = (["braid"] * 2) * (len(word) >= 2) + ["coupon"] * bool(word)
+        kinds += ["cup"] * (len(word) <= width - 2) + ["cap"] * bool(caps)
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "braid":
+            p = int(rng.integers(len(word) - 1))
+            slices.append(Braid(p, int(rng.choice([1, -1]))))
+            word[p : p + 2] = word[p + 1], word[p]
+        elif kind == "cup":
+            p, name = int(rng.integers(len(word) + 1)), names[rng.integers(len(names))]
+            variant = ["coev", "coevprime"][rng.integers(2)]
+            slices.append(Cup(p, name, variant))
+            pair = [Strand(name, True), Strand(name, False)]
+            word[p:p] = pair if variant == "coev" else pair[::-1]
+        elif kind == "cap":
+            p = caps[rng.integers(len(caps))]
+            slices.append(Cap(p, "evprime" if word[p].up else "ev"))
+            del word[p : p + 2]
+        else:
+            n = min(len(word), int(rng.integers(1, 3)))
+            p = int(rng.integers(len(word) - n + 1))
+            strands = tuple(word[p : p + n])
+            size = math.prod(dims[s.component] for s in strands)
+            matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            slices.append(Coupon(p, strands, strands, matrix))
+    return slices, word
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_matches_dense_reference(ctx, seed):
+    rng = np.random.default_rng(100 + seed)
+    modules = {name: make_valpha(ctx, _generic(rng)) for name in "AB"}
+    dims = {name: m.dim for name, m in modules.items()}
+    source = [Strand(name, bool(up)) for name, up in zip("AB", rng.integers(2, size=2))]
+    source = source[: int(rng.integers(1, 3))]
+    slices, _ = _random_slices(rng, source, 7, "AB", dims)
+    diagram = SlicedDiagram(tuple(slices), tuple(source))
+    got = evaluate(diagram, modules, ctx).matrix
+    ref = _dense(diagram, modules)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+
+
+def _closed_tangle(rng, ctx, right):
+    """A random 1-1 tangle T on K (strands of A, and maybe B, inside) and the
+    closed diagram that closes it on the right (coev/ev′) or on the left
+    (coev′/ev), whose outer cup and last cap both cut open to T."""
+    dims = {"K": ctx.r, "A": ctx.r, "B": ctx.r}
+    up = Strand("K", True)
+    while True:
+        slices, word = _random_slices(rng, [up], int(rng.integers(3, 8)), "AB", dims)
+        for _ in range(4):  # close A and B, braiding them together if needed
+            if len(word) == 1:
+                break
+            more, word = _random_slices(rng, word, 1, "AB", dims, width=len(word))
+            slices += more
+        tangle = SlicedDiagram(tuple(slices), (up,))
+        if word == [up] and "A" in tangle.component_names():
+            break
+    if right:
+        return tangle, SlicedDiagram((Cup(0, "K", "coev"), *slices, Cap(0, "evprime")))
+    shifted = [type(sl)(**{**sl.__dict__, "position": sl.position + 1}) for sl in slices]
+    return tangle, SlicedDiagram((Cup(0, "K", "coevprime"), *shifted, Cap(0, "ev")))
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+@pytest.mark.parametrize("seed", range(8))
+def test_cut_tangle_matches_dense_reference(ctx, seed, right):
+    rng = np.random.default_rng(200 + seed)
+    tangle, closed = _closed_tangle(rng, ctx, right)
+    kirby = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    fixed = {"K": make_valpha(ctx, _generic(rng)), "B": make_valpha(ctx, _generic(rng))}
+    for cut in (0, len(closed.slices) - 1):
+        got = CutTangle(closed, cut).matrices({**fixed, "A": kirby}, ctx)
+        assert got.shape == (3, ctx.r, ctx.r)
+        for k, module in enumerate(kirby):
+            ref = _dense(tangle, {**fixed, "A": module})
+            assert np.abs(got[k] - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())

@@ -1,6 +1,7 @@
 """Surgery layer: renormalized link invariant and the 3-manifold invariant."""
 
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from unrolledsl2.invariant import (
     unknot_presentation,
     z_invariant,
 )
+from unrolledsl2.jsonio import load_document, parse_flink
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import make_valpha, scalar_of, twist_scalar, twist_scalar_of
 
@@ -226,20 +228,19 @@ def test_fprime_agrees_at_every_open_cut(r, case):
 
 
 def test_default_cut_is_cheapest_open_extremum():
-    # the nested clasp: L2's first cup would park two axes through every
-    # crossing, its final cap parks them only above the last slice
+    # the nested clasp: of L2's open cup and cap, the default is the final cap
     diagram = clasp_diagram(1, "L1", "L2")
     last = len(diagram.slices) - 1
     assert _open_cuts(diagram, "L2") == [0, last]
     words = typecheck(diagram)
-    assert _first_cut_slice(diagram, "L2", {"L1": 5, "L2": 5}, words) == last
+    assert _first_cut_slice(diagram, "L2", words) == last
     with pytest.raises(DomainError):
-        _first_cut_slice(diagram, "L1", {"L1": 5, "L2": 5}, words)
+        _first_cut_slice(diagram, "L1", words)
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
     assert _fixed_cut(sp, words, {}) == ("L2", last)
-    # unknot: cup 0 costs d**4 + d**2, cap 1 costs 2 d**2
+    # unknot: the cap, not the cup
     unknot = unknot_diagram("K")
-    assert _first_cut_slice(unknot, "K", {"K": 3}, typecheck(unknot)) == 1
+    assert _first_cut_slice(unknot, "K", typecheck(unknot)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -491,6 +492,22 @@ def test_z_typechecks_once(monkeypatch):
     monkeypatch.setattr(invariant, "typecheck", counted)
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
     z_invariant(sp)
+    assert len(calls) == 1
+
+
+def test_f_prime_typechecks_once(monkeypatch):
+    calls = []
+    original = diagram_module.typecheck
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(diagram_module, "typecheck", counted)
+    monkeypatch.setattr(invariant, "typecheck", counted)
+    path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures" / "hopf.json"
+    diagram, colors, cut, _ = parse_flink(load_document(str(path)))
+    f_prime(diagram, colors, RootParams(5), cut_component=cut)
     assert len(calls) == 1
 
 

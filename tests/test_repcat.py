@@ -246,6 +246,26 @@ def test_braiding_stack_matches_per_term(r, sign):
                 assert np.abs(got[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9, 11, 13])
+def test_powers_equal_the_matmul_chain(r):
+    # the reference: m⁰ … m^(r−1) as one accumulated matmul chain, stacked
+    from itertools import accumulate, repeat
+
+    from unrolledsl2.repcat import _powers
+
+    ctx = RootParams(r)
+    rng = np.random.default_rng(40 + r)
+    stack = valpha_stack(ctx, rng.uniform(0.1, 1.9, 3) + 1j * rng.uniform(-2, 2, 3))
+    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    for m in (stack.e, stack.f, stack.dual.e, ModuleStack.of((tensor(a, b),)).f):
+        eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
+        powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
+        index = np.nonzero(np.any(powers, axis=0))
+        got_index, got = _powers(m, r)
+        assert all(np.array_equal(x, y) for x, y in zip(got_index, index))
+        assert np.array_equal(got, powers[(slice(None), *index)])
+
+
 @pytest.mark.parametrize("r", [9, 11, 13, 15])
 def test_negative_braiding_inverts_positive(r):
     # the closed-form negative crossing against c_{B,A}, and no less
