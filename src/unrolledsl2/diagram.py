@@ -425,8 +425,7 @@ class _Network:
         def fresh(component, k=0):
             owner.append(component)
             power.append(k)
-            uf.parent.append(len(owner) - 1)
-            return len(owner) - 1
+            return uf.make()
 
         word = [fresh(s.component) for s in words[0]]
         source, ends, raw = list(word), [], []
