@@ -2,9 +2,11 @@
 
 Each check is a small randomized or exact verification of one property
 from a module's contract (scalar identities, category axioms, diagram
-moves, invariance of the surgery invariant, dimension identities).  The
-CLI ``selftest`` subcommand runs all of them for a given root order and
-reports one PASS/FAIL line per property.
+moves, invariance of the surgery invariant, dimension identities).
+:data:`CHECKS` is the one place each property is written: the CLI
+``selftest`` subcommand runs all of them for a given root order and reports
+one PASS/FAIL line per property, and the test suite runs each one through
+the same :func:`run_check`, once per root order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import diagram as dg
 from . import invariant as iv
 from . import repcat as rc
 from . import tqftdim as td
-from .errors import NonGenericError
+from .errors import DomainError, NonGenericError
 from .qscalar import RootParams
 
 
@@ -35,6 +37,14 @@ def _assert(cond: bool, detail: str) -> None:
         raise AssertionError(detail)
 
 
+def _assert_raises(exc_type: type, detail: str, fn: Callable, *args) -> None:
+    try:
+        fn(*args)
+    except exc_type:
+        return
+    raise AssertionError(detail)
+
+
 def _generic(rng: np.random.Generator, lo: float = 0.08, hi: float = 1.92) -> float:
     while True:
         v = float(rng.uniform(lo, hi))
@@ -48,42 +58,52 @@ def _generic(rng: np.random.Generator, lo: float = 0.08, hi: float = 1.92) -> fl
 
 
 def check_qnum_odd_and_sine(ctx: RootParams, rng) -> None:
-    for _ in range(20):
-        x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
+    for _ in range(40):
+        x = complex(rng.uniform(-6, 6), rng.uniform(-1, 1))
         a, b = ctx.q_num(x), ctx.q_num(-x)
-        _assert(abs(a + b) <= ctx.tol * (1 + abs(a)), f"oddness fails at {x}")
-    for _ in range(20):
-        x = float(rng.uniform(-5, 5))
+        _assert(abs(a + b) < 1e-12 * (1 + abs(a)), f"oddness fails at {x}")
+    for _ in range(40):
+        x = float(rng.uniform(-6, 6))
         err = abs(ctx.q_num(x) - 2j * np.sin(np.pi * x / ctx.r))
-        _assert(err <= 1e-9, f"sine form fails at {x}: {err:.2e}")
+        _assert(err < 1e-12, f"sine form fails at {x}: {err:.2e}")
 
 
 def check_mdim_periodicity(ctx: RootParams, rng) -> None:
-    for _ in range(20):
+    for _ in range(30):
         a = _generic(rng)
-        k = int(rng.integers(-3, 4))
-        err = abs(ctx.mdim(a + 2 * ctx.r * k) - ctx.mdim(a))
-        _assert(err <= 1e-8, f"period fails at {a}+2r·{k}: {err:.2e}")
+        for k in (-3, -2, -1, 1, 3):
+            err = abs(ctx.mdim(a + 2 * ctx.r * k) - ctx.mdim(a))
+            _assert(err < 1e-9, f"period fails at {a}+2r·{k}: {err:.2e}")
+        err = abs(ctx.mdim(-a) - ctx.mdim(a))
+        _assert(err < 1e-9, f"d(-a) != d(a) at {a}: {err:.2e}")
 
 
 def check_mdim_defining_relation(ctx: RootParams, rng) -> None:
     sign = (-1) ** (ctx.r - 1)
-    for _ in range(20):
+    for _ in range(40):
         a = _generic(rng)
         err = abs(ctx.mdim(a) * ctx.q_num(ctx.r * a) - sign * ctx.r * ctx.q_num(a))
-        _assert(err <= 1e-7, f"relation fails at {a}: {err:.2e}")
+        _assert(err < 1e-9, f"relation fails at {a}: {err:.2e}")
 
 
 def check_constants_coupling(ctx: RootParams, rng) -> None:
-    err1 = abs(ctx.delta - ctx.lam * ctx.delta_plus)
-    err2 = abs(1 / ctx.delta - ctx.lam * ctx.delta_minus)
-    _assert(max(err1, err2) <= 1e-9, f"delta/lambda coupling: {err1:.2e} {err2:.2e}")
+    errors = {
+        "delta = lambda·Delta+": abs(ctx.delta - ctx.lam * ctx.delta_plus),
+        "1/delta = lambda·Delta-": abs(1 / ctx.delta - ctx.lam * ctx.delta_minus),
+        "lambda = sqrt(r')/r^2": abs(ctx.lam - np.sqrt(ctx.rprime) / ctx.r**2),
+        "eta = 1/(r·sqrt(r'))": abs(ctx.eta - 1 / (ctx.r * np.sqrt(ctx.rprime))),
+        "|delta| = 1": abs(abs(ctx.delta) - 1),
+    }
+    for relation, err in errors.items():
+        _assert(err < 1e-12, f"{relation} fails by {err:.2e}")
 
 
 def check_weight_set_shape(ctx: RootParams, rng) -> None:
     h = ctx.h_r_set()
     _assert(len(h) == ctx.r, f"|H_r| = {len(h)} != r")
     _assert(max(h) - min(h) == 2 * (ctx.r - 1), "H_r span != 2(r-1)")
+    _assert(all((x - (1 - ctx.r)) % 2 == 0 for x in h), "H_r not in 1-r+2Z")
+    _assert(sorted(h) == h, "H_r not increasing")
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +114,10 @@ def check_weight_set_shape(ctx: RootParams, rng) -> None:
 def check_module_relations(ctx: RootParams, rng) -> None:
     a = rc.make_valpha(ctx, _generic(rng))
     b = rc.make_valpha(ctx, _generic(rng))
-    for mod in (a, b, rc.tensor(a, b), rc.dual(a), rc.tensor(rc.dual(b), a)):
+    modules = (a, b, rc.trivial_module(ctx), rc.tensor(a, b), rc.dual(a),
+               rc.tensor(rc.dual(b), a), rc.tensor(a, rc.dual(b)),
+               rc.tensor(rc.tensor(a, b), rc.dual(a)))
+    for mod in modules:
         res = rc.relations_residual(mod)
         _assert(res < 1e-10, f"relations residual {res:.2e} on {mod.label}")
 
@@ -148,6 +171,16 @@ def check_hom_dimension_support(ctx: RootParams, rng) -> None:
         offset = rng.choice([0.0, 2 * ctx.rprime * shift, float(rng.uniform(0.1, 0.9))])
         h = rc.hom_dimension(ctx, a, a + offset)
         _assert(len(h) <= 1, f"hom supported in {len(h)} degrees")
+    a = _generic(rng)
+    rp = ctx.rprime
+    for b, expect in ((a, {0: 1}), (a + 2 * rp, {1: 1}), (a - 4 * rp, {-2: 1}),
+                      (a + 0.5, {}), (a + 1, {})):
+        h = rc.hom_dimension(ctx, a, b)
+        _assert(h == expect, f"hom(V_{a}, V_{b}) = {h}, expected {expect}")
+    _assert_raises(
+        DomainError, "hom_dimension accepted a color in Z \\ rZ",
+        rc.hom_dimension, ctx, 1 if ctx.r > 2 else 3, 0.3,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -229,8 +262,10 @@ def check_fprime_cut_independence(ctx: RootParams, rng) -> None:
 def check_z_lift_shift(ctx: RootParams, rng) -> None:
     beta = _generic(rng)
     z0 = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta)).z
-    z1 = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta + 2)).z
-    _assert(abs(z0 - z1) < 1e-8 * (1 + abs(z0)), f"lift shift residual {abs(z0-z1):.2e}")
+    for shift in (2, -4):
+        z1 = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta + shift)).z
+        err = abs(z0 - z1)
+        _assert(err < 1e-9 * (1 + abs(z0)), f"lift shift {shift:+d} residual {err:.2e}")
 
 
 def _parallel_compatible_meridian(rng, framing: int) -> float:
@@ -254,15 +289,20 @@ def check_z_handle_slide(ctx: RootParams, rng) -> None:
     sp1 = iv.handle_slide(sp0, "L1", "L2")
     z0, z1 = iv.z_invariant(sp0).z, iv.z_invariant(sp1).z
     _assert(abs(z0 - z1) < 1e-8 * (1 + abs(z0)), f"slide residual {abs(z0-z1):.2e}")
-    sp2 = iv.handle_slide(sp1, "L1", "L2", reverse=True)
-    _assert(
-        sp2.framings == sp0.framings
-        and all(
-            abs(sp2.meridian_values[k] - sp0.meridian_values[k]) < 1e-12
-            for k in sp0.meridian_values
-        ),
-        "slide round trip drifted",
-    )
+    # sliding forward and back restores the data: exactly on (2/3, 4/5),
+    # within 1e-12 on the drawn classes, where (c_j - c_i) + c_i can round
+    exact = iv.standard_two_component(ctx, 0, f, (2.0 / 3, 4.0 / 5))
+    for start, tol in ((sp0, 1e-12), (exact, 0.0)):
+        back = iv.handle_slide(iv.handle_slide(start, "L1", "L2"), "L1", "L2", reverse=True)
+        _assert(
+            back.framings == start.framings
+            and back.family == start.family
+            and all(
+                abs(back.meridian_values[k] - start.meridian_values[k]) <= tol
+                for k in start.meridian_values
+            ),
+            f"slide round trip drifted from {start.meridian_values}",
+        )
 
 
 def check_z_two_forms(ctx: RootParams, rng) -> None:
@@ -279,9 +319,10 @@ def check_framing_twist(ctx: RootParams, rng) -> None:
     a = _generic(rng)
     d = dg.unknot_diagram("K")
     v0 = iv.f_prime(d, {"K": a}, ctx, framings={"K": 0})
-    v1 = iv.f_prime(d, {"K": a}, ctx, framings={"K": 1})
-    err = abs(v1 - rc.twist_scalar(ctx, a) * v0)
-    _assert(err < 1e-9 * (1 + abs(v0)), f"framing twist residual {err:.2e}")
+    for framing in (1, 2):
+        v = iv.f_prime(d, {"K": a}, ctx, framings={"K": framing})
+        err = abs(v - rc.twist_scalar(ctx, a) ** framing * v0)
+        _assert(err < 1e-9 * (1 + abs(v0)), f"framing {framing} twist residual {err:.2e}")
 
 
 # ----------------------------------------------------------------------
@@ -307,12 +348,48 @@ def check_surgery_verlinde(ctx: RootParams, rng) -> None:
     _assert(abs(z - v) < 1e-9 * (1 + abs(v)), f"surgery/Verlinde gap {abs(z-v):.2e}")
 
 
+def _closed_form_count(ctx: RootParams, genus: int, legs: int) -> int:
+    # r' colors on each of the 3g-3+n edges and, at even r, two degrees at
+    # each of the 2g-2+n vertices
+    return ctx.r ** (3 * genus - 3 + legs) // (1 if ctx.r % 2 else 2 ** (genus - 1))
+
+
 def check_coloring_counts(ctx: RootParams, rng) -> None:
-    graph = td.random_generic_graph(ctx, rng, 2)
-    gd = td.graded_dimension(graph)
-    total = sum(gd.coefficients.values())
-    expect = ctx.r ** 3 if ctx.r % 2 else ctx.r ** 3 // 2
-    _assert(total == expect, f"genus-2 count {total} != {expect}")
+    for genus in (2, 3):
+        graph = td.random_generic_graph(ctx, rng, genus)
+        total = sum(td.graded_dimension(graph).coefficients.values())
+        expect = _closed_form_count(ctx, genus, 0)
+        _assert(total == expect, f"genus-{genus} count {total} != {expect}")
+
+
+GRID_CELLS = 2_000_000
+
+
+def assert_hh0_matches_oracle(graph: td.TrivalentGraph, rng) -> None:
+    """HH0 of ``graph`` against the coloring grid when it has at most
+    ``GRID_CELLS`` cells, else against the exact total and the Verlinde
+    formula at three generic points (the grid would need r'^edges cells)."""
+    ctx = graph.ctx
+    hh = td.hh0_dimension_generic(graph)
+    mode = "plain" if ctx.r % 2 else "super"
+    _assert(hh.parity_mode == mode, f"HH0 parity mode {hh.parity_mode}, not {mode}")
+    internal = [e for e in graph.internal_edges if not e.is_circle]
+    if ctx.rprime ** len(internal) <= GRID_CELLS:
+        grid = td.graded_dimension(graph)
+        _assert(
+            hh.coefficients == grid.coefficients,
+            f"HH0 and the grid disagree on genus {graph.genus}",
+        )
+        return
+    genus, legs = graph.genus, graph.external_edges
+    expect = _closed_form_count(ctx, genus, len(legs))
+    _assert(hh.total == expect, f"genus-{genus} HH0 total {hh.total} != {expect}")
+    points = [complex(e.color) * (1 if e.head else -1) for e in legs]
+    for _ in range(3):
+        beta = _generic(rng)
+        v = td.verlinde(ctx, genus, beta, points)
+        err = abs(hh.evaluate_at(ctx, beta) - v)
+        _assert(err <= 1e-8 * abs(v), f"genus-{genus} HH0/Verlinde gap {err:.2e}")
 
 
 def check_hh0_matches_enumeration(ctx: RootParams, rng) -> None:
@@ -321,20 +398,16 @@ def check_hh0_matches_enumeration(ctx: RootParams, rng) -> None:
         legs = int(rng.integers(0, 3))
         if legs == 1 and ctx.r % 2 == 0:
             legs = 2
-        graph = td.random_generic_graph(ctx, rng, genus, legs)
-        a = td.graded_dimension(graph)
-        b = td.hh0_dimension_generic(graph)
-        _assert(
-            a.coefficients == b.coefficients,
-            f"paths disagree on genus {genus}, {legs} legs",
-        )
+        assert_hh0_matches_oracle(td.random_generic_graph(ctx, rng, genus, legs), rng)
 
 
 def check_triple_admissible_shape(ctx: RootParams, rng) -> None:
-    for _ in range(40):
+    for _ in range(60):
         a, b = _generic(rng), _generic(rng)
         c = float(rng.integers(-2, 3)) - a - b + (ctx.r - 1) + 2 * int(rng.integers(-1, 2))
         ks = td.triple_admissible(ctx, a, b, c)
+        _assert(ks == td.triple_admissible(ctx, c, a, b), "degrees not symmetric")
+        _assert(not td.triple_admissible(ctx, a + 0.3j, b, c), "nonreal color admitted")
         if ctx.r % 2:
             _assert(len(ks) <= 1, f"odd r returned {len(ks)} degrees")
         else:
@@ -348,12 +421,13 @@ def check_graph_independence(ctx: RootParams, rng) -> None:
     t1 = td.graded_dimension(td.theta_graph(ctx, _generic(rng), _generic(rng)))
     t2 = td.graded_dimension(td.theta_graph(ctx, _generic(rng), _generic(rng)))
     _assert(t1.coefficients == t2.coefficients, "theta histograms differ")
-    try:
-        td.graded_dimension(td.dumbbell_graph(ctx, _generic(rng), _generic(rng)))
-    except NonGenericError:
-        pass
-    else:
-        raise AssertionError("dumbbell bridge should be non-generic")
+    n3 = td.graded_dimension(td.necklace_graph(ctx, 3, [0.21, 0.83], 0.55))
+    t3 = td.graded_dimension(td.tetrahedron_graph(ctx, 0.31, 0.44, 0.62))
+    _assert(n3.coefficients == t3.coefficients, "genus-3 necklace and tetrahedron differ")
+    _assert_raises(
+        NonGenericError, "dumbbell bridge should be non-generic",
+        td.graded_dimension, td.dumbbell_graph(ctx, _generic(rng), _generic(rng)),
+    )
 
 
 CHECKS: list[tuple[str, Callable]] = [
@@ -386,17 +460,19 @@ CHECKS: list[tuple[str, Callable]] = [
 ]
 
 
+def run_check(ctx: RootParams, name: str, fn: Callable, seed: int = 0) -> CheckResult:
+    """Run one property check on a generator seeded from ``seed`` and its name."""
+    rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 100000)
+    try:
+        fn(ctx, rng)
+    except AssertionError as exc:
+        return CheckResult(name, False, str(exc))
+    except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, True)
+
+
 def run_selftest(r: int, seed: int = 0) -> list[CheckResult]:
     """Run every property check for the given root order."""
     ctx = RootParams(r)
-    results = []
-    for name, fn in CHECKS:
-        rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 100000)
-        try:
-            fn(ctx, rng)
-            results.append(CheckResult(name, True))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc)))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results
+    return [run_check(ctx, name, fn, seed) for name, fn in CHECKS]

@@ -73,13 +73,6 @@ def test_typecheck_rejects_bad_slices():
         )
 
 
-def test_closure_is_scalar(ctx):
-    rng = np.random.default_rng(3)
-    d = clasp_diagram(2)
-    m = evaluate(d, {"A": _generic(rng), "B": _generic(rng)}, ctx).matrix
-    assert m.shape == (1, 1)
-
-
 def test_writhe_and_linking_bookkeeping():
     w, _ = writhe_and_linking(curl_diagram("K", 1))
     assert w["K"] == 1
@@ -111,54 +104,6 @@ def test_zig_zag_slices(ctx):
     )
     m = evaluate(zig2, {"K": mod}, ctx).matrix
     assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
-
-
-def test_reidemeister_two(ctx):
-    rng = np.random.default_rng(7)
-    mod = make_valpha(ctx, _generic(rng))
-    up = Strand("K", True)
-    d = SlicedDiagram((Braid(0, 1), Braid(0, -1)), (up, up))
-    m = evaluate(d, {"K": mod}, ctx).matrix
-    assert np.abs(m - np.eye(mod.dim ** 2)).max() < 1e-10
-
-
-def test_reidemeister_three(ctx):
-    rng = np.random.default_rng(9)
-    colors = {"K": _generic(rng)}
-    v1 = evaluate(braid_closure([(0, 1), (1, 1), (0, 1)], 3), colors, ctx).matrix
-    v2 = evaluate(braid_closure([(1, 1), (0, 1), (1, 1)], 3), colors, ctx).matrix
-    assert abs(v1[0, 0] - v2[0, 0]) < 1e-9 * (1 + abs(v1[0, 0]))
-
-
-def test_functoriality_and_monoidality(ctx):
-    rng = np.random.default_rng(11)
-    mod = make_valpha(ctx, _generic(rng))
-    up = Strand("K", True)
-    first = SlicedDiagram((Braid(0, 1),), (up, up))
-    second = SlicedDiagram((Braid(0, -1),), (up, up))
-    stacked = SlicedDiagram((Braid(0, 1), Braid(0, -1)), (up, up))
-    m1 = evaluate(first, {"K": mod}, ctx).matrix
-    m2 = evaluate(second, {"K": mod}, ctx).matrix
-    mb = evaluate(stacked, {"K": mod}, ctx).matrix
-    assert np.abs(mb - m2 @ m1).max() < 1e-10
-    side = SlicedDiagram((Braid(0, 1), Braid(2, 1)), (up, up, up, up))
-    ms = evaluate(side, {"K": mod}, ctx).matrix
-    assert np.abs(ms - np.kron(m1, m1)).max() < 1e-10
-
-
-def test_coupon_slides(ctx):
-    rng = np.random.default_rng(13)
-    mod = make_valpha(ctx, _generic(rng))
-    mat = rng.normal(size=(mod.dim, mod.dim)) + 1j * rng.normal(
-        size=(mod.dim, mod.dim)
-    )
-    up = Strand("K", True)
-    coupon = Coupon(0, (up,), (up,), mat)
-    early = SlicedDiagram((coupon, Id(), Braid(0, 1)), (up, up))
-    late = SlicedDiagram((Id(), coupon, Braid(0, 1)), (up, up))
-    v1 = evaluate(early, {"K": mod}, ctx).matrix
-    v2 = evaluate(late, {"K": mod}, ctx).matrix
-    assert np.abs(v1 - v2).max() < 1e-10 * max(1.0, np.abs(v1).max())
 
 
 def test_curl_gives_twist(ctx):

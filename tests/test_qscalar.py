@@ -38,16 +38,6 @@ def test_q_pow_branch(ctx):
     assert abs(ctx.q_pow(ctx.r) + 1) < 1e-14
 
 
-def test_q_num_odd_and_sine(ctx):
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        x = complex(rng.uniform(-6, 6), rng.uniform(-1, 1))
-        assert abs(ctx.q_num(x) + ctx.q_num(-x)) < 1e-12 * (1 + abs(ctx.q_num(x)))
-    for _ in range(40):
-        x = float(rng.uniform(-6, 6))
-        assert abs(ctx.q_num(x) - 2j * np.sin(np.pi * x / ctx.r)) < 1e-12
-
-
 def test_bracket_and_factorial(ctx):
     # [x] = {x}/{1}; quantum factorial of small integers
     assert abs(ctx.bracket(1) - 1) < 1e-12
@@ -56,14 +46,6 @@ def test_bracket_and_factorial(ctx):
         assert abs(ctx.bracket(2) - expected) < 1e-12
         assert abs(ctx.q_num_factorial(2) - ctx.q_num(1) * ctx.q_num(2)) < 1e-12
     assert abs(ctx.q_num_factorial(0) - 1) < 1e-12
-
-
-def test_h_r_set(ctx):
-    h = ctx.h_r_set()
-    assert len(h) == ctx.r
-    assert max(h) - min(h) == 2 * (ctx.r - 1)
-    assert all((x - (1 - ctx.r)) % 2 == 0 for x in h)
-    assert sorted(h) == h
 
 
 def test_mdim_domain(ctx):
@@ -78,44 +60,12 @@ def test_mdim_domain(ctx):
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 
-def test_mdim_defining_relation(ctx):
-    rng = np.random.default_rng(13)
-    sign = (-1) ** (ctx.r - 1)
-    for _ in range(40):
-        a = float(rng.uniform(0.1, 1.9))
-        if abs(a - 1) < 0.05:
-            continue
-        lhs = ctx.mdim(a) * ctx.q_num(ctx.r * a)
-        rhs = sign * ctx.r * ctx.q_num(a)
-        assert abs(lhs - rhs) < 1e-9
-
-
-def test_mdim_periodicity_and_evenness(ctx):
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        a = float(rng.uniform(0.1, 0.9))
-        for k in (-2, -1, 1, 3):
-            assert abs(ctx.mdim(a + 2 * ctx.r * k) - ctx.mdim(a)) < 1e-9
-        # d(-a) = d(a): the modified dimension is even
-        assert abs(ctx.mdim(-a) - ctx.mdim(a)) < 1e-9
-
-
 def test_projective_color_predicate(ctx):
     assert ctx.is_projective_color(0.37)
     assert ctx.is_projective_color(0)
     assert ctx.is_projective_color(ctx.r)
     if ctx.r > 1:
         assert not ctx.is_projective_color(1) or ctx.r == 1
-
-
-def test_constants_coupling(ctx):
-    lam, eta, delta, dplus, dminus = ctx.constants()
-    assert abs(delta - lam * dplus) < 1e-12
-    assert abs(1 / delta - lam * dminus) < 1e-12
-    assert abs(lam - np.sqrt(ctx.rprime) / ctx.r ** 2) < 1e-12
-    assert abs(eta - 1 / (ctx.r * np.sqrt(ctx.rprime))) < 1e-12
-    # |delta| = 1: the Gauss-sum ratio is a phase
-    assert abs(abs(delta) - 1) < 1e-12
 
 
 def test_delta_closed_form(ctx):

@@ -5,6 +5,7 @@ import pytest
 
 from unrolledsl2.errors import DomainError, NonGenericError
 from unrolledsl2.qscalar import RootParams
+from unrolledsl2.selftest import assert_hh0_matches_oracle
 from unrolledsl2.tqftdim import (
     GraphEdge,
     TrivalentGraph,
@@ -47,26 +48,6 @@ def test_triple_admissible_examples():
     assert triple_admissible(ctx2, 0.5, 0.5, 1.0) == set()
     ks = triple_admissible(ctx2, 0.5, 0.5, 0.0)
     assert len(ks) == 2 and max(ks) == min(ks) + 1
-
-
-def test_triple_admissible_shapes():
-    rng = np.random.default_rng(21)
-    for r in (2, 3, 5, 6, 7):
-        ctx = RootParams(r)
-        for _ in range(60):
-            a, b = _generic(rng), _generic(rng)
-            c = float(rng.integers(-3, 4)) - a - b + (ctx.r - 1)
-            ks = triple_admissible(ctx, a, b, c)
-            if r % 2:
-                assert len(ks) <= 1
-            else:
-                assert len(ks) in (0, 2)
-                if ks:
-                    assert max(ks) == min(ks) + 1
-            # symmetry in the colors
-            assert ks == triple_admissible(ctx, c, a, b)
-            # nonreal colors admit nothing
-            assert triple_admissible(ctx, a + 0.3j, b, c) == set()
 
 
 # ----------------------------------------------------------------------
@@ -117,19 +98,6 @@ def test_circle_counts():
         gd = graded_dimension(circle_graph(ctx, 0.37))
         assert sum(gd.coefficients.values()) == ctx.rprime
         assert set(gd.coefficients) == {0}
-
-
-def test_closed_form_counts():
-    rng = np.random.default_rng(23)
-    for r in (2, 3, 5, 6, 7):
-        ctx = RootParams(r)
-        for g in (2, 3):
-            graph = random_generic_graph(ctx, rng, g)
-            total = sum(graded_dimension(graph).coefficients.values())
-            if r % 2:
-                assert total == r ** (3 * g - 3)
-            else:
-                assert total == r ** (3 * g - 3) // 2 ** (g - 1)
 
 
 # ----------------------------------------------------------------------
@@ -194,18 +162,6 @@ def test_verlinde_large_genus(r, genus, beta):
     assert abs(reported - log_ref) < 0.1
 
 
-def test_verlinde_identity_spot(tol=1e-9):
-    rng = np.random.default_rng(27)
-    for r in (3, 6):
-        ctx = RootParams(r)
-        graph = random_generic_graph(ctx, rng, 2)
-        gd = graded_dimension(graph)
-        for _ in range(5):
-            beta = _generic(rng)
-            v = verlinde(ctx, 2, beta)
-            assert abs(gd.evaluate_at(ctx, beta) - v) < 1e-8 * (1 + abs(v))
-
-
 def test_verlinde_with_points():
     rng = np.random.default_rng(29)
     for r in (2, 3, 5):
@@ -220,29 +176,6 @@ def test_verlinde_with_points():
             beta = _generic(rng)
             v = verlinde(ctx, 2, beta, points)
             assert abs(gd.evaluate_at(ctx, beta) - v) < 1e-8 * (1 + abs(v))
-
-
-# ----------------------------------------------------------------------
-# graph independence
-# ----------------------------------------------------------------------
-
-
-def test_histogram_graph_independence():
-    rng = np.random.default_rng(31)
-    for r in (2, 3, 5, 6, 7):
-        ctx = RootParams(r)
-        h1 = graded_dimension(necklace_graph(ctx, 3, [0.21, 0.83], 0.55))
-        h2 = graded_dimension(tetrahedron_graph(ctx, 0.31, 0.44, 0.62))
-        assert h1.coefficients == h2.coefficients
-        t1 = graded_dimension(theta_graph(ctx, _generic(rng), _generic(rng)))
-        t2 = graded_dimension(theta_graph(ctx, _generic(rng), _generic(rng)))
-        assert t1.coefficients == t2.coefficients
-
-
-def test_dumbbell_bridge_is_non_generic():
-    ctx = RootParams(5)
-    with pytest.raises(NonGenericError):
-        graded_dimension(dumbbell_graph(ctx, 0.3, 0.7))
 
 
 # ----------------------------------------------------------------------
@@ -282,22 +215,6 @@ def test_point_chain_needs_zero_degree_sum():
 # ----------------------------------------------------------------------
 # Hochschild route
 # ----------------------------------------------------------------------
-
-
-def test_hh0_equals_enumeration_spot():
-    rng = np.random.default_rng(33)
-    for r in (2, 3, 5, 6, 7):
-        ctx = RootParams(r)
-        for _ in range(4):
-            genus = int(rng.integers(1, 4))
-            legs = int(rng.integers(0, 3))
-            if legs == 1 and r % 2 == 0:
-                legs = 2
-            graph = random_generic_graph(ctx, rng, genus, legs)
-            a = graded_dimension(graph)
-            b = hh0_dimension_generic(graph)
-            assert a.coefficients == b.coefficients
-            assert a.parity_mode == b.parity_mode
 
 
 def test_hh0_non_generic_rejected():
@@ -352,25 +269,8 @@ _HH0_CASES = (
     "label,r,build", _HH0_CASES, ids=[f"{c[0]}-r{c[1]}" for c in _HH0_CASES]
 )
 def test_hh0_matches_grid_or_closed_form(label, r, build):
-    """HH0 against the grid up to 2e6 cells, else the exact total and Verlinde."""
-    ctx = RootParams(r)
-    graph = build(ctx)
-    hh = hh0_dimension_generic(graph)
-    assert hh.parity_mode == ("plain" if r % 2 else "super")
-    internal = [e for e in graph.internal_edges if not e.is_circle]
-    if ctx.rprime ** len(internal) <= 2e6:
-        assert hh.coefficients == graded_dimension(graph).coefficients
-        return
-    genus, legs = graph.genus, graph.external_edges
-    assert hh.total == r ** (3 * genus - 3 + len(legs)) // (
-        1 if r % 2 else 2 ** (genus - 1)
-    )
-    points = [complex(e.color) * (1 if e.head else -1) for e in legs]
-    rng = np.random.default_rng(r + genus)
-    for _ in range(3):
-        beta = _generic(rng)
-        v = verlinde(ctx, genus, beta, points)
-        assert abs(hh.evaluate_at(ctx, beta) - v) <= 1e-8 * abs(v)
+    graph = build(RootParams(r))
+    assert_hh0_matches_oracle(graph, np.random.default_rng(r + graph.genus))
 
 
 @pytest.mark.parametrize("r,genus,legs", [(9, 8, 0), (7, 9, 0), (3, 14, 1),
