@@ -237,9 +237,9 @@ def test_inputs_round_trip_exact(capsys):
         tmp.unlink(missing_ok=True)
 
 
-def test_selftest_passes(capsys):
-    # test_properties runs every check at every tier-1 r; this is the wiring
-    code, doc, _ = run_json(capsys, "selftest", "--r", "5")
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_selftest_passes(capsys, r):
+    code, doc, _ = run_json(capsys, "selftest", "--r", str(r))
     assert code == 0
     assert doc["passed"] is True
     names = [res["name"] for res in doc["results"]]

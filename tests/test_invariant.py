@@ -488,6 +488,31 @@ def test_f_prime_typechecks_once(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def test_handle_slides_preserve_z(ctx):
+    sp0 = standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5))
+    assert computability_check(sp0)
+    z0 = z_invariant(sp0).z
+    for slide, over, rev in (
+        ("L1", "L2", False),
+        ("L2", "L1", False),
+        ("L1", "L2", True),
+        ("L2", "L1", True),
+    ):
+        sp1 = handle_slide(sp0, slide, over, reverse=rev)
+        assert computability_check(sp1)
+        z1 = z_invariant(sp1).z
+        assert abs(z0 - z1) < 1e-8 * (1 + abs(z0))
+
+
+def test_handle_slide_round_trip_exact(ctx):
+    sp0 = standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5))
+    spf = handle_slide(sp0, "L1", "L2")
+    spb = handle_slide(spf, "L1", "L2", reverse=True)
+    assert spb.framings == sp0.framings
+    assert spb.meridian_values == sp0.meridian_values
+    assert spb.family == sp0.family
+
+
 def test_handle_slide_undo_from_clasp(ctx):
     sp = standard_two_component(ctx, 3, (8, 3), (2.0 / 5, 4.0 / 15))
     assert computability_check(sp)

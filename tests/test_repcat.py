@@ -14,6 +14,7 @@ from unrolledsl2.repcat import (
     braiding_stack,
     dual,
     duality_maps,
+    hom_dimension,
     make_valpha,
     relations_residual,
     scalar_of,
@@ -151,6 +152,19 @@ def test_relations_residual_catches_a_perturbed_e():
         e = module.e.copy()
         e[entry] += 1e-6
         assert relations_residual(dataclasses.replace(module, e=e)) > 1e-10, entry
+
+
+def test_yang_baxter(ctx):
+    rng = np.random.default_rng(8)
+    mods = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    a, b, c = mods
+    ia, ib, ic = (np.eye(m.dim) for m in mods)
+    r_ab, r_ac, r_bc = (
+        braiding(x, y).matrix for x, y in ((a, b), (a, c), (b, c))
+    )
+    lhs = np.kron(r_bc, ia) @ np.kron(ib, r_ac) @ np.kron(r_ab, ic)
+    rhs = np.kron(ic, r_ab) @ np.kron(r_ac, ib) @ np.kron(ia, r_bc)
+    assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_braiding_inverse(ctx):
@@ -303,6 +317,18 @@ def test_quantum_dimension_vanishes(ctx):
     coev, ev, coev_p, ev_p = duality_maps(mod)
     qdim = (ev_p.matrix @ coev.matrix)[0, 0]
     assert abs(qdim) < 1e-10
+
+
+def test_hom_dimension(ctx):
+    rng = np.random.default_rng(16)
+    a = _generic(rng)
+    assert hom_dimension(ctx, a, a) == {0: 1}
+    assert hom_dimension(ctx, a, a + 2 * ctx.rprime) == {1: 1}
+    assert hom_dimension(ctx, a, a - 4 * ctx.rprime) == {-2: 1}
+    assert hom_dimension(ctx, a, a + 0.5) == {}
+    assert hom_dimension(ctx, a, a + 1) == {}
+    with pytest.raises(DomainError):
+        hom_dimension(ctx, 1 if ctx.r > 2 else 3, 0.3)
 
 
 def test_scalar_of(ctx):

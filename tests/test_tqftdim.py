@@ -162,6 +162,12 @@ def test_verlinde_large_genus(r, genus, beta):
     assert abs(reported - log_ref) < 0.1
 
 
+def test_dumbbell_bridge_is_non_generic():
+    ctx = RootParams(5)
+    with pytest.raises(NonGenericError):
+        graded_dimension(dumbbell_graph(ctx, 0.3, 0.7))
+
+
 def test_verlinde_with_points():
     rng = np.random.default_rng(29)
     for r in (2, 3, 5):
@@ -215,6 +221,22 @@ def test_point_chain_needs_zero_degree_sum():
 # ----------------------------------------------------------------------
 # Hochschild route
 # ----------------------------------------------------------------------
+
+
+def test_hh0_equals_enumeration_spot():
+    rng = np.random.default_rng(33)
+    for r in (2, 3, 5, 6, 7):
+        ctx = RootParams(r)
+        for _ in range(4):
+            genus = int(rng.integers(1, 4))
+            legs = int(rng.integers(0, 3))
+            if legs == 1 and r % 2 == 0:
+                legs = 2
+            graph = random_generic_graph(ctx, rng, genus, legs)
+            a = graded_dimension(graph)
+            b = hh0_dimension_generic(graph)
+            assert a.coefficients == b.coefficients
+            assert a.parity_mode == b.parity_mode
 
 
 def test_hh0_non_generic_rejected():
