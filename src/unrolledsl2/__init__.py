@@ -3,7 +3,7 @@
 Modules
 -------
 qscalar   root-of-unity scalars, quantum integers, modified dimension
-repcat    weight modules, braiding, twists, duality
+repcat    weight modules (one type, ModuleStack), braiding, twists, duality
 diagram   sliced tangle diagrams and their evaluation
 invariant renormalized link invariant F', surgery invariants N and Z
 tqftdim   graded dimensions of decorated-surface state spaces
@@ -22,9 +22,8 @@ from .errors import (
 )
 from .qscalar import RootParams, approx_equal
 from .repcat import (
-    MorphismMatrix,
-    WeightModule,
-    braiding,
+    ModuleStack,
+    braiding_stack,
     dual,
     duality_maps,
     hom_dimension,
@@ -104,13 +103,12 @@ __all__ = [
     "RootParams",
     "approx_equal",
     # repcat
-    "WeightModule",
-    "MorphismMatrix",
+    "ModuleStack",
     "trivial_module",
     "make_valpha",
     "dual",
     "tensor",
-    "braiding",
+    "braiding_stack",
     "duality_maps",
     "twist",
     "twist_scalar",

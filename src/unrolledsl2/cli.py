@@ -48,7 +48,6 @@ from .errors import (
 )
 from .invariant import f_prime, z_invariant
 from .qscalar import RootParams
-from .selftest import run_selftest
 from .tqftdim import hh0_dimension_generic, verlinde
 
 
@@ -177,6 +176,8 @@ def _emit_table(fields: dict, out) -> None:
 
 
 def _run_selftest(args, out) -> int:
+    from .selftest import run_selftest  # only this command needs the registry
+
     results = run_selftest(args.r, seed=args.seed)
     failed = [res for res in results if not res.passed]
     if args.format == "json":

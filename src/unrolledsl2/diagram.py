@@ -48,15 +48,7 @@ import numpy as np
 from .errors import DiagramTypeError, DomainError
 from .planner import greedy_order
 from .qscalar import RootParams
-from .repcat import (
-    ModuleStack,
-    MorphismMatrix,
-    WeightModule,
-    braiding_stack,
-    tensor,
-    trivial_module,
-    valpha_stack,
-)
+from .repcat import ModuleStack, braiding_stack, valpha_stack
 
 __all__ = [
     "Strand",
@@ -385,9 +377,10 @@ def _stack_colors(
 ) -> dict[str, ModuleStack]:
     """Each component's color as a module stack.
 
-    A color is a weight module, a complex α (shorthand for V_α), a sequence
-    of weight modules, one per term, or a :class:`ModuleStack`.  Stacks of
-    more than one term must all have the same number of terms.
+    A color is a :class:`ModuleStack` (a one-term stack is a module), a
+    sequence of stacks whose terms are concatenated, or a complex α
+    (shorthand for V_α).  Stacks of more than one term must all have the
+    same number of terms.
     """
     stacks = {}
     for name in diagram.component_names():
@@ -398,8 +391,6 @@ def _stack_colors(
             stacks[name] = value
         elif isinstance(value, (list, tuple)):
             stacks[name] = ModuleStack.of(value)
-        elif isinstance(value, WeightModule):
-            stacks[name] = ModuleStack.of((value,))
         else:
             stacks[name] = valpha_stack(ctx, (value,))
     if len({st.terms for st in stacks.values()} - {1}) > 1:
@@ -562,33 +553,24 @@ class _Network:
         return out
 
 
-def evaluate(
-    diagram: SlicedDiagram, colors: dict, ctx: RootParams
-) -> MorphismMatrix:
+def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:
     """Evaluate a diagram to the matrix of the induced morphism.
 
-    ``colors`` maps component names to weight modules (or complex α, which
-    is shorthand for V_α).  The result's source/target are the tensor
-    products of the boundary words (the monoidal unit for empty words).
-    The diagram is contracted as a tensor network (:class:`_Network`) whose
-    open legs are the target strands, then the source strands.
+    ``colors`` maps component names to modules (or complex α, which is
+    shorthand for V_α).  The matrix has shape (∏ target dims, ∏ source
+    dims), the dimensions of the boundary words' strands; an empty word
+    has dimension 1, the monoidal unit.  The diagram is contracted as a
+    tensor network (:class:`_Network`) whose open legs are the target
+    strands, then the source strands.
     """
     words = typecheck(diagram)
     stacks = _stack_colors(ctx, diagram, colors)
-    t = _Network(diagram, words).contract(stacks)[0]
 
-    def word_module(word):
-        module = None
-        for strand in word:
-            stack = stacks[strand.component]
-            m = (stack if strand.up else stack.dual).modules[0]
-            module = m if module is None else tensor(module, m)
-        return module if module is not None else trivial_module(ctx)
+    def dim(word):
+        return math.prod(stacks[strand.component].dim for strand in word)
 
-    source = word_module(words[0])
-    target = word_module(words[-1])
-    matrix = t.reshape(target.dim, source.dim)
-    return MorphismMatrix(source, target, matrix)
+    matrix = _Network(diagram, words).contract(stacks)[0]
+    return matrix.reshape(dim(words[-1]), dim(words[0]))
 
 
 class CutTangle:
@@ -629,24 +611,25 @@ class CutTangle:
         """The tangle's endomorphism of the cut component's color, per term.
 
         ``colors`` is as for :func:`evaluate`, except that a component may
-        carry several terms (a sequence of weight modules or a
-        :class:`ModuleStack`); the result has shape (terms, d, d).
+        carry several terms (a :class:`ModuleStack` or a sequence of
+        them); the result has shape (terms, d, d).
         """
         return self._network.contract(_stack_colors(ctx, self.diagram, colors))
 
 
 def evaluate_cut(
     diagram: SlicedDiagram, colors: dict, ctx: RootParams, cut_slice: int
-) -> tuple[np.ndarray, WeightModule]:
+) -> tuple[np.ndarray, ModuleStack]:
     """Evaluate a closed diagram cut open at a cup/cap slice of one component.
 
     Returns ``(m, module)`` where ``m`` is the matrix of the resulting 1-1
-    tangle as an endomorphism of the cut component's color ``module``: the
-    one-term call of :meth:`CutTangle.matrices`.
+    tangle as an endomorphism of the cut component's color ``module`` (its
+    first term, as a one-term stack): the one-term call of
+    :meth:`CutTangle.matrices`.
     """
     cut = CutTangle(diagram, cut_slice)
     stacks = _stack_colors(ctx, diagram, colors)
-    return cut._network.contract(stacks)[0], stacks[cut.component].modules[0]
+    return cut._network.contract(stacks)[0], stacks[cut.component].take([0])
 
 
 # ----------------------------------------------------------------------

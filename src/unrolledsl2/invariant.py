@@ -59,7 +59,6 @@ from .errors import (
 from .qscalar import RootParams
 from .repcat import (
     ModuleStack,
-    WeightModule,
     make_valpha,
     scalar_of,
     scalars_of,
@@ -165,9 +164,7 @@ def f_prime(
     if words[0] or words[-1]:
         raise DomainError("renormalized invariant requires a closed diagram")
     resolved = {
-        name: ModuleStack.of((value,))
-        if isinstance(value, WeightModule)
-        else valpha_stack(ctx, (value,))
+        name: value if isinstance(value, ModuleStack) else valpha_stack(ctx, (value,))
         for name, value in colors.items()
     }
     names = diagram.component_names()
@@ -266,11 +263,11 @@ class SurgeryPresentation:
         for name, module in resolved.items():
             given = self.meridian_values.get(name)
             if given is not None and not self.ctx.is_congruent_mod2(
-                module.degree, given
+                module.degrees[0], given
             ):
                 raise DomainError(
                     f"meridian value {given!r} on graph component {name!r} "
-                    f"does not match its color degree {module.degree!r} mod 2"
+                    f"does not match its color degree {complex(module.degrees[0])!r} mod 2"
                 )
 
     def surgery_names(self) -> list[str]:
@@ -279,11 +276,9 @@ class SurgeryPresentation:
     def graph_names(self) -> list[str]:
         return list(self.colors)
 
-    def resolved_graph_colors(self) -> dict[str, WeightModule]:
+    def resolved_graph_colors(self) -> dict[str, ModuleStack]:
         return {
-            name: value
-            if isinstance(value, WeightModule)
-            else make_valpha(self.ctx, value)
+            name: value if isinstance(value, ModuleStack) else make_valpha(self.ctx, value)
             for name, value in self.colors.items()
         }
 
@@ -392,7 +387,7 @@ def _parallel_values(
         for t, module in graph_colors.items():
             lk_at = linking.get(frozenset((a, t)), 0)
             if lk_at:
-                total += lk_at * complex(module.degree)
+                total += lk_at * complex(module.degrees[0])
         values[a] = total
     return values
 
@@ -409,7 +404,7 @@ def computability_failure(
     graph_colors = sp.resolved_graph_colors()
     if not l_names:
         for name, module in graph_colors.items():
-            if not ctx.is_near_int(module.degree) or module.label[0] == "V":
+            if not ctx.is_near_int(module.degrees[0]) or module.labels[0][0] == "V":
                 return None
         return (
             "empty surgery link and non-admissible graph: no nonintegral "
@@ -477,7 +472,7 @@ def _fixed_cut(
     ``words`` are the diagram's :func:`typecheck` words and
     ``graph_colors`` the presentation's resolved graph colors.
     """
-    candidates = [name for name, m in graph_colors.items() if m.label[0] == "V"]
+    candidates = [name for name, m in graph_colors.items() if m.labels[0][0] == "V"]
     candidates.extend(sp.surgery_names())
     for name in candidates:
         try:
@@ -538,10 +533,10 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     for name, framing in sp.graph_framings.items():
         delta_f = framing - writhes.get(name, 0)
         if delta_f:
-            alpha = _cut_color_alpha(graph_colors[name].label)
+            alpha = _cut_color_alpha(graph_colors[name].labels[0])
             weights *= twist_scalar(ctx, alpha) ** delta_f
     if cut_name in graph_colors:
-        weights *= ctx.mdim(_cut_color_alpha(graph_colors[cut_name].label))
+        weights *= ctx.mdim(_cut_color_alpha(graph_colors[cut_name].labels[0]))
     stacks = []
     for j, name in enumerate(l_names):
         alphas = complex(sp.meridian_values[name]) + np.array(ctx.h_r_set())
@@ -558,11 +553,10 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     dims = _strand_dims(sp, graph_colors)
     peak = cut.peak_elements(dims)
     per_pass = max(ctx.r, _PASS_ELEMENTS // peak)
-    graph_stacks = {name: ModuleStack.of((mod,)) for name, mod in graph_colors.items()}
     scalars = np.empty(len(index), dtype=complex)
     for start in range(0, len(index), per_pass):
         rows = index[start : start + per_pass]
-        colors: dict = dict(graph_stacks)
+        colors: dict = dict(graph_colors)
         for j, name in enumerate(l_names):
             k = rows[:, j]
             colors[name] = stacks[j].take(k[:1] if (k == k[0]).all() else k)

@@ -296,8 +296,8 @@ def flink_to_json(
 
 
 def _color_to_json(value: Any) -> dict:
-    if hasattr(value, "label"):
-        label = value.label
+    if hasattr(value, "labels"):
+        label = value.labels[0]
         if len(label) == 2 and label[0] == "V":
             return complex_to_json(label[1])
         raise SchemaError(

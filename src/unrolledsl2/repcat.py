@@ -1,32 +1,38 @@
 """Weight modules of unrolled quantum sl(2) and their ribbon structure.
 
-A weight module is stored through the data the evaluator actually needs: the
-vector of H-eigenvalues (``weights``) plus the matrices of the raising and
-lowering operators E and F in that eigenbasis.  K, K⁻¹, H and the pivotal
-operator are diagonal in this basis and are derived from the weights:
+There is one module type, :class:`ModuleStack`: weight modules of one
+dimension on a leading term axis, and a one-term stack is a module.  Each
+term is stored through the data the evaluator actually needs: the vector of
+H-eigenvalues (``weights``) plus the matrices of the raising and lowering
+operators E and F in that eigenbasis.  K, K⁻¹, H and the pivotal operator
+are diagonal in this basis, so they are kept as vectors of the weights and
+applied by broadcasting:
 
-    K   = diag(q**w),        H = diag(w),        pivot = diag(q**((1-r)·w)).
+    K   = q**w,        H = w,        pivot = q**((1-r)·w).
 
-Constructors provided here:
+Constructors provided here, each returning a stack:
 
 * :func:`valpha_stack` — the r-dimensional simple modules V_α, highest
-  weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once, as
-  one :class:`ModuleStack`; :func:`make_valpha` is its one-term call;
+  weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once;
+  :func:`make_valpha` is its one-term call;
 * :func:`trivial_module` — the one-dimensional monoidal unit;
-* :func:`dual` and :func:`tensor` — closed under all of the above; the dual
-  of a whole stack is :attr:`ModuleStack.dual`, and :func:`dual` is its
-  one-term call.
+* :attr:`ModuleStack.dual` and :func:`tensor` — the dual of every term,
+  and the tensor product term by term (a batched coproduct);
+  :func:`dual` is the attribute as a function;
+* :meth:`ModuleStack.of` concatenates stacks, :meth:`ModuleStack.take`
+  gathers terms.
 
-The braiding is c_{A,B} = τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated
-R-matrix series cₙ = {1}^(2n) q^(n(n−1)/2)/{n}!, n < r.  Since (E⊗F)^r = 0,
-a negative crossing (c_{B,A})⁻¹ is the same kind of sum with the
-coefficients of the inverse power series and q^(−H⊗H/2).  So no matrix is
-inverted: an LU of the r²×r² braiding costs O(r⁶) and loses digits to its
-conditioning.  Only the operator matrices enter, so the formula braids
-duals and tensor products uniformly; :func:`braiding_stack` builds either
-sign for a whole stack of colorings (:class:`ModuleStack`) in one scatter
-of the O(r³) nonzeros.  :func:`twist` and :func:`twist_scalar_of` compute
-the twist from the braiding and the pivotal duality maps;
+Morphisms are plain arrays.  The braiding is c_{A,B} =
+τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated R-matrix series cₙ =
+{1}^(2n) q^(n(n−1)/2)/{n}!, n < r.  Since (E⊗F)^r = 0, a negative crossing
+(c_{B,A})⁻¹ is the same kind of sum with the coefficients of the inverse
+power series and q^(−H⊗H/2).  So no matrix is inverted: an LU of the r²×r²
+braiding costs O(r⁶) and loses digits to its conditioning.  Only the
+operator matrices enter, so the formula braids duals and tensor products
+uniformly; :func:`braiding_stack` builds either sign for a whole stack of
+colorings in one scatter of the O(r³) nonzeros.  :func:`twist` and
+:func:`twist_scalar_of` compute the twist of a module from the braiding and
+the pivotal duality maps (:func:`duality_maps`);
 :func:`twist_scalar` returns the closed form q^((α²−(r−1)²)/2) on V_α, and
 the tests hold the two routes against each other.  Every convention here
 is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
@@ -36,7 +42,6 @@ in :mod:`unrolledsl2.invariant`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -46,16 +51,12 @@ from .errors import DomainError, NotScalarError
 from .qscalar import RootParams
 
 __all__ = [
-    "WeightModule",
-    "MorphismMatrix",
     "ModuleStack",
     "trivial_module",
     "valpha_stack",
     "make_valpha",
     "dual",
     "tensor",
-    "braiding",
-    "braiding_matrix",
     "braiding_stack",
     "twist",
     "twist_scalar",
@@ -72,116 +73,80 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightModule:
-    """A finite-dimensional weight module in its H-eigenbasis.
+class ModuleStack:
+    """Weight modules of one dimension stacked on a leading term axis.
 
-    ``label`` is a structured tag describing how the module was built, e.g.
-    ``("V", alpha)``, ``("one",)``, ``("dual", inner_label)`` or
-    ``("tensor", left_label, right_label)``.  ``degree`` is a complex
-    representative of the ℂ/2ℤ grading; all weights are congruent to it
-    modulo 2ℤ.
+    The one module type of the package: a one-term stack is a module.  One
+    evaluation pass of the diagram engine colors each component by a stack:
+    a single module shared by every term, or one module per term.  The
+    stack holds its arrays directly: ``weights`` of shape (terms, d), ``e``
+    and ``f`` of shape (terms, d, d), and one label and one degree per
+    term.  A label is a structured tag describing how the term was built,
+    e.g. ``("V", alpha)``, ``("one",)``, ``("dual", inner_label)`` or
+    ``("tensor", left_label, right_label)``.  A degree is a complex
+    representative of the ℂ/2ℤ grading; all weights of the term are
+    congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
+    modules of a whole array of colors, :meth:`of` concatenates stacks and
+    :meth:`take` gathers terms.  The pivots and the stack of duals are
+    built on first use.
     """
 
-    ctx: RootParams
-    label: tuple
-    weights: np.ndarray  # complex, shape (dim,)
-    e: np.ndarray  # complex, shape (dim, dim)
-    f: np.ndarray  # complex, shape (dim, dim)
-    degree: complex
+    def __init__(self, ctx, weights, e, f, labels, degrees):
+        self.ctx = ctx
+        self.weights, self.e, self.f = weights, e, f
+        self.labels = tuple(labels)
+        self.degrees = degrees
+        self.dim = weights.shape[1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=complex))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=complex))
+    @classmethod
+    def of(cls, stacks) -> "ModuleStack":
+        """The terms of the given stacks, concatenated in order."""
+        stacks = tuple(stacks)
+        dims = {s.dim for s in stacks}
+        if len(dims) != 1:
+            raise DomainError(f"a module stack needs one dimension, got {sorted(dims)}")
+        return cls(
+            stacks[0].ctx,
+            np.concatenate([s.weights for s in stacks]),
+            np.concatenate([s.e for s in stacks]),
+            np.concatenate([s.f for s in stacks]),
+            [label for s in stacks for label in s.labels],
+            np.concatenate([s.degrees for s in stacks]),
+        )
 
     @property
-    def dim(self) -> int:
+    def terms(self) -> int:
         return len(self.weights)
 
-    def k_pow(self, m: complex) -> np.ndarray:
-        """The diagonal matrix of K**m = diag(q**(m·w))."""
-        return np.diag(_q_powers(self.ctx, m * self.weights))
+    def take(self, index: np.ndarray) -> "ModuleStack":
+        """The terms at the integer positions ``index``, as a new stack."""
+        return ModuleStack(
+            self.ctx,
+            self.weights[index],
+            self.e[index],
+            self.f[index],
+            [self.labels[i] for i in index],
+            self.degrees[index],
+        )
 
-    @property
-    def k(self) -> np.ndarray:
-        return self.k_pow(1)
-
-    @property
-    def k_inv(self) -> np.ndarray:
-        return self.k_pow(-1)
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.diag(self.weights)
-
-    @property
-    def pivot_diag(self) -> np.ndarray:
-        """Diagonal vector of the pivotal operator diag(q**((1−r)·w))."""
+    @cached_property
+    def pivot(self) -> np.ndarray:
+        """The pivotal operators' diagonals q**((1−r)·w), shape (terms, d)."""
         return _q_powers(self.ctx, (1 - self.ctx.r) * self.weights)
 
-    @property
-    def pivot(self) -> np.ndarray:
-        return np.diag(self.pivot_diag)
+    @cached_property
+    def dual(self) -> "ModuleStack":
+        """The dual of every term, on the dual basis, via the antipode transpose.
 
-    def __repr__(self):  # keep ndarray spam out of test output
-        return f"WeightModule(r={self.ctx.r}, label={self.label!r}, dim={self.dim})"
-
-
-# ----------------------------------------------------------------------
-# morphism type
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class MorphismMatrix:
-    """A linear map between weight modules, with an optional grading shift.
-
-    ``matrix`` has shape (target.dim, source.dim).  ``grading_shift`` records
-    an implicit σ**k tensor factor on the source, so a shift-k morphism
-    commutes with H up to the weight offset 2·r'·k.
-    """
-
-    source: WeightModule
-    target: WeightModule
-    matrix: np.ndarray
-    grading_shift: int = 0
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.target.dim, self.source.dim):
-            raise DomainError(
-                f"morphism matrix shape {self.matrix.shape} does not match "
-                f"target dim {self.target.dim} x source dim {self.source.dim}"
-            )
-
-    def compose(self, other: "MorphismMatrix") -> "MorphismMatrix":
-        """self ∘ other (apply ``other`` first)."""
-        if other.target.dim != self.source.dim:
-            raise DomainError("composition shape mismatch")
-        return MorphismMatrix(
-            source=other.source,
-            target=self.target,
-            matrix=self.matrix @ other.matrix,
-            grading_shift=self.grading_shift + other.grading_shift,
-        )
-
-    def tensor(self, other: "MorphismMatrix") -> "MorphismMatrix":
-        return MorphismMatrix(
-            source=tensor(self.source, other.source),
-            target=tensor(self.target, other.target),
-            matrix=np.kron(self.matrix, other.matrix),
-            grading_shift=self.grading_shift + other.grading_shift,
-        )
-
-    def scalar(self, tol: Optional[float] = None) -> complex:
-        """The Schur scalar s with matrix ≈ s·Id; NotScalarError otherwise."""
-        tol = self.source.ctx.tol if tol is None else tol
-        return scalar_of(self.matrix, tol)
-
-    @staticmethod
-    def identity(module: WeightModule) -> "MorphismMatrix":
-        return MorphismMatrix(module, module, np.eye(module.dim, dtype=complex))
+        The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
+        S(H) = −H; weights negate (in the same index order as A's basis).
+        """
+        powers = _q_powers(self.ctx, np.concatenate((self.weights, -self.weights)))
+        k, k_inv = powers[: self.terms], powers[self.terms :]
+        e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
+        f = -(k[:, :, None] * self.f).swapaxes(1, 2)
+        labels = [("dual", label) for label in self.labels]
+        return ModuleStack(self.ctx, -self.weights, e, f, labels, -self.degrees)
 
 
 def scalar_of(matrix: np.ndarray, tol: float) -> complex:
@@ -222,10 +187,12 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def trivial_module(ctx: RootParams) -> WeightModule:
+def trivial_module(ctx: RootParams) -> ModuleStack:
     """The monoidal unit: one-dimensional, weight 0."""
-    zero = np.zeros((1, 1), dtype=complex)
-    return WeightModule(ctx, ("one",), np.array([0.0 + 0j]), zero, zero, 0.0)
+    zero = np.zeros((1, 1, 1), dtype=complex)
+    return ModuleStack(
+        ctx, np.zeros((1, 1), dtype=complex), zero, zero, [("one",)], np.zeros(1, dtype=complex)
+    )
 
 
 def _simple_color(ctx: RootParams, alpha: complex) -> complex:
@@ -302,127 +269,44 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
     )
 
 
-def make_valpha(ctx: RootParams, alpha: complex) -> WeightModule:
+def make_valpha(ctx: RootParams, alpha: complex) -> ModuleStack:
     """The r-dimensional simple module V_α for α ∈ Ċ: the one-term call of
     :func:`valpha_stack`."""
-    return valpha_stack(ctx, (alpha,)).modules[0]
+    return valpha_stack(ctx, (alpha,))
 
 
-def dual(a: WeightModule) -> WeightModule:
-    """The dual module A*: the one-term call of :attr:`ModuleStack.dual`."""
-    return ModuleStack.of((a,)).dual.modules[0]
+def dual(a: ModuleStack) -> ModuleStack:
+    """The dual A* of every term: :attr:`ModuleStack.dual`."""
+    return a.dual
 
 
-def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
-    """A ⊗ B with the coproduct Δ(E) = 1⊗E + E⊗K, Δ(F) = K⁻¹⊗F + F⊗1."""
+def tensor(a: ModuleStack, b: ModuleStack) -> ModuleStack:
+    """A ⊗ B term by term, with the coproduct Δ(E) = 1⊗E + E⊗K,
+    Δ(F) = K⁻¹⊗F + F⊗1.  A one-term stack is paired with every term of the
+    other; labels and degrees add."""
     if a.ctx != b.ctx:
         raise DomainError("tensor factors live over different root contexts")
-    ia, ib = np.eye(a.dim), np.eye(b.dim)
-    e = np.kron(ia, b.e) + np.kron(a.e, b.k)
-    f = np.kron(a.k_inv, b.f) + np.kron(a.f, ib)
-    weights = np.add.outer(a.weights, b.weights).ravel()
-    return WeightModule(
-        a.ctx,
-        ("tensor", a.label, b.label),
-        weights,
-        e,
-        f,
-        complex(a.degree) + complex(b.degree),
-    )
+    terms = max(a.terms, b.terms)
+    k = np.eye(b.dim) * _q_powers(b.ctx, b.weights)[:, None, :]  # K on B
+    k_inv = np.eye(a.dim) * _q_powers(a.ctx, -a.weights)[:, None, :]  # K⁻¹ on A
+    e = _kron(np.eye(a.dim)[None], b.e) + _kron(a.e, k)
+    f = _kron(k_inv, b.f) + _kron(a.f, np.eye(b.dim)[None])
+    weights = (a.weights[:, :, None] + b.weights[:, None, :]).reshape(terms, -1)
+    labels = [
+        ("tensor", a.labels[t % a.terms], b.labels[t % b.terms]) for t in range(terms)
+    ]
+    return ModuleStack(a.ctx, weights, e, f, labels, a.degrees + b.degrees)
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of each term of x with the same term of y."""
+    out = x[:, :, None, :, None] * y[:, None, :, None, :]
+    return out.reshape(len(out), x.shape[1] * y.shape[1], x.shape[2] * y.shape[2])
 
 
 # ----------------------------------------------------------------------
 # braiding, twist, duality
 # ----------------------------------------------------------------------
-
-
-class ModuleStack:
-    """Weight modules of one dimension stacked on a leading term axis.
-
-    One evaluation pass of the diagram engine colors each component by a
-    stack: a single module shared by every term, or one module per term.
-    The stack holds its arrays directly: ``weights`` of shape (terms, d),
-    ``e`` and ``f`` of shape (terms, d, d), and one label and one degree
-    per term.  :func:`valpha_stack` builds the simple modules of a whole
-    array of colors, :meth:`of` stacks given modules and :meth:`take`
-    gathers terms.  The pivots, the stack of duals and the per-term
-    :class:`WeightModule` objects (``modules``, needed only where labels
-    are) are built on first use.
-    """
-
-    def __init__(self, ctx, weights, e, f, labels, degrees):
-        self.ctx = ctx
-        self.weights, self.e, self.f = weights, e, f
-        self.labels = tuple(labels)
-        self.degrees = degrees
-        self.dim = weights.shape[1]
-
-    @classmethod
-    def of(cls, modules) -> "ModuleStack":
-        """The given weight modules, one per term."""
-        modules = tuple(modules)
-        dims = {m.dim for m in modules}
-        if len(dims) != 1:
-            raise DomainError(f"a module stack needs one dimension, got {sorted(dims)}")
-        stack = cls(
-            modules[0].ctx,
-            _stacked([m.weights for m in modules]),
-            _stacked([m.e for m in modules]),
-            _stacked([m.f for m in modules]),
-            [m.label for m in modules],
-            np.array([complex(m.degree) for m in modules]),
-        )
-        stack.__dict__["modules"] = modules
-        return stack
-
-    @property
-    def terms(self) -> int:
-        return len(self.weights)
-
-    def take(self, index: np.ndarray) -> "ModuleStack":
-        """The terms at the integer positions ``index``, as a new stack."""
-        return ModuleStack(
-            self.ctx,
-            self.weights[index],
-            self.e[index],
-            self.f[index],
-            [self.labels[i] for i in index],
-            self.degrees[index],
-        )
-
-    @cached_property
-    def pivot(self) -> np.ndarray:
-        """The pivotal operators' diagonals q**((1−r)·w), shape (terms, d)."""
-        return _q_powers(self.ctx, (1 - self.ctx.r) * self.weights)
-
-    @cached_property
-    def dual(self) -> "ModuleStack":
-        """The dual of every term, on the dual basis, via the antipode transpose.
-
-        The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
-        S(H) = −H; weights negate (in the same index order as A's basis).
-        """
-        powers = _q_powers(self.ctx, np.concatenate((self.weights, -self.weights)))
-        k, k_inv = powers[: self.terms], powers[self.terms :]
-        e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
-        f = -(k[:, :, None] * self.f).swapaxes(1, 2)
-        labels = [("dual", label) for label in self.labels]
-        return ModuleStack(self.ctx, -self.weights, e, f, labels, -self.degrees)
-
-    @cached_property
-    def modules(self) -> tuple:
-        """One :class:`WeightModule` per term, viewing the stacked arrays."""
-        return tuple(
-            WeightModule(self.ctx, label, w, e, f, complex(degree))
-            for label, w, e, f, degree in zip(
-                self.labels, self.weights, self.e, self.f, self.degrees
-            )
-        )
-
-
-def _stacked(arrays: list) -> np.ndarray:
-    """The arrays on a new leading axis (a view for a single array)."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _series(ctx: RootParams, sign: int) -> np.ndarray:
@@ -492,22 +376,9 @@ def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
     return out
 
 
-def braiding_matrix(a: WeightModule, b: WeightModule, sign: int = 1) -> np.ndarray:
-    """The one-term call of :func:`braiding_stack`: c_{A,B} (sign=+1) or
-    (c_{B,A})⁻¹ (sign=−1), both A⊗B → B⊗A."""
-    return braiding_stack(ModuleStack.of((a,)), ModuleStack.of((b,)), sign)[0]
-
-
-def braiding(a: WeightModule, b: WeightModule, sign: int = 1) -> MorphismMatrix:
-    """:func:`braiding_matrix` labelled with the tensor-product modules."""
-    matrix = braiding_matrix(a, b, sign)
-    return MorphismMatrix(tensor(a, b), tensor(b, a), matrix)
-
-
-def duality_maps(
-    a: WeightModule,
-) -> tuple[MorphismMatrix, MorphismMatrix, MorphismMatrix, MorphismMatrix]:
-    """The four duality maps (coev, ev, coev', ev') of A.
+def duality_maps(a: ModuleStack) -> tuple[np.ndarray, ...]:
+    """The matrices of the four duality maps (coev, ev, coev', ev') of a
+    module A (a one-term stack):
 
     coev : 1 → A⊗A*,  1 ↦ Σ vᵢ⊗fᵢ
     ev   : A*⊗A → 1,  f⊗v ↦ f(v)
@@ -515,25 +386,21 @@ def duality_maps(
     ev'  : A⊗A* → 1,  v⊗f ↦ f(pivot·v)
     """
     d = a.dim
-    one = trivial_module(a.ctx)
-    a_star = dual(a)
-    g = a.pivot_diag
+    g = a.pivot[0]
     eye = np.eye(d, dtype=complex)
-    coev = MorphismMatrix(one, tensor(a, a_star), eye.reshape(d * d, 1))
-    ev = MorphismMatrix(tensor(a_star, a), one, eye.reshape(1, d * d))
-    coev_p = MorphismMatrix(
-        one, tensor(a_star, a), np.diag(1.0 / g).reshape(d * d, 1)
-    )
-    ev_p = MorphismMatrix(tensor(a, a_star), one, np.diag(g).reshape(1, d * d))
+    coev = eye.reshape(d * d, 1)
+    ev = eye.reshape(1, d * d)
+    coev_p = np.diag(1.0 / g).reshape(d * d, 1)
+    ev_p = np.diag(g).reshape(1, d * d)
     return coev, ev, coev_p, ev_p
 
 
-def twist(a: WeightModule) -> MorphismMatrix:
-    """The ribbon twist θ_A = (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)."""
+def twist(a: ModuleStack) -> np.ndarray:
+    """The matrix of the ribbon twist θ_A = (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)
+    of a module A (a one-term stack)."""
     d = a.dim
-    c4 = braiding_matrix(a, a).reshape(d, d, d, d)
-    theta = np.einsum("abib,b->ai", c4, a.pivot_diag)
-    return MorphismMatrix(a, a, theta)
+    c4 = braiding_stack(a, a)[0].reshape(d, d, d, d)
+    return np.einsum("abib,b->ai", c4, a.pivot[0])
 
 
 def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
@@ -546,9 +413,9 @@ def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
     return ctx.q_pow((alpha**2 - (ctx.r - 1) ** 2) / 2)
 
 
-def twist_scalar_of(module: WeightModule, tol: Optional[float] = None) -> complex:
+def twist_scalar_of(module: ModuleStack, tol: Optional[float] = None) -> complex:
     """Schur scalar of the twist on any module that is simple."""
-    return twist(module).scalar(tol)
+    return scalar_of(twist(module), module.ctx.tol if tol is None else tol)
 
 
 # ----------------------------------------------------------------------
@@ -571,26 +438,28 @@ def hom_dimension(ctx: RootParams, alpha: complex, beta: complex) -> dict[int, i
     return {}
 
 
-def relations_residual(module: WeightModule) -> float:
-    """Max-norm residual of the defining relations on a given module.
+def relations_residual(module: ModuleStack) -> float:
+    """Max-norm residual of the defining relations on a module (a one-term
+    stack).
 
     Checks KEK⁻¹ = q²E, KFK⁻¹ = q⁻²F, [E,F] = (K−K⁻¹)/(q−q⁻¹),
-    [H,E] = 2E, [H,F] = −2F and the nilpotency E**r = F**r = 0.
+    [H,E] = 2E, [H,F] = −2F and the nilpotency E**r = F**r = 0.  K, K⁻¹
+    and H are diagonal, so they scale rows and columns by broadcasting.
 
     The first five residuals are absolute.  E**r and F**r are divided by
     the largest entry of |E|**r (|F|**r), since their roundoff scales with
     it: on V⊗V that entry is 3e13 at r=11 and 1e18 at r=13.
     """
     ctx = module.ctx
-    k_mat, k_inv, h = module.k, module.k_inv, module.h
-    e, f = module.e, module.f
+    w, e, f = module.weights[0], module.e[0], module.f[0]
+    k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
     q = ctx.q
     res = [
-        k_mat @ e @ k_inv - q**2 * e,
-        k_mat @ f @ k_inv - q**-2 * f,
-        e @ f - f @ e - (k_mat - k_inv) / (q - 1 / q),
-        h @ e - e @ h - 2 * e,
-        h @ f - f @ h + 2 * f,
+        k[:, None] * e * k_inv - q**2 * e,
+        k[:, None] * f * k_inv - q**-2 * f,
+        e @ f - f @ e - np.diag(k - k_inv) / (q - 1 / q),
+        w[:, None] * e - e * w - 2 * e,
+        w[:, None] * f - f * w + 2 * f,
     ]
     worst = max(float(np.max(np.abs(m))) for m in res)
     for m in (e, f):

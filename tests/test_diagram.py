@@ -27,11 +27,12 @@ from unrolledsl2.diagram import (
 from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
-    braiding_matrix,
+    braiding_stack,
     dual,
     duality_maps,
     make_valpha,
     scalar_of,
+    tensor,
     twist_scalar,
 )
 
@@ -97,13 +98,31 @@ def test_zig_zag_slices(ctx):
     zig1 = SlicedDiagram(
         (Cup(0, "K", "coev"), Cap(1, "ev")), (Strand("K", True),)
     )
-    m = evaluate(zig1, {"K": mod}, ctx).matrix
+    m = evaluate(zig1, {"K": mod}, ctx)
     assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
     zig2 = SlicedDiagram(
         (Cup(1, "K", "coevprime"), Cap(0, "evprime")), (Strand("K", True),)
     )
-    m = evaluate(zig2, {"K": mod}, ctx).matrix
+    m = evaluate(zig2, {"K": mod}, ctx)
     assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
+
+
+def test_evaluate_returns_an_array_of_boundary_dims(ctx):
+    rng = np.random.default_rng(23)
+    a = make_valpha(ctx, _generic(rng))
+    b = tensor(make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng)))
+    closed = evaluate(clasp_diagram(1), {"A": a, "B": a}, ctx)
+    assert type(closed) is np.ndarray and closed.shape == (1, 1)
+    # target words (B up, B down, A down) and (A down, B down, B up) of a
+    # down source strand, with B of dimension r²
+    down = (Strand("A", False),)
+    for cup, dims in ((Cup(0, "B", "coev"), (b.dim, b.dim, a.dim)),
+                      (Cup(1, "B", "coevprime"), (a.dim, b.dim, b.dim))):
+        m = evaluate(SlicedDiagram((cup,), down), {"A": a, "B": b}, ctx)
+        assert type(m) is np.ndarray and m.shape == (math.prod(dims), a.dim)
+    crossing = SlicedDiagram((Braid(0, -1),), (Strand("B", True), Strand("A", False)))
+    m = evaluate(crossing, {"A": a, "B": b}, ctx)
+    assert type(m) is np.ndarray and m.shape == (a.dim * b.dim, b.dim * a.dim)
 
 
 def test_curl_gives_twist(ctx):
@@ -218,13 +237,13 @@ def _dense(diagram, modules):
         if isinstance(sl, Id):
             continue
         if isinstance(sl, Braid):
-            n, block = 2, braiding_matrix(module(word[i]), module(word[i + 1]), sl.sign)
+            n, block = 2, braiding_stack(module(word[i]), module(word[i + 1]), sl.sign)[0]
         elif isinstance(sl, Cup):
             coev, _, coev_p, _ = duality_maps(modules[sl.component])
-            n, block = 0, (coev if sl.variant == "coev" else coev_p).matrix
+            n, block = 0, coev if sl.variant == "coev" else coev_p
         elif isinstance(sl, Cap):
             _, ev, _, ev_p = duality_maps(modules[word[i].component])
-            n, block = 2, (ev if sl.variant == "ev" else ev_p).matrix
+            n, block = 2, ev if sl.variant == "ev" else ev_p
         else:
             n, block = len(sl.inputs), sl.matrix
         dims = [module(s).dim for s in word]
@@ -279,7 +298,7 @@ def test_evaluate_matches_dense_reference(ctx, seed):
     source = source[: int(rng.integers(1, 3))]
     slices, _ = _random_slices(rng, source, 7, "AB", dims)
     diagram = SlicedDiagram(tuple(slices), tuple(source))
-    got = evaluate(diagram, modules, ctx).matrix
+    got = evaluate(diagram, modules, ctx)
     ref = _dense(diagram, modules)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())

@@ -361,7 +361,7 @@ def _kirby_sum_term_by_term(sp):
             delta_f = framing - writhes.get(name, 0)
             value *= twist_scalar_of(graph_colors[name]) ** delta_f
         matrix, module = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
-        term = value * ctx.mdim(module.label[1]) * scalar_of(matrix, ctx.tol)
+        term = value * ctx.mdim(module.labels[0][1]) * scalar_of(matrix, ctx.tol)
         total += term
         size += abs(term)
     return total, size

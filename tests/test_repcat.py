@@ -1,7 +1,5 @@
 """Representation layer: weight modules, braiding, twists, duality."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from unrolledsl2.errors import DomainError, NotScalarError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     ModuleStack,
-    braiding,
-    braiding_matrix,
     braiding_stack,
     dual,
     duality_maps,
@@ -44,8 +40,8 @@ def test_valpha_shape_and_weights(ctx):
     mod = make_valpha(ctx, a)
     assert mod.dim == ctx.r
     expected = [a + ctx.r - 1 - 2 * i for i in range(ctx.r)]
-    assert np.allclose(mod.weights, expected)
-    assert ctx.is_congruent_mod2(mod.degree, a + ctx.r - 1)
+    assert np.allclose(mod.weights[0], expected)
+    assert ctx.is_congruent_mod2(mod.degrees[0], a + ctx.r - 1)
 
 
 def test_valpha_domain(ctx):
@@ -84,13 +80,13 @@ def test_valpha_stack_matches_entrywise_loop(r):
         assert np.abs(stack.e[k] - e).max() <= 1e-15 * scale
         assert np.array_equal(stack.f[k], f)
         assert np.abs(stack.pivot[k] - pivot).max() <= 1e-15 * np.abs(pivot).max()
-        module = stack.modules[k]
-        assert module.label == ("V", complex(alpha))
-        assert module.degree == complex(alpha) + r - 1
+        module = stack.take([k])
+        assert module.labels == (("V", complex(alpha)),)
+        assert module.degrees[0] == complex(alpha) + r - 1
         assert relations_residual(module) < 1e-10 * scale
         # make_valpha is the one-term call of the same builder
         one = make_valpha(ctx, alpha)
-        assert np.array_equal(one.e, stack.e[k]) and np.array_equal(one.weights, weights)
+        assert np.array_equal(one.e[0], stack.e[k]) and np.array_equal(one.weights[0], weights)
 
 
 def test_valpha_stack_domain_errors():
@@ -108,8 +104,11 @@ def test_valpha_stack_domain_errors():
 
 
 def _antipode_dual(m):
-    """Reference dual: the antipode transpose with K and K⁻¹ as matrices."""
-    return -m.weights, (-(m.e @ m.k_inv)).T, (-(m.k @ m.f)).T
+    """Reference dual of a module (a one-term stack): the antipode transpose
+    with K and K⁻¹ as dense diagonal matrices."""
+    k = np.diag([m.ctx.q_pow(w) for w in m.weights[0]])
+    k_inv = np.diag([m.ctx.q_pow(-w) for w in m.weights[0]])
+    return -m.weights[0], (-(m.e[0] @ k_inv)).T, (-(k @ m.f[0])).T
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9])
@@ -120,22 +119,59 @@ def test_stack_dual_matches_antipode_transpose(r):
     stacks = [
         valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0]),
         ModuleStack.of((tensor(a, b), tensor(b, a))),
-        ModuleStack.of((tensor(a, dual(b)),)),
-        ModuleStack.of((a,)).dual,
+        tensor(a, dual(b)),
+        a.dual,
     ]
     for stack in stacks:
         duals = stack.dual
-        for k, module in enumerate(stack.modules):
+        for k in range(stack.terms):
+            module = stack.take([k])
             weights, e, f = _antipode_dual(module)
             scale = max(1.0, np.abs(e).max(), np.abs(f).max())
             assert np.array_equal(duals.weights[k], weights)
             assert np.abs(duals.e[k] - e).max() <= 1e-15 * scale
             assert np.abs(duals.f[k] - f).max() <= 1e-15 * scale
-            assert duals.modules[k].label == ("dual", module.label)
-            assert duals.modules[k].degree == -complex(module.degree)
-            # dual() is the one-term call of the stack dual
+            assert duals.labels[k] == ("dual", module.labels[0])
+            assert duals.degrees[k] == -module.degrees[0]
+            # dual() of one term is that term of the stack dual
             one = dual(module)
-            assert np.array_equal(one.e, duals.e[k]) and np.array_equal(one.f, duals.f[k])
+            assert np.array_equal(one.e[0], duals.e[k]) and np.array_equal(one.f[0], duals.f[k])
+
+
+def _dense_coproduct(ctx, a, b, k):
+    """Reference A ⊗ B at term k: Δ(E) = 1⊗E + E⊗K, Δ(F) = K⁻¹⊗F + F⊗1
+    with K and K⁻¹ as dense diagonal matrices, and the added weights."""
+    wa, wb = a.weights[k], b.weights[k]
+    k_b = np.diag([ctx.q_pow(w) for w in wb])
+    k_inv_a = np.diag([ctx.q_pow(-w) for w in wa])
+    e = np.kron(np.eye(a.dim), b.e[k]) + np.kron(a.e[k], k_b)
+    f = np.kron(k_inv_a, b.f[k]) + np.kron(a.f[k], np.eye(b.dim))
+    return np.add.outer(wa, wb).ravel(), e, f
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
+def test_tensor_of_stacks_matches_dense_coproduct(r):
+    ctx = RootParams(r)
+    rng = np.random.default_rng(50 + r)
+    v = valpha_stack(ctx, [_generic(rng), _generic(rng) + 0.4j, 0.0])
+    w = valpha_stack(ctx, [_generic(rng), -_generic(rng), float(r)])
+    for a, b in ((v, v.dual), (tensor(v, w), v.dual)):
+        got = tensor(a, b)
+        assert got.terms == 3 and got.dim == a.dim * b.dim
+        for k in range(3):
+            weights, e, f = _dense_coproduct(ctx, a, b, k)
+            scale = max(1.0, np.abs(e).max(), np.abs(f).max())
+            assert np.array_equal(got.weights[k], weights)
+            assert np.abs(got.e[k] - e).max() <= 1e-15 * scale
+            assert np.abs(got.f[k] - f).max() <= 1e-15 * scale
+            assert got.labels[k] == ("tensor", a.labels[k], b.labels[k])
+            assert got.degrees[k] == a.degrees[k] + b.degrees[k]
+    # a one-term stack pairs with every term of the other
+    paired = tensor(v.take([1]), w)
+    for k in range(3):
+        one = tensor(v.take([1]), w.take([k]))
+        assert np.array_equal(paired.e[k], one.e[0]) and np.array_equal(paired.f[k], one.f[0])
+        assert paired.labels[k] == one.labels[0] and paired.degrees[k] == one.degrees[0]
 
 
 def test_relations_residual_catches_a_perturbed_e():
@@ -147,11 +183,12 @@ def test_relations_residual_catches_a_perturbed_e():
     a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
     module = tensor(tensor(a, b), dual(a))
     assert relations_residual(module) < 1e-10
-    largest = np.unravel_index(np.argmax(np.abs(module.e)), module.e.shape)
+    largest = np.unravel_index(np.argmax(np.abs(module.e[0])), module.e[0].shape)
     for entry in (largest, (0, 1), (module.dim - 1, 0)):
         e = module.e.copy()
-        e[entry] += 1e-6
-        assert relations_residual(dataclasses.replace(module, e=e)) > 1e-10, entry
+        e[(0, *entry)] += 1e-6
+        perturbed = ModuleStack(ctx, module.weights, e, module.f, module.labels, module.degrees)
+        assert relations_residual(perturbed) > 1e-10, entry
 
 
 def test_yang_baxter(ctx):
@@ -160,7 +197,7 @@ def test_yang_baxter(ctx):
     a, b, c = mods
     ia, ib, ic = (np.eye(m.dim) for m in mods)
     r_ab, r_ac, r_bc = (
-        braiding(x, y).matrix for x, y in ((a, b), (a, c), (b, c))
+        braiding_stack(x, y)[0] for x, y in ((a, b), (a, c), (b, c))
     )
     lhs = np.kron(r_bc, ia) @ np.kron(ib, r_ac) @ np.kron(r_ab, ic)
     rhs = np.kron(ic, r_ab) @ np.kron(r_ac, ib) @ np.kron(ia, r_bc)
@@ -171,13 +208,14 @@ def test_braiding_inverse(ctx):
     rng = np.random.default_rng(9)
     a = make_valpha(ctx, _generic(rng))
     b = make_valpha(ctx, _generic(rng))
-    plus = braiding(a, b, +1).matrix
-    minus = braiding(b, a, -1).matrix
+    plus = braiding_stack(a, b, +1)[0]
+    minus = braiding_stack(b, a, -1)[0]
     assert np.abs(minus @ plus - np.eye(a.dim * b.dim)).max() < 1e-9
 
 
 def _dense_braiding(a, b, sign):
-    """Reference braiding: the dense Kronecker sum with one q_pow per entry."""
+    """Reference braiding of two modules (one-term stacks): the dense
+    Kronecker sum with one q_pow per entry."""
     if sign == -1:
         return np.linalg.inv(_dense_braiding(b, a, 1))
     ctx = a.ctx
@@ -189,13 +227,13 @@ def _dense_braiding(a, b, sign):
     brace1 = ctx.q_num(1)
     for n in range(ctx.r):
         if n > 0:
-            e_pow = e_pow @ a.e
-            f_pow = f_pow @ b.f
+            e_pow = e_pow @ a.e[0]
+            f_pow = f_pow @ b.f[0]
             coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
             if not e_pow.any() or not f_pow.any():
                 break
         acc += coeff * np.kron(e_pow, f_pow)
-    qhh = np.array([[ctx.q_pow(wa * wb / 2.0) for wb in b.weights] for wa in a.weights])
+    qhh = np.array([[ctx.q_pow(wa * wb / 2.0) for wb in b.weights[0]] for wa in a.weights[0]])
     r_mat = qhh.ravel()[:, None] * acc
     return r_mat.reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
 
@@ -213,10 +251,9 @@ def test_braiding_matches_dense_reference(r, sign):
     a_star, ab = dual(a), tensor(a, b)
     for x, y in ((a, b), (a, a), (a_star, b), (b, a_star), (ab, a), (a_star, ab)):
         ref = _dense_braiding(x, y, sign)
-        got = braiding_matrix(x, y, sign)
+        got = braiding_stack(x, y, sign)[0]
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-        assert np.array_equal(braiding(x, y, sign).matrix, got)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -225,16 +262,15 @@ def test_braiding_stack_matches_per_term(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(r)
     terms = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
-    other = make_valpha(ctx, _generic(rng))
+    fixed = make_valpha(ctx, _generic(rng))
     for stack in (ModuleStack.of(terms), ModuleStack.of(terms).dual):
-        fixed = ModuleStack.of((other,))
         for a, b in ((stack, fixed), (fixed, stack), (stack, stack)):
             got = braiding_stack(a, b, sign)
             assert got.shape[0] == len(terms)
             for k in range(len(terms)):
-                x = a.modules[k if a.terms > 1 else 0]
-                y = b.modules[k if b.terms > 1 else 0]
-                ref = braiding_matrix(x, y, sign)
+                x = a.take([k if a.terms > 1 else 0])
+                y = b.take([k if b.terms > 1 else 0])
+                ref = braiding_stack(x, y, sign)[0]
                 assert np.abs(got[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
@@ -249,7 +285,7 @@ def test_powers_equal_the_matmul_chain(r):
     rng = np.random.default_rng(40 + r)
     stack = valpha_stack(ctx, rng.uniform(0.1, 1.9, 3) + 1j * rng.uniform(-2, 2, 3))
     a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
-    for m in (stack.e, stack.f, stack.dual.e, ModuleStack.of((tensor(a, b),)).f):
+    for m in (stack.e, stack.f, stack.dual.e, tensor(a, b).f):
         eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
         powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
         index = np.nonzero(np.any(powers, axis=0))
@@ -267,9 +303,8 @@ def test_negative_braiding_inverts_positive(r):
     v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
     eye = np.eye(r * r)
     for a, b in ((v, w), (dual(v), w), (v, dual(w))):
-        sa, sb = ModuleStack.of((a,)), ModuleStack.of((b,))
-        plus = braiding_stack(sb, sa, 1)[0]
-        residual = np.abs(braiding_stack(sa, sb, -1)[0] @ plus - eye).max()
+        plus = braiding_stack(b, a, 1)[0]
+        residual = np.abs(braiding_stack(a, b, -1)[0] @ plus - eye).max()
         oracle = np.abs(np.linalg.inv(plus) @ plus - eye).max()
         assert residual <= 1e-9
         assert residual <= oracle
@@ -291,7 +326,7 @@ def test_twist_is_scalar_on_simples(ctx):
     rng = np.random.default_rng(10)
     alpha = _generic(rng)
     mod = make_valpha(ctx, alpha)
-    t = twist(mod).matrix
+    t = twist(mod)
     s = twist_scalar_of(mod)
     assert np.abs(t - s * np.eye(mod.dim)).max() < 1e-9
     assert abs(s - twist_scalar(ctx, alpha)) < 1e-10
@@ -305,8 +340,8 @@ def test_zig_zag_identities(ctx):
     coev, ev, coev_p, ev_p = duality_maps(mod)
     eye = np.eye(mod.dim)
     # (1⊗ev)∘(coev⊗1) = id and (ev'⊗1)∘(1⊗coev') = id
-    left = np.kron(eye, ev.matrix) @ np.kron(coev.matrix, eye)
-    right = np.kron(ev_p.matrix, eye) @ np.kron(eye, coev_p.matrix)
+    left = np.kron(eye, ev) @ np.kron(coev, eye)
+    right = np.kron(ev_p, eye) @ np.kron(eye, coev_p)
     assert np.abs(left - eye).max() < 1e-9
     assert np.abs(right - eye).max() < 1e-9
 
@@ -315,7 +350,7 @@ def test_quantum_dimension_vanishes(ctx):
     rng = np.random.default_rng(15)
     mod = make_valpha(ctx, _generic(rng))
     coev, ev, coev_p, ev_p = duality_maps(mod)
-    qdim = (ev_p.matrix @ coev.matrix)[0, 0]
+    qdim = (ev_p @ coev)[0, 0]
     assert abs(qdim) < 1e-10
 
 
