@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DiagramTypeError, DomainError
 from .planner import greedy_order
 from .qscalar import RootParams
-from .repcat import ModuleStack, braiding_stack, valpha_stack
+from .repcat import ModuleStack, braiding_entries, valpha_stack
 
 __all__ = [
     "Strand",
@@ -477,26 +477,61 @@ class _Network:
         self._plan: tuple = (None,)
 
     def plan(self, dims: dict[str, int]) -> tuple:
-        """(leg dims, merges, last tensor, peak elements per term), reused
-        while ``dims`` stay: :func:`.planner.greedy_order`'s merges, then
-        outer products of the tensors left sharing no leg."""
+        """(leg dims, merges, layouts, (last tensor, its axes), peak
+        elements per term), reused while ``dims`` stay.
+
+        :func:`.planner.greedy_order`'s merges, then outer products of the
+        tensors left sharing no leg, each as (i, j, axes of i, axes of j,
+        shared elements, result shape); the axes order i's legs left +
+        shared and j's shared + right, None if already so.  A tensor's
+        layout is its leg order at its first merge (``open`` for a last
+        tensor that never merges).
+        """
         leg_dims = [dims[c] for c in self.component]
         if self._plan[0] != leg_dims:
             order, peak = greedy_order(self.legs, leg_dims)
             rest = sorted(set(range(len(self.legs))) - {j for _, j in order})
             order += [(rest[0], t) for t in rest[1:]]
             peak = max(peak, math.prod([leg_dims[leg] for leg in self.open]))
-            self._plan = (leg_dims, order, rest[0] if rest else None, peak)
+            live, layouts, merged, merges = list(self.free), list(self.free), set(), []
+
+            def arrange(t, legs):
+                if t not in merged:
+                    layouts[t] = legs
+                    return None
+                axes = [live[t].index(leg) for leg in legs]
+                return None if axes == sorted(axes) else [0] + [1 + x for x in axes]
+
+            for i, j in order:
+                a, b = live[i], live[j]
+                shared = [leg for leg in a if leg in b]
+                left = [leg for leg in a if leg not in b]
+                right = [leg for leg in b if leg not in a]
+                merges.append((
+                    i, j, arrange(i, left + shared), arrange(j, shared + right),
+                    math.prod([leg_dims[leg] for leg in shared]),
+                    tuple(leg_dims[leg] for leg in left + right),
+                ))
+                merged |= {i, j}
+                live[i] = left + right
+            last = rest[0] if rest else None
+            final = None if last is None else arrange(last, self.open)
+            self._plan = (leg_dims, merges, layouts, (last, final), peak)
         return self._plan
 
     def contract(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
 
         The plan's bytes (peak × terms, plus the braiding blocks) must fit
-        in physical memory before any block is built.  A merge is one
-        transpose/reshape of each tensor and one batched matmul.
+        in physical memory before any block is built.  A crossing is its
+        braiding's nonzero entries (:func:`.repcat.braiding_entries`) times
+        the pivot powers of its weighted legs, scattered straight into its
+        layout.  A kink (a crossing with a self-traced leg), coupon or wire
+        is built whole, weighted and traced by one einsum, and viewed in its
+        layout.  A merge is one batched matmul.
         """
-        dims, order, last, peak = self.plan({name: st.dim for name, st in stacks.items()})
+        dims, merges, layouts, (last, final), peak = self.plan(
+            {name: st.dim for name, st in stacks.items()})
         terms = max((st.terms for st in stacks.values()), default=1)
         need = 16 * terms * (peak + sum(
             (stacks[a.component].dim * stacks[b.component].dim) ** 2 for a, b, _ in self.braids
@@ -505,52 +540,69 @@ class _Network:
         if need > limit:
             raise MemoryError(f"the contraction needs {need / 2**30:.3g} GiB, "
                               f"above the {limit / 2**30:.3g} GiB of physical memory")
-        braidings = [
-            braiding_stack(*(stacks[s.component] if s.up else stacks[s.component].dual
-                             for s in (a, b)), sign)
+        entries = [
+            braiding_entries(*(stacks[s.component] if s.up else stacks[s.component].dual
+                               for s in (a, b)), sign)
             for a, b, sign in self.braids
         ]
         arrays = []
-        for key, held, free, weights in zip(self.keys, self.legs, self.free, self.weights):
-            shape = [-1] + [dims[leg] for leg in held]
+        for key, held, free, weights, layout in zip(
+                self.keys, self.legs, self.free, self.weights, layouts):
+            if type(key) is int and len(free) == len(held):  # a crossing: (k, i, j, l)
+                values, index = entries[key]
+                if weights:  # multiplied as the einsum below multiplies
+                    operands = [values, [0, 1]]
+                    for leg in weights:
+                        pivot = stacks[self.component[leg]].pivot ** self.power[leg]
+                        operands += [pivot[:, index[held.index(leg)]], [0, 1]]
+                    values = np.einsum(*operands, [0, 1])
+                axes = [held.index(leg) for leg in layout]
+                arrays.append(_scatter(values, index, axes, [dims[leg] for leg in layout]))
+                continue
+            shape = [dims[leg] for leg in held]
             if type(key) is int:
-                block = braidings[key]
+                block = _scatter(*entries[key], range(4), shape)
             elif key is None:
-                block = np.eye(shape[1], dtype=complex)
+                block = np.eye(shape[0], dtype=complex)
             else:
                 n, block = len(key.outputs), np.asarray(key.matrix, dtype=complex)
-                expected = (math.prod(shape[1 : n + 1]), math.prod(shape[n + 1 :]))
+                expected = (math.prod(shape[:n]), math.prod(shape[n:]))
                 if block.shape != expected:
                     raise DiagramTypeError(f"coupon matrix shape {block.shape} != {expected}")
-            block = block.reshape(shape)
+            block = block.reshape([-1] + shape)
             if weights or len(free) < len(held):  # fold in weights, trace self-legs
                 operands = [block, [0] + [1 + held.index(leg) for leg in held]]
                 for leg in weights:
                     w = stacks[self.component[leg]].pivot ** self.power[leg]
                     operands += [w, [0, 1 + held.index(leg)]]
                 block = np.einsum(*operands, [0] + [1 + held.index(leg) for leg in free])
-            arrays.append(block)
-        live = list(self.free)
-        for i, j in order:
-            a, b = live[i], live[j]
-            shared = [leg for leg in a if leg in b]
-            left = [leg for leg in a if leg not in b]
-            right = [leg for leg in b if leg not in a]
-            x = arrays[i].transpose([0] + [1 + a.index(leg) for leg in left + shared])
-            y = arrays[j].transpose([0] + [1 + b.index(leg) for leg in shared + right])
-            k = math.prod([dims[leg] for leg in shared])
+            arrays.append(block.transpose([0] + [1 + free.index(leg) for leg in layout]))
+        for i, j, x_axes, y_axes, k, shape in merges:
+            x = arrays[i] if x_axes is None else arrays[i].transpose(x_axes)
+            y = arrays[j] if y_axes is None else arrays[j].transpose(y_axes)
             z = np.matmul(x.reshape(x.shape[0], -1, k), y.reshape(y.shape[0], k, -1))
-            shape = z.shape[:1] + x.shape[1 : 1 + len(left)] + y.shape[1 + len(shared) :]
-            arrays[i] = z.reshape(shape)
-            live[i] = left + right
-        out = np.ones(1, dtype=complex) if last is None else arrays[last].transpose(
-            [0] + [1 + live[last].index(leg) for leg in self.open])
+            arrays[i] = z.reshape(z.shape[:1] + shape)
+        if last is None:
+            out = np.ones(1, dtype=complex)
+        else:
+            out = arrays[last] if final is None else arrays[last].transpose(final)
         for name, k in self.loops:
             trace = (stacks[name].pivot ** k).sum(axis=1)
             out = out * trace.reshape((-1,) + (1,) * (out.ndim - 1))
         if out.shape[0] != terms:  # no block depended on the term
             out = np.broadcast_to(out, (terms,) + out.shape[1:])
         return out
+
+
+def _scatter(values: np.ndarray, index: tuple, axes, shape: list) -> np.ndarray:
+    """Zeros of shape (terms, *shape) but for ``values`` (terms, entries) at
+    (index[axes[0]], index[axes[1]], …)."""
+    flat = 0
+    for axis, n in zip(axes, shape):
+        flat = flat * n + index[axis]
+    block = np.zeros((len(values), math.prod(shape)), dtype=complex)
+    block[:, flat] = values
+    return block.reshape(len(values), *shape)
 
 
 def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:

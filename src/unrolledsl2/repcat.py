@@ -29,12 +29,13 @@ Morphisms are plain arrays.  The braiding is c_{A,B} =
 power series and q^(−H⊗H/2).  So no matrix is inverted: an LU of the r²×r²
 braiding costs O(r⁶) and loses digits to its conditioning.  Only the
 operator matrices enter, so the formula braids duals and tensor products
-uniformly; :func:`braiding_stack` builds either sign for a whole stack of
-colorings in one scatter of the O(r³) nonzeros.  :func:`twist` and
-:func:`twist_scalar_of` compute the twist of a module from the braiding and
-the pivotal duality maps (:func:`duality_maps`);
-:func:`twist_scalar` returns the closed form q^((α²−(r−1)²)/2) on V_α, and
-the tests hold the two routes against each other.  Every convention here
+uniformly; :func:`braiding_entries` gives either sign for a whole stack of
+colorings as its O(r³) nonzeros, from ladder powers built once per root
+stack, and :func:`braiding_stack` scatters them densely.  :func:`twist`
+contracts the same sum with the pivotal duality maps (:func:`duality_maps`)
+in r products of d×d matrices, with no braiding; :func:`twist_scalar`
+returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold the
+two routes against each other.  Every convention here
 is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
 naturality, zig-zags, ribbon compatibility, and the surgery cross-checks
 in :mod:`unrolledsl2.invariant`.
@@ -42,7 +43,7 @@ in :mod:`unrolledsl2.invariant`.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "make_valpha",
     "dual",
     "tensor",
+    "braiding_entries",
     "braiding_stack",
     "twist",
     "twist_scalar",
@@ -87,16 +89,19 @@ class ModuleStack:
     representative of the ℂ/2ℤ grading; all weights of the term are
     congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
     modules of a whole array of colors, :meth:`of` concatenates stacks and
-    :meth:`take` gathers terms.  The pivots and the stack of duals are
-    built on first use.
+    :meth:`take` gathers terms.  The pivots, the stack of duals and the
+    ladder powers are built on first use; a taken stack gathers its root
+    stack's ladder powers and duals.
     """
 
-    def __init__(self, ctx, weights, e, f, labels, degrees):
+    def __init__(self, ctx, weights, e, f, labels, degrees, source=None):
         self.ctx = ctx
         self.weights, self.e, self.f = weights, e, f
         self.labels = tuple(labels)
         self.degrees = degrees
         self.dim = weights.shape[1]
+        self._source = source  # (root stack, indices of these terms in it)
+        self._ladders: dict = {}
 
     @classmethod
     def of(cls, stacks) -> "ModuleStack":
@@ -120,6 +125,7 @@ class ModuleStack:
 
     def take(self, index: np.ndarray) -> "ModuleStack":
         """The terms at the integer positions ``index``, as a new stack."""
+        root, base = self._source or (self, None)
         return ModuleStack(
             self.ctx,
             self.weights[index],
@@ -127,7 +133,19 @@ class ModuleStack:
             self.f[index],
             [self.labels[i] for i in index],
             self.degrees[index],
+            (root, np.asarray(index) if base is None else base[index]),
         )
+
+    def ladder(self, op: str) -> tuple[tuple, np.ndarray]:
+        """:func:`_powers` of the operator ``op``, "e" or "f"."""
+        if op not in self._ladders:
+            if self._source is None:
+                self._ladders[op] = _powers(getattr(self, op), self.ctx.r)
+            else:
+                root, index = self._source
+                nonzero, values = root.ladder(op)
+                self._ladders[op] = nonzero, values[index]
+        return self._ladders[op]
 
     @cached_property
     def pivot(self) -> np.ndarray:
@@ -141,6 +159,9 @@ class ModuleStack:
         The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
         S(H) = −H; weights negate (in the same index order as A's basis).
         """
+        if self._source is not None:
+            root, index = self._source
+            return root.dual.take(index)
         powers = _q_powers(self.ctx, np.concatenate((self.weights, -self.weights)))
         k, k_inv = powers[: self.terms], powers[self.terms :]
         e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
@@ -309,19 +330,24 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _series(ctx: RootParams, sign: int) -> np.ndarray:
+@cache
+def _series(r: int, sign: int) -> np.ndarray:
     """cₙ = {1}^(2n) q^(n(n−1)/2) / {n}! for n < r (sign=+1); for sign=−1 the
-    coefficients gₙ of 1/Σ cₙ xⁿ mod x^r: g₀ = 1, gₙ = −Σ_{k=1..n} c_k gₙ₋ₖ."""
+    coefficients gₙ of 1/Σ cₙ xⁿ mod x^r: g₀ = 1, gₙ = −Σ_{k=1..n} c_k gₙ₋ₖ.
+    Cached per (r, sign), so read-only."""
+    ctx = RootParams(r)
     c: list = [1.0]
     brace1 = ctx.q_num(1)
-    for n in range(1, ctx.r):  # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
+    for n in range(1, r):  # c_n / c_{n-1} = {1}² · q^{n-1} / {n}
         c.append(c[-1] * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n))
-    if sign == 1:
-        return np.array(c, dtype=complex)
-    g: list = [1.0]
-    for n in range(1, ctx.r):
-        g.append(-sum(c[k] * g[n - k] for k in range(1, n + 1)))
-    return np.array(g, dtype=complex)
+    if sign == -1:
+        g: list = [1.0]
+        for n in range(1, r):
+            g.append(-sum(c[k] * g[n - k] for k in range(1, n + 1)))
+        c = g
+    out = np.array(c, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
@@ -335,42 +361,54 @@ def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
     return index, powers[(slice(None), *index)]
 
 
-def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
-    """The matrices of the braiding c_{A,B}: A⊗B → B⊗A (sign=+1), per term.
-
-    With sign=−1 they are the matrices of (c_{B,A})⁻¹: A⊗B → B⊗A, the
-    value of a negative crossing.  Rows index B⊗A and columns A⊗B, both
-    row-major; the leading axis runs over the terms of the two stacks (a
-    one-term stack is shared by every term of the other).
+def braiding_entries(
+    a: ModuleStack, b: ModuleStack, sign: int = 1
+) -> tuple[np.ndarray, tuple]:
+    """The nonzero entries of :func:`braiding_stack`: ``(values, (k, i, j,
+    l))``, values of shape (terms, entries), entry e at row (k[e], i[e]) of
+    B⊗A and column (j[e], l[e]) of A⊗B.
 
     c_{A,B} = τ·q^(H⊗H/2)·Σ cₙ E_Aⁿ⊗F_Bⁿ.  X = E_B⊗F_A has Xⁿ = E_Bⁿ⊗F_Aⁿ
     and X^r = 0, so (c_{B,A})⁻¹ = (Σ gₙ E_Bⁿ⊗F_Aⁿ)·q^(−H⊗H/2)·τ with gₙ
-    the inverse series: no matrix is inverted.  Either sign is one scatter
-    of coef·Xⁿ[i, j]·Yⁿ[k, l] to entry ((k, i), (j, l)), with (X, Y) =
-    (E_A, F_B) or (F_A, E_B), and q^(±w·w'/2) on the pair (i, k) for +1 or
-    (j, l) for −1.  Xⁿ[i, j] ≠ 0 fixes n by the weight grading, so pairing
-    the nonzeros of Xⁿ and Yⁿ of equal n fills each entry at most once.
+    the inverse series: no matrix is inverted.  Either sign pairs
+    coef·Xⁿ[i, j] with Yⁿ[k, l], (X, Y) = (E_A, F_B) or (F_A, E_B), with
+    q^(±w·w'/2) on the pair (i, k) for +1 or (j, l) for −1.  Xⁿ[i, j] ≠ 0
+    fixes n by the weight grading, so pairing the nonzeros of Xⁿ and Yⁿ of
+    equal n names each entry at most once.
     """
     if sign not in (1, -1):
         raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
-    ctx = a.ctx
-    da, db = a.dim, b.dim
-    (nx, xi, xj), xv = _powers(a.e if sign == 1 else a.f, ctx.r)
-    (ny, yk, yl), yv = _powers(b.f if sign == 1 else b.e, ctx.r)
+    r = a.ctx.r
+    (nx, xi, xj), xv = a.ladder("e" if sign == 1 else "f")
+    (ny, yk, yl), yv = b.ladder("f" if sign == 1 else "e")
     # each X-nonzero of power n with each Y-nonzero of power n
-    y_count = np.bincount(ny, minlength=ctx.r)
+    y_count = np.bincount(ny, minlength=r)
     reps = y_count[nx]
     px = np.repeat(np.arange(len(nx)), reps)
     py = np.arange(len(px)) - np.repeat(np.cumsum(reps) - reps, reps)
     py += (np.cumsum(y_count) - y_count)[nx[px]]
     i, j, k, l = xi[px], xj[px], yk[py], yl[py]
     ww = a.weights[:, :, None] * b.weights[:, None, :]
-    qhh = np.exp(sign * 1j * np.pi * (ww / 2.0) / ctx.r)
+    qhh = np.exp(sign * 1j * np.pi * (ww / 2.0) / r)
     cartan = qhh[:, i, k] if sign == 1 else qhh[:, j, l]
     # q·(cₙ·(e·f)), factors in this order: an operator expression may reuse a
     # temporary with swapped operands, which can change a product's last bit
-    coef = _series(ctx, sign)[nx[px]]
+    coef = _series(r, sign)[nx[px]]
     values = np.multiply(cartan, np.multiply(coef, xv[:, px] * yv[:, py]))
+    return values, (k, i, j, l)
+
+
+def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
+    """The matrices of the braiding c_{A,B}: A⊗B → B⊗A (sign=+1), per term.
+
+    With sign=−1 they are the matrices of (c_{B,A})⁻¹: A⊗B → B⊗A, the
+    value of a negative crossing.  Rows index B⊗A and columns A⊗B, both
+    row-major; the leading axis runs over the terms of the two stacks (a
+    one-term stack is shared by every term of the other).  The dense
+    scatter of :func:`braiding_entries`.
+    """
+    values, (k, i, j, l) = braiding_entries(a, b, sign)
+    da, db = a.dim, b.dim
     out = np.zeros((len(values), db * da, da * db), dtype=complex)
     out[:, k * da + i, j * db + l] = values
     return out
@@ -397,10 +435,20 @@ def duality_maps(a: ModuleStack) -> tuple[np.ndarray, ...]:
 
 def twist(a: ModuleStack) -> np.ndarray:
     """The matrix of the ribbon twist θ_A = (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)
-    of a module A (a one-term stack)."""
-    d = a.dim
-    c4 = braiding_stack(a, a)[0].reshape(d, d, d, d)
-    return np.einsum("abib,b->ai", c4, a.pivot[0])
+    of a module A (a one-term stack).
+
+    Contracted, the braiding's sum leaves θ_A = Σₙ cₙ·(Fⁿ ⊙ Q)·diag(pivot)·Eⁿ
+    with Q[a, b] = q^(w_a·w_b/2): one matmul of the n-stacked factors.
+    """
+    d, r = a.dim, a.ctx.r
+    powers = np.zeros((2, r, d, d), dtype=complex)
+    for p, op in enumerate("fe"):
+        index, values = a.ladder(op)
+        powers[(p, *index)] = values[0]
+    w = a.weights[0]
+    q_half = np.exp(1j * np.pi * (w[:, None] * w[None, :] / 2.0) / r)
+    left = _series(r, 1)[:, None, None] * (powers[0] * q_half) * a.pivot[0]
+    return left.transpose(1, 0, 2).reshape(d, r * d) @ powers[1].reshape(r * d, d)
 
 
 def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
@@ -448,7 +496,8 @@ def relations_residual(module: ModuleStack) -> float:
 
     The first five residuals are absolute.  E**r and F**r are divided by
     the largest entry of |E|**r (|F|**r), since their roundoff scales with
-    it: on V⊗V that entry is 3e13 at r=11 and 1e18 at r=13.
+    it: on V⊗V that entry is 3e13 at r=11 and 1e18 at r=13.  Both are
+    built blockwise over the weight grading, which [H,E] and [H,F] certify.
     """
     ctx = module.ctx
     w, e, f = module.weights[0], module.e[0], module.f[0]
@@ -462,8 +511,25 @@ def relations_residual(module: ModuleStack) -> float:
         w[:, None] * f - f * w + 2 * f,
     ]
     worst = max(float(np.max(np.abs(m))) for m in res)
-    for m in (e, f):
-        scale = np.max(np.linalg.matrix_power(np.abs(m), ctx.r))
+    level = np.rint(((w - w[0]) / 2).real).astype(int)
+    level -= level.min()  # E raises the level by one, F lowers it
+    for m, grading in ((e, level), (f, level.max() - level)):
+        power, scale = _nilpotency(m, grading, ctx.r)
         if scale:  # |E**r| <= |E|**r entrywise, so E**r is exactly 0 here
-            worst = max(worst, np.max(np.abs(np.linalg.matrix_power(m, ctx.r))) / scale)
+            worst = max(worst, power / scale)
     return float(worst)
+
+
+def _nilpotency(m: np.ndarray, level: np.ndarray, r: int) -> tuple[float, float]:
+    """The largest entries of m**r and |m|**r for m raising ``level`` by
+    one: products of r blocks of m between adjacent levels."""
+    basis = [np.flatnonzero(level == v) for v in range(level.max() + 1)]
+    steps = [m[np.ix_(basis[v + 1], basis[v])] for v in range(len(basis) - 1)]
+    power = scale = 0.0
+    for start in range(len(basis) - r):
+        chain = abs_chain = np.eye(len(basis[start]))
+        for step in steps[start : start + r]:
+            chain, abs_chain = step @ chain, np.abs(step) @ abs_chain
+        power = max(power, np.abs(chain).max(initial=0.0))
+        scale = max(scale, abs_chain.max(initial=0.0))
+    return power, scale

@@ -488,7 +488,7 @@ def test_preflight_refuses_before_building_any_block(capsys, monkeypatch):
         os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
     )
     built = []
-    monkeypatch.setattr(diagram, "braiding_stack", lambda *args: built.append(args))
+    monkeypatch.setattr(diagram, "braiding_entries", lambda *args: built.append(args))
     code, out, err = run(capsys, "flink", "--r", "5", "--input", str(FIXTURES / "hopf.json"))
     assert (code, out, built) == (3, "", [])
     assert err.startswith("domain error: not computable within available memory: ")

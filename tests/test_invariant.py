@@ -451,6 +451,29 @@ def test_z_pass_sizes_follow_the_element_budget(monkeypatch, r, expected):
     assert sizes == expected
 
 
+def test_z_builds_ladder_powers_once_per_root_stack(monkeypatch):
+    # three passes at r = 7; each Kirby stack (and its stack of duals)
+    # computes the powers of E and F once, and every pass gathers them
+    from unrolledsl2 import repcat
+
+    sp = lens_chain_presentation(RootParams(7), 4, 2, (2.0 / 7, -8.0 / 7))
+    sizes = _pass_sizes(monkeypatch)
+    calls = []
+    powers = repcat._powers
+
+    def counted(m, r):
+        calls.append(m)
+        return powers(m, r)
+
+    monkeypatch.setattr(repcat, "_powers", counted)
+    z_invariant(sp)
+    assert sizes == [24, 24, 1]
+    # only whole Kirby stacks (7 terms), each operator array once: at most
+    # E and F of the two stacks and of their duals
+    assert calls and all(len(m) == 7 for m in calls)
+    assert len({id(m) for m in calls}) == len(calls) <= 8
+
+
 def test_z_typechecks_once(monkeypatch):
     calls = []
     original = diagram_module.typecheck

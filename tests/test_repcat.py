@@ -334,6 +334,76 @@ def test_twist_is_scalar_on_simples(ctx):
     assert abs(twist_scalar(ctx, -alpha) - twist_scalar(ctx, alpha)) < 1e-10
 
 
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_twist_matches_the_braiding_contraction(r):
+    # the matrix-free sum against (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)
+    # contracted from the dense braiding
+    ctx = RootParams(r)
+    rng = np.random.default_rng(50 + r)
+    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, -_generic(rng))
+    for a in (v, tensor(v, w), tensor(v, dual(w))):
+        d = a.dim
+        c4 = braiding_stack(a, a)[0].reshape(d, d, d, d)
+        ref = np.einsum("abib,b->ai", c4, a.pivot[0])
+        assert np.abs(twist(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_twist_builds_no_braiding(monkeypatch):
+    # θ on V⊗W at r = 11 (d = 121) from d×d products alone, where the
+    # braiding of V⊗W with itself would hold 121⁴ entries; it meets the
+    # ribbon identity θ_{V⊗W} = c_{W,V}·c_{V,W}·(θ_V ⊗ θ_W) at the
+    # registry's bound
+    from unrolledsl2 import repcat
+
+    ctx = RootParams(11)
+    rng = np.random.default_rng(11)
+    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    ribbon = braiding_stack(w, v)[0] @ braiding_stack(v, w)[0] @ np.kron(twist(v), twist(w))
+
+    def refuse(*args):
+        raise AssertionError("the twist built a braiding")
+
+    monkeypatch.setattr(repcat, "braiding_stack", refuse)
+    monkeypatch.setattr(repcat, "braiding_entries", refuse)
+    assert np.abs(twist(tensor(v, w)) - ribbon).max() < 1e-8
+
+
+def test_series_is_built_once_per_r_and_sign():
+    from unrolledsl2.repcat import _series
+
+    _series.cache_clear()
+    rng = np.random.default_rng(12)
+    for r in (5, 7):
+        ctx = RootParams(r)
+        a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+        for _ in range(2):
+            braiding_stack(a, b, 1), braiding_stack(a, b, -1), twist(tensor(a, b))
+    assert _series.cache_info().misses == 4
+    assert not _series(5, 1).flags.writeable
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_graded_nilpotency_matches_dense_powers(r):
+    # m with random entries on the grading of (a⊗b)⊗a* (m**r is far from 0):
+    # the blockwise largest entries of m**r and |m|**r against matrix_power
+    from unrolledsl2.repcat import _nilpotency
+
+    ctx = RootParams(r)
+    rng = np.random.default_rng(60 + r)
+    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    w = tensor(tensor(a, b), dual(a)).weights[0]
+    level = np.rint(((w - w[0]) / 2).real).astype(int)
+    level -= level.min()
+    graded = level[:, None] == level[None, :] + 1
+    m = graded * (rng.normal(size=graded.shape) + 1j * rng.normal(size=graded.shape))
+    power, scale = _nilpotency(m, level, r)
+    dense = np.abs(np.linalg.matrix_power(m, r)).max()
+    dense_scale = np.linalg.matrix_power(np.abs(m), r).max()
+    assert dense > 1e-8 * dense_scale  # far above the roundoff of a zero power
+    assert abs(power - dense) <= 1e-12 * dense
+    assert abs(scale - dense_scale) <= 1e-12 * dense_scale
+
+
 def test_zig_zag_identities(ctx):
     rng = np.random.default_rng(14)
     mod = make_valpha(ctx, _generic(rng))
