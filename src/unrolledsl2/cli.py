@@ -16,23 +16,35 @@ One subcommand per invariant family:
 ``selftest``
     Run every documented property check for the given root order.
 
-Exit codes: 0 success, 1 internal inconsistency (or failed self checks),
-2 malformed input (schema), 3 input outside the mathematical domain
+Exit codes: 0 success, 1 internal inconsistency (or failed self checks,
+or a result that could not be written: a closed pipe or a full disk), 2
+malformed input (schema), 3 input outside the mathematical domain
 (including a computation whose arrays do not fit in available memory).
+Every exit ends without a traceback: the result and any error line are
+written at the end of the call, and a write that fails points the stream
+at the null device, so the flush at exit cannot fail again, and exits 1
+(with an ``output error`` line on stderr unless the pipe was closed).
 JSON results echo their normalized inputs under ``"inputs"``; feeding that
 object back through the same subcommand reproduces the values bit-for-bit.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and shared by every later call.  ``parse_args`` returns a new
-namespace each time and keeps no per-call state on the parser, so ``main``
-is re-entrant: a call's output depends only on its own ``argv`` and input.
+namespace each time and keeps no per-call state on the parser.  The
+evaluation caches (:func:`~unrolledsl2.diagram.compile_diagram` and the
+braiding pairings of :mod:`~unrolledsl2.repcat`) hold only what the
+diagram structure and root order fix, never a value that depends on the
+colors or the tolerance, and every call computes its values afresh.  So
+``main`` is re-entrant: a call's output depends only on its own ``argv``
+and input, not on what ran before it in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
+import os
 import sys
 from typing import Any
 
@@ -207,7 +219,36 @@ def _run_selftest(args, out) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out, err = sys.stdout, sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    code = _run(args, out, err)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        _to_devnull(sys.stdout)
+        code = 1
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe needs no message
+            err.write(f"output error: cannot write the result: {exc.strerror or exc}\n")
+    try:
+        sys.stderr.write(err.getvalue())
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
+
+
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that the
+    flush of the standard streams at exit cannot fail again (the recipe
+    in the documentation of Python's :mod:`signal` module)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _run(args, out, err) -> int:
+    """Run the parsed command, writing its result to ``out`` and any error
+    line to ``err``; the exit code."""
     try:
         if args.command == "selftest":
             RootParams(args.r)  # validate r with the standard message

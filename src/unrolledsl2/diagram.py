@@ -28,6 +28,13 @@ calls :func:`evaluate` and :func:`evaluate_cut` are batches of one.
 slice's two strands as open legs, which turns it into the matrix of a 1-1
 tangle on the cut component (used by the renormalized link invariant).
 
+Everything the colors cannot change (the words, the bookkeeping, the cut
+checks, the network, its plans and each crossing's scatter positions) is
+compiled once per diagram structure and kept in process-wide caches
+(:func:`compile_diagram`); each call still computes every value, runs the
+memory preflight, and contracts with the same operations in the same
+order.
+
 Geometric bookkeeping (writhes and linking numbers) is extracted from the
 same slice walk: a crossing between strands with orientations o₁, o₂ and
 braid sign ε contributes ε·o₁·o₂ to the writhe of its component (self
@@ -38,9 +45,10 @@ twist scalars.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -62,6 +70,8 @@ __all__ = [
     "evaluate",
     "evaluate_cut",
     "CutTangle",
+    "CompiledDiagram",
+    "compile_diagram",
     "cut_is_enclosed",
     "writhe_and_linking",
     "unknot_diagram",
@@ -93,6 +103,10 @@ class Id:
     """Identity slice; if ``word`` is given, typechecking asserts it."""
 
     word: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.word is not None:
+            object.__setattr__(self, "word", tuple(self.word))
 
 
 @dataclass(frozen=True)
@@ -132,13 +146,19 @@ class Coupon:
     """A morphism box consuming ``inputs`` and emitting ``outputs``.
 
     ``matrix`` has shape (prod of output dims, prod of input dims) once
-    colors are bound; it is supplied directly as an ndarray.
+    colors are bound; it is supplied directly as an ndarray.  A coupon
+    holding a matrix is not hashable; :func:`compile_diagram` keys it by
+    its position and strands.
     """
 
     position: int
     inputs: tuple
     outputs: tuple
     matrix: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
 SliceType = Union[Id, Braid, Cup, Cap, Coupon]
@@ -157,11 +177,11 @@ class SlicedDiagram:
 
     @property
     def target(self) -> tuple:
-        return typecheck(self)[-1]
+        return compile_diagram(self).words[-1]
 
     @property
     def is_closed(self) -> bool:
-        words = typecheck(self)
+        words = compile_diagram(self).words
         return not words[0] and not words[-1]
 
     def component_names(self) -> list[str]:
@@ -173,7 +193,7 @@ class SlicedDiagram:
             if isinstance(sl, Cup):
                 seen.setdefault(sl.component, None)
             elif isinstance(sl, Coupon):
-                for strand in tuple(sl.inputs) + tuple(sl.outputs):
+                for strand in sl.inputs + sl.outputs:
                     seen.setdefault(strand.component, None)
         return list(seen)
 
@@ -236,13 +256,13 @@ def _apply_slice(word: tuple, sl: SliceType, index: int) -> tuple:
 
     if isinstance(sl, Coupon):
         i = sl.position
-        ins = tuple(sl.inputs)
+        ins = sl.inputs
         if word[i : i + len(ins)] != ins:
             bail(
                 f"coupon inputs {ins} do not match word segment "
                 f"{word[i:i + len(ins)]}"
             )
-        return word[:i] + tuple(sl.outputs) + word[i + len(ins) :]
+        return word[:i] + sl.outputs + word[i + len(ins) :]
 
     bail(f"unknown slice kind {type(sl).__name__}")
 
@@ -372,10 +392,8 @@ def cut_is_enclosed(
 # ----------------------------------------------------------------------
 
 
-def _stack_colors(
-    ctx: RootParams, diagram: SlicedDiagram, colors: dict
-) -> dict[str, ModuleStack]:
-    """Each component's color as a module stack.
+def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack]:
+    """The color of each component in ``names``, as a module stack.
 
     A color is a :class:`ModuleStack` (a one-term stack is a module), a
     sequence of stacks whose terms are concatenated, or a complex α
@@ -383,7 +401,7 @@ def _stack_colors(
     same number of terms.
     """
     stacks = {}
-    for name in diagram.component_names():
+    for name in names:
         if name not in colors:
             raise DomainError(f"no color given for component {name!r}")
         value = colors[name]
@@ -398,19 +416,109 @@ def _stack_colors(
     return stacks
 
 
+class CompiledDiagram:
+    """Everything about evaluating a diagram that its colors cannot change.
+
+    Built once per diagram structure by :func:`compile_diagram`, at once:
+    the :func:`typecheck` words and the component names.  On first use: the
+    writhes and linking numbers, the enclosure check of each cup or cap,
+    each component's last open cut, and the tensor network (:class:`_Network`)
+    of the whole diagram or of one cut, whose contraction plans are kept
+    per strand dimensions.  A coupon counts by its position and strands
+    only; its matrix is read from the diagram each evaluation is given.
+    Every value here is shared by all callers and must not be modified.
+    """
+
+    def __init__(self, skeleton: SlicedDiagram):
+        self.words = tuple(typecheck(skeleton))
+        self.names = tuple(skeleton.component_names())
+        self._diagram = skeleton
+        self.enclosed = functools.lru_cache(self._enclosed)
+        self.open_cut = functools.lru_cache(self._open_cut)
+        self.network = functools.lru_cache(self._network)
+        self.cut = functools.lru_cache(self._cut)
+
+    @functools.cached_property
+    def writhe_and_linking(self) -> tuple[dict[str, int], dict[frozenset, int]]:
+        """:func:`writhe_and_linking` of the diagram."""
+        return writhe_and_linking(self._diagram, self.words)
+
+    def _enclosed(self, cut_slice: int) -> bool:
+        return cut_is_enclosed(self._diagram, cut_slice, self.words)
+
+    def _owner(self, index: int) -> Optional[str]:
+        """The component of the cup or cap at slice ``index``, else None."""
+        sl = self._diagram.slices[index]
+        if isinstance(sl, Cup):
+            return sl.component
+        if isinstance(sl, Cap):
+            return self.words[index][sl.position].component
+        return None
+
+    def _open_cut(self, component: str) -> Optional[int]:
+        """The component's last cup or cap that is not enclosed, or None."""
+        for index in reversed(range(len(self._diagram.slices))):
+            if self._owner(index) == component and not self.enclosed(index):
+                return index
+        return None
+
+    def _network(self, cut_slice: Optional[int]) -> "_Network":
+        return _Network(self._diagram, self.words, cut_slice)
+
+    def _cut(self, cut_slice: int) -> tuple[str, "_Network"]:
+        """The cut component and the network of the diagram cut open at
+        ``cut_slice``, after the checks :class:`CutTangle` documents."""
+        if self.words[0] or self.words[-1]:
+            raise DomainError("cut evaluation requires a closed diagram")
+        component = self._owner(cut_slice)
+        if component is None:
+            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
+        if self.enclosed(cut_slice):
+            raise DiagramTypeError(
+                f"cut slice {cut_slice} is enclosed by other strands; re-slice "
+                "the diagram so the cut component has an outermost cup or cap"
+            )
+        return component, self.network(cut_slice)
+
+
+@functools.lru_cache
+def _compiled(skeleton: SlicedDiagram) -> CompiledDiagram:
+    return CompiledDiagram(skeleton)
+
+
+def compile_diagram(diagram: SlicedDiagram) -> CompiledDiagram:
+    """The diagram's :class:`CompiledDiagram`, from a process-wide cache.
+
+    The cache is keyed by the diagram's structure: the diagram itself, or,
+    when it holds coupons, a copy whose coupons carry no matrix.  It keeps
+    the 128 structures used last (``functools.lru_cache``); a diagram that
+    does not typecheck raises :class:`DiagramTypeError` on every call.
+    """
+    if any(isinstance(sl, Coupon) for sl in diagram.slices):
+        diagram = SlicedDiagram(
+            tuple(replace(sl, matrix=None) if isinstance(sl, Coupon) else sl
+                  for sl in diagram.slices),
+            diagram.source,
+        )
+    return _compiled(diagram)
+
+
 class _Network:
     """A diagram as a tensor network over integer leg ids.
 
     Each crossing and coupon is one tensor, one leg per strand end (outputs
-    first); cups and caps only join legs.  A leg carries pivot**(#ev′ −
-    #coev′) over the cups and caps it passes, folded into the last tensor
-    holding it.  A leg no tensor holds is a loop (its weighted trace), one
-    with both ends open a wire tensor (key None).  ``open`` is the target
-    word then the source word, or the cut slice's strands as row and column
-    of the endomorphism that closing with that cup or cap inverts.
+    first); cups and caps only join legs.  A tensor is ("braid", its key
+    in ``braids``), ("coupon", its slice index) or, for a leg with both
+    ends open, ("wire", None).  A leg carries pivot**(#ev′ − #coev′) over
+    the cups and caps it passes, folded into the last tensor holding it.  A
+    leg no tensor holds is a loop (its weighted trace).  ``open`` is the
+    target word then the source word, or the cut slice's strands as row
+    and column of the endomorphism that closing with that cup or cap
+    inverts.  A network depends on the diagram's structure and cut only,
+    and keeps its plans (:class:`_Plan`) per strand dimensions.
     """
 
-    def __init__(self, diagram: SlicedDiagram, words: list, cut_slice=None):
+    def __init__(self, diagram: SlicedDiagram, words, cut_slice=None):
         uf, owner, power, braids = _UnionFind(), [], [], {}
 
         def fresh(component, k=0):
@@ -426,11 +534,11 @@ class _Network:
                 a, b = words[index][i : i + 2]
                 new = [fresh(b.component), fresh(a.component)]
                 key = braids.setdefault((a, b, sl.sign), len(braids))
-                raw.append((key, new + word[i : i + 2]))
+                raw.append((("braid", key), new + word[i : i + 2]))
                 word[i : i + 2] = new
             elif isinstance(sl, Coupon):
                 new = [fresh(s.component) for s in sl.outputs]
-                raw.append((sl, new + word[i : i + len(sl.inputs)]))
+                raw.append((("coupon", index), new + word[i : i + len(sl.inputs)]))
                 word[i : i + len(sl.inputs)] = new
             elif isinstance(sl, Cup) and index == cut_slice:
                 pair = [fresh(sl.component), fresh(sl.component, -(sl.variant == "coev"))]
@@ -450,7 +558,9 @@ class _Network:
         root = [uf.find(x) for x in range(len(owner))]
         ids: dict[int, int] = {}  # union-find root -> leg id
         self.braids = list(braids)
-        self.keys = [key for key, _ in raw]
+        self.tensors = [tensor for tensor, _ in raw]
+        self.outputs = [len(diagram.slices[arg].outputs) if kind == "coupon" else 0
+                        for kind, arg in self.tensors]
         self.legs = [[ids.setdefault(root[x], len(ids)) for x in held] for _, held in raw]
         self.open = [ids.setdefault(root[x], len(ids)) for x in ends or word + source]
         self.component = [owner[x] for x in ids]
@@ -464,7 +574,8 @@ class _Network:
         for pos, leg in enumerate(self.open):
             if leg in self.open[:pos]:  # both ends open: a wire
                 self.open[pos] = len(self.component)
-                self.keys.append(None)
+                self.tensors.append(("wire", None))
+                self.outputs.append(0)
                 self.legs.append([leg, len(self.component)])
                 self.component.append(self.component[leg])
                 self.power.append(0)
@@ -474,68 +585,25 @@ class _Network:
             self.weights[last[leg]].append(leg)
         self.free = [held if len(set(held)) == len(held) else
                      [leg for leg in held if held.count(leg) == 1] for held in self.legs]
-        self._plan: tuple = (None,)
+        self.names = tuple(dict.fromkeys(self.component))  # the components on legs
+        self._plans = functools.lru_cache(functools.partial(_Plan, self))
 
-    def plan(self, dims: dict[str, int]) -> tuple:
-        """(leg dims, merges, layouts, (last tensor, its axes), peak
-        elements per term), reused while ``dims`` stay.
+    def plan(self, dims: dict[str, int]) -> "_Plan":
+        """The contraction plan at the color dimensions ``dims``."""
+        return self._plans(tuple(dims[name] for name in self.names))
 
-        :func:`.planner.greedy_order`'s merges, then outer products of the
-        tensors left sharing no leg, each as (i, j, axes of i, axes of j,
-        shared elements, result shape); the axes order i's legs left +
-        shared and j's shared + right, None if already so.  A tensor's
-        layout is its leg order at its first merge (``open`` for a last
-        tensor that never merges).
-        """
-        leg_dims = [dims[c] for c in self.component]
-        if self._plan[0] != leg_dims:
-            order, peak = greedy_order(self.legs, leg_dims)
-            rest = sorted(set(range(len(self.legs))) - {j for _, j in order})
-            order += [(rest[0], t) for t in rest[1:]]
-            peak = max(peak, math.prod([leg_dims[leg] for leg in self.open]))
-            live, layouts, merged, merges = list(self.free), list(self.free), set(), []
-
-            def arrange(t, legs):
-                if t not in merged:
-                    layouts[t] = legs
-                    return None
-                axes = [live[t].index(leg) for leg in legs]
-                return None if axes == sorted(axes) else [0] + [1 + x for x in axes]
-
-            for i, j in order:
-                a, b = live[i], live[j]
-                shared = [leg for leg in a if leg in b]
-                left = [leg for leg in a if leg not in b]
-                right = [leg for leg in b if leg not in a]
-                merges.append((
-                    i, j, arrange(i, left + shared), arrange(j, shared + right),
-                    math.prod([leg_dims[leg] for leg in shared]),
-                    tuple(leg_dims[leg] for leg in left + right),
-                ))
-                merged |= {i, j}
-                live[i] = left + right
-            last = rest[0] if rest else None
-            final = None if last is None else arrange(last, self.open)
-            self._plan = (leg_dims, merges, layouts, (last, final), peak)
-        return self._plan
-
-    def contract(self, stacks: dict[str, ModuleStack]) -> np.ndarray:
+    def contract(self, stacks: dict[str, ModuleStack], diagram: SlicedDiagram) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
 
         The plan's bytes (peak × terms, plus the braiding blocks) must fit
-        in physical memory before any block is built.  A crossing is its
-        braiding's nonzero entries (:func:`.repcat.braiding_entries`) times
-        the pivot powers of its weighted legs, scattered straight into its
-        layout.  A kink (a crossing with a self-traced leg), coupon or wire
-        is built whole, weighted and traced by one einsum, and viewed in its
-        layout.  A merge is one batched matmul.
+        in physical memory before any block is built.  Then every tensor
+        is built as its plan says (:class:`_Crossing`, :class:`_Block`),
+        ``diagram`` giving the coupon matrices, and each merge is one
+        batched matmul.
         """
-        dims, merges, layouts, (last, final), peak = self.plan(
-            {name: st.dim for name, st in stacks.items()})
+        plan = self.plan({name: st.dim for name, st in stacks.items()})
         terms = max((st.terms for st in stacks.values()), default=1)
-        need = 16 * terms * (peak + sum(
-            (stacks[a.component].dim * stacks[b.component].dim) ** 2 for a, b, _ in self.braids
-        ))
+        need = 16 * terms * (plan.peak + plan.braid_elements)
         limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > limit:
             raise MemoryError(f"the contraction needs {need / 2**30:.3g} GiB, "
@@ -545,47 +613,16 @@ class _Network:
                                for s in (a, b)), sign)
             for a, b, sign in self.braids
         ]
-        arrays = []
-        for key, held, free, weights, layout in zip(
-                self.keys, self.legs, self.free, self.weights, layouts):
-            if type(key) is int and len(free) == len(held):  # a crossing: (k, i, j, l)
-                values, index = entries[key]
-                if weights:  # multiplied as the einsum below multiplies
-                    operands = [values, [0, 1]]
-                    for leg in weights:
-                        pivot = stacks[self.component[leg]].pivot ** self.power[leg]
-                        operands += [pivot[:, index[held.index(leg)]], [0, 1]]
-                    values = np.einsum(*operands, [0, 1])
-                axes = [held.index(leg) for leg in layout]
-                arrays.append(_scatter(values, index, axes, [dims[leg] for leg in layout]))
-                continue
-            shape = [dims[leg] for leg in held]
-            if type(key) is int:
-                block = _scatter(*entries[key], range(4), shape)
-            elif key is None:
-                block = np.eye(shape[0], dtype=complex)
-            else:
-                n, block = len(key.outputs), np.asarray(key.matrix, dtype=complex)
-                expected = (math.prod(shape[:n]), math.prod(shape[n:]))
-                if block.shape != expected:
-                    raise DiagramTypeError(f"coupon matrix shape {block.shape} != {expected}")
-            block = block.reshape([-1] + shape)
-            if weights or len(free) < len(held):  # fold in weights, trace self-legs
-                operands = [block, [0] + [1 + held.index(leg) for leg in held]]
-                for leg in weights:
-                    w = stacks[self.component[leg]].pivot ** self.power[leg]
-                    operands += [w, [0, 1 + held.index(leg)]]
-                block = np.einsum(*operands, [0] + [1 + held.index(leg) for leg in free])
-            arrays.append(block.transpose([0] + [1 + free.index(leg) for leg in layout]))
-        for i, j, x_axes, y_axes, k, shape in merges:
+        arrays = [tensor.build(stacks, entries, diagram) for tensor in plan.tensors]
+        for i, j, x_axes, y_axes, k, shape in plan.merges:
             x = arrays[i] if x_axes is None else arrays[i].transpose(x_axes)
             y = arrays[j] if y_axes is None else arrays[j].transpose(y_axes)
             z = np.matmul(x.reshape(x.shape[0], -1, k), y.reshape(y.shape[0], k, -1))
             arrays[i] = z.reshape(z.shape[:1] + shape)
-        if last is None:
+        if plan.last is None:
             out = np.ones(1, dtype=complex)
         else:
-            out = arrays[last] if final is None else arrays[last].transpose(final)
+            out = arrays[plan.last] if plan.final is None else arrays[plan.last].transpose(plan.final)
         for name, k in self.loops:
             trace = (stacks[name].pivot ** k).sum(axis=1)
             out = out * trace.reshape((-1,) + (1,) * (out.ndim - 1))
@@ -594,15 +631,157 @@ class _Network:
         return out
 
 
-def _scatter(values: np.ndarray, index: tuple, axes, shape: list) -> np.ndarray:
-    """Zeros of shape (terms, *shape) but for ``values`` (terms, entries) at
-    (index[axes[0]], index[axes[1]], …)."""
+class _Plan:
+    """A network's contraction at fixed strand dimensions: all of
+    :meth:`_Network.contract` that no color changes.
+
+    ``merges`` are :func:`.planner.greedy_order`'s, then outer products of
+    the tensors left sharing no leg, each as (i, j, axes of i, axes of j,
+    shared elements, result shape); the axes order i's legs left + shared
+    and j's shared + right, None if already so.  A tensor's layout is its
+    leg order at its first merge (``open`` for a last tensor that never
+    merges), and ``tensors`` say how to build each one in its layout.
+    ``last`` is the tensor left at the end and ``final`` its axes (None
+    if already in ``open`` order), ``peak`` the most elements per term
+    and ``braid_elements`` those of the dense braiding blocks, for the
+    memory preflight.
+    """
+
+    def __init__(self, net: _Network, dims: tuple):
+        dims = dict(zip(net.names, dims))
+        leg_dims = [dims[c] for c in net.component]
+        order, peak = greedy_order(net.legs, leg_dims)
+        rest = sorted(set(range(len(net.legs))) - {j for _, j in order})
+        order += [(rest[0], t) for t in rest[1:]]
+        self.peak = max(peak, math.prod([leg_dims[leg] for leg in net.open]))
+        self.braid_elements = sum(
+            (dims[a.component] * dims[b.component]) ** 2 for a, b, _ in net.braids)
+        live, layouts, merged, self.merges = list(net.free), list(net.free), set(), []
+
+        def arrange(t, legs):
+            if t not in merged:
+                layouts[t] = legs
+                return None
+            axes = [live[t].index(leg) for leg in legs]
+            return None if axes == sorted(axes) else [0] + [1 + x for x in axes]
+
+        for i, j in order:
+            a, b = live[i], live[j]
+            shared = [leg for leg in a if leg in b]
+            left = [leg for leg in a if leg not in b]
+            right = [leg for leg in b if leg not in a]
+            self.merges.append((
+                i, j, arrange(i, left + shared), arrange(j, shared + right),
+                math.prod([leg_dims[leg] for leg in shared]),
+                tuple(leg_dims[leg] for leg in left + right),
+            ))
+            merged |= {i, j}
+            live[i] = left + right
+        self.last = rest[0] if rest else None
+        self.final = None if self.last is None else arrange(self.last, net.open)
+        self.tensors = []
+        for (kind, arg), held, free, weights, layout, outputs in zip(
+                net.tensors, net.legs, net.free, net.weights, layouts, net.outputs):
+            weighted = [(net.component[leg], net.power[leg], held.index(leg)) for leg in weights]
+            if kind == "braid" and len(free) == len(held):
+                axes = [held.index(leg) for leg in layout]
+                self.tensors.append(_Crossing(
+                    arg, weighted, _Scatter(axes, [leg_dims[leg] for leg in layout])))
+            else:
+                subscripts = None
+                if weights or len(free) < len(held):
+                    subscripts = ([0] + [1 + held.index(leg) for leg in held],
+                                  [0] + [1 + held.index(leg) for leg in free])
+                self.tensors.append(_Block(
+                    kind, arg, outputs, [leg_dims[leg] for leg in held], weighted,
+                    subscripts, [0] + [1 + free.index(leg) for leg in layout]))
+
+
+@functools.lru_cache
+def _positions(index_key: bytes, axes: tuple, shape: tuple) -> np.ndarray:
+    """The flat positions in an array of ``shape`` of the entries whose
+    (k, i, j, l) arrays have the bytes ``index_key``, read in ``axes``
+    order.  Cached, so read-only."""
+    index = np.frombuffer(index_key, dtype=np.intp).reshape(4, -1)
     flat = 0
     for axis, n in zip(axes, shape):
         flat = flat * n + index[axis]
-    block = np.zeros((len(values), math.prod(shape)), dtype=complex)
-    block[:, flat] = values
-    return block.reshape(len(values), *shape)
+    flat.flags.writeable = False
+    return flat
+
+
+class _Scatter:
+    """Zeros of shape (terms, *shape) but for a braiding's entries (terms,
+    entries) at their (k, i, j, l) read in ``axes`` order.  The flat
+    positions (:func:`_positions`) are kept for the last (k, i, j, l)
+    arrays seen, which :func:`.repcat.braiding_entries` hands out
+    unchanged per nonzero pattern."""
+
+    def __init__(self, axes, shape):
+        self.axes, self.shape = tuple(axes), tuple(shape)
+        self._last = (None, None)  # (the (k, i, j, l) arrays, their flat positions)
+
+    def __call__(self, values: np.ndarray, index: tuple) -> np.ndarray:
+        seen, flat = self._last
+        if seen is not index:
+            key = np.array(index, dtype=np.intp).tobytes()
+            flat = _positions(key, self.axes, self.shape)
+            self._last = (index, flat)
+        block = np.zeros((len(values), math.prod(self.shape)), dtype=complex)
+        block[:, flat] = values
+        return block.reshape(len(values), *self.shape)
+
+
+class _Crossing:
+    """A crossing without a self-traced leg: its braiding's nonzero entries
+    (:func:`.repcat.braiding_entries`) times the pivot powers of its
+    weighted legs, scattered straight into its layout."""
+
+    def __init__(self, key: int, weights: list, scatter: _Scatter):
+        self.key, self.weights, self.scatter = key, weights, scatter
+
+    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        values, index = entries[self.key]
+        if self.weights:  # multiplied as _Block's einsum multiplies
+            operands = [values, [0, 1]]
+            for name, power, axis in self.weights:
+                pivot = stacks[name].pivot ** power
+                operands += [pivot[:, index[axis]], [0, 1]]
+            values = np.einsum(*operands, [0, 1])
+        return self.scatter(values, index)
+
+
+class _Block:
+    """A kink (a crossing with a self-traced leg), coupon or wire: built
+    whole, weighted and traced by one einsum (``subscripts``: those of its
+    legs and of its free legs, None when there is nothing to do), and
+    viewed in its layout."""
+
+    def __init__(self, kind, arg, outputs, shape, weights, subscripts, layout):
+        self.kind, self.arg, self.outputs, self.shape = kind, arg, outputs, shape
+        self.weights, self.subscripts, self.layout = weights, subscripts, layout
+        self.scatter = _Scatter(range(4), shape) if kind == "braid" else None
+
+    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        shape = self.shape
+        if self.kind == "braid":
+            block = self.scatter(*entries[self.arg])
+        elif self.kind == "wire":
+            block = np.eye(shape[0], dtype=complex)
+        else:
+            n = self.outputs
+            block = np.asarray(diagram.slices[self.arg].matrix, dtype=complex)
+            expected = (math.prod(shape[:n]), math.prod(shape[n:]))
+            if block.shape != expected:
+                raise DiagramTypeError(f"coupon matrix shape {block.shape} != {expected}")
+        block = block.reshape([-1] + shape)
+        if self.subscripts is not None:  # fold in weights, trace self-legs
+            legs, free = self.subscripts
+            operands = [block, legs]
+            for name, power, axis in self.weights:
+                operands += [stacks[name].pivot ** power, [0, 1 + axis]]
+            block = np.einsum(*operands, free)
+        return block.transpose(self.layout)
 
 
 def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:
@@ -612,52 +791,40 @@ def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarra
     shorthand for V_α).  The matrix has shape (∏ target dims, ∏ source
     dims), the dimensions of the boundary words' strands; an empty word
     has dimension 1, the monoidal unit.  The diagram is contracted as a
-    tensor network (:class:`_Network`) whose open legs are the target
-    strands, then the source strands.
+    tensor network (:class:`_Network`, from :func:`compile_diagram`) whose
+    open legs are the target strands, then the source strands.
     """
-    words = typecheck(diagram)
-    stacks = _stack_colors(ctx, diagram, colors)
+    compiled = compile_diagram(diagram)
+    stacks = _stack_colors(ctx, compiled.names, colors)
 
     def dim(word):
         return math.prod(stacks[strand.component].dim for strand in word)
 
-    matrix = _Network(diagram, words).contract(stacks)[0]
-    return matrix.reshape(dim(words[-1]), dim(words[0]))
+    matrix = compiled.network(None).contract(stacks, diagram)[0]
+    return matrix.reshape(dim(compiled.words[-1]), dim(compiled.words[0]))
 
 
 class CutTangle:
     """A closed diagram cut open at a cup/cap slice of one component.
 
-    The diagram is typechecked, the cut checked for enclosure and the
-    tensor network built once, at construction (``words`` skips the
-    typecheck when the caller already has the diagram's words); its plan is
-    made once per strand dimensions, so :meth:`matrices` evaluates the 1-1
-    tangle for any batch of colorings in one planned contraction.
+    The cut must be a cup or cap of a closed diagram that other strands do
+    not enclose (:func:`cut_is_enclosed`).  These checks and the tensor
+    network come from the diagram's compiled form (:func:`compile_diagram`),
+    so they are made once per diagram structure and cut, and the plan once
+    per strand dimensions; :meth:`matrices` evaluates the 1-1 tangle for
+    any batch of colorings in one planned contraction, with this diagram's
+    coupon matrices.
     """
 
-    def __init__(
-        self, diagram: SlicedDiagram, cut_slice: int, words: Optional[list] = None
-    ):
-        words = typecheck(diagram) if words is None else words
-        if words[0] or words[-1]:
-            raise DomainError("cut evaluation requires a closed diagram")
-        sl = diagram.slices[cut_slice]
-        if not isinstance(sl, (Cup, Cap)):
-            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-        if cut_is_enclosed(diagram, cut_slice, words):
-            raise DiagramTypeError(
-                f"cut slice {cut_slice} is enclosed by other strands; re-slice "
-                "the diagram so the cut component has an outermost cup or cap"
-            )
+    def __init__(self, diagram: SlicedDiagram, cut_slice: int):
+        compiled = compile_diagram(diagram)
         self.diagram = diagram
-        self.component = (
-            sl.component if isinstance(sl, Cup) else words[cut_slice][sl.position].component
-        )
-        self._network = _Network(diagram, words, cut_slice=cut_slice)
+        self.names = compiled.names
+        self.component, self._network = compiled.cut(cut_slice)
 
     def peak_elements(self, dims: dict[str, int]) -> int:
         """The plan's peak elements per term at color dimensions ``dims``."""
-        return self._network.plan(dims)[-1]
+        return self._network.plan(dims).peak
 
     def matrices(self, colors: dict, ctx: RootParams) -> np.ndarray:
         """The tangle's endomorphism of the cut component's color, per term.
@@ -666,7 +833,7 @@ class CutTangle:
         carry several terms (a :class:`ModuleStack` or a sequence of
         them); the result has shape (terms, d, d).
         """
-        return self._network.contract(_stack_colors(ctx, self.diagram, colors))
+        return self._network.contract(_stack_colors(ctx, self.names, colors), self.diagram)
 
 
 def evaluate_cut(
@@ -680,8 +847,8 @@ def evaluate_cut(
     :meth:`CutTangle.matrices`.
     """
     cut = CutTangle(diagram, cut_slice)
-    stacks = _stack_colors(ctx, diagram, colors)
-    return cut._network.contract(stacks)[0], stacks[cut.component].take([0])
+    stacks = _stack_colors(ctx, cut.names, colors)
+    return cut._network.contract(stacks, diagram)[0], stacks[cut.component].take([0])
 
 
 # ----------------------------------------------------------------------

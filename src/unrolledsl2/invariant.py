@@ -41,15 +41,12 @@ from typing import Optional
 import numpy as np
 
 from .diagram import (
-    Cap,
-    Cup,
+    CompiledDiagram,
     CutTangle,
     SlicedDiagram,
     clasp_diagram,
-    cut_is_enclosed,
-    typecheck,
+    compile_diagram,
     unknot_diagram,
-    writhe_and_linking,
 )
 from .errors import (
     DomainError,
@@ -106,29 +103,22 @@ def _in_double_range(evaluate):
     return run
 
 
-def _first_cut_slice(diagram: SlicedDiagram, component: str, words: list) -> int:
+def _first_cut_slice(compiled: CompiledDiagram, component: str) -> int:
     """The component's last cup or cap that is not fenced in.
 
     Every open cut of a component gives the same Schur scalar up to
     rounding; always taking the last one fixes the rounding.  Cutting an
     enclosed extremum is not a planar move, so any cup/cap that
-    :func:`cut_is_enclosed` rejects is skipped.  ``words`` are the
-    diagram's :func:`typecheck` words.
+    :func:`.diagram.cut_is_enclosed` rejects is skipped
+    (:meth:`.CompiledDiagram.open_cut`).
     """
-    for index in reversed(range(len(diagram.slices))):
-        sl = diagram.slices[index]
-        if isinstance(sl, Cup):
-            owner = sl.component
-        elif isinstance(sl, Cap):
-            owner = words[index][sl.position].component
-        else:
-            continue
-        if owner == component and not cut_is_enclosed(diagram, index, words):
-            return index
-    raise DomainError(
-        f"component {component!r} has no cup or cap that can be cut open; "
-        "re-slice the diagram with this component outermost"
-    )
+    index = compiled.open_cut(component)
+    if index is None:
+        raise DomainError(
+            f"component {component!r} has no cup or cap that can be cut open; "
+            "re-slice the diagram with this component outermost"
+        )
+    return index
 
 
 def _cut_color_alpha(label: tuple) -> complex:
@@ -160,14 +150,14 @@ def f_prime(
     cut at its last cup or cap that is not enclosed by other strands
     (see :func:`_first_cut_slice`).
     """
-    words = typecheck(diagram)
-    if words[0] or words[-1]:
+    compiled = compile_diagram(diagram)
+    if compiled.words[0] or compiled.words[-1]:
         raise DomainError("renormalized invariant requires a closed diagram")
     resolved = {
         name: value if isinstance(value, ModuleStack) else valpha_stack(ctx, (value,))
         for name, value in colors.items()
     }
-    names = diagram.component_names()
+    names = compiled.names
     missing = [name for name in names if name not in resolved]
     if missing:
         raise DomainError(f"no color given for component {missing[0]!r}")
@@ -187,8 +177,8 @@ def f_prime(
             raise DomainError("no component carries a simple projective color")
     alpha_cut = _cut_color_alpha(resolved[cut_component].labels[0])
     if cut_slice is None:
-        cut_slice = _first_cut_slice(diagram, cut_component, words)
-    cut = CutTangle(diagram, cut_slice, words)
+        cut_slice = _first_cut_slice(compiled, cut_component)
+    cut = CutTangle(diagram, cut_slice)
     if cut.component != cut_component:
         raise DomainError(
             f"cut slice {cut_slice} belongs to component {cut.component!r}, "
@@ -198,7 +188,7 @@ def f_prime(
     s = scalar_of(matrix, ctx.tol)
     value = ctx.mdim(alpha_cut) * s
     if framings:
-        writhes, _ = writhe_and_linking(diagram, words)
+        writhes, _ = compiled.writhe_and_linking
         for name, framing in framings.items():
             delta_f = framing - writhes.get(name, 0)
             if delta_f:
@@ -346,17 +336,10 @@ def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
     return p, s, nullity
 
 
-def linking_data(
-    sp: SurgeryPresentation, linking: Optional[dict] = None
-) -> LinkingData:
-    """Linking matrix (framings on the diagonal) and its exact signature.
-
-    ``linking`` is the diagram's linking numbers
-    (:func:`writhe_and_linking`) when the caller already has them.
-    """
+def linking_data(sp: SurgeryPresentation) -> LinkingData:
+    """Linking matrix (framings on the diagonal) and its exact signature."""
     l_names = sp.surgery_names()
-    if linking is None:
-        _writhes, linking = writhe_and_linking(sp.diagram)
+    _writhes, linking = compile_diagram(sp.diagram).writhe_and_linking
     n = len(l_names)
     matrix = [[0] * n for _ in range(n)]
     for i, a in enumerate(l_names):
@@ -392,13 +375,8 @@ def _parallel_values(
     return values
 
 
-def computability_failure(
-    sp: SurgeryPresentation, linking: Optional[dict] = None
-) -> Optional[str]:
-    """None when the presentation is computable, else the violated condition.
-
-    ``linking`` is as for :func:`linking_data`.
-    """
+def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
+    """None when the presentation is computable, else the violated condition."""
     ctx = sp.ctx
     l_names = sp.surgery_names()
     graph_colors = sp.resolved_graph_colors()
@@ -416,8 +394,7 @@ def computability_failure(
                 f"meridian value {sp.meridian_values[name]!r} on surgery "
                 f"component {name!r} is integral"
             )
-    if linking is None:
-        _writhes, linking = writhe_and_linking(sp.diagram)
+    _writhes, linking = compile_diagram(sp.diagram).writhe_and_linking
     for name, value in _parallel_values(sp, linking, graph_colors).items():
         if not ctx.is_congruent_mod2(value, 0.0):
             return (
@@ -461,7 +438,7 @@ def _strand_dims(sp: SurgeryPresentation, graph_colors: dict) -> dict[str, int]:
 
 
 def _fixed_cut(
-    sp: SurgeryPresentation, words: list, graph_colors: dict
+    sp: SurgeryPresentation, compiled: CompiledDiagram, graph_colors: dict
 ) -> tuple[str, int]:
     """Deterministic cut choice: first projective graph edge, else first L.
 
@@ -469,14 +446,14 @@ def _fixed_cut(
     surgery circles around the graph edges stays legal as long as one
     component reaches the outside.  Within the chosen component the cut
     falls on its last open cup or cap (:func:`_first_cut_slice`).
-    ``words`` are the diagram's :func:`typecheck` words and
+    ``compiled`` is the diagram's :func:`.diagram.compile_diagram` and
     ``graph_colors`` the presentation's resolved graph colors.
     """
     candidates = [name for name, m in graph_colors.items() if m.labels[0][0] == "V"]
     candidates.extend(sp.surgery_names())
     for name in candidates:
         try:
-            return name, _first_cut_slice(sp.diagram, name, words)
+            return name, _first_cut_slice(compiled, name)
         except DomainError:
             continue
     raise DomainError(
@@ -497,11 +474,12 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     framing corrections through twist scalars, and assembles both
     normalization routes.
 
-    The diagram is typechecked once per call; its words, writhes and
-    linking numbers serve every step.  Each surgery component's r Kirby
-    colors are built once, as one module stack, and the term weights
-    Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  The
-    cut tangle's contraction is planned once, and the r**m terms run in
+    The diagram's compiled form (:func:`.diagram.compile_diagram`, cached
+    per diagram structure) gives its words, writhes, linking numbers, cut
+    and plan.  Each surgery component's r Kirby colors are built once, as
+    one module stack, and the term weights
+    Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  Every
+    pass contracts by the cut tangle's one plan, and the r**m terms run in
     contiguous row-major passes of max(r, ``_PASS_ELEMENTS`` // peak)
     terms, peak being the most elements one term holds in that plan
     (:meth:`.CutTangle.peak_elements`).  The budget 9·9⁴ (0.9 MiB) is the
@@ -514,17 +492,17 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     and the term values are summed one by one in row-major order.
     """
     ctx = sp.ctx
-    words = typecheck(sp.diagram)
-    writhes, linking = writhe_and_linking(sp.diagram, words)
-    failure = computability_failure(sp, linking)
+    compiled = compile_diagram(sp.diagram)
+    writhes, _ = compiled.writhe_and_linking
+    failure = computability_failure(sp)
     if failure is not None:
         raise NotComputableError(failure)
     l_names = sp.surgery_names()
     m = len(l_names)
-    data = linking_data(sp, linking)
+    data = linking_data(sp)
     graph_colors = sp.resolved_graph_colors()
-    cut_name, cut_slice = _fixed_cut(sp, words, graph_colors)
-    cut = CutTangle(sp.diagram, cut_slice, words)
+    cut_name, cut_slice = _fixed_cut(sp, compiled, graph_colors)
+    cut = CutTangle(sp.diagram, cut_slice)
 
     # Kirby index of every term (row-major) and its weight
     index = np.array(list(itertools.product(range(ctx.r), repeat=m)), dtype=int)

@@ -31,7 +31,8 @@ braiding costs O(r⁶) and loses digits to its conditioning.  Only the
 operator matrices enter, so the formula braids duals and tensor products
 uniformly; :func:`braiding_entries` gives either sign for a whole stack of
 colorings as its O(r³) nonzeros, from ladder powers built once per root
-stack, and :func:`braiding_stack` scatters them densely.  :func:`twist`
+stack and a pairing of their nonzeros cached per nonzero pattern, and
+:func:`braiding_stack` scatters them densely.  :func:`twist`
 contracts the same sum with the pivotal duality maps (:func:`duality_maps`)
 in r products of d×d matrices, with no braiding; :func:`twist_scalar`
 returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold the
@@ -43,7 +44,7 @@ in :mod:`unrolledsl2.invariant`.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -90,8 +91,8 @@ class ModuleStack:
     congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
     modules of a whole array of colors, :meth:`of` concatenates stacks and
     :meth:`take` gathers terms.  The pivots, the stack of duals and the
-    ladder powers are built on first use; a taken stack gathers its root
-    stack's ladder powers and duals.
+    ladder powers are built on first use (a V_α stack's F ladder is cached
+    per r); a taken stack gathers its root stack's ladder powers and duals.
     """
 
     def __init__(self, ctx, weights, e, f, labels, degrees, source=None):
@@ -136,15 +137,17 @@ class ModuleStack:
             (root, np.asarray(index) if base is None else base[index]),
         )
 
-    def ladder(self, op: str) -> tuple[tuple, np.ndarray]:
-        """:func:`_powers` of the operator ``op``, "e" or "f"."""
+    def ladder(self, op: str) -> tuple[bytes, tuple, np.ndarray]:
+        """:func:`_powers` of the operator ``op``, "e" or "f", with its
+        pattern key: ``(key, (n, row, col), values)``."""
         if op not in self._ladders:
             if self._source is None:
-                self._ladders[op] = _powers(getattr(self, op), self.ctx.r)
+                index, values = _powers(getattr(self, op), self.ctx.r)
+                self._ladders[op] = _pattern_key(index), index, values
             else:
-                root, index = self._source
-                nonzero, values = root.ladder(op)
-                self._ladders[op] = nonzero, values[index]
+                root, terms = self._source
+                key, index, values = root.ladder(op)
+                self._ladders[op] = key, index, values[terms]
         return self._ladders[op]
 
     @cached_property
@@ -267,8 +270,9 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
     Basis v₀, …, v_{r−1} ordered by decreasing weight α+r−1−2i; the ladder
     operators act by F·vᵢ = vᵢ₊₁ and E·vᵢ = [i]·[α+r−i]·vᵢ₋₁, the unique
     gauge (up to basis scaling) making the defining relations hold.  All
-    colors are built in a few array expressions.  DomainError unless every
-    α ∈ Ċ, or when a q-power leaves double range (as
+    colors are built in a few array expressions; F is the same shift for
+    every α, so its ladder comes from :func:`_shift_ladder`.  DomainError
+    unless every α ∈ Ċ, or when a q-power leaves double range (as
     :meth:`RootParams.q_pow`).
     """
     alphas = np.array([_simple_color(ctx, a) for a in alphas], dtype=complex)
@@ -280,7 +284,7 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
     e[:, 1 :: r + 1] = brackets[0] * brackets[1:]  # E[i−1, i] = [i]·[α+r−i]
     f = np.zeros((terms, r * r), dtype=complex)
     f[:, r :: r + 1] = 1.0  # F[i, i−1] = 1
-    return ModuleStack(
+    stack = ModuleStack(
         ctx,
         shifted - 1 - np.arange(0, 2 * r, 2),
         e.reshape(terms, r, r),
@@ -288,6 +292,9 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
         [("V", a) for a in alphas.tolist()],
         shifted[:, 0] - 1,
     )
+    key, index = _shift_ladder(r)
+    stack._ladders["f"] = key, index, np.ones((terms, len(index[0])), dtype=complex)
+    return stack
 
 
 def make_valpha(ctx: RootParams, alpha: complex) -> ModuleStack:
@@ -361,6 +368,48 @@ def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
     return index, powers[(slice(None), *index)]
 
 
+def _pattern_key(index: tuple) -> bytes:
+    """A ladder's nonzero indices (n, row, col) as one hashable value: the
+    key under which :func:`_pairing` caches what depends on them alone."""
+    return np.array(index, dtype=np.intp).tobytes()
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, marked read-only: a cached value is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
+def _shift_ladder(r: int) -> tuple[bytes, tuple]:
+    """The pattern key and nonzeros (n, row, col) of the ladder of F on V_α
+    at root order r: Fⁿ is 1 at (i+n, i) whatever α is.  Cached per r, so
+    read-only."""
+    n = np.repeat(np.arange(r), np.arange(r, 0, -1))
+    col = np.concatenate([np.arange(r - k) for k in range(r)])
+    index = _read_only(n, n + col, col)
+    return _pattern_key(index), index
+
+
+@lru_cache
+def _pairing(r: int, sign: int, x_key: bytes, y_key: bytes) -> tuple:
+    """What :func:`braiding_entries` takes from the ladders' nonzero
+    patterns alone: the X-nonzero px and the Y-nonzero py of each entry,
+    its (k, i, j, l) and its series coefficient.  Cached by the patterns'
+    keys, so read-only."""
+    nx, xi, xj = np.frombuffer(x_key, dtype=np.intp).reshape(3, -1)
+    ny, yk, yl = np.frombuffer(y_key, dtype=np.intp).reshape(3, -1)
+    # each X-nonzero of power n with each Y-nonzero of power n
+    y_count = np.bincount(ny, minlength=r)
+    reps = y_count[nx]
+    px = np.repeat(np.arange(len(nx)), reps)
+    py = np.arange(len(px)) - np.repeat(np.cumsum(reps) - reps, reps)
+    py += (np.cumsum(y_count) - y_count)[nx[px]]
+    index = _read_only(yk[py], xi[px], xj[px], yl[py])
+    return (*_read_only(px, py), index, *_read_only(_series(r, sign)[nx[px]]))
+
+
 def braiding_entries(
     a: ModuleStack, b: ModuleStack, sign: int = 1
 ) -> tuple[np.ndarray, tuple]:
@@ -374,28 +423,25 @@ def braiding_entries(
     coef·Xⁿ[i, j] with Yⁿ[k, l], (X, Y) = (E_A, F_B) or (F_A, E_B), with
     q^(±w·w'/2) on the pair (i, k) for +1 or (j, l) for −1.  Xⁿ[i, j] ≠ 0
     fixes n by the weight grading, so pairing the nonzeros of Xⁿ and Yⁿ of
-    equal n names each entry at most once.
+    equal n names each entry at most once.  That pairing depends on the
+    two ladders' nonzero patterns only and is cached per pattern pair and
+    sign (:func:`_pairing`); the returned (k, i, j, l) arrays are that
+    cache's, so read-only, and the same objects while the patterns stay.
     """
     if sign not in (1, -1):
         raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
     r = a.ctx.r
-    (nx, xi, xj), xv = a.ladder("e" if sign == 1 else "f")
-    (ny, yk, yl), yv = b.ladder("f" if sign == 1 else "e")
-    # each X-nonzero of power n with each Y-nonzero of power n
-    y_count = np.bincount(ny, minlength=r)
-    reps = y_count[nx]
-    px = np.repeat(np.arange(len(nx)), reps)
-    py = np.arange(len(px)) - np.repeat(np.cumsum(reps) - reps, reps)
-    py += (np.cumsum(y_count) - y_count)[nx[px]]
-    i, j, k, l = xi[px], xj[px], yk[py], yl[py]
+    x_key, _, xv = a.ladder("e" if sign == 1 else "f")
+    y_key, _, yv = b.ladder("f" if sign == 1 else "e")
+    px, py, index, coef = _pairing(r, sign, x_key, y_key)
+    k, i, j, l = index
     ww = a.weights[:, :, None] * b.weights[:, None, :]
     qhh = np.exp(sign * 1j * np.pi * (ww / 2.0) / r)
     cartan = qhh[:, i, k] if sign == 1 else qhh[:, j, l]
     # q·(cₙ·(e·f)), factors in this order: an operator expression may reuse a
     # temporary with swapped operands, which can change a product's last bit
-    coef = _series(r, sign)[nx[px]]
     values = np.multiply(cartan, np.multiply(coef, xv[:, px] * yv[:, py]))
-    return values, (k, i, j, l)
+    return values, index
 
 
 def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
@@ -443,7 +489,7 @@ def twist(a: ModuleStack) -> np.ndarray:
     d, r = a.dim, a.ctx.r
     powers = np.zeros((2, r, d, d), dtype=complex)
     for p, op in enumerate("fe"):
-        index, values = a.ladder(op)
+        _, index, values = a.ladder(op)
         powers[(p, *index)] = values[0]
     w = a.weights[0]
     q_half = np.exp(1j * np.pi * (w[:, None] * w[None, :] / 2.0) / r)
@@ -496,8 +542,10 @@ def relations_residual(module: ModuleStack) -> float:
 
     The first five residuals are absolute.  E**r and F**r are divided by
     the largest entry of |E|**r (|F|**r), since their roundoff scales with
-    it: on V⊗V that entry is 3e13 at r=11 and 1e18 at r=13.  Both are
-    built blockwise over the weight grading, which [H,E] and [H,F] certify.
+    it: on V⊗V that entry is 3e13 at r=11 and 1e18 at r=13.  [E,F] and
+    the powers are built blockwise over the weight grading, which [H,E]
+    and [H,F] certify: E·F and F·E keep each level, E**r and F**r move
+    every level r steps.
     """
     ctx = module.ctx
     w, e, f = module.weights[0], module.e[0], module.f[0]
@@ -506,13 +554,23 @@ def relations_residual(module: ModuleStack) -> float:
     res = [
         k[:, None] * e * k_inv - q**2 * e,
         k[:, None] * f * k_inv - q**-2 * f,
-        e @ f - f @ e - np.diag(k - k_inv) / (q - 1 / q),
         w[:, None] * e - e * w - 2 * e,
         w[:, None] * f - f * w + 2 * f,
     ]
-    worst = max(float(np.max(np.abs(m))) for m in res)
     level = np.rint(((w - w[0]) / 2).real).astype(int)
     level -= level.min()  # E raises the level by one, F lowers it
+    basis = [np.flatnonzero(level == v) for v in range(level.max() + 1)]
+    cartan = (k - k_inv) / (q - 1 / q)
+    for v, here in enumerate(basis):  # the block of [E,F] − (K−K⁻¹)/(q−q⁻¹) at level v
+        comm = -np.diag(cartan[here])
+        if v > 0:
+            below = basis[v - 1]
+            comm += e[np.ix_(here, below)] @ f[np.ix_(below, here)]
+        if v + 1 < len(basis):
+            above = basis[v + 1]
+            comm -= f[np.ix_(here, above)] @ e[np.ix_(above, here)]
+        res.append(comm)
+    worst = max(float(np.max(np.abs(m))) for m in res)
     for m, grading in ((e, level), (f, level.max() - level)):
         power, scale = _nilpotency(m, grading, ctx.r)
         if scale:  # |E**r| <= |E|**r entrywise, so E**r is exactly 0 here

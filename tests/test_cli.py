@@ -46,13 +46,14 @@ def run_or_exit(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_fresh(*argv, preexec_fn=None, **env):
-    """The same invocation through ``python -m unrolledsl2`` in a new interpreter."""
+def run_fresh(*argv, preexec_fn=None, stdout=subprocess.PIPE, **env):
+    """The same invocation through ``python -m unrolledsl2`` in a new
+    interpreter; ``stdout`` is captured unless a file is given."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "unrolledsl2", *argv],
-        capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
-        env={**os.environ, "PYTHONPATH": path, **env},
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
+        preexec_fn=preexec_fn, env={**os.environ, "PYTHONPATH": path, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -478,6 +479,29 @@ def test_domain_error_out_of_memory(sub, r, fixture):
     assert out == ""
     assert err.startswith("domain error: not computable within available memory:")
     assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the reader is gone before anything is written (as `| head -c 10`
+    # once head has exited): every write fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = run_fresh(
+            "flink", "--r", "5", "--input", str(FIXTURES / "hopf.json"), stdout=write)
+    finally:
+        os.close(write)
+    assert (code, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("sub,fixture", [("flink", "hopf.json"), ("zinv", "s1xs2.json")])
+def test_full_disk_exits_1_with_one_error_line(sub, fixture):
+    with open("/dev/full", "w") as full:
+        code, _, err = run_fresh(sub, "--r", "5", "--input", str(FIXTURES / fixture),
+                                 "--format", "json", stdout=full)
+    assert code == 1
+    assert err == "output error: cannot write the result: No space left on device\n"
 
 
 def test_preflight_refuses_before_building_any_block(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from unrolledsl2.diagram import (
     SlicedDiagram,
     braid_closure,
     clasp_diagram,
+    compile_diagram,
     cut_is_enclosed,
     evaluate_cut,
     typecheck,
@@ -214,15 +215,14 @@ def test_default_cut_is_cheapest_open_extremum():
     diagram = clasp_diagram(1, "L1", "L2")
     last = len(diagram.slices) - 1
     assert _open_cuts(diagram, "L2") == [0, last]
-    words = typecheck(diagram)
-    assert _first_cut_slice(diagram, "L2", words) == last
+    compiled = compile_diagram(diagram)
+    assert _first_cut_slice(compiled, "L2") == last
     with pytest.raises(DomainError):
-        _first_cut_slice(diagram, "L1", words)
+        _first_cut_slice(compiled, "L1")
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
-    assert _fixed_cut(sp, words, {}) == ("L2", last)
+    assert _fixed_cut(sp, compile_diagram(sp.diagram), {}) == ("L2", last)
     # unknot: the cap, not the cup
-    unknot = unknot_diagram("K")
-    assert _first_cut_slice(unknot, "K", typecheck(unknot)) == 1
+    assert _first_cut_slice(compile_diagram(unknot_diagram("K")), "K") == 1
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +345,7 @@ def _kirby_sum_term_by_term(sp):
     l_names = sp.surgery_names()
     writhes, _ = writhe_and_linking(sp.diagram)
     _cut_name, cut_slice = _fixed_cut(
-        sp, typecheck(sp.diagram), sp.resolved_graph_colors()
+        sp, compile_diagram(sp.diagram), sp.resolved_graph_colors()
     )
     graph_colors = sp.resolved_graph_colors()
     total, size = 0j, 0.0
@@ -482,11 +482,12 @@ def test_z_typechecks_once(monkeypatch):
         calls.append(d)
         return original(d)
 
-    # both modules call typecheck through their own global name
+    # only the compiled-diagram cache typechecks, once per diagram structure
     monkeypatch.setattr(diagram_module, "typecheck", counted)
-    monkeypatch.setattr(invariant, "typecheck", counted)
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
     z_invariant(sp)
+    assert len(calls) == 1
+    z_invariant(lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7)))
     assert len(calls) == 1
 
 
@@ -499,11 +500,11 @@ def test_f_prime_typechecks_once(monkeypatch):
         return original(d)
 
     monkeypatch.setattr(diagram_module, "typecheck", counted)
-    monkeypatch.setattr(invariant, "typecheck", counted)
     path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures" / "hopf.json"
-    diagram, colors, cut, _ = parse_flink(load_document(str(path)))
-    f_prime(diagram, colors, RootParams(5), cut_component=cut)
-    assert len(calls) == 1
+    for _ in range(2):  # the second document hits the cache
+        diagram, colors, cut, _ = parse_flink(load_document(str(path)))
+        f_prime(diagram, colors, RootParams(5), cut_component=cut)
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -191,6 +191,25 @@ def test_relations_residual_catches_a_perturbed_e():
         assert relations_residual(perturbed) > 1e-10, entry
 
 
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_blockwise_commutator_matches_dense(r):
+    # 1.5·E keeps every relation but [E,F] = (K−K⁻¹)/(q−q⁻¹), so the residual
+    # is that of [E,F], built blockwise over the weight levels: against the
+    # dense e @ f − f @ e
+    from unrolledsl2.repcat import _q_powers
+
+    ctx = RootParams(r)
+    rng = np.random.default_rng(70 + r)
+    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    module = tensor(tensor(a, b), dual(a))
+    e, f, w = 1.5 * module.e[0], module.f[0], module.weights[0]
+    scaled = ModuleStack(ctx, module.weights, e[None], module.f, module.labels, module.degrees)
+    k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
+    dense = np.abs(e @ f - f @ e - np.diag(k - k_inv) / (ctx.q - 1 / ctx.q)).max()
+    assert dense > 0.1  # far above roundoff
+    assert abs(relations_residual(scaled) - dense) <= 1e-12 * dense
+
+
 def test_yang_baxter(ctx):
     rng = np.random.default_rng(8)
     mods = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
