@@ -20,10 +20,11 @@ Exit codes: 0 success, 1 internal inconsistency (or failed self checks,
 or a result that could not be written: a closed pipe or a full disk), 2
 malformed input (schema), 3 input outside the mathematical domain
 (including a computation whose arrays do not fit in available memory).
-Every exit ends without a traceback: the result and any error line are
-written at the end of the call, and a write that fails points the stream
-at the null device, so the flush at exit cannot fail again, and exits 1
-(with an ``output error`` line on stderr unless the pipe was closed).
+The result and any error line are written at the end of the call.  A
+write of either that fails (a closed pipe, a full disk) ends without a
+traceback and exits 1: the stream is pointed at the null device, so the
+flush at exit cannot fail again, and stderr gets an ``output error`` line
+unless the pipe was closed.
 JSON results echo their normalized inputs under ``"inputs"``; feeding that
 object back through the same subcommand reproduces the values bit-for-bit.
 

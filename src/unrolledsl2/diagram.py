@@ -30,7 +30,7 @@ tangle on the cut component (used by the renormalized link invariant).
 
 Everything the colors cannot change (the words, the bookkeeping, the cut
 checks, the network, its plans and each crossing's scatter positions) is
-compiled once per diagram structure and kept in process-wide caches
+compiled once per diagram structure and kept in one process-wide cache
 (:func:`compile_diagram`); each call still computes every value, runs the
 memory preflight, and contracts with the same operations in the same
 order.
@@ -422,29 +422,36 @@ class CompiledDiagram:
     Built once per diagram structure by :func:`compile_diagram`, at once:
     the :func:`typecheck` words and the component names.  On first use: the
     writhes and linking numbers, the enclosure check of each cup or cap,
-    each component's last open cut, and the tensor network (:class:`_Network`)
-    of the whole diagram or of one cut, whose contraction plans are kept
-    per strand dimensions.  A coupon counts by its position and strands
-    only; its matrix is read from the diagram each evaluation is given.
-    Every value here is shared by all callers and must not be modified.
+    and the tensor network (:class:`_Network`) of the whole diagram or of
+    one cut, each kept per slice index, so at most one per slice.  A coupon
+    counts by its position and strands only; its matrix is read from the
+    diagram each evaluation is given.  Every value here is shared by all
+    callers and must not be modified.
     """
 
     def __init__(self, skeleton: SlicedDiagram):
         self.words = tuple(typecheck(skeleton))
         self.names = tuple(skeleton.component_names())
         self._diagram = skeleton
-        self.enclosed = functools.lru_cache(self._enclosed)
-        self.open_cut = functools.lru_cache(self._open_cut)
-        self.network = functools.lru_cache(self._network)
-        self.cut = functools.lru_cache(self._cut)
+        self._enclosed: dict[int, bool] = {}
+        self._networks: dict[Optional[int], _Network] = {}
 
     @functools.cached_property
     def writhe_and_linking(self) -> tuple[dict[str, int], dict[frozenset, int]]:
         """:func:`writhe_and_linking` of the diagram."""
         return writhe_and_linking(self._diagram, self.words)
 
-    def _enclosed(self, cut_slice: int) -> bool:
-        return cut_is_enclosed(self._diagram, cut_slice, self.words)
+    def enclosed(self, cut_slice: int) -> bool:
+        """:func:`cut_is_enclosed` at ``cut_slice``."""
+        if cut_slice not in self._enclosed:
+            self._enclosed[cut_slice] = cut_is_enclosed(self._diagram, cut_slice, self.words)
+        return self._enclosed[cut_slice]
+
+    def network(self, cut_slice: Optional[int] = None) -> "_Network":
+        """The network of the diagram, or of it cut open at ``cut_slice``."""
+        if cut_slice not in self._networks:
+            self._networks[cut_slice] = _Network(self._diagram, self.words, cut_slice)
+        return self._networks[cut_slice]
 
     def _owner(self, index: int) -> Optional[str]:
         """The component of the cup or cap at slice ``index``, else None."""
@@ -455,17 +462,14 @@ class CompiledDiagram:
             return self.words[index][sl.position].component
         return None
 
-    def _open_cut(self, component: str) -> Optional[int]:
+    def open_cut(self, component: str) -> Optional[int]:
         """The component's last cup or cap that is not enclosed, or None."""
         for index in reversed(range(len(self._diagram.slices))):
             if self._owner(index) == component and not self.enclosed(index):
                 return index
         return None
 
-    def _network(self, cut_slice: Optional[int]) -> "_Network":
-        return _Network(self._diagram, self.words, cut_slice)
-
-    def _cut(self, cut_slice: int) -> tuple[str, "_Network"]:
+    def cut(self, cut_slice: int) -> tuple[str, "_Network"]:
         """The cut component and the network of the diagram cut open at
         ``cut_slice``, after the checks :class:`CutTangle` documents."""
         if self.words[0] or self.words[-1]:
@@ -494,7 +498,7 @@ def compile_diagram(diagram: SlicedDiagram) -> CompiledDiagram:
     the 128 structures used last (``functools.lru_cache``); a diagram that
     does not typecheck raises :class:`DiagramTypeError` on every call.
     """
-    if any(isinstance(sl, Coupon) for sl in diagram.slices):
+    if Coupon in map(type, diagram.slices):
         diagram = SlicedDiagram(
             tuple(replace(sl, matrix=None) if isinstance(sl, Coupon) else sl
                   for sl in diagram.slices),
@@ -586,11 +590,15 @@ class _Network:
         self.free = [held if len(set(held)) == len(held) else
                      [leg for leg in held if held.count(leg) == 1] for held in self.legs]
         self.names = tuple(dict.fromkeys(self.component))  # the components on legs
-        self._plans = functools.lru_cache(functools.partial(_Plan, self))
+        self._plans: dict[tuple, _Plan] = {}
 
     def plan(self, dims: dict[str, int]) -> "_Plan":
-        """The contraction plan at the color dimensions ``dims``."""
-        return self._plans(tuple(dims[name] for name in self.names))
+        """The contraction plan at the color dimensions ``dims``, made once
+        per dimensions (which the root order and the color kinds fix)."""
+        key = tuple(dims[name] for name in self.names)
+        if key not in self._plans:
+            self._plans[key] = _Plan(self, key)
+        return self._plans[key]
 
     def contract(self, stacks: dict[str, ModuleStack], diagram: SlicedDiagram) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
@@ -697,25 +705,12 @@ class _Plan:
                     subscripts, [0] + [1 + free.index(leg) for leg in layout]))
 
 
-@functools.lru_cache
-def _positions(index_key: bytes, axes: tuple, shape: tuple) -> np.ndarray:
-    """The flat positions in an array of ``shape`` of the entries whose
-    (k, i, j, l) arrays have the bytes ``index_key``, read in ``axes``
-    order.  Cached, so read-only."""
-    index = np.frombuffer(index_key, dtype=np.intp).reshape(4, -1)
-    flat = 0
-    for axis, n in zip(axes, shape):
-        flat = flat * n + index[axis]
-    flat.flags.writeable = False
-    return flat
-
-
 class _Scatter:
     """Zeros of shape (terms, *shape) but for a braiding's entries (terms,
     entries) at their (k, i, j, l) read in ``axes`` order.  The flat
-    positions (:func:`_positions`) are kept for the last (k, i, j, l)
-    arrays seen, which :func:`.repcat.braiding_entries` hands out
-    unchanged per nonzero pattern."""
+    positions are kept for the last (k, i, j, l) arrays seen, which
+    :func:`.repcat.braiding_entries` hands out unchanged per nonzero
+    pattern."""
 
     def __init__(self, axes, shape):
         self.axes, self.shape = tuple(axes), tuple(shape)
@@ -724,8 +719,9 @@ class _Scatter:
     def __call__(self, values: np.ndarray, index: tuple) -> np.ndarray:
         seen, flat = self._last
         if seen is not index:
-            key = np.array(index, dtype=np.intp).tobytes()
-            flat = _positions(key, self.axes, self.shape)
+            flat = 0
+            for axis, n in zip(self.axes, self.shape):
+                flat = flat * n + index[axis]
             self._last = (index, flat)
         block = np.zeros((len(values), math.prod(self.shape)), dtype=complex)
         block[:, flat] = values
@@ -800,7 +796,7 @@ def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarra
     def dim(word):
         return math.prod(stacks[strand.component].dim for strand in word)
 
-    matrix = compiled.network(None).contract(stacks, diagram)[0]
+    matrix = compiled.network().contract(stacks, diagram)[0]
     return matrix.reshape(dim(compiled.words[-1]), dim(compiled.words[0]))
 
 

@@ -91,8 +91,9 @@ class ModuleStack:
     congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
     modules of a whole array of colors, :meth:`of` concatenates stacks and
     :meth:`take` gathers terms.  The pivots, the stack of duals and the
-    ladder powers are built on first use (a V_α stack's F ladder is cached
-    per r); a taken stack gathers its root stack's ladder powers and duals.
+    ladder powers are built on first use (a V_α stack's F ladder from a
+    per-r cache); a taken stack gathers its root stack's ladder powers
+    and duals.
     """
 
     def __init__(self, ctx, weights, e, f, labels, degrees, source=None):
@@ -103,6 +104,7 @@ class ModuleStack:
         self.dim = weights.shape[1]
         self._source = source  # (root stack, indices of these terms in it)
         self._ladders: dict = {}
+        self._f_is_shift = False  # set by valpha_stack: F·vᵢ = vᵢ₊₁ on every term
 
     @classmethod
     def of(cls, stacks) -> "ModuleStack":
@@ -141,13 +143,16 @@ class ModuleStack:
         """:func:`_powers` of the operator ``op``, "e" or "f", with its
         pattern key: ``(key, (n, row, col), values)``."""
         if op not in self._ladders:
-            if self._source is None:
-                index, values = _powers(getattr(self, op), self.ctx.r)
-                self._ladders[op] = _pattern_key(index), index, values
-            else:
+            if self._source is not None:
                 root, terms = self._source
                 key, index, values = root.ladder(op)
                 self._ladders[op] = key, index, values[terms]
+            elif op == "f" and self._f_is_shift:
+                key, index = _shift_ladder(self.ctx.r)
+                self._ladders[op] = key, index, np.ones((self.terms, len(index[0])), dtype=complex)
+            else:
+                index, values = _powers(getattr(self, op), self.ctx.r)
+                self._ladders[op] = _pattern_key(index), index, values
         return self._ladders[op]
 
     @cached_property
@@ -271,9 +276,9 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
     operators act by F·vᵢ = vᵢ₊₁ and E·vᵢ = [i]·[α+r−i]·vᵢ₋₁, the unique
     gauge (up to basis scaling) making the defining relations hold.  All
     colors are built in a few array expressions; F is the same shift for
-    every α, so its ladder comes from :func:`_shift_ladder`.  DomainError
-    unless every α ∈ Ċ, or when a q-power leaves double range (as
-    :meth:`RootParams.q_pow`).
+    every α, so its ladder comes from :func:`_shift_ladder` when first
+    asked for.  DomainError unless every α ∈ Ċ, or when a q-power leaves
+    double range (as :meth:`RootParams.q_pow`).
     """
     alphas = np.array([_simple_color(ctx, a) for a in alphas], dtype=complex)
     terms, r = len(alphas), ctx.r
@@ -292,8 +297,7 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
         [("V", a) for a in alphas.tolist()],
         shifted[:, 0] - 1,
     )
-    key, index = _shift_ladder(r)
-    stack._ladders["f"] = key, index, np.ones((terms, len(index[0])), dtype=complex)
+    stack._f_is_shift = True
     return stack
 
 

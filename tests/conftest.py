@@ -14,7 +14,6 @@ from unrolledsl2 import diagram, repcat
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    for cache in (diagram._compiled, diagram._positions, repcat._pairing, repcat._shift_ladder,
-                  repcat._series):
+    for cache in (diagram._compiled, repcat._pairing, repcat._shift_ladder, repcat._series):
         cache.cache_clear()
     yield

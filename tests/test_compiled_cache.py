@@ -1,9 +1,9 @@
 """The process-wide caches of color-independent evaluation data.
 
 :func:`unrolledsl2.diagram.compile_diagram` keeps each diagram structure's
-words, bookkeeping, cut checks, networks and plans, and ``diagram._positions``
-the crossings' scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder
-pairings of the braiding and the V_α shift ladder.  These
+words, bookkeeping, cut checks, networks, plans and crossing scatter
+positions; :mod:`unrolledsl2.repcat` keeps the ladder pairings of the
+braiding and the V_α shift ladder.  These
 tests hold the caches to what they promise: a warm cache changes no output,
 a repeated document adds no entry, the memory preflight still runs, and a
 coupon's matrix is never taken from the cache.  ``conftest.py`` empties the
@@ -63,8 +63,7 @@ def test_warm_cache_gives_the_cold_output(capsys, fixture, r):
     for command in COMMANDS[fixture]:
         for fmt in ("json", "table"):
             argv = (command, "--r", str(r), "--input", str(FIXTURES / fixture), "--format", fmt)
-            for cache in (diagram._compiled, diagram._positions, repcat._pairing,
-                          repcat._shift_ladder):
+            for cache in (diagram._compiled, repcat._pairing, repcat._shift_ladder):
                 cache.cache_clear()
             cold = _cli(capsys, *argv)
             assert cold[0] == 0, cold
@@ -76,10 +75,9 @@ def _cache_sizes(diagram_: SlicedDiagram, cut_slice: int) -> tuple:
     reaches, the compiled diagram's own and its cut network's plans too."""
     compiled = compile_diagram(diagram_)
     _, network = compiled.cut(cut_slice)
-    caches = (diagram._compiled, diagram._positions, repcat._pairing, repcat._shift_ladder,
-              repcat._series, compiled.enclosed, compiled.open_cut, compiled.network, compiled.cut,
-              network._plans)
-    return tuple(cache.cache_info().currsize for cache in caches)
+    caches = (diagram._compiled, repcat._pairing, repcat._shift_ladder, repcat._series)
+    return (*(cache.cache_info().currsize for cache in caches),
+            len(compiled._enclosed), len(compiled._networks), len(network._plans))
 
 
 @pytest.mark.parametrize("command,fixture", [("flink", "trefoil.json"), ("zinv", "lens_7_2.json")])
