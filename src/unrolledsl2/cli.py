@@ -154,8 +154,8 @@ def _cmd_dimension(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     graph = jsonio.parse_graph(doc, ctx)
     gd = hh0_dimension_generic(graph)
     result = {
-        "total": sum(gd.coefficients.values()),
-        "dimensions": {str(k): v for k, v in sorted(gd.coefficients.items())},
+        "total": gd.total,
+        "dimensions": {str(k): v for k, v in gd.coefficients.items()},
         "count_convention": gd.parity_mode,
     }
     return result, jsonio.graph_to_json(graph)

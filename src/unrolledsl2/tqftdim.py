@@ -13,7 +13,8 @@ degree histogram of that basis along three independent routes:
 * through zeroth Hochschild homology (:func:`hh0_dimension_generic`), the
   production engine behind the ``tqftdim`` and ``hh0`` subcommands: it
   contracts per-vertex multiplicity tensors edge by edge, never lists
-  colorings, and is exact at any size;
+  colorings, and is exact at any size (float64 on BLAS below 2^53
+  colorings, then int64, then Python integers);
 * from the dense grid of all colorings (:func:`graded_dimension`), whose
   memory grows as r'^E in the number E of edges; it is the small-size
   oracle that the self-test and the test suite compare the contraction
@@ -40,7 +41,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
     "tetrahedron_graph",
     "dumbbell_graph",
     "add_leg",
+    "add_point_chain",
     "random_generic_graph",
 ]
 
@@ -292,7 +294,7 @@ def _degree_window(ctx: RootParams, s: np.ndarray) -> np.ndarray:
     two_rp = 2 * ctx.rprime
     shifted = np.mod(s + (ctx.r - 1) + 0.5, two_rp) - 0.5 - (ctx.r - 1)
     k = np.rint((s - shifted) / two_rp)
-    residual = np.max(np.abs(s - shifted - two_rp * k), initial=0.0)
+    residual = np.abs(s - shifted - two_rp * k).max(initial=0.0)
     if residual > 1e-6:
         raise DomainError(
             f"vertex color sums are off the admissible lattice by {residual:g}; "
@@ -486,7 +488,7 @@ def verlinde(
 # ----------------------------------------------------------------------
 
 
-class _Cluster:
+class _Cluster(NamedTuple):
     """A partially contracted product of vertex multiplicity tensors.
 
     ``array`` has one axis per open edge slot plus a trailing degree axis;
@@ -494,95 +496,73 @@ class _Cluster:
     names the open edges in axis order; ``k_min`` anchors the degree axis.
     """
 
-    def __init__(self, slots: list[str], array: np.ndarray, k_min: int):
-        self.slots = slots
-        self.array = array
-        self.k_min = k_min
+    slots: list[str]
+    array: np.ndarray
+    k_min: int
 
 
 def _vertex_cluster(
     ctx: RootParams,
-    graph: TrivalentGraph,
-    vertex: str,
+    slot_signs: Mapping[str, float],
+    const: complex,
     reps: Mapping[str, np.ndarray],
     dtype,
 ) -> _Cluster:
     """Multiplicity tensor of one vertex in the algebra-slot convention.
 
-    Outgoing internal edges contribute a projective slot (color +β for
-    summand label β), ingoing edges the dual slot (−β); external edges
-    contribute their fixed color with the same sign rule.  The color sums
-    of all label tuples form one broadcast grid, and the entry at a label
-    tuple is the one-hot histogram of its admissible degrees (two adjacent
-    degrees for even r).  A loop's two signs cancel, so its label never
-    enters the sum and its axis is summed out here, as a factor r'.
+    ``slot_signs`` sums the vertex's signs per internal edge: +1 for an
+    outgoing edge (a projective slot, color +β for label β), −1 for an
+    ingoing one (the dual slot); ``const`` sums its signed external colors.
+    Each label tuple's entry is the row of an identity band that one-hot
+    encodes the admissible degrees of its color sum (two adjacent degrees
+    for even r).  A loop's signs cancel: its axis is summed out, a factor r'.
     """
-    slot_signs: dict[str, float] = {}
-    const = 0.0 + 0.0j
-    for e in graph.edges:
-        for end, sign in ((e.tail, +1.0), (e.head, -1.0)):
-            if end != vertex:
-                continue
-            if e.is_external:
-                const += sign * complex(e.color)
-            else:
-                slot_signs[e.name] = slot_signs.get(e.name, 0.0) + sign
     slots = [name for name, sign in slot_signs.items() if sign]
-    loop_factor = math.prod(
-        len(reps[name]) for name, sign in slot_signs.items() if not sign
-    )
-    shape = [len(reps[name]) for name in slots]
+    loop_factor = math.prod(len(reps[n]) for n, sign in slot_signs.items() if not sign)
     s = np.asarray(const, dtype=complex)
     for i, name in enumerate(slots):
         ax = [1] * len(slots)
-        ax[i] = shape[i]
+        ax[i] = -1
         s = s + slot_signs[name] * reps[name].reshape(ax)
-    s = np.broadcast_to(s, shape)
-    if np.max(np.abs(s.imag), initial=0.0) > 1e-6:
+    if np.abs(s.imag).max(initial=0.0) > 1e-6:
         raise DomainError(
             "vertex color sum has a nonzero imaginary part; the edge "
             "gradings are inconsistent"
         )
     k = _degree_window(ctx, s.real)
     k_min = int(k.min())
-    offset = (k - k_min)[..., None]
-    degrees = np.arange(int(k.max()) - k_min + (1 if ctx.r % 2 else 2))
-    onehot = degrees == offset
+    band = np.eye(int(k.max()) - k_min + 2 - ctx.r % 2, dtype=dtype)
     if ctx.r % 2 == 0:
-        onehot |= degrees == offset + 1
-    array = onehot.astype(np.int64).astype(dtype) * loop_factor
-    return _Cluster(slots, array, k_min)
+        band = band[:-1] + band[1:]
+    return _Cluster(slots, (band * loop_factor)[k - k_min], k_min)
 
 
 def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
     """Contract every edge two clusters share and convolve their degrees.
 
-    One ``tensordot`` does both: the degree axis of the smaller operand is
-    lifted to a Toeplitz band (``lift[..., k, i] = b[..., k − i]``), so
-    summing a's degree index i against it together with the shared label
-    axes yields the degree convolution.  The result keeps the larger
-    operand's open slots, then the smaller's, then the degree axis.
+    One matrix product does both: the larger operand a becomes a (free,
+    shared·degree) matrix and the smaller one a Toeplitz band
+    ``band[s, i, f, k] = b[f, s, k − i]`` built in ka slice copies.  The
+    result keeps a's open slots, then b's, then the degree axis.  It is
+    exact in every dtype tier; the float64 one (below 2^53 colorings, see
+    :func:`hh0_dimension_generic`) runs on BLAS.
     """
     if a.array.size < b.array.size:
         a, b = b, a
     shared = [name for name in a.slots if name in b.slots]
+    free_a = [name for name in a.slots if name not in shared]
+    free_b = [name for name in b.slots if name not in shared]
     ka, kb = a.array.shape[-1], b.array.shape[-1]
-    # np.zeros, not np.pad: padding an object array inserts int64 zeros
-    padded = np.zeros(b.array.shape[:-1] + (kb + 2 * ka - 2,), b.array.dtype)
-    padded[..., ka - 1 : ka - 1 + kb] = b.array
-    band = np.lib.stride_tricks.sliding_window_view(padded, ka, axis=-1)[..., ::-1]
-    out = np.tensordot(
-        a.array,
-        band,
-        axes=(
-            [a.slots.index(name) for name in shared] + [a.array.ndim - 1],
-            [b.slots.index(name) for name in shared] + [band.ndim - 1],
-        ),
-    )
-    slots = [name for name in a.slots if name not in shared] + [
-        name for name in b.slots if name not in shared
-    ]
-    return _Cluster(slots, out, a.k_min + b.k_min)
+    lhs = a.array.transpose([a.slots.index(n) for n in free_a + shared] + [-1])
+    rhs = b.array.transpose([b.slots.index(n) for n in shared + free_b] + [-1])
+    n_shared = math.prod(rhs.shape[: len(shared)])
+    shape = lhs.shape[: len(free_a)] + rhs.shape[len(shared) : -1] + (ka + kb - 1,)
+    rhs = rhs.reshape(n_shared, -1, kb)
+    band = np.zeros((n_shared, ka, rhs.shape[1], ka + kb - 1), b.array.dtype)
+    for i in range(ka):
+        band[:, i, :, i : i + kb] = rhs
+    out = lhs.reshape(-1, n_shared * ka) @ band.reshape(n_shared * ka, -1)
+    return _Cluster(free_a + free_b, out.reshape(shape), a.k_min + b.k_min)
 
 
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
@@ -606,9 +586,11 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     idempotent per summand.  Graphs with an integral internal grading
     raise :class:`NonGenericError`.
 
-    Counts are exact at any size: every partial contraction entry is at
-    most the number of colorings, which is known in advance, so the
-    tensors hold int64 below 2^63 colorings and Python integers above.
+    Counts are exact at any size: every partial entry, and every product
+    and partial sum a merge forms, is a nonnegative integer at most the
+    number of colorings, known in advance.  The tensors hold float64 below
+    2^53 colorings (exact, and merged on BLAS), int64 below 2^63 and
+    Python integers above.
     """
     ctx = graph.ctx
     factor = 1
@@ -622,28 +604,35 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     colorings = math.prod(len(rs) for rs in reps.values()) * factor
     if ctx.r % 2 == 0:
         colorings <<= len(graph.vertex_order)
-    dtype = np.int64 if colorings < 2**63 else object
+    dtype = (np.float64 if colorings < 2**53
+             else np.int64 if colorings < 2**63 else object)
+    signs = {v: {} for v in graph.vertex_order}
+    consts = dict.fromkeys(signs, 0j)
+    for e in graph.edges:
+        for end, sign in ((e.tail, 1.0), (e.head, -1.0)):
+            if e.is_external and end is not None:
+                consts[end] += sign * complex(e.color)
+            elif end is not None:
+                signs[end][e.name] = signs[end].get(e.name, 0.0) + sign
     clusters = [
-        _vertex_cluster(ctx, graph, v, reps, dtype) for v in graph.vertex_order
+        _vertex_cluster(ctx, signs[v], consts[v], reps, dtype)
+        for v in graph.vertex_order
     ]
     dims = {name: len(rs) for name, rs in reps.items()}
     order, _peak = greedy_order([c.slots for c in clusters], dims)
     live = dict(enumerate(clusters))
     for i, j in order:
         live[i] = _merge_clusters(live[i], live.pop(j))
-    clusters = list(live.values())
     coeffs = np.asarray([factor], dtype=object)
     k_min = 0
-    for c in clusters:
+    for c in live.values():
         if c.slots:
             raise DomainError(
                 f"cluster retains open slots {c.slots}; the graph is inconsistent"
             )
         coeffs = np.convolve(coeffs, c.array.astype(object))
         k_min += c.k_min
-    mirrored = {
-        -(k_min + i): int(v) for i, v in enumerate(coeffs) if v
-    }
+    mirrored = {-(k_min + i): int(v) for i, v in enumerate(coeffs) if v}
     return GradedDimension(mirrored, "plain" if ctx.r % 2 else "super")
 
 

@@ -313,6 +313,81 @@ def test_hh0_exact_beyond_int64(r, genus, legs):
     assert abs(hh.evaluate_at(ctx, beta) - v) <= 1e-8 * abs(v)
 
 
+@pytest.mark.parametrize("genus,dtype", [(12, np.float64), (13, np.int64)])
+def test_hh0_dtype_tier_at_2_53(monkeypatch, genus, dtype):
+    # a necklace at r=3 has 3^(3g-3) colorings: 3^33 < 2^53 < 3^36 < 2^63
+    import unrolledsl2.tqftdim as td
+
+    dtypes = set()
+    merge = td._merge_clusters
+
+    def recording(a, b):
+        out = merge(a, b)
+        dtypes.add(out.array.dtype)
+        return out
+
+    monkeypatch.setattr(td, "_merge_clusters", recording)
+    ctx = RootParams(3)
+    hh = hh0_dimension_generic(_necklace(ctx, genus, 7))
+    exact = 3 ** (3 * genus - 3)
+    assert (exact < 2**53) == (dtype is np.float64)
+    assert dtypes == {np.dtype(dtype)}
+    assert hh.total == exact
+    v = verlinde(ctx, genus, 0.37)
+    assert abs(hh.evaluate_at(ctx, 0.37) - v) <= 1e-8 * abs(v)
+
+
+def _reference_merge(a, b):
+    """The tensordot merge with a strided Toeplitz band, kept as a check."""
+    import unrolledsl2.tqftdim as td
+
+    if a.array.size < b.array.size:
+        a, b = b, a
+    shared = [name for name in a.slots if name in b.slots]
+    ka, kb = a.array.shape[-1], b.array.shape[-1]
+    padded = np.zeros(b.array.shape[:-1] + (kb + 2 * ka - 2,), b.array.dtype)
+    padded[..., ka - 1 : ka - 1 + kb] = b.array
+    band = np.lib.stride_tricks.sliding_window_view(padded, ka, axis=-1)[..., ::-1]
+    out = np.tensordot(
+        a.array,
+        band,
+        axes=(
+            [a.slots.index(name) for name in shared] + [a.array.ndim - 1],
+            [b.slots.index(name) for name in shared] + [band.ndim - 1],
+        ),
+    )
+    slots = [name for name in a.slots if name not in shared] + [
+        name for name in b.slots if name not in shared
+    ]
+    return td._Cluster(slots, out, a.k_min + b.k_min)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_merge_matches_tensordot_reference(dtype):
+    import unrolledsl2.tqftdim as td
+
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n_shared = trial % 4
+        names = [f"e{i}" for i in range(n_shared + int(rng.integers(0, 5)))]
+        dims = {name: int(rng.integers(1, 4)) for name in names}
+        cut = n_shared + int(rng.integers(0, len(names) - n_shared + 1))
+        slots_a = list(rng.permutation(names[:cut]))
+        slots_b = list(rng.permutation(names[:n_shared] + names[cut:]))
+
+        def cluster(slots):
+            shape = [dims[name] for name in slots] + [int(rng.integers(1, 5))]
+            array = rng.integers(0, 50, size=shape).astype(dtype)
+            return td._Cluster(slots, array, int(rng.integers(-5, 5)))
+
+        a, b = cluster(slots_a), cluster(slots_b)
+        got, want = td._merge_clusters(a, b), _reference_merge(a, b)
+        assert got.slots == want.slots and got.k_min == want.k_min
+        assert got.array.dtype == want.array.dtype
+        assert got.array.shape == want.array.shape
+        assert (got.array == want.array).all()
+
+
 @pytest.mark.parametrize(
     "build,merges,peak",
     [(lambda ctx: tetrahedron_graph(ctx, 0.21, 0.34, 0.42), 3, 9**4),
