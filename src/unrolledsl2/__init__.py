@@ -55,7 +55,6 @@ from .invariant import (
     LinkingData,
     SurgeryPresentation,
     ZResult,
-    computability_check,
     encircled_strand_presentation,
     f_prime,
     graph_only_presentation,
@@ -72,7 +71,6 @@ from .tqftdim import (
     GradedDimension,
     GraphEdge,
     TrivalentGraph,
-    add_leg,
     add_point_chain,
     circle_graph,
     dumbbell_graph,
@@ -136,7 +134,6 @@ __all__ = [
     "ZResult",
     "f_prime",
     "linking_data",
-    "computability_check",
     "z_invariant",
     "handle_slide",
     "unknot_presentation",
@@ -159,7 +156,6 @@ __all__ = [
     "necklace_graph",
     "tetrahedron_graph",
     "dumbbell_graph",
-    "add_leg",
     "add_point_chain",
     "random_generic_graph",
 ]

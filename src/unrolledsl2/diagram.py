@@ -22,11 +22,11 @@ ride on the joined leg).  A greedy planner (:mod:`.planner`) orders the
 contraction from the strand dimensions alone, and a memory preflight
 refuses a plan whose peak exceeds physical memory before any block is
 built.  A leading term axis carries a batch of colorings of the same
-diagram through one contraction (:class:`CutTangle`); the single-coloring
-calls :func:`evaluate` and :func:`evaluate_cut` are batches of one.
-*Cutting* a closed diagram at a cup or cap of one component leaves that
-slice's two strands as open legs, which turns it into the matrix of a 1-1
-tangle on the cut component (used by the renormalized link invariant).
+diagram through one contraction.  *Cutting* a closed diagram at a cup or
+cap of one component (:meth:`CompiledDiagram.cut`, :func:`evaluate_cut`)
+leaves that slice's two strands as open legs, which turns it into the
+matrix of a 1-1 tangle on the cut component (used by the renormalized
+link invariant).
 
 Everything the colors cannot change (the words, the bookkeeping, the cut
 checks, the network, its plans and each crossing's scatter positions) is
@@ -69,7 +69,6 @@ __all__ = [
     "typecheck",
     "evaluate",
     "evaluate_cut",
-    "CutTangle",
     "CompiledDiagram",
     "compile_diagram",
     "cut_is_enclosed",
@@ -174,10 +173,6 @@ class SlicedDiagram:
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(self.slices))
         object.__setattr__(self, "source", tuple(self.source))
-
-    @property
-    def target(self) -> tuple:
-        return compile_diagram(self).words[-1]
 
     @property
     def is_closed(self) -> bool:
@@ -397,8 +392,7 @@ def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack
 
     A color is a :class:`ModuleStack` (a one-term stack is a module), a
     sequence of stacks whose terms are concatenated, or a complex α
-    (shorthand for V_α).  Stacks of more than one term must all have the
-    same number of terms.
+    (shorthand for V_α).
     """
     stacks = {}
     for name in names:
@@ -411,8 +405,6 @@ def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack
             stacks[name] = ModuleStack.of(value)
         else:
             stacks[name] = valpha_stack(ctx, (value,))
-    if len({st.terms for st in stacks.values()} - {1}) > 1:
-        raise DomainError("component colors give different numbers of terms")
     return stacks
 
 
@@ -471,7 +463,8 @@ class CompiledDiagram:
 
     def cut(self, cut_slice: int) -> tuple[str, "_Network"]:
         """The cut component and the network of the diagram cut open at
-        ``cut_slice``, after the checks :class:`CutTangle` documents."""
+        ``cut_slice``: a cup or cap of the closed diagram that other strands
+        do not enclose (:func:`cut_is_enclosed`)."""
         if self.words[0] or self.words[-1]:
             raise DomainError("cut evaluation requires a closed diagram")
         component = self._owner(cut_slice)
@@ -603,14 +596,18 @@ class _Network:
     def contract(self, stacks: dict[str, ModuleStack], diagram: SlicedDiagram) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
 
-        The plan's bytes (peak × terms, plus the braiding blocks) must fit
-        in physical memory before any block is built.  Then every tensor
-        is built as its plan says (:class:`_Crossing`, :class:`_Block`),
-        ``diagram`` giving the coupon matrices, and each merge is one
-        batched matmul.
+        Stacks of more than one term must all have the same number of
+        terms; a one-term stack serves every term.  The plan's bytes
+        (peak × terms, plus the braiding blocks) must fit in physical
+        memory before any block is built.  Then every tensor is built as
+        its plan says (:class:`_Crossing`, :class:`_Block`), ``diagram``
+        giving the coupon matrices, and each merge is one batched matmul.
         """
+        terms = {st.terms for st in stacks.values()} - {1}
+        if len(terms) > 1:
+            raise DomainError("component colors give different numbers of terms")
+        terms = max(terms, default=1)
         plan = self.plan({name: st.dim for name, st in stacks.items()})
-        terms = max((st.terms for st in stacks.values()), default=1)
         need = 16 * terms * (plan.peak + plan.braid_elements)
         limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > limit:
@@ -800,51 +797,21 @@ def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarra
     return matrix.reshape(dim(compiled.words[-1]), dim(compiled.words[0]))
 
 
-class CutTangle:
-    """A closed diagram cut open at a cup/cap slice of one component.
-
-    The cut must be a cup or cap of a closed diagram that other strands do
-    not enclose (:func:`cut_is_enclosed`).  These checks and the tensor
-    network come from the diagram's compiled form (:func:`compile_diagram`),
-    so they are made once per diagram structure and cut, and the plan once
-    per strand dimensions; :meth:`matrices` evaluates the 1-1 tangle for
-    any batch of colorings in one planned contraction, with this diagram's
-    coupon matrices.
-    """
-
-    def __init__(self, diagram: SlicedDiagram, cut_slice: int):
-        compiled = compile_diagram(diagram)
-        self.diagram = diagram
-        self.names = compiled.names
-        self.component, self._network = compiled.cut(cut_slice)
-
-    def peak_elements(self, dims: dict[str, int]) -> int:
-        """The plan's peak elements per term at color dimensions ``dims``."""
-        return self._network.plan(dims).peak
-
-    def matrices(self, colors: dict, ctx: RootParams) -> np.ndarray:
-        """The tangle's endomorphism of the cut component's color, per term.
-
-        ``colors`` is as for :func:`evaluate`, except that a component may
-        carry several terms (a :class:`ModuleStack` or a sequence of
-        them); the result has shape (terms, d, d).
-        """
-        return self._network.contract(_stack_colors(ctx, self.names, colors), self.diagram)
-
-
 def evaluate_cut(
     diagram: SlicedDiagram, colors: dict, ctx: RootParams, cut_slice: int
-) -> tuple[np.ndarray, ModuleStack]:
+) -> np.ndarray:
     """Evaluate a closed diagram cut open at a cup/cap slice of one component.
 
-    Returns ``(m, module)`` where ``m`` is the matrix of the resulting 1-1
-    tangle as an endomorphism of the cut component's color ``module`` (its
-    first term, as a one-term stack): the one-term call of
-    :meth:`CutTangle.matrices`.
+    The cut must be a cup or cap that other strands do not enclose
+    (:meth:`CompiledDiagram.cut`).  ``colors`` is as for :func:`evaluate`,
+    except that a component may carry several terms (a :class:`ModuleStack`
+    or a sequence of them).  Returns the matrix of the resulting 1-1 tangle
+    as an endomorphism of the cut component's color, per term: shape
+    (terms, d, d).
     """
-    cut = CutTangle(diagram, cut_slice)
-    stacks = _stack_colors(ctx, cut.names, colors)
-    return cut._network.contract(stacks, diagram)[0], stacks[cut.component].take([0])
+    compiled = compile_diagram(diagram)
+    _component, network = compiled.cut(cut_slice)
+    return network.contract(_stack_colors(ctx, compiled.names, colors), diagram)
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,8 @@ import numpy as np
 
 from .diagram import (
     CompiledDiagram,
-    CutTangle,
     SlicedDiagram,
+    _stack_colors,
     clasp_diagram,
     compile_diagram,
     unknot_diagram,
@@ -56,7 +56,6 @@ from .errors import (
 from .qscalar import RootParams
 from .repcat import (
     ModuleStack,
-    make_valpha,
     scalar_of,
     scalars_of,
     twist_scalar,
@@ -68,7 +67,6 @@ __all__ = [
     "SurgeryPresentation",
     "ZResult",
     "f_prime",
-    "computability_check",
     "linking_data",
     "z_invariant",
     "handle_slide",
@@ -103,24 +101,6 @@ def _in_double_range(evaluate):
     return run
 
 
-def _first_cut_slice(compiled: CompiledDiagram, component: str) -> int:
-    """The component's last cup or cap that is not fenced in.
-
-    Every open cut of a component gives the same Schur scalar up to
-    rounding; always taking the last one fixes the rounding.  Cutting an
-    enclosed extremum is not a planar move, so any cup/cap that
-    :func:`.diagram.cut_is_enclosed` rejects is skipped
-    (:meth:`.CompiledDiagram.open_cut`).
-    """
-    index = compiled.open_cut(component)
-    if index is None:
-        raise DomainError(
-            f"component {component!r} has no cup or cap that can be cut open; "
-            "re-slice the diagram with this component outermost"
-        )
-    return index
-
-
 def _cut_color_alpha(label: tuple) -> complex:
     """The color α of a module labelled as V_α; DomainError otherwise."""
     if label[0] == "V":
@@ -147,18 +127,17 @@ def f_prime(
     the resulting 1-1 tangle, and returns d(α)·s, times twist corrections
     θ**(framing − writhe) for every component with a declared framing.  An
     explicit ``cut_slice`` is honoured as given; by default the component is
-    cut at its last cup or cap that is not enclosed by other strands
-    (see :func:`_first_cut_slice`).
+    cut at its last cup or cap that other strands do not enclose
+    (:meth:`.CompiledDiagram.open_cut`).  Every open cut gives the same
+    Schur scalar up to rounding; always taking the last one fixes the
+    rounding, and cutting an enclosed extremum is not a planar move.
     """
     compiled = compile_diagram(diagram)
     if compiled.words[0] or compiled.words[-1]:
         raise DomainError("renormalized invariant requires a closed diagram")
-    resolved = {
-        name: value if isinstance(value, ModuleStack) else valpha_stack(ctx, (value,))
-        for name, value in colors.items()
-    }
+    stacks = _stack_colors(ctx, colors, colors)
     names = compiled.names
-    missing = [name for name in names if name not in resolved]
+    missing = [name for name in names if name not in stacks]
     if missing:
         raise DomainError(f"no color given for component {missing[0]!r}")
     unknown = [
@@ -169,30 +148,31 @@ def f_prime(
     if unknown:
         raise DomainError(f"component {unknown[0]!r} is not in the diagram")
     if cut_component is None:
-        for name in names:
-            if resolved[name].labels[0][0] == "V":
-                cut_component = name
-                break
+        cut_component = next((name for name in names if stacks[name].labels[0][0] == "V"), None)
         if cut_component is None:
             raise DomainError("no component carries a simple projective color")
-    alpha_cut = _cut_color_alpha(resolved[cut_component].labels[0])
+    alpha_cut = _cut_color_alpha(stacks[cut_component].labels[0])
     if cut_slice is None:
-        cut_slice = _first_cut_slice(compiled, cut_component)
-    cut = CutTangle(diagram, cut_slice)
-    if cut.component != cut_component:
+        cut_slice = compiled.open_cut(cut_component)
+        if cut_slice is None:
+            raise DomainError(
+                f"component {cut_component!r} has no cup or cap that can be cut open; "
+                "re-slice the diagram with this component outermost"
+            )
+    component, network = compiled.cut(cut_slice)
+    if component != cut_component:
         raise DomainError(
-            f"cut slice {cut_slice} belongs to component {cut.component!r}, "
+            f"cut slice {cut_slice} belongs to component {component!r}, "
             f"not {cut_component!r}"
         )
-    matrix = cut.matrices(resolved, ctx)[0]
-    s = scalar_of(matrix, ctx.tol)
+    s = scalar_of(network.contract(stacks, diagram)[0], ctx.tol)
     value = ctx.mdim(alpha_cut) * s
     if framings:
         writhes, _ = compiled.writhe_and_linking
         for name, framing in framings.items():
             delta_f = framing - writhes.get(name, 0)
             if delta_f:
-                label = resolved[name].labels[0]
+                label = stacks[name].labels[0]
                 if label[0] != "V":
                     raise DomainError(
                         f"framing correction needs a simple color on {name!r}"
@@ -206,7 +186,7 @@ def f_prime(
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurgeryPresentation:
     """A framed surgery link plus colored graph with meridian cohomology data.
 
@@ -215,7 +195,8 @@ class SurgeryPresentation:
     representative of the class on each L-meridian — which is also the lift
     used for that component's Kirby color — and may repeat the T values
     (degree of the color), which are validated.  ``defect`` is the integer n
-    correcting the signature anomaly.
+    correcting the signature anomaly.  The compiled diagram and the graph
+    colors as module stacks are built once per presentation, on first use.
     """
 
     ctx: RootParams
@@ -249,8 +230,7 @@ class SurgeryPresentation:
         missing = l_names - set(self.meridian_values)
         if missing:
             raise DomainError(f"missing meridian values for {sorted(missing)}")
-        resolved = self.resolved_graph_colors()
-        for name, module in resolved.items():
+        for name, module in self.graph_stacks.items():
             given = self.meridian_values.get(name)
             if given is not None and not self.ctx.is_congruent_mod2(
                 module.degrees[0], given
@@ -263,14 +243,16 @@ class SurgeryPresentation:
     def surgery_names(self) -> list[str]:
         return list(self.framings)
 
-    def graph_names(self) -> list[str]:
-        return list(self.colors)
+    @functools.cached_property
+    def compiled(self) -> CompiledDiagram:
+        """The diagram's :func:`.diagram.compile_diagram`."""
+        return compile_diagram(self.diagram)
 
-    def resolved_graph_colors(self) -> dict[str, ModuleStack]:
-        return {
-            name: value if isinstance(value, ModuleStack) else make_valpha(self.ctx, value)
-            for name, value in self.colors.items()
-        }
+    @functools.cached_property
+    def graph_stacks(self) -> dict[str, ModuleStack]:
+        """Each graph component's color as a module stack (V_α for a complex
+        α); shared by every caller, so it must not be modified."""
+        return _stack_colors(self.ctx, self.colors, self.colors)
 
 
 @dataclass(frozen=True)
@@ -339,7 +321,7 @@ def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
 def linking_data(sp: SurgeryPresentation) -> LinkingData:
     """Linking matrix (framings on the diagonal) and its exact signature."""
     l_names = sp.surgery_names()
-    _writhes, linking = compile_diagram(sp.diagram).writhe_and_linking
+    _writhes, linking = sp.compiled.writhe_and_linking
     n = len(l_names)
     matrix = [[0] * n for _ in range(n)]
     for i, a in enumerate(l_names):
@@ -379,7 +361,7 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
     """None when the presentation is computable, else the violated condition."""
     ctx = sp.ctx
     l_names = sp.surgery_names()
-    graph_colors = sp.resolved_graph_colors()
+    graph_colors = sp.graph_stacks
     if not l_names:
         for name, module in graph_colors.items():
             if not ctx.is_near_int(module.degrees[0]) or module.labels[0][0] == "V":
@@ -394,7 +376,7 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
                 f"meridian value {sp.meridian_values[name]!r} on surgery "
                 f"component {name!r} is integral"
             )
-    _writhes, linking = compile_diagram(sp.diagram).writhe_and_linking
+    _writhes, linking = sp.compiled.writhe_and_linking
     for name, value in _parallel_values(sp, linking, graph_colors).items():
         if not ctx.is_congruent_mod2(value, 0.0):
             return (
@@ -402,11 +384,6 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
                 f"of {name!r} (value {value!r} mod 2)"
             )
     return None
-
-
-def computability_check(sp: SurgeryPresentation) -> bool:
-    """True iff the Kirby-color surgery formula applies to this presentation."""
-    return computability_failure(sp) is None
 
 
 @dataclass(frozen=True)
@@ -430,32 +407,20 @@ class ZResult:
     defect: int
 
 
-def _strand_dims(sp: SurgeryPresentation, graph_colors: dict) -> dict[str, int]:
-    """The dimension of each component's color (r on the surgery link)."""
-    dims = {name: module.dim for name, module in graph_colors.items()}
-    dims.update((name, sp.ctx.r) for name in sp.surgery_names())
-    return dims
-
-
-def _fixed_cut(
-    sp: SurgeryPresentation, compiled: CompiledDiagram, graph_colors: dict
-) -> tuple[str, int]:
+def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
     """Deterministic cut choice: first projective graph edge, else first L.
 
     Components whose every cup/cap is enclosed are skipped, so nesting the
     surgery circles around the graph edges stays legal as long as one
     component reaches the outside.  Within the chosen component the cut
-    falls on its last open cup or cap (:func:`_first_cut_slice`).
-    ``compiled`` is the diagram's :func:`.diagram.compile_diagram` and
-    ``graph_colors`` the presentation's resolved graph colors.
+    falls on its last open cup or cap (:meth:`.CompiledDiagram.open_cut`).
     """
-    candidates = [name for name, m in graph_colors.items() if m.labels[0][0] == "V"]
+    candidates = [name for name, m in sp.graph_stacks.items() if m.labels[0][0] == "V"]
     candidates.extend(sp.surgery_names())
     for name in candidates:
-        try:
-            return name, _first_cut_slice(compiled, name)
-        except DomainError:
-            continue
+        index = sp.compiled.open_cut(name)
+        if index is not None:
+            return name, index
     raise DomainError(
         "no projective component offers a cut point that is not enclosed"
     )
@@ -474,35 +439,33 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     framing corrections through twist scalars, and assembles both
     normalization routes.
 
-    The diagram's compiled form (:func:`.diagram.compile_diagram`, cached
-    per diagram structure) gives its words, writhes, linking numbers, cut
-    and plan.  Each surgery component's r Kirby colors are built once, as
-    one module stack, and the term weights
+    The presentation's compiled diagram (:func:`.diagram.compile_diagram`,
+    cached per diagram structure) gives its words, writhes, linking
+    numbers, cut network and plan.  Each surgery component's r Kirby
+    colors are built once, as one module stack, and the term weights
     Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  Every
-    pass contracts by the cut tangle's one plan, and the r**m terms run in
-    contiguous row-major passes of max(r, ``_PASS_ELEMENTS`` // peak)
-    terms, peak being the most elements one term holds in that plan
-    (:meth:`.CutTangle.peak_elements`).  The budget 9·9⁴ (0.9 MiB) is the
-    largest pass array of r terms per pass on the benchmark's surgery
-    documents (r = 9), so no pass grows beyond it, while smaller r get
-    fewer passes: one at r ≤ 6, three at r = 7.  A pass colors each
-    component with its stack gathered at the pass's Kirby indices, or with
-    a one-term stack (whose blocks broadcast) when the index is the same
-    for every term of the pass.  Every term passes its own Schur check,
+    pass contracts by the cut network's one plan, and the r**m terms run
+    in contiguous row-major passes of max(r, ``_PASS_ELEMENTS`` // peak)
+    terms, peak being the most elements one term holds in that plan.  The
+    budget 9·9⁴ (0.9 MiB) is the largest pass array of r terms per pass on
+    the benchmark's surgery documents (r = 9), so no pass grows beyond it,
+    while smaller r get fewer passes: one at r ≤ 6, three at r = 7.  A
+    pass colors each component with its stack gathered at the pass's Kirby
+    indices, or with a one-term stack (whose blocks broadcast) when the
+    index is the same for every term of the pass.  Every term passes its own Schur check,
     and the term values are summed one by one in row-major order.
     """
     ctx = sp.ctx
-    compiled = compile_diagram(sp.diagram)
-    writhes, _ = compiled.writhe_and_linking
+    writhes, _ = sp.compiled.writhe_and_linking
     failure = computability_failure(sp)
     if failure is not None:
         raise NotComputableError(failure)
     l_names = sp.surgery_names()
     m = len(l_names)
     data = linking_data(sp)
-    graph_colors = sp.resolved_graph_colors()
-    cut_name, cut_slice = _fixed_cut(sp, compiled, graph_colors)
-    cut = CutTangle(sp.diagram, cut_slice)
+    graph_colors = sp.graph_stacks
+    cut_name, cut_slice = _fixed_cut(sp)
+    _, network = sp.compiled.cut(cut_slice)
 
     # Kirby index of every term (row-major) and its weight
     index = np.array(list(itertools.product(range(ctx.r), repeat=m)), dtype=int)
@@ -528,8 +491,8 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
         if name == cut_name:
             weights *= mdims[index[:, j]]
 
-    dims = _strand_dims(sp, graph_colors)
-    peak = cut.peak_elements(dims)
+    dims = {name: module.dim for name, module in graph_colors.items()}
+    peak = network.plan(dims | dict.fromkeys(l_names, ctx.r)).peak
     per_pass = max(ctx.r, _PASS_ELEMENTS // peak)
     scalars = np.empty(len(index), dtype=complex)
     for start in range(0, len(index), per_pass):
@@ -538,8 +501,8 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
         for j, name in enumerate(l_names):
             k = rows[:, j]
             colors[name] = stacks[j].take(k[:1] if (k == k[0]).all() else k)
-        matrices = cut.matrices(colors, ctx)
-        scalars[start : start + len(rows)] = scalars_of(matrices, ctx.tol)
+        scalars[start : start + len(rows)] = scalars_of(
+            network.contract(colors, sp.diagram), ctx.tol)
     f_total = complex(np.cumsum(weights * scalars)[-1])
 
     lam, eta, delta, d_plus, d_minus = ctx.constants()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,14 +49,15 @@ class RootParams:
         Order of the root, ``r >= 2`` and ``r % 4 != 0``.
     tol : float
         Comparison tolerance for complex equality checks.
-    epsilon_int : float
-        Tolerance for "is this number an integer" tests, which gate the
-        domain Ċ = (ℂ∖ℤ) ∪ rℤ of the modified dimension.
+
+    ``epsilon_int`` is the fixed tolerance of the "is this number an
+    integer" tests, which gate the domain Ċ = (ℂ∖ℤ) ∪ rℤ of the modified
+    dimension.
     """
 
     r: int
     tol: float = 1e-9
-    epsilon_int: float = 1e-9
+    epsilon_int: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         if not isinstance(self.r, (int, np.integer)) or isinstance(self.r, bool):

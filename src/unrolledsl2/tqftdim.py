@@ -62,7 +62,6 @@ __all__ = [
     "necklace_graph",
     "tetrahedron_graph",
     "dumbbell_graph",
-    "add_leg",
     "add_point_chain",
     "random_generic_graph",
 ]
@@ -159,13 +158,13 @@ class TrivalentGraph:
                     f"external edge {e.name!r}: grading {e.grading} is not the "
                     f"degree of its color {e.color}"
                 )
-        for v in self.vertex_order:
-            total = 0.0 + 0.0j
-            for e in self.edges:
-                if e.head == v:
-                    total += complex(e.grading)
-                if e.tail == v:
-                    total -= complex(e.grading)
+        totals = dict.fromkeys(self.vertex_order, 0.0 + 0.0j)
+        for e in self.edges:
+            if e.head is not None:
+                totals[e.head] += complex(e.grading)
+            if e.tail is not None:
+                totals[e.tail] -= complex(e.grading)
+        for v, total in totals.items():
             if not ctx.is_congruent_mod2(total, 0.0):
                 raise DomainError(
                     f"edge gradings are not a 1-cycle: signed sum {total} at "
@@ -438,38 +437,62 @@ def verlinde(
         )
     n = len(points)
     c = sum(points)
-    num = ctx.q_num(ctx.r * b)
+    try:
+        num, overflow = ctx.q_num(ctx.r * b), None
+    except DomainError as exc:  # {rβ} leaves double range: see _far_ratio
+        num, overflow = None, exc
     exponent = 2 * genus - 2 + n
     terms = []
     for k in ctx.h_r_set():
-        den = ctx.q_num(b + k)
-        if abs(den) <= 1e-12:
+        if num is None:
+            ratio = _far_ratio(ctx, b, k)
+        elif abs(den := ctx.q_num(b + k)) <= 1e-12:
             raise DomainError(
                 f"{{beta + {k}}} vanishes at beta={beta!r}; the summand is "
                 "singular"
             )
-        terms.append((ctx.q_pow(c * k), num / den))
+        else:
+            ratio = num / den
+        terms.append((ctx.q_pow(c * k), ratio))
     sign = -1.0 if (n * (ctx.r - 1)) % 2 else 1.0
-    try:
-        total = 0.0 + 0.0j
-        for phase, ratio in terms:
-            total += phase * ratio**exponent
-        value = sign / ctx.r * ctx.rprime**genus * ctx.q_pow(c * b) * total
-    except OverflowError:
-        value = complex(math.inf)
-    if cmath.isfinite(value):
-        return value
+    if num is not None:
+        try:
+            total = 0.0 + 0.0j
+            for phase, ratio in terms:
+                total += phase * ratio**exponent
+            value = sign / ctx.r * ctx.rprime**genus * ctx.q_pow(c * b) * total
+        except OverflowError:
+            value = complex(math.inf)
+        if cmath.isfinite(value):
+            return value
+        terms = [(phase, ratio and (math.log(abs(ratio)), ratio / abs(ratio)))
+                 for phase, ratio in terms]
+    elif not all(math.isfinite(ratio[0]) for _, ratio in terms):
+        raise overflow
     # Some factor left double range: redo the sum with every power divided
-    # by the largest one, and keep the scale as a logarithm.
-    logs = [exponent * math.log(abs(ratio)) if ratio else -math.inf
-            for _, ratio in terms]
+    # by the largest one, and keep the scale as a logarithm.  Each ratio is
+    # now (log |ratio|, ratio / |ratio|), or 0.
+    logs = [exponent * ratio[0] if ratio else -math.inf for _, ratio in terms]
     top = max(logs)
     total = sum(
-        phase * (ratio / abs(ratio)) ** exponent * math.exp(log - top)
+        phase * ratio[1] ** exponent * math.exp(log - top)
         for (phase, ratio), log in zip(terms, logs)
         if ratio
     )
     value = sign * ctx.q_pow(c * b) * total
+    if num is None and exponent:
+        # Far terms all have size about 1 here, each rounded to about |top|
+        # ulps: a total they nearly cancel in, or a value whose factor
+        # q**(cβ) underflows, is lost unless it lies below the tolerance.
+        roundoff = ctx.r * 1e-15 * (abs(top) + abs(exponent) + 1)
+        largest = (top + genus * math.log(ctx.rprime) - math.log(ctx.r)
+                   - math.pi * (c * b).imag / ctx.r)
+        if ((roundoff > 1e-9 * abs(total) or not value)
+                and largest + math.log(max(roundoff, abs(total))) > math.log(1e-9)):
+            raise DomainError(
+                f"the genus-{genus} value at beta={beta!r} is lost to rounding "
+                "in double precision"
+            )
     if not value:
         return 0.0 + 0.0j
     log_abs = (
@@ -481,6 +504,18 @@ def verlinde(
             f"e^{log_abs:.1f}, which overflows double precision"
         )
     return value / abs(value) * math.exp(log_abs)
+
+
+def _far_ratio(ctx: RootParams, b: complex, k: int) -> tuple[float, complex]:
+    """(log |{rβ}/{β+k}|, the ratio's phase) where |Im β| puts {rβ} out of
+    double range.  With σ the sign of Im β the ratio is
+    q^(−σ((r−1)β−k))·(1−q^(2σrβ))/(1−q^(2σ(β+k))), whose powers of q in
+    the last factor are tiny."""
+    sigma = 1 if b.imag > 0 else -1
+    x = -sigma * ((ctx.r - 1) * b - k)
+    factor = (1 - ctx.q_pow(2 * sigma * ctx.r * b)) / (1 - ctx.q_pow(2 * sigma * (b + k)))
+    log = -math.pi * x.imag / ctx.r + math.log(abs(factor))
+    return log, cmath.exp(1j * math.pi * x.real / ctx.r) * factor / abs(factor)
 
 
 # ----------------------------------------------------------------------
@@ -740,47 +775,6 @@ def dumbbell_graph(ctx: RootParams, loop1: complex, loop2: complex) -> Trivalent
             GraphEdge("l2", "v", "v", loop2),
         ),
     )
-
-
-def add_leg(
-    graph: TrivalentGraph,
-    edge_name: str,
-    color: complex,
-    leg_name: str | None = None,
-    into: bool = True,
-) -> TrivalentGraph:
-    """Attach a marked point: subdivide an edge and hang an external leg.
-
-    The host edge u→w splits at a new vertex x into u→x (old grading g)
-    and x→w (grading g ± degree(color), signed by the leg orientation);
-    ``into`` orients the leg toward x.  A lone marked point only yields a
-    valid graph when its color has degree 0 mod 2 (the sum of all point
-    meridians bounds, so a single point's degree is forced); points with
-    generic colors come in compensating groups — see ``add_point_chain``.
-    """
-    ctx = graph.ctx
-    host = next((e for e in graph.edges if e.name == edge_name), None)
-    if host is None or host.is_external:
-        raise DomainError(f"no internal edge named {edge_name!r}")
-    leg = leg_name or f"p{sum(e.is_external for e in graph.edges)}"
-    x = f"x_{leg}"
-    c = complex(color)
-    deg = c + (ctx.r - 1)
-    g = complex(host.grading)
-    others = tuple(e for e in graph.edges if e.name != edge_name)
-    leg_edge = GraphEdge(
-        leg, None if into else x, x if into else None, deg, color=c
-    )
-    if host.is_circle:
-        new = (GraphEdge(f"{edge_name}.l", x, x, g), leg_edge)
-    else:
-        g2 = g + deg if into else g - deg
-        new = (
-            GraphEdge(f"{edge_name}.1", host.tail, x, g),
-            GraphEdge(f"{edge_name}.2", x, host.head, g2),
-            leg_edge,
-        )
-    return TrivalentGraph(ctx, others + new)
 
 
 def add_point_chain(

@@ -22,12 +22,12 @@ from unrolledsl2.diagram import (
     Cap,
     Coupon,
     Cup,
-    CutTangle,
     Id,
     SlicedDiagram,
     Strand,
     compile_diagram,
     evaluate,
+    evaluate_cut,
 )
 from unrolledsl2.jsonio import load_document, parse_flink
 from unrolledsl2.qscalar import RootParams
@@ -96,13 +96,24 @@ def test_repeated_document_adds_no_cache_entry(capsys, command, fixture):
 
         sp = parse_surgery(doc, RootParams(5))
         diagram_ = sp.diagram
-        cut_slice = _fixed_cut(sp, compile_diagram(diagram_), sp.resolved_graph_colors())[1]
+        cut_slice = _fixed_cut(sp)[1]
     sizes = _cache_sizes(diagram_, cut_slice)
     hits = diagram._compiled.cache_info().hits
     for _ in range(100):
         assert _cli(capsys, *argv) == first
     assert _cache_sizes(diagram_, cut_slice) == sizes
     assert diagram._compiled.cache_info().hits >= hits + 100
+
+
+@pytest.mark.parametrize("command,fixture", [("zinv", "lens_7_2.json"), ("zinv", "s1xs2.json"),
+                                             ("flink", "trefoil.json")])
+def test_one_compiled_lookup_per_call(capsys, command, fixture):
+    argv = (command, "--r", "5", "--input", str(FIXTURES / fixture))
+    for _ in range(2):  # a cold cache, then a warm one
+        before = diagram._compiled.cache_info()
+        assert _cli(capsys, *argv)[0] == 0
+        after = diagram._compiled.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
 
 def test_preflight_refuses_with_a_warm_cache(capsys, monkeypatch):
@@ -147,7 +158,7 @@ def test_coupon_matrices_are_read_per_diagram(first):
         loop = evaluate(closed, {"K": v}, ctx)[0, 0]
         assert abs(loop - np.sum(pivot * np.diag(matrices[k]))) < 1e-12 * np.abs(matrices[k]).sum()
         # cut at its cap, the loop is the coupon again
-        assert np.array_equal(CutTangle(closed, 2).matrices({"K": v}, ctx)[0], matrices[k])
+        assert np.array_equal(evaluate_cut(closed, {"K": v}, ctx, 2)[0], matrices[k])
     # both matrices share one compiled structure, which holds no matrix
     a, b = (_coupon_diagrams(m)[1] for m in matrices)
     assert compile_diagram(a) is compile_diagram(b)

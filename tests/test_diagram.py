@@ -10,7 +10,6 @@ from unrolledsl2.diagram import (
     Cap,
     Coupon,
     Cup,
-    CutTangle,
     Id,
     SlicedDiagram,
     Strand,
@@ -130,7 +129,7 @@ def test_curl_gives_twist(ctx):
     alpha = _generic(rng)
     mod = make_valpha(ctx, alpha)
     for sign in (1, -1):
-        m, _ = evaluate_cut(curl_diagram("K", sign), {"K": mod}, ctx, 0)
+        m = evaluate_cut(curl_diagram("K", sign), {"K": mod}, ctx, 0)[0]
         s = scalar_of(m, 1e-8)
         assert abs(s - twist_scalar(ctx, alpha) ** sign) < 1e-9
 
@@ -141,8 +140,8 @@ def test_unknot_cut_is_identity(ctx):
     for style in ("coev", "coevprime"):
         d = unknot_diagram("K", style=style)
         for cut in (0, 1):
-            m, out = evaluate_cut(d, {"K": mod}, ctx, cut)
-            assert np.abs(m - np.eye(out.dim)).max() < 1e-10
+            m = evaluate_cut(d, {"K": mod}, ctx, cut)[0]
+            assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
 
 
 def _primed_clasp():
@@ -170,19 +169,17 @@ def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
     for varying in names:
         batch = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
         for cut in cuts:
-            got = CutTangle(diagram, cut).matrices({**fixed, varying: batch}, ctx)
+            got = evaluate_cut(diagram, {**fixed, varying: batch}, ctx, cut)
             assert got.shape == (3, ctx.r, ctx.r)
             for k, module in enumerate(batch):
-                ref, _ = evaluate_cut(diagram, {**fixed, varying: module}, ctx, cut)
+                ref = evaluate_cut(diagram, {**fixed, varying: module}, ctx, cut)[0]
                 assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_cut_tangle_rejects_unequal_batches(ctx):
     modules = [make_valpha(ctx, a) for a in (0.3, 0.4, 0.6)]
     with pytest.raises(DomainError):
-        CutTangle(clasp_diagram(1, "A", "B"), 0).matrices(
-            {"A": modules[:2], "B": modules}, ctx
-        )
+        evaluate_cut(clasp_diagram(1, "A", "B"), {"A": modules[:2], "B": modules}, ctx, 0)
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +331,7 @@ def test_cut_tangle_matches_dense_reference(ctx, seed, right):
     kirby = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
     fixed = {"K": make_valpha(ctx, _generic(rng)), "B": make_valpha(ctx, _generic(rng))}
     for cut in (0, len(closed.slices) - 1):
-        got = CutTangle(closed, cut).matrices({**fixed, "A": kirby}, ctx)
+        got = evaluate_cut(closed, {**fixed, "A": kirby}, ctx, cut)
         assert got.shape == (3, ctx.r, ctx.r)
         for k, module in enumerate(kirby):
             ref = _dense(tangle, {**fixed, "A": module})

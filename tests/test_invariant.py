@@ -11,7 +11,6 @@ from unrolledsl2 import invariant
 from unrolledsl2.diagram import (
     Cap,
     Cup,
-    CutTangle,
     SlicedDiagram,
     braid_closure,
     clasp_diagram,
@@ -29,9 +28,8 @@ from unrolledsl2.errors import (
 )
 from unrolledsl2.invariant import (
     SurgeryPresentation,
-    _first_cut_slice,
     _fixed_cut,
-    computability_check,
+    computability_failure,
     encircled_strand_presentation,
     f_prime,
     graph_only_presentation,
@@ -216,13 +214,14 @@ def test_default_cut_is_cheapest_open_extremum():
     last = len(diagram.slices) - 1
     assert _open_cuts(diagram, "L2") == [0, last]
     compiled = compile_diagram(diagram)
-    assert _first_cut_slice(compiled, "L2") == last
-    with pytest.raises(DomainError):
-        _first_cut_slice(compiled, "L1")
+    assert compiled.open_cut("L2") == last
+    assert compiled.open_cut("L1") is None
+    with pytest.raises(DomainError, match="no cup or cap that can be cut open"):
+        f_prime(diagram, {"L1": 0.3, "L2": 0.45}, RootParams(5), cut_component="L1")
     sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
-    assert _fixed_cut(sp, compile_diagram(sp.diagram), {}) == ("L2", last)
+    assert _fixed_cut(sp) == ("L2", last)
     # unknot: the cap, not the cup
-    assert _first_cut_slice(compile_diagram(unknot_diagram("K")), "K") == 1
+    assert compile_diagram(unknot_diagram("K")).open_cut("K") == 1
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +248,11 @@ def test_linking_data_chain(ctx):
 
 
 def test_computability(ctx):
-    assert computability_check(s1_x_s2_presentation(ctx, 0.5))
+    assert computability_failure(s1_x_s2_presentation(ctx, 0.5)) is None
     # nonvanishing class on the preferred parallel
-    assert not computability_check(unknot_presentation(ctx, 1, 0.5))
+    assert computability_failure(unknot_presentation(ctx, 1, 0.5)) is not None
     # integral meridian
-    assert not computability_check(unknot_presentation(ctx, 1, 3.0))
+    assert computability_failure(unknot_presentation(ctx, 1, 3.0)) is not None
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +292,7 @@ def test_z_encircled_strand_is_s3_value(ctx):
     for framing in (1, -1):
         for shift in (0, 1):
             sp = encircled_strand_presentation(ctx, a, framing, shift)
-            assert computability_check(sp)
+            assert computability_failure(sp) is None
             res = z_invariant(sp)
             assert abs(res.z - target) < 1e-8 * (1 + abs(target))
 
@@ -344,10 +343,8 @@ def _kirby_sum_term_by_term(sp):
     ctx = sp.ctx
     l_names = sp.surgery_names()
     writhes, _ = writhe_and_linking(sp.diagram)
-    _cut_name, cut_slice = _fixed_cut(
-        sp, compile_diagram(sp.diagram), sp.resolved_graph_colors()
-    )
-    graph_colors = sp.resolved_graph_colors()
+    cut_name, cut_slice = _fixed_cut(sp)
+    graph_colors = sp.graph_stacks
     total, size = 0j, 0.0
     for ks in itertools.product(ctx.h_r_set(), repeat=len(l_names)):
         colors = dict(graph_colors)
@@ -360,8 +357,8 @@ def _kirby_sum_term_by_term(sp):
         for name, framing in sp.graph_framings.items():
             delta_f = framing - writhes.get(name, 0)
             value *= twist_scalar_of(graph_colors[name]) ** delta_f
-        matrix, module = evaluate_cut(sp.diagram, colors, ctx, cut_slice)
-        term = value * ctx.mdim(module.labels[0][1]) * scalar_of(matrix, ctx.tol)
+        matrix = evaluate_cut(sp.diagram, colors, ctx, cut_slice)[0]
+        term = value * ctx.mdim(colors[cut_name].labels[0][1]) * scalar_of(matrix, ctx.tol)
         total += term
         size += abs(term)
     return total, size
@@ -389,23 +386,23 @@ BATCH_CASES = {
 def test_z_batched_passes_match_term_by_term(r, case):
     ctx = RootParams(r)
     sp = BATCH_CASES[case](ctx)
-    assert computability_check(sp)
+    assert computability_failure(sp) is None
     reference, size = _kirby_sum_term_by_term(sp)
     got = z_invariant(sp).f_prime_total
     assert abs(got - reference) <= 1e-10 * max(1.0, size)
 
 
 def _pass_sizes(monkeypatch):
-    """Record the number of terms of every CutTangle.matrices call."""
+    """Record the number of terms of every network contraction."""
     sizes = []
-    matrices = CutTangle.matrices
+    contract = diagram_module._Network.contract
 
-    def recorded(self, colors, ctx):
-        out = matrices(self, colors, ctx)
+    def recorded(self, stacks, diagram):
+        out = contract(self, stacks, diagram)
         sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(CutTangle, "matrices", recorded)
+    monkeypatch.setattr(diagram_module._Network, "contract", recorded)
     return sizes
 
 
@@ -514,7 +511,7 @@ def test_f_prime_typechecks_once(monkeypatch):
 
 def test_handle_slides_preserve_z(ctx):
     sp0 = standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5))
-    assert computability_check(sp0)
+    assert computability_failure(sp0) is None
     z0 = z_invariant(sp0).z
     for slide, over, rev in (
         ("L1", "L2", False),
@@ -523,7 +520,7 @@ def test_handle_slides_preserve_z(ctx):
         ("L2", "L1", True),
     ):
         sp1 = handle_slide(sp0, slide, over, reverse=rev)
-        assert computability_check(sp1)
+        assert computability_failure(sp1) is None
         z1 = z_invariant(sp1).z
         assert abs(z0 - z1) < 1e-8 * (1 + abs(z0))
 
@@ -539,7 +536,7 @@ def test_handle_slide_round_trip_exact(ctx):
 
 def test_handle_slide_undo_from_clasp(ctx):
     sp = standard_two_component(ctx, 3, (8, 3), (2.0 / 5, 4.0 / 15))
-    assert computability_check(sp)
+    assert computability_failure(sp) is None
     undone = handle_slide(sp, "L1", "L2", reverse=True)
     assert undone.family == ("two_component", 0)
     zu, zv = z_invariant(sp).z, z_invariant(undone).z

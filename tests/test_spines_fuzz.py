@@ -9,7 +9,8 @@ Random documents, run in process through ``cli.main``:
 * the same spines broken (an integral grading, a grading that is no longer
   a 1-cycle, a field of the wrong type): one schema or domain error line;
 * ``verlinde`` at genus 0-12 with complex classes (|Im| up to 1e3): a
-  finite value or one domain error line.
+  finite value or one domain error line, and at genus 1 without points
+  the value r' at every nonintegral class.
 
 No document may end in a traceback or a numpy warning.
 """
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from unrolledsl2.cli import main  # noqa: E402
@@ -147,6 +148,13 @@ def _value(re, im):
     return repr(re) if im == 0 else {"re": repr(re), "im": repr(im)}
 
 
+def _complex(value):
+    """The complex number a :func:`_value` document field stands for."""
+    if isinstance(value, dict):
+        return complex(float(value["re"]), float(value["im"]))
+    return complex(float(value))
+
+
 reals = st.floats(min_value=-4, max_value=4, allow_nan=False)
 small = st.floats(min_value=-3, max_value=3, allow_nan=False)
 imaginary = st.one_of(st.just(0.0), small, st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
@@ -156,11 +164,21 @@ complexes = st.builds(_value, reals, imaginary)
 @settings(max_examples=150, **SETTINGS)
 @given(st.sampled_from(ROOTS), st.integers(0, 12), complexes,
        st.lists(complexes, max_size=3))
+# classes whose {r beta} leaves double range
+@example(r=5, genus=1, beta={"re": "0.3", "im": "500.0"}, points=[])
+@example(r=6, genus=1, beta={"re": "-1.7", "im": "-300.0"}, points=[])
+@example(r=5, genus=2, beta={"re": "0.3", "im": "500.0"}, points=[])
 def test_verlinde_is_finite_or_one_error_line(tmp_path, capsys, r, genus, beta, points):
     doc = {"genus": genus, "beta": beta}
     if points:
         doc["points"] = points
     code, out, err = _run(tmp_path, capsys, "verlinde", r, doc)
+    if genus == 1 and not points and not RootParams(r).is_near_int(_complex(beta)):
+        # the genus-1 value is r' at every nonintegral class
+        assert code == 0, err
+        result = json.loads(out)
+        value = complex(float(result["value_re"]), float(result["value_im"]))
+        assert abs(value - RootParams(r).rprime) <= 1e-12 * r
     if code == 0:
         assert err == ""
         result = json.loads(out)

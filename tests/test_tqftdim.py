@@ -9,7 +9,6 @@ from unrolledsl2.selftest import assert_hh0_matches_oracle
 from unrolledsl2.tqftdim import (
     GraphEdge,
     TrivalentGraph,
-    add_leg,
     add_point_chain,
     circle_graph,
     dumbbell_graph,
@@ -148,18 +147,55 @@ def _verlinde_mp(mp, r, genus, beta, points=()):
      (5, 400, 1 / 3), (7, 400, 0.37)],
 )
 def test_verlinde_large_genus(r, genus, beta):
+    _assert_verlinde_matches_mp(r, genus, beta)
+
+
+def _assert_verlinde_matches_mp(r, genus, beta, points=()):
+    """The value within 1e-8 of the 50-digit closed form, or, when that
+    leaves double range, an overflow error reporting its magnitude."""
     mp = pytest.importorskip("mpmath")
     ctx = RootParams(r)
-    ref = _verlinde_mp(mp, r, genus, beta)
+    ref = _verlinde_mp(mp, r, genus, beta, points)
     log_ref = float(mp.log(abs(ref)))
     if log_ref < 700:
-        v = verlinde(ctx, genus, beta)
+        v = verlinde(ctx, genus, beta, points)
         assert abs(v - complex(ref)) <= 1e-8 * float(abs(ref))
         return
     with pytest.raises(DomainError, match="overflows double precision") as exc:
-        verlinde(ctx, genus, beta)
+        verlinde(ctx, genus, beta, points)
     reported = float(str(exc.value).split("e^")[1].split(",")[0])
     assert abs(reported - log_ref) < 0.1
+
+
+@pytest.mark.parametrize("r", [3, 5, 6, 7])
+@pytest.mark.parametrize("im", [5, 300, 500])
+def test_verlinde_genus_one_at_large_imaginary_class(r, im):
+    # r' at every class, also where {r beta} itself leaves double range
+    ctx = RootParams(r)
+    for beta in (0.3 + im * 1j, 0.3 - im * 1j):
+        assert abs(verlinde(ctx, 1, beta) - ctx.rprime) <= 1e-12 * ctx.rprime
+
+
+@pytest.mark.parametrize(
+    "r,genus,beta,points",
+    # |Im beta| >= 230 puts {r beta} out of double range; with these point
+    # colors the leading terms do not cancel, so 50 digits resolve the value
+    [(5, 0, 0.3 + 230j, (0.2, 0.3, -0.1)), (5, 0, 0.3 - 230j, (0.4,)),
+     (7, 0, -0.45 + 240j, (0.1, 0.1, 0.2)), (6, 0, 0.7 - 300j, (0.25,)),
+     (3, 1, 0.3 + 300j, (0.35, 0.4))],
+)
+def test_verlinde_far_imaginary_class(r, genus, beta, points):
+    _assert_verlinde_matches_mp(r, genus, beta, points)
+
+
+@pytest.mark.parametrize("r,genus,beta,points", [
+    (5, 2, 0.3 + 500j, ()), (3, 3, 0.3 - 300j, ()), (5, 0, 0.3 + 230j, (0.2, 0.3, 0.5)),
+])
+def test_verlinde_far_cancellation_is_a_domain_error(r, genus, beta, points):
+    # the terms' leading parts are roots of unity summing to 0, and what is
+    # left lies below the roundoff of the terms: no value, one domain error
+    with pytest.raises(DomainError, match="lost to rounding in double precision"):
+        verlinde(RootParams(r), genus, beta, points)
 
 
 def test_dumbbell_bridge_is_non_generic():
@@ -191,11 +227,11 @@ def test_verlinde_with_points():
 
 def test_single_point_needs_trivial_degree():
     ctx = RootParams(5)
-    graph = add_leg(circle_graph(ctx, 0.37), "c0", 0.0)
+    graph = add_point_chain(circle_graph(ctx, 0.37), "c0", [0.0])
     assert len(graph.external_edges) == 1
     # generic color: the meridian sum obstruction
     with pytest.raises(DomainError):
-        add_leg(circle_graph(ctx, 0.37), "c0", 0.4)
+        add_point_chain(circle_graph(ctx, 0.37), "c0", [0.4])
     with pytest.raises(DomainError):
         random_generic_graph(RootParams(2), np.random.default_rng(0), 1, 1)
 
@@ -302,7 +338,7 @@ def test_hh0_exact_beyond_int64(r, genus, legs):
     ctx = RootParams(r)
     graph = _necklace(ctx, genus, 7)
     if legs:
-        graph = add_leg(graph, "c0", 0.0)
+        graph = add_point_chain(graph, "c0", [0.0])
     hh = hh0_dimension_generic(graph)
     exact = r ** (3 * genus - 3 + legs) // (1 if r % 2 else 2 ** (genus - 1))
     assert exact >= 2**63
