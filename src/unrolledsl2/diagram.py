@@ -174,11 +174,6 @@ class SlicedDiagram:
         object.__setattr__(self, "slices", tuple(self.slices))
         object.__setattr__(self, "source", tuple(self.source))
 
-    @property
-    def is_closed(self) -> bool:
-        words = compile_diagram(self).words
-        return not words[0] and not words[-1]
-
     def component_names(self) -> list[str]:
         """All component names, in first-appearance order."""
         seen: dict[str, None] = {}

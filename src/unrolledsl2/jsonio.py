@@ -7,6 +7,8 @@ strings are parsed exactly (via ``fractions.Fraction``) before conversion
 to floating point, so fixtures never lose precision to a decimal-binary
 round trip.  Emitted numbers are ``repr`` strings of the floats, which
 parse back to the identical float — results round-trip bit-for-bit.
+:func:`dump_document` writes the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)``.
 
 Schema errors raise :class:`~unrolledsl2.errors.SchemaError` with a
 JSON-path-style location (``$.edges[3].grading``) naming the offending
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any
 
 import numpy as np
 
@@ -112,6 +116,12 @@ def _int_field(value: Any, path: str) -> int:
     return value
 
 
+def _int_map(doc: Any, path: str) -> dict:
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{path}: expected an object")
+    return {str(k): _int_field(v, f"{path}.{k}") for k, v in doc.items()}
+
+
 # ----------------------------------------------------------------------
 # diagrams
 # ----------------------------------------------------------------------
@@ -139,27 +149,16 @@ def _parse_slice(value: Any, path: str):
         if sign not in (1, -1):
             raise SchemaError(f"{path}.sign: expected +1 or -1, got {sign}")
         return Braid(_int_field(_require(value, "position", path), f"{path}.position"), sign)
-    if kind == "cup":
-        variant = value.get("variant", "coev")
-        if variant not in _VARIANTS_CUP:
-            raise SchemaError(
-                f"{path}.variant: expected one of {_VARIANTS_CUP}, got {variant!r}"
-            )
-        return Cup(
-            _int_field(_require(value, "position", path), f"{path}.position"),
-            _str_field(value, "component", path),
-            variant,
-        )
-    if kind == "cap":
-        variant = value.get("variant", "evprime")
-        if variant not in _VARIANTS_CAP:
-            raise SchemaError(
-                f"{path}.variant: expected one of {_VARIANTS_CAP}, got {variant!r}"
-            )
-        return Cap(
-            _int_field(_require(value, "position", path), f"{path}.position"),
-            variant,
-        )
+    if kind in ("cup", "cap"):
+        variants = _VARIANTS_CUP if kind == "cup" else _VARIANTS_CAP
+        variant = value.get("variant", "coev" if kind == "cup" else "evprime")
+        if variant not in variants:
+            raise SchemaError(f"{path}.variant: expected one of {variants}, "
+                              f"got {variant!r}")
+        position = _int_field(_require(value, "position", path), f"{path}.position")
+        if kind == "cap":
+            return Cap(position, variant)
+        return Cup(position, _str_field(value, "component", path), variant)
     if kind == "coupon":
         ins = _require(value, "inputs", path)
         outs = _require(value, "outputs", path)
@@ -263,13 +262,7 @@ def parse_flink(
     cut = doc.get("cut")
     if cut is not None and not isinstance(cut, str):
         raise SchemaError(f"{path}.cut: expected a component name string")
-    framings_doc = doc.get("framings") or {}
-    if not isinstance(framings_doc, Mapping):
-        raise SchemaError(f"{path}.framings: expected an object")
-    framings = {
-        str(k): _int_field(v, f"{path}.framings.{k}")
-        for k, v in framings_doc.items()
-    }
+    framings = _int_map(doc.get("framings") or {}, f"{path}.framings")
     return diagram, colors, cut, framings
 
 
@@ -309,23 +302,12 @@ def _color_to_json(value: Any) -> dict:
 def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresentation:
     """A surgery presentation from its JSON object."""
     diagram = parse_diagram(_require(doc, "diagram", path), f"{path}.diagram")
-    framings_doc = _require(doc, "framings", path)
-    if not isinstance(framings_doc, Mapping):
-        raise SchemaError(f"{path}.framings: expected an object")
-    framings = {
-        str(k): _int_field(v, f"{path}.framings.{k}") for k, v in framings_doc.items()
-    }
+    framings = _int_map(_require(doc, "framings", path), f"{path}.framings")
     meridians = _parse_value_map(
         _require(doc, "meridians", path), f"{path}.meridians"
     )
     colors = _parse_value_map(doc.get("colors"), f"{path}.colors")
-    graph_framings_doc = doc.get("graph_framings") or {}
-    if not isinstance(graph_framings_doc, Mapping):
-        raise SchemaError(f"{path}.graph_framings: expected an object")
-    graph_framings = {
-        str(k): _int_field(v, f"{path}.graph_framings.{k}")
-        for k, v in graph_framings_doc.items()
-    }
+    graph_framings = _int_map(doc.get("graph_framings") or {}, f"{path}.graph_framings")
     defect = _int_field(doc.get("defect", 0), f"{path}.defect")
     try:
         return SurgeryPresentation(
@@ -478,5 +460,30 @@ def load_document(path: str) -> Any:
         ) from None
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _emit(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps`` writes it, nested at ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_quote(k)}: {_emit(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _emit(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _FLOAT_WORDS.get(text := float.__repr__(value), text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_document(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """``json.dumps(doc, indent=2, sort_keys=True)``, without its slow
+    pure-Python encoder (the C one ignores ``indent``); string keys only."""
+    return _emit(doc, "\n")

@@ -110,15 +110,17 @@ class RootParams:
     def q_pow(self, x: complex) -> complex:
         """q**x = exp(i*pi*x/r) for arbitrary complex x.
 
-        Raises :class:`DomainError` when |q**x| overflows double precision,
-        i.e. when -pi*Im(x)/r exceeds about 709.
+        Raises :class:`DomainError` when x or q**x is not finite in double
+        precision (|q**x| overflows once -pi*Im(x)/r exceeds about 709).
         """
+        z = complex(x)
         try:
-            return cmath.exp(1j * cmath.pi * complex(x) / self.r)
+            out = cmath.exp(1j * cmath.pi * z / self.r)
         except OverflowError:
-            raise DomainError(
-                f"q**x overflows double precision at x={complex(x)!r}"
-            ) from None
+            out = complex(math.inf)
+        if not (cmath.isfinite(z) and cmath.isfinite(out)):
+            raise DomainError(f"q**x overflows double precision at x={complex(x)!r}")
+        return out
 
     def q_num(self, x: complex) -> complex:
         """{x} = q**x - q**(-x) = 2i sin(pi*x/r)."""

@@ -22,8 +22,10 @@ degree histogram of that basis along three independent routes:
 * the closed form (:func:`verlinde`), which the histogram reproduces when
   evaluated at t = q^(2r'β), with a supersign for even r.
 
-The grid and the contraction share only the color windows and the degree
-extraction (:func:`triple_admissible` exposes the latter for one triple).
+The grid and the contraction share only the color windows: the grid reads
+degrees off float color sums (:func:`_degree_window`, which
+:func:`triple_admissible` exposes for one triple), the contraction from
+integer label offsets, so each checks the other's degree arithmetic.
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a
@@ -474,6 +476,9 @@ def verlinde(
     # now (log |ratio|, ratio / |ratio|), or 0.
     logs = [exponent * ratio[0] if ratio else -math.inf for _, ratio in terms]
     top = max(logs)
+    if top == math.inf:  # a term's scale itself leaves double range
+        raise DomainError(f"the genus-{genus} value at beta={beta!r} overflows "
+                          "double precision")
     total = sum(
         phase * ratio[1] ** exponent * math.exp(log - top)
         for (phase, ratio), log in zip(terms, logs)
@@ -538,38 +543,43 @@ class _Cluster(NamedTuple):
 
 def _vertex_cluster(
     ctx: RootParams,
-    slot_signs: Mapping[str, float],
+    slot_signs: Mapping[str, int],
     const: complex,
-    reps: Mapping[str, np.ndarray],
+    lows: Mapping[str, complex],
     dtype,
 ) -> _Cluster:
     """Multiplicity tensor of one vertex in the algebra-slot convention.
 
-    ``slot_signs`` sums the vertex's signs per internal edge: +1 for an
+    ``slot_signs`` sums the vertex's signs σ_e per internal edge: +1 for an
     outgoing edge (a projective slot, color +β for label β), −1 for an
     ingoing one (the dual slot); ``const`` sums its signed external colors.
-    Each label tuple's entry is the row of an identity band that one-hot
-    encodes the admissible degrees of its color sum (two adjacent degrees
-    for even r).  A loop's signs cancel: its axis is summed out, a factor r'.
+    Label i_e < r' is the color low_e + 2i_e, so c = const + Σσ_e·low_e + r−1
+    must be an even integer 2h (checked once), and the label tuple's lowest
+    admissible degree is ⌊(h + Σσ_e·i_e) / r'⌋ (less one for even r, which
+    admits that degree and the next).  Each entry is the row of an identity
+    band that one-hot encodes those degrees.  A loop's signs cancel: its
+    axis is summed out, a factor r'.
     """
     slots = [name for name, sign in slot_signs.items() if sign]
-    loop_factor = math.prod(len(reps[n]) for n, sign in slot_signs.items() if not sign)
-    s = np.asarray(const, dtype=complex)
-    for i, name in enumerate(slots):
-        ax = [1] * len(slots)
-        ax[i] = -1
-        s = s + slot_signs[name] * reps[name].reshape(ax)
-    if np.abs(s.imag).max(initial=0.0) > 1e-6:
-        raise DomainError(
-            "vertex color sum has a nonzero imaginary part; the edge "
-            "gradings are inconsistent"
-        )
-    k = _degree_window(ctx, s.real)
-    k_min = int(k.min())
-    band = np.eye(int(k.max()) - k_min + 2 - ctx.r % 2, dtype=dtype)
+    loop_factor = ctx.rprime ** (len(slot_signs) - len(slots))
+    c = const + sum(slot_signs[n] * lows[n] for n in slots) + (ctx.r - 1)
+    if not abs(c.imag) <= 1e-6:
+        raise DomainError("vertex color sum has a nonzero imaginary part; the "
+                          "edge gradings are inconsistent")
+    h = round(c.real / 2) if math.isfinite(c.real) else 0
+    if not (residual := abs(c.real - 2 * h)) <= 1e-6:
+        raise DomainError(f"vertex color sums are off the admissible lattice by "
+                          f"{residual:g}; the edge gradings are inconsistent")
+    base, offset = divmod(h, ctx.rprime)  # base may exceed int64; offset < r'
+    labels, steps = np.asarray(offset), np.arange(ctx.rprime)
+    for n in slots:
+        labels = np.add.outer(labels, slot_signs[n] * steps)
+    k = labels // ctx.rprime
+    lo = int(k.min())
+    band = np.eye(int(k.max()) - lo + 2 - ctx.r % 2, dtype=dtype)
     if ctx.r % 2 == 0:
         band = band[:-1] + band[1:]
-    return _Cluster(slots, (band * loop_factor)[k - k_min], k_min)
+    return _Cluster(slots, (band * loop_factor)[k - lo], base + lo - 1 + ctx.r % 2)
 
 
 def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
@@ -628,15 +638,11 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     Python integers above.
     """
     ctx = graph.ctx
-    factor = 1
-    for e in graph.circles:
-        factor *= len(_color_reps(ctx, e.grading))
-    reps = {
-        e.name: _color_reps(ctx, e.grading)
-        for e in graph.internal_edges
-        if not e.is_circle
+    lows = {  # every window has r' colors; circles (no slots) are checked first
+        e.name: complex(_color_reps(ctx, e.grading)[0])
+        for e in graph.circles + graph.internal_edges
     }
-    colorings = math.prod(len(rs) for rs in reps.values()) * factor
+    colorings = ctx.rprime ** len(lows)
     if ctx.r % 2 == 0:
         colorings <<= len(graph.vertex_order)
     dtype = (np.float64 if colorings < 2**53
@@ -644,21 +650,21 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     signs = {v: {} for v in graph.vertex_order}
     consts = dict.fromkeys(signs, 0j)
     for e in graph.edges:
-        for end, sign in ((e.tail, 1.0), (e.head, -1.0)):
+        for end, sign in ((e.tail, 1), (e.head, -1)):
             if e.is_external and end is not None:
                 consts[end] += sign * complex(e.color)
             elif end is not None:
-                signs[end][e.name] = signs[end].get(e.name, 0.0) + sign
+                signs[end][e.name] = signs[end].get(e.name, 0) + sign
     clusters = [
-        _vertex_cluster(ctx, signs[v], consts[v], reps, dtype)
+        _vertex_cluster(ctx, signs[v], consts[v], lows, dtype)
         for v in graph.vertex_order
     ]
-    dims = {name: len(rs) for name, rs in reps.items()}
+    dims = dict.fromkeys(lows, ctx.rprime)
     order, _peak = greedy_order([c.slots for c in clusters], dims)
     live = dict(enumerate(clusters))
     for i, j in order:
         live[i] = _merge_clusters(live[i], live.pop(j))
-    coeffs = np.asarray([factor], dtype=object)
+    coeffs = np.asarray([ctx.rprime ** len(graph.circles)], dtype=object)
     k_min = 0
     for c in live.values():
         if c.slots:

@@ -413,6 +413,24 @@ def test_domain_error_verlinde_overflow(tmp_path, capsys):
     assert "overflows double precision" in err
 
 
+@pytest.mark.parametrize("im", ["1e308", "-1e308", "1.7e308", "9e307", "1e307"])
+def test_verlinde_near_the_float_limit(tmp_path, capsys, im):
+    # r·β leaves double range from 9e307 on, and at 1e307 a genus-5 term's
+    # scale does; both once printed nan with exit 0
+    points = [[], ["0"], ["2/5", "-2/5"]]
+    for genus, pts in itertools.product(range(6), points):
+        doc = {"genus": genus, "beta": {"re": "0.3", "im": im}, "points": pts}
+        path = tmp_path / f"g{genus}p{len(pts)}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verlinde", "--r", "5", "--input", str(path))
+        assert "nan" not in out + err, (genus, pts)
+        if code == 0:
+            assert im == "1e307" and err == ""
+        else:
+            assert (code, out) == (3, "") and err.startswith("domain error:")
+            assert err.count("\n") == 1
+
+
 # colors with a large imaginary part: q**alpha leaves double range above
 # |Im alpha| ~ 226 (the modified dimension's {r alpha}), not at 100
 _IMAGINARY_COLORS = [

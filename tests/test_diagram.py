@@ -57,7 +57,6 @@ def test_typecheck_words():
     d = unknot_diagram("K")
     words = typecheck(d)
     assert words[0] == () and words[-1] == ()
-    assert d.is_closed
     assert d.component_names() == ["K"]
 
 

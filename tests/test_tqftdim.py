@@ -5,7 +5,7 @@ import pytest
 
 from unrolledsl2.errors import DomainError, NonGenericError
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.selftest import assert_hh0_matches_oracle
+from unrolledsl2.selftest import GRID_CELLS, assert_hh0_matches_oracle
 from unrolledsl2.tqftdim import (
     GraphEdge,
     TrivalentGraph,
@@ -260,19 +260,26 @@ def test_point_chain_needs_zero_degree_sum():
 
 
 def test_hh0_equals_enumeration_spot():
+    # every r class (2, odd, 2 mod 4) through r = 11: exactly the grid's
+    # histogram where the grid fits, else the shared oracle's exact total
+    # and closed form
     rng = np.random.default_rng(33)
-    for r in (2, 3, 5, 6, 7):
+    for r in (2, 3, 5, 6, 7, 9, 10, 11):
         ctx = RootParams(r)
-        for _ in range(4):
-            genus = int(rng.integers(1, 4))
-            legs = int(rng.integers(0, 3))
-            if legs == 1 and r % 2 == 0:
-                legs = 2
-            graph = random_generic_graph(ctx, rng, genus, legs)
-            a = graded_dimension(graph)
-            b = hh0_dimension_generic(graph)
-            assert a.coefficients == b.coefficients
-            assert a.parity_mode == b.parity_mode
+        shapes = [(g, legs) for g in range(1, 5) for legs in (0, 2, 3)]
+        graphs = [random_generic_graph(ctx, rng, g, legs) for g, legs in shapes]
+        if r % 2:  # a single point, or one per loop, needs the degree-0 color
+            graphs += [random_generic_graph(ctx, rng, g, 1) for g in range(1, 5)]
+            graphs += [_loops_with_legs(ctx, n) for n in (1, 2)]
+        for graph in graphs:
+            hh = hh0_dimension_generic(graph)
+            internal = [e for e in graph.internal_edges if not e.is_circle]
+            if ctx.rprime ** len(internal) > GRID_CELLS:
+                assert_hh0_matches_oracle(graph, rng)
+                continue
+            grid = graded_dimension(graph)
+            assert hh.coefficients == grid.coefficients
+            assert hh.parity_mode == grid.parity_mode
 
 
 def test_hh0_non_generic_rejected():
