@@ -385,9 +385,8 @@ def cut_is_enclosed(
 def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack]:
     """The color of each component in ``names``, as a module stack.
 
-    A color is a :class:`ModuleStack` (a one-term stack is a module), a
-    sequence of stacks whose terms are concatenated, or a complex α
-    (shorthand for V_α).
+    A color is a :class:`ModuleStack` (a one-term stack is a module) or a
+    complex α (shorthand for V_α).
     """
     stacks = {}
     for name in names:
@@ -396,8 +395,6 @@ def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack
         value = colors[name]
         if isinstance(value, ModuleStack):
             stacks[name] = value
-        elif isinstance(value, (list, tuple)):
-            stacks[name] = ModuleStack.of(value)
         else:
             stacks[name] = valpha_stack(ctx, (value,))
     return stacks
@@ -800,7 +797,8 @@ def evaluate_cut(
     The cut must be a cup or cap that other strands do not enclose
     (:meth:`CompiledDiagram.cut`).  ``colors`` is as for :func:`evaluate`,
     except that a component may carry several terms (a :class:`ModuleStack`
-    or a sequence of them).  Returns the matrix of the resulting 1-1 tangle
+    built by :func:`.repcat.valpha_stack`, :meth:`.ModuleStack.take` or
+    :func:`.repcat.tensor`).  Returns the matrix of the resulting 1-1 tangle
     as an endomorphism of the cut component's color, per term: shape
     (terms, d, d).
     """

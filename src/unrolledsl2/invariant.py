@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +44,6 @@ import numpy as np
 from .diagram import (
     CompiledDiagram,
     SlicedDiagram,
-    _stack_colors,
     clasp_diagram,
     compile_diagram,
     unknot_diagram,
@@ -101,14 +101,18 @@ def _in_double_range(evaluate):
     return run
 
 
-def _cut_color_alpha(label: tuple) -> complex:
-    """The color α of a module labelled as V_α; DomainError otherwise."""
-    if label[0] == "V":
-        return label[1]
-    raise DomainError(
-        f"cut component must be colored by a simple projective module V_α, "
-        f"got {label!r}"
-    )
+def _valpha_colors(ctx: RootParams, colors: dict) -> dict[str, ModuleStack]:
+    """Each color α as the one-term stack V_α.  F' and Z color every
+    component by a number α; anything else, a module too, is a DomainError."""
+    stacks = {}
+    for name, alpha in colors.items():
+        if not isinstance(alpha, numbers.Number):
+            raise DomainError(
+                f"color of {name!r} must be a number α (for V_α), "
+                f"got {type(alpha).__name__}"
+            )
+        stacks[name] = valpha_stack(ctx, (alpha,))
+    return stacks
 
 
 @_in_double_range
@@ -122,8 +126,9 @@ def f_prime(
 ) -> complex:
     """Renormalized invariant of a closed colored diagram.
 
-    Cuts ``cut_component`` (default: the first component carrying a simple
-    projective color) open at ``cut_slice``, extracts the Schur scalar s of
+    ``colors`` maps each component to a number α, coloring it by the
+    simple projective module V_α.  Cuts ``cut_component`` (default: the
+    first component) open at ``cut_slice``, extracts the Schur scalar s of
     the resulting 1-1 tangle, and returns d(α)·s, times twist corrections
     θ**(framing − writhe) for every component with a declared framing.  An
     explicit ``cut_slice`` is honoured as given; by default the component is
@@ -135,7 +140,7 @@ def f_prime(
     compiled = compile_diagram(diagram)
     if compiled.words[0] or compiled.words[-1]:
         raise DomainError("renormalized invariant requires a closed diagram")
-    stacks = _stack_colors(ctx, colors, colors)
+    stacks = _valpha_colors(ctx, colors)
     names = compiled.names
     missing = [name for name in names if name not in stacks]
     if missing:
@@ -148,10 +153,9 @@ def f_prime(
     if unknown:
         raise DomainError(f"component {unknown[0]!r} is not in the diagram")
     if cut_component is None:
-        cut_component = next((name for name in names if stacks[name].labels[0][0] == "V"), None)
-        if cut_component is None:
+        if not names:
             raise DomainError("no component carries a simple projective color")
-    alpha_cut = _cut_color_alpha(stacks[cut_component].labels[0])
+        cut_component = names[0]
     if cut_slice is None:
         cut_slice = compiled.open_cut(cut_component)
         if cut_slice is None:
@@ -166,18 +170,13 @@ def f_prime(
             f"not {cut_component!r}"
         )
     s = scalar_of(network.contract(stacks, diagram)[0], ctx.tol)
-    value = ctx.mdim(alpha_cut) * s
+    value = ctx.mdim(complex(colors[cut_component])) * s
     if framings:
         writhes, _ = compiled.writhe_and_linking
         for name, framing in framings.items():
             delta_f = framing - writhes.get(name, 0)
             if delta_f:
-                label = stacks[name].labels[0]
-                if label[0] != "V":
-                    raise DomainError(
-                        f"framing correction needs a simple color on {name!r}"
-                    )
-                value *= twist_scalar(ctx, label[1]) ** delta_f
+                value *= twist_scalar(ctx, complex(colors[name])) ** delta_f
     return value
 
 
@@ -191,7 +190,8 @@ class SurgeryPresentation:
     """A framed surgery link plus colored graph with meridian cohomology data.
 
     ``framings`` lists exactly the surgery components (L); ``colors`` lists
-    exactly the graph components (T).  ``meridian_values`` holds a complex
+    exactly the graph components (T), each colored by a number α (the
+    simple projective module V_α).  ``meridian_values`` holds a complex
     representative of the class on each L-meridian — which is also the lift
     used for that component's Kirby color — and may repeat the T values
     (degree of the color), which are validated.  ``defect`` is the integer n
@@ -250,9 +250,9 @@ class SurgeryPresentation:
 
     @functools.cached_property
     def graph_stacks(self) -> dict[str, ModuleStack]:
-        """Each graph component's color as a module stack (V_α for a complex
-        α); shared by every caller, so it must not be modified."""
-        return _stack_colors(self.ctx, self.colors, self.colors)
+        """Each graph component's color α as the module V_α; shared by every
+        caller, so it must not be modified."""
+        return _valpha_colors(self.ctx, self.colors)
 
 
 @dataclass(frozen=True)
@@ -361,11 +361,9 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
     """None when the presentation is computable, else the violated condition."""
     ctx = sp.ctx
     l_names = sp.surgery_names()
-    graph_colors = sp.graph_stacks
     if not l_names:
-        for name, module in graph_colors.items():
-            if not ctx.is_near_int(module.degrees[0]) or module.labels[0][0] == "V":
-                return None
+        if sp.colors:  # every graph color V_α is projective
+            return None
         return (
             "empty surgery link and non-admissible graph: no nonintegral "
             "meridian value and no projective color"
@@ -377,7 +375,7 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
                 f"component {name!r} is integral"
             )
     _writhes, linking = sp.compiled.writhe_and_linking
-    for name, value in _parallel_values(sp, linking, graph_colors).items():
+    for name, value in _parallel_values(sp, linking, sp.graph_stacks).items():
         if not ctx.is_congruent_mod2(value, 0.0):
             return (
                 f"cohomology class does not vanish on the preferred parallel "
@@ -408,16 +406,14 @@ class ZResult:
 
 
 def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:
-    """Deterministic cut choice: first projective graph edge, else first L.
+    """Deterministic cut choice: first graph edge, else first L.
 
     Components whose every cup/cap is enclosed are skipped, so nesting the
     surgery circles around the graph edges stays legal as long as one
     component reaches the outside.  Within the chosen component the cut
     falls on its last open cup or cap (:meth:`.CompiledDiagram.open_cut`).
     """
-    candidates = [name for name, m in sp.graph_stacks.items() if m.labels[0][0] == "V"]
-    candidates.extend(sp.surgery_names())
-    for name in candidates:
+    for name in [*sp.colors, *sp.surgery_names()]:
         index = sp.compiled.open_cut(name)
         if index is not None:
             return name, index
@@ -474,10 +470,9 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     for name, framing in sp.graph_framings.items():
         delta_f = framing - writhes.get(name, 0)
         if delta_f:
-            alpha = _cut_color_alpha(graph_colors[name].labels[0])
-            weights *= twist_scalar(ctx, alpha) ** delta_f
-    if cut_name in graph_colors:
-        weights *= ctx.mdim(_cut_color_alpha(graph_colors[cut_name].labels[0]))
+            weights *= twist_scalar(ctx, complex(sp.colors[name])) ** delta_f
+    if cut_name in sp.colors:
+        weights *= ctx.mdim(complex(sp.colors[cut_name]))
     stacks = []
     for j, name in enumerate(l_names):
         alphas = complex(sp.meridian_values[name]) + np.array(ctx.h_r_set())

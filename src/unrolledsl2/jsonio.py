@@ -245,12 +245,12 @@ def diagram_to_json(diagram: SlicedDiagram) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _parse_value_map(doc: Any, path: str, parse=parse_complex) -> dict:
+def _parse_value_map(doc: Any, path: str) -> dict:
     if doc is None:
         return {}
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{path}: expected an object mapping component names")
-    return {str(k): parse(v, f"{path}.{k}") for k, v in doc.items()}
+    return {str(k): parse_complex(v, f"{path}.{k}") for k, v in doc.items()}
 
 
 def parse_flink(
@@ -288,17 +288,6 @@ def flink_to_json(
 # ----------------------------------------------------------------------
 
 
-def _color_to_json(value: Any) -> dict:
-    if hasattr(value, "labels"):
-        label = value.labels[0]
-        if len(label) == 2 and label[0] == "V":
-            return complex_to_json(label[1])
-        raise SchemaError(
-            f"only simple colors V_alpha are serializable, got module {label!r}"
-        )
-    return complex_to_json(value)
-
-
 def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresentation:
     """A surgery presentation from its JSON object."""
     diagram = parse_diagram(_require(doc, "diagram", path), f"{path}.diagram")
@@ -330,7 +319,7 @@ def surgery_to_json(sp: SurgeryPresentation) -> dict:
         "diagram": diagram_to_json(sp.diagram),
         "framings": dict(sp.framings),
         "meridians": {k: complex_to_json(v) for k, v in sp.meridian_values.items()},
-        "colors": {k: _color_to_json(v) for k, v in sp.colors.items()},
+        "colors": {k: complex_to_json(v) for k, v in sp.colors.items()},
         "defect": sp.defect,
     }
     if sp.graph_framings:

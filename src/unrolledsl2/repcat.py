@@ -19,8 +19,7 @@ Constructors provided here, each returning a stack:
 * :attr:`ModuleStack.dual` and :func:`tensor` — the dual of every term,
   and the tensor product term by term (a batched coproduct);
   :func:`dual` is the attribute as a function;
-* :meth:`ModuleStack.of` concatenates stacks, :meth:`ModuleStack.take`
-  gathers terms.
+* :meth:`ModuleStack.take` gathers terms.
 
 Morphisms are plain arrays.  The braiding is c_{A,B} =
 τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated R-matrix series cₙ =
@@ -89,11 +88,10 @@ class ModuleStack:
     ``("tensor", left_label, right_label)``.  A degree is a complex
     representative of the ℂ/2ℤ grading; all weights of the term are
     congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
-    modules of a whole array of colors, :meth:`of` concatenates stacks and
-    :meth:`take` gathers terms.  The pivots, the stack of duals and the
-    ladder powers are built on first use (a V_α stack's F ladder from a
-    per-r cache); a taken stack gathers its root stack's ladder powers
-    and duals.
+    modules of a whole array of colors and :meth:`take` gathers terms.
+    The pivots, the stack of duals and the ladder powers are built on
+    first use (a V_α stack's F ladder from a per-r cache); a taken stack
+    gathers its root stack's ladder powers and duals.
     """
 
     def __init__(self, ctx, weights, e, f, labels, degrees, source=None):
@@ -105,22 +103,6 @@ class ModuleStack:
         self._source = source  # (root stack, indices of these terms in it)
         self._ladders: dict = {}
         self._f_is_shift = False  # set by valpha_stack: F·vᵢ = vᵢ₊₁ on every term
-
-    @classmethod
-    def of(cls, stacks) -> "ModuleStack":
-        """The terms of the given stacks, concatenated in order."""
-        stacks = tuple(stacks)
-        dims = {s.dim for s in stacks}
-        if len(dims) != 1:
-            raise DomainError(f"a module stack needs one dimension, got {sorted(dims)}")
-        return cls(
-            stacks[0].ctx,
-            np.concatenate([s.weights for s in stacks]),
-            np.concatenate([s.e for s in stacks]),
-            np.concatenate([s.f for s in stacks]),
-            [label for s in stacks for label in s.labels],
-            np.concatenate([s.degrees for s in stacks]),
-        )
 
     @property
     def terms(self) -> int:

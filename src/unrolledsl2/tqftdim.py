@@ -117,7 +117,9 @@ class TrivalentGraph:
     validates the 1-cycle condition: at every internal vertex the signed
     sum of incident gradings vanishes mod 2 (incoming +, outgoing −),
     which is what makes the class well defined, and external colors must
-    have degree equal to their edge grading.
+    have degree equal to their edge grading.  A grading or color with a
+    part of size 2^23 or more is a DomainError: doubles there are spaced
+    wider than ``epsilon_int``, so its class mod 2 cannot be decided.
     """
 
     ctx: RootParams
@@ -153,6 +155,13 @@ class TrivalentGraph:
             object.__setattr__(self, "vertex_order", tuple(sorted(incidence)))
         ctx = self.ctx
         for e in self.edges:
+            for what, x in (("grading", e.grading), ("color", e.color)):
+                z = complex(x or 0)
+                if math.ulp(max(abs(z.real), abs(z.imag))) > ctx.epsilon_int:
+                    raise DomainError(
+                        f"edge {e.name!r}: {what} {x} is too large to decide "
+                        "its class mod 2 (a part of size 2^23 or more)"
+                    )
             if e.is_external and not ctx.is_congruent_mod2(
                 e.grading, complex(e.color) + (ctx.r - 1)
             ):

@@ -238,6 +238,39 @@ def test_inputs_round_trip_exact(capsys):
         tmp.unlink(missing_ok=True)
 
 
+def test_coupon_fixture_closed_form(capsys):
+    # the unknot through a coupon c·Id, c = 3/2 − i/2: F' = c·d(α), α = 1/3
+    path = FIXTURES / "unknot_coupon.json"
+    code, doc, _ = run_json(capsys, "flink", "--r", "5", "--input", str(path))
+    assert code == 0
+    expected = complex(1.5, -0.5) * RootParams(5).mdim(1.0 / 3)
+    assert abs(complex(float(doc["F_re"]), float(doc["F_im"])) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 9, 11])
+def test_encircled_fixture_closed_form(capsys, r):
+    # ±1-surgery on a circle around the V_α unknot, framed back to 0: the
+    # pair is (S³, unknot_α), so Z = η·d(α) at every odd r, α = 2/5
+    path = FIXTURES / "encircled_unknot.json"
+    code, doc, _ = run_json(capsys, "zinv", "--r", str(r), "--input", str(path))
+    assert code == 0
+    ctx = RootParams(r)
+    expected = ctx.constants()[1] * ctx.mdim(0.4)
+    assert abs(complex(float(doc["Z_re"]), float(doc["Z_im"])) - expected) <= 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("sub,fixture", [("flink", "unknot_coupon.json"),
+                                         ("zinv", "encircled_unknot.json")])
+def test_coupon_and_graph_inputs_round_trip(tmp_path, capsys, sub, fixture):
+    # the echoed inputs (strands, id slices, a coupon matrix; graph colors
+    # and framings) run again to the same bytes
+    code, out, _ = run(capsys, sub, "--r", "5", "--input", str(FIXTURES / fixture), "--format", "json")
+    assert code == 0
+    echoed = tmp_path / fixture
+    echoed.write_text(json.dumps(json.loads(out)["inputs"]))
+    assert run(capsys, sub, "--r", "5", "--input", str(echoed), "--format", "json") == (0, out, "")
+
+
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7])
 def test_selftest_passes(capsys, r):
     code, doc, _ = run_json(capsys, "selftest", "--r", str(r))
@@ -411,6 +444,36 @@ def test_domain_error_verlinde_overflow(tmp_path, capsys):
     code, _, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
     assert code == 3
     assert "overflows double precision" in err
+
+
+def _two_vertex_spine(tmp_path, color):
+    """Edges x→y and y→x of grading 0.3, a leg into x and a leg out of y,
+    both of ``color`` and grading color + 4 (its degree at r = 5)."""
+    leg = {"grading": color + 4, "color": color}
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps({"vertices": [{"name": "x"}, {"name": "y"}], "edges": [
+        {"name": "a", "tail": "x", "head": "y", "grading": 0.3},
+        {"name": "b", "tail": "y", "head": "x", "grading": 0.3},
+        {"name": "in", "tail": None, "head": "x", **leg},
+        {"name": "out", "tail": "y", "head": None, **leg},
+    ]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("sub", ["hh0", "tqftdim"])
+def test_graph_colors_beyond_2_23_are_domain_errors(tmp_path, capsys, sub):
+    # doubles are spaced wider than epsilon_int there: 1e20 ≡ 0 mod 10 used
+    # to give the histogram {0: 5, 1: 20}, against {0: 25} for color 0;
+    # at 2^23 − 4 the color fits but its grading is 2^23
+    for color in (1e20, 2.0**23 - 4):
+        code, out, err = run(capsys, sub, "--r", "5", "--input", _two_vertex_spine(tmp_path, color))
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: ") and err.count("\n") == 1, err
+    # just below, the color keeps its class: 2^23 − 8 ≡ 0 mod 2r' = 10
+    for color in (0.0, 2.0**23 - 8):
+        code, doc, err = run_json(capsys, sub, "--r", "5", "--input", _two_vertex_spine(tmp_path, color))
+        assert (code, err) == (0, "")
+        assert doc["dimensions"] == {"0": 25}
 
 
 @pytest.mark.parametrize("im", ["1e308", "-1e308", "1.7e308", "9e307", "1e307"])

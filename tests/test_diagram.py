@@ -33,6 +33,7 @@ from unrolledsl2.repcat import (
     scalar_of,
     tensor,
     twist_scalar,
+    valpha_stack,
 )
 
 
@@ -166,19 +167,20 @@ def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
     rng = np.random.default_rng(21)
     fixed = {name: make_valpha(ctx, _generic(rng)) for name in names}
     for varying in names:
-        batch = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+        alphas = [_generic(rng) for _ in range(3)]
+        batch = valpha_stack(ctx, alphas)
         for cut in cuts:
             got = evaluate_cut(diagram, {**fixed, varying: batch}, ctx, cut)
             assert got.shape == (3, ctx.r, ctx.r)
-            for k, module in enumerate(batch):
-                ref = evaluate_cut(diagram, {**fixed, varying: module}, ctx, cut)[0]
+            for k, alpha in enumerate(alphas):
+                ref = evaluate_cut(diagram, {**fixed, varying: make_valpha(ctx, alpha)}, ctx, cut)[0]
                 assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_cut_tangle_rejects_unequal_batches(ctx):
-    modules = [make_valpha(ctx, a) for a in (0.3, 0.4, 0.6)]
+    modules = valpha_stack(ctx, (0.3, 0.4, 0.6))
     with pytest.raises(DomainError):
-        evaluate_cut(clasp_diagram(1, "A", "B"), {"A": modules[:2], "B": modules}, ctx, 0)
+        evaluate_cut(clasp_diagram(1, "A", "B"), {"A": modules.take([0, 1]), "B": modules}, ctx, 0)
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +329,11 @@ def _closed_tangle(rng, ctx, right):
 def test_cut_tangle_matches_dense_reference(ctx, seed, right):
     rng = np.random.default_rng(200 + seed)
     tangle, closed = _closed_tangle(rng, ctx, right)
-    kirby = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    kirby = [_generic(rng) for _ in range(3)]
     fixed = {"K": make_valpha(ctx, _generic(rng)), "B": make_valpha(ctx, _generic(rng))}
     for cut in (0, len(closed.slices) - 1):
-        got = evaluate_cut(closed, {**fixed, "A": kirby}, ctx, cut)
+        got = evaluate_cut(closed, {**fixed, "A": valpha_stack(ctx, kirby)}, ctx, cut)
         assert got.shape == (3, ctx.r, ctx.r)
-        for k, module in enumerate(kirby):
-            ref = _dense(tangle, {**fixed, "A": module})
+        for k, alpha in enumerate(kirby):
+            ref = _dense(tangle, {**fixed, "A": make_valpha(ctx, alpha)})
             assert np.abs(got[k] - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())

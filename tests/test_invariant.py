@@ -9,9 +9,12 @@ import pytest
 from unrolledsl2 import diagram as diagram_module
 from unrolledsl2 import invariant
 from unrolledsl2.diagram import (
+    Braid,
     Cap,
+    Coupon,
     Cup,
     SlicedDiagram,
+    Strand,
     braid_closure,
     clasp_diagram,
     compile_diagram,
@@ -84,6 +87,17 @@ def test_fprime_missing_color_is_domain_error(ctx):
         f_prime(clasp_diagram(1, "A", "B"), {"B": 0.3}, ctx, cut_component="B")
     with pytest.raises(DomainError):
         f_prime(clasp_diagram(1, "A", "B"), {"B": 0.3}, ctx)
+
+
+@pytest.mark.parametrize("kind", ["module", "sequence"])
+def test_module_colors_are_domain_errors(ctx, kind):
+    # F' and Z color by numbers α; a module (or a list of them) is refused
+    module = make_valpha(ctx, 0.4)
+    color = module if kind == "module" else [module, module]
+    with pytest.raises(DomainError, match="must be a number"):
+        f_prime(unknot_diagram("K"), {"K": color}, ctx)
+    with pytest.raises(DomainError, match="must be a number"):
+        graph_only_presentation(ctx, unknot_diagram("T1"), {"T1": color})
 
 
 def test_fprime_hopf_closed_form(ctx):
@@ -206,6 +220,56 @@ def test_fprime_agrees_at_every_open_cut(r, case):
     for cut in cuts:
         value = f_prime(diagram, colors, ctx, cut_component=component, cut_slice=cut)
         assert abs(value - default) <= 1e-9 * abs(default)
+
+
+# a zig-zag on one of B's strands, by the gap its cup opens in the word
+# (A↑, A↓, B↑, B↓): on B↑ from its left, on B↓ from its left, on B↓ from
+# its right
+_ZIGZAGS = {
+    2: [Cup(2, "B", "coev"), Cap(3, "ev")],
+    3: [Cup(3, "B", "coevprime"), Cap(4, "evprime")],
+    4: [Cup(4, "B", "coev"), Cap(3, "ev")],
+}
+
+
+def _zigzag_diagram(r, clasp, coupon, gap):
+    """Circles A and B side by side, word (A↑, A↓, B↑, B↓), under the
+    zig-zag ``_ZIGZAGS[gap]``; also returns the zig-zag's cup.
+
+    Below the zig-zag: the Hopf clasp (two crossings of A↓ and B↑) if
+    ``clasp``; a coupon 1.5·Id on A↓ ⊗ B↑ if ``coupon == "AB"``, or on A↑
+    if ``coupon == "A"``.
+    """
+    up, down = Strand("A", True), Strand("A", False)
+    b_up = Strand("B", True)
+    slices = [Cup(0, "A", "coev"), Cup(2, "B", "coev")]
+    slices += [Braid(1, 1)] * (2 if clasp else 0)
+    if coupon == "AB":
+        slices.append(Coupon(1, (down, b_up), (down, b_up), 1.5 * np.eye(r * r)))
+    elif coupon == "A":
+        slices.append(Coupon(0, (up,), (up,), 1.5 * np.eye(r)))
+    zigzag = len(slices)
+    slices += _ZIGZAGS[gap] + [Cap(2, "evprime"), Cap(0, "evprime")]
+    return SlicedDiagram(tuple(slices)), zigzag
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_enclosure_through_crossings_and_coupons(r):
+    ctx = RootParams(r)
+    # the clasp's crossings join A, left of the drop line, to B right of it
+    diagram, zigzag = _zigzag_diagram(r, True, None, 2)
+    assert cut_is_enclosed(diagram, zigzag)
+    # inside B: B↑ reaches B's cup, and so B↓, only through the coupon
+    diagram, zigzag = _zigzag_diagram(r, False, "AB", 3)
+    assert cut_is_enclosed(diagram, zigzag)
+    # the crossings and the coupon all lie left of the drop line
+    diagram, zigzag = _zigzag_diagram(r, True, "A", 4)
+    assert not cut_is_enclosed(diagram, zigzag)
+    colors = {"A": 2.0 / 7, "B": -5.0 / 11}
+    default = f_prime(diagram, colors, ctx, cut_component="B")
+    assert abs(default) >= 0.1
+    value = f_prime(diagram, colors, ctx, cut_component="B", cut_slice=zigzag)
+    assert abs(value - default) <= 1e-9 * abs(default)
 
 
 def test_default_cut_is_cheapest_open_extremum():

@@ -115,10 +115,11 @@ def _antipode_dual(m):
 def test_stack_dual_matches_antipode_transpose(r):
     ctx = RootParams(r)
     rng = np.random.default_rng(30 + r)
-    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng) + 0.7j)
+    alpha, beta = _generic(rng), _generic(rng) + 0.7j
+    a, b = make_valpha(ctx, alpha), make_valpha(ctx, beta)
     stacks = [
         valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0]),
-        ModuleStack.of((tensor(a, b), tensor(b, a))),
+        tensor(valpha_stack(ctx, [alpha, beta]), valpha_stack(ctx, [beta, alpha])),
         tensor(a, dual(b)),
         a.dual,
     ]
@@ -280,9 +281,9 @@ def test_braiding_matches_dense_reference(r, sign):
 def test_braiding_stack_matches_per_term(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(r)
-    terms = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    terms = [_generic(rng) for _ in range(3)]
     fixed = make_valpha(ctx, _generic(rng))
-    for stack in (ModuleStack.of(terms), ModuleStack.of(terms).dual):
+    for stack in (valpha_stack(ctx, terms), valpha_stack(ctx, terms).dual):
         for a, b in ((stack, fixed), (fixed, stack), (stack, stack)):
             got = braiding_stack(a, b, sign)
             assert got.shape[0] == len(terms)

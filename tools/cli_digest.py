@@ -1,0 +1,121 @@
+"""Digest of everything the CLI prints, one line per run.
+
+Each line is a run's label, its exit code and the sha256 of its stdout and
+of its stderr.  The runs are every ``docs/fixtures`` file under every
+subcommand that takes an input (the ones a subcommand rejects included),
+at r in {2, 3, 5, 6, 7, 9, 11}, in both formats.  With ``--seed N`` they
+also cover the benchmark documents of that seed
+(``perfbench/workloads.generate``, every workload, documents the benchmark
+does not run left out), at their own r, in both formats.
+
+The fixtures and the benchmark documents come from the checkout holding
+this script; the package comes from ``--src`` (default: the same
+checkout's ``src``).  So two runs that differ only in ``--src`` compare two
+versions of the program on the same inputs, and an empty ``diff`` of their
+outputs means the CLI's bytes did not change::
+
+    python tools/cli_digest.py --seed 1 > new.txt
+    python tools/cli_digest.py --seed 1 --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+Every run is in process, through ``unrolledsl2.cli.main``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ("flink", "zinv", "tqftdim", "hh0", "verlinde")
+ROOT_ORDERS = (2, 3, 5, 6, 7, 9, 11)
+FORMATS = ("table", "json")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digest(main, argv: list) -> str:
+    """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call; an
+    uncaught exception counts as exit 1 with its traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception:  # noqa: BLE001 - a traceback is an output to compare
+            code = 1
+            err.write(traceback.format_exc().splitlines()[-1] + "\n")
+    return f"exit={code} out={_sha(out.getvalue())} err={_sha(err.getvalue())}"
+
+
+def fixture_runs():
+    """(label, argv) of every fixture run; input paths relative to ROOT."""
+    for path in sorted((ROOT / "docs" / "fixtures").glob("*.json")):
+        rel = str(path.relative_to(ROOT))
+        for sub in SUBCOMMANDS:
+            for r in ROOT_ORDERS:
+                for fmt in FORMATS:
+                    yield f"{rel} {sub} r={r} {fmt}", [sub, "--r", str(r), "--input", rel,
+                                                      "--format", fmt]
+
+
+def benchmark_runs(seed: int, workdir: Path):
+    """(label, argv) of every benchmark document of ``seed`` that the
+    benchmark runs, each written to ``workdir`` under a name of its own."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for i, entry in enumerate(workloads.generate(workload, seed)):
+            if "not_run" in entry:
+                continue
+            name = f"{workload}-s{seed}-{i:04d}.json"
+            (workdir / name).write_text(json.dumps(entry["doc"]), encoding="utf-8")
+            for fmt in FORMATS:
+                yield (f"{workload} seed={seed} #{i} {entry['sub']} r={entry['r']} {fmt}",
+                       [entry["sub"], "--r", str(entry["r"]), "--input", name,
+                        "--format", fmt])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the unrolledsl2 package to run")
+    parser.add_argument("--seed", type=int, action="append", default=[],
+                        help="also digest the benchmark documents of this seed (repeatable)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import unrolledsl2.cli as cli
+
+    if src not in Path(cli.__file__).resolve().parents:
+        print(f"imported unrolledsl2 from {cli.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    lines = []
+    os.chdir(ROOT)  # fixture paths and the workload generator are relative to it
+    for label, run in fixture_runs():
+        lines.append(f"{label} {digest(cli.main, run)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seed:
+            runs = list(benchmark_runs(seed, Path(tmp)))
+            os.chdir(tmp)  # relative input names, so no path reaches the output
+            for label, run in runs:
+                lines.append(f"{label} {digest(cli.main, run)}")
+            os.chdir(ROOT)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
