@@ -28,9 +28,9 @@ unless the pipe was closed.
 JSON results echo their normalized inputs under ``"inputs"``; feeding that
 object back through the same subcommand reproduces the values bit-for-bit.
 
-The argument parser is built once per process, on the first call of
-:func:`main`, and shared by every later call.  ``parse_args`` returns a new
-namespace each time and keeps no per-call state on the parser.  The
+The command line is read by :func:`parse_args`, one pass over a fixed
+table of commands and options (``--opt value``, ``--opt=value``, unique
+prefixes, the last repeat wins) that holds no state between calls.  The
 evaluation caches (:func:`~unrolledsl2.diagram.compile_diagram` and the
 braiding pairings of :mod:`~unrolledsl2.repcat`) hold only what the
 diagram structure and root order fix, never a value that depends on the
@@ -41,12 +41,12 @@ and input, not on what ran before it in the process.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Any
 
 from . import jsonio
@@ -64,59 +64,196 @@ from .qscalar import RootParams
 from .tqftdim import hh0_dimension_generic, verlinde
 
 
+class UsageError(Exception):
+    """A value the command line cannot take; the message follows
+    ``argument OPTION:`` on the error line."""
+
+
 def _tolerance(text: str) -> float:
     """A finite, nonnegative ``--tol`` value; zero is allowed."""
-    value = float(text)  # argparse reports a ValueError as an invalid value
+    value = float(text)  # a ValueError is reported as an invalid value
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number >= 0, got {text!r}"
-        )
+        raise UsageError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="unrolledsl2",
-        description="Quantum invariants from unrolled quantum sl(2) at a root of unity.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "flink": "renormalized invariant of a closed colored diagram",
-        "zinv": "surgery invariant of a closed 3-manifold presentation",
-        "tqftdim": "graded dimension of a decorated-surface state space",
-        "verlinde": "closed-form graded dimension at a twisting parameter",
-        "hh0": "graded dimension through the Hochschild route",
-        "selftest": "run all property checks for the given root order",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--r", type=int, required=True, help="root order (r >= 2, r != 0 mod 4)")
-        p.add_argument(
-            "--input",
-            help="input JSON file" + (" (unused)" if name == "selftest" else ""),
-        )
-        p.add_argument(
-            "--format",
-            choices=("table", "json"),
-            default="table",
-            help="output format (default table)",
-        )
-        p.add_argument(
-            "--tol",
-            type=_tolerance,
-            default=1e-9,
-            help="numerical tolerance for scalar extraction (default 1e-9)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="accepted for compatibility; has no effect",
-        )
-        if name == "selftest":
-            p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    return parser
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise UsageError(f"invalid choice: {text!r} (choose from 'table', 'json')")
+    return text
+
+
+PROG = "unrolledsl2"
+COMMANDS = {
+    "flink": "renormalized invariant of a closed colored diagram",
+    "zinv": "surgery invariant of a closed 3-manifold presentation",
+    "tqftdim": "graded dimension of a decorated-surface state space",
+    "verlinde": "closed-form graded dimension at a twisting parameter",
+    "hh0": "graded dimension through the Hochschild route",
+    "selftest": "run all property checks for the given root order",
+}
+# option -> (field, converter, default, metavar, help); --r is required
+_OPTIONS = {
+    "--r": ("r", int, None, "R", "root order (2 <= r < 2^23, r != 0 mod 4)"),
+    "--input": ("input", str, None, "INPUT", "input JSON file"),
+    "--format": ("format", _format, "table", "{table,json}", "output format (default table)"),
+    "--tol": ("tol", _tolerance, 1e-9, "TOL",
+              "numerical tolerance for scalar extraction (default 1e-9)"),
+    "--jobs": ("jobs", int, 1, "JOBS", "accepted for compatibility; has no effect"),
+}
+_SELFTEST_OPTIONS = {**_OPTIONS, "--seed": ("seed", int, 0, "SEED", "base RNG seed")}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a positional, not an option
+_SEPARATOR = "--"  # every later token is a positional
+
+
+def _usage(command: str | None) -> str:
+    """The usage lines, laid out as the standard library parser does at 80 columns."""
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ...\n"
+    head = f"usage: {PROG} {command} "
+    tail = " [--seed SEED]" if command == "selftest" else ""
+    return (f"{head}[-h] --r R [--input INPUT] [--format {{table,json}}]\n"
+            f"{' ' * len(head)}[--tol TOL] [--jobs JOBS]{tail}\n")
+
+
+def _help(command: str | None) -> str:
+    """The ``-h`` text: the usage, then one line per command or option."""
+    if command is None:
+        rows = COMMANDS
+    else:
+        options = _SELFTEST_OPTIONS if command == "selftest" else _OPTIONS
+        rows = {"-h, --help": "show this help message and exit",
+                **{f"{name} {spec[3]}": spec[4] for name, spec in options.items()}}
+    width = max(map(len, rows)) + 2
+    return _usage(command) + "\n" + "".join(
+        f"  {name:<{width}}{text}\n" for name, text in rows.items())
+
+
+def _write(stream, text: str) -> None:
+    try:
+        stream.write(text)
+    except (AttributeError, OSError):  # a missing or closed stream
+        pass
+
+
+def _fail(command: str | None, message: str):
+    """Reject the command line: usage and one error line on stderr, exit 2."""
+    prog = PROG if command is None else f"{PROG} {command}"
+    _write(sys.stderr, f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(token: str, names, command: str | None):
+    """How one token reads against the option ``names``: ``None`` for a
+    positional, else ``(name, value)``, with ``name`` ``None`` for an unknown
+    option and ``value`` the text glued on with ``=`` (or after ``-h``)."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token.startswith("--"):  # a unique prefix of a long option
+        matches = [name for name in names if name.startswith(head)]
+        value = value if eq else None
+    else:  # a single dash: -h with more text glued on
+        matches = ["-h"] if token.startswith("-h") else []
+        value = token[2:]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _show_help(command: str | None, name: str, value: str | None):
+    if name == "-h" and value:  # -hh...: the tail is more -h flags
+        value = value.lstrip("h") or None
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    _write(sys.stdout, _help(command))
+    raise SystemExit(0)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and option values of ``argv``, read by one fixed grammar.
+
+    ``COMMAND [options]``, where every command takes ``--r`` (required),
+    ``--input``, ``--format``, ``--tol`` and ``--jobs``, and ``selftest``
+    also ``--seed``.  An option is written ``--opt value`` or
+    ``--opt=value``, or as any unique prefix of its name (``--inp``); the
+    options come in any order and the last repeat wins.  A token starting
+    with ``-`` is an option unless it is ``-``, a negative number or
+    contains a space, so an option value of another such shape needs the
+    ``=`` form (``--tol=-inf``); ``--`` ends the options.  This is how the
+    standard library's parser reads them, which the tests hold this one to,
+    except that ``--opt=--`` gives the value ``--``.  A rejected command
+    line writes the usage and an ``unrolledsl2 [COMMAND]: error: MESSAGE``
+    line to stderr and raises ``SystemExit(2)``; ``-h`` writes the help and
+    raises ``SystemExit(0)``.  The fields are ``command`` and one per option
+    of the command.
+    """
+    argv = list(argv)
+    unknown = []  # unrecognized tokens, reported after every other check
+    i = 0
+    while i < len(argv):  # options before the command: only -h is known
+        option = None if argv[i] == _SEPARATOR else _classify(argv[i], _HELP, None)
+        if option is None:
+            break
+        if option[0] is None:
+            unknown.append(argv[i])
+        else:
+            _show_help(None, *option)
+        i += 1
+    if argv[i:] in ([], [_SEPARATOR]):  # a final "--" is not a command
+        _fail(None, "the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+
+    options = _SELFTEST_OPTIONS if command == "selftest" else _OPTIONS
+    names = _HELP + tuple(options)
+    kinds = []
+    for token in rest:  # every token is classified before any is consumed
+        if token == _SEPARATOR:
+            kinds.append(_SEPARATOR)
+            kinds.extend([None] * (len(rest) - len(kinds)))
+            break
+        kinds.append(_classify(token, names, command))
+    fields = {"command": command, **{spec[0]: spec[2] for spec in options.values()}}
+    j = 0
+    while j < len(rest):
+        kind = kinds[j]
+        if kind is None or kind == _SEPARATOR or kind[0] is None:
+            unknown.append(rest[j])
+            j += 1
+            continue
+        name, text = kind
+        if name in _HELP:
+            _show_help(command, name, text)
+        if text is None:
+            if j + 1 == len(rest) or kinds[j + 1] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            text = rest[j + 1]
+            j += 1
+        j += 1
+        field, convert = options[name][:2]
+        try:
+            fields[field] = convert(text)
+        except UsageError as exc:
+            _fail(command, f"argument {name}: {exc}")
+        except ValueError:
+            _fail(command, f"argument {name}: invalid {convert.__name__} value: {text!r}")
+    if fields["r"] is None:
+        _fail(command, "the following arguments are required: --r")
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +356,7 @@ def _run_selftest(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     out, err = io.StringIO(), io.StringIO()
     code = _run(args, out, err)
     try:

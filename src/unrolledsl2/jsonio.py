@@ -3,9 +3,10 @@
 Numbers in input files may be plain JSON numbers, exact rational strings
 ``"p/q"``, decimal strings ``"0.25"``, or complex objects ``{"re": …,
 "im": …}`` whose parts are any of the former.  Rational and decimal
-strings are parsed exactly (via ``fractions.Fraction``) before conversion
-to floating point, so fixtures never lose precision to a decimal-binary
-round trip.  Emitted numbers are ``repr`` strings of the floats, which
+strings are parsed exactly (a plain ``"p/q"`` as the correctly rounded
+quotient of two integers, anything else via ``fractions.Fraction``) before
+conversion to floating point, so fixtures never lose precision to a
+decimal-binary round trip.  Emitted numbers are ``repr`` strings of the floats, which
 parse back to the identical float — results round-trip bit-for-bit.
 :func:`dump_document` writes the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)``.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -46,6 +48,9 @@ from .tqftdim import GraphEdge, TrivalentGraph
 # ----------------------------------------------------------------------
 
 
+_RATIO = re.compile(r"[+-]?[0-9]+/[0-9]+")  # a plain "p/q": no spaces, underscores or point
+
+
 def parse_real(value: Any, path: str) -> float:
     """A finite real number from a JSON number, "p/q" string, or decimal string.
 
@@ -56,8 +61,14 @@ def parse_real(value: Any, path: str) -> float:
         raise SchemaError(f"{path}: expected a number, got a boolean")
     if isinstance(value, str):
         try:
-            number = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            if _RATIO.fullmatch(value):  # the correctly rounded float(Fraction(value))
+                p, q = value.split("/")
+                number = int(p) / int(q)
+            else:
+                number = Fraction(value)
+        except OverflowError:
+            number = math.inf
+        except (ValueError, ZeroDivisionError):  # also q = 0 and digits beyond int()'s limit
             try:
                 number = float(value)
             except ValueError:

@@ -46,7 +46,11 @@ class RootParams:
     Parameters
     ----------
     r : int
-        Order of the root, ``r >= 2`` and ``r % 4 != 0``.
+        Order of the root, ``2 <= r < 2**23`` and ``r % 4 != 0``.  From
+        2^23 on, doubles near r are spaced wider than ``epsilon_int``, so
+        the integrality of a color in the window ]−r, r] cannot be decided
+        (the bound :class:`~unrolledsl2.tqftdim.TrivalentGraph` puts on
+        its colors).
     tol : float
         Comparison tolerance for complex equality checks.
 
@@ -66,6 +70,8 @@ class RootParams:
             raise DomainError(
                 f"root order must satisfy r >= 2 and r != 0 mod 4, got r={self.r}"
             )
+        if self.r >= 2**23:
+            raise DomainError(f"root order must be below 2^23, got r={self.r}")
 
     # ------------------------------------------------------------------
     # derived integers and q itself

@@ -266,8 +266,8 @@ class GradedDimension:
 # ----------------------------------------------------------------------
 
 
-def _color_reps(ctx: RootParams, grading: complex) -> np.ndarray:
-    """In-window color representatives of a nonintegral edge grading.
+def _window_low(ctx: RootParams, grading: complex) -> complex:
+    """Lowest in-window color of a nonintegral edge grading.
 
     The colors form the class grading + (r−1) mod 2 (module degree offset)
     restricted to ]−r, r] for odd r and [0, r[ for even r.  Since the
@@ -284,13 +284,18 @@ def _color_reps(ctx: RootParams, grading: complex) -> np.ndarray:
     base = g + (ctx.r - 1)
     lo, hi = (-ctx.r, ctx.r) if ctx.r % 2 else (0, ctx.r)
     m_min = math.ceil((lo - base.real) / 2.0)
-    m_max = math.floor((hi - base.real) / 2.0)
-    reps = base + 2.0 * np.arange(m_min, m_max + 1)
-    if len(reps) != (hi - lo) // 2:
+    count = math.floor((hi - base.real) / 2.0) - m_min + 1
+    if count != ctx.rprime:
         raise DomainError(
-            f"internal error: {len(reps)} window representatives for grading {g}"
+            f"internal error: {count} window representatives for grading {g}"
         )
-    return reps
+    return base + 2.0 * m_min
+
+
+def _color_reps(ctx: RootParams, grading: complex) -> np.ndarray:
+    """The r' in-window color representatives of a nonintegral edge grading
+    (:func:`_window_low`), spaced by 2."""
+    return _window_low(ctx, grading) + 2.0 * np.arange(ctx.rprime)
 
 
 def _degree_window(ctx: RootParams, s: np.ndarray) -> np.ndarray:
@@ -648,8 +653,7 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     """
     ctx = graph.ctx
     lows = {  # every window has r' colors; circles (no slots) are checked first
-        e.name: complex(_color_reps(ctx, e.grading)[0])
-        for e in graph.circles + graph.internal_edges
+        e.name: _window_low(ctx, e.grading) for e in graph.circles + graph.internal_edges
     }
     colorings = ctx.rprime ** len(lows)
     if ctx.r % 2 == 0:
@@ -889,7 +893,7 @@ def random_generic_graph(
             graph = add_point_chain(base, host.name, colors)
         try:
             for e in graph.internal_edges:
-                _color_reps(ctx, e.grading)
+                _window_low(ctx, e.grading)
         except NonGenericError:
             continue
         return graph

@@ -1,6 +1,10 @@
 """Command-line interface: formats, exit codes, schema diagnostics."""
 
+import argparse
 import cmath
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -10,11 +14,14 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from unrolledsl2.cli import build_parser, main
+from unrolledsl2.cli import main, parse_args
 from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import twist_scalar
@@ -282,12 +289,147 @@ def test_selftest_passes(capsys, r):
 
 
 # ----------------------------------------------------------------------
-# one parser per process
+# the command-line grammar, checked against the argparse parser it replaced
 # ----------------------------------------------------------------------
 
 
-def test_parser_built_once():
-    assert build_parser() is build_parser()
+def _reference_tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+_reference_tolerance.__name__ = "_tolerance"  # argparse names it in messages
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its table-driven one."""
+    parser = argparse.ArgumentParser(
+        prog="unrolledsl2",
+        description="Quantum invariants from unrolled quantum sl(2) at a root of unity.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("flink", "zinv", "tqftdim", "verlinde", "hh0", "selftest"):
+        p = sub.add_parser(name)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--input")
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.add_argument("--tol", type=_reference_tolerance, default=1e-9)
+        p.add_argument("--jobs", type=int, default=1)
+        if name == "selftest":
+            p.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """(exit code or None, fields, stderr) of one parse, and stdout unless
+    it is a help text (the new parser's help is its own fixed string)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse's usage width
+        try:
+            code, fields = None, vars(parse(list(argv)))
+        except SystemExit as exc:
+            code, fields = exc.code, None
+    return code, fields, err.getvalue(), (out.getvalue() if code != 0 else "")
+
+
+SINGLE_FAULTS = {  # one argv per error class, and argparse's error line
+    "no command": ([], "unrolledsl2: error: the following arguments are required: command"),
+    "unknown command": (["frob", "--r", "5"],
+                        "unrolledsl2: error: argument command: invalid choice: 'frob' "
+                        "(choose from 'flink', 'zinv', 'tqftdim', 'verlinde', 'hh0', 'selftest')"),
+    "missing --r": (["flink", "--input", "x.json"],
+                    "unrolledsl2 flink: error: the following arguments are required: --r"),
+    "non-integer --r": (["hh0", "--r", "five"],
+                        "unrolledsl2 hh0: error: argument --r: invalid int value: 'five'"),
+    "non-integer --jobs": (["zinv", "--r", "5", "--jobs", "2.0"],
+                           "unrolledsl2 zinv: error: argument --jobs: invalid int value: '2.0'"),
+    "non-integer --seed": (["selftest", "--r", "3", "--seed", "x"],
+                           "unrolledsl2 selftest: error: argument --seed: invalid int value: 'x'"),
+    "bad --format": (["flink", "--r", "5", "--format", "xml"],
+                     "unrolledsl2 flink: error: argument --format: invalid choice: 'xml' "
+                     "(choose from 'table', 'json')"),
+    "bad --tol": (["verlinde", "--r", "5", "--tol=-1"],
+                  "unrolledsl2 verlinde: error: argument --tol: expected a finite number "
+                  ">= 0, got '-1'"),
+    "non-numeric --tol": (["verlinde", "--r", "5", "--tol", "tiny"],
+                          "unrolledsl2 verlinde: error: argument --tol: invalid _tolerance "
+                          "value: 'tiny'"),
+    "unknown option": (["tqftdim", "--r", "5", "--color", "red"],
+                       "unrolledsl2: error: unrecognized arguments: --color red"),
+    "ambiguous option": (["tqftdim", "--r", "5", "--=json"],
+                         "unrolledsl2 tqftdim: error: ambiguous option: --=json could match "
+                         "--help, --r, --input, --format, --tol, --jobs"),
+    "option without its value": (["flink", "--input", "x.json", "--r"],
+                                 "unrolledsl2 flink: error: argument --r: expected one argument"),
+    "extra positional": (["flink", "--r", "5", "x.json"],
+                         "unrolledsl2: error: unrecognized arguments: x.json"),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULTS)
+def test_single_fault_argv_matches_argparse(fault):
+    argv, line = SINGLE_FAULTS[fault]
+    code, fields, err, out = parse_outcome(parse_args, argv)
+    assert (code, fields, out) == (2, None, "")
+    assert err.splitlines()[-1] == line
+    assert (code, fields, err, out) == parse_outcome(reference_parser().parse_args, argv)
+
+
+_GOOD_VALUES = {  # values each option takes (as int/_tolerance/the choice read them)
+    "--r": ["5", "3", "7", "-1", " 6", "+7", "1_1", "99999999999999999999"],
+    "--input": ["a.json", "x", "", "-", "a b", "-a b", "2/3"],
+    "--format": ["table", "json"],
+    "--tol": ["1e-9", "0", " 0.5", "1_0.0"],
+    "--jobs": ["1", "2", "-3"],
+    "--seed": ["0", "4", "\u0663"],
+}
+_ABBREVIATIONS = ["--i", "--inp", "--f", "--for", "--t", "--j", "--s", "--se"]
+_OPTION_TOKENS = [*_GOOD_VALUES, *_ABBREVIATIONS, "--rr", "--x", "-r", "-x"]
+_HELP_TOKENS = ["-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=x"]
+_BAD_VALUES = ["-5", "5.0", "1e-9", "nan", "inf", "-inf", "x", "xml", "--r", "-x", "--x=1"]
+
+
+@st.composite
+def _option(draw, valid: bool):
+    """One option with a value, as two tokens or one ``=`` token."""
+    name = draw(st.sampled_from(_OPTION_TOKENS))
+    full = next((o for o in _GOOD_VALUES if o.startswith(name)), None) if valid else None
+    value = draw(st.sampled_from(_GOOD_VALUES[full] if full else
+                                 [v for vs in _GOOD_VALUES.values() for v in vs] + _BAD_VALUES))
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line built from the grammar's tokens: mostly a command
+    with valid options, some invalid values, stray tokens and help flags."""
+    head = draw(st.sampled_from(["flink", "zinv", "tqftdim", "verlinde", "hh0", "selftest"]))
+    parts = draw(st.lists(st.one_of(
+        _option(valid=True), _option(valid=True), _option(valid=False),
+        st.sampled_from(_OPTION_TOKENS + _BAD_VALUES + ["--", "stray", "--=5"]).map(
+            lambda token: [token]),
+    ), max_size=5))
+    rare = st.integers(0, 9).map(lambda n: n == 0)  # one draw in ten
+    if not draw(rare):
+        parts.insert(draw(st.integers(0, len(parts))), ["--r", "5"])
+    if draw(rare):
+        parts.insert(draw(st.integers(0, len(parts))), [draw(st.sampled_from(_HELP_TOKENS))])
+    prefix = [draw(st.sampled_from(["--x", "-1", "--", "-h", "x"]))] if draw(rare) else []
+    argv = prefix + [head] + [token for part in parts for token in part]
+    return argv[:draw(st.integers(0, len(argv)))] if draw(rare) else argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_parser_agrees_with_argparse(argv):
+    # same acceptance, fields, exit code and stderr bytes as the argparse parser
+    assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
 
 
 def test_shared_parser_is_reentrant(capsys):
@@ -404,6 +546,25 @@ def test_domain_error_bad_root_order(capsys):
     )
     assert code == 3
     assert "r >= 2" in err and "mod 4" in err and "r=4" in err
+
+
+_INPUTS = {"flink": ["--input", str(FIXTURES / "hopf.json")],
+           "zinv": ["--input", str(FIXTURES / "s1xs2.json")],
+           "tqftdim": ["--input", str(FIXTURES / "genus2_theta.json")],
+           "hh0": ["--input", str(FIXTURES / "genus2_theta.json")],
+           "verlinde": ["--input", str(FIXTURES / "verlinde_g1.json")],
+           "selftest": []}
+
+
+@pytest.mark.parametrize("sub", _INPUTS)
+def test_root_order_from_2_23_is_a_domain_error(capsys, sub):
+    # beyond the bound the window colors near r are no longer decidably
+    # integral; huge r used to end in tracebacks or a wrong window count
+    for r in (2**23 + 1, 2**63 - 1, 10**20 - 1):
+        code, out, err = run(capsys, sub, "--r", str(r), *_INPUTS[sub])
+        assert (code, out) == (3, "")
+        assert err == f"domain error: root order must be below 2^23, got r={r}\n"
+    assert RootParams(2**23 - 1).rprime == 2**23 - 1
 
 
 def test_domain_error_integral_beta(tmp_path, capsys):

@@ -1,14 +1,17 @@
 """The JSON emitter writes exactly what ``json.dumps(indent=2, sort_keys=True)``
-writes, on arbitrary documents and on every CLI result."""
+writes, on arbitrary documents and on every CLI result; number strings parse
+to the float that exact rational arithmetic gives."""
 
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from unrolledsl2.cli import main
-from unrolledsl2.jsonio import dump_document
+from unrolledsl2.errors import SchemaError
+from unrolledsl2.jsonio import dump_document, parse_real
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -63,3 +66,56 @@ def test_cli_output_is_the_standard_dump(capsys, fixture):
                 accepted += 1
                 assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert accepted, f"no subcommand accepts {fixture}"
+
+
+def reference_parse_real(value: str, path: str) -> float:
+    """How ``parse_real`` read every string before its "p/q" shortcut."""
+    try:
+        number = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        try:
+            number = float(value)
+        except ValueError:
+            raise SchemaError(
+                f"{path}: {value!r} is not a rational 'p/q' string, a "
+                "decimal string, or a number"
+            ) from None
+    try:
+        out = float(number)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{path}: {value!r} is not a finite number")
+    return out
+
+
+def parse_outcome(parse, value: str):
+    """The float's bits (signed zeros apart), or the schema error's message."""
+    try:
+        return parse(value, "$.x").hex()
+    except SchemaError as exc:
+        return str(exc)
+
+
+digits = st.one_of(  # up to and past the 4300 digits int() converts
+    st.text("0123456789", min_size=1, max_size=30),
+    st.integers(1, 700).map(lambda n: "1" + "0" * n),
+    st.integers(4295, 4305).map(lambda n: "7" * n),
+    st.sampled_from(["0", "000", str(2**53 + 1)]),
+)
+ratio_strings = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
+                          st.sampled_from(["", "+", "-"]), digits, digits)
+number_strings = st.one_of(
+    ratio_strings,
+    ratio_strings.map(lambda t: f" {t}"),
+    ratio_strings.map(lambda t: t.replace("/", " / ")),
+    st.text(alphabet="0123456789+-/._ e\u0663\uff11", max_size=12),
+    st.sampled_from(["-0.0", "-0/5", "0/-5", "1_0/3", "1/0", "1/00", "\u0663/7", "3/\u0667",
+                     "0.1", "1e400", "-1e-400", "nan", "inf", "1/3\n", "/3", "3/", "+-1/3"]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(number_strings)
+def test_number_strings_parse_as_exact_rationals(text):
+    assert parse_outcome(parse_real, text) == parse_outcome(reference_parse_real, text)

@@ -3,7 +3,12 @@
 Each line is a run's label, its exit code and the sha256 of its stdout and
 of its stderr.  The runs are every ``docs/fixtures`` file under every
 subcommand that takes an input (the ones a subcommand rejects included),
-at r in {2, 3, 5, 6, 7, 9, 11}, in both formats.  With ``--seed N`` they
+at r in {2, 3, 5, 6, 7, 9, 11}, in both formats, and a fixed list of
+command lines: one per class of rejected argv, and well-formed variants
+(``--opt=value``, prefixes, repeats, options in any order, ``-h``).  Those
+lines hash only the last stderr line, the error line, since the usage lines
+above it may be wrapped to the terminal's width; a help text counts by its
+exit code alone.  With ``--seed N`` they
 also cover the benchmark documents of that seed
 (``perfbench/workloads.generate``, every workload, documents the benchmark
 does not run left out), at their own r, in both formats.
@@ -44,9 +49,10 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest(main, argv: list) -> str:
-    """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call; an
-    uncaught exception counts as exit 1 with its traceback on stderr."""
+def digest(main, argv: list, last_err_line: bool = False) -> str:
+    """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call, or
+    ``err_last=<sha>`` of stderr's last line only; an uncaught exception
+    counts as exit 1 with its traceback on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -56,7 +62,44 @@ def digest(main, argv: list) -> str:
         except Exception:  # noqa: BLE001 - a traceback is an output to compare
             code = 1
             err.write(traceback.format_exc().splitlines()[-1] + "\n")
+    if last_err_line:
+        tail = (err.getvalue().splitlines() or [""])[-1]
+        return f"exit={code} out={_sha(out.getvalue())} err_last={_sha(tail)}"
     return f"exit={code} out={_sha(out.getvalue())} err={_sha(err.getvalue())}"
+
+
+VERLINDE = "docs/fixtures/verlinde_g1.json"
+ARGVS = {  # label -> argv of the command-line section
+    "no command": [],
+    "unknown command": ["frob", "--r", "5"],
+    "missing --r": ["flink", "--input", "x.json"],
+    "non-integer --r": ["hh0", "--r", "five"],
+    "non-integer --jobs": ["zinv", "--r", "5", "--jobs", "2.0"],
+    "non-integer --seed": ["selftest", "--r", "3", "--seed", "x"],
+    "bad --format": ["flink", "--r", "5", "--format", "xml"],
+    "bad --tol": ["verlinde", "--r", "5", "--tol=-1"],
+    "non-numeric --tol": ["verlinde", "--r", "5", "--tol", "tiny"],
+    "unknown option": ["tqftdim", "--r", "5", "--color", "red"],
+    "ambiguous option": ["tqftdim", "--r", "5", "--=json"],
+    "option without its value": ["flink", "--input", "x.json", "--r"],
+    "extra positional": ["flink", "--r", "5", "x.json"],
+    "--r=5": ["verlinde", "--r=5", "--input", VERLINDE],
+    "--inp --fo": ["verlinde", "--r", "5", "--inp", VERLINDE, "--fo", "json"],
+    "repeated options": ["verlinde", "--r", "3", "--format=json", "--input", "x.json",
+                         "--r", "5", "--input", VERLINDE, "--format", "table"],
+    "options before --r": ["verlinde", "--format", "json", "--tol", "1e-6", "--jobs", "2",
+                           "--input", VERLINDE, "--r", "7"],
+    "-h": ["-h"],
+    "flink -h": ["flink", "-h"],
+    "selftest --help": ["selftest", "--r", "3", "--help"],
+}
+
+
+def argv_digest(main, argv: list) -> str:
+    """``exit=<code> out=<sha> err_last=<sha>`` of one command line, or
+    ``exit=<code>`` alone for a help text."""
+    line = digest(main, argv, last_err_line=True)
+    return line.split()[0] if any(t in ("-h", "--help") for t in argv) else line
 
 
 def fixture_runs():
@@ -106,6 +149,8 @@ def main(argv=None) -> int:
     os.chdir(ROOT)  # fixture paths and the workload generator are relative to it
     for label, run in fixture_runs():
         lines.append(f"{label} {digest(cli.main, run)}")
+    for label, run in ARGVS.items():
+        lines.append(f"argv {label}: {argv_digest(cli.main, run)}")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seed:
             runs = list(benchmark_runs(seed, Path(tmp)))
