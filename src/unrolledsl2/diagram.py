@@ -5,7 +5,7 @@ acting on a horizontal *word* of strands.  A strand is a pair (component
 name, orientation): ``up`` strands evaluate to the component's color module
 V, ``down`` strands to its dual V*.  The five slice kinds are
 
-* :class:`Id` — no-op (optionally asserting the expected word),
+* :class:`Id` — no-op,
 * :class:`Braid` — a crossing of two adjacent strands (sign ±1, where +1 is
   the crossing whose value is the braiding c),
 * :class:`Cup` — a local minimum creating two strands of one component, in
@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DiagramTypeError, DomainError
-from .planner import greedy_order
+from .planner import greedy_order, require_memory
 from .qscalar import RootParams
 from .repcat import ModuleStack, braiding_entries, valpha_stack
 
@@ -74,7 +73,6 @@ __all__ = [
     "cut_is_enclosed",
     "writhe_and_linking",
     "unknot_diagram",
-    "curl_diagram",
     "clasp_diagram",
     "braid_closure",
 ]
@@ -99,13 +97,7 @@ class Strand:
 
 @dataclass(frozen=True)
 class Id:
-    """Identity slice; if ``word`` is given, typechecking asserts it."""
-
-    word: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.word is not None:
-            object.__setattr__(self, "word", tuple(self.word))
+    """Identity slice."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +192,6 @@ def _apply_slice(word: tuple, sl: SliceType, index: int) -> tuple:
         raise DiagramTypeError(f"slice {index} ({type(sl).__name__}): {message}")
 
     if isinstance(sl, Id):
-        if sl.word is not None and tuple(sl.word) != word:
-            bail(f"identity slice expects word {sl.word}, found {word}")
         return word
 
     if isinstance(sl, Braid):
@@ -601,10 +591,7 @@ class _Network:
         terms = max(terms, default=1)
         plan = self.plan({name: st.dim for name, st in stacks.items()})
         need = 16 * terms * (plan.peak + plan.braid_elements)
-        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > limit:
-            raise MemoryError(f"the contraction needs {need / 2**30:.3g} GiB, "
-                              f"above the {limit / 2**30:.3g} GiB of physical memory")
+        require_memory(need, "the contraction")
         entries = [
             braiding_entries(*(stacks[s.component] if s.up else stacks[s.component].dual
                                for s in (a, b)), sign)
@@ -812,26 +799,9 @@ def evaluate_cut(
 # ----------------------------------------------------------------------
 
 
-def unknot_diagram(component: str = "K", style: str = "coev") -> SlicedDiagram:
-    """A 0-crossing unknot; ``style`` picks which duality pair realizes it."""
-    if style == "coev":
-        return SlicedDiagram((Cup(0, component, "coev"), Cap(0, "evprime")))
-    if style == "coevprime":
-        return SlicedDiagram((Cup(0, component, "coevprime"), Cap(0, "ev")))
-    raise DomainError(f"unknown unknot style {style!r}")
-
-
-def curl_diagram(component: str = "K", sign: int = 1) -> SlicedDiagram:
-    """An unknot with a single kink of the given sign (writhe = sign)."""
-    return SlicedDiagram(
-        (
-            Cup(0, component, "coev"),
-            Cup(1, component, "coev"),
-            Braid(0, sign),
-            Cap(1, "evprime"),
-            Cap(0, "evprime"),
-        )
-    )
+def unknot_diagram(component: str = "K") -> SlicedDiagram:
+    """A 0-crossing unknot: a coev cup closed by an evprime cap."""
+    return SlicedDiagram((Cup(0, component, "coev"), Cap(0, "evprime")))
 
 
 def clasp_diagram(lk: int, comp_a: str = "A", comp_b: str = "B") -> SlicedDiagram:

@@ -72,12 +72,8 @@ __all__ = [
     "handle_slide",
     "signature_pair_exact",
     "unknot_presentation",
-    "graph_only_presentation",
-    "s1_x_s2_presentation",
     "encircled_strand_presentation",
     "standard_two_component",
-    "lens_unknot_presentation",
-    "lens_chain_presentation",
 ]
 
 
@@ -259,7 +255,6 @@ class SurgeryPresentation:
 class LinkingData:
     """Linking matrix of the surgery link with its exact signature data."""
 
-    components: tuple
     matrix: tuple  # tuple of tuples of ints
     p: int
     s: int
@@ -268,10 +263,6 @@ class LinkingData:
     @property
     def sigma(self) -> int:
         return self.p - self.s
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
 
 
 def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
@@ -331,9 +322,7 @@ def linking_data(sp: SurgeryPresentation) -> LinkingData:
             value = linking.get(frozenset((a, b)), 0)
             matrix[i][j] = matrix[j][i] = value
     p, s, nullity = signature_pair_exact(matrix)
-    return LinkingData(
-        tuple(l_names), tuple(tuple(row) for row in matrix), p, s, nullity
-    )
+    return LinkingData(tuple(tuple(row) for row in matrix), p, s, nullity)
 
 
 def _parallel_values(
@@ -643,30 +632,6 @@ def unknot_presentation(
     )
 
 
-def graph_only_presentation(
-    ctx: RootParams,
-    diagram: SlicedDiagram,
-    colors: dict,
-    graph_framings: Optional[dict] = None,
-    defect: int = 0,
-) -> SurgeryPresentation:
-    """A pair (S³, colored graph) with empty surgery link."""
-    return SurgeryPresentation(
-        ctx=ctx,
-        diagram=diagram,
-        framings={},
-        meridian_values={},
-        colors=colors,
-        graph_framings=graph_framings or {},
-        defect=defect,
-    )
-
-
-def s1_x_s2_presentation(ctx: RootParams, beta: complex) -> SurgeryPresentation:
-    """S¹×S² with the class taking value β on the S¹ factor (0-framed unknot)."""
-    return unknot_presentation(ctx, 0, beta)
-
-
 def encircled_strand_presentation(
     ctx: RootParams, alpha: complex, framing: int = 1, lift_shift: int = 0
 ) -> SurgeryPresentation:
@@ -693,22 +658,3 @@ def encircled_strand_presentation(
         colors={"T1": alpha},
         graph_framings={"T1": framing},
     )
-
-
-def lens_unknot_presentation(
-    ctx: RootParams, p: int, meridian: complex
-) -> SurgeryPresentation:
-    """The lens space L(p, 1) as p-surgery on the unknot."""
-    return unknot_presentation(ctx, p, meridian)
-
-
-def lens_chain_presentation(
-    ctx: RootParams, f1: int, f2: int, meridians: tuple[complex, complex]
-) -> SurgeryPresentation:
-    """A two-component chain (Hopf link) with framings (f1, f2).
-
-    Plumbing description of the lens space of order f1·f2 − 1 with
-    continued-fraction parameter; e.g. (4, 2) gives the order-7 lens space
-    with parameter 2.
-    """
-    return standard_two_component(ctx, 1, (f1, f2), meridians)

@@ -1,12 +1,22 @@
 """Greedy pairwise contraction order of a tensor network, shared by the
-diagram engine (:mod:`.diagram`) and the HH0 contraction (:mod:`.tqftdim`).
+diagram engine (:mod:`.diagram`) and the HH0 contraction (:mod:`.tqftdim`),
+and the memory preflight of the diagram engine and the coloring grid.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from typing import Sequence
+
+
+def require_memory(need: float, what: str) -> None:
+    """MemoryError when ``what`` needs more than physical memory: ``need`` bytes."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > limit:
+        raise MemoryError(f"{what} needs {need / 2**30:.3g} GiB, "
+                          f"above the {limit / 2**30:.3g} GiB of physical memory")
 
 
 def greedy_order(tensors: Sequence[Sequence], dims) -> tuple[list, int]:

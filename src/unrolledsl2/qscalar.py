@@ -16,7 +16,7 @@ Powers ``q**x`` are defined for arbitrary complex ``x`` through the
 single-valued exponential ``exp(i*pi*x/r)``, so no branch cuts appear
 anywhere downstream.
 
-Scalars are plain Python complex numbers; :func:`approx_equal` implements the
+Scalars are plain Python complex numbers; :meth:`RootParams.close` is the
 package-wide comparison ``|a - b| <= tol * max(1, |a|, |b|)``.
 """
 
@@ -31,12 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["RootParams", "approx_equal"]
-
-
-def approx_equal(a: complex, b: complex, tol: float = 1e-9) -> bool:
-    """Relative-absolute mixed comparison |a - b| <= tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+__all__ = ["RootParams"]
 
 
 @dataclass(frozen=True)
@@ -215,5 +210,6 @@ class RootParams:
         return list(range(1 - self.r, self.r, 2))
 
     def close(self, a: complex, b: complex) -> bool:
-        """Package-wide scalar comparison at this context's tolerance."""
-        return approx_equal(a, b, self.tol)
+        """Package-wide scalar comparison at this context's tolerance:
+        |a - b| <= tol * max(1, |a|, |b|)."""
+        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))

@@ -14,11 +14,9 @@ Constructors provided here, each returning a stack:
 
 * :func:`valpha_stack` — the r-dimensional simple modules V_α, highest
   weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once;
-  :func:`make_valpha` is its one-term call;
 * :func:`trivial_module` — the one-dimensional monoidal unit;
 * :attr:`ModuleStack.dual` and :func:`tensor` — the dual of every term,
   and the tensor product term by term (a batched coproduct);
-  :func:`dual` is the attribute as a function;
 * :meth:`ModuleStack.take` gathers terms.
 
 Morphisms are plain arrays.  The braiding is c_{A,B} =
@@ -34,8 +32,8 @@ stack and a pairing of their nonzeros cached per nonzero pattern, and
 :func:`braiding_stack` scatters them densely.  :func:`twist`
 contracts the same sum with the pivotal duality maps (:func:`duality_maps`)
 in r products of d×d matrices, with no braiding; :func:`twist_scalar`
-returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold the
-two routes against each other.  Every convention here
+returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold it
+against the Schur scalar of :func:`twist`.  Every convention here
 is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
 naturality, zig-zags, ribbon compatibility, and the surgery cross-checks
 in :mod:`unrolledsl2.invariant`.
@@ -44,7 +42,6 @@ in :mod:`unrolledsl2.invariant`.
 from __future__ import annotations
 
 from functools import cache, cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -55,8 +52,6 @@ __all__ = [
     "ModuleStack",
     "trivial_module",
     "valpha_stack",
-    "make_valpha",
-    "dual",
     "tensor",
     "braiding_entries",
     "braiding_stack",
@@ -82,10 +77,7 @@ class ModuleStack:
     evaluation pass of the diagram engine colors each component by a stack:
     a single module shared by every term, or one module per term.  The
     stack holds its arrays directly: ``weights`` of shape (terms, d), ``e``
-    and ``f`` of shape (terms, d, d), and one label and one degree per
-    term.  A label is a structured tag describing how the term was built,
-    e.g. ``("V", alpha)``, ``("one",)``, ``("dual", inner_label)`` or
-    ``("tensor", left_label, right_label)``.  A degree is a complex
+    and ``f`` of shape (terms, d, d), and one degree per term, a complex
     representative of the ℂ/2ℤ grading; all weights of the term are
     congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
     modules of a whole array of colors and :meth:`take` gathers terms.
@@ -94,10 +86,9 @@ class ModuleStack:
     gathers its root stack's ladder powers and duals.
     """
 
-    def __init__(self, ctx, weights, e, f, labels, degrees, source=None):
+    def __init__(self, ctx, weights, e, f, degrees, source=None):
         self.ctx = ctx
         self.weights, self.e, self.f = weights, e, f
-        self.labels = tuple(labels)
         self.degrees = degrees
         self.dim = weights.shape[1]
         self._source = source  # (root stack, indices of these terms in it)
@@ -116,7 +107,6 @@ class ModuleStack:
             self.weights[index],
             self.e[index],
             self.f[index],
-            [self.labels[i] for i in index],
             self.degrees[index],
             (root, np.asarray(index) if base is None else base[index]),
         )
@@ -156,8 +146,7 @@ class ModuleStack:
         k, k_inv = powers[: self.terms], powers[self.terms :]
         e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
         f = -(k[:, :, None] * self.f).swapaxes(1, 2)
-        labels = [("dual", label) for label in self.labels]
-        return ModuleStack(self.ctx, -self.weights, e, f, labels, -self.degrees)
+        return ModuleStack(self.ctx, -self.weights, e, f, -self.degrees)
 
 
 def scalar_of(matrix: np.ndarray, tol: float) -> complex:
@@ -201,9 +190,7 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
 def trivial_module(ctx: RootParams) -> ModuleStack:
     """The monoidal unit: one-dimensional, weight 0."""
     zero = np.zeros((1, 1, 1), dtype=complex)
-    return ModuleStack(
-        ctx, np.zeros((1, 1), dtype=complex), zero, zero, [("one",)], np.zeros(1, dtype=complex)
-    )
+    return ModuleStack(ctx, zero[0], zero, zero, zero[0, 0])
 
 
 def _simple_color(ctx: RootParams, alpha: complex) -> complex:
@@ -276,28 +263,16 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
         shifted - 1 - np.arange(0, 2 * r, 2),
         e.reshape(terms, r, r),
         f.reshape(terms, r, r),
-        [("V", a) for a in alphas.tolist()],
         shifted[:, 0] - 1,
     )
     stack._f_is_shift = True
     return stack
 
 
-def make_valpha(ctx: RootParams, alpha: complex) -> ModuleStack:
-    """The r-dimensional simple module V_α for α ∈ Ċ: the one-term call of
-    :func:`valpha_stack`."""
-    return valpha_stack(ctx, (alpha,))
-
-
-def dual(a: ModuleStack) -> ModuleStack:
-    """The dual A* of every term: :attr:`ModuleStack.dual`."""
-    return a.dual
-
-
 def tensor(a: ModuleStack, b: ModuleStack) -> ModuleStack:
     """A ⊗ B term by term, with the coproduct Δ(E) = 1⊗E + E⊗K,
     Δ(F) = K⁻¹⊗F + F⊗1.  A one-term stack is paired with every term of the
-    other; labels and degrees add."""
+    other; degrees add."""
     if a.ctx != b.ctx:
         raise DomainError("tensor factors live over different root contexts")
     terms = max(a.terms, b.terms)
@@ -306,10 +281,7 @@ def tensor(a: ModuleStack, b: ModuleStack) -> ModuleStack:
     e = _kron(np.eye(a.dim)[None], b.e) + _kron(a.e, k)
     f = _kron(k_inv, b.f) + _kron(a.f, np.eye(b.dim)[None])
     weights = (a.weights[:, :, None] + b.weights[:, None, :]).reshape(terms, -1)
-    labels = [
-        ("tensor", a.labels[t % a.terms], b.labels[t % b.terms]) for t in range(terms)
-    ]
-    return ModuleStack(a.ctx, weights, e, f, labels, a.degrees + b.degrees)
+    return ModuleStack(a.ctx, weights, e, f, a.degrees + b.degrees)
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -486,16 +458,11 @@ def twist(a: ModuleStack) -> np.ndarray:
 def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
     """The scalar θ = q^((α²−(r−1)²)/2) by which the twist acts on V_α.
 
-    The closed form; :func:`twist_scalar_of` computes the same scalar from
-    the braiding and the pivotal structure, which the tests compare.
+    The closed form; the Schur scalar of :func:`twist`, from the braiding
+    and the pivotal structure, is the same scalar, which the tests compare.
     """
     alpha = _simple_color(ctx, alpha)
     return ctx.q_pow((alpha**2 - (ctx.r - 1) ** 2) / 2)
-
-
-def twist_scalar_of(module: ModuleStack, tol: Optional[float] = None) -> complex:
-    """Schur scalar of the twist on any module that is simple."""
-    return scalar_of(twist(module), module.ctx.tol if tol is None else tol)
 
 
 # ----------------------------------------------------------------------

@@ -48,8 +48,10 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonGenericError
-from .planner import greedy_order
+from .planner import greedy_order, require_memory
 from .qscalar import RootParams
+
+_EPS = sys.float_info.epsilon
 
 __all__ = [
     "GraphEdge",
@@ -112,8 +114,8 @@ class TrivalentGraph:
     Internal vertices are exactly the names appearing as edge endpoints
     and must have three incidences each (loops count twice); univalent
     outer ends of external edges are implicit.  ``vertex_order`` records
-    the ordering of trivalent vertices that a basis needs for even r; it
-    is stored but never consumed by dimension counts.  Construction
+    the ordering of trivalent vertices that a basis needs for even r; the
+    grid and the contraction both iterate vertices in that order.  Construction
     validates the 1-cycle condition: at every internal vertex the signed
     sum of incident gradings vanishes mod 2 (incoming +, outgoing −),
     which is what makes the class well defined, and external colors must
@@ -381,11 +383,13 @@ def graded_dimension(graph: TrivalentGraph) -> GradedDimension:
     r the two-degree choice per vertex enters as a binomial convolution.
     The grid has one cell per coloring, so this is an oracle for small
     graphs that tests compare :func:`hh0_dimension_generic` against; the
-    command line never calls it.
+    command line never calls it.  A grid whose arrays (about 128 bytes a
+    cell) exceed physical memory is a MemoryError before any is built.
     """
     ctx = graph.ctx
     edges = graph.internal_edges
     non_circle = [e for e in edges if not e.is_circle]
+    require_memory(128 * ctx.rprime ** len(non_circle), "the coloring grid")
     circle_factor = 1
     for e in edges:
         if e.is_circle:
@@ -440,46 +444,46 @@ def verlinde(
 
     With n marked points of colors c_i and c = Σc_i the value is
     (−1)^{n(r−1)}/r · (r')^g · q^{cβ} · Σ_{k∈H_r} q^{ck} ({rβ}/{β+k})^{2g−2+n};
-    without points the prefactors collapse to (1/r)(r')^g.
+    without points the prefactors collapse to (1/r)(r')^g.  A DomainError
+    when an a-priori bound on its rounding exceeds tol·max(1, |value|) (a
+    zero tol, which no bound meets, stands for the default 1e-9).
     """
     points = [complex(c) for c in point_colors]
     if genus < 0:
         raise DomainError(f"genus must be nonnegative, got {genus}")
     b = complex(beta)
     if ctx.is_near_int(b):
-        raise DomainError(
-            f"beta={beta!r} is integral; the closed form needs a nonintegral "
-            "class"
-        )
-    n = len(points)
-    c = sum(points)
+        raise DomainError(f"beta={beta!r} is integral; the closed form needs a "
+                          "nonintegral class")
+    n, c = len(points), sum(points)
     try:
         num, overflow = ctx.q_num(ctx.r * b), None
     except DomainError as exc:  # {rβ} leaves double range: see _far_ratio
         num, overflow = None, exc
     exponent = 2 * genus - 2 + n
-    terms = []
+    terms, errors = [], []  # each term's own rounding; that of {rβ}^e is common
     for k in ctx.h_r_set():
         if num is None:
-            ratio = _far_ratio(ctx, b, k)
-        elif abs(den := ctx.q_num(b + k)) <= 1e-12:
-            raise DomainError(
-                f"{{beta + {k}}} vanishes at beta={beta!r}; the summand is "
-                "singular"
-            )
+            ratio, error = _far_ratio(ctx, b, k), _q_error(ctx, (ctx.r - 1) * b - k)
         else:
-            ratio = num / den
+            ratio, error = num / (den := ctx.q_num(b + k)), _q_error(ctx, b + k, den)
         terms.append((ctx.q_pow(c * k), ratio))
+        errors.append(_q_error(ctx, c * k) + abs(exponent) * (error + 4 * _EPS) + 2 * ctx.r * _EPS)
+    common = _q_error(ctx, c * b) + 4 * _EPS
+    if num is not None:
+        common += abs(exponent) * _q_error(ctx, ctx.r * b, num)
     sign = -1.0 if (n * (ctx.r - 1)) % 2 else 1.0
     if num is not None:
         try:
-            total = 0.0 + 0.0j
-            for phase, ratio in terms:
-                total += phase * ratio**exponent
-            value = sign / ctx.r * ctx.rprime**genus * ctx.q_pow(c * b) * total
+            total, spread = 0.0 + 0.0j, 0.0
+            for (phase, ratio), error in zip(terms, errors):
+                total += (term := phase * ratio**exponent)
+                spread += abs(term) * error
+            value = sign / ctx.r * ctx.rprime**genus * (pre := ctx.q_pow(c * b)) * total
         except OverflowError:
             value = complex(math.inf)
         if cmath.isfinite(value):
+            _check_rounding(ctx, genus, beta, pre, total, spread, common, 0.0)
             return value
         terms = [(phase, ratio and (math.log(abs(ratio)), ratio / abs(ratio)))
                  for phase, ratio in terms]
@@ -493,36 +497,46 @@ def verlinde(
     if top == math.inf:  # a term's scale itself leaves double range
         raise DomainError(f"the genus-{genus} value at beta={beta!r} overflows "
                           "double precision")
-    total = sum(
-        phase * ratio[1] ** exponent * math.exp(log - top)
-        for (phase, ratio), log in zip(terms, logs)
-        if ratio
-    )
-    value = sign * ctx.q_pow(c * b) * total
-    if num is None and exponent:
-        # Far terms all have size about 1 here, each rounded to about |top|
-        # ulps: a total they nearly cancel in, or a value whose factor
-        # q**(cβ) underflows, is lost unless it lies below the tolerance.
-        roundoff = ctx.r * 1e-15 * (abs(top) + abs(exponent) + 1)
-        largest = (top + genus * math.log(ctx.rprime) - math.log(ctx.r)
-                   - math.pi * (c * b).imag / ctx.r)
-        if ((roundoff > 1e-9 * abs(total) or not value)
-                and largest + math.log(max(roundoff, abs(total))) > math.log(1e-9)):
-            raise DomainError(
-                f"the genus-{genus} value at beta={beta!r} is lost to rounding "
-                "in double precision"
-            )
+    total, spread = 0.0 + 0.0j, 0.0
+    for (phase, ratio), log, error in zip(terms, logs, errors):
+        if ratio:
+            total += (term := phase * ratio[1] ** exponent * math.exp(log - top))
+            spread += abs(term) * error
+    value = sign * (pre := ctx.q_pow(c * b)) * total
+    _check_rounding(ctx, genus, beta, pre, total, spread, common + _EPS * abs(top), top)
     if not value:
         return 0.0 + 0.0j
-    log_abs = (
-        math.log(abs(value)) + top + genus * math.log(ctx.rprime) - math.log(ctx.r)
-    )
+    log_abs = math.log(abs(value)) + top + genus * math.log(ctx.rprime) - math.log(ctx.r)
     if log_abs >= math.log(sys.float_info.max):
         raise DomainError(
             f"the genus-{genus} value at beta={beta!r} has magnitude "
             f"e^{log_abs:.1f}, which overflows double precision"
         )
     return value / abs(value) * math.exp(log_abs)
+
+
+def _q_error(ctx: RootParams, x: complex, brace=None) -> float:
+    """A bound on the relative rounding of q**x (its argument iπx/r is off by
+    a few ulps, the exponential by one more); given the computed {x} as
+    ``brace``, that of {x}: times the cancellation (|q**x| + |q**(−x)|)/|{x}|."""
+    error = _EPS * (2 + 4 * math.pi * abs(x) / ctx.r)
+    if brace is None:
+        return error
+    return error * math.cosh(math.pi * x.imag / ctx.r) / abs(brace / 2) + _EPS
+
+
+def _check_rounding(ctx, genus, beta, pre, total, spread, common, top) -> None:
+    """DomainError unless the value ±(r')^g/r·e^top·pre·total is known to
+    within tol·max(1, |value|).  ``spread`` bounds the rounding of ``total``
+    term by term, ``common`` is the relative error shared by all terms, and
+    ``pre`` = q**(cβ) and the product may each underflow by a subnormal."""
+    tiny, tol = 5e-324, ctx.tol or RootParams.tol
+    bound = (abs(pre) + tiny) * (spread + abs(total) * common) + tiny * (abs(total) + 1)
+    log_scale = top + genus * math.log(ctx.rprime) - math.log(ctx.r)
+    log_value = math.log(size) + log_scale if (size := abs(pre * total)) else -math.inf
+    if math.log(bound) + log_scale > math.log(tol) + max(0.0, log_value):
+        raise DomainError(f"the genus-{genus} value at beta={beta!r} is lost to rounding "
+                          "in double precision")
 
 
 def _far_ratio(ctx: RootParams, b: complex, k: int) -> tuple[float, complex]:

@@ -110,7 +110,7 @@ def test_criterion_3_surgery_invariant_matches_character_sum():
         ctx = RootParams(r)
         for _ in range(10):
             beta = _generic(rng)
-            z = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta)).z
+            z = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta)).z
             v = td.verlinde(ctx, 0, beta)
             err = abs(z - v) / (1 + abs(v))
             worst = max(worst, err)
@@ -139,11 +139,11 @@ def test_criterion_4_algebra_and_category_relations_hold():
 
     for r in (2, 3, 5):
         ctx = RootParams(r)
-        mods = [rc.make_valpha(ctx, _generic(rng)) for _ in range(3)]
+        mods = [rc.valpha_stack(ctx, (_generic(rng),)) for _ in range(3)]
         for m in mods:
             track(rc.relations_residual(m))
         track(rc.relations_residual(rc.tensor(mods[0], mods[1])))
-        track(rc.relations_residual(rc.dual(mods[2])))
+        track(rc.relations_residual(mods[2].dual))
         # hexagon/braid relation on three simples
         a, b, c = mods
         ia, ib, ic = (np.eye(m.dim) for m in mods)
@@ -161,7 +161,7 @@ def test_criterion_4_algebra_and_category_relations_hold():
         track(np.abs(np.kron(ev_p, eye) @ np.kron(eye, coev_p) - eye).max())
         # the twist is the predicted scalar on simples
         alpha = _generic(rng)
-        m = rc.make_valpha(ctx, alpha)
+        m = rc.valpha_stack(ctx, (alpha,))
         s = rc.twist_scalar(ctx, alpha)
         track(np.abs(rc.twist(m) - s * np.eye(m.dim)).max())
     _report(
@@ -241,9 +241,9 @@ def test_criterion_5_invariance_under_presentation_moves():
         assert err <= tol_z, f"r={r} clasp undo gap {err:.2e}"
         # shifting a meridian class by 2 picks a different lift, same Z
         for beta in (1.0 / 3, 0.45):
-            za = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta)).z
-            zb = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta + 2)).z
-            zc = iv.z_invariant(iv.s1_x_s2_presentation(ctx, beta - 2)).z
+            za = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta)).z
+            zb = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta + 2)).z
+            zc = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta - 2)).z
             err = max(abs(za - zb), abs(za - zc)) / (1 + abs(za))
             worst_z = max(worst_z, err)
             assert err <= tol_z, f"r={r} lift shift gap {err:.2e}"
@@ -267,11 +267,11 @@ def test_criterion_6_both_normalization_routes_agree():
     for r in (2, 3, 5, 6, 7):
         ctx = RootParams(r)
         presentations = [
-            iv.s1_x_s2_presentation(ctx, _generic(rng)),
+            iv.unknot_presentation(ctx, 0, _generic(rng)),
             iv.unknot_presentation(ctx, 3, 2.0 / 3),
             iv.unknot_presentation(ctx, -3, 4.0 / 3),
-            iv.lens_unknot_presentation(ctx, 7, 2.0 / 7),
-            iv.lens_chain_presentation(ctx, 4, 2, (2.0 / 7, -8.0 / 7)),
+            iv.unknot_presentation(ctx, 7, 2.0 / 7),
+            iv.standard_two_component(ctx, 1, (4, 2), (2.0 / 7, -8.0 / 7)),
             iv.standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5)),
             iv.encircled_strand_presentation(ctx, _generic(rng), framing=1),
         ]
@@ -328,12 +328,12 @@ def test_criterion_7_hochschild_route_matches_enumeration_exactly():
 def test_criterion_8_invariant_separates_order7_lens_pair():
     ctx = RootParams(2)
     za = [
-        iv.z_invariant(iv.lens_unknot_presentation(ctx, 7, 2.0 * j / 7)).z
+        iv.z_invariant(iv.unknot_presentation(ctx, 7, 2.0 * j / 7)).z
         for j in range(1, 7)
     ]
     zb = [
         iv.z_invariant(
-            iv.lens_chain_presentation(ctx, 4, 2, (2.0 * t / 7, -8.0 * t / 7))
+            iv.standard_two_component(ctx, 1, (4, 2), (2.0 * t / 7, -8.0 * t / 7))
         ).z
         for t in range(1, 7)
     ]

@@ -736,6 +736,37 @@ def test_closed_pipe_exits_1_without_traceback():
     assert (code, err) == (1, "")
 
 
+def _main_with_streams(monkeypatch, tmp_path, stdout, stderr=None):
+    """``main`` on the verlinde fixture, in process, with ``sys.stdout`` and
+    ``sys.stderr`` on files the test opened; the code and stderr's text."""
+    with open(tmp_path / "stderr.txt", "w+", encoding="utf-8") as log:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr or log)
+        code = main(["verlinde", "--r", "5", "--input", str(FIXTURES / "verlinde_g1.json")])
+        monkeypatch.undo()
+        log.seek(0)
+        return code, log.read()
+
+
+def test_closed_pipe_exits_1_without_a_message(monkeypatch, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        assert _main_with_streams(monkeypatch, tmp_path, stdout) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exits_1_with_one_output_error_line(monkeypatch, tmp_path):
+    with open("/dev/full", "w", encoding="utf-8") as stdout:
+        code, err = _main_with_streams(monkeypatch, tmp_path, stdout)
+    assert code == 1
+    assert err == "output error: cannot write the result: No space left on device\n"
+    # with stderr full too, the error line is lost and the code stays
+    with open("/dev/full", "w", encoding="utf-8") as stdout, \
+            open("/dev/full", "w", encoding="utf-8") as stderr:
+        assert _main_with_streams(monkeypatch, tmp_path, stdout, stderr) == (1, "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("sub,fixture", [("flink", "hopf.json"), ("zinv", "s1xs2.json")])
 def test_full_disk_exits_1_with_one_error_line(sub, fixture):
@@ -815,3 +846,62 @@ def test_schema_error_non_finite_number(tmp_path, capsys, sub, fixture, edit,
     code, _, err = run(capsys, sub, "--r", "5", "--input", str(bad))
     assert code == 2
     assert "schema error" in err and where in err and "finite" in err
+
+
+# (subcommand, fixture, edit making one field malformed, JSON path named)
+_MALFORMED = [
+    ("verlinde", "verlinde_g1.json", lambda d: d.update(beta=True), "$.beta"),
+    ("verlinde", "verlinde_g1.json", lambda d: d.update(beta={"re": 1, "im": 0, "i": 2}),
+     "$.beta"),
+    ("verlinde", "verlinde_g1.json", lambda d: d.update(points={}), "$.points"),
+    ("flink", "hopf.json", lambda d: d["diagram"]["width-changes"].__setitem__(0, 5),
+     "$.diagram.width-changes[0]"),
+    ("flink", "hopf.json", lambda d: d["diagram"].update(source=[5]), "$.diagram.source[0]"),
+    ("flink", "hopf.json", lambda d: d["diagram"].update(source=[{"component": "A", "up": 1}]),
+     "$.diagram.source[0].up"),
+    ("flink", "hopf.json", lambda d: d["diagram"]["width-changes"][2].update(sign=2),
+     "$.diagram.width-changes[2].sign"),
+    ("flink", "hopf.json", lambda d: d["diagram"]["width-changes"][0].update(variant="ev"),
+     "$.diagram.width-changes[0].variant"),
+    ("flink", "hopf.json", lambda d: d["diagram"]["width-changes"][5].update(variant="coev"),
+     "$.diagram.width-changes[5].variant"),
+    ("flink", "unknot_coupon.json", lambda d: d["diagram"]["width-changes"][2].update(inputs={}),
+     "$.diagram.width-changes[2]"),
+    ("flink", "unknot_coupon.json", lambda d: d["diagram"]["width-changes"][2].update(matrix={}),
+     "$.diagram.width-changes[2].matrix"),
+    ("flink", "hopf.json", lambda d: d["diagram"].update(source={}), "$.diagram.source"),
+    ("flink", "hopf.json", lambda d: d["diagram"].update({"width-changes": {}}),
+     "$.diagram.width-changes"),
+    ("flink", "hopf.json", lambda d: d.update(cut=5), "$.cut"),
+    ("hh0", "genus2_theta.json", lambda d: d.update(vertices={}), "$.vertices"),
+    ("hh0", "genus2_theta.json", lambda d: d["vertices"][1].update(name="u"), "$.vertices[1]"),
+    ("hh0", "genus2_theta.json", lambda d: d["edges"][0].update(tail=5), "$.edges[0].tail"),
+    ("hh0", "genus2_theta.json", lambda d: d.update(edges={}), "$.edges"),
+]
+
+
+@pytest.mark.parametrize("sub,fixture,edit,where", _MALFORMED,
+                         ids=[f"{site[0]}-{site[3]}" for site in _MALFORMED])
+def test_schema_error_names_the_malformed_field(tmp_path, capsys, sub, fixture, edit, where):
+    code, out, err = run(capsys, sub, "--r", "5", "--input", _fixture_with(tmp_path, fixture, edit))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {where}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("im", ["4", "8", "30"])
+def test_verlinde_lost_to_rounding_is_one_domain_error(tmp_path, capsys, im):
+    # genus 2 at r = 5 is 125 at every class; at these the terms reach
+    # 5e8, 3e17 and 3e65 and cancel, and the values printed were
+    # 124.9999994, -1120+480i and 4.7e50-2.3e50i
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"genus": 2, "beta": {"re": "0.3", "im": im}}))
+    code, out, err = run(capsys, "verlinde", "--r", "5", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == (f"domain error: the genus-2 value at beta=(0.3+{im}j) is lost to "
+                   "rounding in double precision\n")
+    # at 0.3+2i the bound is met and the value prints
+    path.write_text(json.dumps({"genus": 2, "beta": {"re": "0.3", "im": "2"}}))
+    code, doc, err = run_json(capsys, "verlinde", "--r", "5", "--input", str(path))
+    assert (code, err) == (0, "")
+    value = complex(float(doc["value_re"]), float(doc["value_im"]))
+    assert abs(value - 125) <= 1e-9 * 125

@@ -31,7 +31,7 @@ from unrolledsl2.diagram import (
 )
 from unrolledsl2.jsonio import load_document, parse_flink
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.repcat import make_valpha, valpha_stack
+from unrolledsl2.repcat import valpha_stack
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "docs" / "fixtures"
@@ -153,7 +153,7 @@ def _coupon_diagrams(matrix):
 @pytest.mark.parametrize("first", [0, 1])
 def test_coupon_matrices_are_read_per_diagram(first):
     ctx = RootParams(5)
-    v = make_valpha(ctx, 0.37)
+    v = valpha_stack(ctx, (0.37,))
     rng = np.random.default_rng(3)
     matrices = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(2)]
     pivot = v.pivot[0]
@@ -191,10 +191,11 @@ def test_shift_ladder_equals_the_powers_of_f(r):
 
 def test_pairing_is_shared_and_read_only():
     ctx = RootParams(7)
-    a, b = make_valpha(ctx, 0.37), make_valpha(ctx, -0.61 + 0.4j)
+    a, b = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
     for sign in (1, -1):
         _, first = repcat.braiding_entries(a, b, sign)
-        _, again = repcat.braiding_entries(make_valpha(ctx, 1.3), make_valpha(ctx, 0.8), sign)
+        _, again = repcat.braiding_entries(
+            valpha_stack(ctx, (1.3,)), valpha_stack(ctx, (0.8,)), sign)
         assert again is first  # the same nonzero patterns: one cached pairing
         assert not any(x.flags.writeable for x in first)
 
@@ -206,10 +207,10 @@ def test_crossing_positions_follow_the_entry_pattern():
     ctx = RootParams(5)
     up = (Strand("A", True), Strand("B", True))
     crossing = SlicedDiagram((diagram.Braid(0, 1),), up)
-    v, w = make_valpha(ctx, 0.37), make_valpha(ctx, -0.61 + 0.4j)
+    v, w = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
     e = v.e.copy()
     e[0, 1, 2] = 0
-    holed = repcat.ModuleStack(ctx, v.weights, e, v.f, v.labels, v.degrees)
+    holed = repcat.ModuleStack(ctx, v.weights, e, v.f, v.degrees)
     for a in (v, holed, v):
         got = evaluate(crossing, {"A": a, "B": w}, ctx)
         assert np.array_equal(got, repcat.braiding_stack(a, w)[0])

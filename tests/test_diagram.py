@@ -15,7 +15,6 @@ from unrolledsl2.diagram import (
     Strand,
     braid_closure,
     clasp_diagram,
-    curl_diagram,
     cut_is_enclosed,
     evaluate,
     evaluate_cut,
@@ -27,9 +26,7 @@ from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     braiding_stack,
-    dual,
     duality_maps,
-    make_valpha,
     scalar_of,
     tensor,
     twist_scalar,
@@ -74,9 +71,9 @@ def test_typecheck_rejects_bad_slices():
 
 
 def test_writhe_and_linking_bookkeeping():
-    w, _ = writhe_and_linking(curl_diagram("K", 1))
+    w, _ = writhe_and_linking(braid_closure([(0, 1)], 2, "K"))
     assert w["K"] == 1
-    w, _ = writhe_and_linking(curl_diagram("K", -1))
+    w, _ = writhe_and_linking(braid_closure([(0, -1)], 2, "K"))
     assert w["K"] == -1
     for lk in (1, -1, 2, -3):
         w, link = writhe_and_linking(clasp_diagram(lk))
@@ -93,7 +90,7 @@ def test_writhe_and_linking_bookkeeping():
 
 def test_zig_zag_slices(ctx):
     rng = np.random.default_rng(5)
-    mod = make_valpha(ctx, _generic(rng))
+    mod = valpha_stack(ctx, (_generic(rng),))
     zig1 = SlicedDiagram(
         (Cup(0, "K", "coev"), Cap(1, "ev")), (Strand("K", True),)
     )
@@ -108,8 +105,8 @@ def test_zig_zag_slices(ctx):
 
 def test_evaluate_returns_an_array_of_boundary_dims(ctx):
     rng = np.random.default_rng(23)
-    a = make_valpha(ctx, _generic(rng))
-    b = tensor(make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng)))
+    a = valpha_stack(ctx, (_generic(rng),))
+    b = tensor(valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),)))
     closed = evaluate(clasp_diagram(1), {"A": a, "B": a}, ctx)
     assert type(closed) is np.ndarray and closed.shape == (1, 1)
     # target words (B up, B down, A down) and (A down, B down, B up) of a
@@ -127,18 +124,18 @@ def test_evaluate_returns_an_array_of_boundary_dims(ctx):
 def test_curl_gives_twist(ctx):
     rng = np.random.default_rng(15)
     alpha = _generic(rng)
-    mod = make_valpha(ctx, alpha)
+    mod = valpha_stack(ctx, (alpha,))
     for sign in (1, -1):
-        m = evaluate_cut(curl_diagram("K", sign), {"K": mod}, ctx, 0)[0]
+        m = evaluate_cut(braid_closure([(0, sign)], 2, "K"), {"K": mod}, ctx, 0)[0]
         s = scalar_of(m, 1e-8)
         assert abs(s - twist_scalar(ctx, alpha) ** sign) < 1e-9
 
 
 def test_unknot_cut_is_identity(ctx):
     rng = np.random.default_rng(17)
-    mod = make_valpha(ctx, _generic(rng))
-    for style in ("coev", "coevprime"):
-        d = unknot_diagram("K", style=style)
+    mod = valpha_stack(ctx, (_generic(rng),))
+    primed = SlicedDiagram((Cup(0, "K", "coevprime"), Cap(0, "ev")))
+    for d in (unknot_diagram("K"), primed):
         for cut in (0, 1):
             m = evaluate_cut(d, {"K": mod}, ctx, cut)[0]
             assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
@@ -156,7 +153,7 @@ def _primed_clasp():
 BATCH_DIAGRAMS = {
     "clasp2": (clasp_diagram(2, "A", "B"), (0, 7), ("A", "B")),
     "primed_clasp": (_primed_clasp(), (0, 5), ("A", "B")),
-    "curl": (curl_diagram("K", -1), (0, 4), ("K",)),
+    "curl": (braid_closure([(0, -1)], 2, "K"), (0, 4), ("K",)),
     "trefoil": (braid_closure([(0, 1)] * 3, 2), (0, 6), ("K",)),
 }
 
@@ -165,7 +162,7 @@ BATCH_DIAGRAMS = {
 def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
     diagram, cuts, names = BATCH_DIAGRAMS[case]
     rng = np.random.default_rng(21)
-    fixed = {name: make_valpha(ctx, _generic(rng)) for name in names}
+    fixed = {name: valpha_stack(ctx, (_generic(rng),)) for name in names}
     for varying in names:
         alphas = [_generic(rng) for _ in range(3)]
         batch = valpha_stack(ctx, alphas)
@@ -173,7 +170,8 @@ def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
             got = evaluate_cut(diagram, {**fixed, varying: batch}, ctx, cut)
             assert got.shape == (3, ctx.r, ctx.r)
             for k, alpha in enumerate(alphas):
-                ref = evaluate_cut(diagram, {**fixed, varying: make_valpha(ctx, alpha)}, ctx, cut)[0]
+                colors = {**fixed, varying: valpha_stack(ctx, (alpha,))}
+                ref = evaluate_cut(diagram, colors, ctx, cut)[0]
                 assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -206,7 +204,7 @@ def test_enclosed_cut_detection():
 def test_enclosed_cut_rejected(ctx):
     rng = np.random.default_rng(19)
     hopf = clasp_diagram(1, "A", "B")
-    colors = {"A": make_valpha(ctx, _generic(rng)), "B": make_valpha(ctx, _generic(rng))}
+    colors = {"A": valpha_stack(ctx, (_generic(rng),)), "B": valpha_stack(ctx, (_generic(rng),))}
     inner_cup = next(
         i for i, sl in enumerate(hopf.slices)
         if isinstance(sl, Cup) and sl.component == "A"
@@ -227,7 +225,7 @@ def _dense(diagram, modules):
 
     def module(strand):
         m = modules[strand.component]
-        return m if strand.up else dual(m)
+        return m if strand.up else m.dual
 
     m = np.eye(math.prod(module(s).dim for s in words[0]), dtype=complex)
     for word, sl in zip(words, diagram.slices):
@@ -290,7 +288,7 @@ def _random_slices(rng, word, steps, names, dims, width=3):
 @pytest.mark.parametrize("seed", range(12))
 def test_evaluate_matches_dense_reference(ctx, seed):
     rng = np.random.default_rng(100 + seed)
-    modules = {name: make_valpha(ctx, _generic(rng)) for name in "AB"}
+    modules = {name: valpha_stack(ctx, (_generic(rng),)) for name in "AB"}
     dims = {name: m.dim for name, m in modules.items()}
     source = [Strand(name, bool(up)) for name, up in zip("AB", rng.integers(2, size=2))]
     source = source[: int(rng.integers(1, 3))]
@@ -330,10 +328,10 @@ def test_cut_tangle_matches_dense_reference(ctx, seed, right):
     rng = np.random.default_rng(200 + seed)
     tangle, closed = _closed_tangle(rng, ctx, right)
     kirby = [_generic(rng) for _ in range(3)]
-    fixed = {"K": make_valpha(ctx, _generic(rng)), "B": make_valpha(ctx, _generic(rng))}
+    fixed = {"K": valpha_stack(ctx, (_generic(rng),)), "B": valpha_stack(ctx, (_generic(rng),))}
     for cut in (0, len(closed.slices) - 1):
         got = evaluate_cut(closed, {**fixed, "A": valpha_stack(ctx, kirby)}, ctx, cut)
         assert got.shape == (3, ctx.r, ctx.r)
         for k, alpha in enumerate(kirby):
-            ref = _dense(tangle, {**fixed, "A": make_valpha(ctx, alpha)})
+            ref = _dense(tangle, {**fixed, "A": valpha_stack(ctx, (alpha,))})
             assert np.abs(got[k] - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())

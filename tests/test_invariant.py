@@ -35,12 +35,8 @@ from unrolledsl2.invariant import (
     computability_failure,
     encircled_strand_presentation,
     f_prime,
-    graph_only_presentation,
     handle_slide,
-    lens_chain_presentation,
-    lens_unknot_presentation,
     linking_data,
-    s1_x_s2_presentation,
     signature_pair_exact,
     standard_two_component,
     unknot_presentation,
@@ -48,7 +44,7 @@ from unrolledsl2.invariant import (
 )
 from unrolledsl2.jsonio import load_document, parse_flink
 from unrolledsl2.qscalar import RootParams
-from unrolledsl2.repcat import make_valpha, scalar_of, twist_scalar, twist_scalar_of
+from unrolledsl2.repcat import scalar_of, twist, twist_scalar, valpha_stack
 
 @pytest.fixture(params=[2, 3, 5], ids=lambda r: f"r{r}")
 def ctx(request):
@@ -92,12 +88,12 @@ def test_fprime_missing_color_is_domain_error(ctx):
 @pytest.mark.parametrize("kind", ["module", "sequence"])
 def test_module_colors_are_domain_errors(ctx, kind):
     # F' and Z color by numbers α; a module (or a list of them) is refused
-    module = make_valpha(ctx, 0.4)
+    module = valpha_stack(ctx, (0.4,))
     color = module if kind == "module" else [module, module]
     with pytest.raises(DomainError, match="must be a number"):
         f_prime(unknot_diagram("K"), {"K": color}, ctx)
     with pytest.raises(DomainError, match="must be a number"):
-        graph_only_presentation(ctx, unknot_diagram("T1"), {"T1": color})
+        SurgeryPresentation(ctx, unknot_diagram("T1"), {}, {}, {"T1": color})
 
 
 def test_fprime_hopf_closed_form(ctx):
@@ -282,7 +278,7 @@ def test_default_cut_is_cheapest_open_extremum():
     assert compiled.open_cut("L1") is None
     with pytest.raises(DomainError, match="no cup or cap that can be cut open"):
         f_prime(diagram, {"L1": 0.3, "L2": 0.45}, RootParams(5), cut_component="L1")
-    sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
+    sp = standard_two_component(RootParams(5), 1, (4, 2), (2.0 / 7, -8.0 / 7))
     assert _fixed_cut(sp) == ("L2", last)
     # unknot: the cap, not the cup
     assert compile_diagram(unknot_diagram("K")).open_cut("K") == 1
@@ -305,14 +301,14 @@ def test_signature_pair_exact():
 
 
 def test_linking_data_chain(ctx):
-    sp = lens_chain_presentation(ctx, 4, 2, (2.0 / 7, -8.0 / 7))
+    sp = standard_two_component(ctx, 1, (4, 2), (2.0 / 7, -8.0 / 7))
     ld = linking_data(sp)
     assert ld.matrix == ((4, 1), (1, 2))
     assert (ld.p, ld.s, ld.nullity) == (2, 0, 0)
 
 
 def test_computability(ctx):
-    assert computability_failure(s1_x_s2_presentation(ctx, 0.5)) is None
+    assert computability_failure(unknot_presentation(ctx, 0, 0.5)) is None
     # nonvanishing class on the preferred parallel
     assert computability_failure(unknot_presentation(ctx, 1, 0.5)) is not None
     # integral meridian
@@ -327,7 +323,7 @@ def test_computability(ctx):
 def test_z_empty_surgery(ctx):
     rng = np.random.default_rng(8)
     a = _generic(rng)
-    sp = graph_only_presentation(ctx, unknot_diagram("T1"), {"T1": a})
+    sp = SurgeryPresentation(ctx, unknot_diagram("T1"), {}, {}, {"T1": a})
     res = z_invariant(sp)
     eta = ctx.eta
     assert abs(res.z - eta * ctx.mdim(a)) < 1e-10
@@ -337,7 +333,7 @@ def test_z_empty_surgery(ctx):
 def test_z_s1_x_s2_hand_formula(ctx):
     rng = np.random.default_rng(9)
     beta = _generic(rng)
-    res = z_invariant(s1_x_s2_presentation(ctx, beta))
+    res = z_invariant(unknot_presentation(ctx, 0, beta))
     hand = (
         sum(
             (ctx.q_num(beta + k) / ctx.q_num(ctx.r * beta)) ** 2
@@ -364,7 +360,7 @@ def test_z_encircled_strand_is_s3_value(ctx):
 def test_z_defect_multiplies_delta(ctx):
     rng = np.random.default_rng(12)
     beta = _generic(rng)
-    base = s1_x_s2_presentation(ctx, beta)
+    base = unknot_presentation(ctx, 0, beta)
     shifted = SurgeryPresentation(
         ctx,
         base.diagram,
@@ -386,11 +382,11 @@ def test_z_both_forms_on_fixtures(ctx):
     rng = np.random.default_rng(13)
     beta = _generic(rng)
     fixtures = [
-        s1_x_s2_presentation(ctx, beta),
-        lens_unknot_presentation(ctx, 7, 2.0 / 7),
-        lens_chain_presentation(ctx, 4, 2, (2.0 / 7, -8.0 / 7)),
+        unknot_presentation(ctx, 0, beta),
+        unknot_presentation(ctx, 7, 2.0 / 7),
+        standard_two_component(ctx, 1, (4, 2), (2.0 / 7, -8.0 / 7)),
         encircled_strand_presentation(ctx, _generic(rng)),
-        graph_only_presentation(ctx, unknot_diagram("T1"), {"T1": _generic(rng)}),
+        SurgeryPresentation(ctx, unknot_diagram("T1"), {}, {}, {"T1": _generic(rng)}),
         standard_two_component(ctx, 1, (3, 2), (2.0 / 5, 4.0 / 5)),
     ]
     for sp in fixtures:
@@ -411,25 +407,25 @@ def _kirby_sum_term_by_term(sp):
     graph_colors = sp.graph_stacks
     total, size = 0j, 0.0
     for ks in itertools.product(ctx.h_r_set(), repeat=len(l_names)):
-        colors = dict(graph_colors)
+        colors, alphas = dict(graph_colors), dict(sp.colors)
         value = 1.0
         for name, k in zip(l_names, ks):
-            alpha = complex(sp.meridian_values[name]) + k
-            colors[name] = make_valpha(ctx, alpha)
+            alphas[name] = alpha = complex(sp.meridian_values[name]) + k
+            colors[name] = valpha_stack(ctx, (alpha,))
             delta_f = sp.framings[name] - writhes.get(name, 0)
-            value *= ctx.mdim(alpha) * twist_scalar_of(colors[name]) ** delta_f
+            value *= ctx.mdim(alpha) * scalar_of(twist(colors[name]), ctx.tol) ** delta_f
         for name, framing in sp.graph_framings.items():
             delta_f = framing - writhes.get(name, 0)
-            value *= twist_scalar_of(graph_colors[name]) ** delta_f
+            value *= scalar_of(twist(graph_colors[name]), ctx.tol) ** delta_f
         matrix = evaluate_cut(sp.diagram, colors, ctx, cut_slice)[0]
-        term = value * ctx.mdim(colors[cut_name].labels[0][1]) * scalar_of(matrix, ctx.tol)
+        term = value * ctx.mdim(complex(alphas[cut_name])) * scalar_of(matrix, ctx.tol)
         total += term
         size += abs(term)
     return total, size
 
 
 BATCH_CASES = {
-    "lens_7_2": lambda ctx: lens_chain_presentation(ctx, 4, 2, (2.0 / 7, -8.0 / 7)),
+    "lens_7_2": lambda ctx: standard_two_component(ctx, 1, (4, 2), (2.0 / 7, -8.0 / 7)),
     # meridians 2·M⁻¹·(1, 0): the class vanishes on both parallels
     "clasp+1": lambda ctx: standard_two_component(ctx, 1, (3, 2), (4.0 / 5, -2.0 / 5)),
     "clasp-1": lambda ctx: standard_two_component(ctx, -1, (3, 2), (4.0 / 5, 2.0 / 5)),
@@ -437,10 +433,10 @@ BATCH_CASES = {
     "clasp-2": lambda ctx: standard_two_component(ctx, -2, (3, 3), (6.0 / 5, 4.0 / 5)),
     "encircled+1": lambda ctx: encircled_strand_presentation(ctx, 0.37, 1),
     "encircled-1": lambda ctx: encircled_strand_presentation(ctx, 0.37, -1),
-    "s1xs2": lambda ctx: s1_x_s2_presentation(ctx, 1.0 / 3),
-    "lens_unknot": lambda ctx: lens_unknot_presentation(ctx, 5, 2.0 / 5),
-    "graph_only": lambda ctx: graph_only_presentation(
-        ctx, clasp_diagram(2, "A", "B"), {"A": 0.3, "B": 0.55}, graph_framings={"B": 1}
+    "s1xs2": lambda ctx: unknot_presentation(ctx, 0, 1.0 / 3),
+    "lens_unknot": lambda ctx: unknot_presentation(ctx, 5, 2.0 / 5),
+    "graph_only": lambda ctx: SurgeryPresentation(
+        ctx, clasp_diagram(2, "A", "B"), {}, {}, {"A": 0.3, "B": 0.55}, graph_framings={"B": 1}
     ),
 }
 
@@ -506,7 +502,7 @@ def test_z_one_pass_holds_every_term(monkeypatch, case):
     (11, [11] * 11),          # 4 terms would fit; never fewer than r
 ])
 def test_z_pass_sizes_follow_the_element_budget(monkeypatch, r, expected):
-    sp = lens_chain_presentation(RootParams(r), 4, 2, (2.0 / 7, -8.0 / 7))
+    sp = standard_two_component(RootParams(r), 1, (4, 2), (2.0 / 7, -8.0 / 7))
     sizes = _pass_sizes(monkeypatch)
     z_invariant(sp)
     assert sizes == expected
@@ -517,7 +513,7 @@ def test_z_builds_ladder_powers_once_per_root_stack(monkeypatch):
     # computes the powers of E and F once, and every pass gathers them
     from unrolledsl2 import repcat
 
-    sp = lens_chain_presentation(RootParams(7), 4, 2, (2.0 / 7, -8.0 / 7))
+    sp = standard_two_component(RootParams(7), 1, (4, 2), (2.0 / 7, -8.0 / 7))
     sizes = _pass_sizes(monkeypatch)
     calls = []
     powers = repcat._powers
@@ -545,10 +541,10 @@ def test_z_typechecks_once(monkeypatch):
 
     # only the compiled-diagram cache typechecks, once per diagram structure
     monkeypatch.setattr(diagram_module, "typecheck", counted)
-    sp = lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7))
+    sp = standard_two_component(RootParams(5), 1, (4, 2), (2.0 / 7, -8.0 / 7))
     z_invariant(sp)
     assert len(calls) == 1
-    z_invariant(lens_chain_presentation(RootParams(5), 4, 2, (2.0 / 7, -8.0 / 7)))
+    z_invariant(standard_two_component(RootParams(5), 1, (4, 2), (2.0 / 7, -8.0 / 7)))
     assert len(calls) == 1
 
 

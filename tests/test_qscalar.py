@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unrolledsl2.errors import DomainError
-from unrolledsl2.qscalar import RootParams, approx_equal
+from unrolledsl2.qscalar import RootParams
 
 
 @pytest.fixture(params=[2, 3, 5, 6, 7], ids=lambda r: f"r{r}")
@@ -83,6 +83,7 @@ def test_congruence_and_nearest_int(ctx):
     assert ctx.nearest_int(2.9999999999) == 3
 
 
-def test_approx_equal():
-    assert approx_equal(1 + 1j, 1 + 1j + 1e-12)
-    assert not approx_equal(1.0, 1.1)
+def test_close():
+    ctx = RootParams(5)
+    assert ctx.close(1 + 1j, 1 + 1j + 1e-12)
+    assert not ctx.close(1.0, 1.1)

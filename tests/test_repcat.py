@@ -8,17 +8,14 @@ from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     ModuleStack,
     braiding_stack,
-    dual,
     duality_maps,
     hom_dimension,
-    make_valpha,
     relations_residual,
     scalar_of,
     scalars_of,
     tensor,
     twist,
     twist_scalar,
-    twist_scalar_of,
     valpha_stack,
 )
 
@@ -37,7 +34,7 @@ def _generic(rng, ctx=None):
 
 def test_valpha_shape_and_weights(ctx):
     a = 0.4
-    mod = make_valpha(ctx, a)
+    mod = valpha_stack(ctx, (a,))
     assert mod.dim == ctx.r
     expected = [a + ctx.r - 1 - 2 * i for i in range(ctx.r)]
     assert np.allclose(mod.weights[0], expected)
@@ -46,10 +43,10 @@ def test_valpha_shape_and_weights(ctx):
 
 def test_valpha_domain(ctx):
     with pytest.raises(DomainError):
-        make_valpha(ctx, ctx.r + 1 if (ctx.r + 1) % ctx.r else ctx.r + 2)
+        valpha_stack(ctx, (ctx.r + 1 if (ctx.r + 1) % ctx.r else ctx.r + 2,))
     # multiples of r are allowed
-    assert make_valpha(ctx, 0).dim == ctx.r
-    assert make_valpha(ctx, ctx.r).dim == ctx.r
+    assert valpha_stack(ctx, (0,)).dim == ctx.r
+    assert valpha_stack(ctx, (ctx.r,)).dim == ctx.r
 
 
 def _valpha_loop(ctx, alpha):
@@ -81,18 +78,17 @@ def test_valpha_stack_matches_entrywise_loop(r):
         assert np.array_equal(stack.f[k], f)
         assert np.abs(stack.pivot[k] - pivot).max() <= 1e-15 * np.abs(pivot).max()
         module = stack.take([k])
-        assert module.labels == (("V", complex(alpha)),)
         assert module.degrees[0] == complex(alpha) + r - 1
         assert relations_residual(module) < 1e-10 * scale
-        # make_valpha is the one-term call of the same builder
-        one = make_valpha(ctx, alpha)
+        # a one-color call of the same builder gives the same term
+        one = valpha_stack(ctx, (alpha,))
         assert np.array_equal(one.e[0], stack.e[k]) and np.array_equal(one.weights[0], weights)
 
 
 def test_valpha_stack_domain_errors():
     ctx = RootParams(5)
     with pytest.raises(DomainError) as one:
-        make_valpha(ctx, 3.0)
+        valpha_stack(ctx, (3.0,))
     with pytest.raises(DomainError) as many:
         valpha_stack(ctx, [0.3, 3.0])
     assert str(many.value) == str(one.value)
@@ -116,11 +112,11 @@ def test_stack_dual_matches_antipode_transpose(r):
     ctx = RootParams(r)
     rng = np.random.default_rng(30 + r)
     alpha, beta = _generic(rng), _generic(rng) + 0.7j
-    a, b = make_valpha(ctx, alpha), make_valpha(ctx, beta)
+    a, b = valpha_stack(ctx, (alpha,)), valpha_stack(ctx, (beta,))
     stacks = [
         valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0]),
         tensor(valpha_stack(ctx, [alpha, beta]), valpha_stack(ctx, [beta, alpha])),
-        tensor(a, dual(b)),
+        tensor(a, b.dual),
         a.dual,
     ]
     for stack in stacks:
@@ -132,10 +128,9 @@ def test_stack_dual_matches_antipode_transpose(r):
             assert np.array_equal(duals.weights[k], weights)
             assert np.abs(duals.e[k] - e).max() <= 1e-15 * scale
             assert np.abs(duals.f[k] - f).max() <= 1e-15 * scale
-            assert duals.labels[k] == ("dual", module.labels[0])
             assert duals.degrees[k] == -module.degrees[0]
-            # dual() of one term is that term of the stack dual
-            one = dual(module)
+            # the dual of one taken term is that term of the stack dual
+            one = module.dual
             assert np.array_equal(one.e[0], duals.e[k]) and np.array_equal(one.f[0], duals.f[k])
 
 
@@ -165,14 +160,13 @@ def test_tensor_of_stacks_matches_dense_coproduct(r):
             assert np.array_equal(got.weights[k], weights)
             assert np.abs(got.e[k] - e).max() <= 1e-15 * scale
             assert np.abs(got.f[k] - f).max() <= 1e-15 * scale
-            assert got.labels[k] == ("tensor", a.labels[k], b.labels[k])
             assert got.degrees[k] == a.degrees[k] + b.degrees[k]
     # a one-term stack pairs with every term of the other
     paired = tensor(v.take([1]), w)
     for k in range(3):
         one = tensor(v.take([1]), w.take([k]))
         assert np.array_equal(paired.e[k], one.e[0]) and np.array_equal(paired.f[k], one.f[0])
-        assert paired.labels[k] == one.labels[0] and paired.degrees[k] == one.degrees[0]
+        assert paired.degrees[k] == one.degrees[0]
 
 
 def test_relations_residual_catches_a_perturbed_e():
@@ -181,14 +175,14 @@ def test_relations_residual_catches_a_perturbed_e():
     # of E, nonzero or structurally zero, still fails it
     ctx = RootParams(7)
     rng = np.random.default_rng(7)
-    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
-    module = tensor(tensor(a, b), dual(a))
+    a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
+    module = tensor(tensor(a, b), a.dual)
     assert relations_residual(module) < 1e-10
     largest = np.unravel_index(np.argmax(np.abs(module.e[0])), module.e[0].shape)
     for entry in (largest, (0, 1), (module.dim - 1, 0)):
         e = module.e.copy()
         e[(0, *entry)] += 1e-6
-        perturbed = ModuleStack(ctx, module.weights, e, module.f, module.labels, module.degrees)
+        perturbed = ModuleStack(ctx, module.weights, e, module.f, module.degrees)
         assert relations_residual(perturbed) > 1e-10, entry
 
 
@@ -201,10 +195,10 @@ def test_blockwise_commutator_matches_dense(r):
 
     ctx = RootParams(r)
     rng = np.random.default_rng(70 + r)
-    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
-    module = tensor(tensor(a, b), dual(a))
+    a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
+    module = tensor(tensor(a, b), a.dual)
     e, f, w = 1.5 * module.e[0], module.f[0], module.weights[0]
-    scaled = ModuleStack(ctx, module.weights, e[None], module.f, module.labels, module.degrees)
+    scaled = ModuleStack(ctx, module.weights, e[None], module.f, module.degrees)
     k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
     dense = np.abs(e @ f - f @ e - np.diag(k - k_inv) / (ctx.q - 1 / ctx.q)).max()
     assert dense > 0.1  # far above roundoff
@@ -213,7 +207,7 @@ def test_blockwise_commutator_matches_dense(r):
 
 def test_yang_baxter(ctx):
     rng = np.random.default_rng(8)
-    mods = [make_valpha(ctx, _generic(rng)) for _ in range(3)]
+    mods = [valpha_stack(ctx, (_generic(rng),)) for _ in range(3)]
     a, b, c = mods
     ia, ib, ic = (np.eye(m.dim) for m in mods)
     r_ab, r_ac, r_bc = (
@@ -226,8 +220,8 @@ def test_yang_baxter(ctx):
 
 def test_braiding_inverse(ctx):
     rng = np.random.default_rng(9)
-    a = make_valpha(ctx, _generic(rng))
-    b = make_valpha(ctx, _generic(rng))
+    a = valpha_stack(ctx, (_generic(rng),))
+    b = valpha_stack(ctx, (_generic(rng),))
     plus = braiding_stack(a, b, +1)[0]
     minus = braiding_stack(b, a, -1)[0]
     assert np.abs(minus @ plus - np.eye(a.dim * b.dim)).max() < 1e-9
@@ -266,9 +260,9 @@ def _dense_braiding(a, b, sign):
 def test_braiding_matches_dense_reference(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(20 + r)
-    a = make_valpha(ctx, _generic(rng))
-    b = make_valpha(ctx, _generic(rng))
-    a_star, ab = dual(a), tensor(a, b)
+    a = valpha_stack(ctx, (_generic(rng),))
+    b = valpha_stack(ctx, (_generic(rng),))
+    a_star, ab = a.dual, tensor(a, b)
     for x, y in ((a, b), (a, a), (a_star, b), (b, a_star), (ab, a), (a_star, ab)):
         ref = _dense_braiding(x, y, sign)
         got = braiding_stack(x, y, sign)[0]
@@ -282,7 +276,7 @@ def test_braiding_stack_matches_per_term(r, sign):
     ctx = RootParams(r)
     rng = np.random.default_rng(r)
     terms = [_generic(rng) for _ in range(3)]
-    fixed = make_valpha(ctx, _generic(rng))
+    fixed = valpha_stack(ctx, (_generic(rng),))
     for stack in (valpha_stack(ctx, terms), valpha_stack(ctx, terms).dual):
         for a, b in ((stack, fixed), (fixed, stack), (stack, stack)):
             got = braiding_stack(a, b, sign)
@@ -304,7 +298,7 @@ def test_powers_equal_the_matmul_chain(r):
     ctx = RootParams(r)
     rng = np.random.default_rng(40 + r)
     stack = valpha_stack(ctx, rng.uniform(0.1, 1.9, 3) + 1j * rng.uniform(-2, 2, 3))
-    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
     for m in (stack.e, stack.f, stack.dual.e, tensor(a, b).f):
         eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
         powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
@@ -320,9 +314,9 @@ def test_negative_braiding_inverts_positive(r):
     # accurate than inverting c_{B,A} numerically (the oracle)
     ctx = RootParams(r)
     rng = np.random.default_rng(40 + r)
-    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    v, w = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
     eye = np.eye(r * r)
-    for a, b in ((v, w), (dual(v), w), (v, dual(w))):
+    for a, b in ((v, w), (v.dual, w), (v, w.dual)):
         plus = braiding_stack(b, a, 1)[0]
         residual = np.abs(braiding_stack(a, b, -1)[0] @ plus - eye).max()
         oracle = np.abs(np.linalg.inv(plus) @ plus - eye).max()
@@ -337,7 +331,7 @@ def test_twist_scalar_closed_form(r):
     for alpha in (0.3, -1.7, 2.0 / 7, 0.0, float(r)):
         closed = ctx.q_pow((alpha**2 - (r - 1) ** 2) / 2)
         assert twist_scalar(ctx, alpha) == closed
-        assert abs(twist_scalar_of(make_valpha(ctx, alpha)) - closed) < 1e-12
+        assert abs(scalar_of(twist(valpha_stack(ctx, (alpha,))), ctx.tol) - closed) < 1e-12
     with pytest.raises(DomainError):
         twist_scalar(ctx, 1.0 if r > 2 else 3.0)
 
@@ -345,9 +339,9 @@ def test_twist_scalar_closed_form(r):
 def test_twist_is_scalar_on_simples(ctx):
     rng = np.random.default_rng(10)
     alpha = _generic(rng)
-    mod = make_valpha(ctx, alpha)
+    mod = valpha_stack(ctx, (alpha,))
     t = twist(mod)
-    s = twist_scalar_of(mod)
+    s = scalar_of(t, ctx.tol)
     assert np.abs(t - s * np.eye(mod.dim)).max() < 1e-9
     assert abs(s - twist_scalar(ctx, alpha)) < 1e-10
     # theta_{-a} = theta_a: the twist is even in the color
@@ -360,8 +354,8 @@ def test_twist_matches_the_braiding_contraction(r):
     # contracted from the dense braiding
     ctx = RootParams(r)
     rng = np.random.default_rng(50 + r)
-    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, -_generic(rng))
-    for a in (v, tensor(v, w), tensor(v, dual(w))):
+    v, w = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (-_generic(rng),))
+    for a in (v, tensor(v, w), tensor(v, w.dual)):
         d = a.dim
         c4 = braiding_stack(a, a)[0].reshape(d, d, d, d)
         ref = np.einsum("abib,b->ai", c4, a.pivot[0])
@@ -377,7 +371,7 @@ def test_twist_builds_no_braiding(monkeypatch):
 
     ctx = RootParams(11)
     rng = np.random.default_rng(11)
-    v, w = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+    v, w = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
     ribbon = braiding_stack(w, v)[0] @ braiding_stack(v, w)[0] @ np.kron(twist(v), twist(w))
 
     def refuse(*args):
@@ -395,7 +389,7 @@ def test_series_is_built_once_per_r_and_sign():
     rng = np.random.default_rng(12)
     for r in (5, 7):
         ctx = RootParams(r)
-        a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
+        a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
         for _ in range(2):
             braiding_stack(a, b, 1), braiding_stack(a, b, -1), twist(tensor(a, b))
     assert _series.cache_info().misses == 4
@@ -410,8 +404,8 @@ def test_graded_nilpotency_matches_dense_powers(r):
 
     ctx = RootParams(r)
     rng = np.random.default_rng(60 + r)
-    a, b = make_valpha(ctx, _generic(rng)), make_valpha(ctx, _generic(rng))
-    w = tensor(tensor(a, b), dual(a)).weights[0]
+    a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
+    w = tensor(tensor(a, b), a.dual).weights[0]
     level = np.rint(((w - w[0]) / 2).real).astype(int)
     level -= level.min()
     graded = level[:, None] == level[None, :] + 1
@@ -426,7 +420,7 @@ def test_graded_nilpotency_matches_dense_powers(r):
 
 def test_zig_zag_identities(ctx):
     rng = np.random.default_rng(14)
-    mod = make_valpha(ctx, _generic(rng))
+    mod = valpha_stack(ctx, (_generic(rng),))
     coev, ev, coev_p, ev_p = duality_maps(mod)
     eye = np.eye(mod.dim)
     # (1⊗ev)∘(coev⊗1) = id and (ev'⊗1)∘(1⊗coev') = id
@@ -438,7 +432,7 @@ def test_zig_zag_identities(ctx):
 
 def test_quantum_dimension_vanishes(ctx):
     rng = np.random.default_rng(15)
-    mod = make_valpha(ctx, _generic(rng))
+    mod = valpha_stack(ctx, (_generic(rng),))
     coev, ev, coev_p, ev_p = duality_maps(mod)
     qdim = (ev_p @ coev)[0, 0]
     assert abs(qdim) < 1e-10

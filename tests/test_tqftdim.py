@@ -1,8 +1,11 @@
 """Dimension layer: admissible colorings, graded dimensions, closed forms."""
 
+import os
+
 import numpy as np
 import pytest
 
+import unrolledsl2.tqftdim as td
 from unrolledsl2.errors import DomainError, NonGenericError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.selftest import GRID_CELLS, assert_hh0_matches_oracle
@@ -196,6 +199,21 @@ def test_verlinde_far_cancellation_is_a_domain_error(r, genus, beta, points):
     # left lies below the roundoff of the terms: no value, one domain error
     with pytest.raises(DomainError, match="lost to rounding in double precision"):
         verlinde(RootParams(r), genus, beta, points)
+
+
+def test_grid_beyond_memory_is_refused_before_it_is_built(monkeypatch):
+    # the theta graph at r = 5: 5^3 colorings, at about 128 bytes a cell
+    # above one reported page of memory
+    graph = theta_graph(RootParams(5), 0.3, 0.45)
+    sysconf = os.sysconf
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    built = []
+    monkeypatch.setattr(td, "_color_reps", lambda *args: built.append(args))
+    with pytest.raises(MemoryError, match="the coloring grid needs"):
+        graded_dimension(graph)
+    assert built == []
 
 
 def test_dumbbell_bridge_is_non_generic():

@@ -8,7 +8,9 @@ command lines: one per class of rejected argv, and well-formed variants
 (``--opt=value``, prefixes, repeats, options in any order, ``-h``).  Those
 lines hash only the last stderr line, the error line, since the usage lines
 above it may be wrapped to the terminal's width; a help text counts by its
-exit code alone.  With ``--seed N`` they
+exit code alone.  A ``verlinde`` sweep follows: r in {3, 5, 6, 7}, genus
+0-4, classes 0.3 ± i·t for t in {0, 1, 2, 3, 4, 5, 8, 30, 230, 500}, with no
+points and with two.  With ``--seed N`` the lines
 also cover the benchmark documents of that seed
 (``perfbench/workloads.generate``, every workload, documents the benchmark
 does not run left out), at their own r, in both formats.
@@ -95,6 +97,28 @@ ARGVS = {  # label -> argv of the command-line section
 }
 
 
+SWEEP_ROOTS = (3, 5, 6, 7)
+SWEEP_GENERA = range(5)
+SWEEP_IMAGINARY = (0, 1, 2, 3, 4, 5, 8, 30, 230, 500)
+SWEEP_POINTS = ([], ["2/5", "-1/5"])
+
+
+def verlinde_sweep(workdir: Path):
+    """(label, argv) of every ``verlinde`` sweep run, each document written
+    to ``workdir`` under a name of its own."""
+    for r in SWEEP_ROOTS:
+        for genus in SWEEP_GENERA:
+            for im in sorted({t * s for t in SWEEP_IMAGINARY for s in (1, -1)}):
+                for points in SWEEP_POINTS:
+                    doc = {"genus": genus, "beta": {"re": "0.3", "im": str(im)},
+                           "points": points}
+                    name = f"verlinde-r{r}-g{genus}-i{im}-p{len(points)}.json"
+                    (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+                    yield (f"sweep verlinde r={r} genus={genus} beta=0.3{im:+d}i "
+                           f"points={len(points)}",
+                           ["verlinde", "--r", str(r), "--input", name, "--format", "json"])
+
+
 def argv_digest(main, argv: list) -> str:
     """``exit=<code> out=<sha> err_last=<sha>`` of one command line, or
     ``exit=<code>`` alone for a help text."""
@@ -152,6 +176,11 @@ def main(argv=None) -> int:
     for label, run in ARGVS.items():
         lines.append(f"argv {label}: {argv_digest(cli.main, run)}")
     with tempfile.TemporaryDirectory() as tmp:
+        runs = list(verlinde_sweep(Path(tmp)))
+        os.chdir(tmp)  # relative input names, so no path reaches the output
+        for label, run in runs:
+            lines.append(f"{label} {digest(cli.main, run)}")
+        os.chdir(ROOT)
         for seed in args.seed:
             runs = list(benchmark_runs(seed, Path(tmp)))
             os.chdir(tmp)  # relative input names, so no path reaches the output
