@@ -53,7 +53,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DiagramTypeError, DomainError
-from .planner import greedy_order, require_memory
+from .planner import UnionFind, greedy_order, require_memory
 from .qscalar import RootParams
 from .repcat import ModuleStack, braiding_entries, valpha_stack
 
@@ -298,24 +298,6 @@ def writhe_and_linking(
     return writhe, linking
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return self.parent[-1]
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
 def cut_is_enclosed(
     diagram: SlicedDiagram, cut_slice: int, words: Optional[list] = None
 ) -> bool:
@@ -330,7 +312,7 @@ def cut_is_enclosed(
     ``words`` are the diagram's :func:`typecheck` words, if already known.
     """
     sl = diagram.slices[cut_slice]
-    uf = _UnionFind()
+    uf = UnionFind()
     if isinstance(sl, Cup):
         ids = [uf.make() for _ in diagram.source]
         lower = diagram.slices[:cut_slice]
@@ -498,7 +480,7 @@ class _Network:
     """
 
     def __init__(self, diagram: SlicedDiagram, words, cut_slice=None):
-        uf, owner, power, braids = _UnionFind(), [], [], {}
+        uf, owner, power, braids = UnionFind(), [], [], {}
 
         def fresh(component, k=0):
             owner.append(component)

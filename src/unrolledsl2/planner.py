@@ -1,6 +1,8 @@
 """Greedy pairwise contraction order of a tensor network, shared by the
 diagram engine (:mod:`.diagram`) and the HH0 contraction (:mod:`.tqftdim`),
-and the memory preflight of the diagram engine and the coloring grid.
+the memory preflight of the diagram engine and the coloring grid, and the
+union-find of both modules (a diagram's enclosed cuts and joined network
+legs, a spine's genus).
 """
 
 from __future__ import annotations
@@ -9,6 +11,26 @@ import heapq
 import math
 import os
 from typing import Sequence
+
+
+class UnionFind:
+    """Disjoint sets of the integers handed out by :meth:`make`."""
+
+    def __init__(self):
+        self.parent: list[int] = []
+
+    def make(self) -> int:
+        self.parent.append(len(self.parent))
+        return self.parent[-1]
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(a)] = self.find(b)
 
 
 def require_memory(need: float, what: str) -> None:

@@ -77,19 +77,19 @@ class ModuleStack:
     evaluation pass of the diagram engine colors each component by a stack:
     a single module shared by every term, or one module per term.  The
     stack holds its arrays directly: ``weights`` of shape (terms, d), ``e``
-    and ``f`` of shape (terms, d, d), and one degree per term, a complex
-    representative of the ℂ/2ℤ grading; all weights of the term are
-    congruent to it modulo 2ℤ.  :func:`valpha_stack` builds the simple
-    modules of a whole array of colors and :meth:`take` gathers terms.
+    and ``f`` of shape (terms, d, d).  A term's degree (:attr:`degrees`),
+    the complex representative of its ℂ/2ℤ grading, is its first weight;
+    all its weights are congruent to it modulo 2ℤ.  :func:`valpha_stack`
+    builds the simple modules of a whole array of colors and :meth:`take`
+    gathers terms.
     The pivots, the stack of duals and the ladder powers are built on
     first use (a V_α stack's F ladder from a per-r cache); a taken stack
     gathers its root stack's ladder powers and duals.
     """
 
-    def __init__(self, ctx, weights, e, f, degrees, source=None):
+    def __init__(self, ctx, weights, e, f, source=None):
         self.ctx = ctx
         self.weights, self.e, self.f = weights, e, f
-        self.degrees = degrees
         self.dim = weights.shape[1]
         self._source = source  # (root stack, indices of these terms in it)
         self._ladders: dict = {}
@@ -99,6 +99,11 @@ class ModuleStack:
     def terms(self) -> int:
         return len(self.weights)
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """One degree per term: the term's first weight."""
+        return self.weights[:, 0]
+
     def take(self, index: np.ndarray) -> "ModuleStack":
         """The terms at the integer positions ``index``, as a new stack."""
         root, base = self._source or (self, None)
@@ -107,7 +112,6 @@ class ModuleStack:
             self.weights[index],
             self.e[index],
             self.f[index],
-            self.degrees[index],
             (root, np.asarray(index) if base is None else base[index]),
         )
 
@@ -146,7 +150,7 @@ class ModuleStack:
         k, k_inv = powers[: self.terms], powers[self.terms :]
         e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
         f = -(k[:, :, None] * self.f).swapaxes(1, 2)
-        return ModuleStack(self.ctx, -self.weights, e, f, -self.degrees)
+        return ModuleStack(self.ctx, -self.weights, e, f)
 
 
 def scalar_of(matrix: np.ndarray, tol: float) -> complex:
@@ -190,7 +194,7 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
 def trivial_module(ctx: RootParams) -> ModuleStack:
     """The monoidal unit: one-dimensional, weight 0."""
     zero = np.zeros((1, 1, 1), dtype=complex)
-    return ModuleStack(ctx, zero[0], zero, zero, zero[0, 0])
+    return ModuleStack(ctx, zero[0], zero, zero)
 
 
 def _simple_color(ctx: RootParams, alpha: complex) -> complex:
@@ -263,7 +267,6 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
         shifted - 1 - np.arange(0, 2 * r, 2),
         e.reshape(terms, r, r),
         f.reshape(terms, r, r),
-        shifted[:, 0] - 1,
     )
     stack._f_is_shift = True
     return stack
@@ -281,7 +284,7 @@ def tensor(a: ModuleStack, b: ModuleStack) -> ModuleStack:
     e = _kron(np.eye(a.dim)[None], b.e) + _kron(a.e, k)
     f = _kron(k_inv, b.f) + _kron(a.f, np.eye(b.dim)[None])
     weights = (a.weights[:, :, None] + b.weights[:, None, :]).reshape(terms, -1)
-    return ModuleStack(a.ctx, weights, e, f, a.degrees + b.degrees)
+    return ModuleStack(a.ctx, weights, e, f)
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:

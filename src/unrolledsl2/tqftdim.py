@@ -22,10 +22,12 @@ degree histogram of that basis along three independent routes:
 * the closed form (:func:`verlinde`), which the histogram reproduces when
   evaluated at t = q^(2r'β), with a supersign for even r.
 
-The grid and the contraction share only the color windows: the grid reads
-degrees off float color sums (:func:`_degree_window`, which
-:func:`triple_admissible` exposes for one triple), the contraction from
-integer label offsets, so each checks the other's degree arithmetic.
+The grid and the contraction share the color windows and the incidence
+table (:attr:`TrivalentGraph.incidence`), and each keeps its own degree
+arithmetic: the grid reads degrees off float color sums
+(:func:`_degree_window`, which :func:`triple_admissible` exposes for one
+triple), the contraction from integer label offsets, so each checks the
+other's.
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a
@@ -42,13 +44,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NonGenericError
-from .planner import greedy_order, require_memory
+from .planner import UnionFind, greedy_order, require_memory
 from .qscalar import RootParams
 
 _EPS = sys.float_info.epsilon
@@ -115,9 +118,12 @@ class TrivalentGraph:
     and must have three incidences each (loops count twice); univalent
     outer ends of external edges are implicit.  ``vertex_order`` records
     the ordering of trivalent vertices that a basis needs for even r; the
-    grid and the contraction both iterate vertices in that order.  Construction
-    validates the 1-cycle condition: at every internal vertex the signed
-    sum of incident gradings vanishes mod 2 (incoming +, outgoing −),
+    grid and the contraction both iterate vertices in that order.
+    ``incidence`` is the signed incidence table both read: per vertex, its
+    three ``(edge, sign)`` entries in edge order, +1 where the edge enters
+    (its head) and −1 where it leaves (its tail), a loop once with each
+    sign.  Construction validates the 1-cycle condition from it: at every
+    internal vertex the signed sum of incident gradings vanishes mod 2,
     which is what makes the class well defined, and external colors must
     have degree equal to their edge grading.  A grading or color with a
     part of size 2^23 or more is a DomainError: doubles there are spaced
@@ -127,12 +133,15 @@ class TrivalentGraph:
     ctx: RootParams
     edges: tuple[GraphEdge, ...]
     vertex_order: tuple[str, ...] = ()
+    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         names = [e.name for e in self.edges]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate edge names in {names}")
-        incidence: dict[str, int] = {}
+        table: dict[str, list] = {}
         for e in self.edges:
             if e.is_external and len(e.endpoints) != 1:
                 raise DomainError(
@@ -143,18 +152,21 @@ class TrivalentGraph:
                     f"edge {e.name!r} has one endpoint but no color; external "
                     "edges need a fixed color"
                 )
-            for v in e.endpoints:
-                incidence[v] = incidence.get(v, 0) + 1
-        for v, n in incidence.items():
-            if n != 3:
-                raise DomainError(f"vertex {v!r} has {n} incidences, need 3")
+            if e.tail is not None:  # tail first: the order faults are reported in
+                table.setdefault(e.tail, [])
+            for v, sign in ((e.head, 1), (e.tail, -1)):
+                if v is not None:
+                    table.setdefault(v, []).append((e, sign))
+        for v, ends in table.items():
+            if len(ends) != 3:
+                raise DomainError(f"vertex {v!r} has {len(ends)} incidences, need 3")
         if self.vertex_order:
-            if sorted(self.vertex_order) != sorted(incidence):
+            if sorted(self.vertex_order) != sorted(table):
                 raise DomainError(
                     "vertex_order must be a permutation of the internal vertices"
                 )
         else:
-            object.__setattr__(self, "vertex_order", tuple(sorted(incidence)))
+            object.__setattr__(self, "vertex_order", tuple(sorted(table)))
         ctx = self.ctx
         for e in self.edges:
             for what, x in (("grading", e.grading), ("color", e.color)):
@@ -171,56 +183,44 @@ class TrivalentGraph:
                     f"external edge {e.name!r}: grading {e.grading} is not the "
                     f"degree of its color {e.color}"
                 )
-        totals = dict.fromkeys(self.vertex_order, 0.0 + 0.0j)
-        for e in self.edges:
-            if e.head is not None:
-                totals[e.head] += complex(e.grading)
-            if e.tail is not None:
-                totals[e.tail] -= complex(e.grading)
-        for v, total in totals.items():
+        for v in self.vertex_order:
+            total = 0.0 + 0.0j
+            for e, sign in table[v]:
+                g = complex(e.grading)
+                total = total + g if sign > 0 else total - g
             if not ctx.is_congruent_mod2(total, 0.0):
                 raise DomainError(
                     f"edge gradings are not a 1-cycle: signed sum {total} at "
                     f"vertex {v!r} is nonzero mod 2"
                 )
+        table = {v: tuple(ends) for v, ends in table.items()}
+        object.__setattr__(self, "incidence", table)
 
     # -- derived structure -------------------------------------------------
 
-    @property
+    @cached_property
     def internal_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if not e.is_external)
 
-    @property
+    @cached_property
     def external_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.is_external)
 
-    @property
+    @cached_property
     def circles(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.is_circle)
 
-    @property
+    @cached_property
     def genus(self) -> int:
         """First Betti number of the graph (= genus of its surface)."""
-        parent: dict[str, str] = {v: v for v in self.vertex_order}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edge_count = 0
-        for e in self.internal_edges:
-            if e.is_circle:
-                continue
-            edge_count += 1
-            a, b = e.tail, e.head
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            parent[find(a)] = find(b)
-        components = len({find(v) for v in parent})
+        uf = UnionFind()
+        ids = {v: uf.make() for v in self.vertex_order}
+        arcs = [e for e in self.internal_edges if not e.is_circle]
+        for e in arcs:
+            uf.union(ids[e.tail], ids[e.head])
+        components = len({uf.find(i) for i in ids.values()})
         # every vertex-free circle is its own component with Betti number 1
-        return edge_count - len(parent) + components + len(self.circles)
+        return len(arcs) - len(ids) + components + len(self.circles)
 
 
 @dataclass(frozen=True)
@@ -341,36 +341,6 @@ def triple_admissible(
 
 
 # ----------------------------------------------------------------------
-# vertex incidence bookkeeping
-# ----------------------------------------------------------------------
-
-
-def _vertex_terms(
-    graph: TrivalentGraph, edge_index: Mapping[str, int]
-) -> dict[str, tuple[list[tuple[int, float]], complex]]:
-    """Per vertex: [(grid-axis index, sign)] plus the fixed-color offset.
-
-    Sign +1 for an incoming edge, −1 for outgoing; a loop contributes both
-    and so cancels in the color sum while still sharing its color label.
-    External edges contribute their fixed color to the constant offset.
-    """
-    out: dict[str, tuple[list[tuple[int, float]], complex]] = {}
-    for v in graph.vertex_order:
-        terms: list[tuple[int, float]] = []
-        const = 0.0 + 0.0j
-        for e in graph.edges:
-            for end, sign in ((e.head, +1.0), (e.tail, -1.0)):
-                if end != v:
-                    continue
-                if e.is_external:
-                    const += sign * complex(e.color)
-                else:
-                    terms.append((edge_index[e.name], sign))
-        out[v] = (terms, const)
-    return out
-
-
-# ----------------------------------------------------------------------
 # the dense grid (test oracle)
 # ----------------------------------------------------------------------
 
@@ -402,14 +372,12 @@ def graded_dimension(graph: TrivalentGraph) -> GradedDimension:
         ax = [1] * len(reps)
         ax[i] = len(rs)
         grids.append(rs.reshape(ax))
-    vterms = _vertex_terms(graph, index)
     vertices = list(graph.vertex_order)
     total_k = np.zeros(shape or (1,), dtype=np.int64)
     for v in vertices:
-        terms, const = vterms[v]
-        s = np.asarray(const, dtype=complex)
-        for i, sign in terms:
-            s = s + sign * grids[i]
+        s = np.asarray(0j)
+        for e, sign in graph.incidence[v]:  # a loop's two signs cancel
+            s = s + sign * (complex(e.color) if e.is_external else grids[index[e.name]])
         s = np.broadcast_to(s, shape or (1,))
         if np.max(np.abs(s.imag), initial=0.0) > 1e-6:
             raise DomainError(
@@ -518,7 +486,12 @@ def verlinde(
 def _q_error(ctx: RootParams, x: complex, brace=None) -> float:
     """A bound on the relative rounding of q**x (its argument iπx/r is off by
     a few ulps, the exponential by one more); given the computed {x} as
-    ``brace``, that of {x}: times the cancellation (|q**x| + |q**(−x)|)/|{x}|."""
+    ``brace``, that of {x}: times the cancellation (|q**x| + |q**(−x)|)/|{x}|.
+    For real x the two powers are conjugate, so {x} is 2i·sin θ̂ exactly,
+    θ̂ the rounded θ = πx/r: sin's own rounding and θ̂'s times |θ·cot θ|."""
+    if brace is not None and not x.imag:
+        theta = math.pi * x.real / ctx.r
+        return _EPS * (2 + 4 * abs(theta * math.cos(theta) / (brace.imag / 2)))
     error = _EPS * (2 + 4 * math.pi * abs(x) / ctx.r)
     if brace is None:
         return error
@@ -571,23 +544,30 @@ class _Cluster(NamedTuple):
 
 def _vertex_cluster(
     ctx: RootParams,
-    slot_signs: Mapping[str, int],
-    const: complex,
+    ends: Iterable[tuple[GraphEdge, int]],
     lows: Mapping[str, complex],
     dtype,
 ) -> _Cluster:
     """Multiplicity tensor of one vertex in the algebra-slot convention.
 
-    ``slot_signs`` sums the vertex's signs σ_e per internal edge: +1 for an
-    outgoing edge (a projective slot, color +β for label β), −1 for an
-    ingoing one (the dual slot); ``const`` sums its signed external colors.
-    Label i_e < r' is the color low_e + 2i_e, so c = const + Σσ_e·low_e + r−1
-    must be an even integer 2h (checked once), and the label tuple's lowest
-    admissible degree is ⌊(h + Σσ_e·i_e) / r'⌋ (less one for even r, which
-    admits that degree and the next).  Each entry is the row of an identity
-    band that one-hot encodes those degrees.  A loop's signs cancel: its
-    axis is summed out, a factor r'.
+    ``ends`` is the vertex's row of :attr:`TrivalentGraph.incidence`, whose
+    signs this convention negates: σ_e = +1 for an outgoing edge (a
+    projective slot, color +β for label β), −1 for an ingoing one (the dual
+    slot), summed per internal edge; const sums the external colors times
+    σ.  Label i_e < r' is the color low_e + 2i_e, so c = const + Σσ_e·low_e
+    + r−1 must be an even integer 2h (checked once), and the label tuple's
+    lowest admissible degree is ⌊(h + Σσ_e·i_e) / r'⌋ (less one for even
+    r, which admits that degree and the next).  Each entry is the row of an
+    identity band that one-hot encodes those degrees.  A loop's signs
+    cancel: its axis is summed out, a factor r'.
     """
+    slot_signs: dict[str, int] = {}
+    const = 0j
+    for e, sign in ends:
+        if e.is_external:
+            const -= sign * complex(e.color)
+        else:
+            slot_signs[e.name] = slot_signs.get(e.name, 0) - sign
     slots = [name for name, sign in slot_signs.items() if sign]
     loop_factor = ctx.rprime ** (len(slot_signs) - len(slots))
     c = const + sum(slot_signs[n] * lows[n] for n in slots) + (ctx.r - 1)
@@ -674,16 +654,8 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         colorings <<= len(graph.vertex_order)
     dtype = (np.float64 if colorings < 2**53
              else np.int64 if colorings < 2**63 else object)
-    signs = {v: {} for v in graph.vertex_order}
-    consts = dict.fromkeys(signs, 0j)
-    for e in graph.edges:
-        for end, sign in ((e.tail, 1), (e.head, -1)):
-            if e.is_external and end is not None:
-                consts[end] += sign * complex(e.color)
-            elif end is not None:
-                signs[end][e.name] = signs[end].get(e.name, 0) + sign
     clusters = [
-        _vertex_cluster(ctx, signs[v], consts[v], lows, dtype)
+        _vertex_cluster(ctx, graph.incidence[v], lows, dtype)
         for v in graph.vertex_order
     ]
     dims = dict.fromkeys(lows, ctx.rprime)

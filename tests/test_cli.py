@@ -637,6 +637,44 @@ def test_graph_colors_beyond_2_23_are_domain_errors(tmp_path, capsys, sub):
         assert doc["dimensions"] == {"0": 25}
 
 
+def _edge(name, tail, head, grading, color=None):
+    return {"name": name, "tail": tail, "head": head, "grading": grading,
+            **({} if color is None else {"color": color})}
+
+
+_TWO_FAULTS = {  # spine edges with two faults -> the one line reported
+    "duplicate name, then incidences": (
+        [_edge("e", "u", "v", 0.3), _edge("e", "u", "v", -0.3)],
+        "duplicate edge names in ['e', 'e']",
+    ),
+    # x (the first edge's tail) has 2 incidences and y 4, and leg in's
+    # grading is not its color's degree
+    "incidences, then leg degree": (
+        [_edge("a", "x", "y", 0.3), _edge("b", "y", "y", 0.2),
+         _edge("out", "y", None, 0.3, 0.3), _edge("in", None, "x", 0.5, 0.0)],
+        "vertex 'x' has 2 incidences, need 3",
+    ),
+    # leg in's grading is not its color's degree, and the signed sum at x
+    # is 0.1 besides in's grading
+    "leg degree, then 1-cycle": (
+        [_edge("a", "x", "y", 0.3), _edge("b", "y", "x", 0.4),
+         _edge("in", None, "x", 0.5, 0.0), _edge("out", "y", None, 4.0, 0.0)],
+        "external edge 'in': grading (0.5+0j) is not the degree of its color 0j",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(_TWO_FAULTS))
+def test_spine_with_two_faults_reports_the_first(tmp_path, capsys, label):
+    edges, line = _TWO_FAULTS[label]
+    vertices = sorted({v for e in edges for v in (e["tail"], e["head"]) if v})
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps({"vertices": [{"name": v} for v in vertices], "edges": edges}))
+    for sub in ("hh0", "tqftdim"):
+        code, out, err = run(capsys, sub, "--r", "5", "--input", str(path))
+        assert (code, out, err) == (3, "", f"domain error: $: {line}\n")
+
+
 @pytest.mark.parametrize("im", ["1e308", "-1e308", "1.7e308", "9e307", "1e307"])
 def test_verlinde_near_the_float_limit(tmp_path, capsys, im):
     # r·β leaves double range from 9e307 on, and at 1e307 a genus-5 term's

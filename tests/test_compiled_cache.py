@@ -210,7 +210,7 @@ def test_crossing_positions_follow_the_entry_pattern():
     v, w = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
     e = v.e.copy()
     e[0, 1, 2] = 0
-    holed = repcat.ModuleStack(ctx, v.weights, e, v.f, v.degrees)
+    holed = repcat.ModuleStack(ctx, v.weights, e, v.f)
     for a in (v, holed, v):
         got = evaluate(crossing, {"A": a, "B": w}, ctx)
         assert np.array_equal(got, repcat.braiding_stack(a, w)[0])

@@ -38,6 +38,15 @@ def test_q_pow_branch(ctx):
     assert abs(ctx.q_pow(ctx.r) + 1) < 1e-14
 
 
+def test_q_num_of_a_real_number_is_imaginary(ctx):
+    # q**x and q**(-x) are conjugate to the last bit for real x, so
+    # {x} = 2i sin(pi*x/r) has real part exactly 0
+    rng = np.random.default_rng(11)
+    for x in [*rng.uniform(-50.0, 50.0, 200), 1.7e-6, -3e-9, 7 + 1e-8, 1e6 + 0.3]:
+        assert ctx.q_pow(x) == ctx.q_pow(-x).conjugate()
+        assert ctx.q_num(x).real == 0
+
+
 def test_bracket_and_factorial(ctx):
     # [x] = {x}/{1}; quantum factorial of small integers
     assert abs(ctx.bracket(1) - 1) < 1e-12

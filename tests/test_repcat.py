@@ -182,7 +182,7 @@ def test_relations_residual_catches_a_perturbed_e():
     for entry in (largest, (0, 1), (module.dim - 1, 0)):
         e = module.e.copy()
         e[(0, *entry)] += 1e-6
-        perturbed = ModuleStack(ctx, module.weights, e, module.f, module.degrees)
+        perturbed = ModuleStack(ctx, module.weights, e, module.f)
         assert relations_residual(perturbed) > 1e-10, entry
 
 
@@ -198,7 +198,7 @@ def test_blockwise_commutator_matches_dense(r):
     a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
     module = tensor(tensor(a, b), a.dual)
     e, f, w = 1.5 * module.e[0], module.f[0], module.weights[0]
-    scaled = ModuleStack(ctx, module.weights, e[None], module.f, module.degrees)
+    scaled = ModuleStack(ctx, module.weights, e[None], module.f)
     k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
     dense = np.abs(e @ f - f @ e - np.diag(k - k_inv) / (ctx.q - 1 / ctx.q)).max()
     assert dense > 0.1  # far above roundoff

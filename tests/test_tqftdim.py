@@ -81,6 +81,35 @@ def test_graph_validation_errors():
         TrivalentGraph(ctx, edges)
 
 
+def _signed_rows(graph):
+    return {v: [(e.name, sign) for e, sign in ends] for v, ends in graph.incidence.items()}
+
+
+def test_incidence_table():
+    # per vertex three (edge, sign) entries in edge order: +1 at the edge's
+    # head, -1 at its tail, and a loop once with each sign
+    ctx = RootParams(5)
+    theta = theta_graph(ctx, 0.3, 0.45)
+    assert _signed_rows(theta) == {
+        "u": [("e1", -1), ("e2", -1), ("e3", 1)],
+        "v": [("e1", 1), ("e2", 1), ("e3", -1)],
+    }
+    assert _signed_rows(_loops_with_legs(ctx, 2)) == {
+        "u0": [("l0", 1), ("l0", -1), ("p0", 1)],
+        "u1": [("l1", 1), ("l1", -1), ("p1", 1)],
+    }
+    chain = add_point_chain(theta, "e1", [0.4, -0.4])
+    assert _signed_rows(chain) == {
+        "u": [("e2", -1), ("e3", 1), ("e1.0", -1)],
+        "v": [("e2", 1), ("e3", -1), ("e1.2", 1)],
+        "x_p0": [("e1.0", 1), ("p0", 1), ("e1.1", -1)],
+        "x_p1": [("e1.1", 1), ("p1", 1), ("e1.2", -1)],
+    }
+    for graph in (theta, chain):
+        for v, ends in graph.incidence.items():
+            assert all(v == (e.head if sign == 1 else e.tail) for e, sign in ends)
+
+
 def test_graph_genus():
     ctx = RootParams(5)
     assert circle_graph(ctx, 0.3).genus == 1
@@ -121,9 +150,9 @@ def test_verlinde_domain():
         verlinde(ctx, 1, 2.0)
 
 
-def _verlinde_mp(mp, r, genus, beta, points=()):
-    """The closed form at 50 digits: the reference for large genus."""
-    mp.mp.dps = 50
+def _verlinde_mp(mp, r, genus, beta, points=(), dps=50):
+    """The closed form at ``dps`` digits: the reference for large genus."""
+    mp.mp.dps = dps
     beta = mp.mpmathify(beta)
 
     def q(x):
@@ -168,6 +197,16 @@ def _assert_verlinde_matches_mp(r, genus, beta, points=()):
         verlinde(ctx, genus, beta, points)
     reported = float(str(exc.value).split("e^")[1].split(",")[0])
     assert abs(reported - log_ref) < 0.1
+
+
+def test_verlinde_real_class_near_an_integer():
+    # {x} of a real x is 2i sin of the rounded pi*x/r, so each ratio
+    # {3 beta}/{beta + k} keeps its digits as beta -> 0; a bound that charged
+    # the cancellation of complex classes refused this value
+    mp = pytest.importorskip("mpmath")
+    ref = complex(_verlinde_mp(mp, 3, 5, 1.7e-6, dps=60))
+    v = verlinde(RootParams(3), 5, 1.7e-6)
+    assert abs(v - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("r", [3, 5, 6, 7])

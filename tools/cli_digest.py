@@ -9,8 +9,12 @@ command lines: one per class of rejected argv, and well-formed variants
 lines hash only the last stderr line, the error line, since the usage lines
 above it may be wrapped to the terminal's width; a help text counts by its
 exit code alone.  A ``verlinde`` sweep follows: r in {3, 5, 6, 7}, genus
-0-4, classes 0.3 ± i·t for t in {0, 1, 2, 3, 4, 5, 8, 30, 230, 500}, with no
-points and with two.  With ``--seed N`` the lines
+0-8, classes 0.3 ± i·t for t in {0, 1, 2, 3, 4, 5, 8, 30, 230, 500}, with no
+points and with each of two pairs.  It reaches every path of the closed
+form: the direct sum, its fallback to logarithms when a power of a ratio
+overflows (the pair 41/3, −7/5 at high genus, where some values print and
+others are refused), and the far path where {rβ} leaves double range.
+With ``--seed N`` the lines
 also cover the benchmark documents of that seed
 (``perfbench/workloads.generate``, every workload, documents the benchmark
 does not run left out), at their own r, in both formats.
@@ -98,9 +102,9 @@ ARGVS = {  # label -> argv of the command-line section
 
 
 SWEEP_ROOTS = (3, 5, 6, 7)
-SWEEP_GENERA = range(5)
+SWEEP_GENERA = range(9)
 SWEEP_IMAGINARY = (0, 1, 2, 3, 4, 5, 8, 30, 230, 500)
-SWEEP_POINTS = ([], ["2/5", "-1/5"])
+SWEEP_POINTS = ([], ["2/5", "-1/5"], ["41/3", "-7/5"])
 
 
 def verlinde_sweep(workdir: Path):
@@ -109,13 +113,13 @@ def verlinde_sweep(workdir: Path):
     for r in SWEEP_ROOTS:
         for genus in SWEEP_GENERA:
             for im in sorted({t * s for t in SWEEP_IMAGINARY for s in (1, -1)}):
-                for points in SWEEP_POINTS:
+                for j, points in enumerate(SWEEP_POINTS):
                     doc = {"genus": genus, "beta": {"re": "0.3", "im": str(im)},
                            "points": points}
-                    name = f"verlinde-r{r}-g{genus}-i{im}-p{len(points)}.json"
+                    name = f"verlinde-r{r}-g{genus}-i{im}-p{j}.json"
                     (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
                     yield (f"sweep verlinde r={r} genus={genus} beta=0.3{im:+d}i "
-                           f"points={len(points)}",
+                           f"points=[{', '.join(points)}]",
                            ["verlinde", "--r", str(r), "--input", name, "--format", "json"])
 
 
