@@ -20,20 +20,37 @@ Evaluation contracts the diagram as a tensor network: each crossing and
 coupon is one tensor, and cups and caps only join legs (their pivot weights
 ride on the joined leg).  A greedy planner (:mod:`.planner`) orders the
 contraction from the strand dimensions alone, and a memory preflight
-refuses a plan whose peak exceeds physical memory before any block is
-built.  A leading term axis carries a batch of colorings of the same
-diagram through one contraction.  *Cutting* a closed diagram at a cup or
-cap of one component (:meth:`CompiledDiagram.cut`, :func:`evaluate_cut`)
-leaves that slice's two strands as open legs, which turns it into the
-matrix of a 1-1 tangle on the cut component (used by the renormalized
-link invariant).
+refuses a contraction whose peak exceeds physical memory before any block
+is built.  A leading term axis carries a batch of colorings of the same
+diagram through one contraction, by one of two routes
+(:meth:`_Network.route`):
+
+* dense: every tensor a dense, zero-filled block, each merge one batched
+  matmul (:class:`_Plan`);
+* weight sectors: every crossing preserves the H-weight, so each merge
+  is block-diagonal over the weight (an integer charge) of the legs it
+  sums; crossings are placed from their nonzero entries into padded
+  sector blocks, and each merge is one gather per operand and one
+  batched matmul (:class:`_Sectors`).  Entries outside every sector,
+  such as those off the diagonal of a cut, come out exactly 0.
+
+A batch takes the sector route when it has more than one term, every
+tensor of the network is a crossing without a self-traced leg, and the
+plan's padded sector blocks hold fewer elements than its dense ones; any
+other evaluation, every one-term evaluation among them, is dense.  The
+memory preflight counts the route taken.
+
+*Cutting* a closed diagram at a cup or cap of one component
+(:meth:`CompiledDiagram.cut`, :func:`evaluate_cut`) leaves that slice's
+two strands as open legs, which turns it into the matrix of a 1-1 tangle
+on the cut component (used by the renormalized link invariant).
 
 Everything the colors cannot change (the words, the bookkeeping, the cut
-checks, the network, its plans and each crossing's scatter positions) is
-compiled once per diagram structure and kept in one process-wide cache
-(:func:`compile_diagram`); each call still computes every value, runs the
-memory preflight, and contracts with the same operations in the same
-order.
+checks, the network, its plans and sector layouts, and each crossing's
+scatter positions) is compiled once per diagram structure and kept in one
+process-wide cache (:func:`compile_diagram`); each call still computes
+every value, runs the memory preflight, and contracts with the same
+operations in the same order.
 
 Geometric bookkeeping (writhes and linking numbers) is extracted from the
 same slice walk: a crossing between strands with orientations o₁, o₂ and
@@ -470,13 +487,16 @@ class _Network:
     Each crossing and coupon is one tensor, one leg per strand end (outputs
     first); cups and caps only join legs.  A tensor is ("braid", its key
     in ``braids``), ("coupon", its slice index) or, for a leg with both
-    ends open, ("wire", None).  A leg carries pivot**(#ev′ − #coev′) over
-    the cups and caps it passes, folded into the last tensor holding it.  A
-    leg no tensor holds is a loop (its weighted trace).  ``open`` is the
-    target word then the source word, or the cut slice's strands as row
-    and column of the endomorphism that closing with that cup or cap
-    inverts.  A network depends on the diagram's structure and cut only,
-    and keeps its plans (:class:`_Plan`) per strand dimensions.
+    ends open, ("wire", None).  A crossing's ``signs`` give each of its
+    legs the orientation of its strand, negated on the two inputs: the
+    H-weights of its entries, so signed, sum to zero (None for other
+    tensors).  A leg carries pivot**(#ev′ − #coev′) over the cups and caps
+    it passes, folded into the last tensor holding it.  A leg no tensor
+    holds is a loop (its weighted trace).  ``open`` is the target word
+    then the source word, or the cut slice's strands as row and column of
+    the endomorphism that closing with that cup or cap inverts.  A network
+    depends on the diagram's structure and cut only, and keeps its plans
+    (:class:`_Plan`) per strand dimensions.
     """
 
     def __init__(self, diagram: SlicedDiagram, words, cut_slice=None):
@@ -495,11 +515,12 @@ class _Network:
                 a, b = words[index][i : i + 2]
                 new = [fresh(b.component), fresh(a.component)]
                 key = braids.setdefault((a, b, sl.sign), len(braids))
-                raw.append((("braid", key), new + word[i : i + 2]))
+                o_a, o_b = a.orientation, b.orientation
+                raw.append((("braid", key), new + word[i : i + 2], [o_b, o_a, -o_a, -o_b]))
                 word[i : i + 2] = new
             elif isinstance(sl, Coupon):
                 new = [fresh(s.component) for s in sl.outputs]
-                raw.append((("coupon", index), new + word[i : i + len(sl.inputs)]))
+                raw.append((("coupon", index), new + word[i : i + len(sl.inputs)], None))
                 word[i : i + len(sl.inputs)] = new
             elif isinstance(sl, Cup) and index == cut_slice:
                 pair = [fresh(sl.component), fresh(sl.component, -(sl.variant == "coev"))]
@@ -519,10 +540,11 @@ class _Network:
         root = [uf.find(x) for x in range(len(owner))]
         ids: dict[int, int] = {}  # union-find root -> leg id
         self.braids = list(braids)
-        self.tensors = [tensor for tensor, _ in raw]
+        self.tensors = [tensor for tensor, _, _ in raw]
+        self.signs = [signs for _, _, signs in raw]
         self.outputs = [len(diagram.slices[arg].outputs) if kind == "coupon" else 0
                         for kind, arg in self.tensors]
-        self.legs = [[ids.setdefault(root[x], len(ids)) for x in held] for _, held in raw]
+        self.legs = [[ids.setdefault(root[x], len(ids)) for x in held] for _, held, _ in raw]
         self.open = [ids.setdefault(root[x], len(ids)) for x in ends or word + source]
         self.component = [owner[x] for x in ids]
         self.power, loops = [0] * len(ids), {}
@@ -536,6 +558,7 @@ class _Network:
             if leg in self.open[:pos]:  # both ends open: a wire
                 self.open[pos] = len(self.component)
                 self.tensors.append(("wire", None))
+                self.signs.append(None)
                 self.outputs.append(0)
                 self.legs.append([leg, len(self.component)])
                 self.component.append(self.component[leg])
@@ -557,38 +580,50 @@ class _Network:
             self._plans[key] = _Plan(self, key)
         return self._plans[key]
 
+    def route(self, stacks: dict[str, ModuleStack], terms: int) -> Union["_Plan", "_Sectors"]:
+        """What a batch of ``terms`` colored by ``stacks`` contracts by.
+
+        That is the plan at the stacks' dimensions, or its sector layout
+        (:class:`_Sectors`) at the stacks' charges when the batch has more
+        than one term, the plan holds crossings only, and the layout's
+        padded blocks hold fewer elements than the dense ones.  The layout
+        is made once per plan and charges; a component's charges are its
+        first term's weights as steps of −2 from the first weight.
+        """
+        plan = self.plan({name: st.dim for name, st in stacks.items()})
+        if terms == 1 or plan.sectors is None:
+            return plan
+        charges = tuple(
+            np.rint(((st.weights[0, 0] - st.weights[0]) / 2).real).astype(np.intp)
+            for st in map(stacks.__getitem__, self.names))
+        key = b"|".join(n.tobytes() for n in charges)
+        if key not in plan.sectors:
+            layout = _Sectors(self, plan, charges)
+            plan.sectors[key] = layout if layout.elements < plan.elements else None
+        return plan.sectors[key] or plan
+
     def contract(self, stacks: dict[str, ModuleStack], diagram: SlicedDiagram) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
 
         Stacks of more than one term must all have the same number of
-        terms; a one-term stack serves every term.  The plan's bytes
-        (peak × terms, plus the braiding blocks) must fit in physical
-        memory before any block is built.  Then every tensor is built as
-        its plan says (:class:`_Crossing`, :class:`_Block`), ``diagram``
-        giving the coupon matrices, and each merge is one batched matmul.
+        terms; a one-term stack serves every term.  The bytes of the
+        batch's route (:meth:`route`: peak × terms, plus the crossing
+        blocks) must fit in physical memory before any block is built.
+        Then the route contracts the braiding entries, ``diagram`` giving
+        the coupon matrices, and the loops' traces multiply the result.
         """
         terms = {st.terms for st in stacks.values()} - {1}
         if len(terms) > 1:
             raise DomainError("component colors give different numbers of terms")
         terms = max(terms, default=1)
-        plan = self.plan({name: st.dim for name, st in stacks.items()})
-        need = 16 * terms * (plan.peak + plan.braid_elements)
-        require_memory(need, "the contraction")
+        route = self.route(stacks, terms)
+        require_memory(16 * terms * (route.peak + route.braid_elements), "the contraction")
         entries = [
             braiding_entries(*(stacks[s.component] if s.up else stacks[s.component].dual
                                for s in (a, b)), sign)
             for a, b, sign in self.braids
         ]
-        arrays = [tensor.build(stacks, entries, diagram) for tensor in plan.tensors]
-        for i, j, x_axes, y_axes, k, shape in plan.merges:
-            x = arrays[i] if x_axes is None else arrays[i].transpose(x_axes)
-            y = arrays[j] if y_axes is None else arrays[j].transpose(y_axes)
-            z = np.matmul(x.reshape(x.shape[0], -1, k), y.reshape(y.shape[0], k, -1))
-            arrays[i] = z.reshape(z.shape[:1] + shape)
-        if plan.last is None:
-            out = np.ones(1, dtype=complex)
-        else:
-            out = arrays[plan.last] if plan.final is None else arrays[plan.last].transpose(plan.final)
+        out = route.run(stacks, entries, diagram)
         for name, k in self.loops:
             trace = (stacks[name].pivot ** k).sum(axis=1)
             out = out * trace.reshape((-1,) + (1,) * (out.ndim - 1))
@@ -610,7 +645,10 @@ class _Plan:
     ``last`` is the tensor left at the end and ``final`` its axes (None
     if already in ``open`` order), ``peak`` the most elements per term
     and ``braid_elements`` those of the dense braiding blocks, for the
-    memory preflight.
+    memory preflight, and ``elements`` those of every merge's operands
+    and result.  ``sectors`` keeps the plan's sector layouts per charges
+    (:meth:`_Network.route`), or is None unless every tensor is a
+    crossing without a self-traced leg and there are at least two.
     """
 
     def __init__(self, net: _Network, dims: tuple):
@@ -623,6 +661,7 @@ class _Plan:
         self.braid_elements = sum(
             (dims[a.component] * dims[b.component]) ** 2 for a, b, _ in net.braids)
         live, layouts, merged, self.merges = list(net.free), list(net.free), set(), []
+        self.elements = 0
 
         def arrange(t, legs):
             if t not in merged:
@@ -636,9 +675,11 @@ class _Plan:
             shared = [leg for leg in a if leg in b]
             left = [leg for leg in a if leg not in b]
             right = [leg for leg in b if leg not in a]
+            n_left, k, n_right = (math.prod([leg_dims[leg] for leg in legs])
+                                  for legs in (left, shared, right))
+            self.elements += n_left * k + k * n_right + n_left * n_right
             self.merges.append((
-                i, j, arrange(i, left + shared), arrange(j, shared + right),
-                math.prod([leg_dims[leg] for leg in shared]),
+                i, j, arrange(i, left + shared), arrange(j, shared + right), k,
                 tuple(leg_dims[leg] for leg in left + right),
             ))
             merged |= {i, j}
@@ -661,6 +702,22 @@ class _Plan:
                 self.tensors.append(_Block(
                     kind, arg, outputs, [leg_dims[leg] for leg in held], weighted,
                     subscripts, [0] + [1 + free.index(leg) for leg in layout]))
+        crossings = all(isinstance(tensor, _Crossing) for tensor in self.tensors)
+        self.sectors = {} if crossings and len(self.tensors) > 1 else None
+
+    def run(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        """The contraction, a leading term axis then ``open``: every tensor
+        built in its layout (:class:`_Crossing`, :class:`_Block`), then each
+        merge one batched matmul of dense blocks."""
+        arrays = [tensor.build(stacks, entries, diagram) for tensor in self.tensors]
+        for i, j, x_axes, y_axes, k, shape in self.merges:
+            x = arrays[i] if x_axes is None else arrays[i].transpose(x_axes)
+            y = arrays[j] if y_axes is None else arrays[j].transpose(y_axes)
+            z = np.matmul(x.reshape(x.shape[0], -1, k), y.reshape(y.shape[0], k, -1))
+            arrays[i] = z.reshape(z.shape[:1] + shape)
+        if self.last is None:
+            return np.ones(1, dtype=complex)
+        return arrays[self.last] if self.final is None else arrays[self.last].transpose(self.final)
 
 
 class _Scatter:
@@ -694,7 +751,8 @@ class _Crossing:
     def __init__(self, key: int, weights: list, scatter: _Scatter):
         self.key, self.weights, self.scatter = key, weights, scatter
 
-    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+    def values(self, stacks: dict, entries: list) -> tuple[np.ndarray, tuple]:
+        """The weighted entries (terms, entries) and their (k, i, j, l)."""
         values, index = entries[self.key]
         if self.weights:  # multiplied as _Block's einsum multiplies
             operands = [values, [0, 1]]
@@ -702,7 +760,10 @@ class _Crossing:
                 pivot = stacks[name].pivot ** power
                 operands += [pivot[:, index[axis]], [0, 1]]
             values = np.einsum(*operands, [0, 1])
-        return self.scatter(values, index)
+        return values, index
+
+    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        return self.scatter(*self.values(stacks, entries))
 
 
 class _Block:
@@ -736,6 +797,160 @@ class _Block:
                 operands += [stacks[name].pivot ** power, [0, 1 + axis]]
             block = np.einsum(*operands, free)
         return block.transpose(self.layout)
+
+
+def _charge(legs: list, signs: dict, charges: list) -> np.ndarray:
+    """Σ sign·charge over ``legs`` of each of their multi-indices, flat in
+    row-major order."""
+    total = np.zeros(1, dtype=np.intp)
+    for leg in legs:
+        total = (total[:, None] + signs[leg] * charges[leg]).ravel()
+    return total
+
+
+def _grouped(charge: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """Per sector, the positions in ``charge`` holding its value, ascending
+    and padded with −1 to the most of any sector: (sectors, most)."""
+    order = np.argsort(charge, kind="stable")
+    start = np.searchsorted(charge[order], sectors)
+    count = np.searchsorted(charge[order], sectors, side="right") - start
+    k = np.arange(count.max(initial=0))
+    at = np.minimum(start[:, None] + k, len(order) - 1)
+    return np.where(k < count[:, None], order[at], -1)
+
+
+def _relabel(legs: list, order: list, dims: list) -> np.ndarray:
+    """The row-major flat index over ``legs`` of each multi-index over
+    ``order``, the same legs reordered, itself flat in row-major order."""
+    shape = [dims[leg] for leg in legs]
+    return np.arange(math.prod(shape)).reshape(shape).transpose(
+        [legs.index(leg) for leg in order]).ravel()
+
+
+class _Sectors:
+    """A crossing-only plan's merges on padded weight-sector blocks.
+
+    Each basis vector of a leg has an integer charge (its component's
+    charges), and the entries of a crossing conserve the sum of their legs'
+    charges times the crossing's ``signs``; so does every merge result.  A
+    merge of legs left + shared with shared + right groups both operands
+    by sector c: the left multi-indices of charge −c, the shared ones of
+    charge c (signed as in the first operand) and the right ones of charge
+    c (signed as in the second), each padded to the most of any sector.
+    Each operand is then a block (terms, C, rows, columns), and the merge
+    one batched matmul; sectors missing from either operand are dropped.
+
+    A crossing is placed from its entries straight into the block of its
+    one merge (:class:`_Place`).  A result is kept flat with one zero
+    after it, and ``steps`` give, per operand, the gather from it (None
+    when its flat order already is the block's); a padding place gathers
+    that zero.  ``final`` gathers the last result into the dense ``open``
+    layout, so an entry outside every sector, such as one off the
+    diagonal of a cut, is exactly 0.  ``peak``, ``braid_elements`` and
+    ``elements`` count as :class:`_Plan`'s do, padding included.
+    """
+
+    def __init__(self, net: _Network, plan: _Plan, charges: tuple):
+        leg_charges = [charges[net.names.index(c)] for c in net.component]
+        dims = [len(n) for n in leg_charges]
+        live = [list(held) for held in net.legs]
+        signs = [dict(zip(held, s)) for held, s in zip(net.legs, net.signs)]
+        kept: list = [None] * len(live)  # a result's flat place per multi-index, and its size
+        self.steps, self.peak, self.braid_elements, self.elements = [], 0, 0, 0
+
+        def operand(t, row_legs, col_legs, rows, cols):
+            n_cols = math.prod([dims[leg] for leg in col_legs])
+            valid = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
+            dense = (rows[:, :, None] * n_cols + cols[:, None, :]).ravel()
+            source = _relabel(live[t], row_legs + col_legs, dims)[np.where(valid, dense, 0)]
+            self.peak = max(self.peak, len(valid))
+            self.elements += len(valid)
+            if kept[t] is None:  # a crossing; its entries in dropped sectors go past the block
+                shape = [dims[leg] for leg in live[t]]
+                at = np.where(_charge(live[t], signs[t], leg_charges) == 0, len(valid), -1)
+                at[source[valid]] = np.flatnonzero(valid)
+                self.braid_elements += len(valid)
+                return _Place(plan.tensors[t], shape, at, len(valid))
+            places, size = kept[t]
+            gather = np.where(valid, places[source], size)
+            return None if np.array_equal(gather, np.arange(size)) else gather
+
+        for i, j, *_ in plan.merges:
+            a, b = live[i], live[j]
+            shared = [leg for leg in a if leg in b]
+            left = [leg for leg in a if leg not in b]
+            right = [leg for leg in b if leg not in a]
+            row_q = -_charge(left, signs[i], leg_charges)
+            mid_q = _charge(shared, signs[i], leg_charges)
+            col_q = _charge(right, signs[j], leg_charges)
+            sectors = np.array(sorted(set(row_q.tolist()) & set(mid_q.tolist())
+                                      & set(col_q.tolist())), dtype=np.intp)
+            rows, mids, cols = (_grouped(q, sectors) for q in (row_q, mid_q, col_q))
+            x = operand(i, left, shared, rows, mids)
+            y = operand(j, shared, right, mids, cols)
+            valid = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
+            places = np.full(len(row_q) * len(col_q), len(valid))
+            dense = (rows[:, :, None] * len(col_q) + cols[:, None, :]).ravel()
+            places[dense[valid]] = np.flatnonzero(valid)
+            kept[i], kept[j] = (places, len(valid)), None
+            live[i], signs[i] = left + right, signs[i] | signs[j]
+            self.peak = max(self.peak, len(valid))
+            self.elements += len(valid)
+            self.steps.append((i, j, x, y, (len(sectors), rows.shape[1], mids.shape[1],
+                                            cols.shape[1])))
+        places, _ = kept[plan.last]
+        self.last = plan.last
+        self.final = places[_relabel(live[plan.last], net.open, dims)]
+        self.shape = tuple(dims[leg] for leg in net.open)
+
+    def run(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        """The contraction, a leading term axis then ``open``."""
+        kept: dict[int, np.ndarray] = {}
+
+        def block(spec, t):
+            if isinstance(spec, _Place):
+                return spec(stacks, entries)
+            flat = kept.pop(t)
+            return flat[:, :-1] if spec is None else flat.take(spec, axis=1)
+
+        for i, j, x, y, (c, n_rows, k, n_cols) in self.steps:
+            x = block(x, i).reshape(-1, c, n_rows, k)
+            y = block(y, j).reshape(-1, c, k, n_cols)
+            lead = max(len(x), len(y))
+            flat = np.empty((lead, c * n_rows * n_cols + 1), dtype=complex)
+            flat[:, -1] = 0
+            np.matmul(x, y, out=flat[:, :-1].reshape(lead, c, n_rows, n_cols))
+            kept[i] = flat
+        return kept[self.last].take(self.final, axis=1).reshape((-1,) + self.shape)
+
+
+class _Place:
+    """A crossing's weighted entries (:meth:`_Crossing.values`) placed in
+    its padded sector block of ``size`` elements: ``at`` holds the place of
+    each row-major (k, i, j, l) of the crossing's ``shape``, ``size`` in a
+    sector its merge drops (the other operand has none of it), and −1 where
+    the charges are not conserved.  The places are kept for the last
+    (k, i, j, l) arrays seen, as :class:`_Scatter` keeps its positions."""
+
+    def __init__(self, crossing: _Crossing, shape: list, at: np.ndarray, size: int):
+        self.crossing, self.shape, self.at, self.size = crossing, shape, at, size
+        self._last = (None, None)  # (the (k, i, j, l) arrays, their places)
+
+    def __call__(self, stacks: dict, entries: list) -> np.ndarray:
+        values, index = self.crossing.values(stacks, entries)
+        seen, places = self._last
+        if seen is not index:
+            flat = 0
+            for axis, n in enumerate(self.shape):
+                flat = flat * n + index[axis]
+            places = self.at[flat]
+            if (places < 0).any():
+                raise DomainError("a braiding entry conserves no weight: "
+                                  "a color is not a weight module")
+            self._last = (index, places)
+        block = np.zeros((len(values), self.size + 1), dtype=complex)
+        block[:, places] = values
+        return block[:, :-1]
 
 
 def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:

@@ -429,16 +429,22 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     numbers, cut network and plan.  Each surgery component's r Kirby
     colors are built once, as one module stack, and the term weights
     Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  Every
-    pass contracts by the cut network's one plan, and the r**m terms run
-    in contiguous row-major passes of max(r, ``_PASS_ELEMENTS`` // peak)
-    terms, peak being the most elements one term holds in that plan.  The
-    budget 9·9⁴ (0.9 MiB) is the largest pass array of r terms per pass on
-    the benchmark's surgery documents (r = 9), so no pass grows beyond it,
-    while smaller r get fewer passes: one at r ≤ 6, three at r = 7.  A
-    pass colors each component with its stack gathered at the pass's Kirby
-    indices, or with a one-term stack (whose blocks broadcast) when the
-    index is the same for every term of the pass.  Every term passes its own Schur check,
-    and the term values are summed one by one in row-major order.
+    pass of several terms contracts by the cut network's one route
+    (:meth:`.diagram._Network.route`): its weight-sector layout when the
+    network holds crossings only and the padded sector blocks are smaller
+    than the dense ones, else its dense plan; a pass of one term is dense.
+    The r**m terms run in contiguous row-major passes of max(r,
+    ``_PASS_ELEMENTS`` // peak) terms, peak being the most elements one
+    term holds on that route, so the budget bounds the route's own peak.
+    The budget 9·9⁴ (0.9 MiB) is the largest dense pass array of r terms
+    per pass on the benchmark's surgery documents (r = 9); their padded
+    sector blocks peak far lower (549 elements per term for the r = 9
+    chain), so each of them runs in one pass.  A pass colors each component
+    with its stack gathered at the pass's Kirby indices, or with a one-term
+    stack (whose blocks broadcast) when the index is the same for every
+    term of the pass.  Every term passes its own Schur check on its full
+    d×d matrix, and the term values are summed one by one in row-major
+    order.
     """
     ctx = sp.ctx
     writhes, _ = sp.compiled.writhe_and_linking
@@ -475,9 +481,8 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
         if name == cut_name:
             weights *= mdims[index[:, j]]
 
-    dims = {name: module.dim for name, module in graph_colors.items()}
-    peak = network.plan(dims | dict.fromkeys(l_names, ctx.r)).peak
-    per_pass = max(ctx.r, _PASS_ELEMENTS // peak)
+    route = network.route(graph_colors | dict(zip(l_names, stacks)), len(index))
+    per_pass = max(ctx.r, _PASS_ELEMENTS // route.peak)
     scalars = np.empty(len(index), dtype=complex)
     for start in range(0, len(index), per_pass):
         rows = index[start : start + per_pass]

@@ -30,8 +30,8 @@ uniformly; :func:`braiding_entries` gives either sign for a whole stack of
 colorings as its O(r³) nonzeros, from ladder powers built once per root
 stack and a pairing of their nonzeros cached per nonzero pattern, and
 :func:`braiding_stack` scatters them densely.  :func:`twist`
-contracts the same sum with the pivotal duality maps (:func:`duality_maps`)
-in r products of d×d matrices, with no braiding; :func:`twist_scalar`
+contracts the same sum, closed with the pivot, in r products of d×d
+matrices, with no braiding; :func:`twist_scalar`
 returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold it
 against the Schur scalar of :func:`twist`.  Every convention here
 is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
@@ -57,7 +57,6 @@ __all__ = [
     "braiding_stack",
     "twist",
     "twist_scalar",
-    "duality_maps",
     "hom_dimension",
     "relations_residual",
     "scalar_of",
@@ -294,7 +293,7 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# braiding, twist, duality
+# braiding and twist
 # ----------------------------------------------------------------------
 
 
@@ -419,25 +418,6 @@ def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
     out = np.zeros((len(values), db * da, da * db), dtype=complex)
     out[:, k * da + i, j * db + l] = values
     return out
-
-
-def duality_maps(a: ModuleStack) -> tuple[np.ndarray, ...]:
-    """The matrices of the four duality maps (coev, ev, coev', ev') of a
-    module A (a one-term stack):
-
-    coev : 1 → A⊗A*,  1 ↦ Σ vᵢ⊗fᵢ
-    ev   : A*⊗A → 1,  f⊗v ↦ f(v)
-    coev': 1 → A*⊗A,  1 ↦ Σ fᵢ ⊗ pivot⁻¹·vᵢ
-    ev'  : A⊗A* → 1,  v⊗f ↦ f(pivot·v)
-    """
-    d = a.dim
-    g = a.pivot[0]
-    eye = np.eye(d, dtype=complex)
-    coev = eye.reshape(d * d, 1)
-    ev = eye.reshape(1, d * d)
-    coev_p = np.diag(1.0 / g).reshape(d * d, 1)
-    ev_p = np.diag(g).reshape(1, d * d)
-    return coev, ev, coev_p, ev_p
 
 
 def twist(a: ModuleStack) -> np.ndarray:

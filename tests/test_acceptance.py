@@ -10,6 +10,7 @@ import itertools
 import time
 
 import numpy as np
+from duality import duality_maps
 
 from unrolledsl2 import diagram as dg
 from unrolledsl2 import invariant as iv
@@ -155,7 +156,7 @@ def test_criterion_4_algebra_and_category_relations_hold():
         track(np.abs(lhs - rhs).max())
         # straightening identities for both duality pairs
         mod = mods[0]
-        coev, ev, coev_p, ev_p = rc.duality_maps(mod)
+        coev, ev, coev_p, ev_p = duality_maps(mod)
         eye = np.eye(mod.dim)
         track(np.abs(np.kron(eye, ev) @ np.kron(coev, eye) - eye).max())
         track(np.abs(np.kron(ev_p, eye) @ np.kron(eye, coev_p) - eye).max())

@@ -1,8 +1,8 @@
 """The process-wide caches of color-independent evaluation data.
 
 :func:`unrolledsl2.diagram.compile_diagram` keeps each diagram structure's
-words, bookkeeping, cut checks, networks, plans and crossing scatter
-positions; :mod:`unrolledsl2.repcat` keeps the ladder pairings of the
+words, bookkeeping, cut checks, networks, plans, sector layouts and
+crossing scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder pairings of the
 braiding and the V_α shift ladder.  These
 tests hold the caches to what they promise: a warm cache changes no output,
 a repeated document adds no entry, the memory preflight still runs, and a

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from duality import duality_maps
 
 from unrolledsl2.diagram import (
     Braid,
@@ -26,7 +27,6 @@ from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     braiding_stack,
-    duality_maps,
     scalar_of,
     tensor,
     twist_scalar,

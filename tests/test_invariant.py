@@ -466,16 +466,23 @@ def _pass_sizes(monkeypatch):
     return sizes
 
 
+def _route_peak(sp) -> int:
+    """The elements per term of the route a pass of several Kirby terms of
+    ``sp`` contracts by (:meth:`.diagram._Network.route`)."""
+    _, network = sp.compiled.cut(_fixed_cut(sp)[1])
+    stacks = {name: valpha_stack(sp.ctx, [sp.meridian_values[name]] * 2) for name in sp.framings}
+    return network.route(stacks | sp.graph_stacks, 2).peak
+
+
 TWO_COMPONENT = ["lens_7_2", "clasp+1", "clasp-2"]
 
 
 @pytest.mark.parametrize("case", TWO_COMPONENT)
 def test_z_pass_splits_mid_row(monkeypatch, case):
-    # every term of these presentations peaks at 5**4 elements at r = 5, so
-    # this budget gives passes of 7 terms: both Kirby indices vary in a pass
+    # a budget of 7 terms at the route's peak: both Kirby indices vary in a pass
     ctx = RootParams(5)
     sp = BATCH_CASES[case](ctx)
-    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 7 * 5**4)
+    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 7 * _route_peak(sp))
     sizes = _pass_sizes(monkeypatch)
     got = z_invariant(sp).f_prime_total
     assert sizes == [7, 7, 7, 4]
@@ -495,17 +502,31 @@ def test_z_one_pass_holds_every_term(monkeypatch, case):
     assert abs(got - reference) <= 1e-10 * max(1.0, size)
 
 
+# the lens chain's padded sector blocks per term, far below its dense r⁴ crossings
+CHAIN_PEAKS = {5: 95, 7: 259, 9: 549, 11: 1001}
+
+
 @pytest.mark.parametrize("r,expected", [
-    (5, [25]),                # 9·9⁴ // 5⁴ = 94 terms fit: one pass
-    (7, [24, 24, 1]),         # 9·9⁴ // 7⁴ = 24
-    (9, [9] * 9),             # the budget is 9 terms of 9⁴: r per pass
-    (11, [11] * 11),          # 4 terms would fit; never fewer than r
+    (5, [25]),                # 9·9⁴ // 95 = 621 terms fit: one pass
+    (7, [49]),                # 9·9⁴ // 259 = 227
+    (9, [81]),                # 9·9⁴ // 549 = 107
+    (11, [58, 58, 5]),        # 9·9⁴ // 1001 = 58
 ])
 def test_z_pass_sizes_follow_the_element_budget(monkeypatch, r, expected):
     sp = standard_two_component(RootParams(r), 1, (4, 2), (2.0 / 7, -8.0 / 7))
+    assert _route_peak(sp) == CHAIN_PEAKS[r] < r**4
     sizes = _pass_sizes(monkeypatch)
     z_invariant(sp)
     assert sizes == expected
+
+
+def test_z_passes_hold_at_least_r_terms(monkeypatch):
+    # a budget of one term at the route's peak still runs r terms per pass
+    sp = standard_two_component(RootParams(7), 1, (4, 2), (2.0 / 7, -8.0 / 7))
+    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", _route_peak(sp))
+    sizes = _pass_sizes(monkeypatch)
+    z_invariant(sp)
+    assert sizes == [7] * 7
 
 
 def test_z_builds_ladder_powers_once_per_root_stack(monkeypatch):
@@ -514,6 +535,7 @@ def test_z_builds_ladder_powers_once_per_root_stack(monkeypatch):
     from unrolledsl2 import repcat
 
     sp = standard_two_component(RootParams(7), 1, (4, 2), (2.0 / 7, -8.0 / 7))
+    monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 24 * _route_peak(sp))
     sizes = _pass_sizes(monkeypatch)
     calls = []
     powers = repcat._powers

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from duality import duality_maps
 
 from unrolledsl2.errors import DomainError, NotScalarError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     ModuleStack,
     braiding_stack,
-    duality_maps,
     hom_dimension,
     relations_residual,
     scalar_of,
@@ -489,3 +489,45 @@ def test_scalars_of_clean_batch_matches_scalar_of():
         assert abs(scalars[k] - scalar_of(matrix, 1e-9)) <= 1e-15 * abs(scalars[k])
     with pytest.raises(NotScalarError):
         scalars_of(np.zeros((2, 3, 4)), 1e-9)
+
+
+SCALARS = {"below_1": 0.3 - 0.2j, "above_1": -40 + 30j}
+
+
+@pytest.mark.parametrize("s", SCALARS.values(), ids=SCALARS)
+@pytest.mark.parametrize("at", [(0, 1), (2, 2)], ids=["off_diagonal", "diagonal"])
+def test_schur_check_boundary(s, at):
+    # the threshold is tol·max(1, |s|): half of it passes, twice it fails
+    tol, d = 1e-9, 4
+    for factor, passes in ((0.5, True), (2.0, False)):
+        m = s * np.eye(d, dtype=complex)
+        limit = tol * max(1.0, abs(s))
+        # a diagonal shift δ moves s by δ/d and leaves a residual δ·(1 − 1/d)
+        shift = factor * limit / (1 - 1 / d if at[0] == at[1] else 1)
+        m[at] += shift
+        residual = np.abs(m - np.trace(m) / d * np.eye(d)).max()
+        assert residual == pytest.approx(factor * limit, rel=1e-6)
+        if passes:
+            assert abs(scalar_of(m, tol) - np.trace(m) / d) == 0
+        else:
+            with pytest.raises(NotScalarError, match=f"residual {residual:.3e}"):
+                scalar_of(m, tol)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_schur_error_names_the_failing_term(k):
+    # every other term sits at half its threshold; term k at twice its own
+    tol, d = 1e-9, 3
+    s = np.array([0.3 - 0.2j, -40 + 30j, 0.5j, 7.0, -0.9 + 0.1j])
+    batch = s[:, None, None] * np.eye(d)
+    limits = tol * np.maximum(1.0, np.abs(s))
+    batch[:, 0, 1] = 0.5 * limits
+    batch[k, 0, 1] = 2 * limits[k]
+    with pytest.raises(NotScalarError) as got:
+        scalars_of(batch, tol)
+    candidate = complex(np.trace(batch[k]) / d)  # s[k] up to the trace's rounding
+    assert abs(candidate - s[k]) <= 1e-15 * abs(s[k])
+    assert str(got.value) == (f"endomorphism deviates from scalar*Id: residual "
+                              f"{2 * limits[k]:.3e}, candidate scalar {candidate!r}")
+    batch[k, 0, 1] = 0.5 * limits[k]
+    assert np.array_equal(scalars_of(batch, tol), np.trace(batch, axis1=1, axis2=2) / d)

@@ -29,6 +29,16 @@ outputs means the CLI's bytes did not change::
     python tools/cli_digest.py --seed 1 --src ../parent/src > old.txt
     diff old.txt new.txt
 
+With ``--digits N`` each stdout is hashed after rounding every float it
+prints to N significant digits: in a JSON document, every string field
+that parses as a float (re-emitted with sorted keys); in any other output,
+such as a table, every token with a decimal point or an exponent.  A
+change expected to move only the last bits of some values (a summation
+order, say) then shows at, say, ``--digits 12`` only the runs where a
+moved value is rounding noise itself (an imaginary part of 1e-16 where
+the value is real) or straddles a rounding boundary, while the lines
+that differ without ``--digits`` count the runs whose values moved.
+
 Every run is in process, through ``unrolledsl2.cli.main``.
 """
 
@@ -40,6 +50,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -51,14 +62,44 @@ ROOT_ORDERS = (2, 3, 5, 6, 7, 9, 11)
 FORMATS = ("table", "json")
 
 
+FLOAT_TOKEN = re.compile(r"(?<!\S)[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?(?!\S)")
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest(main, argv: list, last_err_line: bool = False) -> str:
+def rounded(text: str, digits: int) -> str:
+    """``text`` with every float it prints at ``digits`` significant digits
+    (see the module docstring)."""
+
+    def at(x: float) -> str:
+        return f"{x:.{digits - 1}e}"
+
+    def walk(node):
+        if isinstance(node, dict):
+            return {key: walk(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [walk(value) for value in node]
+        if isinstance(node, str):
+            try:
+                return at(float(node))
+            except ValueError:
+                return node
+        return node
+
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return FLOAT_TOKEN.sub(lambda m: at(float(m.group())), text)
+    return json.dumps(walk(doc), indent=2, sort_keys=True) + "\n"
+
+
+def digest(main, argv: list, last_err_line: bool = False, digits: int | None = None) -> str:
     """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call, or
     ``err_last=<sha>`` of stderr's last line only; an uncaught exception
-    counts as exit 1 with its traceback on stderr."""
+    counts as exit 1 with its traceback on stderr.  With ``digits``,
+    stdout is hashed :func:`rounded` to that many significant digits."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -68,10 +109,11 @@ def digest(main, argv: list, last_err_line: bool = False) -> str:
         except Exception:  # noqa: BLE001 - a traceback is an output to compare
             code = 1
             err.write(traceback.format_exc().splitlines()[-1] + "\n")
+    stdout = out.getvalue() if digits is None else rounded(out.getvalue(), digits)
     if last_err_line:
         tail = (err.getvalue().splitlines() or [""])[-1]
-        return f"exit={code} out={_sha(out.getvalue())} err_last={_sha(tail)}"
-    return f"exit={code} out={_sha(out.getvalue())} err={_sha(err.getvalue())}"
+        return f"exit={code} out={_sha(stdout)} err_last={_sha(tail)}"
+    return f"exit={code} out={_sha(stdout)} err={_sha(err.getvalue())}"
 
 
 VERLINDE = "docs/fixtures/verlinde_g1.json"
@@ -123,10 +165,10 @@ def verlinde_sweep(workdir: Path):
                            ["verlinde", "--r", str(r), "--input", name, "--format", "json"])
 
 
-def argv_digest(main, argv: list) -> str:
+def argv_digest(main, argv: list, digits: int | None = None) -> str:
     """``exit=<code> out=<sha> err_last=<sha>`` of one command line, or
     ``exit=<code>`` alone for a help text."""
-    line = digest(main, argv, last_err_line=True)
+    line = digest(main, argv, last_err_line=True, digits=digits)
     return line.split()[0] if any(t in ("-h", "--help") for t in argv) else line
 
 
@@ -165,7 +207,12 @@ def main(argv=None) -> int:
                         help="directory holding the unrolledsl2 package to run")
     parser.add_argument("--seed", type=int, action="append", default=[],
                         help="also digest the benchmark documents of this seed (repeatable)")
+    parser.add_argument("--digits", type=int, default=None,
+                        help="hash stdout with its floats rounded to this many significant digits")
     args = parser.parse_args(argv)
+    if args.digits is not None and args.digits < 1:
+        parser.error("--digits must be at least 1")
+    digits = args.digits
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import unrolledsl2.cli as cli
@@ -176,20 +223,20 @@ def main(argv=None) -> int:
     lines = []
     os.chdir(ROOT)  # fixture paths and the workload generator are relative to it
     for label, run in fixture_runs():
-        lines.append(f"{label} {digest(cli.main, run)}")
+        lines.append(f"{label} {digest(cli.main, run, digits=digits)}")
     for label, run in ARGVS.items():
-        lines.append(f"argv {label}: {argv_digest(cli.main, run)}")
+        lines.append(f"argv {label}: {argv_digest(cli.main, run, digits)}")
     with tempfile.TemporaryDirectory() as tmp:
         runs = list(verlinde_sweep(Path(tmp)))
         os.chdir(tmp)  # relative input names, so no path reaches the output
         for label, run in runs:
-            lines.append(f"{label} {digest(cli.main, run)}")
+            lines.append(f"{label} {digest(cli.main, run, digits=digits)}")
         os.chdir(ROOT)
         for seed in args.seed:
             runs = list(benchmark_runs(seed, Path(tmp)))
             os.chdir(tmp)  # relative input names, so no path reaches the output
             for label, run in runs:
-                lines.append(f"{label} {digest(cli.main, run)}")
+                lines.append(f"{label} {digest(cli.main, run, digits=digits)}")
             os.chdir(ROOT)
     print("\n".join(lines))
     return 0
