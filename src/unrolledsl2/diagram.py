@@ -36,7 +36,7 @@ diagram through one contraction, by one of two routes
 
 A batch takes the sector route when it has more than one term, every
 tensor of the network is a crossing without a self-traced leg, and the
-plan's padded sector blocks hold fewer elements than its dense ones; any
+dense plan's peak is at least ``_SECTOR_MIN_PEAK`` elements per term; any
 other evaluation, every one-term evaluation among them, is dense.  The
 memory preflight counts the route taken.
 
@@ -481,6 +481,15 @@ def compile_diagram(diagram: SlicedDiagram) -> CompiledDiagram:
     return _compiled(diagram)
 
 
+# The least dense peak per term (elements) at which a batch of crossings
+# contracts on sector blocks.  Below it the gathers cost more than the zeros
+# they skip: on 2 vCPUs with one BLAS thread, cut clasps of linking number
+# 1-3 with 2 to 25 terms took up to 13 µs longer on sectors at r = 2 and 3
+# (peak 2⁴ and 3⁴; 29 of 30 cases), and at r = 5 and 6 (peak 5⁴ and 6⁴) at
+# most 0.1 µs longer, with 25 terms 27-850 µs less.
+_SECTOR_MIN_PEAK = 4**4
+
+
 class _Network:
     """A diagram as a tensor network over integer leg ids.
 
@@ -585,22 +594,22 @@ class _Network:
 
         That is the plan at the stacks' dimensions, or its sector layout
         (:class:`_Sectors`) at the stacks' charges when the batch has more
-        than one term, the plan holds crossings only, and the layout's
-        padded blocks hold fewer elements than the dense ones.  The layout
-        is made once per plan and charges; a component's charges are its
-        first term's weights as steps of −2 from the first weight.
+        than one term, the plan holds crossings only, and its dense peak is
+        at least ``_SECTOR_MIN_PEAK`` elements per term.  The layout is made
+        once per plan and charges; a component's charges are its first
+        term's weights as steps of −2 from the first weight.
         """
         plan = self.plan({name: st.dim for name, st in stacks.items()})
-        if terms == 1 or plan.sectors is None:
+        if terms == 1 or plan.sectors is None or plan.peak < _SECTOR_MIN_PEAK:
             return plan
-        charges = tuple(
-            np.rint(((st.weights[0, 0] - st.weights[0]) / 2).real).astype(np.intp)
-            for st in map(stacks.__getitem__, self.names))
-        key = b"|".join(n.tobytes() for n in charges)
+        charges = []
+        for name in self.names:
+            weights = stacks[name].weights[0].real.tolist()
+            charges.append(tuple(round((weights[0] - w) / 2) for w in weights))
+        key = tuple(charges)
         if key not in plan.sectors:
-            layout = _Sectors(self, plan, charges)
-            plan.sectors[key] = layout if layout.elements < plan.elements else None
-        return plan.sectors[key] or plan
+            plan.sectors[key] = _Sectors(self, plan, key)
+        return plan.sectors[key]
 
     def contract(self, stacks: dict[str, ModuleStack], diagram: SlicedDiagram) -> np.ndarray:
         """The value per term: a leading term axis, then ``open``.
@@ -645,8 +654,7 @@ class _Plan:
     ``last`` is the tensor left at the end and ``final`` its axes (None
     if already in ``open`` order), ``peak`` the most elements per term
     and ``braid_elements`` those of the dense braiding blocks, for the
-    memory preflight, and ``elements`` those of every merge's operands
-    and result.  ``sectors`` keeps the plan's sector layouts per charges
+    memory preflight.  ``sectors`` keeps the plan's sector layouts per charges
     (:meth:`_Network.route`), or is None unless every tensor is a
     crossing without a self-traced leg and there are at least two.
     """
@@ -661,7 +669,6 @@ class _Plan:
         self.braid_elements = sum(
             (dims[a.component] * dims[b.component]) ** 2 for a, b, _ in net.braids)
         live, layouts, merged, self.merges = list(net.free), list(net.free), set(), []
-        self.elements = 0
 
         def arrange(t, legs):
             if t not in merged:
@@ -675,11 +682,9 @@ class _Plan:
             shared = [leg for leg in a if leg in b]
             left = [leg for leg in a if leg not in b]
             right = [leg for leg in b if leg not in a]
-            n_left, k, n_right = (math.prod([leg_dims[leg] for leg in legs])
-                                  for legs in (left, shared, right))
-            self.elements += n_left * k + k * n_right + n_left * n_right
             self.merges.append((
-                i, j, arrange(i, left + shared), arrange(j, shared + right), k,
+                i, j, arrange(i, left + shared), arrange(j, shared + right),
+                math.prod([leg_dims[leg] for leg in shared]),
                 tuple(leg_dims[leg] for leg in left + right),
             ))
             merged |= {i, j}
@@ -721,15 +726,20 @@ class _Plan:
 
 
 class _Scatter:
-    """Zeros of shape (terms, *shape) but for a braiding's entries (terms,
-    entries) at their (k, i, j, l) read in ``axes`` order.  The flat
-    positions are kept for the last (k, i, j, l) arrays seen, which
-    :func:`.repcat.braiding_entries` hands out unchanged per nonzero
+    """Zeros of shape (terms, *out) but for a braiding's entries (terms,
+    entries).  An entry goes to the row-major flat position of its
+    (k, i, j, l) read in ``axes`` order over ``shape`` (``out`` is
+    ``shape``), or, given ``places``, to the place that position maps to
+    in a sector block of shape ``out`` (:class:`_Sectors`): −1 where the
+    entry breaks the charges, past the block where its merge drops the
+    sector.  The places are kept for the last (k, i, j, l) arrays seen,
+    which :func:`.repcat.braiding_entries` hands out unchanged per nonzero
     pattern."""
 
-    def __init__(self, axes, shape):
-        self.axes, self.shape = tuple(axes), tuple(shape)
-        self._last = (None, None)  # (the (k, i, j, l) arrays, their flat positions)
+    def __init__(self, axes, shape, places=None, out=None):
+        self.axes, self.shape, self.places = tuple(axes), tuple(shape), places
+        self.out = self.shape if out is None else tuple(out)
+        self._last = (None, None)  # (the (k, i, j, l) arrays, their places)
 
     def __call__(self, values: np.ndarray, index: tuple) -> np.ndarray:
         seen, flat = self._last
@@ -737,10 +747,16 @@ class _Scatter:
             flat = 0
             for axis, n in zip(self.axes, self.shape):
                 flat = flat * n + index[axis]
+            if self.places is not None:
+                flat = self.places[flat]
+                if (flat < 0).any():
+                    raise DomainError("a braiding entry conserves no weight: "
+                                      "a color is not a weight module")
             self._last = (index, flat)
-        block = np.zeros((len(values), math.prod(self.shape)), dtype=complex)
+        size = math.prod(self.out)
+        block = np.zeros((len(values), size + (self.places is not None)), dtype=complex)
         block[:, flat] = values
-        return block.reshape(len(values), *self.shape)
+        return block[:, :size].reshape(len(values), *self.out)
 
 
 class _Crossing:
@@ -751,8 +767,7 @@ class _Crossing:
     def __init__(self, key: int, weights: list, scatter: _Scatter):
         self.key, self.weights, self.scatter = key, weights, scatter
 
-    def values(self, stacks: dict, entries: list) -> tuple[np.ndarray, tuple]:
-        """The weighted entries (terms, entries) and their (k, i, j, l)."""
+    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
         values, index = entries[self.key]
         if self.weights:  # multiplied as _Block's einsum multiplies
             operands = [values, [0, 1]]
@@ -760,10 +775,7 @@ class _Crossing:
                 pivot = stacks[name].pivot ** power
                 operands += [pivot[:, index[axis]], [0, 1]]
             values = np.einsum(*operands, [0, 1])
-        return values, index
-
-    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
-        return self.scatter(*self.values(stacks, entries))
+        return self.scatter(values, index)
 
 
 class _Block:
@@ -841,22 +853,24 @@ class _Sectors:
     one batched matmul; sectors missing from either operand are dropped.
 
     A crossing is placed from its entries straight into the block of its
-    one merge (:class:`_Place`).  A result is kept flat with one zero
+    one merge (a :class:`_Crossing` whose :class:`_Scatter` maps each
+    entry to its place in that block).  A result is kept flat with one zero
     after it, and ``steps`` give, per operand, the gather from it (None
     when its flat order already is the block's); a padding place gathers
     that zero.  ``final`` gathers the last result into the dense ``open``
     layout, so an entry outside every sector, such as one off the
-    diagonal of a cut, is exactly 0.  ``peak``, ``braid_elements`` and
-    ``elements`` count as :class:`_Plan`'s do, padding included.
+    diagonal of a cut, is exactly 0.  ``peak`` and ``braid_elements``
+    count as :class:`_Plan`'s do, padding included.
     """
 
     def __init__(self, net: _Network, plan: _Plan, charges: tuple):
-        leg_charges = [charges[net.names.index(c)] for c in net.component]
+        leg_charges = [np.array(charges[net.names.index(c)], dtype=np.intp)
+                       for c in net.component]
         dims = [len(n) for n in leg_charges]
         live = [list(held) for held in net.legs]
         signs = [dict(zip(held, s)) for held, s in zip(net.legs, net.signs)]
         kept: list = [None] * len(live)  # a result's flat place per multi-index, and its size
-        self.steps, self.peak, self.braid_elements, self.elements = [], 0, 0, 0
+        self.steps, self.peak, self.braid_elements = [], 0, 0
 
         def operand(t, row_legs, col_legs, rows, cols):
             n_cols = math.prod([dims[leg] for leg in col_legs])
@@ -864,13 +878,14 @@ class _Sectors:
             dense = (rows[:, :, None] * n_cols + cols[:, None, :]).ravel()
             source = _relabel(live[t], row_legs + col_legs, dims)[np.where(valid, dense, 0)]
             self.peak = max(self.peak, len(valid))
-            self.elements += len(valid)
             if kept[t] is None:  # a crossing; its entries in dropped sectors go past the block
-                shape = [dims[leg] for leg in live[t]]
                 at = np.where(_charge(live[t], signs[t], leg_charges) == 0, len(valid), -1)
                 at[source[valid]] = np.flatnonzero(valid)
                 self.braid_elements += len(valid)
-                return _Place(plan.tensors[t], shape, at, len(valid))
+                crossing = plan.tensors[t]
+                shape = [dims[leg] for leg in live[t]]
+                return _Crossing(crossing.key, crossing.weights, _Scatter(
+                    range(len(shape)), shape, at, rows.shape + cols.shape[1:]))
             places, size = kept[t]
             gather = np.where(valid, places[source], size)
             return None if np.array_equal(gather, np.arange(size)) else gather
@@ -895,7 +910,6 @@ class _Sectors:
             kept[i], kept[j] = (places, len(valid)), None
             live[i], signs[i] = left + right, signs[i] | signs[j]
             self.peak = max(self.peak, len(valid))
-            self.elements += len(valid)
             self.steps.append((i, j, x, y, (len(sectors), rows.shape[1], mids.shape[1],
                                             cols.shape[1])))
         places, _ = kept[plan.last]
@@ -908,8 +922,8 @@ class _Sectors:
         kept: dict[int, np.ndarray] = {}
 
         def block(spec, t):
-            if isinstance(spec, _Place):
-                return spec(stacks, entries)
+            if isinstance(spec, _Crossing):
+                return spec.build(stacks, entries, diagram)
             flat = kept.pop(t)
             return flat[:, :-1] if spec is None else flat.take(spec, axis=1)
 
@@ -922,35 +936,6 @@ class _Sectors:
             np.matmul(x, y, out=flat[:, :-1].reshape(lead, c, n_rows, n_cols))
             kept[i] = flat
         return kept[self.last].take(self.final, axis=1).reshape((-1,) + self.shape)
-
-
-class _Place:
-    """A crossing's weighted entries (:meth:`_Crossing.values`) placed in
-    its padded sector block of ``size`` elements: ``at`` holds the place of
-    each row-major (k, i, j, l) of the crossing's ``shape``, ``size`` in a
-    sector its merge drops (the other operand has none of it), and −1 where
-    the charges are not conserved.  The places are kept for the last
-    (k, i, j, l) arrays seen, as :class:`_Scatter` keeps its positions."""
-
-    def __init__(self, crossing: _Crossing, shape: list, at: np.ndarray, size: int):
-        self.crossing, self.shape, self.at, self.size = crossing, shape, at, size
-        self._last = (None, None)  # (the (k, i, j, l) arrays, their places)
-
-    def __call__(self, stacks: dict, entries: list) -> np.ndarray:
-        values, index = self.crossing.values(stacks, entries)
-        seen, places = self._last
-        if seen is not index:
-            flat = 0
-            for axis, n in enumerate(self.shape):
-                flat = flat * n + index[axis]
-            places = self.at[flat]
-            if (places < 0).any():
-                raise DomainError("a braiding entry conserves no weight: "
-                                  "a color is not a weight module")
-            self._last = (index, places)
-        block = np.zeros((len(values), self.size + 1), dtype=complex)
-        block[:, places] = values
-        return block[:, :-1]
 
 
 def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:

@@ -431,8 +431,9 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     Π d(α+k)·θ^(framing − writhe) times d(cut color) as one array.  Every
     pass of several terms contracts by the cut network's one route
     (:meth:`.diagram._Network.route`): its weight-sector layout when the
-    network holds crossings only and the padded sector blocks are smaller
-    than the dense ones, else its dense plan; a pass of one term is dense.
+    network holds crossings only and its dense peak reaches
+    ``diagram._SECTOR_MIN_PEAK`` elements per term (r ≥ 5 on the clasps and
+    chains), else its dense plan; a pass of one term is dense.
     The r**m terms run in contiguous row-major passes of max(r,
     ``_PASS_ELEMENTS`` // peak) terms, peak being the most elements one
     term holds on that route, so the budget bounds the route's own peak.

@@ -30,14 +30,18 @@ outputs means the CLI's bytes did not change::
     diff old.txt new.txt
 
 With ``--digits N`` each stdout is hashed after rounding every float it
-prints to N significant digits: in a JSON document, every string field
-that parses as a float (re-emitted with sorted keys); in any other output,
-such as a table, every token with a decimal point or an exponent.  A
-change expected to move only the last bits of some values (a summation
-order, say) then shows at, say, ``--digits 12`` only the runs where a
-moved value is rounding noise itself (an imaginary part of 1e-16 where
-the value is real) or straddles a rounding boundary, while the lines
-that differ without ``--digits`` count the runs whose values moved.
+prints to the N-th significant digit of M = max(1, the largest magnitude
+that run prints), so to a multiple of 10^(e + 1 − N) with 10^e ≤ M < 10^(e+1):
+the floats are, in a JSON document, every string field that parses as a
+finite float (re-emitted with sorted keys), and in any other output, such
+as a table, every token with a decimal point or an exponent.  The scale
+is the run's, not each value's, as the package's tolerances are
+tol·max(1, |x|): a value that is rounding noise beside the run's largest
+one (an imaginary part of 1e-16 beside a real 1, or every number of a
+Z = 0) rounds to 0.  A change expected to move only the last bits of some
+values (a summation order, say) then shows at, say, ``--digits 12`` only
+the runs where a moved value straddles a rounding boundary, while the
+lines that differ without ``--digits`` count the runs whose values moved.
 
 Every run is in process, through ``unrolledsl2.cli.main``.
 """
@@ -49,6 +53,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -69,30 +74,47 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _finite(token: str) -> float | None:
+    try:
+        x = float(token)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def rounded(text: str, digits: int) -> str:
-    """``text`` with every float it prints at ``digits`` significant digits
-    (see the module docstring)."""
+    """``text`` with every float it prints rounded to the ``digits``-th
+    significant digit of max(1, its largest magnitude) (see the module
+    docstring)."""
 
-    def at(x: float) -> str:
-        return f"{x:.{digits - 1}e}"
-
-    def walk(node):
+    def walk(node, at):
         if isinstance(node, dict):
-            return {key: walk(value) for key, value in node.items()}
+            return {key: walk(value, at) for key, value in node.items()}
         if isinstance(node, list):
-            return [walk(value) for value in node]
-        if isinstance(node, str):
-            try:
-                return at(float(node))
-            except ValueError:
-                return node
+            return [walk(value, at) for value in node]
+        if isinstance(node, str) and _finite(node) is not None:
+            return at(node)
         return node
 
     try:
         doc = json.loads(text)
     except ValueError:
-        return FLOAT_TOKEN.sub(lambda m: at(float(m.group())), text)
-    return json.dumps(walk(doc), indent=2, sort_keys=True) + "\n"
+        doc = None
+    found: list[float] = []
+    if doc is None:
+        found = [_finite(m.group()) for m in FLOAT_TOKEN.finditer(text)]
+    else:
+        walk(doc, lambda token: found.append(_finite(token)))
+    top = max([1.0] + [abs(x) for x in found if x is not None])
+    exponent = math.floor(math.log10(top)) + 1 - digits
+
+    def at(token: str) -> str:
+        x = _finite(token)
+        return token if x is None else f"{round(x / 10.0**exponent)}e{exponent}"
+
+    if doc is None:
+        return FLOAT_TOKEN.sub(lambda m: at(m.group()), text)
+    return json.dumps(walk(doc, at), indent=2, sort_keys=True) + "\n"
 
 
 def digest(main, argv: list, last_err_line: bool = False, digits: int | None = None) -> str:
@@ -208,7 +230,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", default=[],
                         help="also digest the benchmark documents of this seed (repeatable)")
     parser.add_argument("--digits", type=int, default=None,
-                        help="hash stdout with its floats rounded to this many significant digits")
+                        help="hash stdout with its floats rounded to this many significant "
+                             "digits of max(1, the run's largest magnitude)")
     args = parser.parse_args(argv)
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be at least 1")
