@@ -625,16 +625,13 @@ def handle_slide(
 # ----------------------------------------------------------------------
 
 
-def unknot_presentation(
-    ctx: RootParams, framing: int, meridian: complex, name: str = "L1", defect: int = 0
-) -> SurgeryPresentation:
-    """Surgery on a single 0-crossing unknot with the given framing."""
+def unknot_presentation(ctx: RootParams, framing: int, meridian: complex) -> SurgeryPresentation:
+    """Surgery on a single 0-crossing unknot ``L1`` with the given framing."""
     return SurgeryPresentation(
         ctx=ctx,
-        diagram=unknot_diagram(name),
-        framings={name: framing},
-        meridian_values={name: meridian},
-        defect=defect,
+        diagram=unknot_diagram("L1"),
+        framings={"L1": framing},
+        meridian_values={"L1": meridian},
     )
 
 

@@ -178,6 +178,12 @@ def _parse_slice(value: Any, path: str):
         matrix = _require(value, "matrix", path)
         if not isinstance(matrix, list):
             raise SchemaError(f"{path}.matrix: expected an array of rows")
+        for i, row in enumerate(matrix):
+            if not isinstance(row, list):
+                raise SchemaError(f"{path}.matrix[{i}]: expected an array of entries")
+            if len(row) != len(matrix[0]):
+                raise SchemaError(f"{path}.matrix[{i}]: expected {len(matrix[0])} "
+                                  f"entries like row 0, got {len(row)}")
         rows = [
             [parse_complex(x, f"{path}.matrix[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(matrix)
@@ -439,8 +445,9 @@ def verlinde_to_json(genus: int, beta: complex, points: list[complex]) -> dict:
 def load_document(path: str) -> Any:
     """Parse a JSON file, reporting syntax errors with line/column.
 
-    A file that cannot be read (missing, a directory, no permission) or is
-    not UTF-8 text is a schema error naming the path.
+    A file that cannot be read (missing, a directory, no permission), is
+    not UTF-8 text or nests deeper than the parser's recursion limit is a
+    schema error naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -458,6 +465,8 @@ def load_document(path: str) -> Any:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply") from None
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

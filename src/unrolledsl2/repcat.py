@@ -14,7 +14,6 @@ Constructors provided here, each returning a stack:
 
 * :func:`valpha_stack` — the r-dimensional simple modules V_α, highest
   weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once;
-* :func:`trivial_module` — the one-dimensional monoidal unit;
 * :attr:`ModuleStack.dual` and :func:`tensor` — the dual of every term,
   and the tensor product term by term (a batched coproduct);
 * :meth:`ModuleStack.take` gathers terms.
@@ -50,14 +49,12 @@ from .qscalar import RootParams
 
 __all__ = [
     "ModuleStack",
-    "trivial_module",
     "valpha_stack",
     "tensor",
     "braiding_entries",
     "braiding_stack",
     "twist",
     "twist_scalar",
-    "hom_dimension",
     "relations_residual",
     "scalar_of",
     "scalars_of",
@@ -188,12 +185,6 @@ def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
-
-
-def trivial_module(ctx: RootParams) -> ModuleStack:
-    """The monoidal unit: one-dimensional, weight 0."""
-    zero = np.zeros((1, 1, 1), dtype=complex)
-    return ModuleStack(ctx, zero[0], zero, zero)
 
 
 def _simple_color(ctx: RootParams, alpha: complex) -> complex:
@@ -449,23 +440,8 @@ def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
 
 
 # ----------------------------------------------------------------------
-# graded hom spaces and diagnostics
+# diagnostics
 # ----------------------------------------------------------------------
-
-
-def hom_dimension(ctx: RootParams, alpha: complex, beta: complex) -> dict[int, int]:
-    """Graded hom between V_α and V_β: {k: 1} iff β−α = 2k·r', else {}.
-
-    Degree k means an implicit σ**k factor on the source; at most one k can
-    match since the weight offsets 2r'k are distinct.
-    """
-    for value, name in ((alpha, "alpha"), (beta, "beta")):
-        if ctx.is_near_int(value) and ctx.nearest_int(value) % ctx.r != 0:
-            raise DomainError(f"{name}={value!r} lies in the excluded set Z \\ rZ")
-    ratio = (complex(beta) - complex(alpha)) / (2 * ctx.rprime)
-    if ctx.is_near_int(ratio):
-        return {ctx.nearest_int(ratio): 1}
-    return {}
 
 
 def relations_residual(module: ModuleStack) -> float:

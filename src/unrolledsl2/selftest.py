@@ -21,7 +21,7 @@ from . import diagram as dg
 from . import invariant as iv
 from . import repcat as rc
 from . import tqftdim as td
-from .errors import DomainError, NonGenericError
+from .errors import NonGenericError
 from .qscalar import RootParams
 
 
@@ -114,7 +114,7 @@ def check_weight_set_shape(ctx: RootParams, rng) -> None:
 def check_module_relations(ctx: RootParams, rng) -> None:
     a = rc.valpha_stack(ctx, (_generic(rng),))
     b = rc.valpha_stack(ctx, (_generic(rng),))
-    modules = {"A": a, "B": b, "1": rc.trivial_module(ctx), "A⊗B": rc.tensor(a, b),
+    modules = {"A": a, "B": b, "A⊗B": rc.tensor(a, b),
                "A*": a.dual, "B*⊗A": rc.tensor(b.dual, a), "A⊗B*": rc.tensor(a, b.dual),
                "A⊗B⊗A*": rc.tensor(rc.tensor(a, b), a.dual)}
     for name, mod in modules.items():
@@ -160,25 +160,6 @@ def check_degree_additivity(ctx: RootParams, rng) -> None:
     _assert(
         ctx.is_congruent_mod2(a.dual.degrees[0], -a.degrees[0]),
         "degree not negated under dual",
-    )
-
-
-def check_hom_dimension_support(ctx: RootParams, rng) -> None:
-    for _ in range(20):
-        a = _generic(rng)
-        shift = int(rng.integers(-3, 4))
-        offset = rng.choice([0.0, 2 * ctx.rprime * shift, float(rng.uniform(0.1, 0.9))])
-        h = rc.hom_dimension(ctx, a, a + offset)
-        _assert(len(h) <= 1, f"hom supported in {len(h)} degrees")
-    a = _generic(rng)
-    rp = ctx.rprime
-    for b, expect in ((a, {0: 1}), (a + 2 * rp, {1: 1}), (a - 4 * rp, {-2: 1}),
-                      (a + 0.5, {}), (a + 1, {})):
-        h = rc.hom_dimension(ctx, a, b)
-        _assert(h == expect, f"hom(V_{a}, V_{b}) = {h}, expected {expect}")
-    _assert_raises(
-        DomainError, "hom_dimension accepted a color in Z \\ rZ",
-        rc.hom_dimension, ctx, 1 if ctx.r > 2 else 3, 0.3,
     )
 
 
@@ -287,6 +268,8 @@ def check_z_handle_slide(ctx: RootParams, rng) -> None:
     )
     sp1 = iv.handle_slide(sp0, "L1", "L2")
     z0, z1 = iv.z_invariant(sp0).z, iv.z_invariant(sp1).z
+    # Z vanishes on both sides here (|Z| <= 7e-12 at r = 2-7), so this only
+    # checks that the slid presentation's Z vanishes too
     _assert(abs(z0 - z1) < 1e-8 * (1 + abs(z0)), f"slide residual {abs(z0-z1):.2e}")
     # sliding forward and back restores the data: exactly on (2/3, 4/5),
     # within 1e-12 on the drawn classes, where (c_j - c_i) + c_i can round
@@ -400,22 +383,6 @@ def check_hh0_matches_enumeration(ctx: RootParams, rng) -> None:
         assert_hh0_matches_oracle(td.random_generic_graph(ctx, rng, genus, legs), rng)
 
 
-def check_triple_admissible_shape(ctx: RootParams, rng) -> None:
-    for _ in range(60):
-        a, b = _generic(rng), _generic(rng)
-        c = float(rng.integers(-2, 3)) - a - b + (ctx.r - 1) + 2 * int(rng.integers(-1, 2))
-        ks = td.triple_admissible(ctx, a, b, c)
-        _assert(ks == td.triple_admissible(ctx, c, a, b), "degrees not symmetric")
-        _assert(not td.triple_admissible(ctx, a + 0.3j, b, c), "nonreal color admitted")
-        if ctx.r % 2:
-            _assert(len(ks) <= 1, f"odd r returned {len(ks)} degrees")
-        else:
-            _assert(len(ks) in (0, 2), f"even r returned {len(ks)} degrees")
-            if ks:
-                lo, hi = min(ks), max(ks)
-                _assert(hi == lo + 1, "even-r degrees not consecutive")
-
-
 def check_graph_independence(ctx: RootParams, rng) -> None:
     t1 = td.graded_dimension(td.theta_graph(ctx, _generic(rng), _generic(rng)))
     t2 = td.graded_dimension(td.theta_graph(ctx, _generic(rng), _generic(rng)))
@@ -439,7 +406,6 @@ CHECKS: list[tuple[str, Callable]] = [
     ("repcat: Yang-Baxter equation", check_yang_baxter),
     ("repcat: twist scalars and ribbon compatibility", check_twist_scalar_and_ribbon),
     ("repcat: degree additivity", check_degree_additivity),
-    ("repcat: hom dimension support", check_hom_dimension_support),
     ("diagram: Reidemeister II", check_reidemeister_two),
     ("diagram: Reidemeister III", check_reidemeister_three),
     ("diagram: coupon slides past identity", check_coupon_slide),
@@ -454,7 +420,6 @@ CHECKS: list[tuple[str, Callable]] = [
     ("tqftdim: surgery/Verlinde consistency", check_surgery_verlinde),
     ("tqftdim: coloring counts", check_coloring_counts),
     ("tqftdim: Hochschild route matches enumeration", check_hh0_matches_enumeration),
-    ("tqftdim: admissible degree counts", check_triple_admissible_shape),
     ("tqftdim: graph independence and bridge rejection", check_graph_independence),
 ]
 

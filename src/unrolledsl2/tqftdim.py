@@ -25,9 +25,8 @@ degree histogram of that basis along three independent routes:
 The grid and the contraction share the color windows and the incidence
 table (:attr:`TrivalentGraph.incidence`), and each keeps its own degree
 arithmetic: the grid reads degrees off float color sums
-(:func:`_degree_window`, which :func:`triple_admissible` exposes for one
-triple), the contraction from integer label offsets, so each checks the
-other's.
+(:func:`_degree_window`), the contraction from integer label offsets, so
+each checks the other's.
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a
@@ -60,7 +59,6 @@ __all__ = [
     "GraphEdge",
     "TrivalentGraph",
     "GradedDimension",
-    "triple_admissible",
     "graded_dimension",
     "verlinde",
     "hh0_dimension_generic",
@@ -322,24 +320,6 @@ def _degree_window(ctx: RootParams, s: np.ndarray) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def triple_admissible(
-    ctx: RootParams, alpha: complex, beta: complex, gamma: complex
-) -> set[int]:
-    """Degrees k with α+β+γ ∈ H_r + 2r'k (incoming-color convention).
-
-    Nonempty iff α+β+γ+r−1 ≡ 0 mod 2ℤ; when nonempty the set has exactly
-    one element for odd r and two consecutive elements for even r.  The
-    condition is weight arithmetic and accepts any complex colors.
-    """
-    s = complex(alpha) + complex(beta) + complex(gamma)
-    if abs(s.imag) > ctx.epsilon_int:
-        return set()
-    if not ctx.is_congruent_mod2(s + (ctx.r - 1), 0.0):
-        return set()
-    k = int(_degree_window(ctx, np.asarray([s.real]))[0])
-    return {k} if ctx.r % 2 else {k, k + 1}
-
-
 # ----------------------------------------------------------------------
 # the dense grid (test oracle)
 # ----------------------------------------------------------------------
@@ -547,6 +527,7 @@ def _vertex_cluster(
     ends: Iterable[tuple[GraphEdge, int]],
     lows: Mapping[str, complex],
     dtype,
+    held: int,
 ) -> _Cluster:
     """Multiplicity tensor of one vertex in the algebra-slot convention.
 
@@ -559,7 +540,9 @@ def _vertex_cluster(
     lowest admissible degree is ⌊(h + Σσ_e·i_e) / r'⌋ (less one for even
     r, which admits that degree and the next).  Each entry is the row of an
     identity band that one-hot encodes those degrees.  A loop's signs
-    cancel: its axis is summed out, a factor r'.
+    cancel: its axis is summed out, a factor r'.  The tensor and its three
+    int64 label arrays, on top of the ``held`` bytes already live, are
+    charged through :func:`.planner.require_memory` before any is built.
     """
     slot_signs: dict[str, int] = {}
     const = 0j
@@ -579,18 +562,24 @@ def _vertex_cluster(
         raise DomainError(f"vertex color sums are off the admissible lattice by "
                           f"{residual:g}; the edge gradings are inconsistent")
     base, offset = divmod(h, ctx.rprime)  # base may exceed int64; offset < r'
+    top = ctx.rprime - 1  # the largest label
+    lo = (offset - top * sum(slot_signs[n] < 0 for n in slots)) // ctx.rprime
+    hi = (offset + top * sum(slot_signs[n] > 0 for n in slots)) // ctx.rprime
+    width = hi - lo + 2 - ctx.r % 2  # the degree axis
+    cells = ctx.rprime ** len(slots)
+    require_memory(held + cells * (24 + width * np.dtype(dtype).itemsize),
+                   "an HH0 vertex tensor")
     labels, steps = np.asarray(offset), np.arange(ctx.rprime)
     for n in slots:
         labels = np.add.outer(labels, slot_signs[n] * steps)
     k = labels // ctx.rprime
-    lo = int(k.min())
-    band = np.eye(int(k.max()) - lo + 2 - ctx.r % 2, dtype=dtype)
+    band = np.eye(width, dtype=dtype)
     if ctx.r % 2 == 0:
         band = band[:-1] + band[1:]
     return _Cluster(slots, (band * loop_factor)[k - lo], base + lo - 1 + ctx.r % 2)
 
 
-def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
+def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     """Contract every edge two clusters share and convolve their degrees.
 
     One matrix product does both: the larger operand a becomes a (free,
@@ -598,7 +587,10 @@ def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
     ``band[s, i, f, k] = b[f, s, k − i]`` built in ka slice copies.  The
     result keeps a's open slots, then b's, then the degree axis.  It is
     exact in every dtype tier; the float64 one (below 2^53 colorings, see
-    :func:`hh0_dimension_generic`) runs on BLAS.
+    :func:`hh0_dimension_generic`) runs on BLAS.  The transposed copies of
+    both operands, the band and the result, on top of the ``held`` bytes
+    already live (the operands among them), are charged through
+    :func:`.planner.require_memory` before any is built.
     """
     if a.array.size < b.array.size:
         a, b = b, a
@@ -610,6 +602,9 @@ def _merge_clusters(a: _Cluster, b: _Cluster) -> _Cluster:
     rhs = b.array.transpose([b.slots.index(n) for n in shared + free_b] + [-1])
     n_shared = math.prod(rhs.shape[: len(shared)])
     shape = lhs.shape[: len(free_a)] + rhs.shape[len(shared) : -1] + (ka + kb - 1,)
+    band_cells = b.array.size // kb * ka * (ka + kb - 1)
+    require_memory(held + a.array.nbytes + b.array.nbytes
+                   + b.array.itemsize * (band_cells + math.prod(shape)), "an HH0 merge")
     rhs = rhs.reshape(n_shared, -1, kb)
     band = np.zeros((n_shared, ka, rhs.shape[1], ka + kb - 1), b.array.dtype)
     for i in range(ka):
@@ -643,7 +638,9 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     and partial sum a merge forms, is a nonnegative integer at most the
     number of colorings, known in advance.  The tensors hold float64 below
     2^53 colorings (exact, and merged on BLAS), int64 below 2^63 and
-    Python integers above.
+    Python integers above.  Each vertex tensor and each merge is charged,
+    with every array still live, against physical memory before it is
+    built, so a contraction that cannot fit is a MemoryError up front.
     """
     ctx = graph.ctx
     lows = {  # every window has r' colors; circles (no slots) are checked first
@@ -654,15 +651,16 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         colorings <<= len(graph.vertex_order)
     dtype = (np.float64 if colorings < 2**53
              else np.int64 if colorings < 2**63 else object)
-    clusters = [
-        _vertex_cluster(ctx, graph.incidence[v], lows, dtype)
-        for v in graph.vertex_order
-    ]
+    live, held = {}, 0  # the clusters, and the bytes of their arrays
+    for i, v in enumerate(graph.vertex_order):
+        live[i] = _vertex_cluster(ctx, graph.incidence[v], lows, dtype, held)
+        held += live[i].array.nbytes
     dims = dict.fromkeys(lows, ctx.rprime)
-    order, _peak = greedy_order([c.slots for c in clusters], dims)
-    live = dict(enumerate(clusters))
+    order, _peak = greedy_order([c.slots for c in live.values()], dims)
     for i, j in order:
-        live[i] = _merge_clusters(live[i], live.pop(j))
+        a, b = live[i], live.pop(j)
+        live[i] = _merge_clusters(a, b, held)
+        held += live[i].array.nbytes - a.array.nbytes - b.array.nbytes
     coeffs = np.asarray([ctx.rprime ** len(graph.circles)], dtype=object)
     k_min = 0
     for c in live.values():
@@ -681,27 +679,23 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
 # ----------------------------------------------------------------------
 
 
-def circle_graph(ctx: RootParams, grading: complex, name: str = "c0") -> TrivalentGraph:
-    """The vertex-free circle spine of a torus (genus 1)."""
-    return TrivalentGraph(ctx, (GraphEdge(name, None, None, grading),))
+def circle_graph(ctx: RootParams, grading: complex) -> TrivalentGraph:
+    """The vertex-free circle spine ``c0`` of a torus (genus 1)."""
+    return TrivalentGraph(ctx, (GraphEdge("c0", None, None, grading),))
 
 
-def theta_graph(
-    ctx: RootParams, g1: complex, g2: complex, g3: complex | None = None
-) -> TrivalentGraph:
+def theta_graph(ctx: RootParams, g1: complex, g2: complex) -> TrivalentGraph:
     """Two vertices joined by three parallel edges (genus 2).
 
-    With all edges oriented the same way the 1-cycle condition reads
-    g1+g2+g3 ≡ 0 mod 2; g3 defaults to −g1−g2.
+    Edges e1 and e2 run from u to v with gradings g1 and g2, and e3 runs
+    back with g1+g2, so the signed sums close at both vertices.
     """
-    if g3 is None:
-        g3 = -complex(g1) - complex(g2)
     return TrivalentGraph(
         ctx,
         (
             GraphEdge("e1", "u", "v", g1),
             GraphEdge("e2", "u", "v", g2),
-            GraphEdge("e3", "v", "u", -complex(g3)),
+            GraphEdge("e3", "v", "u", complex(g1) + complex(g2)),
         ),
     )
 

@@ -761,6 +761,27 @@ def test_domain_error_out_of_memory(sub, r, fixture):
     assert "Traceback" not in err
 
 
+def test_hh0_preflight_refuses_before_allocating():
+    # each vertex tensor of the theta spine has r'^3 = 8e12 cells at r = 20001;
+    # under the address-space limit a missing preflight would end in numpy's
+    # own MemoryError, whose message differs
+    timed = ("import sys, time\nfrom unrolledsl2.cli import main\n"
+             "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+             "print(time.perf_counter() - start)\nsys.exit(code)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", timed, "hh0", "--r", "20001",
+         "--input", str(FIXTURES / "genus2_theta.json")],
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("domain error: not computable within available memory: "
+                                  "an HH0 vertex tensor needs ")
+    assert proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 0.5
+
+
 def test_closed_pipe_exits_1_without_traceback():
     # the reader is gone before anything is written (as `| head -c 10`
     # once head has exited): every write fails with EPIPE
@@ -924,6 +945,39 @@ def test_schema_error_names_the_malformed_field(tmp_path, capsys, sub, fixture, 
     code, out, err = run(capsys, sub, "--r", "5", "--input", _fixture_with(tmp_path, fixture, edit))
     assert (code, out) == (2, "")
     assert err.startswith(f"schema error: {where}:") and err.count("\n") == 1, err
+
+
+def _coupon_matrix_edit(edit):
+    return lambda d: edit(d["diagram"]["width-changes"][2]["matrix"])
+
+
+def test_schema_error_coupon_matrix_row_not_an_array(tmp_path, capsys):
+    # a row that is not an array is refused before its entries are read
+    path = _fixture_with(tmp_path, "unknot_coupon.json",
+                         _coupon_matrix_edit(lambda m: m.__setitem__(1, 5)))
+    code, out, err = run(capsys, "flink", "--r", "5", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == ("schema error: $.diagram.width-changes[2].matrix[1]: "
+                   "expected an array of entries\n")
+
+
+def test_schema_error_ragged_coupon_matrix(tmp_path, capsys):
+    # rows of unequal length are refused before numpy stacks them
+    path = _fixture_with(tmp_path, "unknot_coupon.json",
+                         _coupon_matrix_edit(lambda m: m[3].pop()))
+    code, out, err = run(capsys, "flink", "--r", "5", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == ("schema error: $.diagram.width-changes[2].matrix[3]: "
+                   "expected 5 entries like row 0, got 4\n")
+
+
+def test_schema_error_document_nested_too_deeply(tmp_path, capsys):
+    # nesting beyond the parser's recursion limit is a schema error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000)
+    code, out, err = run(capsys, "hh0", "--r", "5", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"schema error: {path}: nested too deeply\n"
 
 
 @pytest.mark.parametrize("im", ["4", "8", "30"])

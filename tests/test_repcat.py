@@ -9,7 +9,6 @@ from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     ModuleStack,
     braiding_stack,
-    hom_dimension,
     relations_residual,
     scalar_of,
     scalars_of,
@@ -436,18 +435,6 @@ def test_quantum_dimension_vanishes(ctx):
     coev, ev, coev_p, ev_p = duality_maps(mod)
     qdim = (ev_p @ coev)[0, 0]
     assert abs(qdim) < 1e-10
-
-
-def test_hom_dimension(ctx):
-    rng = np.random.default_rng(16)
-    a = _generic(rng)
-    assert hom_dimension(ctx, a, a) == {0: 1}
-    assert hom_dimension(ctx, a, a + 2 * ctx.rprime) == {1: 1}
-    assert hom_dimension(ctx, a, a - 4 * ctx.rprime) == {-2: 1}
-    assert hom_dimension(ctx, a, a + 0.5) == {}
-    assert hom_dimension(ctx, a, a + 1) == {}
-    with pytest.raises(DomainError):
-        hom_dimension(ctx, 1 if ctx.r > 2 else 3, 0.3)
 
 
 def test_scalar_of(ctx):

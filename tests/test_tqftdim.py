@@ -1,6 +1,7 @@
 """Dimension layer: admissible colorings, graded dimensions, closed forms."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from unrolledsl2.tqftdim import (
     random_generic_graph,
     tetrahedron_graph,
     theta_graph,
-    triple_admissible,
     verlinde,
 )
 
@@ -34,22 +34,18 @@ def _generic(rng):
 
 
 # ----------------------------------------------------------------------
-# admissible triples
+# admissible degrees
 # ----------------------------------------------------------------------
 
 
-def test_triple_admissible_examples():
-    # odd root: at most one degree, fixed by the weight-window shift
+def test_degree_window_examples():
+    # the grid's lowest degree k of a vertex color sum s ∈ H_r + 2r'k;
+    # odd root: the unique degree, fixed by the weight-window shift
     ctx3 = RootParams(3)
-    assert triple_admissible(ctx3, 0.5, 0.5, 1.0) == {0}
-    assert triple_admissible(ctx3, 0.5, 0.5, 1.0 + 2 * ctx3.rprime) == {1}
-    assert triple_admissible(ctx3, 0.5, 0.5, 1.5) == set()
-    # even root: parity must match the odd lattice; (1/2,1/2,1) sums to an
-    # even integer and is inadmissible, (1/2,1/2,0) admits two consecutive
-    ctx2 = RootParams(2)
-    assert triple_admissible(ctx2, 0.5, 0.5, 1.0) == set()
-    ks = triple_admissible(ctx2, 0.5, 0.5, 0.0)
-    assert len(ks) == 2 and max(ks) == min(ks) + 1
+    sums = np.asarray([0.5 + 0.5 + 1.0, 0.5 + 0.5 + 1.0 + 2 * ctx3.rprime])
+    assert td._degree_window(ctx3, sums).tolist() == [0, 1]
+    # even root: (1/2, 1/2, 0) admits the two consecutive degrees 0 and 1
+    assert td._degree_window(RootParams(2), np.asarray([1.0])).tolist() == [0]
 
 
 # ----------------------------------------------------------------------
@@ -421,8 +417,8 @@ def test_hh0_dtype_tier_at_2_53(monkeypatch, genus, dtype):
     dtypes = set()
     merge = td._merge_clusters
 
-    def recording(a, b):
-        out = merge(a, b)
+    def recording(a, b, held):
+        out = merge(a, b, held)
         dtypes.add(out.array.dtype)
         return out
 
@@ -481,7 +477,7 @@ def test_merge_matches_tensordot_reference(dtype):
             return td._Cluster(slots, array, int(rng.integers(-5, 5)))
 
         a, b = cluster(slots_a), cluster(slots_b)
-        got, want = td._merge_clusters(a, b), _reference_merge(a, b)
+        got, want = td._merge_clusters(a, b, 0), _reference_merge(a, b)
         assert got.slots == want.slots and got.k_min == want.k_min
         assert got.array.dtype == want.array.dtype
         assert got.array.shape == want.array.shape
@@ -502,8 +498,8 @@ def test_hh0_merges_smallest_result_first(monkeypatch, build, merges, peak):
     sizes = []
     merge = td._merge_clusters
 
-    def recording(a, b):
-        out = merge(a, b)
+    def recording(a, b, held):
+        out = merge(a, b, held)
         sizes.append(out.array.size // out.array.shape[-1])
         return out
 
@@ -511,6 +507,34 @@ def test_hh0_merges_smallest_result_first(monkeypatch, build, merges, peak):
     hh0_dimension_generic(build(RootParams(9)))
     assert len(sizes) == merges
     assert max(sizes) == peak
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: theta_graph(RootParams(51), 0.3, 0.45),
+     lambda: tetrahedron_graph(RootParams(21), 0.31, 0.44, 0.62),
+     lambda: necklace_graph(RootParams(15), 6, [0.21, 0.3, 0.4, 0.5, 0.6], 0.55)],
+    ids=["theta-r51", "tetrahedron-r21", "necklace-g6-r15"],
+)
+def test_hh0_memory_figure_covers_the_peak(monkeypatch, build):
+    # the largest figure charged before an allocation is at least the traced
+    # peak of the whole contraction, and not far above it
+    figures = []
+    charge = td.require_memory
+
+    def recording(need, what):
+        figures.append(need)
+        charge(need, what)
+
+    monkeypatch.setattr(td, "require_memory", recording)
+    graph = build()
+    tracemalloc.start()
+    try:
+        hh0_dimension_generic(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(figures) <= 1.5 * peak
 
 
 def test_evaluate_super_sign():

@@ -8,14 +8,16 @@ command lines: one per class of rejected argv, and well-formed variants
 (``--opt=value``, prefixes, repeats, options in any order, ``-h``).  Those
 lines hash only the last stderr line, the error line, since the usage lines
 above it may be wrapped to the terminal's width; a help text counts by its
-exit code alone.  A ``verlinde`` sweep follows: r in {3, 5, 6, 7}, genus
-0-8, classes 0.3 ± i·t for t in {0, 1, 2, 3, 4, 5, 8, 30, 230, 500}, with no
-points and with each of two pairs.  It reaches every path of the closed
-form: the direct sum, its fallback to logarithms when a power of a ratio
-overflows (the pair 41/3, −7/5 at high genus, where some values print and
-others are refused), and the far path where {rβ} leaves double range.
-With ``--seed N`` the lines
-also cover the benchmark documents of that seed
+exit code alone.  The ``selftest`` runs at r in {2, 3, 5, 6, 7}, in JSON,
+follow, one line per property and one for the run's exit code, so a change
+to the property registry shows as exactly the lines of the properties it
+adds, drops or changes.  A ``verlinde`` sweep follows: r in {3, 5, 6, 7},
+genus 0-8, classes 0.3 ± i·t for t in {0, 1, 2, 3, 4, 5, 8, 30, 230, 500},
+with no points and with each of two pairs.  It reaches every path of the
+closed form: the direct sum, its fallback to logarithms when a power of a
+ratio overflows (the pair 41/3, −7/5 at high genus, where some values print
+and others are refused), and the far path where {rβ} leaves double range.
+With ``--seed N`` the lines also cover the benchmark documents of that seed
 (``perfbench/workloads.generate``, every workload, documents the benchmark
 does not run left out), at their own r, in both formats.
 
@@ -64,6 +66,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("flink", "zinv", "tqftdim", "hh0", "verlinde")
 ROOT_ORDERS = (2, 3, 5, 6, 7, 9, 11)
+SELFTEST_ROOTS = (2, 3, 5, 6, 7)
 FORMATS = ("table", "json")
 
 
@@ -117,11 +120,9 @@ def rounded(text: str, digits: int) -> str:
     return json.dumps(walk(doc, at), indent=2, sort_keys=True) + "\n"
 
 
-def digest(main, argv: list, last_err_line: bool = False, digits: int | None = None) -> str:
-    """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call, or
-    ``err_last=<sha>`` of stderr's last line only; an uncaught exception
-    counts as exit 1 with its traceback on stderr.  With ``digits``,
-    stdout is hashed :func:`rounded` to that many significant digits."""
+def call(main, argv: list) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one in-process CLI call; an
+    uncaught exception counts as exit 1 with its traceback on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -131,11 +132,39 @@ def digest(main, argv: list, last_err_line: bool = False, digits: int | None = N
         except Exception:  # noqa: BLE001 - a traceback is an output to compare
             code = 1
             err.write(traceback.format_exc().splitlines()[-1] + "\n")
-    stdout = out.getvalue() if digits is None else rounded(out.getvalue(), digits)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(main, argv: list, last_err_line: bool = False, digits: int | None = None) -> str:
+    """``exit=<code> out=<sha> err=<sha>`` of one in-process CLI call
+    (:func:`call`), or ``err_last=<sha>`` of stderr's last line only.  With
+    ``digits``, stdout is hashed :func:`rounded` to that many significant
+    digits."""
+    code, stdout, stderr = call(main, argv)
+    stdout = stdout if digits is None else rounded(stdout, digits)
     if last_err_line:
-        tail = (err.getvalue().splitlines() or [""])[-1]
+        tail = (stderr.splitlines() or [""])[-1]
         return f"exit={code} out={_sha(stdout)} err_last={_sha(tail)}"
-    return f"exit={code} out={_sha(stdout)} err={_sha(err.getvalue())}"
+    return f"exit={code} out={_sha(stdout)} err={_sha(stderr)}"
+
+
+def selftest_lines(main, digits: int | None = None):
+    """One line per property of each ``selftest`` run, after a line with
+    the run's exit code; a run whose stdout is not the JSON report gets
+    one line hashing it instead.  With ``digits``, a failure's detail is
+    hashed :func:`rounded`."""
+    for r in SELFTEST_ROOTS:
+        label = f"selftest r={r}"
+        code, stdout, stderr = call(main, ["selftest", "--r", str(r), "--format", "json"])
+        try:
+            results = json.loads(stdout)["results"]
+        except (ValueError, KeyError, TypeError):
+            yield f"{label} exit={code} out={_sha(stdout)} err={_sha(stderr)}"
+            continue
+        yield f"{label} exit={code} err={_sha(stderr)}"
+        for res in results:
+            detail = res["detail"] if digits is None else rounded(res["detail"], digits)
+            yield f"{label} {res['name']}: passed={res['passed']} detail={_sha(detail)}"
 
 
 VERLINDE = "docs/fixtures/verlinde_g1.json"
@@ -249,6 +278,7 @@ def main(argv=None) -> int:
         lines.append(f"{label} {digest(cli.main, run, digits=digits)}")
     for label, run in ARGVS.items():
         lines.append(f"argv {label}: {argv_digest(cli.main, run, digits)}")
+    lines.extend(selftest_lines(cli.main, digits))
     with tempfile.TemporaryDirectory() as tmp:
         runs = list(verlinde_sweep(Path(tmp)))
         os.chdir(tmp)  # relative input names, so no path reaches the output
