@@ -41,9 +41,9 @@ other evaluation, every one-term evaluation among them, is dense.  The
 memory preflight counts the route taken.
 
 *Cutting* a closed diagram at a cup or cap of one component
-(:meth:`CompiledDiagram.cut`, :func:`evaluate_cut`) leaves that slice's
-two strands as open legs, which turns it into the matrix of a 1-1 tangle
-on the cut component (used by the renormalized link invariant).
+(:meth:`CompiledDiagram.cut`) leaves that slice's two strands as open
+legs, which turns it into the matrix of a 1-1 tangle on the cut component
+(used by the renormalized link invariant and the surgery invariant).
 
 Everything the colors cannot change (the words, the bookkeeping, the cut
 checks, the network, its plans and sector layouts, and each crossing's
@@ -84,11 +84,8 @@ __all__ = [
     "SlicedDiagram",
     "typecheck",
     "evaluate",
-    "evaluate_cut",
     "CompiledDiagram",
     "compile_diagram",
-    "cut_is_enclosed",
-    "writhe_and_linking",
     "unknot_diagram",
     "clasp_diagram",
     "braid_closure",
@@ -277,116 +274,8 @@ def typecheck(diagram: SlicedDiagram) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# geometric bookkeeping
-# ----------------------------------------------------------------------
-
-
-def writhe_and_linking(
-    diagram: SlicedDiagram, words: Optional[list] = None
-) -> tuple[dict[str, int], dict[frozenset, int]]:
-    """Per-component writhes and pairwise linking numbers of the diagram.
-
-    Returns ``(writhe, linking)`` where ``linking`` maps frozenset pairs of
-    component names to their linking number (half the signed count of mixed
-    crossings).  ``words`` are the diagram's :func:`typecheck` words when
-    the caller already has them.
-    """
-    words = typecheck(diagram) if words is None else words
-    writhe: dict[str, int] = {name: 0 for name in diagram.component_names()}
-    mixed: dict[frozenset, int] = {}
-    for word, sl in zip(words, diagram.slices):
-        if not isinstance(sl, Braid):
-            continue
-        s1, s2 = word[sl.position], word[sl.position + 1]
-        crossing = sl.sign * s1.orientation * s2.orientation
-        if s1.component == s2.component:
-            writhe[s1.component] += crossing
-        else:
-            key = frozenset((s1.component, s2.component))
-            mixed[key] = mixed.get(key, 0) + crossing
-    linking: dict[frozenset, int] = {}
-    for key, total in mixed.items():
-        if total % 2 != 0:
-            raise DiagramTypeError(
-                f"odd mixed-crossing sum {total} between {sorted(key)}; "
-                "the diagram does not close these components"
-            )
-        linking[key] = total // 2
-    return writhe, linking
-
-
-def cut_is_enclosed(
-    diagram: SlicedDiagram, cut_slice: int, words: Optional[list] = None
-) -> bool:
-    """True if other strands fence in the cut point at ``cut_slice``.
-
-    Cutting a cup (cap) open drags its two strand ends straight down
-    (straight up) to the boundary.  That is a planar move only when no
-    connected piece of the diagram below (above) the slice reaches both
-    sides of the drop line; crossings count as contact, since the dragged
-    strands cannot pass a crossing without acquiring new ones.  Enclosed
-    cuts are rejected rather than evaluated with missing crossings.
-    ``words`` are the diagram's :func:`typecheck` words, if already known.
-    """
-    sl = diagram.slices[cut_slice]
-    uf = UnionFind()
-    if isinstance(sl, Cup):
-        ids = [uf.make() for _ in diagram.source]
-        lower = diagram.slices[:cut_slice]
-        creator, consumer = Cup, Cap
-    elif isinstance(sl, Cap):
-        top = (typecheck(diagram) if words is None else words)[-1]
-        ids = [uf.make() for _ in top]
-        lower = tuple(reversed(diagram.slices[cut_slice + 1 :]))
-        creator, consumer = Cap, Cup
-    else:
-        raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-    for s in lower:
-        if isinstance(s, Braid):
-            p = s.position
-            uf.union(ids[p], ids[p + 1])
-            ids[p], ids[p + 1] = ids[p + 1], ids[p]
-        elif isinstance(s, creator):
-            fresh = uf.make()
-            ids[s.position : s.position] = [fresh, fresh]
-        elif isinstance(s, consumer):
-            a = ids.pop(s.position)
-            b = ids.pop(s.position)
-            uf.union(a, b)
-        elif isinstance(s, Coupon):
-            fresh = uf.make()
-            eaten = s.inputs if creator is Cup else s.outputs
-            made = s.outputs if creator is Cup else s.inputs
-            for _ in eaten:
-                uf.union(fresh, ids.pop(s.position))
-            ids[s.position : s.position] = [fresh] * len(made)
-    gap = sl.position
-    left = {uf.find(x) for x in ids[:gap]}
-    right = {uf.find(x) for x in ids[gap:]}
-    return bool(left & right)
-
-
-# ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
-
-
-def _stack_colors(ctx: RootParams, names, colors: dict) -> dict[str, ModuleStack]:
-    """The color of each component in ``names``, as a module stack.
-
-    A color is a :class:`ModuleStack` (a one-term stack is a module) or a
-    complex α (shorthand for V_α).
-    """
-    stacks = {}
-    for name in names:
-        if name not in colors:
-            raise DomainError(f"no color given for component {name!r}")
-        value = colors[name]
-        if isinstance(value, ModuleStack):
-            stacks[name] = value
-        else:
-            stacks[name] = valpha_stack(ctx, (value,))
-    return stacks
 
 
 class CompiledDiagram:
@@ -411,13 +300,83 @@ class CompiledDiagram:
 
     @functools.cached_property
     def writhe_and_linking(self) -> tuple[dict[str, int], dict[frozenset, int]]:
-        """:func:`writhe_and_linking` of the diagram."""
-        return writhe_and_linking(self._diagram, self.words)
+        """Per-component writhes and pairwise linking numbers of the diagram.
+
+        ``(writhe, linking)``, where ``linking`` maps frozenset pairs of
+        component names to their linking number (half the signed count of
+        mixed crossings).
+        """
+        writhe: dict[str, int] = {name: 0 for name in self.names}
+        mixed: dict[frozenset, int] = {}
+        for word, sl in zip(self.words, self._diagram.slices):
+            if not isinstance(sl, Braid):
+                continue
+            s1, s2 = word[sl.position], word[sl.position + 1]
+            crossing = sl.sign * s1.orientation * s2.orientation
+            if s1.component == s2.component:
+                writhe[s1.component] += crossing
+            else:
+                key = frozenset((s1.component, s2.component))
+                mixed[key] = mixed.get(key, 0) + crossing
+        linking: dict[frozenset, int] = {}
+        for key, total in mixed.items():
+            if total % 2 != 0:
+                raise DiagramTypeError(
+                    f"odd mixed-crossing sum {total} between {sorted(key)}; "
+                    "the diagram does not close these components"
+                )
+            linking[key] = total // 2
+        return writhe, linking
 
     def enclosed(self, cut_slice: int) -> bool:
-        """:func:`cut_is_enclosed` at ``cut_slice``."""
-        if cut_slice not in self._enclosed:
-            self._enclosed[cut_slice] = cut_is_enclosed(self._diagram, cut_slice, self.words)
+        """True if other strands fence in the cut point at ``cut_slice``.
+
+        Cutting a cup (cap) open drags its two strand ends straight down
+        (straight up) to the boundary.  That is a planar move only when no
+        connected piece of the diagram below (above) the slice reaches both
+        sides of the drop line; crossings count as contact, since the
+        dragged strands cannot pass a crossing without acquiring new ones.
+        Enclosed cuts are rejected rather than evaluated with missing
+        crossings.
+        """
+        if cut_slice in self._enclosed:
+            return self._enclosed[cut_slice]
+        slices = self._diagram.slices
+        sl = slices[cut_slice]
+        uf = UnionFind()
+        if isinstance(sl, Cup):
+            ids = [uf.make() for _ in self.words[0]]
+            lower = slices[:cut_slice]
+            creator, consumer = Cup, Cap
+        elif isinstance(sl, Cap):
+            ids = [uf.make() for _ in self.words[-1]]
+            lower = tuple(reversed(slices[cut_slice + 1 :]))
+            creator, consumer = Cap, Cup
+        else:
+            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
+        for s in lower:
+            if isinstance(s, Braid):
+                p = s.position
+                uf.union(ids[p], ids[p + 1])
+                ids[p], ids[p + 1] = ids[p + 1], ids[p]
+            elif isinstance(s, creator):
+                fresh = uf.make()
+                ids[s.position : s.position] = [fresh, fresh]
+            elif isinstance(s, consumer):
+                a = ids.pop(s.position)
+                b = ids.pop(s.position)
+                uf.union(a, b)
+            elif isinstance(s, Coupon):
+                fresh = uf.make()
+                eaten = s.inputs if creator is Cup else s.outputs
+                made = s.outputs if creator is Cup else s.inputs
+                for _ in eaten:
+                    uf.union(fresh, ids.pop(s.position))
+                ids[s.position : s.position] = [fresh] * len(made)
+        gap = sl.position
+        left = {uf.find(x) for x in ids[:gap]}
+        right = {uf.find(x) for x in ids[gap:]}
+        self._enclosed[cut_slice] = bool(left & right)
         return self._enclosed[cut_slice]
 
     def network(self, cut_slice: Optional[int] = None) -> "_Network":
@@ -445,7 +404,7 @@ class CompiledDiagram:
     def cut(self, cut_slice: int) -> tuple[str, "_Network"]:
         """The cut component and the network of the diagram cut open at
         ``cut_slice``: a cup or cap of the closed diagram that other strands
-        do not enclose (:func:`cut_is_enclosed`)."""
+        do not enclose (:meth:`enclosed`)."""
         if self.words[0] or self.words[-1]:
             raise DomainError("cut evaluation requires a closed diagram")
         component = self._owner(cut_slice)
@@ -949,31 +908,18 @@ def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarra
     open legs are the target strands, then the source strands.
     """
     compiled = compile_diagram(diagram)
-    stacks = _stack_colors(ctx, compiled.names, colors)
+    stacks = {}
+    for name in compiled.names:
+        if name not in colors:
+            raise DomainError(f"no color given for component {name!r}")
+        value = colors[name]
+        stacks[name] = value if isinstance(value, ModuleStack) else valpha_stack(ctx, (value,))
 
     def dim(word):
         return math.prod(stacks[strand.component].dim for strand in word)
 
     matrix = compiled.network().contract(stacks, diagram)[0]
     return matrix.reshape(dim(compiled.words[-1]), dim(compiled.words[0]))
-
-
-def evaluate_cut(
-    diagram: SlicedDiagram, colors: dict, ctx: RootParams, cut_slice: int
-) -> np.ndarray:
-    """Evaluate a closed diagram cut open at a cup/cap slice of one component.
-
-    The cut must be a cup or cap that other strands do not enclose
-    (:meth:`CompiledDiagram.cut`).  ``colors`` is as for :func:`evaluate`,
-    except that a component may carry several terms (a :class:`ModuleStack`
-    built by :func:`.repcat.valpha_stack`, :meth:`.ModuleStack.take` or
-    :func:`.repcat.tensor`).  Returns the matrix of the resulting 1-1 tangle
-    as an endomorphism of the cut component's color, per term: shape
-    (terms, d, d).
-    """
-    compiled = compile_diagram(diagram)
-    _component, network = compiled.cut(cut_slice)
-    return network.contract(_stack_colors(ctx, compiled.names, colors), diagram)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ import numpy as np
 
 from .diagram import (
     CompiledDiagram,
+    Coupon,
     SlicedDiagram,
     clasp_diagram,
     compile_diagram,
@@ -58,6 +59,7 @@ from .repcat import (
     ModuleStack,
     scalar_of,
     scalars_of,
+    tensor,
     twist_scalar,
     valpha_stack,
 )
@@ -111,27 +113,64 @@ def _valpha_colors(ctx: RootParams, colors: dict) -> dict[str, ModuleStack]:
     return stacks
 
 
+def _word_action(stacks: dict[str, ModuleStack], word: tuple) -> tuple:
+    """E, F and H acting on the tensor product of a word's strands, per
+    term: three arrays of shape (terms, d, d); on the empty word, the
+    monoidal unit, they are 0."""
+    if not word:
+        zero = np.zeros((1, 1, 1), dtype=complex)
+        return zero, zero, zero
+    module = functools.reduce(
+        tensor, (stacks[s.component] if s.up else stacks[s.component].dual for s in word))
+    return module.e, module.f, module.weights[:, :, None] * np.eye(module.dim)
+
+
+def _check_coupons(diagram: SlicedDiagram, stacks: dict[str, ModuleStack], tol: float) -> None:
+    """DomainError unless every coupon's matrix M is a morphism for every
+    term of ``stacks``: for X = E, F and H, the max-norm residual of
+    M·ρ_in(X) − ρ_out(X)·M is at most tol·max(1, ‖M‖)·‖ρ(X)‖, ‖ρ(X)‖
+    being the larger of the two actions' largest entries.  Schur's lemma
+    holds for a morphism only, so a coupon that is not one is a bad input,
+    not a failing Schur check.  Called once the contraction has checked
+    each matrix's shape."""
+    for index, sl in enumerate(diagram.slices):
+        if not isinstance(sl, Coupon):
+            continue
+        m = np.asarray(sl.matrix, dtype=complex)
+        size = max(1.0, float(np.abs(m).max(initial=0.0)))
+        actions = zip("EFH", _word_action(stacks, sl.inputs), _word_action(stacks, sl.outputs))
+        for name, x_in, x_out in actions:
+            residual = np.abs(m @ x_in - x_out @ m).max(axis=(1, 2))
+            norm = np.maximum(np.abs(x_in).max(axis=(1, 2)), np.abs(x_out).max(axis=(1, 2)))
+            failing = np.flatnonzero(residual > tol * size * norm)
+            if failing.size:
+                k = failing[0]
+                raise DomainError(
+                    f"coupon at slice {index} is not a morphism: it fails to commute "
+                    f"with {name} by {float(residual[k]):.3e} (allowed "
+                    f"{float(tol * size * norm[k]):.3e})"
+                )
+
+
 @_in_double_range
 def f_prime(
     diagram: SlicedDiagram,
     colors: dict,
     ctx: RootParams,
     cut_component: Optional[str] = None,
-    cut_slice: Optional[int] = None,
     framings: Optional[dict] = None,
 ) -> complex:
     """Renormalized invariant of a closed colored diagram.
 
     ``colors`` maps each component to a number α, coloring it by the
     simple projective module V_α.  Cuts ``cut_component`` (default: the
-    first component) open at ``cut_slice``, extracts the Schur scalar s of
-    the resulting 1-1 tangle, and returns d(α)·s, times twist corrections
-    θ**(framing − writhe) for every component with a declared framing.  An
-    explicit ``cut_slice`` is honoured as given; by default the component is
-    cut at its last cup or cap that other strands do not enclose
-    (:meth:`.CompiledDiagram.open_cut`).  Every open cut gives the same
-    Schur scalar up to rounding; always taking the last one fixes the
-    rounding, and cutting an enclosed extremum is not a planar move.
+    first component) open at its last cup or cap that other strands do not
+    enclose (:meth:`.CompiledDiagram.open_cut`), extracts the Schur scalar
+    s of the resulting 1-1 tangle, and returns d(α)·s, times twist
+    corrections θ**(framing − writhe) for every component with a declared
+    framing.  Every open cut gives the same Schur scalar up to rounding;
+    always taking the last one fixes the rounding, and cutting an enclosed
+    extremum is not a planar move.
     """
     compiled = compile_diagram(diagram)
     if compiled.words[0] or compiled.words[-1]:
@@ -152,20 +191,16 @@ def f_prime(
         if not names:
             raise DomainError("no component carries a simple projective color")
         cut_component = names[0]
+    cut_slice = compiled.open_cut(cut_component)
     if cut_slice is None:
-        cut_slice = compiled.open_cut(cut_component)
-        if cut_slice is None:
-            raise DomainError(
-                f"component {cut_component!r} has no cup or cap that can be cut open; "
-                "re-slice the diagram with this component outermost"
-            )
-    component, network = compiled.cut(cut_slice)
-    if component != cut_component:
         raise DomainError(
-            f"cut slice {cut_slice} belongs to component {component!r}, "
-            f"not {cut_component!r}"
+            f"component {cut_component!r} has no cup or cap that can be cut open; "
+            "re-slice the diagram with this component outermost"
         )
-    s = scalar_of(network.contract(stacks, diagram)[0], ctx.tol)
+    _, network = compiled.cut(cut_slice)
+    matrices = network.contract(stacks, diagram)
+    _check_coupons(diagram, stacks, ctx.tol)
+    s = scalar_of(matrices[0], ctx.tol)
     value = ctx.mdim(complex(colors[cut_component])) * s
     if framings:
         writhes, _ = compiled.writhe_and_linking
@@ -202,7 +237,6 @@ class SurgeryPresentation:
     colors: dict = field(default_factory=dict)
     graph_framings: dict[str, int] = field(default_factory=dict)
     defect: int = 0
-    family: Optional[tuple] = None
 
     def __post_init__(self):
         names = set(self.diagram.component_names())
@@ -291,10 +325,7 @@ def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
                     m[k][t] += m[other][t]
                 for t in range(n):
                     m[t][k] += m[t][other]
-        d = m[k][k]
-        if d == 0:  # pragma: no cover - the repair above forces d != 0
-            nullity += 1
-            continue
+        d = m[k][k]  # not 0: the repair above makes it 2·m[k][other]
         if d > 0:
             p += 1
         else:
@@ -491,8 +522,9 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
         for j, name in enumerate(l_names):
             k = rows[:, j]
             colors[name] = stacks[j].take(k[:1] if (k == k[0]).all() else k)
-        scalars[start : start + len(rows)] = scalars_of(
-            network.contract(colors, sp.diagram), ctx.tol)
+        values = network.contract(colors, sp.diagram)
+        _check_coupons(sp.diagram, colors, ctx.tol)
+        scalars[start : start + len(rows)] = scalars_of(values, ctx.tol)
     f_total = complex(np.cumsum(weights * scalars)[-1])
 
     lam, eta, delta, d_plus, d_minus = ctx.constants()
@@ -541,7 +573,6 @@ def standard_two_component(
         meridian_values={names[0]: meridians[0], names[1]: meridians[1]},
         colors={},
         defect=defect,
-        family=("two_component", lk),
     )
 
 
@@ -557,7 +588,11 @@ def handle_slide(
     (f_i, lk) ↦ (f_i + f_j − 2·lk, lk − f_j), c_j ↦ c_j + c_i.  The
     represented decorated manifold is unchanged.
 
-    Supported on the :func:`standard_two_component` family for the slides
+    Supported on the :func:`standard_two_component` family: two surgery
+    components, no graph component, and the diagram
+    :func:`.diagram.clasp_diagram` of their linking number, drawn with the
+    components in framing order (so a presentation parsed from a document
+    counts when its diagram is that clasp).  Of those, only the slides
     whose result the family can actually draw:
 
     * from a split base (lk = 0) the band sum with the framed parallel of
@@ -572,18 +607,18 @@ def handle_slide(
     outside the two-strand pattern, so the diagram cannot realize it; those
     raise :class:`UnsupportedSlideError`.
     """
-    if not sp.family or sp.family[0] != "two_component":
+    names = sp.surgery_names()
+    lk = sp.compiled.writhe_and_linking[1].get(frozenset(names), 0)
+    if len(names) != 2 or sp.colors or sp.diagram != clasp_diagram(lk, *names):
         raise UnsupportedSlideError(
             "handle slides are implemented on the standard two-component "
             "family only"
         )
-    names = sp.surgery_names()
     if {slide, over} != set(names) or slide == over:
         raise UnsupportedSlideError(
             f"slide/over must be the two surgery components {names}, got "
             f"({slide!r}, {over!r})"
         )
-    lk = sp.family[1]
     f_i, f_j = sp.framings[slide], sp.framings[over]
     c_i, c_j = sp.meridian_values[slide], sp.meridian_values[over]
     if reverse and lk == f_j:

@@ -238,7 +238,7 @@ def test_criterion_5_invariance_under_presentation_moves():
         # too (|Z| <= 6e-15), so this also compares two zeros
         sp = iv.standard_two_component(ctx, 3, (8, 3), (2.0 / 5, 4.0 / 15))
         undone = iv.handle_slide(sp, "L1", "L2", reverse=True)
-        assert undone.family == ("two_component", 0)
+        assert undone.diagram == dg.clasp_diagram(0, "L1", "L2")
         zu, zv = iv.z_invariant(sp).z, iv.z_invariant(undone).z
         slid_max = max(slid_max, abs(zu), abs(zv))
         err = abs(zu - zv) / (1 + abs(zv))
@@ -288,7 +288,7 @@ def test_criterion_6_both_normalization_routes_agree():
             err = abs(res.z - res.z_via_betti) / (1 + abs(res.z))
             worst = max(worst, err)
             cases += 1
-            assert err <= tol, f"r={r} {sp.family}: {err:.2e}"
+            assert err <= tol, f"r={r} {sp.framings}: {err:.2e}"
     _report(
         6,
         "signature-defect and Betti-number normalizations of the surgery "

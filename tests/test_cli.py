@@ -222,7 +222,7 @@ def test_tqftdim_beyond_grid_size(tmp_path, capsys):
     assert doc["total"] == 9**21
 
 
-def test_inputs_round_trip_exact(capsys):
+def test_inputs_round_trip_exact(tmp_path, capsys):
     # the echoed normalized inputs re-parse to the same floats, bit for bit
     path = FIXTURES / "genus2_theta.json"
     code, doc, _ = run_json(capsys, "tqftdim", "--r", "5", "--input", str(path))
@@ -234,15 +234,12 @@ def test_inputs_round_trip_exact(capsys):
         assert isinstance(g, dict) and set(g) == {"re", "im"}
         assert float(g["re"]) == float(repr(float(g["re"])))
     # feed the normalized form back in: identical result
-    tmp = path.parent / "_rt_tmp.json"
-    try:
-        tmp.write_text(json.dumps(echoed))
-        code2, doc2, _ = run_json(capsys, "tqftdim", "--r", "5", "--input", str(tmp))
-        assert code2 == 0
-        assert doc2["dimensions"] == doc["dimensions"]
-        assert doc2["inputs"] == echoed
-    finally:
-        tmp.unlink(missing_ok=True)
+    tmp = tmp_path / "round_trip.json"
+    tmp.write_text(json.dumps(echoed))
+    code2, doc2, _ = run_json(capsys, "tqftdim", "--r", "5", "--input", str(tmp))
+    assert code2 == 0
+    assert doc2["dimensions"] == doc["dimensions"]
+    assert doc2["inputs"] == echoed
 
 
 def test_coupon_fixture_closed_form(capsys):
@@ -597,6 +594,99 @@ def test_domain_error_unknown_framing_component(tmp_path, capsys):
     code, _, err = run(capsys, "flink", "--r", "5", "--input", path)
     assert code == 3
     assert "domain error" in err and "'Q'" in err
+
+
+def _with_coupon(doc, component, position, matrix):
+    """Put a coupon with ``matrix`` on ``component``'s up strand, at
+    ``position`` in the word right after the two cups of a clasp document."""
+    strand = [{"component": component, "up": True}]
+    doc["diagram"]["width-changes"].insert(2, {
+        "slice": "coupon", "position": position, "inputs": strand, "outputs": strand,
+        "matrix": matrix})
+
+
+def test_coupon_not_a_morphism_exits_3(tmp_path, capsys):
+    # unknot_coupon.json with one entry off the diagonal of c·Id: Schur's
+    # lemma no longer applies, which is the input's fault, not the program's
+    def edit(doc):
+        doc["diagram"]["width-changes"][2]["matrix"][0][1] = "1"
+
+    path = _fixture_with(tmp_path, "unknot_coupon.json", edit)
+    code, out, err = run(capsys, "flink", "--r", "5", "--input", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: coupon at slice 2 is not a morphism: ")
+    assert err.count("\n") == 1
+    # a matrix of the wrong shape is still a schema error first
+    code, out, err = run(capsys, "flink", "--r", "3", "--input", path)
+    assert (code, out, err) == (2, "", "schema error: coupon matrix shape (5, 5) != (3, 3)\n")
+    # zinv checks every Kirby term: c·Id on the graph edge or on the
+    # surgery circle (word T1↑ L1↑ L1↓ T1↓) multiplies Z by c; one entry
+    # more is refused
+    fixture = str(FIXTURES / "encircled_unknot.json")
+    _, plain, _ = run_json(capsys, "zinv", "--r", "5", "--input", fixture)
+    for component, position in (("T1", 0), ("L1", 1)):
+        scaled = [[2 if i == j else 0 for j in range(5)] for i in range(5)]
+        path = _fixture_with(tmp_path, "encircled_unknot.json",
+                             lambda d: _with_coupon(d, component, position, scaled))
+        code, doc, err = run_json(capsys, "zinv", "--r", "5", "--input", path)
+        assert (code, err) == (0, "")
+        assert abs(float(doc["Z_re"]) - 2 * float(plain["Z_re"])) <= 1e-12
+        scaled[3][0] = 1
+        path = _fixture_with(tmp_path, "encircled_unknot.json",
+                             lambda d: _with_coupon(d, component, position, scaled))
+        code, out, err = run(capsys, "zinv", "--r", "5", "--input", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: coupon at slice 2 is not a morphism: ")
+
+
+_REJECTED = {  # label -> (command, fixture, edit, exit code, the one stderr line)
+    "framings not an object": (
+        "zinv", "s1xs2.json", lambda d: d.update(framings=[]),
+        2, "schema error: $.framings: expected an object"),
+    "diagram not an object": (
+        "flink", "hopf.json", lambda d: d.update(diagram=[]),
+        2, "schema error: $.diagram: expected a diagram object"),
+    "meridians not an object": (
+        "zinv", "s1xs2.json", lambda d: d.update(meridians="1/3"),
+        2, "schema error: $.meridians: expected an object mapping component names"),
+    "edge tail not a vertex": (
+        "hh0", "genus2_theta.json", lambda d: d["edges"][0].update(tail="w"),
+        2, "schema error: $.edges[0].tail: vertex 'w' is not in the vertex list"),
+    "empty flink diagram": (
+        "flink", "hopf.json",
+        lambda d: (d.update(diagram={"source": [], "width-changes": []}, colors={}),
+                   d.pop("cut")),
+        3, "domain error: no component carries a simple projective color"),
+    "graph framing on a surgery component": (
+        "zinv", "encircled_unknot.json", lambda d: d.update(graph_framings={"L1": 1}),
+        3, "domain error: $: graph framings ['L1'] do not name graph components"),
+    "component both surgery and graph": (
+        "zinv", "encircled_unknot.json", lambda d: d["colors"].update(L1="2/5"),
+        3, "domain error: $: components ['L1'] are both surgery and graph"),
+    "missing meridian": (
+        "zinv", "s1xs2.json", lambda d: d.update(meridians={}),
+        3, "domain error: $: missing meridian values for ['L1']"),
+    "open surgery diagram": (
+        "zinv", "s1xs2.json",
+        lambda d: d.update(diagram={"source": [{"component": "L1", "up": True}],
+                                    "width-changes": [{"slice": "id"}]}),
+        3, "domain error: no projective component offers a cut point that is not enclosed"),
+    "colored edge with two endpoints": (
+        "tqftdim", "genus2_theta.json", lambda d: d["edges"][0].update(color="1/3"),
+        3, "domain error: $: external edge 'e1' must have exactly one endpoint"),
+    "uncolored edge with one endpoint": (
+        "tqftdim", "genus2_theta.json", lambda d: d["edges"][0].update(head=None),
+        3, "domain error: $: edge 'e1' has one endpoint but no color; external edges "
+           "need a fixed color"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REJECTED))
+def test_rejected_document_exits_with_one_line(tmp_path, capsys, label):
+    sub, fixture, edit, want_code, line = _REJECTED[label]
+    path = _fixture_with(tmp_path, fixture, edit)
+    code, out, err = run(capsys, sub, "--r", "5", "--input", path)
+    assert (code, out, err) == (want_code, "", line + "\n")
 
 
 def test_domain_error_verlinde_overflow(tmp_path, capsys):

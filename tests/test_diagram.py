@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from cuts import cut_matrices
 from duality import duality_maps
 
 from unrolledsl2.diagram import (
@@ -16,12 +17,10 @@ from unrolledsl2.diagram import (
     Strand,
     braid_closure,
     clasp_diagram,
-    cut_is_enclosed,
+    compile_diagram,
     evaluate,
-    evaluate_cut,
     typecheck,
     unknot_diagram,
-    writhe_and_linking,
 )
 from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
@@ -71,15 +70,15 @@ def test_typecheck_rejects_bad_slices():
 
 
 def test_writhe_and_linking_bookkeeping():
-    w, _ = writhe_and_linking(braid_closure([(0, 1)], 2, "K"))
+    w, _ = compile_diagram(braid_closure([(0, 1)], 2, "K")).writhe_and_linking
     assert w["K"] == 1
-    w, _ = writhe_and_linking(braid_closure([(0, -1)], 2, "K"))
+    w, _ = compile_diagram(braid_closure([(0, -1)], 2, "K")).writhe_and_linking
     assert w["K"] == -1
     for lk in (1, -1, 2, -3):
-        w, link = writhe_and_linking(clasp_diagram(lk))
+        w, link = compile_diagram(clasp_diagram(lk)).writhe_and_linking
         assert w == {"A": 0, "B": 0}
         assert link[frozenset(("A", "B"))] == lk
-    w, _ = writhe_and_linking(braid_closure([(0, 1)] * 3, 2, "K"))
+    w, _ = compile_diagram(braid_closure([(0, 1)] * 3, 2, "K")).writhe_and_linking
     assert w["K"] == 3
 
 
@@ -126,7 +125,7 @@ def test_curl_gives_twist(ctx):
     alpha = _generic(rng)
     mod = valpha_stack(ctx, (alpha,))
     for sign in (1, -1):
-        m = evaluate_cut(braid_closure([(0, sign)], 2, "K"), {"K": mod}, ctx, 0)[0]
+        m = cut_matrices(braid_closure([(0, sign)], 2, "K"), {"K": mod}, 0)[0]
         s = scalar_of(m, 1e-8)
         assert abs(s - twist_scalar(ctx, alpha) ** sign) < 1e-9
 
@@ -137,7 +136,7 @@ def test_unknot_cut_is_identity(ctx):
     primed = SlicedDiagram((Cup(0, "K", "coevprime"), Cap(0, "ev")))
     for d in (unknot_diagram("K"), primed):
         for cut in (0, 1):
-            m = evaluate_cut(d, {"K": mod}, ctx, cut)[0]
+            m = cut_matrices(d, {"K": mod}, cut)[0]
             assert np.abs(m - np.eye(mod.dim)).max() < 1e-10
 
 
@@ -167,18 +166,18 @@ def test_cut_tangle_batch_matches_one_term_calls(ctx, case):
         alphas = [_generic(rng) for _ in range(3)]
         batch = valpha_stack(ctx, alphas)
         for cut in cuts:
-            got = evaluate_cut(diagram, {**fixed, varying: batch}, ctx, cut)
+            got = cut_matrices(diagram, {**fixed, varying: batch}, cut)
             assert got.shape == (3, ctx.r, ctx.r)
             for k, alpha in enumerate(alphas):
                 colors = {**fixed, varying: valpha_stack(ctx, (alpha,))}
-                ref = evaluate_cut(diagram, colors, ctx, cut)[0]
+                ref = cut_matrices(diagram, colors, cut)[0]
                 assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_cut_tangle_rejects_unequal_batches(ctx):
     modules = valpha_stack(ctx, (0.3, 0.4, 0.6))
     with pytest.raises(DomainError):
-        evaluate_cut(clasp_diagram(1, "A", "B"), {"A": modules.take([0, 1]), "B": modules}, ctx, 0)
+        cut_matrices(clasp_diagram(1, "A", "B"), {"A": modules.take([0, 1]), "B": modules}, 0)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +196,8 @@ def test_enclosed_cut_detection():
         i for i, sl in enumerate(hopf.slices)
         if isinstance(sl, Cup) and sl.component == "B"
     )
-    assert cut_is_enclosed(hopf, inner_cup)
-    assert not cut_is_enclosed(hopf, outer_cup)
+    assert compile_diagram(hopf).enclosed(inner_cup)
+    assert not compile_diagram(hopf).enclosed(outer_cup)
 
 
 def test_enclosed_cut_rejected(ctx):
@@ -210,7 +209,7 @@ def test_enclosed_cut_rejected(ctx):
         if isinstance(sl, Cup) and sl.component == "A"
     )
     with pytest.raises((DomainError, DiagramTypeError)):
-        evaluate_cut(hopf, colors, ctx, inner_cup)
+        cut_matrices(hopf, colors, inner_cup)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +329,7 @@ def test_cut_tangle_matches_dense_reference(ctx, seed, right):
     kirby = [_generic(rng) for _ in range(3)]
     fixed = {"K": valpha_stack(ctx, (_generic(rng),)), "B": valpha_stack(ctx, (_generic(rng),))}
     for cut in (0, len(closed.slices) - 1):
-        got = evaluate_cut(closed, {**fixed, "A": valpha_stack(ctx, kirby)}, ctx, cut)
+        got = cut_matrices(closed, {**fixed, "A": valpha_stack(ctx, kirby)}, cut)
         assert got.shape == (3, ctx.r, ctx.r)
         for k, alpha in enumerate(kirby):
             ref = _dense(tangle, {**fixed, "A": valpha_stack(ctx, (alpha,))})

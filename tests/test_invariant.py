@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from cuts import cut_matrices
 
 from unrolledsl2 import diagram as diagram_module
 from unrolledsl2 import invariant
@@ -18,11 +19,7 @@ from unrolledsl2.diagram import (
     braid_closure,
     clasp_diagram,
     compile_diagram,
-    cut_is_enclosed,
-    evaluate_cut,
-    typecheck,
     unknot_diagram,
-    writhe_and_linking,
 )
 from unrolledsl2.errors import (
     DomainError,
@@ -42,7 +39,7 @@ from unrolledsl2.invariant import (
     unknot_presentation,
     z_invariant,
 )
-from unrolledsl2.jsonio import load_document, parse_flink
+from unrolledsl2.jsonio import load_document, parse_flink, parse_surgery
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import scalar_of, twist, twist_scalar, valpha_stack
 
@@ -175,7 +172,8 @@ def test_fprime_knot_slicing_independence(ctx):
 
 def _open_cuts(diagram, component):
     """Every cup and cap of ``component`` that is not enclosed."""
-    words = typecheck(diagram)
+    compiled = compile_diagram(diagram)
+    words = compiled.words
     out = []
     for index, sl in enumerate(diagram.slices):
         if isinstance(sl, Cup):
@@ -184,7 +182,7 @@ def _open_cuts(diagram, component):
             owner = words[index][sl.position].component
         else:
             continue
-        if owner == component and not cut_is_enclosed(diagram, index):
+        if owner == component and not compiled.enclosed(index):
             out.append(index)
     return out
 
@@ -196,6 +194,14 @@ KNOT_WORDS = {
     "figure8_3": ([(0, 1), (1, -1), (0, 1), (1, -1)], 3),
 }
 CUT_CASES = [f"clasp{lk:+d}" for lk in (1, -1, 2, -2)] + list(KNOT_WORDS)
+
+
+def _f_prime_at(diagram, colors, ctx, component, cut):
+    """F' with ``component`` cut open at slice ``cut``: d(α)·s, with s the
+    Schur scalar of the cut tangle."""
+    stacks = {name: valpha_stack(ctx, (alpha,)) for name, alpha in colors.items()}
+    s = scalar_of(cut_matrices(diagram, stacks, cut)[0], ctx.tol)
+    return ctx.mdim(colors[component]) * s
 
 
 @pytest.mark.parametrize("case", CUT_CASES)
@@ -214,7 +220,7 @@ def test_fprime_agrees_at_every_open_cut(r, case):
     cuts = _open_cuts(diagram, component)
     assert len(cuts) >= 2
     for cut in cuts:
-        value = f_prime(diagram, colors, ctx, cut_component=component, cut_slice=cut)
+        value = _f_prime_at(diagram, colors, ctx, component, cut)
         assert abs(value - default) <= 1e-9 * abs(default)
 
 
@@ -254,17 +260,17 @@ def test_enclosure_through_crossings_and_coupons(r):
     ctx = RootParams(r)
     # the clasp's crossings join A, left of the drop line, to B right of it
     diagram, zigzag = _zigzag_diagram(r, True, None, 2)
-    assert cut_is_enclosed(diagram, zigzag)
+    assert compile_diagram(diagram).enclosed(zigzag)
     # inside B: B↑ reaches B's cup, and so B↓, only through the coupon
     diagram, zigzag = _zigzag_diagram(r, False, "AB", 3)
-    assert cut_is_enclosed(diagram, zigzag)
+    assert compile_diagram(diagram).enclosed(zigzag)
     # the crossings and the coupon all lie left of the drop line
     diagram, zigzag = _zigzag_diagram(r, True, "A", 4)
-    assert not cut_is_enclosed(diagram, zigzag)
+    assert not compile_diagram(diagram).enclosed(zigzag)
     colors = {"A": 2.0 / 7, "B": -5.0 / 11}
     default = f_prime(diagram, colors, ctx, cut_component="B")
     assert abs(default) >= 0.1
-    value = f_prime(diagram, colors, ctx, cut_component="B", cut_slice=zigzag)
+    value = _f_prime_at(diagram, colors, ctx, "B", zigzag)
     assert abs(value - default) <= 1e-9 * abs(default)
 
 
@@ -395,14 +401,14 @@ def test_z_both_forms_on_fixtures(ctx):
 
 
 def _kirby_sum_term_by_term(sp):
-    """(F'_total, Σ|term|) with one evaluate_cut and one scalar_of per Kirby term.
+    """(F'_total, Σ|term|) with one cut_matrices and one scalar_of per Kirby term.
 
     The reference for the batched passes of :func:`z_invariant`; framing
     corrections use the twist built from the braiding.
     """
     ctx = sp.ctx
     l_names = sp.surgery_names()
-    writhes, _ = writhe_and_linking(sp.diagram)
+    writhes, _ = compile_diagram(sp.diagram).writhe_and_linking
     cut_name, cut_slice = _fixed_cut(sp)
     graph_colors = sp.graph_stacks
     total, size = 0j, 0.0
@@ -417,7 +423,7 @@ def _kirby_sum_term_by_term(sp):
         for name, framing in sp.graph_framings.items():
             delta_f = framing - writhes.get(name, 0)
             value *= scalar_of(twist(graph_colors[name]), ctx.tol) ** delta_f
-        matrix = evaluate_cut(sp.diagram, colors, ctx, cut_slice)[0]
+        matrix = cut_matrices(sp.diagram, colors, cut_slice)[0]
         term = value * ctx.mdim(complex(alphas[cut_name])) * scalar_of(matrix, ctx.tol)
         total += term
         size += abs(term)
@@ -613,14 +619,14 @@ def test_handle_slide_round_trip_exact(ctx):
     spb = handle_slide(spf, "L1", "L2", reverse=True)
     assert spb.framings == sp0.framings
     assert spb.meridian_values == sp0.meridian_values
-    assert spb.family == sp0.family
+    assert spb.diagram == sp0.diagram
 
 
 def test_handle_slide_undo_from_clasp(ctx):
     sp = standard_two_component(ctx, 3, (8, 3), (2.0 / 5, 4.0 / 15))
     assert computability_failure(sp) is None
     undone = handle_slide(sp, "L1", "L2", reverse=True)
-    assert undone.family == ("two_component", 0)
+    assert undone.diagram == clasp_diagram(0, "L1", "L2")
     zu, zv = z_invariant(sp).z, z_invariant(undone).z
     assert abs(zu - zv) < 1e-8 * (1 + abs(zv))
 
@@ -629,6 +635,41 @@ def test_unsupported_slide_raises(ctx):
     sp = standard_two_component(ctx, 1, (3, 2), (2.0 / 5, 4.0 / 5))
     with pytest.raises(UnsupportedSlideError):
         handle_slide(sp, "L1", "L2")
+    # outside the family: one component, a graph component, and a split
+    # clasp whose circles are drawn in the other order
+    split = SurgeryPresentation(ctx, clasp_diagram(0, "L2", "L1"), {"L1": 3, "L2": 5},
+                                {"L1": 2.0 / 3, "L2": 4.0 / 5})
+    for sp, slide, over in ((unknot_presentation(ctx, 2, 1.0), "L1", "L1"),
+                            (encircled_strand_presentation(ctx, 0.4), "L1", "T1"),
+                            (split, "L1", "L2")):
+        with pytest.raises(UnsupportedSlideError, match="family only"):
+            handle_slide(sp, slide, over)
+
+
+# the split clasp of standard_two_component(ctx, 0, (3, 5), (2/3, 4/5)),
+# written as a document
+_SPLIT_CLASP_DOC = {
+    "diagram": {"source": [], "width-changes": [
+        {"slice": "cup", "position": 0, "component": "L2", "variant": "coev"},
+        {"slice": "cup", "position": 1, "component": "L1", "variant": "coev"},
+        {"slice": "cap", "position": 1, "variant": "evprime"},
+        {"slice": "cap", "position": 0, "variant": "evprime"},
+    ]},
+    "framings": {"L1": 3, "L2": 5},
+    "meridians": {"L1": "2/3", "L2": "4/5"},
+}
+
+
+def test_a_parsed_clasp_slides_like_a_built_one(ctx):
+    parsed = parse_surgery(_SPLIT_CLASP_DOC, ctx)
+    built = standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5))
+    assert parsed.diagram == built.diagram == clasp_diagram(0, "L1", "L2")
+    for slide, over, rev in (("L1", "L2", False), ("L2", "L1", True)):
+        a = handle_slide(parsed, slide, over, reverse=rev)
+        b = handle_slide(built, slide, over, reverse=rev)
+        assert (a.diagram, a.framings, a.meridian_values, a.defect) == (
+            b.diagram, b.framings, b.meridian_values, b.defect)
+        assert z_invariant(a) == z_invariant(b)
 
 
 # ----------------------------------------------------------------------

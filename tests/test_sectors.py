@@ -19,6 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from cuts import cut_matrices  # noqa: E402
 
 from unrolledsl2 import diagram  # noqa: E402
 from unrolledsl2.diagram import (  # noqa: E402
@@ -30,7 +31,6 @@ from unrolledsl2.diagram import (  # noqa: E402
     Strand,
     clasp_diagram,
     compile_diagram,
-    evaluate_cut,
 )
 from unrolledsl2.errors import DomainError  # noqa: E402
 from unrolledsl2.qscalar import RootParams  # noqa: E402
@@ -125,14 +125,14 @@ def test_sector_batch_matches_dense_terms(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagram, "_SECTOR_MIN_PEAK", 0)
         assert isinstance(network.route(colors, terms), diagram._Sectors)
-        got = evaluate_cut(d, colors, ctx, cut)
+        got = cut_matrices(d, colors, cut)
     assert got.shape == (terms, ctx.r, ctx.r)
     assert not off_diagonal(got).any()
     dense = []
     for k in range(terms):
         one = {name: st_.take([k if st_.terms > 1 else 0]) for name, st_ in colors.items()}
         assert network.route(one, 1) is network.plan({n: st_.dim for n, st_ in one.items()})
-        dense.append(evaluate_cut(d, one, ctx, cut)[0])
+        dense.append(cut_matrices(d, one, cut)[0])
     dense = np.array(dense)
     assert not off_diagonal(dense).any()
     bound = np.broadcast_to(magnitude_bound(network, colors, d), got.shape)
@@ -173,10 +173,10 @@ def test_a_coupon_network_takes_the_dense_route():
     network = compile_diagram(d).cut(6)[1]
     assert network.plan({"K": 3, "L": 3}).sectors is None
     assert network.route(stacks, 4) is network.plan({"K": 3, "L": 3})
-    got = evaluate_cut(d, stacks, ctx, 6)
+    got = cut_matrices(d, stacks, 6)
     for k in range(4):
         one = {name: st_.take([k]) for name, st_ in stacks.items()}
-        ref = evaluate_cut(d, one, ctx, 6)[0]
+        ref = cut_matrices(d, one, 6)[0]
         assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -191,4 +191,4 @@ def test_entries_outside_every_sector_are_refused():
     d = clasp_diagram(1, "A", "B")
     assert isinstance(compile_diagram(d).cut(5)[1].route({"A": odd, "B": v}, 2), diagram._Sectors)
     with pytest.raises(DomainError, match="weight module"):
-        evaluate_cut(d, {"A": odd, "B": v}, ctx, 5)
+        cut_matrices(d, {"A": odd, "B": v}, 5)
