@@ -50,15 +50,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from . import jsonio
-from .errors import (
-    DiagramTypeError,
-    DomainError,
-    NonGenericError,
-    NotComputableError,
-    QInvariantError,
-    SchemaError,
-    UnsupportedSlideError,
-)
+from .errors import DomainError, QInvariantError, SchemaError
 from .invariant import f_prime, z_invariant
 from .qscalar import RootParams
 from .tqftdim import hh0_dimension_generic, verlinde
@@ -408,10 +400,10 @@ def _run(args, out, err) -> int:
         else:
             _emit_table(result, out)
         return 0
-    except (SchemaError, DiagramTypeError) as exc:
+    except SchemaError as exc:
         print(f"schema error: {exc}", file=err)
         return 2
-    except (DomainError, NotComputableError, NonGenericError, UnsupportedSlideError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=err)
         return 3
     except MemoryError as exc:

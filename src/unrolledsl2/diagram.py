@@ -20,10 +20,10 @@ Evaluation contracts the diagram as a tensor network: each crossing and
 coupon is one tensor, and cups and caps only join legs (their pivot weights
 ride on the joined leg).  A greedy planner (:mod:`.planner`) orders the
 contraction from the strand dimensions alone, and a memory preflight
-refuses a contraction whose peak exceeds physical memory before any block
-is built.  A leading term axis carries a batch of colorings of the same
-diagram through one contraction, by one of two routes
-(:meth:`_Network.route`):
+refuses a contraction whose peak, or a sector layout whose index arrays,
+exceed physical memory before any block or index is built.  A leading
+term axis carries a batch of colorings of the same diagram through one
+contraction, by one of two routes (:meth:`_Network.route`):
 
 * dense: every tensor a dense, zero-filled block, each merge one batched
   matmul (:class:`_Plan`);
@@ -448,6 +448,12 @@ def compile_diagram(diagram: SlicedDiagram) -> CompiledDiagram:
 # most 0.1 µs longer, with 25 terms 27-850 µs less.
 _SECTOR_MIN_PEAK = 4**4
 
+# Bytes charged per dense element (the plan's peak per term) before a sector
+# layout is built: building one held 25-37 bytes per element at its traced
+# peak on the cut lens_7_2 network at r = 9-31 (int64 index arrays of the
+# dense size, three live at once), so the figure is 1.1-1.6 times that peak.
+_LAYOUT_BYTES = 40
+
 
 class _Network:
     """A diagram as a tensor network over integer leg ids.
@@ -555,7 +561,8 @@ class _Network:
         (:class:`_Sectors`) at the stacks' charges when the batch has more
         than one term, the plan holds crossings only, and its dense peak is
         at least ``_SECTOR_MIN_PEAK`` elements per term.  The layout is made
-        once per plan and charges; a component's charges are its first
+        once per plan and charges, after ``_LAYOUT_BYTES`` per dense element
+        are charged against memory; a component's charges are its first
         term's weights as steps of −2 from the first weight.
         """
         plan = self.plan({name: st.dim for name, st in stacks.items()})
@@ -567,6 +574,7 @@ class _Network:
             charges.append(tuple(round((weights[0] - w) / 2) for w in weights))
         key = tuple(charges)
         if key not in plan.sectors:
+            require_memory(_LAYOUT_BYTES * plan.peak, "the weight-sector layout")
             plan.sectors[key] = _Sectors(self, plan, key)
         return plan.sectors[key]
 
@@ -657,7 +665,7 @@ class _Plan:
             if kind == "braid" and len(free) == len(held):
                 axes = [held.index(leg) for leg in layout]
                 self.tensors.append(_Crossing(
-                    arg, weighted, _Scatter(axes, [leg_dims[leg] for leg in layout])))
+                    arg, weighted, axes, [leg_dims[leg] for leg in layout]))
             else:
                 subscripts = None
                 if weights or len(free) < len(held):
@@ -684,9 +692,11 @@ class _Plan:
         return arrays[self.last] if self.final is None else arrays[self.last].transpose(self.final)
 
 
-class _Scatter:
-    """Zeros of shape (terms, *out) but for a braiding's entries (terms,
-    entries).  An entry goes to the row-major flat position of its
+class _Crossing:
+    """A crossing's braiding entries (terms, entries)
+    (:func:`.repcat.braiding_entries`), times the pivot powers of its
+    weighted legs (``weights``), scattered into zeros of shape (terms,
+    *out).  An entry goes to the row-major flat position of its
     (k, i, j, l) read in ``axes`` order over ``shape`` (``out`` is
     ``shape``), or, given ``places``, to the place that position maps to
     in a sector block of shape ``out`` (:class:`_Sectors`): −1 where the
@@ -695,12 +705,20 @@ class _Scatter:
     which :func:`.repcat.braiding_entries` hands out unchanged per nonzero
     pattern."""
 
-    def __init__(self, axes, shape, places=None, out=None):
+    def __init__(self, key: int, weights: list, axes, shape, places=None, out=None):
+        self.key, self.weights = key, weights
         self.axes, self.shape, self.places = tuple(axes), tuple(shape), places
         self.out = self.shape if out is None else tuple(out)
         self._last = (None, None)  # (the (k, i, j, l) arrays, their places)
 
-    def __call__(self, values: np.ndarray, index: tuple) -> np.ndarray:
+    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
+        values, index = entries[self.key]
+        if self.weights:  # multiplied as _Block's einsum multiplies
+            operands = [values, [0, 1]]
+            for name, power, axis in self.weights:
+                pivot = stacks[name].pivot ** power
+                operands += [pivot[:, index[axis]], [0, 1]]
+            values = np.einsum(*operands, [0, 1])
         seen, flat = self._last
         if seen is not index:
             flat = 0
@@ -718,40 +736,21 @@ class _Scatter:
         return block[:, :size].reshape(len(values), *self.out)
 
 
-class _Crossing:
-    """A crossing without a self-traced leg: its braiding's nonzero entries
-    (:func:`.repcat.braiding_entries`) times the pivot powers of its
-    weighted legs, scattered straight into its layout."""
-
-    def __init__(self, key: int, weights: list, scatter: _Scatter):
-        self.key, self.weights, self.scatter = key, weights, scatter
-
-    def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
-        values, index = entries[self.key]
-        if self.weights:  # multiplied as _Block's einsum multiplies
-            operands = [values, [0, 1]]
-            for name, power, axis in self.weights:
-                pivot = stacks[name].pivot ** power
-                operands += [pivot[:, index[axis]], [0, 1]]
-            values = np.einsum(*operands, [0, 1])
-        return self.scatter(values, index)
-
-
 class _Block:
-    """A kink (a crossing with a self-traced leg), coupon or wire: built
-    whole, weighted and traced by one einsum (``subscripts``: those of its
-    legs and of its free legs, None when there is nothing to do), and
-    viewed in its layout."""
+    """A kink (a crossing with a self-traced leg, built whole by a
+    weightless :class:`_Crossing`), coupon or wire: weighted and traced by
+    one einsum (``subscripts``: those of its legs and of its free legs,
+    None when there is nothing to do), and viewed in its layout."""
 
     def __init__(self, kind, arg, outputs, shape, weights, subscripts, layout):
         self.kind, self.arg, self.outputs, self.shape = kind, arg, outputs, shape
         self.weights, self.subscripts, self.layout = weights, subscripts, layout
-        self.scatter = _Scatter(range(4), shape) if kind == "braid" else None
+        self.crossing = _Crossing(arg, [], range(4), shape) if kind == "braid" else None
 
     def build(self, stacks: dict, entries: list, diagram: SlicedDiagram) -> np.ndarray:
         shape = self.shape
         if self.kind == "braid":
-            block = self.scatter(*entries[self.arg])
+            block = self.crossing.build(stacks, entries, diagram)
         elif self.kind == "wire":
             block = np.eye(shape[0], dtype=complex)
         else:
@@ -812,11 +811,10 @@ class _Sectors:
     one batched matmul; sectors missing from either operand are dropped.
 
     A crossing is placed from its entries straight into the block of its
-    one merge (a :class:`_Crossing` whose :class:`_Scatter` maps each
-    entry to its place in that block).  A result is kept flat with one zero
-    after it, and ``steps`` give, per operand, the gather from it (None
-    when its flat order already is the block's); a padding place gathers
-    that zero.  ``final`` gathers the last result into the dense ``open``
+    one merge (a :class:`_Crossing` given each entry's place in that
+    block).  A result is kept flat with one zero after it, and ``steps``
+    give, per operand, the gather from it (None when its flat order
+    already is the block's); a padding place gathers that zero.  ``final`` gathers the last result into the dense ``open``
     layout, so an entry outside every sector, such as one off the
     diagonal of a cut, is exactly 0.  ``peak`` and ``braid_elements``
     count as :class:`_Plan`'s do, padding included.
@@ -843,8 +841,8 @@ class _Sectors:
                 self.braid_elements += len(valid)
                 crossing = plan.tensors[t]
                 shape = [dims[leg] for leg in live[t]]
-                return _Crossing(crossing.key, crossing.weights, _Scatter(
-                    range(len(shape)), shape, at, rows.shape + cols.shape[1:]))
+                return _Crossing(crossing.key, crossing.weights, range(len(shape)), shape,
+                                 at, rows.shape + cols.shape[1:])
             places, size = kept[t]
             gather = np.where(valid, places[source], size)
             return None if np.array_equal(gather, np.arange(size)) else gather

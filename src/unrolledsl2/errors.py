@@ -1,9 +1,11 @@
 """Exception hierarchy.
 
 Every error deliberately raised by this package derives from
-:class:`QInvariantError`, so callers can catch the package's failures with a
-single ``except`` clause while still distinguishing the mathematically
-meaningful failure modes below.
+:class:`QInvariantError`.  Two families say what is wrong with the input,
+and the CLI's exit code follows the family: :class:`SchemaError` for
+malformed input (exit 2) and :class:`DomainError` for well-formed input
+outside the mathematical domain (exit 3), each with finer modes below.
+:class:`NotScalarError` is an internal inconsistency (exit 1).
 """
 
 
@@ -20,6 +22,10 @@ class DomainError(QInvariantError, ValueError):
     """
 
 
+class SchemaError(QInvariantError, ValueError):
+    """Malformed input file: wrong shape, missing key, or unparsable value."""
+
+
 class NotScalarError(QInvariantError):
     """An endomorphism that must be scalar (by Schur's lemma) is not.
 
@@ -29,7 +35,7 @@ class NotScalarError(QInvariantError):
     """
 
 
-class NotComputableError(QInvariantError):
+class NotComputableError(DomainError):
     """A surgery presentation fails the computability criteria.
 
     The three-manifold invariant needs every surgery-component meridian to
@@ -39,7 +45,7 @@ class NotComputableError(QInvariantError):
     """
 
 
-class NonGenericError(QInvariantError):
+class NonGenericError(DomainError):
     """A cohomology class is integral where a generic value is required.
 
     Raised by the graded-dimension and Hochschild routines when an internal
@@ -48,7 +54,7 @@ class NonGenericError(QInvariantError):
     """
 
 
-class DiagramTypeError(QInvariantError, TypeError):
+class DiagramTypeError(SchemaError, TypeError):
     """Ill-typed diagram data: slices fail to compose.
 
     Carries the offending slice index and a description of the orientation,
@@ -56,9 +62,5 @@ class DiagramTypeError(QInvariantError, TypeError):
     """
 
 
-class UnsupportedSlideError(QInvariantError):
+class UnsupportedSlideError(DomainError):
     """A handle slide was requested outside the supported diagram family."""
-
-
-class SchemaError(QInvariantError, ValueError):
-    """Malformed input file: wrong shape, missing key, or unparsable value."""

@@ -36,7 +36,6 @@ import functools
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -300,44 +299,26 @@ class LinkingData:
 
 
 def signature_pair_exact(matrix: list[list[int]]) -> tuple[int, int, int]:
-    """Exact (p, s, nullity) of a symmetric integer matrix.
+    """Exact (p, s, nullity) of a symmetric integer matrix A.
 
-    Symmetric congruence diagonalization over the rationals (Fraction
-    arithmetic), so the counts of positive, negative and zero diagonal
-    entries are exact.
+    The characteristic polynomial det(λ·I − A) has integer coefficients,
+    computed by the Faddeev–LeVerrier recursion, whose every division by k
+    is exact.  A symmetric matrix has real eigenvalues only, so by
+    Descartes' rule of signs the number p of positive ones is the number of
+    sign changes of the coefficients; the nullity is the multiplicity of
+    the root 0, and s the rest.
     """
     n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    p = s = nullity = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if other is None:
-                    nullity += 1
-                    continue
-                for t in range(n):
-                    m[k][t] += m[other][t]
-                for t in range(n):
-                    m[t][k] += m[t][other]
-        d = m[k][k]  # not 0: the repair above makes it 2·m[k][other]
-        if d > 0:
-            p += 1
-        else:
-            s += 1
-        for i in range(k + 1, n):
-            factor = m[i][k] / d
-            if factor:
-                for t in range(n):
-                    m[i][t] -= factor * m[k][t]
-                for t in range(n):
-                    m[t][i] -= factor * m[t][k]
-    return p, s, nullity
+    coefficients = [1]  # from λ^n down
+    product = [[0] * n for _ in range(n)]  # A·M_(k−1), with M_0 = 0
+    for k in range(1, n + 1):
+        m = [[product[i][j] + coefficients[-1] * (i == j) for j in range(n)] for i in range(n)]
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in matrix]
+        coefficients.append(-sum(product[i][i] for i in range(n)) // k)
+    nullity = n - max(i for i, c in enumerate(coefficients) if c)
+    signs = [c > 0 for c in coefficients if c]
+    p = sum(a != b for a, b in zip(signs, signs[1:]))
+    return p, n - nullity - p, nullity
 
 
 def linking_data(sp: SurgeryPresentation) -> LinkingData:
@@ -472,11 +453,9 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     per pass on the benchmark's surgery documents (r = 9); their padded
     sector blocks peak far lower (549 elements per term for the r = 9
     chain), so each of them runs in one pass.  A pass colors each component
-    with its stack gathered at the pass's Kirby indices, or with a one-term
-    stack (whose blocks broadcast) when the index is the same for every
-    term of the pass.  Every term passes its own Schur check on its full
-    d×d matrix, and the term values are summed one by one in row-major
-    order.
+    with its stack gathered at the pass's Kirby indices.  Every term passes
+    its own Schur check on its full d×d matrix, and the term values are
+    summed one by one in row-major order.
     """
     ctx = sp.ctx
     writhes, _ = sp.compiled.writhe_and_linking
@@ -520,8 +499,7 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
         rows = index[start : start + per_pass]
         colors: dict = dict(graph_colors)
         for j, name in enumerate(l_names):
-            k = rows[:, j]
-            colors[name] = stacks[j].take(k[:1] if (k == k[0]).all() else k)
+            colors[name] = stacks[j].take(rows[:, j])
         values = network.contract(colors, sp.diagram)
         _check_coupons(sp.diagram, colors, ctx.tol)
         scalars[start : start + len(rows)] = scalars_of(values, ctx.tol)

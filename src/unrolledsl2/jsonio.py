@@ -37,7 +37,7 @@ from .diagram import (
     SlicedDiagram,
     Strand,
 )
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .invariant import SurgeryPresentation
 from .qscalar import RootParams
 from .tqftdim import GraphEdge, TrivalentGraph
@@ -325,9 +325,7 @@ def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresenta
             graph_framings=graph_framings,
             defect=defect,
         )
-    except SchemaError:
-        raise
-    except Exception as exc:  # domain validation errors keep their type
+    except DomainError as exc:  # each keeps its type
         raise type(exc)(f"{path}: {exc}") from exc
 
 
@@ -386,9 +384,7 @@ def parse_graph(doc: Any, ctx: RootParams, path: str = "$") -> TrivalentGraph:
     vertex_order = tuple(sorted(order, key=lambda v: (order[v], v)))
     try:
         return TrivalentGraph(ctx, tuple(edges), vertex_order)
-    except SchemaError:
-        raise
-    except Exception as exc:
+    except DomainError as exc:  # each keeps its type
         raise type(exc)(f"{path}: {exc}") from exc
 
 

@@ -112,11 +112,12 @@ class GraphEdge:
 class TrivalentGraph:
     """An oriented uni-trivalent graph with ℂ/2ℤ edge gradings.
 
-    Internal vertices are exactly the names appearing as edge endpoints
-    and must have three incidences each (loops count twice); univalent
-    outer ends of external edges are implicit.  ``vertex_order`` records
-    the ordering of trivalent vertices that a basis needs for even r; the
-    grid and the contraction both iterate vertices in that order.
+    Internal vertices are the names appearing as edge endpoints or in
+    ``vertex_order``, and must have three incidences each (loops count
+    twice); univalent outer ends of external edges are implicit.
+    ``vertex_order`` records the ordering of trivalent vertices that a
+    basis needs for even r; the grid and the contraction both iterate
+    vertices in that order.
     ``incidence`` is the signed incidence table both read: per vertex, its
     three ``(edge, sign)`` entries in edge order, +1 where the edge enters
     (its head) and −1 where it leaves (its tail), a loop once with each
@@ -155,6 +156,8 @@ class TrivalentGraph:
             for v, sign in ((e.head, 1), (e.tail, -1)):
                 if v is not None:
                     table.setdefault(v, []).append((e, sign))
+        for v in self.vertex_order:  # a listed vertex that no edge touches
+            table.setdefault(v, [])
         for v, ends in table.items():
             if len(ends) != 3:
                 raise DomainError(f"vertex {v!r} has {len(ends)} incidences, need 3")

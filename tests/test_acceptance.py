@@ -7,6 +7,8 @@ per-criterion pass/fail line).
 """
 
 import itertools
+import math
+import pathlib
 import time
 
 import numpy as np
@@ -14,11 +16,13 @@ from duality import duality_maps
 
 from unrolledsl2 import diagram as dg
 from unrolledsl2 import invariant as iv
+from unrolledsl2 import jsonio
 from unrolledsl2 import repcat as rc
 from unrolledsl2 import tqftdim as td
 from unrolledsl2.qscalar import RootParams
 
 ROOTS = (2, 3, 5, 6, 7)
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
 
 
 def _generic(rng, lo=-2.0, hi=2.0):
@@ -252,15 +256,51 @@ def test_criterion_5_invariance_under_presentation_moves():
             err = max(abs(za - zb), abs(za - zc)) / (1 + abs(za))
             worst_z = max(worst_z, err)
             assert err <= tol_z, f"r={r} lift shift gap {err:.2e}"
+    # a blow-up, where Z does not vanish: L(7,2) as the chain [4,2]
+    # (lens_7_2.json) and as [5,1,3] carrying the class across, against the
+    # class (4/7, -20/7, 16/7), which is not carried across.  r = 7 is left
+    # out (Z ~ 1e-14 on both sides), and so is r >= 10, where the blow-up
+    # exits with NotScalarError (the precision defect of the trace readout)
+    fixture = jsonio.load_document(str(FIXTURES / "lens_7_2.json"))
+    tol_k, worst_k, smallest, control = 1e-9, 0.0, math.inf, math.inf
+    for r in (2, 3, 5, 6, 9):
+        ctx = RootParams(r)
+        chain = iv.z_invariant(jsonio.parse_surgery(fixture, ctx)).z
+        blown = iv.z_invariant(_lens_7_2_blown_up(ctx, (2 / 7, -10 / 7, 8 / 7))).z
+        other = iv.z_invariant(_lens_7_2_blown_up(ctx, (4 / 7, -20 / 7, 16 / 7))).z
+        scale = max(1.0, abs(chain))
+        worst_k = max(worst_k, abs(blown - chain) / scale)
+        smallest = min(smallest, abs(chain), abs(blown))
+        control = min(control, abs(other - chain))
+        assert abs(blown - chain) <= tol_k * scale, f"r={r} blow-up gap {abs(blown - chain):.2e}"
+        assert abs(other - chain) >= 0.1, f"r={r}: a class not carried across gives the same Z"
     _report(
         5,
         "link invariant is slicing- and cut-independent; surgery invariant "
-        "survives lift shifts, and handle slides (4 directions + clasp undo) "
-        "keep Z = 0 on both sides, a check only that both sides vanish",
+        "survives lift shifts, a blow-up of L(7,2) to [5,1,3] at r in "
+        "{2,3,5,6,9} (r = 7 left out: Z ~ 1e-14; r >= 10 exits with "
+        "NotScalarError), and handle slides (4 directions + clasp undo), "
+        "where Z = 0 on both sides",
         f"max rel residuals {worst_f:.2e} <= {tol_f:.0e} (links), "
-        f"{worst_z:.2e} <= {tol_z:.0e} (surgery); max |Z| on the slid "
-        f"presentations {slid_max:.1e}",
+        f"{worst_z:.2e} <= {tol_z:.0e} (surgery), {worst_k:.2e} <= {tol_k:.0e} "
+        f"(blow-up, smallest |Z| compared {smallest:.2f}; a class not carried "
+        f"across is {control:.2f} away); max |Z| on the slid presentations "
+        f"{slid_max:.1e}",
     )
+
+
+def _lens_7_2_blown_up(ctx, meridians):
+    """L(7,2) as the chain [5,1,3]: nested circles L3, L2, L1 from the
+    outside in, each clasped once with the next (framings 5, 1, 3 on L1,
+    L2, L3), with ``meridians`` on L1, L2, L3."""
+    diagram = dg.SlicedDiagram((
+        dg.Cup(0, "L3"), dg.Cup(1, "L2"), dg.Cup(2, "L1"),
+        dg.Braid(0, 1), dg.Braid(0, 1), dg.Braid(1, 1), dg.Braid(1, 1),
+        dg.Cap(2), dg.Cap(1), dg.Cap(0),
+    ))
+    names = ("L1", "L2", "L3")
+    return iv.SurgeryPresentation(ctx, diagram, dict(zip(names, (5, 1, 3))),
+                                  dict(zip(names, meridians)))
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from unrolledsl2 import cli, errors, selftest
 from unrolledsl2.cli import main, parse_args
 from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
 from unrolledsl2.qscalar import RootParams
@@ -639,6 +640,32 @@ def test_coupon_not_a_morphism_exits_3(tmp_path, capsys):
         assert err.startswith("domain error: coupon at slice 2 is not a morphism: ")
 
 
+# every class of unrolledsl2.errors -> the exit code and stderr prefix of its family
+_ERROR_FAMILIES = {
+    "SchemaError": (2, "schema error: "),
+    "DiagramTypeError": (2, "schema error: "),
+    "DomainError": (3, "domain error: "),
+    "NotComputableError": (3, "domain error: "),
+    "NonGenericError": (3, "domain error: "),
+    "UnsupportedSlideError": (3, "domain error: "),
+    "NotScalarError": (1, "internal inconsistency: NotScalarError: "),
+    "QInvariantError": (1, "internal inconsistency: QInvariantError: "),
+}
+
+
+def test_every_error_class_exits_with_its_family_code(monkeypatch, capsys):
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.QInvariantError)}
+    assert classes == set(_ERROR_FAMILIES)
+    for name, (code, prefix) in _ERROR_FAMILIES.items():
+        def handler(ctx, doc, error=getattr(errors, name)):
+            raise error("raised in a handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "flink", handler)
+        assert run(capsys, "flink", "--r", "5", "--input", str(FIXTURES / "hopf.json")) == (
+            code, "", f"{prefix}raised in a handler\n"), name
+
+
 _REJECTED = {  # label -> (command, fixture, edit, exit code, the one stderr line)
     "framings not an object": (
         "zinv", "s1xs2.json", lambda d: d.update(framings=[]),
@@ -678,6 +705,32 @@ _REJECTED = {  # label -> (command, fixture, edit, exit code, the one stderr lin
         "tqftdim", "genus2_theta.json", lambda d: d["edges"][0].update(head=None),
         3, "domain error: $: edge 'e1' has one endpoint but no color; external edges "
            "need a fixed color"),
+    "listed vertex that no edge touches": (
+        "hh0", "genus2_theta.json", lambda d: d["vertices"].append({"name": "w", "order": 2}),
+        3, "domain error: $: vertex 'w' has 0 incidences, need 3"),
+    "empty surgery diagram": (
+        "zinv", "s1xs2.json",
+        lambda d: d.update(diagram={"source": [], "width-changes": []}, framings={},
+                           meridians={}),
+        3, "domain error: empty surgery link and non-admissible graph: no nonintegral "
+           "meridian value and no projective color"),
+    "open diagram with one mixed crossing": (
+        "zinv", "s1xs2.json",
+        lambda d: d.update(
+            diagram={"source": [{"component": "A", "up": True}, {"component": "B", "up": True}],
+                     "width-changes": [{"slice": "braid", "position": 0, "sign": 1}]},
+            framings={"A": 0, "B": 0}, meridians={"A": "1/3", "B": "1/3"}),
+        2, "schema error: odd mixed-crossing sum 1 between ['A', 'B']; the diagram does "
+           "not close these components"),
+    "closed circle beside an open strand": (
+        "zinv", "s1xs2.json",
+        lambda d: d.update(
+            diagram={"source": [{"component": "A", "up": True}],
+                     "width-changes": [
+                         {"slice": "cup", "component": "L", "position": 1, "variant": "coev"},
+                         {"slice": "cap", "position": 1, "variant": "evprime"}]},
+            framings={"A": 3, "L": 3}, meridians={"A": "2/3", "L": "2/3"}),
+        3, "domain error: cut evaluation requires a closed diagram"),
 }
 
 
@@ -687,6 +740,32 @@ def test_rejected_document_exits_with_one_line(tmp_path, capsys, label):
     path = _fixture_with(tmp_path, fixture, edit)
     code, out, err = run(capsys, sub, "--r", "5", "--input", path)
     assert (code, out, err) == (want_code, "", line + "\n")
+
+
+def test_coupon_on_no_strands_scales_the_unknot(tmp_path, capsys):
+    # a coupon with empty input and output words is the scalar of its 1×1
+    # matrix: F' of the unknot colored 1/3 times 2
+    def edit(doc):
+        doc["colors"]["K"] = "1/3"
+        doc["diagram"]["width-changes"].insert(1, {
+            "slice": "coupon", "position": 0, "inputs": [], "outputs": [], "matrix": [["2"]]})
+
+    path = _fixture_with(tmp_path, "unknot.json", edit)
+    code, doc, err = run_json(capsys, "flink", "--r", "5", "--input", path)
+    assert (code, err) == (0, "")
+    expected = 2 * RootParams(5).mdim(1 / 3)
+    assert abs(complex(float(doc["F_re"]), float(doc["F_im"])) - expected) <= 1e-12 * abs(expected)
+
+
+def test_selftest_table_prints_a_failing_property_with_its_detail(monkeypatch, capsys):
+    def failing(ctx, rng):
+        raise AssertionError("residual 0.5 above 1e-10")
+
+    monkeypatch.setattr(selftest, "CHECKS", [*CHECKS[:1], ("always_fails", failing)])
+    code, out, err = run(capsys, "selftest", "--r", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == ["FAIL  always_fails  [residual 0.5 above 1e-10]",
+                                    "1/2 properties hold for r=3"]
 
 
 def test_domain_error_verlinde_overflow(tmp_path, capsys):

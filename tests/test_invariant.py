@@ -2,9 +2,12 @@
 
 import itertools
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cuts import cut_matrices
 
 from unrolledsl2 import diagram as diagram_module
@@ -304,6 +307,65 @@ def test_signature_pair_exact():
     assert signature_pair_exact(
         [[1, 0, 0], [0, 0, 0], [0, 0, -2]]
     ) == (1, 1, 1)
+
+
+def _signature_by_congruence(matrix):
+    """(p, s, nullity) by symmetric Gaussian elimination over the rationals,
+    the reference for :func:`signature_pair_exact`'s characteristic
+    polynomial: a zero pivot is swapped with a later nonzero diagonal
+    entry, or, with none left, made 2·m[k][other] by adding row and column
+    ``other``; a zero row counts toward the nullity."""
+    n = len(matrix)
+    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    p = s = nullity = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if other is None:
+                    nullity += 1
+                    continue
+                for t in range(n):
+                    m[k][t] += m[other][t]
+                for t in range(n):
+                    m[t][k] += m[t][other]
+        d = m[k][k]
+        if d > 0:
+            p += 1
+        else:
+            s += 1
+        for i in range(k + 1, n):
+            factor = m[i][k] / d
+            if factor:
+                for t in range(n):
+                    m[i][t] -= factor * m[k][t]
+                for t in range(n):
+                    m[t][i] -= factor * m[t][k]
+    return p, s, nullity
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices up to 7×7, entries in [−5, 5], about 30 %
+    of them zero."""
+    n = draw(st.integers(0, 7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            zero = draw(st.integers(0, 9)) < 3
+            m[i][j] = m[j][i] = 0 if zero else draw(st.integers(-5, 5))
+    return m
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_symmetric_matrices())
+def test_signature_matches_congruence_diagonalization(matrix):
+    assert signature_pair_exact(matrix) == _signature_by_congruence(matrix)
 
 
 def test_linking_data_chain(ctx):

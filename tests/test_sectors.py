@@ -8,9 +8,12 @@ networks (braid closures of 2-4 strands with 1-3 components, either
 crossing sign and either cup variant, and clasps), sends every batch of
 them down the sector route whatever its peak, and checks that the batch
 equals the one-term evaluations term by term, with every entry off the
-cut's diagonal exactly 0 on both routes.
+cut's diagonal exactly 0 on both routes.  The memory figure charged before
+a layout is built must cover the traced peak of building it.
 """
 
+import pathlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +36,8 @@ from unrolledsl2.diagram import (  # noqa: E402
     compile_diagram,
 )
 from unrolledsl2.errors import DomainError  # noqa: E402
+from unrolledsl2.invariant import _fixed_cut  # noqa: E402
+from unrolledsl2.jsonio import load_document, parse_surgery  # noqa: E402
 from unrolledsl2.qscalar import RootParams  # noqa: E402
 from unrolledsl2.repcat import ModuleStack, braiding_entries, valpha_stack  # noqa: E402
 
@@ -192,3 +197,33 @@ def test_entries_outside_every_sector_are_refused():
     assert isinstance(compile_diagram(d).cut(5)[1].route({"A": odd, "B": v}, 2), diagram._Sectors)
     with pytest.raises(DomainError, match="weight module"):
         cut_matrices(d, {"A": odd, "B": v}, 5)
+
+
+@pytest.mark.parametrize("r", [9, 13, 17])
+def test_layout_memory_figure_covers_the_peak(monkeypatch, r):
+    # the figure charged before the sector layout of lens_7_2's cut network
+    # (two components, r Kirby colors each) is built is at least the traced
+    # peak of building it, and at most twice that
+    ctx = RootParams(r)
+    fixture = pathlib.Path(__file__).resolve().parents[1] / "docs/fixtures/lens_7_2.json"
+    sp = parse_surgery(load_document(str(fixture)), ctx)
+    network = sp.compiled.cut(_fixed_cut(sp)[1])[1]
+    stacks = {name: valpha_stack(ctx, complex(sp.meridian_values[name]) + np.array(ctx.h_r_set()))
+              for name in sp.surgery_names()}
+    network.plan({name: st_.dim for name, st_ in stacks.items()})  # built outside the trace
+    figures = []
+    charge = diagram.require_memory
+
+    def recording(need, what):
+        figures.append(need)
+        charge(need, what)
+
+    monkeypatch.setattr(diagram, "require_memory", recording)
+    tracemalloc.start()
+    try:
+        route = network.route(stacks, r * r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(route, diagram._Sectors)
+    assert peak <= max(figures, default=0) <= 2 * peak
