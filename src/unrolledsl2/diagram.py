@@ -108,6 +108,9 @@ class Strand:
     def orientation(self) -> int:
         return 1 if self.up else -1
 
+    def __str__(self) -> str:  # as a document names it: "K up", "K down"
+        return f"{self.component} {'up' if self.up else 'down'}"
+
 
 @dataclass(frozen=True)
 class Id:
@@ -252,10 +255,8 @@ def _apply_slice(word: tuple, sl: SliceType, index: int) -> tuple:
         i = sl.position
         ins = sl.inputs
         if word[i : i + len(ins)] != ins:
-            bail(
-                f"coupon inputs {ins} do not match word segment "
-                f"{word[i:i + len(ins)]}"
-            )
+            want, found = (", ".join(map(str, w)) for w in (ins, word[i : i + len(ins)]))
+            bail(f"coupon inputs [{want}] do not match word segment [{found}]")
         return word[:i] + sl.outputs + word[i + len(ins) :]
 
     bail(f"unknown slice kind {type(sl).__name__}")

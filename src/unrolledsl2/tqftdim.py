@@ -13,8 +13,9 @@ degree histogram of that basis along three independent routes:
 * through zeroth Hochschild homology (:func:`hh0_dimension_generic`), the
   production engine behind the ``tqftdim`` and ``hh0`` subcommands: it
   contracts per-vertex multiplicity tensors edge by edge, never lists
-  colorings, and is exact at any size (float64 on BLAS below 2^53
-  colorings, then int64, then Python integers);
+  colorings, costs time and memory linear in each degree axis, and is
+  exact at any size (float64 on BLAS below 2^53 colorings, then int64,
+  then Python integers);
 * from the dense grid of all colorings (:func:`graded_dimension`), whose
   memory grows as r'^E in the number E of edges; it is the small-size
   oracle that the self-test and the test suite compare the contraction
@@ -585,15 +586,17 @@ def _vertex_cluster(
 def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     """Contract every edge two clusters share and convolve their degrees.
 
-    One matrix product does both: the larger operand a becomes a (free,
-    shared·degree) matrix and the smaller one a Toeplitz band
-    ``band[s, i, f, k] = b[f, s, k − i]`` built in ka slice copies.  The
-    result keeps a's open slots, then b's, then the degree axis.  It is
-    exact in every dtype tier; the float64 one (below 2^53 colorings, see
-    :func:`hh0_dimension_generic`) runs on BLAS.  The transposed copies of
-    both operands, the band and the result, on top of the ``held`` bytes
-    already live (the operands among them), are charged through
-    :func:`.planner.require_memory` before any is built.
+    The larger operand a becomes a (degree·free, shared) matrix L and the
+    smaller one a (shared, free, degree) array R; degree j of b adds the
+    product L @ R[:, :, j] to the result's degrees j to j + ka − 1.  So a
+    merge does ka·kb times the work of one degree pair (on BLAS in the
+    float64 tier, below 2^53 colorings: see :func:`hh0_dimension_generic`),
+    and its memory is linear in each degree axis.  Clusters that share no
+    edge just convolve.  The result keeps a's open slots, then b's, then
+    the degree axis.  The transposed copies of both operands, the result
+    and one product, on top of the ``held`` bytes already live (the
+    operands among them), are charged through
+    :func:`.planner.require_memory` first.
     """
     if a.array.size < b.array.size:
         a, b = b, a
@@ -601,19 +604,17 @@ def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     free_a = [name for name in a.slots if name not in shared]
     free_b = [name for name in b.slots if name not in shared]
     ka, kb = a.array.shape[-1], b.array.shape[-1]
-    lhs = a.array.transpose([a.slots.index(n) for n in free_a + shared] + [-1])
+    lhs = a.array.transpose([-1] + [a.slots.index(n) for n in free_a + shared])
     rhs = b.array.transpose([b.slots.index(n) for n in shared + free_b] + [-1])
+    free = lhs.shape[1 : 1 + len(free_a)] + rhs.shape[len(shared) : -1]
+    require_memory(held + a.array.nbytes + b.array.nbytes  # the result and one product
+                   + b.array.itemsize * math.prod(free) * (2 * ka + kb - 1), "an HH0 merge")
     n_shared = math.prod(rhs.shape[: len(shared)])
-    shape = lhs.shape[: len(free_a)] + rhs.shape[len(shared) : -1] + (ka + kb - 1,)
-    band_cells = b.array.size // kb * ka * (ka + kb - 1)
-    require_memory(held + a.array.nbytes + b.array.nbytes
-                   + b.array.itemsize * (band_cells + math.prod(shape)), "an HH0 merge")
-    rhs = rhs.reshape(n_shared, -1, kb)
-    band = np.zeros((n_shared, ka, rhs.shape[1], ka + kb - 1), b.array.dtype)
-    for i in range(ka):
-        band[:, i, :, i : i + kb] = rhs
-    out = lhs.reshape(-1, n_shared * ka) @ band.reshape(n_shared * ka, -1)
-    return _Cluster(free_a + free_b, out.reshape(shape), a.k_min + b.k_min)
+    lhs, rhs = lhs.reshape(-1, n_shared), rhs.reshape(n_shared, -1, kb)
+    out = np.zeros((ka + kb - 1,) + free, b.array.dtype)
+    for j in range(kb):
+        out[j : j + ka] += (lhs @ rhs[:, :, j]).reshape((ka,) + free)
+    return _Cluster(free_a + free_b, np.moveaxis(out, 0, -1), a.k_min + b.k_min)
 
 
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
@@ -631,11 +632,14 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     order is the shared greedy plan (:func:`.planner.greedy_order`): each
     step merges the two clusters that share an edge and whose result has
     the fewest label elements (the first such pair on ties), contracting
-    all their shared edges in one step.  It finally mirrors the degree (the
-    algebra-slot convention grades opposite to the coloring convention).
-    A free circle contributes its algebra's own class, one degree-0
-    idempotent per summand.  Graphs with an integral internal grading
-    raise :class:`NonGenericError`.
+    all their shared edges in one step.  That leaves one cluster per
+    connected piece of the spine and no open slot (a slot's two holders
+    share it), and the first piece absorbs the others through the same
+    merge.  A free circle contributes its algebra's own class, one
+    degree-0 idempotent per summand: a factor r'.  It finally mirrors the
+    degree (the algebra-slot convention grades opposite to the coloring
+    convention).  Graphs with an integral internal grading raise
+    :class:`NonGenericError`.
 
     Counts are exact at any size: every partial entry, and every product
     and partial sum a merge forms, is a nonnegative integer at most the
@@ -660,20 +664,14 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         held += live[i].array.nbytes
     dims = dict.fromkeys(lows, ctx.rprime)
     order, _peak = greedy_order([c.slots for c in live.values()], dims)
-    for i, j in order:
+    pieces = sorted(live.keys() - {j for _, j in order})  # one per connected piece
+    for i, j in order + [(pieces[0], j) for j in pieces[1:]]:
         a, b = live[i], live.pop(j)
         live[i] = _merge_clusters(a, b, held)
         held += live[i].array.nbytes - a.array.nbytes - b.array.nbytes
-    coeffs = np.asarray([ctx.rprime ** len(graph.circles)], dtype=object)
-    k_min = 0
-    for c in live.values():
-        if c.slots:
-            raise DomainError(
-                f"cluster retains open slots {c.slots}; the graph is inconsistent"
-            )
-        coeffs = np.convolve(coeffs, c.array.astype(object))
-        k_min += c.k_min
-    mirrored = {-(k_min + i): int(v) for i, v in enumerate(coeffs) if v}
+    (total,) = live.values() or [_Cluster([], np.ones(1, dtype), 0)]
+    scale = ctx.rprime ** len(graph.circles)
+    mirrored = {-(total.k_min + i): int(v) * scale for i, v in enumerate(total.array) if v}
     return GradedDimension(mirrored, "plain" if ctx.r % 2 else "super")
 
 

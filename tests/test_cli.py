@@ -731,6 +731,17 @@ _REJECTED = {  # label -> (command, fixture, edit, exit code, the one stderr lin
                          {"slice": "cap", "position": 1, "variant": "evprime"}]},
             framings={"A": 3, "L": 3}, meridians={"A": "2/3", "L": "2/3"}),
         3, "domain error: cut evaluation requires a closed diagram"),
+    "cup beyond the word": (
+        "flink", "unknot.json", lambda d: d["diagram"]["width-changes"][0].update(position=3),
+        2, "schema error: slice 0 (Cup): cup position 3 out of range for width 0"),
+    "cap joining two components": (
+        "flink", "hopf.json", lambda d: d["diagram"]["width-changes"][4].update(position=2),
+        2, "schema error: slice 4 (Cap): cap joins different components 'A' and 'B'"),
+    "coupon inputs off the word": (
+        "flink", "unknot_coupon.json",
+        lambda d: d["diagram"]["width-changes"][2]["inputs"][0].update(up=True),
+        2, "schema error: slice 2 (Coupon): coupon inputs [K up] do not match word "
+           "segment [K down]"),
 }
 
 

@@ -1,5 +1,6 @@
 """Dimension layer: admissible colorings, graded dimensions, closed forms."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -391,6 +392,48 @@ def test_hh0_matches_grid_or_closed_form(label, r, build):
     assert_hh0_matches_oracle(graph, np.random.default_rng(r + graph.genus))
 
 
+def _disjoint_union(*graphs):
+    """The graphs side by side, each one's edges and vertices suffixed by its
+    position so that no two pieces share a name."""
+    edges = [dataclasses.replace(e, name=f"{e.name}.{n}", tail=e.tail and f"{e.tail}.{n}",
+                                 head=e.head and f"{e.head}.{n}")
+             for n, graph in enumerate(graphs) for e in graph.edges]
+    return TrivalentGraph(graphs[0].ctx, tuple(edges))
+
+
+_DISJOINT_CASES = {
+    "two-thetas": lambda ctx: [theta_graph(ctx, 0.3, 0.45), theta_graph(ctx, 0.21, 0.62)],
+    "theta-and-circle": lambda ctx: [theta_graph(ctx, 0.3, 0.45), circle_graph(ctx, 0.37)],
+    "pointed-necklace-and-tetrahedron": lambda ctx: [
+        add_point_chain(_necklace(ctx, 3, 3), "c0", [0.4, -0.4]),
+        tetrahedron_graph(ctx, 0.21, 0.34, 0.42)],
+}
+
+
+@pytest.mark.parametrize("r", [3, 5, 6, 7, 9])
+@pytest.mark.parametrize("label", list(_DISJOINT_CASES))
+def test_hh0_of_a_disjoint_union(label, r):
+    # the grid where it fits; otherwise the product of the pieces' own
+    # histograms, each piece a connected spine
+    ctx = RootParams(r)
+    pieces = _DISJOINT_CASES[label](ctx)
+    graph = _disjoint_union(*pieces)
+    hh = hh0_dimension_generic(graph)
+    internal = [e for e in graph.internal_edges if not e.is_circle]
+    if ctx.rprime ** len(internal) <= GRID_CELLS:
+        want = graded_dimension(graph)
+    else:
+        product = {0: 1}
+        for piece in map(hh0_dimension_generic, pieces):
+            convolved = {}
+            for k, dim in product.items():
+                for j, d in piece.coefficients.items():
+                    convolved[k + j] = convolved.get(k + j, 0) + dim * d
+            product = convolved
+        want = td.GradedDimension(product, "plain" if r % 2 else "super")
+    assert hh == want
+
+
 @pytest.mark.parametrize("r,genus,legs", [(9, 8, 0), (7, 9, 0), (3, 14, 1),
                                           (6, 12, 0)])
 def test_hh0_exact_beyond_int64(r, genus, legs):
@@ -477,11 +520,48 @@ def test_merge_matches_tensordot_reference(dtype):
             return td._Cluster(slots, array, int(rng.integers(-5, 5)))
 
         a, b = cluster(slots_a), cluster(slots_b)
-        got, want = td._merge_clusters(a, b, 0), _reference_merge(a, b)
-        assert got.slots == want.slots and got.k_min == want.k_min
-        assert got.array.dtype == want.array.dtype
-        assert got.array.shape == want.array.shape
-        assert (got.array == want.array).all()
+        _assert_merges_agree(a, b)
+    # long degree axes, with the larger operand's axis the longer or the shorter
+    longer = set()
+    for trial in range(16):
+        slots_a = ["s", "f"][: 1 + trial % 2] + ["g"] * (trial % 4 == 3)
+        slots_b = ["s", "h"][: 1 + trial // 2 % 2]
+        a, b = (td._Cluster(slots, rng.integers(0, 50, size=[2] * len(slots) + [
+                    int(rng.integers(1, 201))]).astype(dtype), int(rng.integers(-5, 5)))
+                for slots in (slots_a, slots_b))
+        big, small = (b, a) if a.array.size < b.array.size else (a, b)
+        longer.add(big.array.shape[-1] >= small.array.shape[-1])
+        _assert_merges_agree(a, b)
+    assert longer == {True, False}
+
+
+def _assert_merges_agree(a, b):
+    got, want = td._merge_clusters(a, b, 0), _reference_merge(a, b)
+    assert got.slots == want.slots and got.k_min == want.k_min
+    assert got.array.dtype == want.array.dtype
+    assert got.array.shape == want.array.shape
+    assert (got.array == want.array).all()
+
+
+@pytest.mark.parametrize("r,genus", [(5, 20), (5, 40), (6, 25), (6, 40)])
+def test_hh0_of_a_long_necklace_matches_the_band_merge(monkeypatch, r, genus):
+    graph = _necklace(RootParams(r), genus, genus)
+    got = hh0_dimension_generic(graph)
+    monkeypatch.setattr(td, "_merge_clusters", lambda a, b, held: _reference_merge(a, b))
+    assert got == hh0_dimension_generic(graph)
+
+
+def test_hh0_memory_is_linear_in_the_degree_span():
+    # a merge through a Toeplitz band holds the square of the degree axis,
+    # which grows by about 3 per genus: that merge peaks at 19.3 MiB here
+    graph = necklace_graph(RootParams(5), 80, [0.3 + 0.001j] * 79, 0.55)
+    tracemalloc.start()
+    try:
+        hh0_dimension_generic(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(
