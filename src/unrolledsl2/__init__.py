@@ -2,9 +2,11 @@
 
 Modules
 -------
-qscalar   root-of-unity scalars, quantum integers, modified dimension
+qscalar   root-of-unity scalars, quantum integers, modified dimension,
+          the closed-form (Verlinde) graded dimension
+model     diagrams, slices, spines and histograms: the parsed documents
 repcat    weight modules (one type, ModuleStack), braiding, twists, duality
-diagram   sliced tangle diagrams and their evaluation
+diagram   evaluation of sliced tangle diagrams
 planner   greedy contraction order shared by diagram and tqftdim
 invariant renormalized link invariant F', surgery invariants N and Z
 tqftdim   graded dimensions of decorated-surface state spaces

@@ -51,9 +51,7 @@ from typing import Any
 
 from . import jsonio
 from .errors import DomainError, QInvariantError, SchemaError
-from .invariant import f_prime, z_invariant
-from .qscalar import RootParams
-from .tqftdim import hh0_dimension_generic, verlinde
+from .qscalar import RootParams, verlinde
 
 
 class UsageError(Exception):
@@ -250,10 +248,13 @@ def parse_args(argv) -> SimpleNamespace:
 
 # ----------------------------------------------------------------------
 # subcommand handlers: each returns (result_fields, normalized_inputs)
+# and imports the engine it runs, so a process loads only that engine
 # ----------------------------------------------------------------------
 
 
 def _cmd_flink(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
+    from .invariant import f_prime
+
     diagram, colors, cut, framings = jsonio.parse_flink(doc)
     value = f_prime(ctx=ctx, diagram=diagram, colors=colors,
                     cut_component=cut, framings=framings or None)
@@ -262,6 +263,8 @@ def _cmd_flink(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
 
 
 def _cmd_zinv(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
+    from .invariant import z_invariant
+
     sp = jsonio.parse_surgery(doc, ctx)
     res = z_invariant(sp)
     result = {
@@ -280,6 +283,8 @@ def _cmd_zinv(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
 
 
 def _cmd_dimension(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
+    from .tqftdim import hh0_dimension_generic
+
     graph = jsonio.parse_graph(doc, ctx)
     gd = hh0_dimension_generic(graph)
     result = {

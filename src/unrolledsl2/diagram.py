@@ -3,7 +3,8 @@
 A diagram is a vertical stack of elementary *slices* read bottom to top, each
 acting on a horizontal *word* of strands.  A strand is a pair (component
 name, orientation): ``up`` strands evaluate to the component's color module
-V, ``down`` strands to its dual V*.  The five slice kinds are
+V, ``down`` strands to its dual V*.  The five slice kinds, defined with
+the strands in :mod:`.model`, are
 
 * :class:`Id` — no-op,
 * :class:`Braid` — a crossing of two adjacent strands (sign ±1, where +1 is
@@ -64,25 +65,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DiagramTypeError, DomainError
+from .model import Braid, Cap, Coupon, Cup, SlicedDiagram, typecheck
 from .planner import UnionFind, greedy_order, require_memory
 from .qscalar import RootParams
 from .repcat import ModuleStack, braiding_entries, valpha_stack
 
 __all__ = [
-    "Strand",
-    "Id",
-    "Braid",
-    "Cup",
-    "Cap",
-    "Coupon",
-    "SlicedDiagram",
-    "typecheck",
     "evaluate",
     "CompiledDiagram",
     "compile_diagram",
@@ -90,188 +84,6 @@ __all__ = [
     "clasp_diagram",
     "braid_closure",
 ]
-
-
-# ----------------------------------------------------------------------
-# strands and slices
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Strand:
-    """One point of a horizontal boundary word: component name + direction."""
-
-    component: str
-    up: bool
-
-    @property
-    def orientation(self) -> int:
-        return 1 if self.up else -1
-
-    def __str__(self) -> str:  # as a document names it: "K up", "K down"
-        return f"{self.component} {'up' if self.up else 'down'}"
-
-
-@dataclass(frozen=True)
-class Id:
-    """Identity slice."""
-
-
-@dataclass(frozen=True)
-class Braid:
-    """Crossing of strands (position, position+1); sign ∈ {+1, −1}."""
-
-    position: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class Cup:
-    """Local minimum creating two strands of ``component``.
-
-    variant "coev" creates (up, down); variant "coevprime" creates
-    (down, up).
-    """
-
-    position: int
-    component: str
-    variant: str = "coev"
-
-
-@dataclass(frozen=True)
-class Cap:
-    """Local maximum closing strands (position, position+1).
-
-    variant "ev" consumes (down, up); variant "evprime" consumes (up, down).
-    """
-
-    position: int
-    variant: str = "evprime"
-
-
-@dataclass(frozen=True)
-class Coupon:
-    """A morphism box consuming ``inputs`` and emitting ``outputs``.
-
-    ``matrix`` has shape (prod of output dims, prod of input dims) once
-    colors are bound; it is supplied directly as an ndarray.  A coupon
-    holding a matrix is not hashable; :func:`compile_diagram` keys it by
-    its position and strands.
-    """
-
-    position: int
-    inputs: tuple
-    outputs: tuple
-    matrix: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-
-
-SliceType = Union[Id, Braid, Cup, Cap, Coupon]
-
-
-@dataclass(frozen=True)
-class SlicedDiagram:
-    """A typed word of slices with a fixed source boundary word."""
-
-    slices: tuple
-    source: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
-        object.__setattr__(self, "source", tuple(self.source))
-
-    def component_names(self) -> list[str]:
-        """All component names, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for strand in self.source:
-            seen.setdefault(strand.component, None)
-        for sl in self.slices:
-            if isinstance(sl, Cup):
-                seen.setdefault(sl.component, None)
-            elif isinstance(sl, Coupon):
-                for strand in sl.inputs + sl.outputs:
-                    seen.setdefault(strand.component, None)
-        return list(seen)
-
-
-# ----------------------------------------------------------------------
-# typechecking
-# ----------------------------------------------------------------------
-
-
-def _apply_slice(word: tuple, sl: SliceType, index: int) -> tuple:
-    """The word above slice ``sl`` given the word below; raises on mismatch."""
-
-    def bail(message: str):
-        raise DiagramTypeError(f"slice {index} ({type(sl).__name__}): {message}")
-
-    if isinstance(sl, Id):
-        return word
-
-    if isinstance(sl, Braid):
-        if sl.sign not in (1, -1):
-            bail(f"braid sign must be +1 or -1, got {sl.sign!r}")
-        i = sl.position
-        if not (0 <= i <= len(word) - 2):
-            bail(f"braid position {i} out of range for width {len(word)}")
-        return word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-
-    if isinstance(sl, Cup):
-        i = sl.position
-        if not (0 <= i <= len(word)):
-            bail(f"cup position {i} out of range for width {len(word)}")
-        if sl.variant == "coev":
-            pair = (Strand(sl.component, True), Strand(sl.component, False))
-        elif sl.variant == "coevprime":
-            pair = (Strand(sl.component, False), Strand(sl.component, True))
-        else:
-            bail(f"unknown cup variant {sl.variant!r}")
-        return word[:i] + pair + word[i:]
-
-    if isinstance(sl, Cap):
-        i = sl.position
-        if not (0 <= i <= len(word) - 2):
-            bail(f"cap position {i} out of range for width {len(word)}")
-        s1, s2 = word[i], word[i + 1]
-        if s1.component != s2.component:
-            bail(
-                f"cap joins different components {s1.component!r} and "
-                f"{s2.component!r}"
-            )
-        want = (False, True) if sl.variant == "ev" else (True, False)
-        if sl.variant not in ("ev", "evprime"):
-            bail(f"unknown cap variant {sl.variant!r}")
-        if (s1.up, s2.up) != want:
-            bail(
-                f"cap variant {sl.variant!r} needs orientations {want}, "
-                f"found ({s1.up}, {s2.up})"
-            )
-        return word[:i] + word[i + 2 :]
-
-    if isinstance(sl, Coupon):
-        i = sl.position
-        ins = sl.inputs
-        if word[i : i + len(ins)] != ins:
-            want, found = (", ".join(map(str, w)) for w in (ins, word[i : i + len(ins)]))
-            bail(f"coupon inputs [{want}] do not match word segment [{found}]")
-        return word[:i] + sl.outputs + word[i + len(ins) :]
-
-    bail(f"unknown slice kind {type(sl).__name__}")
-
-
-def typecheck(diagram: SlicedDiagram) -> list[tuple]:
-    """All boundary words of the diagram, bottom to top (length #slices+1).
-
-    Raises :class:`DiagramTypeError` (a TypeError) with the offending slice
-    index on any composition mismatch.
-    """
-    words = [tuple(diagram.source)]
-    for index, sl in enumerate(diagram.slices):
-        words.append(_apply_slice(words[-1], sl, index))
-    return words
 
 
 # ----------------------------------------------------------------------

@@ -40,19 +40,13 @@ from typing import Optional
 
 import numpy as np
 
-from .diagram import (
-    CompiledDiagram,
-    Coupon,
-    SlicedDiagram,
-    clasp_diagram,
-    compile_diagram,
-    unknot_diagram,
-)
+from .diagram import CompiledDiagram, clasp_diagram, compile_diagram, unknot_diagram
 from .errors import (
     DomainError,
     NotComputableError,
     UnsupportedSlideError,
 )
+from .model import Coupon, SlicedDiagram
 from .qscalar import RootParams
 from .repcat import (
     ModuleStack,

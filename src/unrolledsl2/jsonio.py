@@ -24,23 +24,24 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .diagram import (
+from .errors import DomainError, SchemaError
+from .model import (
     Braid,
     Cap,
     Coupon,
     Cup,
+    GraphEdge,
     Id,
     SlicedDiagram,
     Strand,
+    TrivalentGraph,
 )
-from .errors import DomainError, SchemaError
-from .invariant import SurgeryPresentation
 from .qscalar import RootParams
-from .tqftdim import GraphEdge, TrivalentGraph
+
+if TYPE_CHECKING:  # for the annotations; parse_surgery imports the engine as it runs
+    from .invariant import SurgeryPresentation
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +193,7 @@ def _parse_slice(value: Any, path: str):
             _int_field(_require(value, "position", path), f"{path}.position"),
             tuple(_parse_strand(s, f"{path}.inputs[{i}]") for i, s in enumerate(ins)),
             tuple(_parse_strand(s, f"{path}.outputs[{i}]") for i, s in enumerate(outs)),
-            np.asarray(rows, dtype=complex),
+            rows,
         )
     raise SchemaError(
         f"{path}.slice: unknown slice kind {kind!r} "
@@ -244,7 +245,7 @@ def _slice_to_json(sl) -> dict:
             "inputs": [_strand_to_json(s) for s in sl.inputs],
             "outputs": [_strand_to_json(s) for s in sl.outputs],
             "matrix": [
-                [complex_to_json(x) for x in row] for row in np.asarray(sl.matrix)
+                [complex_to_json(x) for x in row] for row in sl.matrix
             ],
         }
     raise SchemaError(f"cannot serialize slice {sl!r}")
@@ -307,6 +308,8 @@ def flink_to_json(
 
 def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresentation:
     """A surgery presentation from its JSON object."""
+    from .invariant import SurgeryPresentation
+
     diagram = parse_diagram(_require(doc, "diagram", path), f"{path}.diagram")
     framings = _int_map(_require(doc, "framings", path), f"{path}.framings")
     meridians = _parse_value_map(

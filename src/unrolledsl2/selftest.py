@@ -22,7 +22,8 @@ from . import invariant as iv
 from . import repcat as rc
 from . import tqftdim as td
 from .errors import NonGenericError
-from .qscalar import RootParams
+from .model import Braid, Coupon, Id, SlicedDiagram, Strand, TrivalentGraph
+from .qscalar import RootParams, verlinde
 
 
 @dataclass
@@ -162,8 +163,8 @@ def check_degree_additivity(ctx: RootParams, rng) -> None:
 
 def check_reidemeister_two(ctx: RootParams, rng) -> None:
     a = rc.valpha_stack(ctx, (_generic(rng),))
-    up = dg.Strand("K", True)
-    wiggle = dg.SlicedDiagram((dg.Braid(0, 1), dg.Braid(0, -1)), (up, up))
+    up = Strand("K", True)
+    wiggle = SlicedDiagram((Braid(0, 1), Braid(0, -1)), (up, up))
     m = dg.evaluate(wiggle, {"K": a}, ctx)
     err = np.abs(m - np.eye(a.dim * a.dim)).max()
     _assert(err < 1e-10, f"RII residual {err:.2e}")
@@ -183,11 +184,11 @@ def check_reidemeister_three(ctx: RootParams, rng) -> None:
 def check_coupon_slide(ctx: RootParams, rng) -> None:
     a = rc.valpha_stack(ctx, (_generic(rng),))
     mat = rng.normal(size=(a.dim, a.dim)) + 1j * rng.normal(size=(a.dim, a.dim))
-    up = dg.Strand("K", True)
-    coupon = dg.Coupon(0, (up,), (up,), mat)
+    up = Strand("K", True)
+    coupon = Coupon(0, (up,), (up,), mat)
     source = (up, up)
-    early = dg.SlicedDiagram((coupon, dg.Id(), dg.Braid(0, 1)), source)
-    late = dg.SlicedDiagram((dg.Id(), coupon, dg.Braid(0, 1)), source)
+    early = SlicedDiagram((coupon, Id(), Braid(0, 1)), source)
+    late = SlicedDiagram((Id(), coupon, Braid(0, 1)), source)
     v1 = dg.evaluate(early, {"K": a}, ctx)
     v2 = dg.evaluate(late, {"K": a}, ctx)
     err = np.abs(v1 - v2).max()
@@ -202,16 +203,16 @@ def check_closed_scalar(ctx: RootParams, rng) -> None:
 
 def check_functoriality_monoidality(ctx: RootParams, rng) -> None:
     a = rc.valpha_stack(ctx, (_generic(rng),))
-    up = dg.Strand("K", True)
-    first = dg.SlicedDiagram((dg.Braid(0, 1),), (up, up))
-    second = dg.SlicedDiagram((dg.Braid(0, -1),), (up, up))
-    both = dg.SlicedDiagram((dg.Braid(0, 1), dg.Braid(0, -1)), (up, up))
+    up = Strand("K", True)
+    first = SlicedDiagram((Braid(0, 1),), (up, up))
+    second = SlicedDiagram((Braid(0, -1),), (up, up))
+    both = SlicedDiagram((Braid(0, 1), Braid(0, -1)), (up, up))
     m1 = dg.evaluate(first, {"K": a}, ctx)
     m2 = dg.evaluate(second, {"K": a}, ctx)
     mb = dg.evaluate(both, {"K": a}, ctx)
     err = np.abs(mb - m2 @ m1).max()
     _assert(err < 1e-10, f"vertical functoriality {err:.2e}")
-    pair = dg.SlicedDiagram((dg.Braid(0, 1), dg.Braid(2, 1)), (up, up, up, up))
+    pair = SlicedDiagram((Braid(0, 1), Braid(2, 1)), (up, up, up, up))
     mp = dg.evaluate(pair, {"K": a}, ctx)
     err = np.abs(mp - np.kron(m1, m1)).max()
     _assert(err < 1e-10, f"horizontal monoidality {err:.2e}")
@@ -310,7 +311,7 @@ def check_verlinde_identity(ctx: RootParams, rng) -> None:
         gd = td.graded_dimension(graph)
         for _ in range(5):
             beta = _generic(rng)
-            v = td.verlinde(ctx, genus, beta)
+            v = verlinde(ctx, genus, beta)
             err = abs(gd.evaluate_at(ctx, beta) - v) / (1 + abs(v))
             _assert(err < 1e-8, f"genus {genus} identity residual {err:.2e}")
 
@@ -318,7 +319,7 @@ def check_verlinde_identity(ctx: RootParams, rng) -> None:
 def check_surgery_verlinde(ctx: RootParams, rng) -> None:
     beta = _generic(rng)
     z = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta)).z
-    v = td.verlinde(ctx, 0, beta)
+    v = verlinde(ctx, 0, beta)
     _assert(abs(z - v) < 1e-9 * (1 + abs(v)), f"surgery/Verlinde gap {abs(z-v):.2e}")
 
 
@@ -339,7 +340,7 @@ def check_coloring_counts(ctx: RootParams, rng) -> None:
 GRID_CELLS = 2_000_000
 
 
-def assert_hh0_matches_oracle(graph: td.TrivalentGraph, rng) -> None:
+def assert_hh0_matches_oracle(graph: TrivalentGraph, rng) -> None:
     """HH0 of ``graph`` against the coloring grid when it has at most
     ``GRID_CELLS`` cells, else against the exact total and the Verlinde
     formula at three generic points (the grid would need r'^edges cells)."""
@@ -361,7 +362,7 @@ def assert_hh0_matches_oracle(graph: td.TrivalentGraph, rng) -> None:
     points = [complex(e.color) * (1 if e.head else -1) for e in legs]
     for _ in range(3):
         beta = _generic(rng)
-        v = td.verlinde(ctx, genus, beta, points)
+        v = verlinde(ctx, genus, beta, points)
         err = abs(hh.evaluate_at(ctx, beta) - v)
         _assert(err <= 1e-8 * abs(v), f"genus-{genus} HH0/Verlinde gap {err:.2e}")
 

@@ -20,14 +20,15 @@ degree histogram of that basis along three independent routes:
   memory grows as r'^E in the number E of edges; it is the small-size
   oracle that the self-test and the test suite compare the contraction
   against;
-* the closed form (:func:`verlinde`), which the histogram reproduces when
-  evaluated at t = q^(2r'β), with a supersign for even r.
+* the closed form (:func:`~unrolledsl2.qscalar.verlinde`), which the
+  histogram reproduces when evaluated at t = q^(2r'β), with a supersign
+  for even r.
 
 The grid and the contraction share the color windows and the incidence
-table (:attr:`TrivalentGraph.incidence`), and each keeps its own degree
-arithmetic: the grid reads degrees off float color sums
-(:func:`_degree_window`), the contraction from integer label offsets, so
-each checks the other's.
+table (:attr:`~unrolledsl2.model.TrivalentGraph.incidence`), and each
+keeps its own degree arithmetic: the grid reads degrees off float color
+sums (:func:`_degree_window`), the contraction from integer label
+offsets, so each checks the other's.
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a
@@ -41,27 +42,18 @@ counts carry that factor 2 per vertex.
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NonGenericError
-from .planner import UnionFind, greedy_order, require_memory
+from .model import GradedDimension, GraphEdge, TrivalentGraph
+from .planner import greedy_order, require_memory
 from .qscalar import RootParams
 
-_EPS = sys.float_info.epsilon
-
 __all__ = [
-    "GraphEdge",
-    "TrivalentGraph",
-    "GradedDimension",
     "graded_dimension",
-    "verlinde",
     "hh0_dimension_generic",
     "circle_graph",
     "theta_graph",
@@ -71,198 +63,6 @@ __all__ = [
     "add_point_chain",
     "random_generic_graph",
 ]
-
-
-# ----------------------------------------------------------------------
-# graph data model
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    """One oriented edge of a trivalent graph.
-
-    ``tail`` and ``head`` name internal vertices (``tail`` is left,
-    ``head`` is entered).  An *external* edge carries a fixed ``color``
-    and has exactly one endpoint; an internal edge has color ``None``
-    and either two endpoints (possibly equal, a loop) or none (a free
-    circle component).  ``grading`` is the ℂ/2ℤ class of the edge
-    meridian, stored as any complex representative.
-    """
-
-    name: str
-    tail: str | None
-    head: str | None
-    grading: complex
-    color: complex | None = None
-
-    @property
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(v for v in (self.tail, self.head) if v is not None)
-
-    @property
-    def is_external(self) -> bool:
-        return self.color is not None
-
-    @property
-    def is_circle(self) -> bool:
-        return self.tail is None and self.head is None
-
-
-@dataclass(frozen=True)
-class TrivalentGraph:
-    """An oriented uni-trivalent graph with ℂ/2ℤ edge gradings.
-
-    Internal vertices are the names appearing as edge endpoints or in
-    ``vertex_order``, and must have three incidences each (loops count
-    twice); univalent outer ends of external edges are implicit.
-    ``vertex_order`` records the ordering of trivalent vertices that a
-    basis needs for even r; the grid and the contraction both iterate
-    vertices in that order.
-    ``incidence`` is the signed incidence table both read: per vertex, its
-    three ``(edge, sign)`` entries in edge order, +1 where the edge enters
-    (its head) and −1 where it leaves (its tail), a loop once with each
-    sign.  Construction validates the 1-cycle condition from it: at every
-    internal vertex the signed sum of incident gradings vanishes mod 2,
-    which is what makes the class well defined, and external colors must
-    have degree equal to their edge grading.  A grading or color with a
-    part of size 2^23 or more is a DomainError: doubles there are spaced
-    wider than ``epsilon_int``, so its class mod 2 cannot be decided.
-    """
-
-    ctx: RootParams
-    edges: tuple[GraphEdge, ...]
-    vertex_order: tuple[str, ...] = ()
-    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        names = [e.name for e in self.edges]
-        if len(set(names)) != len(names):
-            raise DomainError(f"duplicate edge names in {names}")
-        table: dict[str, list] = {}
-        for e in self.edges:
-            if e.is_external and len(e.endpoints) != 1:
-                raise DomainError(
-                    f"external edge {e.name!r} must have exactly one endpoint"
-                )
-            if not e.is_external and len(e.endpoints) == 1:
-                raise DomainError(
-                    f"edge {e.name!r} has one endpoint but no color; external "
-                    "edges need a fixed color"
-                )
-            if e.tail is not None:  # tail first: the order faults are reported in
-                table.setdefault(e.tail, [])
-            for v, sign in ((e.head, 1), (e.tail, -1)):
-                if v is not None:
-                    table.setdefault(v, []).append((e, sign))
-        for v in self.vertex_order:  # a listed vertex that no edge touches
-            table.setdefault(v, [])
-        for v, ends in table.items():
-            if len(ends) != 3:
-                raise DomainError(f"vertex {v!r} has {len(ends)} incidences, need 3")
-        if self.vertex_order:
-            if sorted(self.vertex_order) != sorted(table):
-                raise DomainError(
-                    "vertex_order must be a permutation of the internal vertices"
-                )
-        else:
-            object.__setattr__(self, "vertex_order", tuple(sorted(table)))
-        ctx = self.ctx
-        for e in self.edges:
-            for what, x in (("grading", e.grading), ("color", e.color)):
-                z = complex(x or 0)
-                if math.ulp(max(abs(z.real), abs(z.imag))) > ctx.epsilon_int:
-                    raise DomainError(
-                        f"edge {e.name!r}: {what} {x} is too large to decide "
-                        "its class mod 2 (a part of size 2^23 or more)"
-                    )
-            if e.is_external and not ctx.is_congruent_mod2(
-                e.grading, complex(e.color) + (ctx.r - 1)
-            ):
-                raise DomainError(
-                    f"external edge {e.name!r}: grading {e.grading} is not the "
-                    f"degree of its color {e.color}"
-                )
-        for v in self.vertex_order:
-            total = 0.0 + 0.0j
-            for e, sign in table[v]:
-                g = complex(e.grading)
-                total = total + g if sign > 0 else total - g
-            if not ctx.is_congruent_mod2(total, 0.0):
-                raise DomainError(
-                    f"edge gradings are not a 1-cycle: signed sum {total} at "
-                    f"vertex {v!r} is nonzero mod 2"
-                )
-        table = {v: tuple(ends) for v, ends in table.items()}
-        object.__setattr__(self, "incidence", table)
-
-    # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def internal_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if not e.is_external)
-
-    @cached_property
-    def external_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.is_external)
-
-    @cached_property
-    def circles(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.is_circle)
-
-    @cached_property
-    def genus(self) -> int:
-        """First Betti number of the graph (= genus of its surface)."""
-        uf = UnionFind()
-        ids = {v: uf.make() for v in self.vertex_order}
-        arcs = [e for e in self.internal_edges if not e.is_circle]
-        for e in arcs:
-            uf.union(ids[e.tail], ids[e.head])
-        components = len({uf.find(i) for i in ids.values()})
-        # every vertex-free circle is its own component with Betti number 1
-        return len(arcs) - len(ids) + components + len(self.circles)
-
-
-@dataclass(frozen=True)
-class GradedDimension:
-    """Finitely supported degree histogram k ↦ dim of a graded space.
-
-    ``parity_mode`` selects the evaluation rule: ``"plain"`` (odd r) sums
-    dim·t^k, ``"super"`` (even r) sums (−1)^k·dim·t^k.
-    """
-
-    coefficients: Mapping[int, int]
-    parity_mode: str
-
-    def __post_init__(self):
-        if self.parity_mode not in ("plain", "super"):
-            raise DomainError(f"unknown parity mode {self.parity_mode!r}")
-        object.__setattr__(
-            self,
-            "coefficients",
-            {int(k): int(v) for k, v in sorted(self.coefficients.items()) if v},
-        )
-
-    @property
-    def total(self) -> int:
-        """Plain dimension count Σ_k dim_k (no supersign)."""
-        return sum(self.coefficients.values())
-
-    def evaluate(self, t: complex) -> complex:
-        """Σ dim_k t^k, with the factor (−1)^k in super mode."""
-        out = 0.0 + 0.0j
-        for k, dim in self.coefficients.items():
-            term = dim * complex(t) ** k
-            if self.parity_mode == "super" and k % 2:
-                term = -term
-            out += term
-        return out
-
-    def evaluate_at(self, ctx: RootParams, beta: complex) -> complex:
-        """Evaluate at the root-of-unity point t = q^(2r'β)."""
-        return self.evaluate(ctx.q_pow(2 * ctx.rprime * complex(beta)))
 
 
 # ----------------------------------------------------------------------
@@ -379,133 +179,6 @@ def graded_dimension(graph: TrivalentGraph) -> GradedDimension:
         k_min + i: int(c) * circle_factor for i, c in enumerate(counts) if c
     }
     return GradedDimension(coefficients, "plain" if ctx.r % 2 else "super")
-
-
-# ----------------------------------------------------------------------
-# the closed form
-# ----------------------------------------------------------------------
-
-
-def verlinde(
-    ctx: RootParams,
-    genus: int,
-    beta: complex,
-    point_colors: Iterable[complex] = (),
-) -> complex:
-    """Closed-form graded dimension of the genus-g space at t = q^(2r'β).
-
-    With n marked points of colors c_i and c = Σc_i the value is
-    (−1)^{n(r−1)}/r · (r')^g · q^{cβ} · Σ_{k∈H_r} q^{ck} ({rβ}/{β+k})^{2g−2+n};
-    without points the prefactors collapse to (1/r)(r')^g.  A DomainError
-    when an a-priori bound on its rounding exceeds tol·max(1, |value|) (a
-    zero tol, which no bound meets, stands for the default 1e-9).
-    """
-    points = [complex(c) for c in point_colors]
-    if genus < 0:
-        raise DomainError(f"genus must be nonnegative, got {genus}")
-    b = complex(beta)
-    if ctx.is_near_int(b):
-        raise DomainError(f"beta={beta!r} is integral; the closed form needs a "
-                          "nonintegral class")
-    n, c = len(points), sum(points)
-    try:
-        num, overflow = ctx.q_num(ctx.r * b), None
-    except DomainError as exc:  # {rβ} leaves double range: see _far_ratio
-        num, overflow = None, exc
-    exponent = 2 * genus - 2 + n
-    terms, errors = [], []  # each term's own rounding; that of {rβ}^e is common
-    for k in ctx.h_r_set():
-        if num is None:
-            ratio, error = _far_ratio(ctx, b, k), _q_error(ctx, (ctx.r - 1) * b - k)
-        else:
-            ratio, error = num / (den := ctx.q_num(b + k)), _q_error(ctx, b + k, den)
-        terms.append((ctx.q_pow(c * k), ratio))
-        errors.append(_q_error(ctx, c * k) + abs(exponent) * (error + 4 * _EPS) + 2 * ctx.r * _EPS)
-    common = _q_error(ctx, c * b) + 4 * _EPS
-    if num is not None:
-        common += abs(exponent) * _q_error(ctx, ctx.r * b, num)
-    sign = -1.0 if (n * (ctx.r - 1)) % 2 else 1.0
-    if num is not None:
-        try:
-            total, spread = 0.0 + 0.0j, 0.0
-            for (phase, ratio), error in zip(terms, errors):
-                total += (term := phase * ratio**exponent)
-                spread += abs(term) * error
-            value = sign / ctx.r * ctx.rprime**genus * (pre := ctx.q_pow(c * b)) * total
-        except OverflowError:
-            value = complex(math.inf)
-        if cmath.isfinite(value):
-            _check_rounding(ctx, genus, beta, pre, total, spread, common, 0.0)
-            return value
-        terms = [(phase, ratio and (math.log(abs(ratio)), ratio / abs(ratio)))
-                 for phase, ratio in terms]
-    elif not all(math.isfinite(ratio[0]) for _, ratio in terms):
-        raise overflow
-    # Some factor left double range: redo the sum with every power divided
-    # by the largest one, and keep the scale as a logarithm.  Each ratio is
-    # now (log |ratio|, ratio / |ratio|), or 0.
-    logs = [exponent * ratio[0] if ratio else -math.inf for _, ratio in terms]
-    top = max(logs)
-    if top == math.inf:  # a term's scale itself leaves double range
-        raise DomainError(f"the genus-{genus} value at beta={beta!r} overflows "
-                          "double precision")
-    total, spread = 0.0 + 0.0j, 0.0
-    for (phase, ratio), log, error in zip(terms, logs, errors):
-        if ratio:
-            total += (term := phase * ratio[1] ** exponent * math.exp(log - top))
-            spread += abs(term) * error
-    value = sign * (pre := ctx.q_pow(c * b)) * total
-    _check_rounding(ctx, genus, beta, pre, total, spread, common + _EPS * abs(top), top)
-    if not value:
-        return 0.0 + 0.0j
-    log_abs = math.log(abs(value)) + top + genus * math.log(ctx.rprime) - math.log(ctx.r)
-    if log_abs >= math.log(sys.float_info.max):
-        raise DomainError(
-            f"the genus-{genus} value at beta={beta!r} has magnitude "
-            f"e^{log_abs:.1f}, which overflows double precision"
-        )
-    return value / abs(value) * math.exp(log_abs)
-
-
-def _q_error(ctx: RootParams, x: complex, brace=None) -> float:
-    """A bound on the relative rounding of q**x (its argument iπx/r is off by
-    a few ulps, the exponential by one more); given the computed {x} as
-    ``brace``, that of {x}: times the cancellation (|q**x| + |q**(−x)|)/|{x}|.
-    For real x the two powers are conjugate, so {x} is 2i·sin θ̂ exactly,
-    θ̂ the rounded θ = πx/r: sin's own rounding and θ̂'s times |θ·cot θ|."""
-    if brace is not None and not x.imag:
-        theta = math.pi * x.real / ctx.r
-        return _EPS * (2 + 4 * abs(theta * math.cos(theta) / (brace.imag / 2)))
-    error = _EPS * (2 + 4 * math.pi * abs(x) / ctx.r)
-    if brace is None:
-        return error
-    return error * math.cosh(math.pi * x.imag / ctx.r) / abs(brace / 2) + _EPS
-
-
-def _check_rounding(ctx, genus, beta, pre, total, spread, common, top) -> None:
-    """DomainError unless the value ±(r')^g/r·e^top·pre·total is known to
-    within tol·max(1, |value|).  ``spread`` bounds the rounding of ``total``
-    term by term, ``common`` is the relative error shared by all terms, and
-    ``pre`` = q**(cβ) and the product may each underflow by a subnormal."""
-    tiny, tol = 5e-324, ctx.tol or RootParams.tol
-    bound = (abs(pre) + tiny) * (spread + abs(total) * common) + tiny * (abs(total) + 1)
-    log_scale = top + genus * math.log(ctx.rprime) - math.log(ctx.r)
-    log_value = math.log(size) + log_scale if (size := abs(pre * total)) else -math.inf
-    if math.log(bound) + log_scale > math.log(tol) + max(0.0, log_value):
-        raise DomainError(f"the genus-{genus} value at beta={beta!r} is lost to rounding "
-                          "in double precision")
-
-
-def _far_ratio(ctx: RootParams, b: complex, k: int) -> tuple[float, complex]:
-    """(log |{rβ}/{β+k}|, the ratio's phase) where |Im β| puts {rβ} out of
-    double range.  With σ the sign of Im β the ratio is
-    q^(−σ((r−1)β−k))·(1−q^(2σrβ))/(1−q^(2σ(β+k))), whose powers of q in
-    the last factor are tiny."""
-    sigma = 1 if b.imag > 0 else -1
-    x = -sigma * ((ctx.r - 1) * b - k)
-    factor = (1 - ctx.q_pow(2 * sigma * ctx.r * b)) / (1 - ctx.q_pow(2 * sigma * (b + k)))
-    log = -math.pi * x.imag / ctx.r + math.log(abs(factor))
-    return log, cmath.exp(1j * math.pi * x.real / ctx.r) * factor / abs(factor)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ tests evaluate it at any open cut and check its matrices directly.
 
 import numpy as np
 
-from unrolledsl2.diagram import SlicedDiagram, compile_diagram
+from unrolledsl2.diagram import compile_diagram
+from unrolledsl2.model import SlicedDiagram
 
 
 def cut_matrices(diagram: SlicedDiagram, stacks: dict, cut: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from unrolledsl2 import invariant as iv
 from unrolledsl2 import jsonio
 from unrolledsl2 import repcat as rc
 from unrolledsl2 import tqftdim as td
-from unrolledsl2.qscalar import RootParams
+from unrolledsl2.model import Braid, Cap, Cup, SlicedDiagram
+from unrolledsl2.qscalar import RootParams, verlinde
 
 ROOTS = (2, 3, 5, 6, 7)
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
@@ -52,7 +53,7 @@ def test_criterion_1_verlinde_formula_matches_coloring_enumeration():
             gd = td.graded_dimension(graph)
             for _ in range(20):
                 beta = _generic(rng)
-                v = td.verlinde(ctx, genus, beta)
+                v = verlinde(ctx, genus, beta)
                 err = abs(gd.evaluate_at(ctx, beta) - v) / (1 + abs(v))
                 worst = max(worst, err)
                 cases += 1
@@ -116,7 +117,7 @@ def test_criterion_3_surgery_invariant_matches_character_sum():
         for _ in range(10):
             beta = _generic(rng)
             z = iv.z_invariant(iv.unknot_presentation(ctx, 0, beta)).z
-            v = td.verlinde(ctx, 0, beta)
+            v = verlinde(ctx, 0, beta)
             err = abs(z - v) / (1 + abs(v))
             worst = max(worst, err)
             assert err <= tol, f"r={r} beta={beta}: {err:.2e}"
@@ -293,10 +294,10 @@ def _lens_7_2_blown_up(ctx, meridians):
     """L(7,2) as the chain [5,1,3]: nested circles L3, L2, L1 from the
     outside in, each clasped once with the next (framings 5, 1, 3 on L1,
     L2, L3), with ``meridians`` on L1, L2, L3."""
-    diagram = dg.SlicedDiagram((
-        dg.Cup(0, "L3"), dg.Cup(1, "L2"), dg.Cup(2, "L1"),
-        dg.Braid(0, 1), dg.Braid(0, 1), dg.Braid(1, 1), dg.Braid(1, 1),
-        dg.Cap(2), dg.Cap(1), dg.Cap(0),
+    diagram = SlicedDiagram((
+        Cup(0, "L3"), Cup(1, "L2"), Cup(2, "L1"),
+        Braid(0, 1), Braid(0, 1), Braid(1, 1), Braid(1, 1),
+        Cap(2), Cap(1), Cap(0),
     ))
     names = ("L1", "L2", "L3")
     return iv.SurgeryPresentation(ctx, diagram, dict(zip(names, (5, 1, 3))),

@@ -456,6 +456,53 @@ def test_python_dash_m(capsys):
     assert run_fresh(*argv)[:2] == (0, out)
 
 
+def test_help_without_a_stdout_exits_0(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)  # as under pythonw, or with fd 1 closed
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+
+
+# What a fresh interpreter has loaded after importing the CLI and after each
+# command line: numpy and the engine modules only, with each call's exit code.
+_COLD_PROBE = """
+import contextlib, io, json, sys
+import unrolledsl2.cli as cli
+ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim"}
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy"
+                  or m.startswith("unrolledsl2.") and m.split(".")[1] in ENGINES)
+seen = [(None, loaded())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append((code, loaded()))
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_no_numpy_and_only_the_engine_a_command_runs(tmp_path):
+    argvs = [
+        ["verlinde", "--r", "5", "--input", str(FIXTURES / "verlinde_g1.json")],
+        ["verlinde", "--r", "x", "--input", str(FIXTURES / "verlinde_g1.json")],
+        ["hh0", "--r", "5", "--input", str(tmp_path / "missing.json")],
+        ["zinv", "--r", "5", "--input", str(FIXTURES / "s1xs2.json")],
+    ]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen[:4] == [[None, []], [0, []], [2, []], [2, []]]
+    code, zinv_loaded = seen[4]
+    assert code == 0
+    assert {"numpy", "unrolledsl2.invariant", "unrolledsl2.diagram"} <= set(zinv_loaded)
+
+
 # ----------------------------------------------------------------------
 # exit code 2: schema problems
 # ----------------------------------------------------------------------

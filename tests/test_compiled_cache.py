@@ -19,17 +19,9 @@ from cuts import cut_matrices
 
 from unrolledsl2 import diagram, repcat
 from unrolledsl2.cli import main
-from unrolledsl2.diagram import (
-    Cap,
-    Coupon,
-    Cup,
-    Id,
-    SlicedDiagram,
-    Strand,
-    compile_diagram,
-    evaluate,
-)
+from unrolledsl2.diagram import compile_diagram, evaluate
 from unrolledsl2.jsonio import load_document, parse_flink
+from unrolledsl2.model import Braid, Cap, Coupon, Cup, Id, SlicedDiagram, Strand
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import valpha_stack
 
@@ -206,7 +198,7 @@ def test_crossing_positions_follow_the_entry_pattern():
     # nonzero pattern): each evaluation must scatter its own entries
     ctx = RootParams(5)
     up = (Strand("A", True), Strand("B", True))
-    crossing = SlicedDiagram((diagram.Braid(0, 1),), up)
+    crossing = SlicedDiagram((Braid(0, 1),), up)
     v, w = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
     e = v.e.copy()
     e[0, 1, 2] = 0

@@ -8,6 +8,14 @@ from cuts import cut_matrices
 from duality import duality_maps
 
 from unrolledsl2.diagram import (
+    braid_closure,
+    clasp_diagram,
+    compile_diagram,
+    evaluate,
+    unknot_diagram,
+)
+from unrolledsl2.errors import DiagramTypeError, DomainError
+from unrolledsl2.model import (
     Braid,
     Cap,
     Coupon,
@@ -15,14 +23,8 @@ from unrolledsl2.diagram import (
     Id,
     SlicedDiagram,
     Strand,
-    braid_closure,
-    clasp_diagram,
-    compile_diagram,
-    evaluate,
     typecheck,
-    unknot_diagram,
 )
-from unrolledsl2.errors import DiagramTypeError, DomainError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     braiding_stack,

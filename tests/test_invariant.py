@@ -13,12 +13,6 @@ from cuts import cut_matrices
 from unrolledsl2 import diagram as diagram_module
 from unrolledsl2 import invariant
 from unrolledsl2.diagram import (
-    Braid,
-    Cap,
-    Coupon,
-    Cup,
-    SlicedDiagram,
-    Strand,
     braid_closure,
     clasp_diagram,
     compile_diagram,
@@ -43,6 +37,7 @@ from unrolledsl2.invariant import (
     z_invariant,
 )
 from unrolledsl2.jsonio import load_document, parse_flink, parse_surgery
+from unrolledsl2.model import Braid, Cap, Coupon, Cup, SlicedDiagram, Strand
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import scalar_of, twist, twist_scalar, valpha_stack
 
@@ -71,8 +66,6 @@ def test_fprime_unknot_is_modified_dimension(ctx):
 
 
 def test_fprime_requires_closed_diagram(ctx):
-    from unrolledsl2.diagram import Braid, Strand
-
     open_d = SlicedDiagram((Braid(0, 1),), (Strand("K", True), Strand("K", True)))
     with pytest.raises(DomainError):
         f_prime(open_d, {"K": 0.4}, ctx)

@@ -21,6 +21,17 @@ def test_root_order_validation():
     assert RootParams(7).rprime == 7
 
 
+@pytest.mark.parametrize("bad", [True, 5.0, "5", None], ids=repr)
+def test_root_order_must_be_an_integer(bad):
+    with pytest.raises(DomainError, match="root order must be an integer"):
+        RootParams(bad)
+
+
+def test_root_order_accepts_a_numpy_integer():
+    ctx = RootParams(np.int64(5))
+    assert ctx.rprime == 5 and ctx.q == RootParams(5).q
+
+
 def test_primitive_root(ctx):
     q = ctx.q
     assert abs(q - np.exp(1j * np.pi / ctx.r)) < 1e-15

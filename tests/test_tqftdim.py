@@ -9,11 +9,10 @@ import pytest
 
 import unrolledsl2.tqftdim as td
 from unrolledsl2.errors import DomainError, NonGenericError
-from unrolledsl2.qscalar import RootParams
+from unrolledsl2.model import GradedDimension, GraphEdge, TrivalentGraph
+from unrolledsl2.qscalar import RootParams, verlinde
 from unrolledsl2.selftest import GRID_CELLS, assert_hh0_matches_oracle
 from unrolledsl2.tqftdim import (
-    GraphEdge,
-    TrivalentGraph,
     add_point_chain,
     circle_graph,
     dumbbell_graph,
@@ -23,7 +22,6 @@ from unrolledsl2.tqftdim import (
     random_generic_graph,
     tetrahedron_graph,
     theta_graph,
-    verlinde,
 )
 
 
@@ -430,7 +428,7 @@ def test_hh0_of_a_disjoint_union(label, r):
                 for j, d in piece.coefficients.items():
                     convolved[k + j] = convolved.get(k + j, 0) + dim * d
             product = convolved
-        want = td.GradedDimension(product, "plain" if r % 2 else "super")
+        want = GradedDimension(product, "plain" if r % 2 else "super")
     assert hh == want
 
 

@@ -1,0 +1,79 @@
+"""Cold-start wall time of the CLI: one fresh ``python -m unrolledsl2`` per call.
+
+Prints one row per subcommand and ``docs/fixtures`` document it reads (at
+r = 5, table format), one per rejected command line that exits 2 (a bad
+``--r``, a missing ``--input`` file), and the ``python -c pass`` floor.
+Each row is the median, with the quartiles, of ``--runs`` fresh processes;
+the rows are timed round-robin, so drift of the host spreads over all of
+them.  The package comes from ``--src`` (default: this checkout's ``src``)
+and the environment is inherited, so a run that caches no bytecode
+(``PYTHONDONTWRITEBYTECODE``) times the compilation of every module a call
+imports::
+
+    python tools/cold_start.py --runs 21
+    python tools/cold_start.py --runs 21 --src ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "docs" / "fixtures"
+
+
+def _commands(doc: dict) -> tuple:
+    """The subcommands that read a fixture, told apart by its fields."""
+    if "genus" in doc:
+        return ("verlinde",)
+    if "vertices" in doc:
+        return ("tqftdim", "hh0")
+    return ("zinv",) if "meridians" in doc else ("flink",)
+
+
+def _rows() -> list:
+    rows = [("python -c pass", ["-c", "pass"], 0)]
+    verlinde = str(FIXTURES / "verlinde_g1.json")
+    for label, args in (("exit 2: --r x", ["verlinde", "--r", "x", "--input", verlinde]),
+                        ("exit 2: missing --input", ["hh0", "--r", "5", "--input",
+                                                     str(FIXTURES / "missing.json")])):
+        rows.append((label, ["-m", "unrolledsl2", *args], 2))
+    for path in sorted(FIXTURES.glob("*.json")):
+        for sub in _commands(json.loads(path.read_text(encoding="utf-8"))):
+            rows.append((f"{sub} {path.stem}",
+                         ["-m", "unrolledsl2", sub, "--r", "5", "--input", str(path)], 0))
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--runs", type=int, default=11)
+    args = parser.parse_args()
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    rows = _rows()
+    times: list = [[] for _ in rows]
+    for _ in range(args.runs):
+        for (label, argv, want), samples in zip(rows, times):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+            samples.append(time.perf_counter() - t0)
+            if proc.returncode != want:
+                sys.exit(f"{label}: exit {proc.returncode}, expected {want}\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+    print(f"# median [q1, q3] ms of {args.runs} fresh processes, src={args.src}")
+    for (label, _, _), samples in zip(rows, times):
+        q1, median, q3 = (1000 * x for x in statistics.quantiles(samples, n=4))
+        print(f"{label:<26} {median:7.1f}  [{q1:.1f}, {q3:.1f}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
