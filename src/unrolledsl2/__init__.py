@@ -5,7 +5,7 @@ Modules
 qscalar   root-of-unity scalars, quantum integers, modified dimension,
           the closed-form (Verlinde) graded dimension
 model     diagrams, slices, spines and histograms: the parsed documents
-repcat    weight modules (one type, ModuleStack), braiding, twists, duality
+repcat    V_α and dual stacks (ModuleStack), tensor products, braiding, twists
 diagram   evaluation of sliced tangle diagrams
 planner   greedy contraction order shared by diagram and tqftdim
 invariant renormalized link invariant F', surgery invariants N and Z

@@ -512,11 +512,10 @@ class _Crossing:
     *out).  An entry goes to the row-major flat position of its
     (k, i, j, l) read in ``axes`` order over ``shape`` (``out`` is
     ``shape``), or, given ``places``, to the place that position maps to
-    in a sector block of shape ``out`` (:class:`_Sectors`): −1 where the
-    entry breaks the charges, past the block where its merge drops the
-    sector.  The places are kept for the last (k, i, j, l) arrays seen,
-    which :func:`.repcat.braiding_entries` hands out unchanged per nonzero
-    pattern."""
+    in a sector block of shape ``out`` (:class:`_Sectors`), past the block
+    where its merge drops the sector.  The places are kept for the last
+    (k, i, j, l) arrays seen, which :func:`.repcat.braiding_entries` hands
+    out unchanged per root order, sign and sides of the two ladders."""
 
     def __init__(self, key: int, weights: list, axes, shape, places=None, out=None):
         self.key, self.weights = key, weights
@@ -539,9 +538,6 @@ class _Crossing:
                 flat = flat * n + index[axis]
             if self.places is not None:
                 flat = self.places[flat]
-                if (flat < 0).any():
-                    raise DomainError("a braiding entry conserves no weight: "
-                                      "a color is not a weight module")
             self._last = (index, flat)
         size = math.prod(self.out)
         block = np.zeros((len(values), size + (self.places is not None)), dtype=complex)
@@ -649,11 +645,11 @@ class _Sectors:
             source = _relabel(live[t], row_legs + col_legs, dims)[np.where(valid, dense, 0)]
             self.peak = max(self.peak, len(valid))
             if kept[t] is None:  # a crossing; its entries in dropped sectors go past the block
-                at = np.where(_charge(live[t], signs[t], leg_charges) == 0, len(valid), -1)
+                shape = [dims[leg] for leg in live[t]]
+                at = np.full(math.prod(shape), len(valid))
                 at[source[valid]] = np.flatnonzero(valid)
                 self.braid_elements += len(valid)
                 crossing = plan.tensors[t]
-                shape = [dims[leg] for leg in live[t]]
                 return _Crossing(crossing.key, crossing.weights, range(len(shape)), shape,
                                  at, rows.shape + cols.shape[1:])
             places, size = kept[t]
@@ -711,12 +707,13 @@ class _Sectors:
 def evaluate(diagram: SlicedDiagram, colors: dict, ctx: RootParams) -> np.ndarray:
     """Evaluate a diagram to the matrix of the induced morphism.
 
-    ``colors`` maps component names to modules (or complex α, which is
-    shorthand for V_α).  The matrix has shape (∏ target dims, ∏ source
-    dims), the dimensions of the boundary words' strands; an empty word
-    has dimension 1, the monoidal unit.  The diagram is contracted as a
-    tensor network (:class:`_Network`, from :func:`compile_diagram`) whose
-    open legs are the target strands, then the source strands.
+    ``colors`` maps component names to :class:`.repcat.ModuleStack` stacks
+    of V_α or their duals (or complex α, which is shorthand for V_α).  The
+    matrix has shape (∏ target dims, ∏ source dims), the dimensions of the
+    boundary words' strands; an empty word has dimension 1, the monoidal
+    unit.  The diagram is contracted as a tensor network (:class:`_Network`,
+    from :func:`compile_diagram`) whose open legs are the target strands,
+    then the source strands.
     """
     compiled = compile_diagram(diagram)
     stacks = {}

@@ -115,7 +115,7 @@ def _word_action(stacks: dict[str, ModuleStack], word: tuple) -> tuple:
         return zero, zero, zero
     module = functools.reduce(
         tensor, (stacks[s.component] if s.up else stacks[s.component].dual for s in word))
-    return module.e, module.f, module.weights[:, :, None] * np.eye(module.dim)
+    return module.action("e"), module.action("f"), module.weights[:, :, None] * np.eye(module.dim)
 
 
 def _check_coupons(diagram: SlicedDiagram, stacks: dict[str, ModuleStack], tol: float) -> None:

@@ -22,7 +22,6 @@ import json
 import math
 import re
 from collections.abc import Mapping
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
@@ -65,7 +64,9 @@ def parse_real(value: Any, path: str) -> float:
             if _RATIO.fullmatch(value):  # the correctly rounded float(Fraction(value))
                 p, q = value.split("/")
                 number = int(p) / int(q)
-            else:
+            else:  # fractions (with decimal) loads only for such a string
+                from fractions import Fraction
+
                 number = Fraction(value)
         except OverflowError:
             number = math.inf

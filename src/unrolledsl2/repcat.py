@@ -1,41 +1,37 @@
 """Weight modules of unrolled quantum sl(2) and their ribbon structure.
 
-There is one module type, :class:`ModuleStack`: weight modules of one
-dimension on a leading term axis, and a one-term stack is a module.  Each
-term is stored through the data the evaluator actually needs: the vector of
-H-eigenvalues (``weights``) plus the matrices of the raising and lowering
-operators E and F in that eigenbasis.  K, K⁻¹, H and the pivotal operator
-are diagonal in this basis, so they are kept as vectors of the weights and
-applied by broadcasting:
+The engine's module type is :class:`ModuleStack`: the r-dimensional simple
+modules V_α, or their duals, of a whole array of colors on a leading term
+axis (a one-term stack is a module).  In the weight basis E and F each
+have one nonzero off-diagonal, so a stack holds per term the vector of
+H-eigenvalues (``weights``) and the off-diagonals of E and F, r−1 entries
+each.  K, K⁻¹, H and the pivotal operator are diagonal, so they are kept
+as vectors of the weights and applied by broadcasting:
 
     K   = q**w,        H = w,        pivot = q**((1-r)·w).
 
-Constructors provided here, each returning a stack:
-
-* :func:`valpha_stack` — the r-dimensional simple modules V_α, highest
-  weight α+r−1, for a whole array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ at once;
-* :attr:`ModuleStack.dual` and :func:`tensor` — the dual of every term,
-  and the tensor product term by term (a batched coproduct);
-* :meth:`ModuleStack.take` gathers terms.
+Each power of such an operator has one off-diagonal too, of products of
+consecutive entries: :meth:`ModuleStack.ladder` builds E⁰ … E^(r−1) and
+F⁰ … F^(r−1) in closed form.  :func:`valpha_stack` builds the V_α of an
+array of colors α ∈ Ċ = (ℂ∖ℤ) ∪ rℤ, :attr:`ModuleStack.dual` their duals,
+and :func:`tensor` the tensor product term by term (a batched coproduct),
+a :class:`DenseStack` with dense E and F: the one place dense actions are
+built, for the coupon morphism check and the relation and ribbon checks.
 
 Morphisms are plain arrays.  The braiding is c_{A,B} =
 τ·q^(H⊗H/2)·Σₙ cₙ Eⁿ⊗Fⁿ with the truncated R-matrix series cₙ =
 {1}^(2n) q^(n(n−1)/2)/{n}!, n < r.  Since (E⊗F)^r = 0, a negative crossing
 (c_{B,A})⁻¹ is the same kind of sum with the coefficients of the inverse
-power series and q^(−H⊗H/2).  So no matrix is inverted: an LU of the r²×r²
-braiding costs O(r⁶) and loses digits to its conditioning.  Only the
-operator matrices enter, so the formula braids duals and tensor products
-uniformly; :func:`braiding_entries` gives either sign for a whole stack of
-colorings as its O(r³) nonzeros, from ladder powers built once per root
-stack and a pairing of their nonzeros cached per nonzero pattern, and
-:func:`braiding_stack` scatters them densely.  :func:`twist`
-contracts the same sum, closed with the pivot, in r products of d×d
-matrices, with no braiding; :func:`twist_scalar`
-returns the closed form q^((α²−(r−1)²)/2) on V_α, and the tests hold it
-against the Schur scalar of :func:`twist`.  Every convention here
-is pinned end-to-end by the self-tests: algebra relations, Yang–Baxter,
-naturality, zig-zags, ribbon compatibility, and the surgery cross-checks
-in :mod:`unrolledsl2.invariant`.
+power series and q^(−H⊗H/2), so no matrix is inverted.
+:func:`braiding_entries` gives either sign for two stacks of V_α or their
+duals as its O(r³) nonzeros, pairing their ladders at positions that r,
+the sign and the ladders' sides alone fix; :func:`braiding_stack` scatters
+them densely.  :func:`twist` contracts the same sum, closed with the pivot,
+from running products of the dense E and F of any module;
+:func:`twist_scalar` is its closed form q^((α²−(r−1)²)/2) on V_α.  Every
+convention here is pinned end-to-end by the self-tests: algebra relations,
+Yang–Baxter, naturality, zig-zags, ribbon compatibility, and the surgery
+cross-checks in :mod:`unrolledsl2.invariant`.
 """
 
 from __future__ import annotations
@@ -49,6 +45,7 @@ from .qscalar import RootParams
 
 __all__ = [
     "ModuleStack",
+    "DenseStack",
     "valpha_stack",
     "tensor",
     "braiding_entries",
@@ -62,34 +59,18 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# module type
+# module types
 # ----------------------------------------------------------------------
 
 
-class ModuleStack:
-    """Weight modules of one dimension stacked on a leading term axis.
+class _Stack:
+    """Weight modules of one dimension d on a leading term axis: the root
+    context and the ``weights``, shape (terms, d), all of a term congruent
+    modulo 2ℤ to its degree (:attr:`degrees`)."""
 
-    The one module type of the package: a one-term stack is a module.  One
-    evaluation pass of the diagram engine colors each component by a stack:
-    a single module shared by every term, or one module per term.  The
-    stack holds its arrays directly: ``weights`` of shape (terms, d), ``e``
-    and ``f`` of shape (terms, d, d).  A term's degree (:attr:`degrees`),
-    the complex representative of its ℂ/2ℤ grading, is its first weight;
-    all its weights are congruent to it modulo 2ℤ.  :func:`valpha_stack`
-    builds the simple modules of a whole array of colors and :meth:`take`
-    gathers terms.
-    The pivots, the stack of duals and the ladder powers are built on
-    first use (a V_α stack's F ladder from a per-r cache); a taken stack
-    gathers its root stack's ladder powers and duals.
-    """
-
-    def __init__(self, ctx, weights, e, f, source=None):
-        self.ctx = ctx
-        self.weights, self.e, self.f = weights, e, f
+    def __init__(self, ctx, weights):
+        self.ctx, self.weights = ctx, weights
         self.dim = weights.shape[1]
-        self._source = source  # (root stack, indices of these terms in it)
-        self._ladders: dict = {}
-        self._f_is_shift = False  # set by valpha_stack: F·vᵢ = vᵢ₊₁ on every term
 
     @property
     def terms(self) -> int:
@@ -97,64 +78,98 @@ class ModuleStack:
 
     @property
     def degrees(self) -> np.ndarray:
-        """One degree per term: the term's first weight."""
+        """Each term's ℂ/2ℤ grading, represented by its first weight."""
         return self.weights[:, 0]
-
-    def take(self, index: np.ndarray) -> "ModuleStack":
-        """The terms at the integer positions ``index``, as a new stack."""
-        root, base = self._source or (self, None)
-        return ModuleStack(
-            self.ctx,
-            self.weights[index],
-            self.e[index],
-            self.f[index],
-            (root, np.asarray(index) if base is None else base[index]),
-        )
-
-    def ladder(self, op: str) -> tuple[bytes, tuple, np.ndarray]:
-        """:func:`_powers` of the operator ``op``, "e" or "f", with its
-        pattern key: ``(key, (n, row, col), values)``."""
-        if op not in self._ladders:
-            if self._source is not None:
-                root, terms = self._source
-                key, index, values = root.ladder(op)
-                self._ladders[op] = key, index, values[terms]
-            elif op == "f" and self._f_is_shift:
-                key, index = _shift_ladder(self.ctx.r)
-                self._ladders[op] = key, index, np.ones((self.terms, len(index[0])), dtype=complex)
-            else:
-                index, values = _powers(getattr(self, op), self.ctx.r)
-                self._ladders[op] = _pattern_key(index), index, values
-        return self._ladders[op]
 
     @cached_property
     def pivot(self) -> np.ndarray:
         """The pivotal operators' diagonals q**((1−r)·w), shape (terms, d)."""
         return _q_powers(self.ctx, (1 - self.ctx.r) * self.weights)
 
+
+class ModuleStack(_Stack):
+    """Simple modules V_α, or their duals, stacked on a leading term axis.
+
+    The module type of the diagram engine: one evaluation pass colors each
+    component by a stack, a single module shared by every term or one
+    module per term.  ``e`` and ``f``, shape (terms, d−1), are the
+    off-diagonals of E and F: with ``e_above`` (V_α) E[i, i+1] = e[i] and
+    F[i+1, i] = f[i], else (duals) E[i+1, i] = e[i] and F[i, i+1] = f[i].
+    The pivots, the stack of duals and the ladders are built on first use;
+    a taken stack gathers its root stack's ladders and duals.
+    """
+
+    def __init__(self, ctx, weights, e, f, e_above=True, source=None):
+        super().__init__(ctx, weights)
+        self.e, self.f, self.e_above = e, f, e_above
+        self._source = source  # (root stack, indices of these terms in it)
+        self._ladders: dict = {}
+
+    def above(self, op: str) -> bool:
+        """Whether the off-diagonal of ``op``, "e" or "f", is above the diagonal."""
+        return (op == "e") == self.e_above
+
+    def take(self, index: np.ndarray) -> "ModuleStack":
+        """The terms at the integer positions ``index``, as a new stack."""
+        root, base = self._source or (self, None)
+        return ModuleStack(
+            self.ctx, self.weights[index], self.e[index], self.f[index], self.e_above,
+            (root, np.asarray(index) if base is None else base[index]),
+        )
+
+    def ladder(self, op: str) -> np.ndarray:
+        """The :func:`_ladder` of ``op``, "e" or "f", built once per root stack."""
+        if op not in self._ladders:
+            if self._source is not None:
+                root, terms = self._source
+                self._ladders[op] = root.ladder(op)[terms]
+            else:
+                self._ladders[op] = _ladder(getattr(self, op))
+        return self._ladders[op]
+
+    def action(self, op: str) -> np.ndarray:
+        """The dense matrices of ``op``, "e" or "f", shape (terms, d, d)."""
+        d = self.dim
+        out = np.zeros((self.terms, d * d), dtype=complex)
+        out[:, 1 if self.above(op) else d :: d + 1] = getattr(self, op)
+        return out.reshape(self.terms, d, d)
+
     @cached_property
     def dual(self) -> "ModuleStack":
         """The dual of every term, on the dual basis, via the antipode transpose.
 
         The action on A* is x ↦ ρ(S(x))ᵀ with S(E) = −EK⁻¹, S(F) = −KF,
-        S(H) = −H; weights negate (in the same index order as A's basis).
+        S(H) = −H; weights negate (in the same index order as A's basis),
+        and each off-diagonal moves to the other side of the diagonal: E's
+        entry in column j times K⁻¹ there, F's in row j times K there.
         """
         if self._source is not None:
             root, index = self._source
             return root.dual.take(index)
         powers = _q_powers(self.ctx, np.concatenate((self.weights, -self.weights)))
         k, k_inv = powers[: self.terms], powers[self.terms :]
-        e = -(self.e * k_inv[:, None, :]).swapaxes(1, 2)
-        f = -(k[:, :, None] * self.f).swapaxes(1, 2)
-        return ModuleStack(self.ctx, -self.weights, e, f)
+        j = slice(1, None) if self.e_above else slice(-1)
+        e, f = -(self.e * k_inv[:, j]), -(k[:, j] * self.f)
+        return ModuleStack(self.ctx, -self.weights, e, f, not self.e_above)
+
+
+class DenseStack(_Stack):
+    """Weight modules with dense E and F, ``e`` and ``f`` of shape (terms,
+    d, d): the tensor products of :func:`tensor`, for the coupon morphism
+    check, :func:`relations_residual` and :func:`twist`, never braided."""
+
+    def __init__(self, ctx, weights, e, f):
+        super().__init__(ctx, weights)
+        self.e, self.f = e, f
+
+    def action(self, op: str) -> np.ndarray:
+        """The matrices of ``op``, "e" or "f", shape (terms, d, d)."""
+        return getattr(self, op)
 
 
 def scalar_of(matrix: np.ndarray, tol: float) -> complex:
     """Extract s from a square matrix ≈ s·Id, within |·|_max residual tol."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise NotScalarError(f"matrix of shape {matrix.shape} is not square")
-    return complex(scalars_of(matrix[None], tol)[0])
+    return complex(scalars_of(np.asarray(matrix)[None], tol)[0])
 
 
 def scalars_of(matrices: np.ndarray, tol: float) -> np.ndarray:
@@ -200,8 +215,8 @@ def _simple_color(ctx: RootParams, alpha: complex) -> complex:
 
 def _q_powers(ctx: RootParams, x) -> np.ndarray:
     """q**x elementwise for an array of exponents, bit for bit as
-    :meth:`RootParams.q_pow`; DomainError, as there, when an entry leaves
-    double range.
+    :meth:`RootParams.q_pow` below e^709 (within an ulp above); DomainError,
+    as there, when an entry leaves double range.
 
     Python's complex division by r divides each part by r, where numpy's
     would multiply by 1/r, so iπx/r is formed as i·(πx/r) on the real view.
@@ -212,9 +227,8 @@ def _q_powers(ctx: RootParams, x) -> np.ndarray:
         return np.exp(arg)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(arg)
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = complex(x[~finite][0])
+    if not np.isfinite(out).all():
+        bad = complex(x[~np.isfinite(out)][0])
         raise DomainError(f"q**x overflows double precision at x={bad!r}")
     return out
 
@@ -237,44 +251,35 @@ def valpha_stack(ctx: RootParams, alphas) -> ModuleStack:
 
     Basis v₀, …, v_{r−1} ordered by decreasing weight α+r−1−2i; the ladder
     operators act by F·vᵢ = vᵢ₊₁ and E·vᵢ = [i]·[α+r−i]·vᵢ₋₁, the unique
-    gauge (up to basis scaling) making the defining relations hold.  All
-    colors are built in a few array expressions; F is the same shift for
-    every α, so its ladder comes from :func:`_shift_ladder` when first
-    asked for.  DomainError unless every α ∈ Ċ, or when a q-power leaves
-    double range (as :meth:`RootParams.q_pow`).
+    gauge (up to basis scaling) making the defining relations hold; F's
+    off-diagonal of ones is a read-only view of a single 1.
+    DomainError unless every α ∈ Ċ, or when a q-power leaves double range
+    (as :meth:`RootParams.q_pow`).
     """
     alphas = np.array([_simple_color(ctx, a) for a in alphas], dtype=complex)
     terms, r = len(alphas), ctx.r
     shifted = alphas[:, None] + r  # every expression below groups as (α+r)−…
     up = np.arange(1, r)
     brackets = _brackets(ctx, np.concatenate((up[None], shifted - up)))
-    e = np.zeros((terms, r * r), dtype=complex)
-    e[:, 1 :: r + 1] = brackets[0] * brackets[1:]  # E[i−1, i] = [i]·[α+r−i]
-    f = np.zeros((terms, r * r), dtype=complex)
-    f[:, r :: r + 1] = 1.0  # F[i, i−1] = 1
-    stack = ModuleStack(
+    return ModuleStack(
         ctx,
         shifted - 1 - np.arange(0, 2 * r, 2),
-        e.reshape(terms, r, r),
-        f.reshape(terms, r, r),
+        brackets[0] * brackets[1:],
+        np.ndarray((terms, r - 1), complex, np.complex128(1).tobytes(), 0, (0, 0)),
     )
-    stack._f_is_shift = True
-    return stack
 
 
-def tensor(a: ModuleStack, b: ModuleStack) -> ModuleStack:
+def tensor(a, b) -> DenseStack:
     """A ⊗ B term by term, with the coproduct Δ(E) = 1⊗E + E⊗K,
-    Δ(F) = K⁻¹⊗F + F⊗1.  A one-term stack is paired with every term of the
-    other; degrees add."""
-    if a.ctx != b.ctx:
-        raise DomainError("tensor factors live over different root contexts")
+    Δ(F) = K⁻¹⊗F + F⊗1, on the dense actions of either module type.  A
+    one-term stack is paired with every term of the other; degrees add."""
     terms = max(a.terms, b.terms)
     k = np.eye(b.dim) * _q_powers(b.ctx, b.weights)[:, None, :]  # K on B
     k_inv = np.eye(a.dim) * _q_powers(a.ctx, -a.weights)[:, None, :]  # K⁻¹ on A
-    e = _kron(np.eye(a.dim)[None], b.e) + _kron(a.e, k)
-    f = _kron(k_inv, b.f) + _kron(a.f, np.eye(b.dim)[None])
+    e = _kron(np.eye(a.dim)[None], b.action("e")) + _kron(a.action("e"), k)
+    f = _kron(k_inv, b.action("f")) + _kron(a.action("f"), np.eye(b.dim)[None])
     weights = (a.weights[:, :, None] + b.weights[:, None, :]).reshape(terms, -1)
-    return ModuleStack(a.ctx, weights, e, f)
+    return DenseStack(a.ctx, weights, e, f)
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -308,57 +313,49 @@ def _series(r: int, sign: int) -> np.ndarray:
     return out
 
 
-def _powers(m: np.ndarray, r: int) -> tuple[tuple, np.ndarray]:
-    """Indices (n, row, col) of the entries of m⁰, …, m^(r−1) nonzero in any
-    term, sorted by n, and their values, shape (terms, nonzeros)."""
-    powers = np.empty((m.shape[0], r) + m.shape[1:], dtype=complex)
-    powers[:, 0], powers[:, 1] = np.eye(m.shape[-1]), m
-    for n in range(2, r):
-        np.matmul(powers[:, n - 1], m, out=powers[:, n])
-    index = np.nonzero(np.any(powers, axis=0))
-    return index, powers[(slice(None), *index)]
+def _ladder(v: np.ndarray) -> np.ndarray:
+    """The entries of m⁰ … m^(d−1) for the matrices m with off-diagonal v,
+    shape (terms, d−1), at the positions of :func:`_ladder_index`: power n
+    holds Pₙ[i] = v[i]·…·v[i+n−1], i < d−n, built as the running product
+    Pₙ[i] = Pₙ₋₁[i]·v[i+n−1].  Shape (terms, d(d+1)/2)."""
+    terms, d = v.shape[0], v.shape[1] + 1
+    out = np.empty((terms, d * (d + 1) // 2), dtype=complex)
+    out[:, :d] = 1.0
+    last, start = out[:, :d], d
+    for n in range(1, d):
+        here = out[:, start : start + d - n]
+        np.multiply(last[:, : d - n], v[:, n - 1 :], out=here)
+        last, start = here, start + d - n
+    return out
 
 
-def _pattern_key(index: tuple) -> bytes:
-    """A ladder's nonzero indices (n, row, col) as one hashable value: the
-    key under which :func:`_pairing` caches what depends on them alone."""
-    return np.array(index, dtype=np.intp).tobytes()
-
-
-def _read_only(*arrays: np.ndarray) -> tuple:
-    """The arrays, marked read-only: a cached value is shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@cache
-def _shift_ladder(r: int) -> tuple[bytes, tuple]:
-    """The pattern key and nonzeros (n, row, col) of the ladder of F on V_α
-    at root order r: Fⁿ is 1 at (i+n, i) whatever α is.  Cached per r, so
-    read-only."""
-    n = np.repeat(np.arange(r), np.arange(r, 0, -1))
-    col = np.concatenate([np.arange(r - k) for k in range(r)])
-    index = _read_only(n, n + col, col)
-    return _pattern_key(index), index
+def _ladder_index(d: int, above: bool) -> tuple:
+    """The positions (n, row, col) of :func:`_ladder`'s entries, row-major
+    per power n: (n, i, i+n) above the diagonal or (n, i+n, i) below it."""
+    n = np.repeat(np.arange(d), np.arange(d, 0, -1))
+    i = np.concatenate([np.arange(d - k) for k in range(d)])
+    return (n, i, i + n) if above else (n, i + n, i)
 
 
 @lru_cache
-def _pairing(r: int, sign: int, x_key: bytes, y_key: bytes) -> tuple:
-    """What :func:`braiding_entries` takes from the ladders' nonzero
-    patterns alone: the X-nonzero px and the Y-nonzero py of each entry,
-    its (k, i, j, l) and its series coefficient.  Cached by the patterns'
-    keys, so read-only."""
-    nx, xi, xj = np.frombuffer(x_key, dtype=np.intp).reshape(3, -1)
-    ny, yk, yl = np.frombuffer(y_key, dtype=np.intp).reshape(3, -1)
-    # each X-nonzero of power n with each Y-nonzero of power n
+def _pairing(r: int, sign: int, x_above: bool, y_above: bool) -> tuple:
+    """What :func:`braiding_entries` takes from the ladders' positions
+    (:func:`_ladder_index`): the X-entry px and the Y-entry py of each
+    braiding entry, its (k, i, j, l) and its series coefficient.  Cached
+    per root order, sign and sides, so read-only."""
+    nx, xi, xj = _ladder_index(r, x_above)
+    ny, yk, yl = _ladder_index(r, y_above)
+    # each X-entry of power n with each Y-entry of power n
     y_count = np.bincount(ny, minlength=r)
     reps = y_count[nx]
     px = np.repeat(np.arange(len(nx)), reps)
     py = np.arange(len(px)) - np.repeat(np.cumsum(reps) - reps, reps)
     py += (np.cumsum(y_count) - y_count)[nx[px]]
-    index = _read_only(yk[py], xi[px], xj[px], yl[py])
-    return (*_read_only(px, py), index, *_read_only(_series(r, sign)[nx[px]]))
+    index = (yk[py], xi[px], xj[px], yl[py])
+    coef = _series(r, sign)[nx[px]]
+    for a in (px, py, *index, coef):  # shared by every caller
+        a.flags.writeable = False
+    return px, py, index, coef
 
 
 def braiding_entries(
@@ -373,18 +370,16 @@ def braiding_entries(
     the inverse series: no matrix is inverted.  Either sign pairs
     coef·Xⁿ[i, j] with Yⁿ[k, l], (X, Y) = (E_A, F_B) or (F_A, E_B), with
     q^(±w·w'/2) on the pair (i, k) for +1 or (j, l) for −1.  Xⁿ[i, j] ≠ 0
-    fixes n by the weight grading, so pairing the nonzeros of Xⁿ and Yⁿ of
-    equal n names each entry at most once.  That pairing depends on the
-    two ladders' nonzero patterns only and is cached per pattern pair and
-    sign (:func:`_pairing`); the returned (k, i, j, l) arrays are that
-    cache's, so read-only, and the same objects while the patterns stay.
+    fixes n by the weight grading, so pairing the ladder entries of Xⁿ and
+    Yⁿ of equal n names each entry once.  The (k, i, j, l) arrays are those
+    :func:`_pairing` caches per r, sign and the ladders' sides: read-only.
     """
     if sign not in (1, -1):
         raise DomainError(f"braiding sign must be +1 or -1, got {sign!r}")
     r = a.ctx.r
-    x_key, _, xv = a.ladder("e" if sign == 1 else "f")
-    y_key, _, yv = b.ladder("f" if sign == 1 else "e")
-    px, py, index, coef = _pairing(r, sign, x_key, y_key)
+    x, y = ("e", "f") if sign == 1 else ("f", "e")
+    px, py, index, coef = _pairing(r, sign, a.above(x), b.above(y))
+    xv, yv = a.ladder(x), b.ladder(y)
     k, i, j, l = index
     ww = a.weights[:, :, None] * b.weights[:, None, :]
     qhh = np.exp(sign * 1j * np.pi * (ww / 2.0) / r)
@@ -411,18 +406,21 @@ def braiding_stack(a: ModuleStack, b: ModuleStack, sign: int = 1) -> np.ndarray:
     return out
 
 
-def twist(a: ModuleStack) -> np.ndarray:
+def twist(a) -> np.ndarray:
     """The matrix of the ribbon twist θ_A = (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)
-    of a module A (a one-term stack).
+    of a module A (a one-term stack of either type).
 
     Contracted, the braiding's sum leaves θ_A = Σₙ cₙ·(Fⁿ ⊙ Q)·diag(pivot)·Eⁿ
-    with Q[a, b] = q^(w_a·w_b/2): one matmul of the n-stacked factors.
+    with Q[a, b] = q^(w_a·w_b/2): the powers as running products of the
+    dense E and F, then one matmul of the n-stacked factors.
     """
     d, r = a.dim, a.ctx.r
-    powers = np.zeros((2, r, d, d), dtype=complex)
+    powers = np.empty((2, r, d, d), dtype=complex)
+    powers[:, 0] = np.eye(d)
     for p, op in enumerate("fe"):
-        _, index, values = a.ladder(op)
-        powers[(p, *index)] = values[0]
+        m = a.action(op)[0]
+        for n in range(1, r):
+            np.matmul(powers[p, n - 1], m, out=powers[p, n])
     w = a.weights[0]
     q_half = np.exp(1j * np.pi * (w[:, None] * w[None, :] / 2.0) / r)
     left = _series(r, 1)[:, None, None] * (powers[0] * q_half) * a.pivot[0]
@@ -444,9 +442,9 @@ def twist_scalar(ctx: RootParams, alpha: complex) -> complex:
 # ----------------------------------------------------------------------
 
 
-def relations_residual(module: ModuleStack) -> float:
+def relations_residual(module) -> float:
     """Max-norm residual of the defining relations on a module (a one-term
-    stack).
+    stack of either type), on its dense actions.
 
     Checks KEK⁻¹ = q²E, KFK⁻¹ = q⁻²F, [E,F] = (K−K⁻¹)/(q−q⁻¹),
     [H,E] = 2E, [H,F] = −2F and the nilpotency E**r = F**r = 0.  K, K⁻¹
@@ -460,7 +458,7 @@ def relations_residual(module: ModuleStack) -> float:
     every level r steps.
     """
     ctx = module.ctx
-    w, e, f = module.weights[0], module.e[0], module.f[0]
+    w, e, f = module.weights[0], module.action("e")[0], module.action("f")[0]
     k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
     q = ctx.q
     res = [

@@ -2,9 +2,9 @@
 
 The diagram engine and the braiding builder keep process-wide caches of
 color-independent data (:func:`unrolledsl2.diagram.compile_diagram`, and in
-:mod:`unrolledsl2.repcat` the ladder pairings, the V_α shift ladder and the
-R-matrix series).  Clearing them before each test means no test passes
-only because an earlier one filled a cache, whatever the order.
+:mod:`unrolledsl2.repcat` the ladder pairings and the R-matrix series).
+Clearing them before each test means no test passes only because an
+earlier one filled a cache, whatever the order.
 """
 
 import pytest
@@ -14,6 +14,6 @@ from unrolledsl2 import diagram, repcat
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    for cache in (diagram._compiled, repcat._pairing, repcat._shift_ladder, repcat._series):
+    for cache in (diagram._compiled, repcat._pairing, repcat._series):
         cache.cache_clear()
     yield

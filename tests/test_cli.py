@@ -464,13 +464,14 @@ def test_help_without_a_stdout_exits_0(monkeypatch):
 
 
 # What a fresh interpreter has loaded after importing the CLI and after each
-# command line: numpy and the engine modules only, with each call's exit code.
+# command line: numpy, fractions (which loads decimal) and the engine
+# modules only, with each call's exit code.
 _COLD_PROBE = """
 import contextlib, io, json, sys
 import unrolledsl2.cli as cli
 ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim"}
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy"
+    return sorted(m for m in sys.modules if m in ("numpy", "fractions")
                   or m.startswith("unrolledsl2.") and m.split(".")[1] in ENGINES)
 seen = [(None, loaded())]
 for argv in json.loads(sys.argv[1]):
@@ -988,25 +989,50 @@ def test_domain_error_out_of_memory(sub, r, fixture):
     assert "Traceback" not in err
 
 
+_TIMED_MAIN = ("import resource, sys, time\nfrom unrolledsl2.cli import main\n"
+               "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+               "print(time.perf_counter() - start, "
+               "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)\n")
+
+
+def _timed_main(limit, *argv):
+    """``main(argv)`` in a child whose address space is limited to
+    ``limit`` bytes: its exit code, its stderr, the seconds spent in
+    ``main`` and the child's peak RSS in MiB."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv], capture_output=True, text=True,
+        timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    seconds, rss = proc.stdout.split() if proc.stdout else ("nan", "nan")
+    return proc.returncode, proc.stderr, float(seconds), float(rss) / 1024
+
+
 def test_hh0_preflight_refuses_before_allocating():
     # each vertex tensor of the theta spine has r'^3 = 8e12 cells at r = 20001;
     # under the address-space limit a missing preflight would end in numpy's
     # own MemoryError, whose message differs
-    timed = ("import sys, time\nfrom unrolledsl2.cli import main\n"
-             "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
-             "print(time.perf_counter() - start)\nsys.exit(code)\n")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", timed, "hh0", "--r", "20001",
-         "--input", str(FIXTURES / "genus2_theta.json")],
-        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("domain error: not computable within available memory: "
-                                  "an HH0 vertex tensor needs ")
-    assert proc.stderr.count("\n") == 1
-    assert float(proc.stdout) < 0.5
+    code, err, seconds, _ = _timed_main(
+        3 * 2**30, "hh0", "--r", "20001", "--input", str(FIXTURES / "genus2_theta.json"))
+    assert code == 3
+    assert err.startswith("domain error: not computable within available memory: "
+                          "an HH0 vertex tensor needs ")
+    assert err.count("\n") == 1
+    assert seconds < 0.5
+
+
+def test_zinv_preflight_refuses_before_building_the_kirby_colors():
+    # 301 Kirby colors per component at r = 301: the sector layout's charge
+    # refuses the run.  Dense r×r E and F of those colors (416 MiB each per
+    # component) would end in numpy's own MemoryError under this limit
+    code, err, seconds, rss = _timed_main(
+        2**30, "zinv", "--r", "301", "--input", str(FIXTURES / "lens_7_2.json"))
+    assert code == 3
+    assert err.startswith("domain error: not computable within available memory: "
+                          "the weight-sector layout needs ")
+    assert err.count("\n") == 1
+    assert seconds < 0.5 and rss < 200
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -2,11 +2,11 @@
 
 :func:`unrolledsl2.diagram.compile_diagram` keeps each diagram structure's
 words, bookkeeping, cut checks, networks, plans, sector layouts and
-crossing scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder pairings of the
-braiding and the V_α shift ladder.  These
-tests hold the caches to what they promise: a warm cache changes no output,
-a repeated document adds no entry, the memory preflight still runs, and a
-coupon's matrix is never taken from the cache.  ``conftest.py`` empties the
+crossing scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder
+pairings of the braiding.  These tests hold the caches to what they
+promise: a warm cache changes no output, a repeated document adds no entry,
+the memory preflight still runs, and a coupon's matrix is never taken from
+the cache.  ``conftest.py`` empties the
 caches before each test.
 """
 
@@ -60,7 +60,7 @@ def test_warm_cache_gives_the_cold_output(capsys, fixture, r):
     for command in COMMANDS[fixture]:
         for fmt in ("json", "table"):
             argv = (command, "--r", str(r), "--input", str(FIXTURES / fixture), "--format", fmt)
-            for cache in (diagram._compiled, repcat._pairing, repcat._shift_ladder):
+            for cache in (diagram._compiled, repcat._pairing):
                 cache.cache_clear()
             cold = _cli(capsys, *argv)
             assert cold[0] == 0, cold
@@ -72,7 +72,7 @@ def _cache_sizes(diagram_: SlicedDiagram, cut_slice: int) -> tuple:
     reaches, the compiled diagram's own and its cut network's plans too."""
     compiled = compile_diagram(diagram_)
     _, network = compiled.cut(cut_slice)
-    caches = (diagram._compiled, repcat._pairing, repcat._shift_ladder, repcat._series)
+    caches = (diagram._compiled, repcat._pairing, repcat._series)
     return (*(cache.cache_info().currsize for cache in caches),
             len(compiled._enclosed), len(compiled._networks), len(network._plans))
 
@@ -168,19 +168,6 @@ def test_coupon_matrices_are_read_per_diagram(first):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9])
-def test_shift_ladder_equals_the_powers_of_f(r):
-    ctx = RootParams(r)
-    stack = valpha_stack(ctx, [0.3, 1.7 + 0.2j])
-    key, index, values = stack.ladder("f")
-    want_index, want = repcat._powers(stack.f, r)
-    assert all(np.array_equal(x, y) for x, y in zip(index, want_index))
-    assert np.array_equal(values, want)
-    assert key == repcat._pattern_key(want_index)
-    taken = stack.take([1])
-    assert taken.ladder("f")[0] == key and np.array_equal(taken.ladder("f")[2], want[[1]])
-
-
 def test_pairing_is_shared_and_read_only():
     ctx = RootParams(7)
     a, b = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
@@ -188,21 +175,18 @@ def test_pairing_is_shared_and_read_only():
         _, first = repcat.braiding_entries(a, b, sign)
         _, again = repcat.braiding_entries(
             valpha_stack(ctx, (1.3,)), valpha_stack(ctx, (0.8,)), sign)
-        assert again is first  # the same nonzero patterns: one cached pairing
+        assert again is first  # the same r, sign and sides: one cached pairing
         assert not any(x.flags.writeable for x in first)
 
 
 def test_crossing_positions_follow_the_entry_pattern():
-    # one crossing under one plan, colored by V_α and then by a module of
-    # the same dimension whose E has a zero on its superdiagonal (another
-    # nonzero pattern): each evaluation must scatter its own entries
+    # one crossing under one plan, colored by V_α and then by its dual
+    # stack, whose E and F lie on the other sides of the diagonal (another
+    # entry pattern): each evaluation must scatter its own entries
     ctx = RootParams(5)
     up = (Strand("A", True), Strand("B", True))
     crossing = SlicedDiagram((Braid(0, 1),), up)
     v, w = valpha_stack(ctx, (0.37,)), valpha_stack(ctx, (-0.61 + 0.4j,))
-    e = v.e.copy()
-    e[0, 1, 2] = 0
-    holed = repcat.ModuleStack(ctx, v.weights, e, v.f)
-    for a in (v, holed, v):
+    for a in (v, v.dual, v):
         got = evaluate(crossing, {"A": a, "B": w}, ctx)
         assert np.array_equal(got, repcat.braiding_stack(a, w)[0])

@@ -29,7 +29,6 @@ from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
     braiding_stack,
     scalar_of,
-    tensor,
     twist_scalar,
     valpha_stack,
 )
@@ -107,11 +106,11 @@ def test_zig_zag_slices(ctx):
 def test_evaluate_returns_an_array_of_boundary_dims(ctx):
     rng = np.random.default_rng(23)
     a = valpha_stack(ctx, (_generic(rng),))
-    b = tensor(valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),)))
+    b = valpha_stack(ctx, (_generic(rng),))
     closed = evaluate(clasp_diagram(1), {"A": a, "B": a}, ctx)
     assert type(closed) is np.ndarray and closed.shape == (1, 1)
     # target words (B up, B down, A down) and (A down, B down, B up) of a
-    # down source strand, with B of dimension r²
+    # down source strand
     down = (Strand("A", False),)
     for cup, dims in ((Cup(0, "B", "coev"), (b.dim, b.dim, a.dim)),
                       (Cup(1, "B", "coevprime"), (a.dim, b.dim, b.dim))):

@@ -592,26 +592,26 @@ def test_z_passes_hold_at_least_r_terms(monkeypatch):
 
 def test_z_builds_ladder_powers_once_per_root_stack(monkeypatch):
     # three passes at r = 7; each Kirby stack (and its stack of duals)
-    # computes the powers of E and F once, and every pass gathers them
+    # builds the ladders of E and F once, and every pass gathers them
     from unrolledsl2 import repcat
 
     sp = standard_two_component(RootParams(7), 1, (4, 2), (2.0 / 7, -8.0 / 7))
     monkeypatch.setattr(invariant, "_PASS_ELEMENTS", 24 * _route_peak(sp))
     sizes = _pass_sizes(monkeypatch)
     calls = []
-    powers = repcat._powers
+    ladder = repcat._ladder
 
-    def counted(m, r):
-        calls.append(m)
-        return powers(m, r)
+    def counted(v):
+        calls.append(v)
+        return ladder(v)
 
-    monkeypatch.setattr(repcat, "_powers", counted)
+    monkeypatch.setattr(repcat, "_ladder", counted)
     z_invariant(sp)
     assert sizes == [24, 24, 1]
-    # only whole Kirby stacks (7 terms), each operator array once: at most
+    # only whole Kirby stacks (7 terms), each off-diagonal once: at most
     # E and F of the two stacks and of their duals
-    assert calls and all(len(m) == 7 for m in calls)
-    assert len({id(m) for m in calls}) == len(calls) <= 8
+    assert calls and all(v.shape == (7, 6) for v in calls)
+    assert len({id(v) for v in calls}) == len(calls) <= 8
 
 
 def test_z_typechecks_once(monkeypatch):

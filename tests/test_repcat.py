@@ -1,5 +1,11 @@
 """Representation layer: weight modules, braiding, twists, duality."""
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from duality import duality_maps
@@ -7,7 +13,8 @@ from duality import duality_maps
 from unrolledsl2.errors import DomainError, NotScalarError
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import (
-    ModuleStack,
+    DenseStack,
+    braiding_entries,
     braiding_stack,
     relations_residual,
     scalar_of,
@@ -48,6 +55,38 @@ def test_valpha_domain(ctx):
     assert valpha_stack(ctx, (ctx.r,)).dim == ctx.r
 
 
+_THOUSAND_COLORS = """
+import tracemalloc
+import numpy as np
+from unrolledsl2.qscalar import RootParams
+from unrolledsl2.repcat import valpha_stack
+tracemalloc.start()
+stack = valpha_stack(RootParams(1001), 0.5 + np.arange(1001))
+print(tracemalloc.get_traced_memory()[0], stack.terms, stack.dim)
+"""
+
+
+def _limit_to_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_valpha_stack_of_1001_colors_builds_under_1_gib():
+    # dense E and F of 1001 colors at r = 1001 would take 16 GB each; the
+    # stack holds its weights and E's off-diagonal, 32 MB, and F's ones as a
+    # view of a single 1, in a child whose address space is limited to 1 GiB
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THOUSAND_COLORS], capture_output=True, text=True,
+        timeout=300, preexec_fn=_limit_to_1_gib,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    held, terms, dim = map(int, proc.stdout.split())
+    assert (terms, dim) == (1001, 1001)
+    assert held < 50e6
+
+
 def _valpha_loop(ctx, alpha):
     """Reference V_α: E and F filled entry by entry with scalar brackets."""
     r = ctx.r
@@ -69,12 +108,13 @@ def test_valpha_stack_matches_entrywise_loop(r):
               1.0 / 3 + 40j]
     stack = valpha_stack(ctx, alphas)
     assert stack.terms == len(alphas) and stack.dim == r
+    assert stack.e.shape == stack.f.shape == (len(alphas), r - 1)
     for k, alpha in enumerate(alphas):
         weights, e, f, pivot = _valpha_loop(ctx, complex(alpha))
         scale = max(1.0, np.abs(e).max())
         assert np.array_equal(stack.weights[k], weights)
-        assert np.abs(stack.e[k] - e).max() <= 1e-15 * scale
-        assert np.array_equal(stack.f[k], f)
+        assert np.abs(stack.action("e")[k] - e).max() <= 1e-15 * scale
+        assert np.array_equal(stack.action("f")[k], f)
         assert np.abs(stack.pivot[k] - pivot).max() <= 1e-15 * np.abs(pivot).max()
         module = stack.take([k])
         assert module.degrees[0] == complex(alpha) + r - 1
@@ -98,35 +138,45 @@ def test_valpha_stack_domain_errors():
         valpha_stack(ctx, [0.3, 0.3 + 2000j])
 
 
+def test_q_powers_near_the_overflow_threshold():
+    # past a real part of 709 in iπx/r exp may overflow, so the powers are
+    # checked for it; below e^709.78 they are those of q_pow, within an ulp
+    # (cmath.exp rescales its argument there, numpy's exp does not)
+    from unrolledsl2.repcat import _q_powers
+
+    ctx = RootParams(5)
+    x = np.array([0.3, 0.3 - 709.5j * ctx.r / np.pi, -709.7j * ctx.r / np.pi])
+    want = np.array([ctx.q_pow(v) for v in x])
+    assert np.all(np.abs(_q_powers(ctx, x) - want) <= 2.3e-16 * np.abs(want))
+    with pytest.raises(DomainError, match=r"^q\*\*x overflows double precision at x=\(0\.30029"):
+        _q_powers(ctx, 1.001 * x)
+
+
 def _antipode_dual(m):
     """Reference dual of a module (a one-term stack): the antipode transpose
     with K and K⁻¹ as dense diagonal matrices."""
     k = np.diag([m.ctx.q_pow(w) for w in m.weights[0]])
     k_inv = np.diag([m.ctx.q_pow(-w) for w in m.weights[0]])
-    return -m.weights[0], (-(m.e[0] @ k_inv)).T, (-(k @ m.f[0])).T
+    return -m.weights[0], (-(m.action("e")[0] @ k_inv)).T, (-(k @ m.action("f")[0])).T
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9])
 def test_stack_dual_matches_antipode_transpose(r):
     ctx = RootParams(r)
     rng = np.random.default_rng(30 + r)
-    alpha, beta = _generic(rng), _generic(rng) + 0.7j
-    a, b = valpha_stack(ctx, (alpha,)), valpha_stack(ctx, (beta,))
-    stacks = [
-        valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0]),
-        tensor(valpha_stack(ctx, [alpha, beta]), valpha_stack(ctx, [beta, alpha])),
-        tensor(a, b.dual),
-        a.dual,
-    ]
-    for stack in stacks:
+    colors = valpha_stack(ctx, [_generic(rng), _generic(rng) - 1.3j, 0.0])
+    # the stacks of V_α, of their duals (whose duals are the double duals)
+    # and of one module
+    for stack in (colors, colors.dual, valpha_stack(ctx, (_generic(rng) + 0.7j,))):
         duals = stack.dual
+        assert duals.e_above != stack.e_above
         for k in range(stack.terms):
             module = stack.take([k])
             weights, e, f = _antipode_dual(module)
             scale = max(1.0, np.abs(e).max(), np.abs(f).max())
             assert np.array_equal(duals.weights[k], weights)
-            assert np.abs(duals.e[k] - e).max() <= 1e-15 * scale
-            assert np.abs(duals.f[k] - f).max() <= 1e-15 * scale
+            assert np.abs(duals.action("e")[k] - e).max() <= 1e-15 * scale
+            assert np.abs(duals.action("f")[k] - f).max() <= 1e-15 * scale
             assert duals.degrees[k] == -module.degrees[0]
             # the dual of one taken term is that term of the stack dual
             one = module.dual
@@ -139,8 +189,8 @@ def _dense_coproduct(ctx, a, b, k):
     wa, wb = a.weights[k], b.weights[k]
     k_b = np.diag([ctx.q_pow(w) for w in wb])
     k_inv_a = np.diag([ctx.q_pow(-w) for w in wa])
-    e = np.kron(np.eye(a.dim), b.e[k]) + np.kron(a.e[k], k_b)
-    f = np.kron(k_inv_a, b.f[k]) + np.kron(a.f[k], np.eye(b.dim))
+    e = np.kron(np.eye(a.dim), b.action("e")[k]) + np.kron(a.action("e")[k], k_b)
+    f = np.kron(k_inv_a, b.action("f")[k]) + np.kron(a.action("f")[k], np.eye(b.dim))
     return np.add.outer(wa, wb).ravel(), e, f
 
 
@@ -181,7 +231,7 @@ def test_relations_residual_catches_a_perturbed_e():
     for entry in (largest, (0, 1), (module.dim - 1, 0)):
         e = module.e.copy()
         e[(0, *entry)] += 1e-6
-        perturbed = ModuleStack(ctx, module.weights, e, module.f)
+        perturbed = DenseStack(ctx, module.weights, e, module.f)
         assert relations_residual(perturbed) > 1e-10, entry
 
 
@@ -197,7 +247,7 @@ def test_blockwise_commutator_matches_dense(r):
     a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
     module = tensor(tensor(a, b), a.dual)
     e, f, w = 1.5 * module.e[0], module.f[0], module.weights[0]
-    scaled = ModuleStack(ctx, module.weights, e[None], module.f)
+    scaled = DenseStack(ctx, module.weights, e[None], module.f)
     k, k_inv = _q_powers(ctx, w), _q_powers(ctx, -w)
     dense = np.abs(e @ f - f @ e - np.diag(k - k_inv) / (ctx.q - 1 / ctx.q)).max()
     assert dense > 0.1  # far above roundoff
@@ -227,8 +277,8 @@ def test_braiding_inverse(ctx):
 
 
 def _dense_braiding(a, b, sign):
-    """Reference braiding of two modules (one-term stacks): the dense
-    Kronecker sum with one q_pow per entry."""
+    """Reference braiding of two modules (one-term stacks of either type,
+    tensor products too): the dense Kronecker sum with one q_pow per entry."""
     if sign == -1:
         return np.linalg.inv(_dense_braiding(b, a, 1))
     ctx = a.ctx
@@ -240,8 +290,8 @@ def _dense_braiding(a, b, sign):
     brace1 = ctx.q_num(1)
     for n in range(ctx.r):
         if n > 0:
-            e_pow = e_pow @ a.e[0]
-            f_pow = f_pow @ b.f[0]
+            e_pow = e_pow @ a.action("e")[0]
+            f_pow = f_pow @ b.action("f")[0]
             coeff = coeff * brace1 * brace1 * ctx.q_pow(n - 1) / ctx.q_num(n)
             if not e_pow.any() or not f_pow.any():
                 break
@@ -261,8 +311,8 @@ def test_braiding_matches_dense_reference(r, sign):
     rng = np.random.default_rng(20 + r)
     a = valpha_stack(ctx, (_generic(rng),))
     b = valpha_stack(ctx, (_generic(rng),))
-    a_star, ab = a.dual, tensor(a, b)
-    for x, y in ((a, b), (a, a), (a_star, b), (b, a_star), (ab, a), (a_star, ab)):
+    a_star = a.dual
+    for x, y in ((a, b), (a, a), (a_star, b), (b, a_star), (a_star, b.dual)):
         ref = _dense_braiding(x, y, sign)
         got = braiding_stack(x, y, sign)[0]
         assert got.shape == ref.shape
@@ -287,24 +337,43 @@ def test_braiding_stack_matches_per_term(r, sign):
                 assert np.abs(got[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+def _reference_ops(ctx, alpha, dual):
+    """E and F of V_α, or of its dual by the antipode transpose with K and
+    K⁻¹ as dense diagonal matrices, filled entry by entry."""
+    weights, e, f, _ = _valpha_loop(ctx, alpha)
+    if dual:
+        k = np.diag([ctx.q_pow(w) for w in weights])
+        k_inv = np.diag([ctx.q_pow(-w) for w in weights])
+        e, f = (-(e @ k_inv)).T, (-(k @ f)).T
+    return {"e": e, "f": f}
+
+
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9, 11, 13])
 def test_powers_equal_the_matmul_chain(r):
-    # the reference: m⁰ … m^(r−1) as one accumulated matmul chain, stacked
+    # the closed-form ladders, scattered at their positions, against
+    # m⁰ … m^(r−1) as one accumulated matmul chain of the reference E and F:
+    # on stacks of V_α and of their duals, of one and of several terms, real
+    # and complex colors, and gathered from a root stack
     from itertools import accumulate, repeat
 
-    from unrolledsl2.repcat import _powers
+    from unrolledsl2.repcat import _ladder_index
 
     ctx = RootParams(r)
     rng = np.random.default_rng(40 + r)
-    stack = valpha_stack(ctx, rng.uniform(0.1, 1.9, 3) + 1j * rng.uniform(-2, 2, 3))
-    a, b = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (_generic(rng),))
-    for m in (stack.e, stack.f, stack.dual.e, tensor(a, b).f):
-        eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
-        powers = np.stack([eye, *accumulate(repeat(m, r - 1), np.matmul)], axis=1)
-        index = np.nonzero(np.any(powers, axis=0))
-        got_index, got = _powers(m, r)
-        assert all(np.array_equal(x, y) for x, y in zip(got_index, index))
-        assert np.array_equal(got, powers[(slice(None), *index)])
+    alphas = [_generic(rng), _generic(rng) + 1j * rng.uniform(-2, 2), -_generic(rng) - 0.6j]
+    several, one = valpha_stack(ctx, alphas), valpha_stack(ctx, alphas[:1])
+    cases = [(several, alphas, False), (several.dual, alphas, True), (one, alphas[:1], False),
+             (one.dual, alphas[:1], True), (several.take([2, 0]), alphas[2::-2], False),
+             (several.dual.take([1]), alphas[1:2], True)]
+    for stack, colors, dual in cases:
+        for op in "ef":
+            got = np.zeros((stack.terms, r, r, r), dtype=complex)
+            got[(slice(None), *_ladder_index(r, stack.above(op)))] = stack.ladder(op)
+            for k, alpha in enumerate(colors):
+                m = _reference_ops(ctx, alpha, dual)[op]
+                want = np.stack([np.eye(r), *accumulate(repeat(m, r - 1), np.matmul)])
+                assert np.array_equal(got[k] == 0, want == 0), (op, dual)
+                assert (np.abs(got[k] - want) <= r * 1e-15 * np.abs(want)).all(), (op, dual)
 
 
 @pytest.mark.parametrize("r", [9, 11, 13, 15])
@@ -350,13 +419,15 @@ def test_twist_is_scalar_on_simples(ctx):
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
 def test_twist_matches_the_braiding_contraction(r):
     # the matrix-free sum against (Id ⊗ ev')∘(c_{A,A} ⊗ Id)∘(Id ⊗ coev)
-    # contracted from the dense braiding
+    # contracted from the dense braiding: the engine's on V_α, the dense
+    # reference's on tensor products, which the engine does not braid
     ctx = RootParams(r)
     rng = np.random.default_rng(50 + r)
     v, w = valpha_stack(ctx, (_generic(rng),)), valpha_stack(ctx, (-_generic(rng),))
     for a in (v, tensor(v, w), tensor(v, w.dual)):
         d = a.dim
-        c4 = braiding_stack(a, a)[0].reshape(d, d, d, d)
+        c = braiding_stack(a, a)[0] if a is v else _dense_braiding(a, a, 1)
+        c4 = c.reshape(d, d, d, d)
         ref = np.einsum("abib,b->ai", c4, a.pivot[0])
         assert np.abs(twist(a) - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -441,6 +512,24 @@ def test_scalar_of(ctx):
     assert abs(scalar_of(np.eye(3) * (2 + 1j), 1e-9) - (2 + 1j)) < 1e-12
     with pytest.raises(NotScalarError):
         scalar_of(np.diag([1.0, 2.0]), 1e-9)
+    # the stack check refuses a matrix that is not square, named by its shape
+    with pytest.raises(NotScalarError, match=r"^matrix of shape \(2, 3\) is not square$"):
+        scalar_of(np.zeros((2, 3)), 1e-9)
+
+
+def test_scalars_of_refuses_a_term_out_of_double_range():
+    # an entry off the diagonal, so the trace stays finite and no numpy
+    # operation meets inf − inf: only the residual leaves double range
+    batch = _scalar_batch()
+    batch[3, 0, 1] = np.inf
+    with pytest.raises(DomainError, match="^the evaluated tangle overflows double precision$"):
+        scalars_of(batch, 1e-9)
+
+
+def test_braiding_sign_is_plus_or_minus_one():
+    a = valpha_stack(RootParams(3), (0.3,))
+    with pytest.raises(DomainError, match=r"^braiding sign must be \+1 or -1, got 0$"):
+        braiding_entries(a, a, 0)
 
 
 def _scalar_batch(d=3, terms=5, seed=4):

@@ -26,12 +26,11 @@ from cuts import cut_matrices  # noqa: E402
 
 from unrolledsl2 import diagram  # noqa: E402
 from unrolledsl2.diagram import clasp_diagram, compile_diagram  # noqa: E402
-from unrolledsl2.errors import DomainError  # noqa: E402
 from unrolledsl2.invariant import _fixed_cut  # noqa: E402
 from unrolledsl2.jsonio import load_document, parse_surgery  # noqa: E402
 from unrolledsl2.model import Braid, Cap, Coupon, Cup, SlicedDiagram, Strand  # noqa: E402
 from unrolledsl2.qscalar import RootParams  # noqa: E402
-from unrolledsl2.repcat import ModuleStack, braiding_entries, valpha_stack  # noqa: E402
+from unrolledsl2.repcat import braiding_entries, valpha_stack  # noqa: E402
 
 
 def closure(word: list, strands: int, variants: list) -> SlicedDiagram:
@@ -175,20 +174,6 @@ def test_a_coupon_network_takes_the_dense_route():
         one = {name: st_.take([k]) for name, st_ in stacks.items()}
         ref = cut_matrices(d, one, 6)[0]
         assert np.abs(got[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-
-
-def test_entries_outside_every_sector_are_refused():
-    # a stack whose E raises the weight by 4 where V_α's raises it by 2:
-    # its braiding entries break the charge the weights give
-    ctx = RootParams(5)
-    v = valpha_stack(ctx, (0.3, 0.4))
-    e = np.zeros_like(v.e)
-    e[:, 0, 2] = 1.0
-    odd = ModuleStack(ctx, v.weights, e, v.f)
-    d = clasp_diagram(1, "A", "B")
-    assert isinstance(compile_diagram(d).cut(5)[1].route({"A": odd, "B": v}, 2), diagram._Sectors)
-    with pytest.raises(DomainError, match="weight module"):
-        cut_matrices(d, {"A": odd, "B": v}, 5)
 
 
 @pytest.mark.parametrize("r", [9, 13, 17])
