@@ -3,11 +3,11 @@
 :func:`unrolledsl2.diagram.compile_diagram` keeps each diagram structure's
 words, bookkeeping, cut checks, networks, plans, sector layouts and
 crossing scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder
-pairings of the braiding.  These tests hold the caches to what they
-promise: a warm cache changes no output, a repeated document adds no entry,
-the memory preflight still runs, and a coupon's matrix is never taken from
-the cache.  ``conftest.py`` empties the
-caches before each test.
+pairings of the braiding, and each root stack its ladders.  These tests hold
+the caches to what they promise: a warm cache changes no output, a repeated
+document adds no entry, the memory preflight still runs, and a coupon's
+matrix is never taken from the cache.  ``conftest.py`` empties the caches
+before each test.
 """
 
 import os
@@ -166,6 +166,28 @@ def test_coupon_matrices_are_read_per_diagram(first):
 # ----------------------------------------------------------------------
 # repcat caches
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 9])
+def test_shift_ladder_equals_the_powers_of_f(r):
+    # F's ladder, scattered at its positions, against F⁰ … F^(r−1) as a
+    # matmul chain of F's dense action; it is built once per root stack and
+    # a taken stack gathers its terms from the root's
+    ctx = RootParams(r)
+    stack = valpha_stack(ctx, [0.3, 1.7 + 0.2j])
+    values = stack.ladder("f")
+    assert stack.ladder("f") is values
+    got = np.zeros((stack.terms, r, r, r), dtype=complex)
+    got[(slice(None), *repcat._ladder_index(r, stack.above("f")))] = values
+    f = stack.action("f")
+    want = [np.broadcast_to(np.eye(r), f.shape)]
+    for _ in range(r - 1):
+        want.append(want[-1] @ f)
+    want = np.stack(want, axis=1)
+    assert np.array_equal(got == 0, want == 0)
+    assert (np.abs(got - want) <= r * 1e-15 * np.abs(want)).all()
+    taken = stack.take([1])
+    assert np.array_equal(taken.ladder("f"), values[[1]])
 
 
 def test_pairing_is_shared_and_read_only():
