@@ -214,21 +214,18 @@ class CompiledDiagram:
                 return index
         return None
 
-    def cut(self, cut_slice: int) -> tuple[str, "_Network"]:
-        """The cut component and the network of the diagram cut open at
-        ``cut_slice``: a cup or cap of the closed diagram that other strands
-        do not enclose (:meth:`enclosed`)."""
+    def cut(self, cut_slice: int) -> "_Network":
+        """The network of the diagram cut open at ``cut_slice``: a cup or
+        cap of the closed diagram that other strands do not enclose
+        (:meth:`enclosed`)."""
         if self.words[0] or self.words[-1]:
             raise DomainError("cut evaluation requires a closed diagram")
-        component = self._owner(cut_slice)
-        if component is None:
-            raise DomainError(f"cut slice {cut_slice} is not a cup or cap")
-        if self.enclosed(cut_slice):
+        if self.enclosed(cut_slice):  # a DomainError unless a cup or cap
             raise DiagramTypeError(
                 f"cut slice {cut_slice} is enclosed by other strands; re-slice "
                 "the diagram so the cut component has an outermost cup or cap"
             )
-        return component, self.network(cut_slice)
+        return self.network(cut_slice)
 
 
 @functools.lru_cache

@@ -190,7 +190,7 @@ def f_prime(
             f"component {cut_component!r} has no cup or cap that can be cut open; "
             "re-slice the diagram with this component outermost"
         )
-    _, network = compiled.cut(cut_slice)
+    network = compiled.cut(cut_slice)
     matrices = network.contract(stacks, diagram)
     _check_coupons(diagram, stacks, ctx.tol)
     s = scalar_of(matrices[0], ctx.tol)
@@ -461,7 +461,7 @@ def z_invariant(sp: SurgeryPresentation) -> ZResult:
     data = linking_data(sp)
     graph_colors = sp.graph_stacks
     cut_name, cut_slice = _fixed_cut(sp)
-    _, network = sp.compiled.cut(cut_slice)
+    network = sp.compiled.cut(cut_slice)
 
     # Kirby index of every term (row-major) and its weight
     index = np.array(list(itertools.product(range(ctx.r), repeat=m)), dtype=int)

@@ -241,8 +241,7 @@ def _brackets(ctx: RootParams, x) -> np.ndarray:
     divided as a float (numpy would multiply by 1/s).
     """
     x = np.asarray(x)
-    powers = _q_powers(ctx, np.concatenate((x, -x)))
-    num = powers[: len(x)] - powers[len(x) :]  # q**x − q**(−x)
+    num = _q_powers(ctx, x) - _q_powers(ctx, -x)
     return -1j * (num.view(float) / ctx.q_num(1).imag).view(complex)
 
 

@@ -16,5 +16,5 @@ def cut_matrices(diagram: SlicedDiagram, stacks: dict, cut: int) -> np.ndarray:
     an endomorphism of the cut component's color per term: shape (terms,
     d, d).  ``stacks`` maps every component to its color, a module stack;
     stacks of more than one term must agree on the number of terms."""
-    _component, network = compile_diagram(diagram).cut(cut)
+    network = compile_diagram(diagram).cut(cut)
     return network.contract(stacks, diagram)

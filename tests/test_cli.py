@@ -178,6 +178,22 @@ def test_tqftdim_genus2(capsys):
     assert doc["count_convention"] == "super"
 
 
+@pytest.mark.parametrize("r,total", [(2, 4), (3, 27), (5, 125), (6, 108), (7, 343), (9, 729)])
+def test_dimension_of_a_class_with_an_integer_real_part(tmp_path, capsys, r, total):
+    # the class 1 + 0.5i has a color on both ends of the window's real part
+    # (r+1 of them at odd r); the genus-2 count is r^3, r^3/2 at even r
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"vertices": [{"name": "u"}, {"name": "v"}], "edges": [
+        {"name": "e1", "tail": "u", "head": "v", "grading": {"re": "1", "im": "0.5"}},
+        {"name": "e2", "tail": "u", "head": "v", "grading": "1/4"},
+        {"name": "e3", "tail": "u", "head": "v", "grading": {"re": "-5/4", "im": "-0.5"}},
+    ]}))
+    for sub in ("tqftdim", "hh0"):
+        code, doc, err = run_json(capsys, sub, "--r", str(r), "--input", str(path))
+        assert (code, err) == (0, "")
+        assert doc["total"] == total
+
+
 def test_hh0_matches_tqftdim(capsys):
     # both subcommands against the dense-grid oracle, which the CLI never calls
     path = str(FIXTURES / "genus2_theta.json")
@@ -833,6 +849,15 @@ def test_domain_error_verlinde_overflow(tmp_path, capsys):
     code, _, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
     assert code == 3
     assert "overflows double precision" in err
+
+
+def test_domain_error_verlinde_far_overflow(tmp_path, capsys):
+    # {rβ} leaves double range, and so does q**x in the far-class ratio
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps({"genus": 2, "beta": {"re": "0.3", "im": "1.6e307"}}))
+    code, out, err = run(capsys, "verlinde", "--r", "5", "--input", str(bad))
+    assert (code, out) == (3, "")
+    assert err == "domain error: q**x overflows double precision at x=(-1.5-8e+307j)\n"
 
 
 def _two_vertex_spine(tmp_path, color):

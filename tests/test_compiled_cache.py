@@ -71,7 +71,7 @@ def _cache_sizes(diagram_: SlicedDiagram, cut_slice: int) -> tuple:
     """The size of every cache an evaluation of ``diagram_`` at ``cut_slice``
     reaches, the compiled diagram's own and its cut network's plans too."""
     compiled = compile_diagram(diagram_)
-    _, network = compiled.cut(cut_slice)
+    network = compiled.cut(cut_slice)
     caches = (diagram._compiled, repcat._pairing, repcat._series)
     return (*(cache.cache_info().currsize for cache in caches),
             len(compiled._enclosed), len(compiled._networks), len(network._plans))

@@ -70,6 +70,21 @@ def test_typecheck_rejects_bad_slices():
         )
 
 
+@pytest.mark.parametrize("sl,message", [
+    (Braid(0, 2), "slice 0 (Braid): braid sign must be +1 or -1, got 2"),
+    (Cup(0, "K", "x"), "slice 0 (Cup): unknown cup variant 'x'"),
+    (Cap(0, "x"), "slice 0 (Cap): unknown cap variant 'x'"),
+    ("braid", "slice 0 (str): unknown slice kind str"),
+])
+def test_typecheck_names_a_malformed_slice(sl, message):
+    # jsonio refuses each of these in a document first: only the Python API
+    # builds them
+    source = (Strand("K", False), Strand("K", True))
+    with pytest.raises(DiagramTypeError) as info:
+        typecheck(SlicedDiagram((sl,), source))
+    assert str(info.value) == message
+
+
 def test_writhe_and_linking_bookkeeping():
     w, _ = compile_diagram(braid_closure([(0, 1)], 2, "K")).writhe_and_linking
     assert w["K"] == 1
@@ -119,6 +134,18 @@ def test_evaluate_returns_an_array_of_boundary_dims(ctx):
     crossing = SlicedDiagram((Braid(0, -1),), (Strand("B", True), Strand("A", False)))
     m = evaluate(crossing, {"A": a, "B": b}, ctx)
     assert type(m) is np.ndarray and m.shape == (a.dim * b.dim, b.dim * a.dim)
+
+
+def test_closed_unknot_is_the_vanishing_quantum_dimension(ctx):
+    # a cup and a cap leave no tensor to merge: the 1×1 value is the trace
+    # of the pivot on V_α, the ordinary quantum dimension, which vanishes
+    m = evaluate(unknot_diagram(), {"K": 0.3}, ctx)
+    assert m.shape == (1, 1) and abs(m[0, 0]) < 1e-12
+
+
+def test_evaluate_names_a_component_without_a_color(ctx):
+    with pytest.raises(DomainError, match="^no color given for component 'B'$"):
+        evaluate(clasp_diagram(1), {"A": 0.3}, ctx)
 
 
 def test_curl_gives_twist(ctx):
@@ -199,6 +226,13 @@ def test_enclosed_cut_detection():
     )
     assert compile_diagram(hopf).enclosed(inner_cup)
     assert not compile_diagram(hopf).enclosed(outer_cup)
+
+
+def test_cut_at_a_crossing_is_refused():
+    hopf = compile_diagram(clasp_diagram(1, "A", "B"))
+    assert isinstance(clasp_diagram(1).slices[2], Braid)
+    with pytest.raises(DomainError, match="^cut slice 2 is not a cup or cap$"):
+        hopf.cut(2)
 
 
 def test_enclosed_cut_rejected(ctx):

@@ -416,6 +416,9 @@ def test_z_encircled_strand_is_s3_value(ctx):
             assert computability_failure(sp) is None
             res = z_invariant(sp)
             assert abs(res.z - target) < 1e-8 * (1 + abs(target))
+    for framing in (0, 2):
+        with pytest.raises(DomainError, match="^encircling presentation needs framing ±1$"):
+            encircled_strand_presentation(ctx, a, framing)
 
 
 def test_z_defect_multiplies_delta(ctx):
@@ -530,7 +533,7 @@ def _pass_sizes(monkeypatch):
 def _route_peak(sp) -> int:
     """The elements per term of the route a pass of several Kirby terms of
     ``sp`` contracts by (:meth:`.diagram._Network.route`)."""
-    _, network = sp.compiled.cut(_fixed_cut(sp)[1])
+    network = sp.compiled.cut(_fixed_cut(sp)[1])
     stacks = {name: valpha_stack(sp.ctx, [sp.meridian_values[name]] * 2) for name in sp.framings}
     return network.route(stacks | sp.graph_stacks, 2).peak
 
@@ -699,6 +702,13 @@ def test_unsupported_slide_raises(ctx):
                             (split, "L1", "L2")):
         with pytest.raises(UnsupportedSlideError, match="family only"):
             handle_slide(sp, slide, over)
+    # inside the family, a name that is not one of its two components
+    sp = standard_two_component(ctx, 0, (3, 5), (2.0 / 3, 4.0 / 5))
+    for slide, over in (("L1", "X"), ("L2", "L2")):
+        with pytest.raises(UnsupportedSlideError) as info:
+            handle_slide(sp, slide, over)
+        assert str(info.value) == ("slide/over must be the two surgery components "
+                                   f"['L1', 'L2'], got ({slide!r}, {over!r})")
 
 
 # the split clasp of standard_two_component(ctx, 0, (3, 5), (2/3, 4/5)),

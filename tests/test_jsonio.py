@@ -11,7 +11,8 @@ import pytest
 
 from unrolledsl2.cli import main
 from unrolledsl2.errors import SchemaError
-from unrolledsl2.jsonio import dump_document, parse_real
+from unrolledsl2.jsonio import diagram_to_json, dump_document, parse_real
+from unrolledsl2.model import SlicedDiagram
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -52,6 +53,11 @@ def test_emitter_rejects_what_the_standard_library_rejects():
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             dump_document(bad)
+
+
+def test_diagram_with_a_foreign_slice_is_not_serialized():
+    with pytest.raises(SchemaError, match="^cannot serialize slice 'braid'$"):
+        diagram_to_json(SlicedDiagram(("braid",)))
 
 
 @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))

@@ -62,7 +62,7 @@ from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import valpha_stack
 tracemalloc.start()
 stack = valpha_stack(RootParams(1001), 0.5 + np.arange(1001))
-print(tracemalloc.get_traced_memory()[0], stack.terms, stack.dim)
+print(*tracemalloc.get_traced_memory(), stack.terms, stack.dim)
 """
 
 
@@ -73,7 +73,8 @@ def _limit_to_1_gib():
 def test_valpha_stack_of_1001_colors_builds_under_1_gib():
     # dense E and F of 1001 colors at r = 1001 would take 16 GB each; the
     # stack holds its weights and E's off-diagonal, 32 MB, and F's ones as a
-    # view of a single 1, in a child whose address space is limited to 1 GiB
+    # view of a single 1, in a child whose address space is limited to 1 GiB;
+    # building it peaks below 2.8 times what it keeps
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -82,9 +83,10 @@ def test_valpha_stack_of_1001_colors_builds_under_1_gib():
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    held, terms, dim = map(int, proc.stdout.split())
+    held, peak, terms, dim = map(int, proc.stdout.split())
     assert (terms, dim) == (1001, 1001)
     assert held < 50e6
+    assert peak < 2.8 * held
 
 
 def _valpha_loop(ctx, alpha):

@@ -73,7 +73,7 @@ def cut_networks(draw):
     assume(len(compiled.names) <= 3)
     cuts = [c for c in map(compiled.open_cut, compiled.names) if c is not None]
     cut = draw(st.sampled_from(cuts))
-    assume(compiled.cut(cut)[1].plan(dict.fromkeys(compiled.names, r)).sectors is not None)
+    assume(compiled.cut(cut).plan(dict.fromkeys(compiled.names, r)).sectors is not None)
     terms = draw(st.integers(2, 9))
     ctx = RootParams(r)
     colors = {}
@@ -117,7 +117,7 @@ def test_sector_batch_matches_dense_terms(case):
     # of roundoff times the moduli's contraction M in 6000 drawn networks,
     # so the check allows 8·ε·M there.
     d, cut, ctx, colors, terms = case
-    network = compile_diagram(d).cut(cut)[1]
+    network = compile_diagram(d).cut(cut)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagram, "_SECTOR_MIN_PEAK", 0)
         assert isinstance(network.route(colors, terms), diagram._Sectors)
@@ -148,7 +148,7 @@ def test_batches_of_clasps_take_the_sector_route_from_r_5(r, lk):
     # the route follows the dense plan's peak (r⁴ per term here), not the
     # timing: r = 2 and 3 stay dense, r = 5 and 7 take sectors
     ctx = RootParams(r)
-    network = compile_diagram(clasp_diagram(lk, "A", "B")).cut(5 + 2 * (lk - 1))[1]
+    network = compile_diagram(clasp_diagram(lk, "A", "B")).cut(5 + 2 * (lk - 1))
     plan = network.plan({"A": r, "B": r})
     assert plan.peak == r**4
     route = network.route(_stacks(ctx, "AB", 4), 4)
@@ -166,7 +166,7 @@ def test_a_coupon_network_takes_the_dense_route():
                        Coupon(0, (up,), (up,), np.eye(3)), Braid(1, -1),
                        Cap(2, "evprime"), Cap(0, "evprime")))
     stacks = _stacks(ctx, "KL", 4)
-    network = compile_diagram(d).cut(6)[1]
+    network = compile_diagram(d).cut(6)
     assert network.plan({"K": 3, "L": 3}).sectors is None
     assert network.route(stacks, 4) is network.plan({"K": 3, "L": 3})
     got = cut_matrices(d, stacks, 6)
@@ -184,7 +184,7 @@ def test_layout_memory_figure_covers_the_peak(monkeypatch, r):
     ctx = RootParams(r)
     fixture = pathlib.Path(__file__).resolve().parents[1] / "docs/fixtures/lens_7_2.json"
     sp = parse_surgery(load_document(str(fixture)), ctx)
-    network = sp.compiled.cut(_fixed_cut(sp)[1])[1]
+    network = sp.compiled.cut(_fixed_cut(sp)[1])
     stacks = {name: valpha_stack(ctx, complex(sp.meridian_values[name]) + np.array(ctx.h_r_set()))
               for name in sp.surgery_names()}
     network.plan({name: st_.dim for name, st_ in stacks.items()})  # built outside the trace

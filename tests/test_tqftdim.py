@@ -1,11 +1,14 @@
 """Dimension layer: admissible colorings, graded dimensions, closed forms."""
 
 import dataclasses
+import itertools
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import unrolledsl2.tqftdim as td
 from unrolledsl2.errors import DomainError, NonGenericError
@@ -74,6 +77,16 @@ def test_graph_validation_errors():
             GraphEdge("p", None, "x", 0.1, color=0.4),
         )
         TrivalentGraph(ctx, edges)
+    # a vertex order that misses or repeats a vertex
+    for order in (("u",), ("u", "u", "v")):
+        with pytest.raises(DomainError, match="^vertex_order must be a permutation "
+                                              "of the internal vertices$"):
+            TrivalentGraph(ctx, theta_graph(ctx, 0.3, 0.45).edges, order)
+
+
+def test_graded_dimension_needs_a_known_parity_mode():
+    with pytest.raises(DomainError, match="^unknown parity mode 'x'$"):
+        GradedDimension({0: 1}, "x")
 
 
 def _signed_rows(graph):
@@ -194,6 +207,17 @@ def _assert_verlinde_matches_mp(r, genus, beta, points=()):
     assert abs(reported - log_ref) < 0.1
 
 
+def test_verlinde_underflowed_prefactor_is_zero_within_tolerance():
+    # at |Im β| = 226, {3β} leaves double range; the rescaled terms of the
+    # point color c = 3 cancel to a rounding residue, whose product with the
+    # subnormal q^(cβ) ≈ 4e-309 is 0.  The value, 1e-153 at 50 digits, is 0
+    # within tol·max(1, |value|)
+    mp = pytest.importorskip("mpmath")
+    beta = 0.3 + 226j
+    assert verlinde(RootParams(3), 1, beta, [3.0]) == 0
+    assert abs(_verlinde_mp(mp, 3, 1, beta, [3.0])) < RootParams.tol
+
+
 def test_verlinde_real_class_near_an_integer():
     # {x} of a real x is 2i sin of the rounded pi*x/r, so each ratio
     # {3 beta}/{beta + k} keeps its digits as beta -> 0; a bound that charged
@@ -299,11 +323,90 @@ def test_point_chain_compensates():
     assert total == ctx.r ** 5
 
 
+def test_point_chain_host_must_be_an_internal_edge():
+    ctx = RootParams(5)
+    base = theta_graph(ctx, 0.3, 0.45)
+    with pytest.raises(DomainError, match="^no internal edge named 'zz'$"):
+        add_point_chain(base, "zz", [0.4, -0.4])
+    legged = add_point_chain(base, "e1", [0.4, -0.4])
+    with pytest.raises(DomainError, match="^no internal edge named 'p0'$"):
+        add_point_chain(legged, "p0", [0.4, -0.4])
+    assert add_point_chain(base, "e1", []) is base
+
+
 def test_point_chain_needs_zero_degree_sum():
     ctx = RootParams(5)
     base = theta_graph(ctx, 0.3, 0.45)
     with pytest.raises(DomainError):
         add_point_chain(base, "e1", [0.4, 0.3])
+
+
+# ----------------------------------------------------------------------
+# builders
+# ----------------------------------------------------------------------
+
+
+def test_necklace_builder_arguments():
+    ctx = RootParams(5)
+    with pytest.raises(DomainError, match="^genus must be >= 1, got 0$"):
+        necklace_graph(ctx, 0)
+    assert necklace_graph(ctx, 1, connector_grading=0.3) == circle_graph(ctx, 0.3)
+    with pytest.raises(DomainError, match="^need 2 bigon gradings for genus 3$"):
+        necklace_graph(ctx, 3, [0.3])
+
+
+class _ScriptedRng:
+    """A stand-in generator for :func:`random_generic_graph`: ``uniform``
+    returns the scripted draws in turn, ``random`` always picks the theta."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high):
+        return next(self.draws)
+
+    def random(self):
+        return 0.0
+
+
+def test_random_graph_redraws_an_integral_edge():
+    # each draw is 0.05 from an integer, but 0.3 + 0.7 puts e3 on one
+    ctx = RootParams(5)
+    rng = _ScriptedRng([0.3, 0.7, 0.3, 0.45])
+    assert random_generic_graph(ctx, rng, 2) == theta_graph(ctx, 0.3, 0.45)
+    with pytest.raises(DomainError, match="^failed to draw a generic graph in 200 attempts$"):
+        random_generic_graph(ctx, _ScriptedRng(itertools.cycle([0.3, 0.7])), 2)
+
+
+# ----------------------------------------------------------------------
+# complex classes
+# ----------------------------------------------------------------------
+
+# real parts on the integers and half-integers, where a window end can hold
+# a color; nonzero imaginary parts keep each class generic
+_REAL_PARTS = st.integers(-6, 6).map(lambda n: n / 2)
+_IMAG_PARTS = st.sampled_from([-1.5, -0.75, -0.25, 0.25, 0.5, 1.25])
+_CLASSES = st.builds(complex, _REAL_PARTS, _IMAG_PARTS)
+
+
+@st.composite
+def _complex_class_spines(draw):
+    ctx = RootParams(draw(st.sampled_from([2, 3, 5, 6, 7, 9])))
+    if draw(st.booleans()):
+        g1, g2 = draw(_CLASSES), draw(_CLASSES)
+        assume((g1 + g2).imag)
+        return theta_graph(ctx, g1, g2)
+    genus = draw(st.integers(2, 3))
+    bigons = draw(st.lists(_CLASSES, min_size=genus - 1, max_size=genus - 1))
+    x = draw(_CLASSES)
+    assume(all((x - a).imag for a in bigons))
+    return necklace_graph(ctx, genus, bigons, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_complex_class_spines())
+def test_hh0_at_complex_classes_matches_the_oracle(graph):
+    assert_hh0_matches_oracle(graph, np.random.default_rng(graph.ctx.r))
 
 
 # ----------------------------------------------------------------------

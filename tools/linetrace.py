@@ -13,6 +13,9 @@ line event of their own and are left out.  Only this process is traced,
 so what the tests run in child processes (``python -m unrolledsl2`` under
 a memory limit, the digest regeneration) counts as not run.
 
+While any statement is unrun the run fails: pytest exits with status 1
+(tests failed) even when every test passed, and the summary line says so.
+
 Run it from the root of a checkout; tracing makes the run several times
 slower, so it is not part of the tier-1 tests::
 
@@ -26,9 +29,12 @@ import pathlib
 import sys
 import threading
 
+import pytest
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "unrolledsl2"
 _PREFIX = str(PACKAGE) + "/"
 _ran: set[tuple[str, int]] = set()
+_found: list[tuple[str, int, str]] = []
 _SILENT = (ast.Try, ast.Global, ast.Nonlocal, getattr(ast, "TryStar", ast.Try))
 
 
@@ -101,13 +107,20 @@ def pytest_load_initial_conftests(early_config, parser, args):
     threading.settrace(_global)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_sessionfinish(session):
+    """Stop tracing, list the unrun statements, and fail the run if any."""
     sys.settrace(None)
     threading.settrace(None)
-    found = unrun()
+    _found[:] = unrun()
+    if _found and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
     root = PACKAGE.parents[1]
     terminalreporter.section("statements never run")
-    for path, line, text in found:
+    for path, line, text in _found:
         terminalreporter.write_line(f"{pathlib.Path(path).relative_to(root)}:{line}: {text}")
     terminalreporter.write_line(
-        f"{len(found)} function-body statements of src/unrolledsl2 never ran")
+        f"{len(_found)} function-body statements of src/unrolledsl2 never ran"
+        + ("; the run fails" if _found else ""))
