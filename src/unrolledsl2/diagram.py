@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 from typing import Optional, Union
 
 import numpy as np
@@ -243,7 +242,7 @@ def compile_diagram(diagram: SlicedDiagram) -> CompiledDiagram:
     """
     if Coupon in map(type, diagram.slices):
         diagram = SlicedDiagram(
-            tuple(replace(sl, matrix=None) if isinstance(sl, Coupon) else sl
+            tuple(Coupon(sl.position, sl.inputs, sl.outputs) if isinstance(sl, Coupon) else sl
                   for sl in diagram.slices),
             diagram.source,
         )

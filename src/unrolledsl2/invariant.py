@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +46,7 @@ from .errors import (
     UnsupportedSlideError,
 )
 from .model import Coupon, SlicedDiagram
-from .qscalar import RootParams
+from .qscalar import Record, RootParams
 from .repcat import (
     ModuleStack,
     scalar_of,
@@ -209,8 +208,7 @@ def f_prime(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(Record):
     """A framed surgery link plus colored graph with meridian cohomology data.
 
     ``framings`` lists exactly the surgery components (L); ``colors`` lists
@@ -223,15 +221,16 @@ class SurgeryPresentation:
     colors as module stacks are built once per presentation, on first use.
     """
 
-    ctx: RootParams
-    diagram: SlicedDiagram
-    framings: dict[str, int]
-    meridian_values: dict[str, complex]
-    colors: dict = field(default_factory=dict)
-    graph_framings: dict[str, int] = field(default_factory=dict)
-    defect: int = 0
-
-    def __post_init__(self):
+    def __init__(self, ctx: RootParams, diagram: SlicedDiagram, framings: dict[str, int],
+                 meridian_values: dict[str, complex], colors: dict | None = None,
+                 graph_framings: dict[str, int] | None = None, defect: int = 0):
+        self._set("ctx", ctx)
+        self._set("diagram", diagram)
+        self._set("framings", framings)
+        self._set("meridian_values", meridian_values)
+        self._set("colors", {} if colors is None else colors)
+        self._set("graph_framings", {} if graph_framings is None else graph_framings)
+        self._set("defect", defect)
         names = set(self.diagram.component_names())
         l_names = set(self.framings)
         t_names = set(self.colors)
@@ -278,14 +277,14 @@ class SurgeryPresentation:
         return _valpha_colors(self.ctx, self.colors)
 
 
-@dataclass(frozen=True)
-class LinkingData:
+class LinkingData(Record):
     """Linking matrix of the surgery link with its exact signature data."""
 
-    matrix: tuple  # tuple of tuples of ints
-    p: int
-    s: int
-    nullity: int
+    def __init__(self, matrix: tuple, p: int, s: int, nullity: int):
+        self._set("matrix", matrix)  # tuple of tuples of ints
+        self._set("p", p)
+        self._set("s", s)
+        self._set("nullity", nullity)
 
     @property
     def sigma(self) -> int:
@@ -379,8 +378,7 @@ def computability_failure(sp: SurgeryPresentation) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class ZResult:
+class ZResult(Record):
     """The surgery invariant with both normalization routes exposed.
 
     ``z`` is η λ**m δ**(−σ+n) F'_total; ``z_via_betti`` is η λ**b₁ δ**n N
@@ -388,16 +386,19 @@ class ZResult:
     on every computable presentation.
     """
 
-    z: complex
-    z_via_betti: complex
-    n_invariant: complex
-    f_prime_total: complex
-    m: int
-    p: int
-    s: int
-    sigma: int
-    b1: int
-    defect: int
+    def __init__(self, z: complex, z_via_betti: complex, n_invariant: complex,
+                 f_prime_total: complex, m: int, p: int, s: int, sigma: int, b1: int,
+                 defect: int):
+        self._set("z", z)
+        self._set("z_via_betti", z_via_betti)
+        self._set("n_invariant", n_invariant)
+        self._set("f_prime_total", f_prime_total)
+        self._set("m", m)
+        self._set("p", p)
+        self._set("s", s)
+        self._set("sigma", sigma)
+        self._set("b1", b1)
+        self._set("defect", defect)
 
 
 def _fixed_cut(sp: SurgeryPresentation) -> tuple[str, int]:

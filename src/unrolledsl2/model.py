@@ -5,19 +5,18 @@ Sliced tangle diagrams (:class:`SlicedDiagram` of :class:`Id`,
 :class:`Strand` words, checked by :func:`typecheck`), evaluated by
 :mod:`.diagram`; graded trivalent spines (:class:`TrivalentGraph` of
 :class:`GraphEdge`) and their degree histograms (:class:`GradedDimension`),
-computed by :mod:`.tqftdim`.  Importing this module loads neither numpy nor
-an engine, so a command that only parses and emits starts quickly.
+computed by :mod:`.tqftdim`.  Each is a :class:`~.qscalar.Record`.
+Importing this module loads no numpy, no engine and no ``inspect``, so a
+command that only parses and emits starts quickly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Union
 
 from .errors import DiagramTypeError, DomainError
-from .qscalar import RootParams
+from .qscalar import Record, RootParams
 
 __all__ = [
     "Strand",
@@ -39,12 +38,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(Record):
     """One point of a horizontal boundary word: component name + direction."""
 
-    component: str
-    up: bool
+    def __init__(self, component: str, up: bool):
+        self._set("component", component)
+        self._set("up", up)
 
     @property
     def orientation(self) -> int:
@@ -54,45 +53,43 @@ class Strand:
         return f"{self.component} {'up' if self.up else 'down'}"
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     """Identity slice."""
 
 
-@dataclass(frozen=True)
-class Braid:
+class Braid(Record):
     """Crossing of strands (position, position+1); sign ∈ {+1, −1}."""
 
-    position: int
-    sign: int
+    def __init__(self, position: int, sign: int):
+        self._set("position", position)
+        self._set("sign", sign)
 
 
-@dataclass(frozen=True)
-class Cup:
+class Cup(Record):
     """Local minimum creating two strands of ``component``.
 
     variant "coev" creates (up, down); variant "coevprime" creates
     (down, up).
     """
 
-    position: int
-    component: str
-    variant: str = "coev"
+    def __init__(self, position: int, component: str, variant: str = "coev"):
+        self._set("position", position)
+        self._set("component", component)
+        self._set("variant", variant)
 
 
-@dataclass(frozen=True)
-class Cap:
+class Cap(Record):
     """Local maximum closing strands (position, position+1).
 
     variant "ev" consumes (down, up); variant "evprime" consumes (up, down).
     """
 
-    position: int
-    variant: str = "evprime"
+    def __init__(self, position: int, variant: str = "evprime"):
+        self._set("position", position)
+        self._set("variant", variant)
 
 
-@dataclass(frozen=True)
-class Coupon:
+class Coupon(Record):
     """A morphism box consuming ``inputs`` and emitting ``outputs``.
 
     ``matrix`` has shape (prod of output dims, prod of input dims) once
@@ -100,32 +97,27 @@ class Coupon:
     engine converts with ``np.asarray(matrix, dtype=complex)``.  A coupon
     holding a matrix is not hashable;
     :func:`~unrolledsl2.diagram.compile_diagram` keys it by its position
-    and strands.
+    and strands.  Its ``repr`` leaves the matrix out.
     """
 
-    position: int
-    inputs: tuple
-    outputs: tuple
-    matrix: Any = field(repr=False, default=None)
+    _hidden = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(self, position: int, inputs: tuple, outputs: tuple, matrix: Any = None):
+        self._set("position", position)
+        self._set("inputs", tuple(inputs))
+        self._set("outputs", tuple(outputs))
+        self._set("matrix", matrix)
 
 
 SliceType = Union[Id, Braid, Cup, Cap, Coupon]
 
 
-@dataclass(frozen=True)
-class SlicedDiagram:
+class SlicedDiagram(Record):
     """A typed word of slices with a fixed source boundary word."""
 
-    slices: tuple
-    source: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
-        object.__setattr__(self, "source", tuple(self.source))
+    def __init__(self, slices: tuple, source: tuple = ()):
+        self._set("slices", tuple(slices))
+        self._set("source", tuple(source))
 
     def component_names(self) -> list[str]:
         """All component names, in first-appearance order."""
@@ -223,8 +215,7 @@ def typecheck(diagram: SlicedDiagram) -> list[tuple]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
     """One oriented edge of a trivalent graph.
 
     ``tail`` and ``head`` name internal vertices (``tail`` is left,
@@ -235,11 +226,13 @@ class GraphEdge:
     meridian, stored as any complex representative.
     """
 
-    name: str
-    tail: str | None
-    head: str | None
-    grading: complex
-    color: complex | None = None
+    def __init__(self, name: str, tail: str | None, head: str | None,
+                 grading: complex, color: complex | None = None):
+        self._set("name", name)
+        self._set("tail", tail)
+        self._set("head", head)
+        self._set("grading", grading)
+        self._set("color", color)
 
     @property
     def endpoints(self) -> tuple[str, ...]:
@@ -254,8 +247,7 @@ class GraphEdge:
         return self.tail is None and self.head is None
 
 
-@dataclass(frozen=True)
-class TrivalentGraph:
+class TrivalentGraph(Record):
     """An oriented uni-trivalent graph with ℂ/2ℤ edge gradings.
 
     Internal vertices are the names appearing as edge endpoints or in
@@ -264,25 +256,24 @@ class TrivalentGraph:
     ``vertex_order`` records the ordering of trivalent vertices that a
     basis needs for even r; the grid and the contraction both iterate
     vertices in that order.
-    ``incidence`` is the signed incidence table both read: per vertex, its
-    three ``(edge, sign)`` entries in edge order, +1 where the edge enters
-    (its head) and −1 where it leaves (its tail), a loop once with each
-    sign.  Construction validates the 1-cycle condition from it: at every
-    internal vertex the signed sum of incident gradings vanishes mod 2,
-    which is what makes the class well defined, and external colors must
-    have degree equal to their edge grading.  A grading or color with a
-    part of size 2^23 or more is a DomainError: doubles there are spaced
-    wider than ``epsilon_int``, so its class mod 2 cannot be decided.
+    ``incidence``, derived and not a field, is the signed incidence table
+    both read: per vertex, its three ``(edge, sign)`` entries in edge order,
+    +1 where the edge enters (its head) and −1 where it leaves (its tail), a
+    loop once with each sign.  Construction validates the 1-cycle condition
+    from it: at every internal vertex the signed sum of incident gradings
+    vanishes mod 2, which is what makes the class well defined, and external
+    colors must have degree equal to their edge grading.  A grading or color
+    with a part of size 2^23 or more is a DomainError: doubles there are
+    spaced wider than ``epsilon_int``, so its class mod 2 cannot be decided.
     """
 
-    ctx: RootParams
-    edges: tuple[GraphEdge, ...]
-    vertex_order: tuple[str, ...] = ()
-    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]]
 
-    def __post_init__(self):
+    def __init__(self, ctx: RootParams, edges: tuple[GraphEdge, ...],
+                 vertex_order: tuple[str, ...] = ()):
+        self._set("ctx", ctx)
+        self._set("edges", edges)
+        self._set("vertex_order", vertex_order)
         names = [e.name for e in self.edges]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate edge names in {names}")
@@ -313,12 +304,11 @@ class TrivalentGraph:
                     "vertex_order must be a permutation of the internal vertices"
                 )
         else:
-            object.__setattr__(self, "vertex_order", tuple(sorted(table)))
-        ctx = self.ctx
+            self._set("vertex_order", tuple(sorted(table)))
         for e in self.edges:
             for what, x in (("grading", e.grading), ("color", e.color)):
                 z = complex(x or 0)
-                if math.ulp(max(abs(z.real), abs(z.imag))) > ctx.epsilon_int:
+                if max(abs(z.real), abs(z.imag)) >= 2**23:
                     raise DomainError(
                         f"edge {e.name!r}: {what} {x} is too large to decide "
                         "its class mod 2 (a part of size 2^23 or more)"
@@ -340,8 +330,7 @@ class TrivalentGraph:
                     f"edge gradings are not a 1-cycle: signed sum {total} at "
                     f"vertex {v!r} is nonzero mod 2"
                 )
-        table = {v: tuple(ends) for v, ends in table.items()}
-        object.__setattr__(self, "incidence", table)
+        self._set("incidence", {v: tuple(ends) for v, ends in table.items()})
 
     # -- derived structure -------------------------------------------------
 
@@ -372,25 +361,18 @@ class TrivalentGraph:
         return len(arcs) - len(ids) + components + len(self.circles)
 
 
-@dataclass(frozen=True)
-class GradedDimension:
+class GradedDimension(Record):
     """Finitely supported degree histogram k ↦ dim of a graded space.
 
     ``parity_mode`` selects the evaluation rule: ``"plain"`` (odd r) sums
     dim·t^k, ``"super"`` (even r) sums (−1)^k·dim·t^k.
     """
 
-    coefficients: Mapping[int, int]
-    parity_mode: str
-
-    def __post_init__(self):
-        if self.parity_mode not in ("plain", "super"):
-            raise DomainError(f"unknown parity mode {self.parity_mode!r}")
-        object.__setattr__(
-            self,
-            "coefficients",
-            {int(k): int(v) for k, v in sorted(self.coefficients.items()) if v},
-        )
+    def __init__(self, coefficients: Mapping[int, int], parity_mode: str):
+        if parity_mode not in ("plain", "super"):
+            raise DomainError(f"unknown parity mode {parity_mode!r}")
+        self._set("coefficients", {int(k): int(v) for k, v in sorted(coefficients.items()) if v})
+        self._set("parity_mode", parity_mode)
 
     @property
     def total(self) -> int:

@@ -27,18 +27,79 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
 from .errors import DomainError
 
 _EPS = sys.float_info.epsilon
 
-__all__ = ["RootParams", "verlinde"]
+__all__ = ["Record", "RootParams", "verlinde"]
 
 
-@dataclass(frozen=True)
-class RootParams:
+class Record:
+    """An immutable record: the base of the package's value types.
+
+    A subclass's fields are the parameters of its ``__init__``, which sets
+    each once with ``self._set(name, value)``.  Records of one class are
+    equal when their fields are, and ``hash`` agrees (so a record with an
+    unhashable field is unhashable); assigning or deleting an attribute
+    raises AttributeError.  What a subclass stores beyond its fields, such
+    as :func:`functools.cached_property` values, is neither compared nor
+    hashed.  ``repr`` shows the fields not named in ``_hidden``.
+
+    A class's first comparison or hash compiles its own ``__eq__`` and
+    ``__hash__`` from the field names, in place of the generic ones below:
+    :func:`~unrolledsl2.diagram.compile_diagram`'s cache hashes and compares
+    every slice of each parsed diagram, and hashing by a loop over the
+    fields or over the instance dict takes about twice as long.  Compiling
+    when the class is made would cost every start about 0.1 ms per class.
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _hidden: ClassVar[tuple[str, ...]] = ()
+    _set = object.__setattr__
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    @classmethod
+    def _compiled(cls) -> type:
+        own, other = ("".join(f"{x}.{name}, " for name in cls._fields) for x in ("self", "other"))
+        scope: dict = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is not self.__class__:\n"
+            "        return NotImplemented\n"
+            f"    return ({own}) == ({other})\n"
+            f"def __hash__(self):\n    return hash(({own}))\n",
+            scope,
+        )
+        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+        return cls
+
+    def __eq__(self, other):
+        return type(self)._compiled().__eq__(self, other)
+
+    def __hash__(self):
+        return type(self)._compiled().__hash__(self)
+
+    def __init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields
+                 if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class RootParams(Record):
     """The root-of-unity context: order, derived constants, tolerances.
 
     Parameters
@@ -57,19 +118,20 @@ class RootParams:
     dimension.
     """
 
-    r: int
-    tol: float = 1e-9
+    tol = 1e-9  # the default, which instances override
     epsilon_int: ClassVar[float] = 1e-9
 
-    def __post_init__(self):
-        if not isinstance(self.r, numbers.Integral) or isinstance(self.r, bool):
-            raise DomainError(f"root order must be an integer, got {self.r!r}")
-        if self.r < 2 or self.r % 4 == 0:
+    def __init__(self, r: int, tol: float = tol):
+        if not isinstance(r, numbers.Integral) or isinstance(r, bool):
+            raise DomainError(f"root order must be an integer, got {r!r}")
+        if r < 2 or r % 4 == 0:
             raise DomainError(
-                f"root order must satisfy r >= 2 and r != 0 mod 4, got r={self.r}"
+                f"root order must satisfy r >= 2 and r != 0 mod 4, got r={r}"
             )
-        if self.r >= 2**23:
-            raise DomainError(f"root order must be below 2^23, got r={self.r}")
+        if r >= 2**23:
+            raise DomainError(f"root order must be below 2^23, got r={r}")
+        self._set("r", r)
+        self._set("tol", tol)
 
     # ------------------------------------------------------------------
     # derived integers and q itself

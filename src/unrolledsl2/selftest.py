@@ -12,7 +12,6 @@ the same :func:`run_check`, once per root order.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,14 +22,14 @@ from . import repcat as rc
 from . import tqftdim as td
 from .errors import NonGenericError
 from .model import Braid, Coupon, Id, SlicedDiagram, Strand, TrivalentGraph
-from .qscalar import RootParams, verlinde
+from .qscalar import Record, RootParams, verlinde
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set("name", name)
+        self._set("passed", passed)
+        self._set("detail", detail)
 
 
 def _assert(cond: bool, detail: str) -> None:

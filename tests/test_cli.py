@@ -480,14 +480,15 @@ def test_help_without_a_stdout_exits_0(monkeypatch):
 
 
 # What a fresh interpreter has loaded after importing the CLI and after each
-# command line: numpy, fractions (which loads decimal) and the engine
-# modules only, with each call's exit code.
+# command line: numpy, fractions (which loads decimal), dataclasses and
+# inspect (which load ast, dis and tokenize) and the engine modules only,
+# with each call's exit code.
 _COLD_PROBE = """
 import contextlib, io, json, sys
 import unrolledsl2.cli as cli
 ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim"}
 def loaded():
-    return sorted(m for m in sys.modules if m in ("numpy", "fractions")
+    return sorted(m for m in sys.modules if m in ("numpy", "fractions", "dataclasses", "inspect")
                   or m.startswith("unrolledsl2.") and m.split(".")[1] in ENGINES)
 seen = [(None, loaded())]
 for argv in json.loads(sys.argv[1]):

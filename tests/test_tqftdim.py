@@ -1,6 +1,5 @@
 """Dimension layer: admissible colorings, graded dimensions, closed forms."""
 
-import dataclasses
 import itertools
 import os
 import tracemalloc
@@ -496,8 +495,8 @@ def test_hh0_matches_grid_or_closed_form(label, r, build):
 def _disjoint_union(*graphs):
     """The graphs side by side, each one's edges and vertices suffixed by its
     position so that no two pieces share a name."""
-    edges = [dataclasses.replace(e, name=f"{e.name}.{n}", tail=e.tail and f"{e.tail}.{n}",
-                                 head=e.head and f"{e.head}.{n}")
+    edges = [GraphEdge(f"{e.name}.{n}", e.tail and f"{e.tail}.{n}", e.head and f"{e.head}.{n}",
+                       e.grading, e.color)
              for n, graph in enumerate(graphs) for e in graph.edges]
     return TrivalentGraph(graphs[0].ctx, tuple(edges))
 

@@ -2,7 +2,9 @@
 
 Prints one row per subcommand and ``docs/fixtures`` document it reads (at
 r = 5, table format), one per rejected command line that exits 2 (a bad
-``--r``, a missing ``--input`` file), and the ``python -c pass`` floor.
+``--r``, a missing ``--input`` file), the bare ``import unrolledsl2.cli``
+that every call starts with (what ``perfbench``'s ``setup_s`` times), and
+the ``python -c pass`` floor.
 Each row is the median, with the quartiles, of ``--runs`` fresh processes;
 the rows are timed round-robin, so drift of the host spreads over all of
 them.  The package comes from ``--src`` (default: this checkout's ``src``)
@@ -39,7 +41,8 @@ def _commands(doc: dict) -> tuple:
 
 
 def _rows() -> list:
-    rows = [("python -c pass", ["-c", "pass"], 0)]
+    rows = [("python -c pass", ["-c", "pass"], 0),
+            ("import unrolledsl2.cli", ["-c", "import unrolledsl2.cli"], 0)]
     verlinde = str(FIXTURES / "verlinde_g1.json")
     for label, args in (("exit 2: --r x", ["verlinde", "--r", "x", "--input", verlinde]),
                         ("exit 2: missing --input", ["hh0", "--r", "5", "--input",
