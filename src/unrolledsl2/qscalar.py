@@ -63,6 +63,15 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
 
+    def __init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     @classmethod
     def _compiled(cls) -> type:
         own, other = ("".join(f"{x}.{name}, " for name in cls._fields) for x in ("self", "other"))
@@ -83,15 +92,6 @@ class Record:
 
     def __hash__(self):
         return type(self)._compiled().__hash__(self)
-
-    def __init__(self):
-        pass
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         shown = (f"{name}={getattr(self, name)!r}" for name in self._fields
