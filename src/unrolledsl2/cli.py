@@ -31,10 +31,12 @@ object back through the same subcommand reproduces the values bit-for-bit.
 The command line is read by :func:`parse_args`, one pass over a fixed
 table of commands and options (``--opt value``, ``--opt=value``, unique
 prefixes, the last repeat wins) that holds no state between calls.  The
-evaluation caches (:func:`~unrolledsl2.diagram.compile_diagram` and the
-braiding pairings of :mod:`~unrolledsl2.repcat`) hold only what the
-diagram structure and root order fix, never a value that depends on the
-colors or the tolerance, and every call computes its values afresh.  So
+evaluation caches (:func:`~unrolledsl2.diagram.compile_diagram`, the
+braiding pairings of :mod:`~unrolledsl2.repcat` and the HH0 spine plans
+of :func:`~unrolledsl2.tqftdim.hh0_dimension_generic`) hold only what the
+diagram or spine structure and the root order fix, never a value that
+depends on the colors, the gradings or the tolerance, and every call
+computes its values afresh.  So
 ``main`` is re-entrant: a call's output depends only on its own ``argv``
 and input, not on what ran before it in the process.
 """

@@ -43,8 +43,9 @@ counts carry that factor 2 per vertex.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,62 +182,125 @@ class _Cluster(NamedTuple):
     names the open edges in axis order; ``k_min`` anchors the degree axis.
     """
 
-    slots: list[str]
+    slots: Sequence[str]
     array: np.ndarray
     k_min: int
 
 
-def _vertex_cluster(
-    ctx: RootParams,
-    ends: Iterable[tuple[GraphEdge, int]],
-    lows: Mapping[str, complex],
-    dtype,
-    held: int,
-) -> _Cluster:
-    """Multiplicity tensor of one vertex in the algebra-slot convention.
+class _Group(NamedTuple):
+    """The vertices of a spine plan with one slot count and one loop count,
+    whose tensors one batch holds: row t is vertex ``vertices[t]``.
+    ``steps[e]`` holds σ·i, every row's e-th slot sign times the labels
+    i < r', shaped to broadcast along batch axis 1 + e."""
 
-    ``ends`` is the vertex's row of :attr:`TrivalentGraph.incidence`, whose
-    signs this convention negates: σ_e = +1 for an outgoing edge (a
-    projective slot, color +β for label β), −1 for an ingoing one (the dual
-    slot), summed per internal edge; const sums the external colors times
-    σ.  Label i_e < r' is the color low_e + 2i_e, so c = const + Σσ_e·low_e
-    + r−1 is an even integer 2h up to roundoff (the 1-cycle and leg-degree
-    conditions :class:`TrivalentGraph` enforces on construction), and the
-    label tuple's lowest admissible degree is ⌊(h + Σσ_e·i_e) / r'⌋ (less
-    one for even r, which admits that degree and the next).  Each entry is
-    the row of an identity band that one-hot encodes those degrees.  A
-    loop's signs cancel: its axis is summed out, a factor r'.  The tensor
-    and its three int64 label arrays, on top of the ``held`` bytes already
-    live, are charged through :func:`.planner.require_memory` before any is
-    built.
+    vertices: tuple[int, ...]
+    loop_factor: int
+    steps: tuple[np.ndarray, ...]
+
+
+class _SpinePlan(NamedTuple):
+    """What a spine's topology fixes of its HH0 contraction at one r'.
+
+    ``vertices`` holds, per vertex in the graph's order, its open slots,
+    their signs σ_e, its external edges with their incidence signs, and the
+    label extremes below and above the vertex's offset (r'−1 times its
+    negative and positive slot counts); ``groups`` the batches of vertex
+    tensors (:class:`_Group`); ``merges`` every merge in order, each as
+    (i, j, the label cells of clusters i and j and of the result, r' to the
+    power of their open slot counts, then the groups whose last vertex it
+    consumes).  No grading or color enters it.
     """
-    slot_signs: dict[str, int] = {}
-    const = 0j
-    for e, sign in ends:
-        if e.is_external:
-            const -= sign * complex(e.color)
-        else:
-            slot_signs[e.name] = slot_signs.get(e.name, 0) - sign
-    slots = [name for name, sign in slot_signs.items() if sign]
-    loop_factor = ctx.rprime ** (len(slot_signs) - len(slots))
-    c = const + sum(slot_signs[n] * lows[n] for n in slots) + (ctx.r - 1)
-    h = round(c.real / 2)
-    base, offset = divmod(h, ctx.rprime)  # base may exceed int64; offset < r'
-    top = ctx.rprime - 1  # the largest label
-    lo = (offset - top * sum(slot_signs[n] < 0 for n in slots)) // ctx.rprime
-    hi = (offset + top * sum(slot_signs[n] > 0 for n in slots)) // ctx.rprime
-    width = hi - lo + 2 - ctx.r % 2  # the degree axis
-    cells = ctx.rprime ** len(slots)
-    require_memory(held + cells * (24 + width * np.dtype(dtype).itemsize),
-                   "an HH0 vertex tensor")
-    labels, steps = np.asarray(offset), np.arange(ctx.rprime)
-    for n in slots:
-        labels = np.add.outer(labels, slot_signs[n] * steps)
-    k = labels // ctx.rprime
-    band = np.eye(width, dtype=dtype)
+
+    vertices: tuple[tuple, ...]
+    groups: tuple[_Group, ...]
+    merges: tuple[tuple, ...]
+
+
+@functools.lru_cache
+def _spine_plan(rprime: int, rows: tuple) -> _SpinePlan:
+    """The plan of the spine whose vertices have the incidence ``rows``, each
+    a tuple of (edge name, sign, external?) in :attr:`TrivalentGraph.incidence`
+    order, from a process-wide cache of the 128 structures used last.
+
+    The vertex rows are in the algebra-slot convention, which negates the
+    incidence signs: σ_e = +1 for an outgoing edge (a projective slot, color
+    +β for label β), −1 for an ingoing one (the dual slot), summed per
+    internal edge.  A loop's signs cancel: its axis is summed out, a factor
+    r'.  The merges are the shared greedy plan (:func:`.planner.greedy_order`)
+    over the vertices' slots, then the first connected piece absorbing the
+    others.
+    """
+    top = rprime - 1  # the largest label
+    vertices, kinds = [], []
+    for row in rows:
+        slot_signs: dict[str, int] = {}
+        externals = []
+        for name, sign, external in row:
+            if external:
+                externals.append((name, sign))
+            else:
+                slot_signs[name] = slot_signs.get(name, 0) - sign
+        slots = tuple(name for name, sign in slot_signs.items() if sign)
+        signs = tuple(slot_signs[name] for name in slots)
+        vertices.append((slots, signs, tuple(externals),
+                         top * signs.count(-1), top * signs.count(1)))
+        kinds.append((len(slots), len(slot_signs) - len(slots)))
+    groups, group_of = [], {}
+    for n, loops in dict.fromkeys(kinds):
+        members = tuple(v for v, kind in enumerate(kinds) if kind == (n, loops))
+        steps = np.multiply.outer(np.array([vertices[v][1] for v in members], dtype=np.int64),
+                                  np.arange(rprime))
+        steps.flags.writeable = False
+        group_of.update(dict.fromkeys(members, len(groups)))
+        groups.append(_Group(members, rprime**loops, tuple(
+            steps[:, e].reshape((len(members),) + (1,) * e + (rprime,) + (1,) * (n - 1 - e))
+            for e in range(n))))
+    slots = [set(vertex[0]) for vertex in vertices]
+    order, _peak = greedy_order([vertex[0] for vertex in vertices],
+                                {name: rprime for held in slots for name in held})
+    pieces = sorted(set(range(len(vertices))) - {j for _, j in order})  # one per connected piece
+    left = [len(group.vertices) for group in groups]  # each group's unmerged vertices
+    merged = [False] * len(vertices)
+    merges = []
+    for i, j in order + [(pieces[0], j) for j in pieces[1:]]:
+        released = []
+        for x in (i, j):
+            if not merged[x]:
+                left[group_of[x]] -= 1
+                if not left[group_of[x]]:
+                    released.append(group_of[x])
+        cells = rprime ** len(slots[i]), rprime ** len(slots[j])
+        slots[i] ^= slots[j]
+        merged[i] = True
+        merges.append((i, j, *cells, rprime ** len(slots[i]), tuple(released)))
+    return _SpinePlan(tuple(vertices), tuple(groups), tuple(merges))
+
+
+def _vertex_batch(ctx: RootParams, group: _Group, shifts: list[int], width: int,
+                  dtype, held: int) -> np.ndarray:
+    """Multiplicity tensors of a group's vertices, one row of the batch each.
+
+    Vertex t's label tuple i is the color tuple low_e + 2i_e, and its lowest
+    admissible degree, counted from the vertex's lowest, is
+    ⌊(shifts[t] + Σσ_e·i_e) / r'⌋ (:func:`hh0_dimension_generic`).  Each
+    entry is the row of an identity band, ``width`` wide and times the
+    group's loop factor, that one-hot encodes that degree, or for even r
+    that degree and the next.  The batch and its int64 label sums, on top of
+    the ``held`` bytes already live, are charged through
+    :func:`.planner.require_memory` before any is built.
+    """
+    m, n = len(shifts), len(group.steps)
+    require_memory(held + m * ctx.rprime**n * (16 + width * np.dtype(dtype).itemsize),
+                   "a batch of HH0 vertex tensors")
+    labels = np.array(shifts).reshape((m,) + (1,) * n)
+    for step in group.steps:
+        labels = labels + step
+    labels //= ctx.rprime
+    band = np.zeros((width - 1 + ctx.r % 2, width), dtype)
+    band.flat[:: width + 1] = group.loop_factor
     if ctx.r % 2 == 0:
-        band = band[:-1] + band[1:]
-    return _Cluster(slots, (band * loop_factor)[k - lo], base + lo - 1 + ctx.r % 2)
+        band.flat[1 :: width + 1] = group.loop_factor
+    return np.take(band, labels, axis=0)
 
 
 def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
@@ -270,7 +334,7 @@ def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     out = np.zeros((ka + kb - 1,) + free, b.array.dtype)
     for j in range(kb):
         out[j : j + ka] += (lhs @ rhs[:, :, j]).reshape((ka,) + free)
-    return _Cluster(free_a + free_b, np.moveaxis(out, 0, -1), a.k_min + b.k_min)
+    return _Cluster(free_a + free_b, out.transpose((*range(1, out.ndim), 0)), a.k_min + b.k_min)
 
 
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
@@ -282,7 +346,7 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     tensor product of these algebras, and passing to the quotient by
     commutators matches the idempotent labels across every edge.  No
     algebra or module is built: each vertex contributes its multiplicity
-    tensor indexed by idempotent labels (:func:`_vertex_cluster`), and the
+    tensor indexed by idempotent labels (:func:`_vertex_batch`), and the
     quotient is the contraction of those tensors over shared labels
     (:func:`_merge_clusters`), never listing joint colorings.  The merge
     order is the shared greedy plan (:func:`.planner.greedy_order`): each
@@ -297,13 +361,26 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     convention).  Graphs with an integral internal grading raise
     :class:`NonGenericError`.
 
+    Everything the topology fixes (slots, signs, loop factors, the label
+    steps of every batch and the merge sequence) is the spine plan
+    (:func:`_spine_plan`), compiled once per structure and r' and never
+    holding a grading or a color.  A call computes each vertex's offset
+    and degree window: with const the external colors times σ, c = const +
+    Σσ_e·low_e + r−1 is an even integer 2h up to roundoff (the 1-cycle and
+    leg-degree conditions :class:`TrivalentGraph` enforces on
+    construction), and the label tuple's lowest admissible degree is
+    ⌊(h + Σσ_e·i_e) / r'⌋ (less one for even r, which admits that degree
+    and the next).
+
     Counts are exact at any size: every partial entry, and every product
     and partial sum a merge forms, is a nonnegative integer at most the
     number of colorings, known in advance.  The tensors hold float64 below
     2^53 colorings (exact, and merged on BLAS), int64 below 2^63 and
-    Python integers above.  Each vertex tensor and each merge is charged,
-    with every array still live, against physical memory before it is
-    built, so a contraction that cannot fit is a MemoryError up front.
+    Python integers above.  Every batch's and every merge's shape is known
+    before any is built, so the largest figure of the whole contraction,
+    with every array still live, is charged against physical memory first,
+    and each step is charged again as it is built: a contraction that
+    cannot fit is a MemoryError up front.
     """
     ctx = graph.ctx
     lows = {  # every window has r' colors; circles (no slots) are checked first
@@ -314,21 +391,54 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         colorings <<= len(graph.vertex_order)
     dtype = (np.float64 if colorings < 2**53
              else np.int64 if colorings < 2**63 else object)
-    live, held = {}, 0  # the clusters, and the bytes of their arrays
-    for i, v in enumerate(graph.vertex_order):
-        live[i] = _vertex_cluster(ctx, graph.incidence[v], lows, dtype, held)
-        held += live[i].array.nbytes
-    dims = dict.fromkeys(lows, ctx.rprime)
-    order, _peak = greedy_order([c.slots for c in live.values()], dims)
-    pieces = sorted(live.keys() - {j for _, j in order})  # one per connected piece
-    for i, j in order + [(pieces[0], j) for j in pieces[1:]]:
+    rp, odd = ctx.rprime, ctx.r % 2
+    plan = _spine_plan(rp, tuple(tuple((e.name, sign, e.is_external) for e, sign in
+                                       graph.incidence[v]) for v in graph.vertex_order))
+    colors = {e.name: complex(e.color) for e in graph.external_edges}
+    shifts, widths, k_mins = [], [], []
+    for slots, signs, externals, down, up in plan.vertices:
+        const = 0j
+        for name, sign in externals:
+            const -= sign * colors[name]
+        c = const + sum(s * lows[name] for name, s in zip(slots, signs)) + (ctx.r - 1)
+        base, offset = divmod(round(c.real / 2), rp)  # base may exceed int64; offset < r'
+        lo = (offset - down) // rp
+        shifts.append(offset - lo * rp)
+        widths.append((offset + up) // rp - lo + 2 - odd)  # the degree axis
+        k_mins.append(base + lo - 1 + odd)
+    # every step's figure, in order, from the shapes alone
+    item = np.dtype(dtype).itemsize
+    held, charges, batches = 0, [], []
+    for group in plan.groups:
+        width = max(widths[v] for v in group.vertices)
+        cells = len(group.vertices) * rp ** len(group.steps)
+        charges.append((held + cells * (16 + width * item), "a batch of HH0 vertex tensors"))
+        batches.append((width, held, cells * width * item))
+        held += cells * width * item
+    k, own, helds = list(widths), [0] * len(widths), []
+    for i, j, cells_i, cells_j, cells_out, released in plan.merges:
+        size_a, size_b = cells_i * k[i], cells_j * k[j]
+        ka, kb = (k[j], k[i]) if size_a < size_b else (k[i], k[j])
+        charges.append((held + item * (size_a + size_b + cells_out * (2 * ka + kb - 1)),
+                        "an HH0 merge"))
+        helds.append(held)
+        out = cells_out * (ka + kb - 1)
+        held += item * (out - own[i] - own[j]) - sum(batches[g][2] for g in released)
+        k[i], own[i] = ka + kb - 1, out
+    require_memory(*max(charges, default=(0, "an HH0 contraction")))
+    live = {}
+    for group, (width, held, _) in zip(plan.groups, batches):  # no name outlives a batch
+        live.update({v: _Cluster(plan.vertices[v][0], tensor[..., : widths[v]], k_mins[v])
+                     for v, tensor in zip(group.vertices, _vertex_batch(
+                         ctx, group, [shifts[v] for v in group.vertices], width, dtype, held))})
+    for (i, j, *_), held in zip(plan.merges, helds):
         a, b = live[i], live.pop(j)
         live[i] = _merge_clusters(a, b, held)
-        held += live[i].array.nbytes - a.array.nbytes - b.array.nbytes
     (total,) = live.values() or [_Cluster([], np.ones(1, dtype), 0)]
-    scale = ctx.rprime ** len(graph.circles)
-    mirrored = {-(total.k_min + i): int(v) * scale for i, v in enumerate(total.array) if v}
-    return GradedDimension(mirrored, "plain" if ctx.r % 2 else "super")
+    scale = rp ** len(graph.circles)
+    mirrored = {-(total.k_min + i): int(v) * scale
+                for i, v in enumerate(total.array.tolist()) if v}
+    return GradedDimension(mirrored, "plain" if odd else "super")
 
 
 # ----------------------------------------------------------------------

@@ -1036,14 +1036,15 @@ def _timed_main(limit, *argv):
 
 
 def test_hh0_preflight_refuses_before_allocating():
-    # each vertex tensor of the theta spine has r'^3 = 8e12 cells at r = 20001;
-    # under the address-space limit a missing preflight would end in numpy's
-    # own MemoryError, whose message differs
+    # each vertex tensor of the theta spine has r'^3 = 8e12 cells at r = 20001,
+    # and the contraction's largest step, charged before any is built, is the
+    # merge of the two; under the address-space limit a missing preflight
+    # would end in numpy's own MemoryError, whose message differs
     code, err, seconds, _ = _timed_main(
         3 * 2**30, "hh0", "--r", "20001", "--input", str(FIXTURES / "genus2_theta.json"))
     assert code == 3
     assert err.startswith("domain error: not computable within available memory: "
-                          "an HH0 vertex tensor needs ")
+                          "an HH0 merge needs ")
     assert err.count("\n") == 1
     assert seconds < 0.5
 

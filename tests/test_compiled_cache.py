@@ -3,11 +3,12 @@
 :func:`unrolledsl2.diagram.compile_diagram` keeps each diagram structure's
 words, bookkeeping, cut checks, networks, plans, sector layouts and
 crossing scatter positions; :mod:`unrolledsl2.repcat` keeps the ladder
-pairings of the braiding, and each root stack its ladders.  These tests hold
-the caches to what they promise: a warm cache changes no output, a repeated
-document adds no entry, the memory preflight still runs, and a coupon's
-matrix is never taken from the cache.  ``conftest.py`` empties the caches
-before each test.
+pairings of the braiding, and each root stack its ladders;
+:mod:`unrolledsl2.tqftdim` keeps each spine structure's HH0 plan.  These
+tests hold the caches to what they promise: a warm cache changes no output,
+a repeated document adds no entry, the memory preflight still runs, and
+neither a coupon's matrix nor a spine's gradings and point colors are ever
+taken from the cache.  ``conftest.py`` empties the caches before each test.
 """
 
 import os
@@ -17,13 +18,20 @@ import numpy as np
 import pytest
 from cuts import cut_matrices
 
-from unrolledsl2 import diagram, repcat
+from unrolledsl2 import diagram, repcat, tqftdim
 from unrolledsl2.cli import main
 from unrolledsl2.diagram import compile_diagram, evaluate
 from unrolledsl2.jsonio import load_document, parse_flink
 from unrolledsl2.model import Braid, Cap, Coupon, Cup, Id, SlicedDiagram, Strand
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import valpha_stack
+from unrolledsl2.tqftdim import (
+    add_point_chain,
+    graded_dimension,
+    hh0_dimension_generic,
+    necklace_graph,
+    theta_graph,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "docs" / "fixtures"
@@ -60,7 +68,7 @@ def test_warm_cache_gives_the_cold_output(capsys, fixture, r):
     for command in COMMANDS[fixture]:
         for fmt in ("json", "table"):
             argv = (command, "--r", str(r), "--input", str(FIXTURES / fixture), "--format", fmt)
-            for cache in (diagram._compiled, repcat._pairing):
+            for cache in (diagram._compiled, repcat._pairing, tqftdim._spine_plan):
                 cache.cache_clear()
             cold = _cli(capsys, *argv)
             assert cold[0] == 0, cold
@@ -212,3 +220,70 @@ def test_crossing_positions_follow_the_entry_pattern():
     for a in (v, v.dual, v):
         got = evaluate(crossing, {"A": a, "B": w}, ctx)
         assert np.array_equal(got, repcat.braiding_stack(a, w)[0])
+
+
+# ----------------------------------------------------------------------
+# spine plans: keyed by topology, gradings and colors read per call
+# ----------------------------------------------------------------------
+
+
+def test_repeated_spine_adds_no_plan(capsys):
+    argv = ("--r", "5", "--input", str(FIXTURES / "genus2_theta.json"))
+    first = _cli(capsys, "hh0", *argv)
+    assert first[0] == 0
+    assert tqftdim._spine_plan.cache_info().currsize == 1
+    hits = tqftdim._spine_plan.cache_info().hits
+    for _ in range(50):  # both subcommands run the one engine on one plan
+        assert _cli(capsys, "hh0", *argv) == first
+        assert _cli(capsys, "tqftdim", *argv)[0] == 0
+    info = tqftdim._spine_plan.cache_info()
+    assert (info.currsize, info.hits) == (1, hits + 100)
+
+
+def test_spine_preflight_refuses_with_a_warm_plan(capsys, monkeypatch):
+    argv = ("hh0", "--r", "5", "--input", str(FIXTURES / "genus2_theta.json"))
+    assert _cli(capsys, *argv)[0] == 0
+    sysconf = os.sysconf
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    built = []
+    monkeypatch.setattr(tqftdim, "_vertex_batch", lambda *args: built.append(args))
+    monkeypatch.setattr(tqftdim, "_merge_clusters", lambda *args: built.append(args))
+    code, out, err = _cli(capsys, *argv)
+    assert (code, out, built) == (3, "", [])
+    assert err.startswith("domain error: not computable within available memory: ")
+    assert tqftdim._spine_plan.cache_info().hits == 1
+
+
+def _pointed_spines(ctx):
+    """Two structures, a pointed theta and a pointed genus-3 necklace, each
+    under two gradings and two pairs of point colors."""
+    for gradings, colors in (((0.3, 0.45), (0.4, -0.4)), ((-0.7, 0.15), (0.9, 1.1))):
+        yield "theta", add_point_chain(theta_graph(ctx, *gradings), "e1", colors)
+    for bigons, x, colors in (([0.3, 0.45], 0.35, (0.4, -0.4)),
+                              ([-0.6, 0.2], 0.8, (0.1, 1.9))):
+        yield "necklace", add_point_chain(necklace_graph(ctx, 3, bigons, x), "c0", colors)
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+def test_one_plan_serves_every_grading_and_color(r):
+    # a plan cached with one document's gradings or point colors would give
+    # the next document of that structure the first one's histogram
+    ctx = RootParams(r)
+    seen = {}
+    for label, graph in _pointed_spines(ctx):
+        hh = hh0_dimension_generic(graph)
+        assert hh == graded_dimension(graph)
+        seen.setdefault(label, []).append(hh)
+    assert all(a != b for a, b in seen.values())
+    assert tqftdim._spine_plan.cache_info()[:2] == (2, 2)  # (hits, misses)
+
+
+def test_one_plan_serves_both_parities_of_r_prime():
+    # r = 3 and r = 6 share r' = 3 and so one plan; the band and the degree
+    # window are each call's own
+    for r in (3, 6):
+        graph = next(_pointed_spines(RootParams(r)))[1]
+        assert hh0_dimension_generic(graph) == graded_dimension(graph)
+    assert tqftdim._spine_plan.cache_info()[:2] == (1, 1)

@@ -693,12 +693,15 @@ def test_hh0_merges_smallest_result_first(monkeypatch, build, merges, peak):
     "build",
     [lambda: theta_graph(RootParams(51), 0.3, 0.45),
      lambda: tetrahedron_graph(RootParams(21), 0.31, 0.44, 0.62),
-     lambda: necklace_graph(RootParams(15), 6, [0.21, 0.3, 0.4, 0.5, 0.6], 0.55)],
-    ids=["theta-r51", "tetrahedron-r21", "necklace-g6-r15"],
+     lambda: necklace_graph(RootParams(15), 6, [0.21, 0.3, 0.4, 0.5, 0.6], 0.55),
+     lambda: _necklace(RootParams(21), 5, 5)],
+    ids=["theta-r51", "tetrahedron-r21", "necklace-g6-r15", "necklace-g5-r21"],
 )
 def test_hh0_memory_figure_covers_the_peak(monkeypatch, build):
     # the largest figure charged before an allocation is at least the traced
-    # peak of the whole contraction, and not far above it
+    # peak of the whole contraction, and not far above it; it is charged up
+    # front and again at its own step.  On the genus-5 necklace the batch of
+    # vertex tensors is the peak, on the others a merge
     figures = []
     charge = td.require_memory
 
@@ -715,6 +718,60 @@ def test_hh0_memory_figure_covers_the_peak(monkeypatch, build):
     finally:
         tracemalloc.stop()
     assert peak <= max(figures) <= 1.5 * peak
+    assert figures[0] == max(figures) and figures.count(max(figures)) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: tetrahedron_graph(RootParams(21), 0.31, 0.44, 0.62),
+     lambda: _necklace(RootParams(21), 5, 5),
+     lambda: add_point_chain(theta_graph(RootParams(31), 0.3, 0.45), "e1", [0.4, -0.4])],
+    ids=["tetrahedron-r21", "necklace-g5-r21", "theta-2pts-r31"],
+)
+def test_hh0_held_bytes_are_the_live_arrays(monkeypatch, build):
+    # the bytes each merge is told are held, fixed before any array is built,
+    # are the arrays traced when it starts: every batch of vertex tensors
+    # until its last vertex is merged, and every merge result not yet merged
+    graph = build()
+    gaps = []
+    merge = td._merge_clusters
+
+    def recording(a, b, held):
+        gaps.append(tracemalloc.get_traced_memory()[0] - held)
+        return merge(a, b, held)
+
+    monkeypatch.setattr(td, "_merge_clusters", recording)
+    tracemalloc.start()
+    try:
+        hh0_dimension_generic(graph)
+    finally:
+        tracemalloc.stop()
+    assert 0 <= min(gaps) and max(gaps) < 2**16
+
+
+def test_hh0_refuses_before_building_anything(monkeypatch):
+    # a limit that holds the batch of vertex tensors but not the largest
+    # merge: the whole contraction is refused before either is built
+    graph = tetrahedron_graph(RootParams(21), 0.31, 0.44, 0.62)
+    figures = []
+    charge = td.require_memory
+    monkeypatch.setattr(td, "require_memory", lambda need, what: (
+        figures.append((need, what)), charge(need, what)))
+    hh0_dimension_generic(graph)
+    batch = next(need for need, what in figures[1:] if "vertex" in what)
+    merge = max(figures)[0]
+    assert batch < merge
+    sysconf = os.sysconf
+    pages = (batch + merge) // 2 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    built = []
+    monkeypatch.setattr(td, "_vertex_batch", lambda *args: built.append(args))
+    monkeypatch.setattr(td, "_merge_clusters", lambda *args: built.append(args))
+    with pytest.raises(MemoryError, match="an HH0 merge needs"):
+        hh0_dimension_generic(graph)
+    assert built == []
 
 
 def test_evaluate_super_sign():
