@@ -189,13 +189,12 @@ class _Cluster(NamedTuple):
 
 class _Group(NamedTuple):
     """The vertices of a spine plan with one slot count and one loop count,
-    whose tensors one batch holds: row t is vertex ``vertices[t]``.
-    ``steps[e]`` holds σ·i, every row's e-th slot sign times the labels
-    i < r', shaped to broadcast along batch axis 1 + e."""
+    whose tensors one batch holds: row t is vertex ``vertices[t]``, and
+    ``signs[t, e]`` the sign σ_e of its e-th slot."""
 
     vertices: tuple[int, ...]
     loop_factor: int
-    steps: tuple[np.ndarray, ...]
+    signs: np.ndarray
 
 
 class _SpinePlan(NamedTuple):
@@ -248,13 +247,10 @@ def _spine_plan(rprime: int, rows: tuple) -> _SpinePlan:
     groups, group_of = [], {}
     for n, loops in dict.fromkeys(kinds):
         members = tuple(v for v, kind in enumerate(kinds) if kind == (n, loops))
-        steps = np.multiply.outer(np.array([vertices[v][1] for v in members], dtype=np.int64),
-                                  np.arange(rprime))
-        steps.flags.writeable = False
+        signs = np.array([vertices[v][1] for v in members], np.int64).reshape(len(members), n)
+        signs.flags.writeable = False
         group_of.update(dict.fromkeys(members, len(groups)))
-        groups.append(_Group(members, rprime**loops, tuple(
-            steps[:, e].reshape((len(members),) + (1,) * e + (rprime,) + (1,) * (n - 1 - e))
-            for e in range(n))))
+        groups.append(_Group(members, rprime**loops, signs))
     slots = [set(vertex[0]) for vertex in vertices]
     order, _peak = greedy_order([vertex[0] for vertex in vertices],
                                 {name: rprime for held in slots for name in held})
@@ -276,6 +272,13 @@ def _spine_plan(rprime: int, rows: tuple) -> _SpinePlan:
     return _SpinePlan(tuple(vertices), tuple(groups), tuple(merges))
 
 
+def _batch_bytes(m: int, n: int, rprime: int, width: int, item: int) -> int:
+    """Bytes of a batch of m vertex tensors with n slots and a degree axis
+    ``width`` wide of ``item``-byte entries, built by :func:`_vertex_batch`:
+    the tensors, two label sums at a time, and the steps σ_e·i_e."""
+    return m * rprime**n * (16 + width * item) + 8 * rprime * (m * n + 1)
+
+
 def _vertex_batch(ctx: RootParams, group: _Group, shifts: list[int], width: int,
                   dtype, held: int) -> np.ndarray:
     """Multiplicity tensors of a group's vertices, one row of the batch each.
@@ -285,17 +288,20 @@ def _vertex_batch(ctx: RootParams, group: _Group, shifts: list[int], width: int,
     ⌊(shifts[t] + Σσ_e·i_e) / r'⌋ (:func:`hh0_dimension_generic`).  Each
     entry is the row of an identity band, ``width`` wide and times the
     group's loop factor, that one-hot encodes that degree, or for even r
-    that degree and the next.  The batch and its int64 label sums, on top of
-    the ``held`` bytes already live, are charged through
-    :func:`.planner.require_memory` before any is built.
+    that degree and the next.  The batch, its int64 label sums and their
+    per-slot steps σ_e·i_e, on top of the ``held`` bytes already live, are
+    charged through :func:`.planner.require_memory` before any is built
+    (:func:`_batch_bytes`).
     """
-    m, n = len(shifts), len(group.steps)
-    require_memory(held + m * ctx.rprime**n * (16 + width * np.dtype(dtype).itemsize),
+    rp = ctx.rprime
+    m, n = group.signs.shape
+    require_memory(held + _batch_bytes(m, n, rp, width, np.dtype(dtype).itemsize),
                    "a batch of HH0 vertex tensors")
+    steps = group.signs[..., None] * np.arange(rp)
     labels = np.array(shifts).reshape((m,) + (1,) * n)
-    for step in group.steps:
-        labels = labels + step
-    labels //= ctx.rprime
+    for e in range(n):
+        labels = labels + steps[:, e].reshape((m,) + (1,) * e + (rp,) + (1,) * (n - 1 - e))
+    labels //= rp
     band = np.zeros((width - 1 + ctx.r % 2, width), dtype)
     band.flat[:: width + 1] = group.loop_factor
     if ctx.r % 2 == 0:
@@ -361,8 +367,8 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     convention).  Graphs with an integral internal grading raise
     :class:`NonGenericError`.
 
-    Everything the topology fixes (slots, signs, loop factors, the label
-    steps of every batch and the merge sequence) is the spine plan
+    Everything the topology fixes (slots, signs, loop factors, the batches
+    of vertex tensors and the merge sequence) is the spine plan
     (:func:`_spine_plan`), compiled once per structure and r' and never
     holding a grading or a color.  A call computes each vertex's offset
     and degree window: with const the external colors times σ, c = const +
@@ -411,8 +417,10 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     held, charges, batches = 0, [], []
     for group in plan.groups:
         width = max(widths[v] for v in group.vertices)
-        cells = len(group.vertices) * rp ** len(group.steps)
-        charges.append((held + cells * (16 + width * item), "a batch of HH0 vertex tensors"))
+        m, n = group.signs.shape
+        cells = m * rp**n
+        charges.append((held + _batch_bytes(m, n, rp, width, item),
+                        "a batch of HH0 vertex tensors"))
         batches.append((width, held, cells * width * item))
         held += cells * width * item
     k, own, helds = list(widths), [0] * len(widths), []

@@ -774,6 +774,22 @@ def test_hh0_refuses_before_building_anything(monkeypatch):
     assert built == []
 
 
+def test_hh0_refusal_at_the_largest_r_builds_nothing_r_sized():
+    # at r' = 2^23 − 1 one row of r' labels is 64 MiB: the refusal comes from
+    # scalars alone, and the plan it leaves cached holds nothing that grows
+    # with r'
+    graph = necklace_graph(RootParams(2**23 - 1), 3, [0.3, 0.45], 0.35)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="a batch of HH0 vertex tensors needs"):
+            hh0_dimension_generic(graph)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert td._spine_plan.cache_info().currsize == 1
+    assert peak < 2**20 and held < 2**18
+
+
 def test_evaluate_super_sign():
     ctx = RootParams(6)
     gd = graded_dimension(theta_graph(ctx, 0.3, 0.45))
