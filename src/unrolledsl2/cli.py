@@ -53,7 +53,7 @@ from typing import Any
 
 from . import jsonio
 from .errors import DomainError, QInvariantError, SchemaError
-from .qscalar import RootParams, verlinde
+from .qscalar import RootParams
 
 
 class UsageError(Exception):
@@ -250,24 +250,27 @@ def parse_args(argv) -> SimpleNamespace:
 
 # ----------------------------------------------------------------------
 # subcommand handlers: each returns (result_fields, normalized_inputs)
-# and imports the engine it runs, so a process loads only that engine
+# and imports the schema of the document kind it reads and the engine it
+# runs, so a process compiles only those
 # ----------------------------------------------------------------------
 
 
 def _cmd_flink(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     from .invariant import f_prime
+    from .model import flink_to_json, parse_flink
 
-    diagram, colors, cut, framings = jsonio.parse_flink(doc)
+    diagram, colors, cut, framings = parse_flink(doc)
     value = f_prime(ctx=ctx, diagram=diagram, colors=colors,
                     cut_component=cut, framings=framings or None)
     result = {"F_re": repr(value.real), "F_im": repr(value.imag)}
-    return result, jsonio.flink_to_json(diagram, colors, cut, framings)
+    return result, flink_to_json(diagram, colors, cut, framings)
 
 
 def _cmd_zinv(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
     from .invariant import z_invariant
+    from .model import parse_surgery, surgery_to_json
 
-    sp = jsonio.parse_surgery(doc, ctx)
+    sp = parse_surgery(doc, ctx)
     res = z_invariant(sp)
     result = {
         "Z_re": repr(res.z.real),
@@ -281,27 +284,29 @@ def _cmd_zinv(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
         "N_re": repr(res.n_invariant.real),
         "N_im": repr(res.n_invariant.imag),
     }
-    return result, jsonio.surgery_to_json(sp)
+    return result, surgery_to_json(sp)
 
 
 def _cmd_dimension(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
-    from .tqftdim import hh0_dimension_generic
+    from .tqftdim import graph_to_json, hh0_dimension_generic, parse_graph
 
-    graph = jsonio.parse_graph(doc, ctx)
+    graph = parse_graph(doc, ctx)
     gd = hh0_dimension_generic(graph)
     result = {
         "total": gd.total,
         "dimensions": {str(k): v for k, v in gd.coefficients.items()},
         "count_convention": gd.parity_mode,
     }
-    return result, jsonio.graph_to_json(graph)
+    return result, graph_to_json(graph)
 
 
 def _cmd_verlinde(ctx: RootParams, doc: Any) -> tuple[dict, dict]:
-    genus, beta, points = jsonio.parse_verlinde(doc)
+    from .closedform import parse_verlinde, verlinde, verlinde_to_json
+
+    genus, beta, points = parse_verlinde(doc)
     value = verlinde(ctx, genus, beta, points)
     result = {"value_re": repr(value.real), "value_im": repr(value.imag)}
-    return result, jsonio.verlinde_to_json(genus, beta, points)
+    return result, verlinde_to_json(genus, beta, points)
 
 
 _HANDLERS = {

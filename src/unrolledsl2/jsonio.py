@@ -1,4 +1,12 @@
-"""JSON schemas for diagrams, surgery presentations, graphs, and results.
+"""JSON input and output shared by every document kind.
+
+This module is what every command loads: :func:`load_document`, the
+emitter :func:`dump_document`, and the field and scalar parsers that each
+kind's schema is built from.  The schemas themselves (a kind's ``parse_*``
+and ``*_to_json`` functions) live beside the model they read, and each
+command imports its own: diagrams, colored links and surgery presentations
+in :mod:`.model`, spines in :mod:`.tqftdim`, and Verlinde documents in
+:mod:`.closedform`.
 
 Numbers in input files may be plain JSON numbers, exact rational strings
 ``"p/q"``, decimal strings ``"0.25"``, or complex objects ``{"re": …,
@@ -23,28 +31,13 @@ import math
 import re
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from .errors import DomainError, SchemaError
-from .model import (
-    Braid,
-    Cap,
-    Coupon,
-    Cup,
-    GraphEdge,
-    Id,
-    SlicedDiagram,
-    Strand,
-    TrivalentGraph,
-)
-from .qscalar import RootParams
-
-if TYPE_CHECKING:  # for the annotations; parse_surgery imports the engine as it runs
-    from .invariant import SurgeryPresentation
+from .errors import SchemaError
 
 
 # ----------------------------------------------------------------------
-# scalar parsing
+# scalars and fields
 # ----------------------------------------------------------------------
 
 
@@ -108,7 +101,8 @@ def complex_to_json(z: complex) -> dict:
     return {"re": repr(z.real), "im": repr(z.imag)}
 
 
-def _require(doc: Mapping, key: str, path: str) -> Any:
+def require(doc: Mapping, key: str, path: str) -> Any:
+    """Field ``key`` of the object ``doc`` found at ``path``."""
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{path}: expected an object, got {type(doc).__name__}")
     if key not in doc:
@@ -116,325 +110,26 @@ def _require(doc: Mapping, key: str, path: str) -> Any:
     return doc[key]
 
 
-def _str_field(doc: Mapping, key: str, path: str) -> str:
-    v = _require(doc, key, path)
+def str_field(doc: Mapping, key: str, path: str) -> str:
+    """String field ``key`` of the object ``doc`` found at ``path``."""
+    v = require(doc, key, path)
     if not isinstance(v, str):
         raise SchemaError(f"{path}.{key}: expected a string")
     return v
 
 
-def _int_field(value: Any, path: str) -> int:
+def int_field(value: Any, path: str) -> int:
+    """``value``, found at ``path``, as an integer; a boolean is not one."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
-def _int_map(doc: Any, path: str) -> dict:
+def int_map(doc: Any, path: str) -> dict:
+    """An object of integers, keyed by strings."""
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{path}: expected an object")
-    return {str(k): _int_field(v, f"{path}.{k}") for k, v in doc.items()}
-
-
-# ----------------------------------------------------------------------
-# diagrams
-# ----------------------------------------------------------------------
-
-_VARIANTS_CUP = ("coev", "coevprime")
-_VARIANTS_CAP = ("ev", "evprime")
-
-
-def _parse_strand(value: Any, path: str) -> Strand:
-    if not isinstance(value, Mapping):
-        raise SchemaError(f"{path}: expected a strand object")
-    comp = _str_field(value, "component", path)
-    up = _require(value, "up", path)
-    if not isinstance(up, bool):
-        raise SchemaError(f"{path}.up: expected true or false")
-    return Strand(comp, up)
-
-
-def _parse_slice(value: Any, path: str):
-    kind = _str_field(value, "slice", path)
-    if kind == "id":
-        return Id()
-    if kind == "braid":
-        sign = _int_field(_require(value, "sign", path), f"{path}.sign")
-        if sign not in (1, -1):
-            raise SchemaError(f"{path}.sign: expected +1 or -1, got {sign}")
-        return Braid(_int_field(_require(value, "position", path), f"{path}.position"), sign)
-    if kind in ("cup", "cap"):
-        variants = _VARIANTS_CUP if kind == "cup" else _VARIANTS_CAP
-        variant = value.get("variant", "coev" if kind == "cup" else "evprime")
-        if variant not in variants:
-            raise SchemaError(f"{path}.variant: expected one of {variants}, "
-                              f"got {variant!r}")
-        position = _int_field(_require(value, "position", path), f"{path}.position")
-        if kind == "cap":
-            return Cap(position, variant)
-        return Cup(position, _str_field(value, "component", path), variant)
-    if kind == "coupon":
-        ins = _require(value, "inputs", path)
-        outs = _require(value, "outputs", path)
-        if not isinstance(ins, list) or not isinstance(outs, list):
-            raise SchemaError(f"{path}: coupon inputs/outputs must be arrays")
-        matrix = _require(value, "matrix", path)
-        if not isinstance(matrix, list):
-            raise SchemaError(f"{path}.matrix: expected an array of rows")
-        for i, row in enumerate(matrix):
-            if not isinstance(row, list):
-                raise SchemaError(f"{path}.matrix[{i}]: expected an array of entries")
-            if len(row) != len(matrix[0]):
-                raise SchemaError(f"{path}.matrix[{i}]: expected {len(matrix[0])} "
-                                  f"entries like row 0, got {len(row)}")
-        rows = [
-            [parse_complex(x, f"{path}.matrix[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(matrix)
-        ]
-        return Coupon(
-            _int_field(_require(value, "position", path), f"{path}.position"),
-            tuple(_parse_strand(s, f"{path}.inputs[{i}]") for i, s in enumerate(ins)),
-            tuple(_parse_strand(s, f"{path}.outputs[{i}]") for i, s in enumerate(outs)),
-            rows,
-        )
-    raise SchemaError(
-        f"{path}.slice: unknown slice kind {kind!r} "
-        "(expected id, braid, cup, cap, or coupon)"
-    )
-
-
-def parse_diagram(doc: Any, path: str = "$") -> SlicedDiagram:
-    """A sliced diagram from its JSON object."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{path}: expected a diagram object")
-    source = doc.get("source", [])
-    if not isinstance(source, list):
-        raise SchemaError(f"{path}.source: expected an array")
-    slices = _require(doc, "width-changes", path)
-    if not isinstance(slices, list):
-        raise SchemaError(f"{path}.width-changes: expected an array of slices")
-    return SlicedDiagram(
-        tuple(
-            _parse_slice(sl, f"{path}.width-changes[{i}]")
-            for i, sl in enumerate(slices)
-        ),
-        tuple(_parse_strand(s, f"{path}.source[{i}]") for i, s in enumerate(source)),
-    )
-
-
-def _strand_to_json(s: Strand) -> dict:
-    return {"component": s.component, "up": bool(s.up)}
-
-
-def _slice_to_json(sl) -> dict:
-    if isinstance(sl, Id):
-        return {"slice": "id"}
-    if isinstance(sl, Braid):
-        return {"slice": "braid", "position": sl.position, "sign": sl.sign}
-    if isinstance(sl, Cup):
-        return {
-            "slice": "cup",
-            "position": sl.position,
-            "component": sl.component,
-            "variant": sl.variant,
-        }
-    if isinstance(sl, Cap):
-        return {"slice": "cap", "position": sl.position, "variant": sl.variant}
-    if isinstance(sl, Coupon):
-        return {
-            "slice": "coupon",
-            "position": sl.position,
-            "inputs": [_strand_to_json(s) for s in sl.inputs],
-            "outputs": [_strand_to_json(s) for s in sl.outputs],
-            "matrix": [
-                [complex_to_json(x) for x in row] for row in sl.matrix
-            ],
-        }
-    raise SchemaError(f"cannot serialize slice {sl!r}")
-
-
-def diagram_to_json(diagram: SlicedDiagram) -> dict:
-    return {
-        "source": [_strand_to_json(s) for s in diagram.source],
-        "width-changes": [_slice_to_json(sl) for sl in diagram.slices],
-    }
-
-
-# ----------------------------------------------------------------------
-# colored-link (F') documents
-# ----------------------------------------------------------------------
-
-
-def _parse_value_map(doc: Any, path: str) -> dict:
-    if doc is None:
-        return {}
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{path}: expected an object mapping component names")
-    return {str(k): parse_complex(v, f"{path}.{k}") for k, v in doc.items()}
-
-
-def parse_flink(
-    doc: Any, path: str = "$"
-) -> tuple[SlicedDiagram, dict, str | None, dict]:
-    """A colored-link document: diagram, colors, optional cut and framings."""
-    diagram = parse_diagram(_require(doc, "diagram", path), f"{path}.diagram")
-    colors = _parse_value_map(_require(doc, "colors", path), f"{path}.colors")
-    cut = doc.get("cut")
-    if cut is not None and not isinstance(cut, str):
-        raise SchemaError(f"{path}.cut: expected a component name string")
-    framings = _int_map(doc.get("framings") or {}, f"{path}.framings")
-    return diagram, colors, cut, framings
-
-
-def flink_to_json(
-    diagram: SlicedDiagram,
-    colors: Mapping,
-    cut: str | None,
-    framings: Mapping | None = None,
-) -> dict:
-    out = {
-        "diagram": diagram_to_json(diagram),
-        "colors": {k: complex_to_json(v) for k, v in colors.items()},
-    }
-    if cut is not None:
-        out["cut"] = cut
-    if framings:
-        out["framings"] = dict(framings)
-    return out
-
-
-# ----------------------------------------------------------------------
-# surgery presentations
-# ----------------------------------------------------------------------
-
-
-def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresentation:
-    """A surgery presentation from its JSON object."""
-    from .invariant import SurgeryPresentation
-
-    diagram = parse_diagram(_require(doc, "diagram", path), f"{path}.diagram")
-    framings = _int_map(_require(doc, "framings", path), f"{path}.framings")
-    meridians = _parse_value_map(
-        _require(doc, "meridians", path), f"{path}.meridians"
-    )
-    colors = _parse_value_map(doc.get("colors"), f"{path}.colors")
-    graph_framings = _int_map(doc.get("graph_framings") or {}, f"{path}.graph_framings")
-    defect = _int_field(doc.get("defect", 0), f"{path}.defect")
-    try:
-        return SurgeryPresentation(
-            ctx,
-            diagram,
-            framings,
-            meridians,
-            colors,
-            graph_framings=graph_framings,
-            defect=defect,
-        )
-    except DomainError as exc:  # each keeps its type
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
-def surgery_to_json(sp: SurgeryPresentation) -> dict:
-    out = {
-        "diagram": diagram_to_json(sp.diagram),
-        "framings": dict(sp.framings),
-        "meridians": {k: complex_to_json(v) for k, v in sp.meridian_values.items()},
-        "colors": {k: complex_to_json(v) for k, v in sp.colors.items()},
-        "defect": sp.defect,
-    }
-    if sp.graph_framings:
-        out["graph_framings"] = dict(sp.graph_framings)
-    return out
-
-
-# ----------------------------------------------------------------------
-# trivalent graphs
-# ----------------------------------------------------------------------
-
-
-def parse_graph(doc: Any, ctx: RootParams, path: str = "$") -> TrivalentGraph:
-    """A graded trivalent graph from its JSON object."""
-    vertices_doc = _require(doc, "vertices", path)
-    if not isinstance(vertices_doc, list):
-        raise SchemaError(f"{path}.vertices: expected an array")
-    order: dict[str, int] = {}
-    for i, v in enumerate(vertices_doc):
-        name = _str_field(v, "name", f"{path}.vertices[{i}]")
-        if name in order:
-            raise SchemaError(f"{path}.vertices[{i}]: duplicate vertex {name!r}")
-        order[name] = _int_field(
-            v.get("order", i), f"{path}.vertices[{i}].order"
-        )
-    edges_doc = _require(doc, "edges", path)
-    if not isinstance(edges_doc, list):
-        raise SchemaError(f"{path}.edges: expected an array")
-    edges = []
-    for i, e in enumerate(edges_doc):
-        epath = f"{path}.edges[{i}]"
-        name = _str_field(e, "name", epath)
-        tail = e.get("tail")
-        head = e.get("head")
-        for label, v in (("tail", tail), ("head", head)):
-            if v is not None and not isinstance(v, str):
-                raise SchemaError(f"{epath}.{label}: expected a vertex name or null")
-            if v is not None and v not in order:
-                raise SchemaError(
-                    f"{epath}.{label}: vertex {v!r} is not in the vertex list"
-                )
-        grading = parse_complex(_require(e, "grading", epath), f"{epath}.grading")
-        color = e.get("color")
-        if color is not None:
-            color = parse_complex(color, f"{epath}.color")
-        edges.append(GraphEdge(name, tail, head, grading, color=color))
-    vertex_order = tuple(sorted(order, key=lambda v: (order[v], v)))
-    try:
-        return TrivalentGraph(ctx, tuple(edges), vertex_order)
-    except DomainError as exc:  # each keeps its type
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
-def graph_to_json(graph: TrivalentGraph) -> dict:
-    edges = []
-    for e in graph.edges:
-        entry: dict[str, Any] = {
-            "name": e.name,
-            "tail": e.tail,
-            "head": e.head,
-            "grading": complex_to_json(e.grading),
-        }
-        if e.color is not None:
-            entry["color"] = complex_to_json(e.color)
-        edges.append(entry)
-    return {
-        "vertices": [
-            {"name": v, "order": i} for i, v in enumerate(graph.vertex_order)
-        ],
-        "edges": edges,
-    }
-
-
-# ----------------------------------------------------------------------
-# closed-form evaluation documents
-# ----------------------------------------------------------------------
-
-
-def parse_verlinde(doc: Any, path: str = "$") -> tuple[int, complex, list[complex]]:
-    """A Verlinde-evaluation document: genus, parameter, point colors."""
-    genus = _int_field(_require(doc, "genus", path), f"{path}.genus")
-    beta = parse_complex(_require(doc, "beta", path), f"{path}.beta")
-    points_doc = doc.get("points", [])
-    if not isinstance(points_doc, list):
-        raise SchemaError(f"{path}.points: expected an array of colors")
-    points = [
-        parse_complex(c, f"{path}.points[{i}]") for i, c in enumerate(points_doc)
-    ]
-    return genus, beta, points
-
-
-def verlinde_to_json(genus: int, beta: complex, points: list[complex]) -> dict:
-    out: dict[str, Any] = {"genus": genus, "beta": complex_to_json(beta)}
-    if points:
-        out["points"] = [complex_to_json(c) for c in points]
-    return out
+    return {str(k): int_field(v, f"{path}.{k}") for k, v in doc.items()}
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,28 @@
-"""The document model: what :mod:`.jsonio` parses, without numpy or an engine.
+"""The diagram documents: sliced tangle diagrams and their JSON schemas.
 
 Sliced tangle diagrams (:class:`SlicedDiagram` of :class:`Id`,
 :class:`Braid`, :class:`Cup`, :class:`Cap` and :class:`Coupon` slices over
 :class:`Strand` words, checked by :func:`typecheck`), evaluated by
-:mod:`.diagram`; graded trivalent spines (:class:`TrivalentGraph` of
-:class:`GraphEdge`) and their degree histograms (:class:`GradedDimension`),
-computed by :mod:`.tqftdim`.  Each is a :class:`~.qscalar.Record`.
-Importing this module loads no numpy, no engine and no ``inspect``, so a
-command that only parses and emits starts quickly.
+:mod:`.diagram`, each a :class:`~.qscalar.Record`; and the schemas of the
+three documents built on them: a diagram (:func:`parse_diagram`), a
+colored link (:func:`parse_flink`) and a surgery presentation
+(:func:`parse_surgery`), each with its ``*_to_json`` echo.  The ``flink``
+and ``zinv`` commands import this module through their engine; importing
+it loads no numpy and no ``inspect``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Any, Mapping, Union
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Union
 
-from .errors import DiagramTypeError, DomainError
-from .qscalar import Record, RootParams
+from .errors import DiagramTypeError, DomainError, SchemaError
+from .jsonio import complex_to_json, int_field, int_map, parse_complex, require, str_field
+from .qscalar import Record
+
+if TYPE_CHECKING:  # for the annotations; parse_surgery imports the engine as it runs
+    from .invariant import SurgeryPresentation
+    from .qscalar import RootParams
 
 __all__ = [
     "Strand",
@@ -27,9 +33,12 @@ __all__ = [
     "Coupon",
     "SlicedDiagram",
     "typecheck",
-    "GraphEdge",
-    "TrivalentGraph",
-    "GradedDimension",
+    "parse_diagram",
+    "diagram_to_json",
+    "parse_flink",
+    "flink_to_json",
+    "parse_surgery",
+    "surgery_to_json",
 ]
 
 
@@ -211,184 +220,213 @@ def typecheck(diagram: SlicedDiagram) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# graded trivalent graphs
+# diagram documents
+# ----------------------------------------------------------------------
+
+_VARIANTS_CUP = ("coev", "coevprime")
+_VARIANTS_CAP = ("ev", "evprime")
+
+
+def _parse_strand(value: Any, path: str) -> Strand:
+    if not isinstance(value, Mapping):
+        raise SchemaError(f"{path}: expected a strand object")
+    comp = str_field(value, "component", path)
+    up = require(value, "up", path)
+    if not isinstance(up, bool):
+        raise SchemaError(f"{path}.up: expected true or false")
+    return Strand(comp, up)
+
+
+def _parse_slice(value: Any, path: str):
+    kind = str_field(value, "slice", path)
+    if kind == "id":
+        return Id()
+    if kind == "braid":
+        sign = int_field(require(value, "sign", path), f"{path}.sign")
+        if sign not in (1, -1):
+            raise SchemaError(f"{path}.sign: expected +1 or -1, got {sign}")
+        return Braid(int_field(require(value, "position", path), f"{path}.position"), sign)
+    if kind in ("cup", "cap"):
+        variants = _VARIANTS_CUP if kind == "cup" else _VARIANTS_CAP
+        variant = value.get("variant", "coev" if kind == "cup" else "evprime")
+        if variant not in variants:
+            raise SchemaError(f"{path}.variant: expected one of {variants}, "
+                              f"got {variant!r}")
+        position = int_field(require(value, "position", path), f"{path}.position")
+        if kind == "cap":
+            return Cap(position, variant)
+        return Cup(position, str_field(value, "component", path), variant)
+    if kind == "coupon":
+        ins = require(value, "inputs", path)
+        outs = require(value, "outputs", path)
+        if not isinstance(ins, list) or not isinstance(outs, list):
+            raise SchemaError(f"{path}: coupon inputs/outputs must be arrays")
+        matrix = require(value, "matrix", path)
+        if not isinstance(matrix, list):
+            raise SchemaError(f"{path}.matrix: expected an array of rows")
+        for i, row in enumerate(matrix):
+            if not isinstance(row, list):
+                raise SchemaError(f"{path}.matrix[{i}]: expected an array of entries")
+            if len(row) != len(matrix[0]):
+                raise SchemaError(f"{path}.matrix[{i}]: expected {len(matrix[0])} "
+                                  f"entries like row 0, got {len(row)}")
+        rows = [
+            [parse_complex(x, f"{path}.matrix[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)
+        ]
+        return Coupon(
+            int_field(require(value, "position", path), f"{path}.position"),
+            tuple(_parse_strand(s, f"{path}.inputs[{i}]") for i, s in enumerate(ins)),
+            tuple(_parse_strand(s, f"{path}.outputs[{i}]") for i, s in enumerate(outs)),
+            rows,
+        )
+    raise SchemaError(
+        f"{path}.slice: unknown slice kind {kind!r} "
+        "(expected id, braid, cup, cap, or coupon)"
+    )
+
+
+def parse_diagram(doc: Any, path: str = "$") -> SlicedDiagram:
+    """A sliced diagram from its JSON object."""
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{path}: expected a diagram object")
+    source = doc.get("source", [])
+    if not isinstance(source, list):
+        raise SchemaError(f"{path}.source: expected an array")
+    slices = require(doc, "width-changes", path)
+    if not isinstance(slices, list):
+        raise SchemaError(f"{path}.width-changes: expected an array of slices")
+    return SlicedDiagram(
+        tuple(
+            _parse_slice(sl, f"{path}.width-changes[{i}]")
+            for i, sl in enumerate(slices)
+        ),
+        tuple(_parse_strand(s, f"{path}.source[{i}]") for i, s in enumerate(source)),
+    )
+
+
+def _strand_to_json(s: Strand) -> dict:
+    return {"component": s.component, "up": bool(s.up)}
+
+
+def _slice_to_json(sl) -> dict:
+    if isinstance(sl, Id):
+        return {"slice": "id"}
+    if isinstance(sl, Braid):
+        return {"slice": "braid", "position": sl.position, "sign": sl.sign}
+    if isinstance(sl, Cup):
+        return {
+            "slice": "cup",
+            "position": sl.position,
+            "component": sl.component,
+            "variant": sl.variant,
+        }
+    if isinstance(sl, Cap):
+        return {"slice": "cap", "position": sl.position, "variant": sl.variant}
+    if isinstance(sl, Coupon):
+        return {
+            "slice": "coupon",
+            "position": sl.position,
+            "inputs": [_strand_to_json(s) for s in sl.inputs],
+            "outputs": [_strand_to_json(s) for s in sl.outputs],
+            "matrix": [
+                [complex_to_json(x) for x in row] for row in sl.matrix
+            ],
+        }
+    raise SchemaError(f"cannot serialize slice {sl!r}")
+
+
+def diagram_to_json(diagram: SlicedDiagram) -> dict:
+    return {
+        "source": [_strand_to_json(s) for s in diagram.source],
+        "width-changes": [_slice_to_json(sl) for sl in diagram.slices],
+    }
+
+
+# ----------------------------------------------------------------------
+# colored-link (F') documents
 # ----------------------------------------------------------------------
 
 
-class GraphEdge(Record):
-    """One oriented edge of a trivalent graph.
-
-    ``tail`` and ``head`` name internal vertices (``tail`` is left,
-    ``head`` is entered).  An *external* edge carries a fixed ``color``
-    and has exactly one endpoint; an internal edge has color ``None``
-    and either two endpoints (possibly equal, a loop) or none (a free
-    circle component).  ``grading`` is the ℂ/2ℤ class of the edge
-    meridian, stored as any complex representative.
-    """
-
-    def __init__(self, name: str, tail: str | None, head: str | None,
-                 grading: complex, color: complex | None = None):
-        self._set("name", name)
-        self._set("tail", tail)
-        self._set("head", head)
-        self._set("grading", grading)
-        self._set("color", color)
-
-    @property
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(v for v in (self.tail, self.head) if v is not None)
-
-    @property
-    def is_external(self) -> bool:
-        return self.color is not None
-
-    @property
-    def is_circle(self) -> bool:
-        return self.tail is None and self.head is None
+def _parse_value_map(doc: Any, path: str) -> dict:
+    if doc is None:
+        return {}
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{path}: expected an object mapping component names")
+    return {str(k): parse_complex(v, f"{path}.{k}") for k, v in doc.items()}
 
 
-class TrivalentGraph(Record):
-    """An oriented uni-trivalent graph with ℂ/2ℤ edge gradings.
-
-    Internal vertices are the names appearing as edge endpoints or in
-    ``vertex_order``, and must have three incidences each (loops count
-    twice); univalent outer ends of external edges are implicit.
-    ``vertex_order`` records the ordering of trivalent vertices that a
-    basis needs for even r; the grid and the contraction both iterate
-    vertices in that order.
-    ``incidence``, derived and not a field, is the signed incidence table
-    both read: per vertex, its three ``(edge, sign)`` entries in edge order,
-    +1 where the edge enters (its head) and −1 where it leaves (its tail), a
-    loop once with each sign.  Construction validates the 1-cycle condition
-    from it: at every internal vertex the signed sum of incident gradings
-    vanishes mod 2, which is what makes the class well defined, and external
-    colors must have degree equal to their edge grading.  A grading or color
-    with a part of size 2^23 or more is a DomainError: doubles there are
-    spaced wider than ``epsilon_int``, so its class mod 2 cannot be decided.
-    """
-
-    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]]
-
-    def __init__(self, ctx: RootParams, edges: tuple[GraphEdge, ...],
-                 vertex_order: tuple[str, ...] = ()):
-        self._set("ctx", ctx)
-        self._set("edges", edges)
-        self._set("vertex_order", vertex_order)
-        names = [e.name for e in self.edges]
-        if len(set(names)) != len(names):
-            raise DomainError(f"duplicate edge names in {names}")
-        table: dict[str, list] = {}
-        for e in self.edges:
-            if e.is_external and len(e.endpoints) != 1:
-                raise DomainError(
-                    f"external edge {e.name!r} must have exactly one endpoint"
-                )
-            if not e.is_external and len(e.endpoints) == 1:
-                raise DomainError(
-                    f"edge {e.name!r} has one endpoint but no color; external "
-                    "edges need a fixed color"
-                )
-            if e.tail is not None:  # tail first: the order faults are reported in
-                table.setdefault(e.tail, [])
-            for v, sign in ((e.head, 1), (e.tail, -1)):
-                if v is not None:
-                    table.setdefault(v, []).append((e, sign))
-        for v in self.vertex_order:  # a listed vertex that no edge touches
-            table.setdefault(v, [])
-        for v, ends in table.items():
-            if len(ends) != 3:
-                raise DomainError(f"vertex {v!r} has {len(ends)} incidences, need 3")
-        if self.vertex_order:
-            if sorted(self.vertex_order) != sorted(table):
-                raise DomainError(
-                    "vertex_order must be a permutation of the internal vertices"
-                )
-        else:
-            self._set("vertex_order", tuple(sorted(table)))
-        for e in self.edges:
-            for what, x in (("grading", e.grading), ("color", e.color)):
-                z = complex(x or 0)
-                if max(abs(z.real), abs(z.imag)) >= 2**23:
-                    raise DomainError(
-                        f"edge {e.name!r}: {what} {x} is too large to decide "
-                        "its class mod 2 (a part of size 2^23 or more)"
-                    )
-            if e.is_external and not ctx.is_congruent_mod2(
-                e.grading, complex(e.color) + (ctx.r - 1)
-            ):
-                raise DomainError(
-                    f"external edge {e.name!r}: grading {e.grading} is not the "
-                    f"degree of its color {e.color}"
-                )
-        for v in self.vertex_order:
-            total = 0.0 + 0.0j
-            for e, sign in table[v]:
-                g = complex(e.grading)
-                total = total + g if sign > 0 else total - g
-            if not ctx.is_congruent_mod2(total, 0.0):
-                raise DomainError(
-                    f"edge gradings are not a 1-cycle: signed sum {total} at "
-                    f"vertex {v!r} is nonzero mod 2"
-                )
-        self._set("incidence", {v: tuple(ends) for v, ends in table.items()})
-
-    # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def internal_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if not e.is_external)
-
-    @cached_property
-    def external_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.is_external)
-
-    @cached_property
-    def circles(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.is_circle)
-
-    @cached_property
-    def genus(self) -> int:
-        """First Betti number of the graph (= genus of its surface)."""
-        from .planner import UnionFind
-
-        uf = UnionFind()
-        ids = {v: uf.make() for v in self.vertex_order}
-        arcs = [e for e in self.internal_edges if not e.is_circle]
-        for e in arcs:
-            uf.union(ids[e.tail], ids[e.head])
-        components = len({uf.find(i) for i in ids.values()})
-        # every vertex-free circle is its own component with Betti number 1
-        return len(arcs) - len(ids) + components + len(self.circles)
+def parse_flink(
+    doc: Any, path: str = "$"
+) -> tuple[SlicedDiagram, dict, str | None, dict]:
+    """A colored-link document: diagram, colors, optional cut and framings."""
+    diagram = parse_diagram(require(doc, "diagram", path), f"{path}.diagram")
+    colors = _parse_value_map(require(doc, "colors", path), f"{path}.colors")
+    cut = doc.get("cut")
+    if cut is not None and not isinstance(cut, str):
+        raise SchemaError(f"{path}.cut: expected a component name string")
+    framings = int_map(doc.get("framings") or {}, f"{path}.framings")
+    return diagram, colors, cut, framings
 
 
-class GradedDimension(Record):
-    """Finitely supported degree histogram k ↦ dim of a graded space.
+def flink_to_json(
+    diagram: SlicedDiagram,
+    colors: Mapping,
+    cut: str | None,
+    framings: Mapping | None = None,
+) -> dict:
+    out = {
+        "diagram": diagram_to_json(diagram),
+        "colors": {k: complex_to_json(v) for k, v in colors.items()},
+    }
+    if cut is not None:
+        out["cut"] = cut
+    if framings:
+        out["framings"] = dict(framings)
+    return out
 
-    ``parity_mode`` selects the evaluation rule: ``"plain"`` (odd r) sums
-    dim·t^k, ``"super"`` (even r) sums (−1)^k·dim·t^k.
-    """
 
-    def __init__(self, coefficients: Mapping[int, int], parity_mode: str):
-        if parity_mode not in ("plain", "super"):
-            raise DomainError(f"unknown parity mode {parity_mode!r}")
-        self._set("coefficients", {int(k): int(v) for k, v in sorted(coefficients.items()) if v})
-        self._set("parity_mode", parity_mode)
+# ----------------------------------------------------------------------
+# surgery presentations
+# ----------------------------------------------------------------------
 
-    @property
-    def total(self) -> int:
-        """Plain dimension count Σ_k dim_k (no supersign)."""
-        return sum(self.coefficients.values())
 
-    def evaluate(self, t: complex) -> complex:
-        """Σ dim_k t^k, with the factor (−1)^k in super mode."""
-        out = 0.0 + 0.0j
-        for k, dim in self.coefficients.items():
-            term = dim * complex(t) ** k
-            if self.parity_mode == "super" and k % 2:
-                term = -term
-            out += term
-        return out
+def parse_surgery(doc: Any, ctx: RootParams, path: str = "$") -> SurgeryPresentation:
+    """A surgery presentation from its JSON object."""
+    from .invariant import SurgeryPresentation
 
-    def evaluate_at(self, ctx: RootParams, beta: complex) -> complex:
-        """Evaluate at the root-of-unity point t = q^(2r'β)."""
-        return self.evaluate(ctx.q_pow(2 * ctx.rprime * complex(beta)))
+    diagram = parse_diagram(require(doc, "diagram", path), f"{path}.diagram")
+    framings = int_map(require(doc, "framings", path), f"{path}.framings")
+    meridians = _parse_value_map(
+        require(doc, "meridians", path), f"{path}.meridians"
+    )
+    colors = _parse_value_map(doc.get("colors"), f"{path}.colors")
+    graph_framings = int_map(doc.get("graph_framings") or {}, f"{path}.graph_framings")
+    defect = int_field(doc.get("defect", 0), f"{path}.defect")
+    try:
+        return SurgeryPresentation(
+            ctx,
+            diagram,
+            framings,
+            meridians,
+            colors,
+            graph_framings=graph_framings,
+            defect=defect,
+        )
+    except DomainError as exc:  # each keeps its type
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def surgery_to_json(sp: SurgeryPresentation) -> dict:
+    out = {
+        "diagram": diagram_to_json(sp.diagram),
+        "framings": dict(sp.framings),
+        "meridians": {k: complex_to_json(v) for k, v in sp.meridian_values.items()},
+        "colors": {k: complex_to_json(v) for k, v in sp.colors.items()},
+        "defect": sp.defect,
+    }
+    if sp.graph_framings:
+        out["graph_framings"] = dict(sp.graph_framings)
+    return out
+
+

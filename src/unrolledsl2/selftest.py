@@ -20,9 +20,10 @@ from . import diagram as dg
 from . import invariant as iv
 from . import repcat as rc
 from . import tqftdim as td
+from .closedform import verlinde
 from .errors import NonGenericError
-from .model import Braid, Coupon, Id, SlicedDiagram, Strand, TrivalentGraph
-from .qscalar import Record, RootParams, verlinde
+from .model import Braid, Coupon, Id, SlicedDiagram, Strand
+from .qscalar import Record, RootParams
 
 
 class CheckResult(Record):
@@ -339,7 +340,7 @@ def check_coloring_counts(ctx: RootParams, rng) -> None:
 GRID_CELLS = 2_000_000
 
 
-def assert_hh0_matches_oracle(graph: TrivalentGraph, rng) -> None:
+def assert_hh0_matches_oracle(graph: td.TrivalentGraph, rng) -> None:
     """HH0 of ``graph`` against the coloring grid when it has at most
     ``GRID_CELLS`` cells, else against the exact total and the Verlinde
     formula at three generic points (the grid would need r'^edges cells)."""

@@ -45,16 +45,23 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Sequence
+import sys
+from collections.abc import Mapping
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonGenericError
-from .model import GradedDimension, GraphEdge, TrivalentGraph
-from .planner import greedy_order, require_memory
-from .qscalar import RootParams
+from .errors import DomainError, NonGenericError, SchemaError
+from .jsonio import complex_to_json, int_field, parse_complex, require, str_field
+from .planner import UnionFind, greedy_order, require_memory
+from .qscalar import Record, RootParams
 
 __all__ = [
+    "GraphEdge",
+    "TrivalentGraph",
+    "GradedDimension",
+    "parse_graph",
+    "graph_to_json",
     "graded_dimension",
     "hh0_dimension_generic",
     "circle_graph",
@@ -65,6 +72,254 @@ __all__ = [
     "add_point_chain",
     "random_generic_graph",
 ]
+
+
+# ----------------------------------------------------------------------
+# graded trivalent graphs
+# ----------------------------------------------------------------------
+
+
+class GraphEdge(Record):
+    """One oriented edge of a trivalent graph.
+
+    ``tail`` and ``head`` name internal vertices (``tail`` is left,
+    ``head`` is entered).  An *external* edge carries a fixed ``color``
+    and has exactly one endpoint; an internal edge has color ``None``
+    and either two endpoints (possibly equal, a loop) or none (a free
+    circle component).  ``grading`` is the ℂ/2ℤ class of the edge
+    meridian, stored as any complex representative.
+    """
+
+    def __init__(self, name: str, tail: str | None, head: str | None,
+                 grading: complex, color: complex | None = None):
+        self._set("name", name)
+        self._set("tail", tail)
+        self._set("head", head)
+        self._set("grading", grading)
+        self._set("color", color)
+
+    @property
+    def endpoints(self) -> tuple[str, ...]:
+        return tuple(v for v in (self.tail, self.head) if v is not None)
+
+    @property
+    def is_external(self) -> bool:
+        return self.color is not None
+
+    @property
+    def is_circle(self) -> bool:
+        return self.tail is None and self.head is None
+
+
+class TrivalentGraph(Record):
+    """An oriented uni-trivalent graph with ℂ/2ℤ edge gradings.
+
+    Internal vertices are the names appearing as edge endpoints or in
+    ``vertex_order``, and must have three incidences each (loops count
+    twice); univalent outer ends of external edges are implicit.
+    ``vertex_order`` records the ordering of trivalent vertices that a
+    basis needs for even r; the grid and the contraction both iterate
+    vertices in that order.
+    ``incidence``, derived and not a field, is the signed incidence table
+    both read: per vertex, its three ``(edge, sign)`` entries in edge order,
+    +1 where the edge enters (its head) and −1 where it leaves (its tail), a
+    loop once with each sign.  Construction validates the 1-cycle condition
+    from it: at every internal vertex the signed sum of incident gradings
+    vanishes mod 2, which is what makes the class well defined, and external
+    colors must have degree equal to their edge grading.  A grading or color
+    with a part of size 2^23 or more is a DomainError: doubles there are
+    spaced wider than ``epsilon_int``, so its class mod 2 cannot be decided.
+    """
+
+    incidence: Mapping[str, tuple[tuple[GraphEdge, int], ...]]
+
+    def __init__(self, ctx: RootParams, edges: tuple[GraphEdge, ...],
+                 vertex_order: tuple[str, ...] = ()):
+        self._set("ctx", ctx)
+        self._set("edges", edges)
+        self._set("vertex_order", vertex_order)
+        names = [e.name for e in self.edges]
+        if len(set(names)) != len(names):
+            raise DomainError(f"duplicate edge names in {names}")
+        table: dict[str, list] = {}
+        for e in self.edges:
+            if e.is_external and len(e.endpoints) != 1:
+                raise DomainError(
+                    f"external edge {e.name!r} must have exactly one endpoint"
+                )
+            if not e.is_external and len(e.endpoints) == 1:
+                raise DomainError(
+                    f"edge {e.name!r} has one endpoint but no color; external "
+                    "edges need a fixed color"
+                )
+            if e.tail is not None:  # tail first: the order faults are reported in
+                table.setdefault(e.tail, [])
+            for v, sign in ((e.head, 1), (e.tail, -1)):
+                if v is not None:
+                    table.setdefault(v, []).append((e, sign))
+        for v in self.vertex_order:  # a listed vertex that no edge touches
+            table.setdefault(v, [])
+        for v, ends in table.items():
+            if len(ends) != 3:
+                raise DomainError(f"vertex {v!r} has {len(ends)} incidences, need 3")
+        if self.vertex_order:
+            if sorted(self.vertex_order) != sorted(table):
+                raise DomainError(
+                    "vertex_order must be a permutation of the internal vertices"
+                )
+        else:
+            self._set("vertex_order", tuple(sorted(table)))
+        for e in self.edges:
+            for what, x in (("grading", e.grading), ("color", e.color)):
+                z = complex(x or 0)
+                if max(abs(z.real), abs(z.imag)) >= 2**23:
+                    raise DomainError(
+                        f"edge {e.name!r}: {what} {x} is too large to decide "
+                        "its class mod 2 (a part of size 2^23 or more)"
+                    )
+            if e.is_external and not ctx.is_congruent_mod2(
+                e.grading, complex(e.color) + (ctx.r - 1)
+            ):
+                raise DomainError(
+                    f"external edge {e.name!r}: grading {e.grading} is not the "
+                    f"degree of its color {e.color}"
+                )
+        for v in self.vertex_order:
+            total = 0.0 + 0.0j
+            for e, sign in table[v]:
+                g = complex(e.grading)
+                total = total + g if sign > 0 else total - g
+            if not ctx.is_congruent_mod2(total, 0.0):
+                raise DomainError(
+                    f"edge gradings are not a 1-cycle: signed sum {total} at "
+                    f"vertex {v!r} is nonzero mod 2"
+                )
+        self._set("incidence", {v: tuple(ends) for v, ends in table.items()})
+
+    # -- derived structure -------------------------------------------------
+
+    @functools.cached_property
+    def internal_edges(self) -> tuple[GraphEdge, ...]:
+        return tuple(e for e in self.edges if not e.is_external)
+
+    @functools.cached_property
+    def external_edges(self) -> tuple[GraphEdge, ...]:
+        return tuple(e for e in self.edges if e.is_external)
+
+    @functools.cached_property
+    def circles(self) -> tuple[GraphEdge, ...]:
+        return tuple(e for e in self.edges if e.is_circle)
+
+    @functools.cached_property
+    def genus(self) -> int:
+        """First Betti number of the graph (= genus of its surface)."""
+        uf = UnionFind()
+        ids = {v: uf.make() for v in self.vertex_order}
+        arcs = [e for e in self.internal_edges if not e.is_circle]
+        for e in arcs:
+            uf.union(ids[e.tail], ids[e.head])
+        components = len({uf.find(i) for i in ids.values()})
+        # every vertex-free circle is its own component with Betti number 1
+        return len(arcs) - len(ids) + components + len(self.circles)
+
+
+class GradedDimension(Record):
+    """Finitely supported degree histogram k ↦ dim of a graded space.
+
+    ``parity_mode`` selects the evaluation rule: ``"plain"`` (odd r) sums
+    dim·t^k, ``"super"`` (even r) sums (−1)^k·dim·t^k.
+    """
+
+    def __init__(self, coefficients: Mapping[int, int], parity_mode: str):
+        if parity_mode not in ("plain", "super"):
+            raise DomainError(f"unknown parity mode {parity_mode!r}")
+        self._set("coefficients", {int(k): int(v) for k, v in sorted(coefficients.items()) if v})
+        self._set("parity_mode", parity_mode)
+
+    @property
+    def total(self) -> int:
+        """Plain dimension count Σ_k dim_k (no supersign)."""
+        return sum(self.coefficients.values())
+
+    def evaluate(self, t: complex) -> complex:
+        """Σ dim_k t^k, with the factor (−1)^k in super mode."""
+        out = 0.0 + 0.0j
+        for k, dim in self.coefficients.items():
+            term = dim * complex(t) ** k
+            if self.parity_mode == "super" and k % 2:
+                term = -term
+            out += term
+        return out
+
+    def evaluate_at(self, ctx: RootParams, beta: complex) -> complex:
+        """Evaluate at the root-of-unity point t = q^(2r'β)."""
+        return self.evaluate(ctx.q_pow(2 * ctx.rprime * complex(beta)))
+
+
+# ----------------------------------------------------------------------
+# spine documents
+# ----------------------------------------------------------------------
+
+
+def parse_graph(doc: Any, ctx: RootParams, path: str = "$") -> TrivalentGraph:
+    """A graded trivalent graph from its JSON object."""
+    vertices_doc = require(doc, "vertices", path)
+    if not isinstance(vertices_doc, list):
+        raise SchemaError(f"{path}.vertices: expected an array")
+    order: dict[str, int] = {}
+    for i, v in enumerate(vertices_doc):
+        name = str_field(v, "name", f"{path}.vertices[{i}]")
+        if name in order:
+            raise SchemaError(f"{path}.vertices[{i}]: duplicate vertex {name!r}")
+        order[name] = int_field(
+            v.get("order", i), f"{path}.vertices[{i}].order"
+        )
+    edges_doc = require(doc, "edges", path)
+    if not isinstance(edges_doc, list):
+        raise SchemaError(f"{path}.edges: expected an array")
+    edges = []
+    for i, e in enumerate(edges_doc):
+        epath = f"{path}.edges[{i}]"
+        name = str_field(e, "name", epath)
+        tail = e.get("tail")
+        head = e.get("head")
+        for label, v in (("tail", tail), ("head", head)):
+            if v is not None and not isinstance(v, str):
+                raise SchemaError(f"{epath}.{label}: expected a vertex name or null")
+            if v is not None and v not in order:
+                raise SchemaError(
+                    f"{epath}.{label}: vertex {v!r} is not in the vertex list"
+                )
+        grading = parse_complex(require(e, "grading", epath), f"{epath}.grading")
+        color = e.get("color")
+        if color is not None:
+            color = parse_complex(color, f"{epath}.color")
+        edges.append(GraphEdge(name, tail, head, grading, color=color))
+    vertex_order = tuple(sorted(order, key=lambda v: (order[v], v)))
+    try:
+        return TrivalentGraph(ctx, tuple(edges), vertex_order)
+    except DomainError as exc:  # each keeps its type
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def graph_to_json(graph: TrivalentGraph) -> dict:
+    edges = []
+    for e in graph.edges:
+        entry: dict[str, Any] = {
+            "name": e.name,
+            "tail": e.tail,
+            "head": e.head,
+            "grading": complex_to_json(e.grading),
+        }
+        if e.color is not None:
+            entry["color"] = complex_to_json(e.color)
+        edges.append(entry)
+    return {
+        "vertices": [
+            {"name": v, "order": i} for i, v in enumerate(graph.vertex_order)
+        ],
+        "edges": edges,
+    }
 
 
 # ----------------------------------------------------------------------

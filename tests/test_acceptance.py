@@ -19,8 +19,9 @@ from unrolledsl2 import invariant as iv
 from unrolledsl2 import jsonio
 from unrolledsl2 import repcat as rc
 from unrolledsl2 import tqftdim as td
-from unrolledsl2.model import Braid, Cap, Cup, SlicedDiagram
-from unrolledsl2.qscalar import RootParams, verlinde
+from unrolledsl2.model import Braid, Cap, Cup, SlicedDiagram, parse_surgery
+from unrolledsl2.closedform import verlinde
+from unrolledsl2.qscalar import RootParams
 
 ROOTS = (2, 3, 5, 6, 7)
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
@@ -266,7 +267,7 @@ def test_criterion_5_invariance_under_presentation_moves():
     tol_k, worst_k, smallest, control = 1e-9, 0.0, math.inf, math.inf
     for r in (2, 3, 5, 6, 9):
         ctx = RootParams(r)
-        chain = iv.z_invariant(jsonio.parse_surgery(fixture, ctx)).z
+        chain = iv.z_invariant(parse_surgery(fixture, ctx)).z
         blown = iv.z_invariant(_lens_7_2_blown_up(ctx, (2 / 7, -10 / 7, 8 / 7))).z
         other = iv.z_invariant(_lens_7_2_blown_up(ctx, (4 / 7, -20 / 7, 16 / 7))).z
         scale = max(1.0, abs(chain))

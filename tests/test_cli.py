@@ -23,11 +23,17 @@ from numpy.random import default_rng
 
 from unrolledsl2 import cli, errors, selftest
 from unrolledsl2.cli import main, parse_args
-from unrolledsl2.jsonio import graph_to_json, load_document, parse_graph
+from unrolledsl2.jsonio import load_document
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import twist_scalar
 from unrolledsl2.selftest import CHECKS
-from unrolledsl2.tqftdim import graded_dimension, necklace_graph, random_generic_graph
+from unrolledsl2.tqftdim import (
+    graded_dimension,
+    graph_to_json,
+    necklace_graph,
+    parse_graph,
+    random_generic_graph,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "docs" / "fixtures"

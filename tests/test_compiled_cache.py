@@ -21,8 +21,8 @@ from cuts import cut_matrices
 from unrolledsl2 import diagram, repcat, tqftdim
 from unrolledsl2.cli import main
 from unrolledsl2.diagram import compile_diagram, evaluate
-from unrolledsl2.jsonio import load_document, parse_flink
-from unrolledsl2.model import Braid, Cap, Coupon, Cup, Id, SlicedDiagram, Strand
+from unrolledsl2.jsonio import load_document
+from unrolledsl2.model import Braid, Cap, Coupon, Cup, Id, SlicedDiagram, Strand, parse_flink
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import valpha_stack
 from unrolledsl2.tqftdim import (
@@ -97,7 +97,7 @@ def test_repeated_document_adds_no_cache_entry(capsys, command, fixture):
         cut_slice = compiled.open_cut(cut or compiled.names[0])
     else:
         from unrolledsl2.invariant import _fixed_cut
-        from unrolledsl2.jsonio import parse_surgery
+        from unrolledsl2.model import parse_surgery
 
         sp = parse_surgery(doc, RootParams(5))
         diagram_ = sp.diagram

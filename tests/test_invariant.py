@@ -36,8 +36,17 @@ from unrolledsl2.invariant import (
     unknot_presentation,
     z_invariant,
 )
-from unrolledsl2.jsonio import load_document, parse_flink, parse_surgery
-from unrolledsl2.model import Braid, Cap, Coupon, Cup, SlicedDiagram, Strand
+from unrolledsl2.jsonio import load_document
+from unrolledsl2.model import (
+    Braid,
+    Cap,
+    Coupon,
+    Cup,
+    SlicedDiagram,
+    Strand,
+    parse_flink,
+    parse_surgery,
+)
 from unrolledsl2.qscalar import RootParams
 from unrolledsl2.repcat import scalar_of, twist, twist_scalar, valpha_stack
 

@@ -11,8 +11,8 @@ import pytest
 
 from unrolledsl2.cli import main
 from unrolledsl2.errors import SchemaError
-from unrolledsl2.jsonio import diagram_to_json, dump_document, parse_real
-from unrolledsl2.model import SlicedDiagram
+from unrolledsl2.jsonio import dump_document, parse_real
+from unrolledsl2.model import SlicedDiagram, diagram_to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402

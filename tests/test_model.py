@@ -7,7 +7,6 @@ import pathlib
 
 import pytest
 
-from unrolledsl2 import jsonio
 from unrolledsl2.diagram import compile_diagram
 from unrolledsl2.invariant import LinkingData, SurgeryPresentation, ZResult
 from unrolledsl2.model import (
@@ -15,15 +14,15 @@ from unrolledsl2.model import (
     Cap,
     Coupon,
     Cup,
-    GradedDimension,
-    GraphEdge,
     Id,
     SlicedDiagram,
     Strand,
-    TrivalentGraph,
+    parse_diagram,
+    parse_surgery,
 )
 from unrolledsl2.qscalar import Record, RootParams
 from unrolledsl2.selftest import CheckResult
+from unrolledsl2.tqftdim import GradedDimension, GraphEdge, TrivalentGraph
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "fixtures"
 UP, DOWN = Strand("K", True), Strand("K", False)
@@ -40,7 +39,7 @@ def _theta(ctx: RootParams, g2: float = 0.45) -> TrivalentGraph:
 
 
 def _surgery(defect: int = 0) -> SurgeryPresentation:
-    return jsonio.parse_surgery({**_fixture("s1xs2.json"), "defect": defect}, RootParams(5))
+    return parse_surgery({**_fixture("s1xs2.json"), "defect": defect}, RootParams(5))
 
 
 # per record class: a builder whose every call gives an equal, distinct
@@ -112,7 +111,7 @@ def test_records_of_two_classes_never_compare_equal():
                                            if "diagram" in _fixture(p.name)))
 def test_two_parses_of_a_fixture_diagram_are_equal_and_hash_equal(fixture):
     doc = _fixture(fixture)["diagram"]
-    a, b = jsonio.parse_diagram(doc), jsonio.parse_diagram(doc)
+    a, b = parse_diagram(doc), parse_diagram(doc)
     assert a is not b and a == b
     if Coupon not in map(type, a.slices):  # a document's coupon matrix is a list
         assert hash(a) == hash(b)

@@ -27,8 +27,16 @@ from cuts import cut_matrices  # noqa: E402
 from unrolledsl2 import diagram  # noqa: E402
 from unrolledsl2.diagram import clasp_diagram, compile_diagram  # noqa: E402
 from unrolledsl2.invariant import _fixed_cut  # noqa: E402
-from unrolledsl2.jsonio import load_document, parse_surgery  # noqa: E402
-from unrolledsl2.model import Braid, Cap, Coupon, Cup, SlicedDiagram, Strand  # noqa: E402
+from unrolledsl2.jsonio import load_document  # noqa: E402
+from unrolledsl2.model import (  # noqa: E402
+    Braid,
+    Cap,
+    Coupon,
+    Cup,
+    SlicedDiagram,
+    Strand,
+    parse_surgery,
+)
 from unrolledsl2.qscalar import RootParams  # noqa: E402
 from unrolledsl2.repcat import braiding_entries, valpha_stack  # noqa: E402
 

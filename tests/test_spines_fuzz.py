@@ -28,10 +28,13 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from unrolledsl2.cli import main  # noqa: E402
-from unrolledsl2.jsonio import graph_to_json  # noqa: E402
 from unrolledsl2.qscalar import RootParams  # noqa: E402
 from unrolledsl2.selftest import assert_hh0_matches_oracle  # noqa: E402
-from unrolledsl2.tqftdim import hh0_dimension_generic, random_generic_graph  # noqa: E402
+from unrolledsl2.tqftdim import (  # noqa: E402
+    graph_to_json,
+    hh0_dimension_generic,
+    random_generic_graph,
+)
 
 ERROR_PREFIXES = {2: "schema error: ", 3: "domain error: "}
 ROOTS = [2, 3, 5, 6, 7, 9]

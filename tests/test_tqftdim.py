@@ -10,11 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import unrolledsl2.tqftdim as td
+from unrolledsl2.closedform import verlinde
 from unrolledsl2.errors import DomainError, NonGenericError
-from unrolledsl2.model import GradedDimension, GraphEdge, TrivalentGraph
-from unrolledsl2.qscalar import RootParams, verlinde
+from unrolledsl2.qscalar import RootParams
 from unrolledsl2.selftest import GRID_CELLS, assert_hh0_matches_oracle
 from unrolledsl2.tqftdim import (
+    GradedDimension,
+    GraphEdge,
+    TrivalentGraph,
     add_point_chain,
     circle_graph,
     dumbbell_graph,
