@@ -435,11 +435,15 @@ class _Cluster(NamedTuple):
     ``array`` has one axis per open edge slot plus a trailing degree axis;
     entries are integer multiplicities of the degree offsets.  ``slots``
     names the open edges in axis order; ``k_min`` anchors the degree axis.
+    ``entry_bytes`` is what an entry a merge computes holds: its 8-byte
+    slot and, in the Python-integer tier, the int it points to
+    (:func:`hh0_dimension_generic`).
     """
 
     slots: Sequence[str]
     array: np.ndarray
     k_min: int
+    entry_bytes: int = 8
 
 
 class _Group(NamedTuple):
@@ -546,7 +550,8 @@ def _vertex_batch(ctx: RootParams, group: _Group, shifts: list[int], width: int,
     that degree and the next.  The batch, its int64 label sums and their
     per-slot steps σ_e·i_e, on top of the ``held`` bytes already live, are
     charged through :func:`.planner.require_memory` before any is built
-    (:func:`_batch_bytes`).
+    (:func:`_batch_bytes`).  An object batch points at two ints, 0 and the
+    loop factor, so its entries are charged as their slots alone.
     """
     rp = ctx.rprime
     m, n = group.signs.shape
@@ -577,7 +582,9 @@ def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     the degree axis.  The transposed copies of both operands, the result
     and one product, on top of the ``held`` bytes already live (the
     operands among them), are charged through
-    :func:`.planner.require_memory` first.
+    :func:`.planner.require_memory` first: the copies as slots, which point
+    at the operands' entries, and the result and product at a's
+    ``entry_bytes``.
     """
     if a.array.size < b.array.size:
         a, b = b, a
@@ -589,13 +596,14 @@ def _merge_clusters(a: _Cluster, b: _Cluster, held: int) -> _Cluster:
     rhs = b.array.transpose([b.slots.index(n) for n in shared + free_b] + [-1])
     free = lhs.shape[1 : 1 + len(free_a)] + rhs.shape[len(shared) : -1]
     require_memory(held + a.array.nbytes + b.array.nbytes  # the result and one product
-                   + b.array.itemsize * math.prod(free) * (2 * ka + kb - 1), "an HH0 merge")
+                   + a.entry_bytes * math.prod(free) * (2 * ka + kb - 1), "an HH0 merge")
     n_shared = math.prod(rhs.shape[: len(shared)])
     lhs, rhs = lhs.reshape(-1, n_shared), rhs.reshape(n_shared, -1, kb)
     out = np.zeros((ka + kb - 1,) + free, b.array.dtype)
     for j in range(kb):
         out[j : j + ka] += (lhs @ rhs[:, :, j]).reshape((ka,) + free)
-    return _Cluster(free_a + free_b, out.transpose((*range(1, out.ndim), 0)), a.k_min + b.k_min)
+    return _Cluster(free_a + free_b, out.transpose((*range(1, out.ndim), 0)), a.k_min + b.k_min,
+                    a.entry_bytes)
 
 
 def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
@@ -637,7 +645,9 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     and partial sum a merge forms, is a nonnegative integer at most the
     number of colorings, known in advance.  The tensors hold float64 below
     2^53 colorings (exact, and merged on BLAS), int64 below 2^63 and
-    Python integers above.  Every batch's and every merge's shape is known
+    Python integers above, where an entry a merge computes is charged as
+    its pointer plus an int as large as the coloring count.  Every batch's
+    and every merge's shape is known
     before any is built, so the largest figure of the whole contraction,
     with every array still live, is charged against physical memory first,
     and each step is charged again as it is built: a contraction that
@@ -652,6 +662,8 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         colorings <<= len(graph.vertex_order)
     dtype = (np.float64 if colorings < 2**53
              else np.int64 if colorings < 2**63 else object)
+    item = np.dtype(dtype).itemsize
+    entry = item + (sys.getsizeof(colorings) if dtype is object else 0)
     rp, odd = ctx.rprime, ctx.r % 2
     plan = _spine_plan(rp, tuple(tuple((e.name, sign, e.is_external) for e, sign in
                                        graph.incidence[v]) for v in graph.vertex_order))
@@ -668,7 +680,6 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
         widths.append((offset + up) // rp - lo + 2 - odd)  # the degree axis
         k_mins.append(base + lo - 1 + odd)
     # every step's figure, in order, from the shapes alone
-    item = np.dtype(dtype).itemsize
     held, charges, batches = 0, [], []
     for group in plan.groups:
         width = max(widths[v] for v in group.vertices)
@@ -682,16 +693,16 @@ def hh0_dimension_generic(graph: TrivalentGraph) -> GradedDimension:
     for i, j, cells_i, cells_j, cells_out, released in plan.merges:
         size_a, size_b = cells_i * k[i], cells_j * k[j]
         ka, kb = (k[j], k[i]) if size_a < size_b else (k[i], k[j])
-        charges.append((held + item * (size_a + size_b + cells_out * (2 * ka + kb - 1)),
+        charges.append((held + item * (size_a + size_b) + entry * cells_out * (2 * ka + kb - 1),
                         "an HH0 merge"))
         helds.append(held)
         out = cells_out * (ka + kb - 1)
-        held += item * (out - own[i] - own[j]) - sum(batches[g][2] for g in released)
-        k[i], own[i] = ka + kb - 1, out
+        held += entry * out - own[i] - own[j] - sum(batches[g][2] for g in released)
+        k[i], own[i] = ka + kb - 1, entry * out
     require_memory(*max(charges, default=(0, "an HH0 contraction")))
     live = {}
     for group, (width, held, _) in zip(plan.groups, batches):  # no name outlives a batch
-        live.update({v: _Cluster(plan.vertices[v][0], tensor[..., : widths[v]], k_mins[v])
+        live.update({v: _Cluster(plan.vertices[v][0], tensor[..., : widths[v]], k_mins[v], entry)
                      for v, tensor in zip(group.vertices, _vertex_batch(
                          ctx, group, [shifts[v] for v in group.vertices], width, dtype, held))})
     for (i, j, *_), held in zip(plan.merges, helds):

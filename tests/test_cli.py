@@ -487,15 +487,17 @@ def test_help_without_a_stdout_exits_0(monkeypatch):
 
 # What a fresh interpreter has loaded after importing the CLI and after each
 # command line: numpy, fractions (which loads decimal), dataclasses and
-# inspect (which load ast, dis and tokenize) and the engine modules only,
-# with each call's exit code.
+# inspect (which load ast, dis and tokenize), the engine modules and the
+# diagram model only, with each call's exit code; and every package module
+# the import alone loads.
 _COLD_PROBE = """
 import contextlib, io, json, sys
 import unrolledsl2.cli as cli
-ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim"}
+ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim", "model"}
 def loaded():
     return sorted(m for m in sys.modules if m in ("numpy", "fractions", "dataclasses", "inspect")
                   or m.startswith("unrolledsl2.") and m.split(".")[1] in ENGINES)
+start = sorted(m for m in sys.modules if m.startswith("unrolledsl2."))
 seen = [(None, loaded())]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -504,8 +506,19 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     seen.append((code, loaded()))
-print(json.dumps(seen))
+print(json.dumps([start, seen]))
 """
+
+
+def _cold_probe(argvs):
+    """The package modules ``import unrolledsl2.cli`` loads in a fresh
+    interpreter, and what the probe sees loaded after it and each of ``argvs``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_cold_start_loads_no_numpy_and_only_the_engine_a_command_runs(tmp_path):
@@ -514,17 +527,21 @@ def test_cold_start_loads_no_numpy_and_only_the_engine_a_command_runs(tmp_path):
         ["verlinde", "--r", "x", "--input", str(FIXTURES / "verlinde_g1.json")],
         ["hh0", "--r", "5", "--input", str(tmp_path / "missing.json")],
         ["zinv", "--r", "5", "--input", str(FIXTURES / "s1xs2.json")],
+        ["flink", "--r", "5", "--input", str(FIXTURES / "hopf.json")],
     ]
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, json.dumps(argvs)],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    start, seen = _cold_probe(argvs)
+    assert start == ["unrolledsl2.cli", "unrolledsl2.errors", "unrolledsl2.jsonio",
+                     "unrolledsl2.qscalar"]
     assert seen[:4] == [[None, []], [0, []], [2, []], [2, []]]
     code, zinv_loaded = seen[4]
     assert code == 0
     assert {"numpy", "unrolledsl2.invariant", "unrolledsl2.diagram"} <= set(zinv_loaded)
+    for code, diagram_loaded in seen[4:]:  # no spine code for zinv and flink
+        assert code == 0 and "unrolledsl2.tqftdim" not in diagram_loaded
+    _, seen = _cold_probe([["hh0", "--r", "5", "--input", str(FIXTURES / "genus2_theta.json")]])
+    code, spine_loaded = seen[1]
+    assert code == 0 and "unrolledsl2.tqftdim" in spine_loaded
+    assert "unrolledsl2.model" not in spine_loaded and "unrolledsl2.invariant" not in spine_loaded
 
 
 # ----------------------------------------------------------------------

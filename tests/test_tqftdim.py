@@ -724,6 +724,29 @@ def test_hh0_memory_figure_covers_the_peak(monkeypatch, build):
     assert figures[0] == max(figures) and figures.count(max(figures)) == 2
 
 
+@pytest.mark.parametrize("genus", [30, 60])
+def test_hh0_memory_figure_covers_the_python_integer_tier(monkeypatch, genus):
+    # past 2^63 colorings every entry is a pointer to a Python int: charged
+    # at 8 bytes an entry, genus 30 peaked at 1.60 and genus 60 at 1.87
+    # times the largest figure
+    graph = necklace_graph(RootParams(5), genus, [0.3 + 0.001j] * (genus - 1), 0.55)
+    figures = []
+    charge = td.require_memory
+
+    def recording(need, what):
+        figures.append(need)
+        charge(need, what)
+
+    monkeypatch.setattr(td, "require_memory", recording)
+    tracemalloc.start()
+    try:
+        hh0_dimension_generic(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(figures)
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: tetrahedron_graph(RootParams(21), 0.31, 0.44, 0.62),
