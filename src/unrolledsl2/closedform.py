@@ -72,7 +72,7 @@ def verlinde(
             value = sign / ctx.r * ctx.rprime**genus * (pre := ctx.q_pow(c * b)) * total
         except OverflowError:
             value = complex(math.inf)
-        if cmath.isfinite(value):
+        if cmath.isfinite(value) and abs(pre) >= sys.float_info.min:
             _check_rounding(ctx, genus, beta, pre, total, spread, common, 0.0)
             return value
         terms = [(phase, ratio and (math.log(abs(ratio)), ratio / abs(ratio)))
@@ -81,7 +81,8 @@ def verlinde(
         raise overflow
     # Some factor left double range: redo the sum with every power divided
     # by the largest one, and keep the scale as a logarithm.  Each ratio is
-    # now (log |ratio|, ratio / |ratio|), or 0.
+    # now (log |ratio|, ratio / |ratio|), or 0.  A q^(cβ) below the normal
+    # range joins the scale too, as its phase times e^(−π Im(cβ)/r).
     logs = [exponent * ratio[0] if ratio else -math.inf for _, ratio in terms]
     top = max(logs)
     if top == math.inf:  # a term's scale itself leaves double range
@@ -92,11 +93,15 @@ def verlinde(
         if ratio:
             total += (term := phase * ratio[1] ** exponent * math.exp(log - top))
             spread += abs(term) * error
-    value = sign * (pre := ctx.q_pow(c * b)) * total
-    _check_rounding(ctx, genus, beta, pre, total, spread, common + _EPS * abs(top), top)
+    pre, scale = ctx.q_pow(c * b), top
+    if abs(pre) < sys.float_info.min:
+        pre = cmath.exp(1j * math.pi * (c * b).real / ctx.r)
+        scale -= math.pi * (c * b).imag / ctx.r
+    value = sign * pre * total
+    _check_rounding(ctx, genus, beta, pre, total, spread, common + _EPS * abs(top), scale)
     if not value:
         return 0.0 + 0.0j
-    log_abs = math.log(abs(value)) + top + genus * math.log(ctx.rprime) - math.log(ctx.r)
+    log_abs = math.log(abs(value)) + scale + genus * math.log(ctx.rprime) - math.log(ctx.r)
     if log_abs >= math.log(sys.float_info.max):
         raise DomainError(
             f"the genus-{genus} value at beta={beta!r} has magnitude "

@@ -209,15 +209,34 @@ def _assert_verlinde_matches_mp(r, genus, beta, points=()):
     assert abs(reported - log_ref) < 0.1
 
 
-def test_verlinde_underflowed_prefactor_is_zero_within_tolerance():
+@pytest.mark.parametrize(
+    "r,genus,beta,points",
+    # q^(cβ) below double's normal range: on the direct sum (|Im β| < 225)
+    # and on the far path, where {rβ} leaves double range too
+    [(3, 1, 0.3 + 200j, (4.5,)), (5, 1, 0.3 + 210j, (6.2,)), (3, 1, 0.3 + 226j, (3.5,)),
+     (3, 1, 0.3 - 226j, (-3.5,)), (6, 1, 0.3 + 230j, (41 / 3, -7 / 5)),
+     (3, 3, 0.3 + 230j, (41 / 3, -7 / 5)), (7, 1, 0.3 + 500j, (41 / 3, -7 / 5))],
+)
+def test_verlinde_underflowed_prefactor_keeps_the_value(r, genus, beta, points):
+    # the value, 1e-11 to 1e-227 here, fits a double where q^(cβ) alone does
+    # not: it printed 0 or was refused as lost to rounding
+    mp = pytest.importorskip("mpmath")
+    ref = complex(_verlinde_mp(mp, r, genus, beta, points, dps=100))
+    v = verlinde(RootParams(r), genus, beta, points)
+    assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+def test_verlinde_cancelled_far_sum_is_within_tolerance():
     # at |Im β| = 226, {3β} leaves double range; the rescaled terms of the
-    # point color c = 3 cancel to a rounding residue, whose product with the
-    # subnormal q^(cβ) ≈ 4e-309 is 0.  The value, 1e-153 at 50 digits, is 0
-    # within tol·max(1, |value|)
+    # point color c = 3 cancel by about 205 digits, so what double precision
+    # keeps of their sum is a rounding residue.  The value, −7.9e-309 −
+    # 1.09e-308i at 300 digits (50 digits leave a residue of 1e-153), is
+    # returned within tol·max(1, |value|)
     mp = pytest.importorskip("mpmath")
     beta = 0.3 + 226j
-    assert verlinde(RootParams(3), 1, beta, [3.0]) == 0
-    assert abs(_verlinde_mp(mp, 3, 1, beta, [3.0])) < RootParams.tol
+    ref = complex(_verlinde_mp(mp, 3, 1, beta, [3.0], dps=300))
+    assert 1e-308 < abs(ref) < 2e-308
+    assert abs(verlinde(RootParams(3), 1, beta, [3.0]) - ref) <= RootParams.tol
 
 
 def test_verlinde_real_class_near_an_integer():
