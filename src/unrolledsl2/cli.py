@@ -28,6 +28,12 @@ unless the pipe was closed.
 JSON results echo their normalized inputs under ``"inputs"``; feeding that
 object back through the same subcommand reproduces the values bit-for-bit.
 
+Importing this module loads only :mod:`.jsonio`, :mod:`.qscalar` and
+:mod:`.errors` besides it.  Each handler imports the schema of the
+document kind it reads (:mod:`.model`, :mod:`.tqftdim` or
+:mod:`.closedform`) and the engine it runs, so a fresh process compiles
+only those.
+
 The command line is read by :func:`parse_args`, one pass over a fixed
 table of commands and options (``--opt value``, ``--opt=value``, unique
 prefixes, the last repeat wins) that holds no state between calls.  The

@@ -20,15 +20,21 @@ degree histogram of that basis along three independent routes:
   memory grows as r'^E in the number E of edges; it is the small-size
   oracle that the self-test and the test suite compare the contraction
   against;
-* the closed form (:func:`~unrolledsl2.qscalar.verlinde`), which the
+* the closed form (:func:`~unrolledsl2.closedform.verlinde`), which the
   histogram reproduces when evaluated at t = q^(2r'β), with a supersign
   for even r.
 
 The grid and the contraction share the color windows and the incidence
-table (:attr:`~unrolledsl2.model.TrivalentGraph.incidence`), and each
-keeps its own degree arithmetic: the grid reads degrees off float color
-sums (:func:`_degree_window`), the contraction from integer label
-offsets, so each checks the other's.
+table (:attr:`TrivalentGraph.incidence`), and each keeps its own degree
+arithmetic: the grid reads degrees off float color sums
+(:func:`_degree_window`), the contraction from integer label offsets, so
+each checks the other's.
+
+The spines themselves (:class:`TrivalentGraph` of :class:`GraphEdge`),
+their degree histograms (:class:`GradedDimension`) and the schema of the
+spine documents the ``tqftdim`` and ``hh0`` commands read
+(:func:`parse_graph`, :func:`graph_to_json`) live here too, so a command
+that reads another kind of document never compiles them.
 
 Conventions.  An edge grading is the value of the class on the edge
 meridian, equal to the degree of a module transported along the edge; a

@@ -14,6 +14,15 @@ imports::
 
     python tools/cold_start.py --runs 21
     python tools/cold_start.py --runs 21 --src ../parent/src
+
+With ``--base DIR`` every row times the two ``src`` trees back to back in
+each round, in alternating order, and prints both medians, the median and
+quartiles of the paired differences (``--src`` minus ``--base``) and the
+number of rounds ``--src`` was faster.  Drift between two separate runs
+can exceed the few milliseconds a change of the start path is worth; a
+paired difference cancels most of it::
+
+    python tools/cold_start.py --runs 21 --base ../parent/src
 """
 
 from __future__ import annotations
@@ -55,26 +64,49 @@ def _rows() -> list:
     return rows
 
 
+def _time(label: str, argv: list, want: int, env: dict) -> float:
+    """Wall seconds of one fresh process; exits if its code is not ``want``."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != want:
+        sys.exit(f"{label}: exit {proc.returncode}, expected {want} with {env['PYTHONPATH']}\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    return elapsed
+
+
+def _ms(samples: list) -> tuple:
+    """(q1, median, q3) of ``samples``, in ms."""
+    return tuple(1000 * x for x in statistics.quantiles(samples, n=4))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--base", type=Path, help="a second src tree to pair every row with")
     parser.add_argument("--runs", type=int, default=11)
     args = parser.parse_args()
-    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    trees = [args.src] + ([args.base] if args.base else [])
+    envs = [{**os.environ, "PYTHONPATH": str(tree.resolve())} for tree in trees]
     rows = _rows()
-    times: list = [[] for _ in rows]
-    for _ in range(args.runs):
+    times: list = [[[] for _ in trees] for _ in rows]
+    for round_ in range(args.runs):
         for (label, argv, want), samples in zip(rows, times):
-            t0 = time.perf_counter()
-            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
-            samples.append(time.perf_counter() - t0)
-            if proc.returncode != want:
-                sys.exit(f"{label}: exit {proc.returncode}, expected {want}\n"
-                         f"{proc.stderr.decode(errors='replace')}")
-    print(f"# median [q1, q3] ms of {args.runs} fresh processes, src={args.src}")
-    for (label, _, _), samples in zip(rows, times):
-        q1, median, q3 = (1000 * x for x in statistics.quantiles(samples, n=4))
-        print(f"{label:<26} {median:7.1f}  [{q1:.1f}, {q3:.1f}]")
+            for k in (range(len(trees)) if round_ % 2 == 0 else reversed(range(len(trees)))):
+                samples[k].append(_time(label, argv, want, envs[k]))
+    if not args.base:
+        print(f"# median [q1, q3] ms of {args.runs} fresh processes, src={args.src}")
+        for (label, _, _), (samples,) in zip(rows, times):
+            q1, median, q3 = _ms(samples)
+            print(f"{label:<26} {median:7.1f}  [{q1:.1f}, {q3:.1f}]")
+        return 0
+    print(f"# {args.runs} paired rounds, ms: medians of src={args.src} and base={args.base},")
+    print("# median [q1, q3] of the paired differences src - base, rounds src was faster")
+    for (label, _, _), (new, old) in zip(rows, times):
+        q1, median, q3 = _ms([a - b for a, b in zip(new, old)])
+        wins = sum(a < b for a, b in zip(new, old))
+        print(f"{label:<26} {_ms(new)[1]:7.1f} {_ms(old)[1]:7.1f}  {median:+7.1f}  "
+              f"[{q1:+.1f}, {q3:+.1f}]  {wins}/{args.runs}")
     return 0
 
 
