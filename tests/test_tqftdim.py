@@ -239,6 +239,15 @@ def test_verlinde_cancelled_far_sum_is_within_tolerance():
     assert abs(verlinde(RootParams(3), 1, beta, [3.0]) - ref) <= RootParams.tol
 
 
+def test_verlinde_exactly_cancelled_far_sum_is_zero():
+    # β = 300i with one point of color 3 at r=3: the rescaled far terms are
+    # symmetric and cancel exactly, and so does the closed form (400 digits
+    # leave a residue below 1e-900)
+    mp = pytest.importorskip("mpmath")
+    assert abs(_verlinde_mp(mp, 3, 0, 300j, [3.0], dps=400)) < mp.mpf("1e-900")
+    assert verlinde(RootParams(3), 0, 300j, [3.0]) == 0
+
+
 def test_verlinde_real_class_near_an_integer():
     # {x} of a real x is 2i sin of the rounded pi*x/r, so each ratio
     # {3 beta}/{beta + k} keeps its digits as beta -> 0; a bound that charged
