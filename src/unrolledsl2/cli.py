@@ -34,25 +34,28 @@ document kind it reads (:mod:`.model`, :mod:`.tqftdim` or
 :mod:`.closedform`) and the engine it runs, so a fresh process compiles
 only those.
 
-The command line is read by :func:`parse_args`, one pass over a fixed
-table of commands and options (``--opt value``, ``--opt=value``, unique
-prefixes, the last repeat wins) that holds no state between calls.  The
-evaluation caches (:func:`~unrolledsl2.diagram.compile_diagram`, the
-braiding pairings of :mod:`~unrolledsl2.repcat` and the HH0 spine plans
-of :func:`~unrolledsl2.tqftdim.hh0_dimension_generic`) hold only what the
+The command line is read by :func:`parse_args` with the grammar of
+Python's argparse (``--opt value``, ``--opt=value``, unique prefixes, the
+last repeat wins), from one table of commands and options.  The plain
+``--opt value`` lines that every well-formed call writes are read without
+argparse; any other line goes to one argparse parser, built on first
+use, which holds no state between parses.  The evaluation caches
+(:func:`~unrolledsl2.diagram.compile_diagram`, the braiding pairings of
+:mod:`~unrolledsl2.repcat` and the HH0 spine plans of
+:func:`~unrolledsl2.tqftdim.hh0_dimension_generic`) hold only what the
 diagram or spine structure and the root order fix, never a value that
 depends on the colors, the gradings or the tolerance, and every call
-computes its values afresh.  So
-``main`` is re-entrant: a call's output depends only on its own ``argv``
-and input, not on what ran before it in the process.
+computes its values afresh.  So ``main`` is re-entrant: a call's output
+depends only on its own ``argv`` and input, not on what ran before it in
+the process.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import Any
@@ -62,23 +65,14 @@ from .errors import DomainError, QInvariantError, SchemaError
 from .qscalar import RootParams
 
 
-class UsageError(Exception):
-    """A value the command line cannot take; the message follows
-    ``argument OPTION:`` on the error line."""
-
-
 def _tolerance(text: str) -> float:
     """A finite, nonnegative ``--tol`` value; zero is allowed."""
-    value = float(text)  # a ValueError is reported as an invalid value
+    value = float(text)  # argparse reports a ValueError as an invalid value
     if not (math.isfinite(value) and value >= 0):
-        raise UsageError(f"expected a finite number >= 0, got {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
-
-
-def _format(text: str) -> str:
-    if text not in ("table", "json"):
-        raise UsageError(f"invalid choice: {text!r} (choose from 'table', 'json')")
-    return text
 
 
 PROG = "unrolledsl2"
@@ -90,167 +84,83 @@ COMMANDS = {
     "hh0": "graded dimension through the Hochschild route",
     "selftest": "run all property checks for the given root order",
 }
-# option -> (field, converter, default, metavar, help); --r is required
+# option -> (converter or choices, default, help); --r is required
 _OPTIONS = {
-    "--r": ("r", int, None, "R", "root order (2 <= r < 2^23, r != 0 mod 4)"),
-    "--input": ("input", str, None, "INPUT", "input JSON file"),
-    "--format": ("format", _format, "table", "{table,json}", "output format (default table)"),
-    "--tol": ("tol", _tolerance, 1e-9, "TOL",
-              "numerical tolerance for scalar extraction (default 1e-9)"),
-    "--jobs": ("jobs", int, 1, "JOBS", "accepted for compatibility; has no effect"),
+    "--r": (int, None, "root order (2 <= r < 2^23, r != 0 mod 4)"),
+    "--input": (str, None, "input JSON file"),
+    "--format": (("table", "json"), "table", "output format (default table)"),
+    "--tol": (_tolerance, 1e-9, "numerical tolerance for scalar extraction (default 1e-9)"),
+    "--jobs": (int, 1, "accepted for compatibility; has no effect"),
 }
-_SELFTEST_OPTIONS = {**_OPTIONS, "--seed": ("seed", int, 0, "SEED", "base RNG seed")}
-_HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a positional, not an option
-_SEPARATOR = "--"  # every later token is a positional
+_SELFTEST_OPTIONS = {**_OPTIONS, "--seed": (int, 0, "base RNG seed")}
 
 
-def _usage(command: str | None) -> str:
-    """The usage lines, laid out as the standard library parser does at 80 columns."""
-    if command is None:
-        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ...\n"
-    head = f"usage: {PROG} {command} "
-    tail = " [--seed SEED]" if command == "selftest" else ""
-    return (f"{head}[-h] --r R [--input INPUT] [--format {{table,json}}]\n"
-            f"{' ' * len(head)}[--tol TOL] [--jobs JOBS]{tail}\n")
+def _options(command: str) -> dict:
+    return _SELFTEST_OPTIONS if command == "selftest" else _OPTIONS
 
 
-def _help(command: str | None) -> str:
-    """The ``-h`` text: the usage, then one line per command or option."""
-    if command is None:
-        rows = COMMANDS
-    else:
-        options = _SELFTEST_OPTIONS if command == "selftest" else _OPTIONS
-        rows = {"-h, --help": "show this help message and exit",
-                **{f"{name} {spec[3]}": spec[4] for name, spec in options.items()}}
-    width = max(map(len, rows)) + 2
-    return _usage(command) + "\n" + "".join(
-        f"  {name:<{width}}{text}\n" for name, text in rows.items())
-
-
-def _write(stream, text: str) -> None:
-    try:
-        stream.write(text)
-    except (AttributeError, OSError):  # a missing or closed stream
-        pass
-
-
-def _fail(command: str | None, message: str):
-    """Reject the command line: usage and one error line on stderr, exit 2."""
-    prog = PROG if command is None else f"{PROG} {command}"
-    _write(sys.stderr, f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _classify(token: str, names, command: str | None):
-    """How one token reads against the option ``names``: ``None`` for a
-    positional, else ``(name, value)``, with ``name`` ``None`` for an unknown
-    option and ``value`` the text glued on with ``=`` (or after ``-h``)."""
-    if not token.startswith("-") or token == "-":
+def _fast_fields(argv: list) -> dict | None:
+    """The fields of a command line of the shape every well-formed call
+    takes: ``COMMAND`` and then ``--name value`` pairs, each name an exact
+    option of the command, no value starting with ``-``, every value valid
+    and ``--r`` given.  ``None`` for any other command line."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
-    if token in names:
-        return token, None
-    head, eq, value = token.partition("=")
-    if eq and head in names:
-        return head, value
-    if token.startswith("--"):  # a unique prefix of a long option
-        matches = [name for name in names if name.startswith(head)]
-        value = value if eq else None
-    else:  # a single dash: -h with more text glued on
-        matches = ["-h"] if token.startswith("-h") else []
-        value = token[2:]
-    if len(matches) > 1:
-        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
+    options = _options(argv[0])
+    fields = {"command": argv[0], **{name[2:]: spec[1] for name, spec in options.items()}}
+    for name, text in zip(argv[1::2], argv[2::2]):
+        if name not in options or text.startswith("-"):
+            return None
+        kind = options[name][0]
+        if isinstance(kind, tuple):  # the choices of --format
+            if text not in kind:
+                return None
+            value = text
+        else:
+            try:
+                value = kind(text)
+            except Exception:  # argparse converts it again and reports the error
+                return None
+        fields[name[2:]] = value
+    return fields if fields["r"] is not None else None
 
 
-def _show_help(command: str | None, name: str, value: str | None):
-    if name == "-h" and value:  # -hh...: the tail is more -h flags
-        value = value.lstrip("h") or None
-    if value is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    _write(sys.stdout, _help(command))
-    raise SystemExit(0)
+@functools.cache
+def build_parser():
+    """The argparse parser of every command line, laid out at 80 columns
+    whatever the terminal's width; it holds no state between parses."""
+    import argparse
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    parser = argparse.ArgumentParser(prog=PROG, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, summary in COMMANDS.items():
+        p = sub.add_parser(command, help=summary, description=summary,
+                           formatter_class=formatter)
+        for name, (kind, default, text) in _options(command).items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(name, type=None if choices else kind, choices=choices,
+                           default=default, required=name == "--r", help=text)
+    return parser
 
 
-def parse_args(argv) -> SimpleNamespace:
-    """The command and option values of ``argv``, read by one fixed grammar.
+def parse_args(argv) -> Any:
+    """The fields ``command`` and one per option of the command, read from
+    ``argv`` as Python's argparse reads ``COMMAND [options]``.
 
-    ``COMMAND [options]``, where every command takes ``--r`` (required),
-    ``--input``, ``--format``, ``--tol`` and ``--jobs``, and ``selftest``
-    also ``--seed``.  An option is written ``--opt value`` or
-    ``--opt=value``, or as any unique prefix of its name (``--inp``); the
-    options come in any order and the last repeat wins.  A token starting
-    with ``-`` is an option unless it is ``-``, a negative number or
-    contains a space, so an option value of another such shape needs the
-    ``=`` form (``--tol=-inf``); ``--`` ends the options.  This is how the
-    standard library's parser reads them, which the tests hold this one to,
-    except that ``--opt=--`` gives the value ``--``.  A rejected command
-    line writes the usage and an ``unrolledsl2 [COMMAND]: error: MESSAGE``
-    line to stderr and raises ``SystemExit(2)``; ``-h`` writes the help and
-    raises ``SystemExit(0)``.  The fields are ``command`` and one per option
-    of the command.
+    Every command takes ``--r`` (required), ``--input``, ``--format``,
+    ``--tol`` and ``--jobs``, and ``selftest`` also ``--seed``.  A line of
+    exact ``--name value`` pairs with valid values that do not start with
+    ``-`` is read without argparse.  A rejected line writes the usage and
+    an ``unrolledsl2 [COMMAND]: error: MESSAGE`` line to stderr and raises
+    ``SystemExit(2)``; ``-h`` writes the help and raises ``SystemExit(0)``.
     """
     argv = list(argv)
-    unknown = []  # unrecognized tokens, reported after every other check
-    i = 0
-    while i < len(argv):  # options before the command: only -h is known
-        option = None if argv[i] == _SEPARATOR else _classify(argv[i], _HELP, None)
-        if option is None:
-            break
-        if option[0] is None:
-            unknown.append(argv[i])
-        else:
-            _show_help(None, *option)
-        i += 1
-    if argv[i:] in ([], [_SEPARATOR]):  # a final "--" is not a command
-        _fail(None, "the following arguments are required: command")
-    command, rest = argv[i], argv[i + 1:]
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-
-    options = _SELFTEST_OPTIONS if command == "selftest" else _OPTIONS
-    names = _HELP + tuple(options)
-    kinds = []
-    for token in rest:  # every token is classified before any is consumed
-        if token == _SEPARATOR:
-            kinds.append(_SEPARATOR)
-            kinds.extend([None] * (len(rest) - len(kinds)))
-            break
-        kinds.append(_classify(token, names, command))
-    fields = {"command": command, **{spec[0]: spec[2] for spec in options.values()}}
-    j = 0
-    while j < len(rest):
-        kind = kinds[j]
-        if kind is None or kind == _SEPARATOR or kind[0] is None:
-            unknown.append(rest[j])
-            j += 1
-            continue
-        name, text = kind
-        if name in _HELP:
-            _show_help(command, name, text)
-        if text is None:
-            if j + 1 == len(rest) or kinds[j + 1] is not None:
-                _fail(command, f"argument {name}: expected one argument")
-            text = rest[j + 1]
-            j += 1
-        j += 1
-        field, convert = options[name][:2]
-        try:
-            fields[field] = convert(text)
-        except UsageError as exc:
-            _fail(command, f"argument {name}: {exc}")
-        except ValueError:
-            _fail(command, f"argument {name}: invalid {convert.__name__} value: {text!r}")
-    if fields["r"] is None:
-        _fail(command, "the following arguments are required: --r")
-    if unknown:
-        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    fields = _fast_fields(argv)
+    if fields is None:
+        return build_parser().parse_args(argv)
     return SimpleNamespace(**fields)
 
 

@@ -309,7 +309,8 @@ def test_selftest_passes(capsys, r):
 
 
 # ----------------------------------------------------------------------
-# the command-line grammar, checked against the argparse parser it replaced
+# the command line: the fast path and the argparse fallback, both checked
+# against a reference argparse parser
 # ----------------------------------------------------------------------
 
 
@@ -347,7 +348,8 @@ def reference_parser() -> argparse.ArgumentParser:
 
 def parse_outcome(parse, argv):
     """(exit code or None, fields, stderr) of one parse, and stdout unless
-    it is a help text (the new parser's help is its own fixed string)."""
+    it is a help text (the CLI's help also describes each command and
+    option, the reference parser's does not)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse's usage width
@@ -452,6 +454,48 @@ def test_parser_agrees_with_argparse(argv):
     assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
 
 
+_PLAIN_VALUES = {name: [value for value in values if not value.startswith("-")]
+                 for name, values in _GOOD_VALUES.items()}
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    """A command, ``--r`` and 0-5 more exact ``--name value`` pairs in any
+    order, no value starting with ``-``: the shape of every well-formed call."""
+    command = draw(st.sampled_from(["flink", "zinv", "tqftdim", "verlinde", "hh0", "selftest"]))
+    names = [name for name in _PLAIN_VALUES if name != "--seed" or command == "selftest"]
+    order = draw(st.lists(st.sampled_from(names), max_size=5))
+    order.insert(draw(st.integers(0, len(order))), "--r")
+    return [command] + [token for name in order
+                        for token in (name, draw(st.sampled_from(_PLAIN_VALUES[name])))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_well_formed_argvs())
+def test_well_formed_lines_take_the_fast_path(argv):
+    # the fast path reads them without argparse, to argparse's fields; without
+    # this, the agreement above would hold with every line sent to argparse
+    fields = cli._fast_fields(argv)
+    assert fields is not None
+    assert fields == vars(reference_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["flink", "--r", "5", "--input", "-x"],  # an option where a value belongs
+    ["flink", "--r", "5", "--input", "--r"],
+    ["verlinde", "--r", "-1", "--input", "x.json"],  # a negative number is a value
+    ["verlinde", "--r", "5", "--input", "-"],
+    ["verlinde", "--r", "5", "--tol", "nan"],
+    ["verlinde", "--r", "5", "--format", "xml"],
+    ["verlinde", "--r", "5", "--inp", "x.json"],
+    ["verlinde", "--input", "x.json"],
+], ids=" ".join)
+def test_lines_off_the_fast_path_go_to_argparse(argv):
+    # one token away from the fast path's shape: argparse reads the line
+    assert cli._fast_fields(argv) is None
+    assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
+
+
 def test_shared_parser_is_reentrant(capsys):
     # each call through the shared parser answers as in a new interpreter
     hopf = str(FIXTURES / "hopf.json")
@@ -487,15 +531,16 @@ def test_help_without_a_stdout_exits_0(monkeypatch):
 
 # What a fresh interpreter has loaded after importing the CLI and after each
 # command line: numpy, fractions (which loads decimal), dataclasses and
-# inspect (which load ast, dis and tokenize), the engine modules and the
-# diagram model only, with each call's exit code; and every package module
-# the import alone loads.
+# inspect (which load ast, dis and tokenize), argparse, the engine modules
+# and the diagram model only, with each call's exit code; and every package
+# module the import alone loads.
 _COLD_PROBE = """
 import contextlib, io, json, sys
 import unrolledsl2.cli as cli
 ENGINES = {"diagram", "repcat", "invariant", "planner", "selftest", "tqftdim", "model"}
 def loaded():
-    return sorted(m for m in sys.modules if m in ("numpy", "fractions", "dataclasses", "inspect")
+    return sorted(m for m in sys.modules
+                  if m in ("numpy", "fractions", "dataclasses", "inspect", "argparse")
                   or m.startswith("unrolledsl2.") and m.split(".")[1] in ENGINES)
 start = sorted(m for m in sys.modules if m.startswith("unrolledsl2."))
 seen = [(None, loaded())]
@@ -532,7 +577,8 @@ def test_cold_start_loads_no_numpy_and_only_the_engine_a_command_runs(tmp_path):
     start, seen = _cold_probe(argvs)
     assert start == ["unrolledsl2.cli", "unrolledsl2.errors", "unrolledsl2.jsonio",
                      "unrolledsl2.qscalar"]
-    assert seen[:4] == [[None, []], [0, []], [2, []], [2, []]]
+    # only the rejected command line loads argparse
+    assert seen[:4] == [[None, []], [0, []], [2, ["argparse"]], [2, ["argparse"]]]
     code, zinv_loaded = seen[4]
     assert code == 0
     assert {"numpy", "unrolledsl2.invariant", "unrolledsl2.diagram"} <= set(zinv_loaded)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cuts import cut_matrices
+from presentations import encircled_strand_presentation
 
 from unrolledsl2 import diagram as diagram_module
 from unrolledsl2 import invariant
@@ -27,7 +28,6 @@ from unrolledsl2.invariant import (
     SurgeryPresentation,
     _fixed_cut,
     computability_failure,
-    encircled_strand_presentation,
     f_prime,
     handle_slide,
     linking_data,

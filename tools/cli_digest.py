@@ -182,7 +182,10 @@ ARGVS = {  # label -> argv of the command-line section
     "ambiguous option": ["tqftdim", "--r", "5", "--=json"],
     "option without its value": ["flink", "--input", "x.json", "--r"],
     "extra positional": ["flink", "--r", "5", "x.json"],
+    "--input=--": ["verlinde", "--r", "5", "--input=--"],
+    "negative --r": ["verlinde", "--r", "-1", "--input", VERLINDE],
     "--r=5": ["verlinde", "--r=5", "--input", VERLINDE],
+    "--jobs=2": ["verlinde", "--r", "5", "--input", VERLINDE, "--jobs=2"],
     "--inp --fo": ["verlinde", "--r", "5", "--inp", VERLINDE, "--fo", "json"],
     "repeated options": ["verlinde", "--r", "3", "--format=json", "--input", "x.json",
                          "--r", "5", "--input", VERLINDE, "--format", "table"],
